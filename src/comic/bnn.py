@@ -10,7 +10,16 @@ weights, which gives identical output distributions at lower variance.
 
 Gradients for both training objectives are hand-derived for this fixed
 architecture, so the package needs no autodiff dependency; they are checked
-against central differences in the test suite.
+against central differences in the test suite. A gradient is itself a
+ConditionalModel whose blocks hold d(loss)/d(parameter), so parameters and
+gradients share one layout: pack_params flattens either into the same
+vector (pack_grads is the same function), and unpack_params turns a vector
+back into a model whose blocks are views of it.
+
+Every pass goes through one forward/backward pair per layer: with a noise
+matrix it is the sampled (local reparameterization) pass; without one it
+is the deterministic pass through the posterior means, which does no
+variance work and leaves the variance gradients untouched.
 """
 
 from __future__ import annotations
@@ -40,6 +49,8 @@ class VariationalLinearLayer:
     mean_b, logvar_b: posterior mean and log-variance per bias (B).
     log_prior_scale_w: log of the prior std per weight (A x B); the bias
     prior std is fixed at 1 and carries no hyperparameter.
+
+    The same type holds a layer's gradient, block for block.
     """
 
     mean_w: np.ndarray
@@ -84,6 +95,7 @@ class ConditionalModel:
 
     Output node 0 is the mean; node 1 is clamped to +-LOG_SCALE_LIMIT and
     exponentiated, so the predicted std is always positive and finite.
+    The training objectives return their gradient as a ConditionalModel.
     """
 
     hidden: VariationalLinearLayer
@@ -114,21 +126,6 @@ class ConditionalModel:
         return kl_model(self)
 
 
-@dataclass
-class LayerGrads:
-    mean_w: np.ndarray
-    logvar_w: np.ndarray
-    mean_b: np.ndarray
-    logvar_b: np.ndarray
-    log_prior_scale_w: np.ndarray
-
-
-@dataclass
-class ModelGrads:
-    hidden: LayerGrads
-    output: LayerGrads
-
-
 _BLOCK_FIELDS = ("mean_w", "logvar_w", "mean_b", "logvar_b", "log_prior_scale_w")
 
 
@@ -142,21 +139,22 @@ def param_blocks(model: ConditionalModel) -> list[tuple[str, int]]:
 
 
 def pack_params(model: ConditionalModel) -> np.ndarray:
+    """Flatten a model (parameters or gradients) into a new vector."""
     parts = []
     for layer in (model.hidden, model.output):
         parts.extend(getattr(layer, f).ravel() for f in _BLOCK_FIELDS)
     return np.concatenate(parts)
 
 
-def pack_grads(grads: ModelGrads) -> np.ndarray:
-    parts = []
-    for layer in (grads.hidden, grads.output):
-        parts.extend(getattr(layer, f).ravel() for f in _BLOCK_FIELDS)
-    return np.concatenate(parts)
+# gradients share the parameters' layout
+pack_grads = pack_params
 
 
 def unpack_params(model: ConditionalModel, vec: np.ndarray) -> ConditionalModel:
-    """Rebuild a model with the same shapes from a packed vector."""
+    """A model with the same shapes whose blocks are views of vec.
+
+    Writing into vec therefore updates the returned model in place.
+    """
     layers = []
     offset = 0
     for layer in (model.hidden, model.output):
@@ -180,63 +178,51 @@ def _check_input(layer: VariationalLinearLayer, h_in: np.ndarray) -> np.ndarray:
     return h_in
 
 
-def layer_forward_mean(layer: VariationalLinearLayer, h_in: np.ndarray) -> np.ndarray:
-    """Deterministic pass through the posterior means."""
-    h_in = _check_input(layer, h_in)
-    return h_in @ layer.mean_w + layer.mean_b
+def _layer_forward(layer: VariationalLinearLayer, h_in: np.ndarray, eps: np.ndarray | None):
+    """Pre-activations of one layer and the cache its backward pass needs.
 
-
-def _reparam_forward(layer: VariationalLinearLayer, h_in: np.ndarray, eps: np.ndarray):
-    """Sampled pass: pre-activations drawn from their induced Gaussian.
-
-    Returns (h_out, cache); the cache holds what backprop needs.
+    With eps the pre-activations are drawn from their induced Gaussian;
+    with eps=None the pass runs through the posterior means only.
     """
+    m_out = h_in @ layer.mean_w + layer.mean_b
+    if eps is None:
+        return m_out, (h_in, None)
     v_w = np.exp(layer.logvar_w)
     v_b = np.exp(layer.logvar_b)
     h_sq = h_in * h_in
-    m_out = h_in @ layer.mean_w + layer.mean_b
-    v_out = h_sq @ v_w + v_b
-    s_out = np.sqrt(v_out)
-    h_out = m_out + s_out * eps
-    cache = (h_in, h_sq, v_w, v_b, s_out, eps)
-    return h_out, cache
+    s_out = np.sqrt(h_sq @ v_w + v_b)
+    return m_out + s_out * eps, (h_in, (h_sq, v_w, v_b, s_out, eps))
+
+
+def _layer_backward(
+    layer: VariationalLinearLayer, cache, g_out: np.ndarray, grad: VariationalLinearLayer
+) -> np.ndarray:
+    """Add the layer's gradient given d(loss)/d(h_out) into grad; return d(loss)/d(h_in)."""
+    h_in, noise = cache
+    grad.mean_w += h_in.T @ g_out
+    grad.mean_b += g_out.sum(axis=0)
+    g_in = g_out @ layer.mean_w.T
+    if noise is None:
+        return g_in
+    h_sq, v_w, v_b, s_out, eps = noise
+    g_v = g_out * eps * (0.5 / s_out)
+    grad.logvar_w += (h_sq.T @ g_v) * v_w
+    grad.logvar_b += g_v.sum(axis=0) * v_b
+    return g_in + 2.0 * h_in * (g_v @ v_w.T)
+
+
+def layer_forward_mean(layer: VariationalLinearLayer, h_in: np.ndarray) -> np.ndarray:
+    """Deterministic pass through the posterior means."""
+    return _layer_forward(layer, _check_input(layer, h_in), None)[0]
 
 
 def layer_forward_local_reparam(
     layer: VariationalLinearLayer, h_in: np.ndarray, stream: RngStream
 ) -> np.ndarray:
+    """Sampled pass: pre-activations drawn from their induced Gaussian."""
     h_in = _check_input(layer, h_in)
     eps = draw_standard_normal(stream, h_in.shape[0], layer.out_dim)
-    h_out, _ = _reparam_forward(layer, h_in, eps)
-    return h_out
-
-
-def _reparam_backward(layer: VariationalLinearLayer, cache, g_out: np.ndarray):
-    """Gradients of a reparametrized layer given d(loss)/d(h_out).
-
-    Returns (LayerGrads with zero prior-scale block, d(loss)/d(h_in)).
-    """
-    h_in, h_sq, v_w, v_b, s_out, eps = cache
-    g_v = g_out * eps * (0.5 / s_out)
-    g_mean_w = h_in.T @ g_out
-    g_mean_b = g_out.sum(axis=0)
-    g_logvar_w = (h_sq.T @ g_v) * v_w
-    g_logvar_b = g_v.sum(axis=0) * v_b
-    g_in = g_out @ layer.mean_w.T + 2.0 * h_in * (g_v @ v_w.T)
-    grads = LayerGrads(g_mean_w, g_logvar_w, g_mean_b, g_logvar_b,
-                       np.zeros_like(layer.log_prior_scale_w))
-    return grads, g_in
-
-
-def _mean_backward(layer: VariationalLinearLayer, h_in: np.ndarray, g_out: np.ndarray):
-    grads = LayerGrads(
-        h_in.T @ g_out,
-        np.zeros_like(layer.logvar_w),
-        g_out.sum(axis=0),
-        np.zeros_like(layer.logvar_b),
-        np.zeros_like(layer.log_prior_scale_w),
-    )
-    return grads, g_out @ layer.mean_w.T
+    return _layer_forward(layer, h_in, eps)[0]
 
 
 def model_forward(
@@ -253,24 +239,22 @@ def model_forward(
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ArgumentError(f"x must be a 1-D vector, got shape {x.shape}")
-    h_in = x[:, None]
     if mode == "sampled":
         if stream is None:
             raise ArgumentError("sampled mode needs an RngStream")
-        p1 = layer_forward_local_reparam(model.hidden, h_in, stream.child("hidden"))
-    elif mode == "mean":
-        p1 = layer_forward_mean(model.hidden, h_in)
-    else:
+    elif mode != "mean":
         raise ArgumentError(f"unknown forward mode {mode!r}")
-    if not np.isfinite(p1).all():
-        raise NumericError("non-finite activations in hidden layer")
-    a = np.tanh(p1)
-    if mode == "sampled":
-        p2 = layer_forward_local_reparam(model.output, a, stream.child("output"))
-    else:
-        p2 = layer_forward_mean(model.output, a)
-    if not np.isfinite(p2).all():
-        raise NumericError("non-finite activations in output layer")
+
+    def forward(layer, h_in, tag):
+        if mode == "mean":
+            h_out = layer_forward_mean(layer, h_in)
+        else:
+            h_out = layer_forward_local_reparam(layer, h_in, stream.child(tag))
+        if not np.isfinite(h_out).all():
+            raise NumericError(f"non-finite activations in {tag} layer")
+        return h_out
+
+    p2 = forward(model.output, np.tanh(forward(model.hidden, x[:, None], "hidden")), "output")
     mu = p2[:, 0]
     sigma = np.exp(np.clip(p2[:, 1], -LOG_SCALE_LIMIT, LOG_SCALE_LIMIT))
     return mu, sigma
@@ -287,43 +271,48 @@ def gaussian_nll(y: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> float:
     return float(np.sum(HALF_LOG_2PI + np.log(sigma) + r * r / (2.0 * sigma * sigma)))
 
 
-def _kl_layer(layer: VariationalLinearLayer) -> float:
+def _kl_layer(layer: VariationalLinearLayer, scale: float):
+    """KL of one layer and the gradient of scale * KL."""
     ls = layer.log_prior_scale_w
     lv = layer.logvar_w
     mu = layer.mean_w
     inv_z2 = np.exp(-2.0 * ls)
-    kl_w = np.sum(ls - 0.5 * lv + (np.exp(lv) + mu * mu) * inv_z2 * 0.5 - 0.5)
+    v_w = np.exp(lv)
+    kl_w = np.sum(ls - 0.5 * lv + (v_w + mu * mu) * inv_z2 * 0.5 - 0.5)
     lvb = layer.logvar_b
     mub = layer.mean_b
-    kl_b = np.sum(-0.5 * lvb + (np.exp(lvb) + mub * mub) * 0.5 - 0.5)
-    return float(kl_w + kl_b)
+    v_b = np.exp(lvb)
+    kl_b = np.sum(-0.5 * lvb + (v_b + mub * mub) * 0.5 - 0.5)
+    grad = VariationalLinearLayer(
+        mean_w=scale * mu * inv_z2,
+        logvar_w=scale * (-0.5 + 0.5 * v_w * inv_z2),
+        mean_b=scale * mub,
+        logvar_b=scale * (-0.5 + 0.5 * v_b),
+        log_prior_scale_w=scale * (1.0 - (v_w + mu ** 2) * inv_z2),
+    )
+    return float(kl_w + kl_b), grad
 
 
 def kl_model(model: ConditionalModel) -> float:
     """Closed-form KL from all factorized posteriors to their priors, in nats."""
-    return _kl_layer(model.hidden) + _kl_layer(model.output)
+    return _kl_layer(model.hidden, 1.0)[0] + _kl_layer(model.output, 1.0)[0]
 
 
-def _kl_layer_grads(layer: VariationalLinearLayer, scale: float) -> LayerGrads:
-    inv_z2 = np.exp(-2.0 * layer.log_prior_scale_w)
-    v_w = np.exp(layer.logvar_w)
-    return LayerGrads(
-        mean_w=scale * layer.mean_w * inv_z2,
-        logvar_w=scale * (-0.5 + 0.5 * v_w * inv_z2),
-        mean_b=scale * layer.mean_b,
-        logvar_b=scale * (-0.5 + 0.5 * np.exp(layer.logvar_b)),
-        log_prior_scale_w=scale * (1.0 - (v_w + layer.mean_w ** 2) * inv_z2),
+def _map_penalty(layer: VariationalLinearLayer):
+    """Negative log prior of the posterior means, constants dropped, and its gradient."""
+    ls = layer.log_prior_scale_w
+    mu = layer.mean_w
+    inv_z2 = np.exp(-2.0 * ls)
+    pen_w = np.sum(ls + 0.5 * mu * mu * inv_z2)
+    pen_b = 0.5 * np.sum(layer.mean_b ** 2)
+    grad = VariationalLinearLayer(
+        mean_w=mu * inv_z2,
+        logvar_w=np.zeros_like(layer.logvar_w),
+        mean_b=layer.mean_b.copy(),
+        logvar_b=np.zeros_like(layer.logvar_b),
+        log_prior_scale_w=1.0 - mu ** 2 * inv_z2,
     )
-
-
-def _add_grads(a: LayerGrads, b: LayerGrads) -> LayerGrads:
-    return LayerGrads(
-        a.mean_w + b.mean_w,
-        a.logvar_w + b.logvar_w,
-        a.mean_b + b.mean_b,
-        a.logvar_b + b.logvar_b,
-        a.log_prior_scale_w + b.log_prior_scale_w,
-    )
+    return float(pen_w + pen_b), grad
 
 
 def _nll_head(y: np.ndarray, p2: np.ndarray):
@@ -341,13 +330,25 @@ def _nll_head(y: np.ndarray, p2: np.ndarray):
     return loss, g_p2
 
 
+def _data_nll(model, x, y, grad: ConditionalModel, eps1=None, eps2=None) -> float:
+    """NLL of y given x through the network; its gradient is added into grad."""
+    h_in = np.asarray(x, dtype=float)[:, None]
+    p1, cache1 = _layer_forward(model.hidden, h_in, eps1)
+    a = np.tanh(p1)
+    p2, cache2 = _layer_forward(model.output, a, eps2)
+    loss, g_p2 = _nll_head(np.asarray(y, dtype=float), p2)
+    g_a = _layer_backward(model.output, cache2, g_p2, grad.output)
+    _layer_backward(model.hidden, cache1, g_a * (1.0 - a * a), grad.hidden)
+    return loss
+
+
 def elbo_objective(
     model: ConditionalModel,
     x: np.ndarray,
     y: np.ndarray,
     beta: float,
     stream: RngStream,
-) -> tuple[float, ModelGrads]:
+) -> tuple[float, ConditionalModel]:
     """Sampled NLL plus beta-weighted KL, with exact gradients under the draw.
 
     The noise matrices are a pure function of the stream, so repeated calls
@@ -355,72 +356,25 @@ def elbo_objective(
     """
     if not 0.0 <= beta <= 1.0:
         raise ArgumentError(f"beta must lie in [0, 1], got {beta}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = x.shape[0]
-    h_in = x[:, None]
+    n = np.shape(x)[0]
     eps1 = draw_standard_normal(stream.child("hidden"), n, model.hidden_width)
     eps2 = draw_standard_normal(stream.child("output"), n, 2)
-
-    p1, cache1 = _reparam_forward(model.hidden, h_in, eps1)
-    a = np.tanh(p1)
-    p2, cache2 = _reparam_forward(model.output, a, eps2)
-    loss_nll, g_p2 = _nll_head(y, p2)
-
-    grads_out, g_a = _reparam_backward(model.output, cache2, g_p2)
-    g_p1 = g_a * (1.0 - a * a)
-    grads_hid, _ = _reparam_backward(model.hidden, cache1, g_p1)
-
-    loss = loss_nll + beta * kl_model(model)
-    grads = ModelGrads(
-        hidden=_add_grads(grads_hid, _kl_layer_grads(model.hidden, beta)),
-        output=_add_grads(grads_out, _kl_layer_grads(model.output, beta)),
-    )
-    return loss, grads
-
-
-def _map_penalty(layer: VariationalLinearLayer) -> float:
-    """Negative log prior of the posterior means, constants dropped."""
-    ls = layer.log_prior_scale_w
-    mu = layer.mean_w
-    pen_w = np.sum(ls + 0.5 * mu * mu * np.exp(-2.0 * ls))
-    pen_b = 0.5 * np.sum(layer.mean_b ** 2)
-    return float(pen_w + pen_b)
-
-
-def _map_penalty_grads(layer: VariationalLinearLayer) -> LayerGrads:
-    inv_z2 = np.exp(-2.0 * layer.log_prior_scale_w)
-    return LayerGrads(
-        mean_w=layer.mean_w * inv_z2,
-        logvar_w=np.zeros_like(layer.logvar_w),
-        mean_b=layer.mean_b.copy(),
-        logvar_b=np.zeros_like(layer.logvar_b),
-        log_prior_scale_w=1.0 - layer.mean_w ** 2 * inv_z2,
-    )
+    kl_hid, grad_hid = _kl_layer(model.hidden, beta)
+    kl_out, grad_out = _kl_layer(model.output, beta)
+    grad = ConditionalModel(grad_hid, grad_out)
+    loss_nll = _data_nll(model, x, y, grad, eps1, eps2)
+    return loss_nll + beta * (kl_hid + kl_out), grad
 
 
 def map_objective(
     model: ConditionalModel, x: np.ndarray, y: np.ndarray
-) -> tuple[float, ModelGrads]:
+) -> tuple[float, ConditionalModel]:
     """Joint negative log-likelihood of data, mean parameters and prior scales.
 
     Deterministic point-estimate phase: posterior variances take no gradient.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    h_in = x[:, None]
-    p1 = h_in @ model.hidden.mean_w + model.hidden.mean_b
-    a = np.tanh(p1)
-    p2 = a @ model.output.mean_w + model.output.mean_b
-    loss_nll, g_p2 = _nll_head(y, p2)
-
-    grads_out, g_a = _mean_backward(model.output, a, g_p2)
-    g_p1 = g_a * (1.0 - a * a)
-    grads_hid, _ = _mean_backward(model.hidden, h_in, g_p1)
-
-    loss = loss_nll + _map_penalty(model.hidden) + _map_penalty(model.output)
-    grads = ModelGrads(
-        hidden=_add_grads(grads_hid, _map_penalty_grads(model.hidden)),
-        output=_add_grads(grads_out, _map_penalty_grads(model.output)),
-    )
-    return loss, grads
+    pen_hid, grad_hid = _map_penalty(model.hidden)
+    pen_out, grad_out = _map_penalty(model.output)
+    grad = ConditionalModel(grad_hid, grad_out)
+    loss_nll = _data_nll(model, x, y, grad)
+    return loss_nll + pen_hid + pen_out, grad

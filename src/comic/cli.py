@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import data as data_mod
@@ -56,21 +56,15 @@ def _read_config_file(path: str) -> dict:
 
 
 def _effective_settings(args) -> dict:
-    settings = {
-        "seed": 0,
-        "hidden_width": 50,
-        "vi_epochs": 2500,
-        "map_epochs": 2500,
-        "warmup_epochs": 250,
-        "lr_max": 1e-2,
-        "lr_min": 1e-6,
-        "mc_eval": 64,
-        "parallelism": 1,
-        "format": "csv",
-    }
+    settings = asdict(TrainConfig())
+    settings["mc_eval"] = settings.pop("mc_eval_samples")
+    settings.update(parallelism=1, format="csv")
     env_seed = os.environ.get("COMIC_SEED")
     if env_seed is not None:
-        settings["seed"] = int(env_seed)
+        try:
+            settings["seed"] = int(env_seed)
+        except ValueError:
+            raise ArgumentError(f"COMIC_SEED must be an integer, got {env_seed!r}") from None
     if getattr(args, "config", None):
         settings.update(_read_config_file(args.config))
     for key in CONFIG_KEYS:
@@ -81,16 +75,8 @@ def _effective_settings(args) -> dict:
 
 
 def _train_config(settings: dict) -> TrainConfig:
-    return TrainConfig(
-        hidden_width=settings["hidden_width"],
-        vi_epochs=settings["vi_epochs"],
-        warmup_epochs=settings["warmup_epochs"],
-        map_epochs=settings["map_epochs"],
-        lr_max=settings["lr_max"],
-        lr_min=settings["lr_min"],
-        mc_eval_samples=settings["mc_eval"],
-        seed=settings["seed"],
-    )
+    shared = {f.name: settings[f.name] for f in fields(TrainConfig) if f.name in settings}
+    return TrainConfig(mc_eval_samples=settings["mc_eval"], **shared)
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:

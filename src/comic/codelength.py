@@ -16,6 +16,7 @@ of the original computation.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,10 @@ class TrainConfig:
                 raise ArgumentError(f"{name} must be >= 1")
         if self.warmup_epochs > self.vi_epochs:
             raise ArgumentError("warmup_epochs must not exceed vi_epochs")
-        if not self.lr_min < self.lr_max:
-            raise ArgumentError("lr_min must be below lr_max")
+        if not (math.isfinite(self.lr_max) and 0.0 <= self.lr_min < self.lr_max):
+            raise ArgumentError(
+                f"need finite 0 <= lr_min < lr_max, got lr_min={self.lr_min}, "
+                f"lr_max={self.lr_max}")
 
 
 @dataclass
@@ -89,47 +92,39 @@ def train_conditional(
 
     Both phases run full-batch under Adam with a cosine learning-rate
     schedule; the second phase starts from a fresh optimizer state since it
-    minimizes a different objective.
+    minimizes a different objective. The model is bound once to a flat
+    parameter vector (its blocks are views of it); gradients come back in
+    the same layout, and each Adam result is written into that vector, so
+    the model always reflects the latest update.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size != y.size or x.size < 2:
         raise ArgumentError("training needs matched vectors with at least 2 samples")
 
-    model = ConditionalModel.initial(cfg.hidden_width, stream.child("init"))
+    initial = ConditionalModel.initial(cfg.hidden_width, stream.child("init"))
+    params = bnn.pack_params(initial)
+    model = bnn.unpack_params(initial, params)
     blocks = bnn.param_blocks(model)
-    params = bnn.pack_params(model)
-
-    sched = CosineSchedule(cfg.lr_max, cfg.lr_min, cfg.map_epochs)
-    adam = AdamState.initial(params.size)
-    for t in range(cfg.map_epochs):
-        loss, grads = bnn.map_objective(model, x, y)
-        _check_loss(loss, "MAP", t)
-        adam, params = _step(adam, params, grads, cosine_lr(t, sched), blocks, "MAP", t)
-        model = bnn.unpack_params(model, params)
-
-    sched = CosineSchedule(cfg.lr_max, cfg.lr_min, cfg.vi_epochs)
-    adam = AdamState.initial(params.size)
     vi_stream = stream.child("vi")
-    for t in range(cfg.vi_epochs):
-        beta = min(1.0, t / cfg.warmup_epochs)
-        loss, grads = bnn.elbo_objective(model, x, y, beta, vi_stream.child(t))
-        _check_loss(loss, "VI", t)
-        adam, params = _step(adam, params, grads, cosine_lr(t, sched), blocks, "VI", t)
-        model = bnn.unpack_params(model, params)
+    phases = (
+        ("MAP", cfg.map_epochs, lambda t: bnn.map_objective(model, x, y)),
+        ("VI", cfg.vi_epochs, lambda t: bnn.elbo_objective(
+            model, x, y, min(1.0, t / cfg.warmup_epochs), vi_stream.child(t))),
+    )
+    for phase, epochs, objective in phases:
+        sched = CosineSchedule(cfg.lr_max, cfg.lr_min, epochs)
+        adam = AdamState.initial(params.size)
+        for t in range(epochs):
+            loss, grads = objective(t)
+            if not np.isfinite(loss):
+                raise NumericError(f"non-finite loss in {phase} phase at epoch {t}")
+            try:
+                adam, params[:] = adam_step(
+                    adam, params, bnn.pack_grads(grads), cosine_lr(t, sched), blocks)
+            except NumericError as e:
+                raise NumericError(f"{phase} phase, epoch {t}: {e}") from None
     return model
-
-
-def _check_loss(loss: float, phase: str, epoch: int) -> None:
-    if not np.isfinite(loss):
-        raise NumericError(f"non-finite loss in {phase} phase at epoch {epoch}")
-
-
-def _step(adam, params, grads, lr, blocks, phase, epoch):
-    try:
-        return adam_step(adam, params, bnn.pack_grads(grads), lr, blocks)
-    except NumericError as e:
-        raise NumericError(f"{phase} phase, epoch {epoch}: {e}") from None
 
 
 def conditional_variational_codelength(

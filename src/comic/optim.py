@@ -43,19 +43,21 @@ def cosine_lr(t: float, sched: CosineSchedule) -> float:
     return sched.lr_min + 0.5 * span * (1.0 + math.cos(math.pi * t / sched.total_epochs))
 
 
+# Adam's moment decay rates and denominator guard
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     step: int
     m: np.ndarray
     v: np.ndarray
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def initial(cls, n_params: int, beta1: float = 0.9, beta2: float = 0.999,
-                eps: float = 1e-8) -> "AdamState":
-        return cls(0, np.zeros(n_params), np.zeros(n_params), beta1, beta2, eps)
+    def initial(cls, n_params: int) -> "AdamState":
+        return cls(0, np.zeros(n_params), np.zeros(n_params))
 
 
 def adam_step(
@@ -83,13 +85,11 @@ def adam_step(
             "non-finite gradient in " + _locate_block(int(np.argmax(bad)), param_blocks)
         )
     step = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    m_hat = m / (1.0 - state.beta1 ** step)
-    v_hat = v / (1.0 - state.beta2 ** step)
-    new_params = params - lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    new_state = AdamState(step, m, v, state.beta1, state.beta2, state.eps)
-    return new_state, new_params
+    m = BETA1 * state.m + (1.0 - BETA1) * grads
+    v = BETA2 * state.v + (1.0 - BETA2) * grads * grads
+    m_hat = m / (1.0 - BETA1 ** step)
+    v_hat = v / (1.0 - BETA2 ** step)
+    return AdamState(step, m, v), params - lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def _locate_block(index: int, blocks: Sequence[tuple[str, int]] | None) -> str:

@@ -97,6 +97,31 @@ def test_score_env_seed_and_flag_precedence(smoke_pair_file, capsys, monkeypatch
     assert json.loads(out_flag)["seed"] == 2
 
 
+@pytest.mark.parametrize("command", ["generate", "score", "benchmark"])
+def test_non_integer_env_seed_is_a_json_error(command, smoke_pair_file, tmp_path, capsys,
+                                              monkeypatch):
+    monkeypatch.setenv("COMIC_SEED", "abc")
+    argv = {
+        "generate": ["generate", "AN", "2", "30", "--out", str(tmp_path / "gen")],
+        "score": ["score", str(smoke_pair_file), *FAST_FLAGS],
+        "benchmark": ["benchmark", str(tmp_path), *FAST_FLAGS],
+    }[command]
+    code, out = run_cli(capsys, argv)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ArgumentError"
+    assert "COMIC_SEED" in error["message"] and "'abc'" in error["message"]
+
+
+@pytest.mark.parametrize("flags", [["--lr-min", "-0.01"], ["--lr-max", "inf"]])
+def test_score_rejects_bad_learning_rates_before_training(smoke_pair_file, capsys, flags):
+    code, out = run_cli(capsys, ["score", str(smoke_pair_file), *FAST_FLAGS, *flags])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ArgumentError"
+    assert "lr_min" in error["message"]
+
+
 def test_config_file_and_flag_override(smoke_pair_file, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed=7\nhidden_width=6\nmap_epochs=40\nvi_epochs=40\n"

@@ -13,7 +13,9 @@ from comic.codelength import (
     score_pair,
     train_conditional,
 )
-from comic.data import PairDataset, X_CAUSES_Y, Y_CAUSES_X, swap_pair
+from comic.data import (
+    GeneratorSpec, PairDataset, X_CAUSES_Y, Y_CAUSES_X, generate_dataset, swap_pair,
+)
 from comic.errors import ArgumentError, NumericError
 from comic.rng import RngStream
 from tests.test_bnn import make_layer
@@ -35,6 +37,24 @@ def test_train_config_validation():
         TrainConfig(lr_max=1e-6, lr_min=1e-2)
     with pytest.raises(ArgumentError):
         TrainConfig(hidden_width=0)
+
+
+@pytest.mark.parametrize("lr_min,lr_max", [
+    (-0.01, 1e-2), (-1e-300, 1e-2), (1e-2, 1e-2), (0.0, math.inf), (math.nan, 1e-2),
+    (0.0, math.nan), (-math.inf, 1e-2),
+])
+def test_train_config_rejects_bad_learning_rates(lr_min, lr_max):
+    with pytest.raises(ArgumentError, match="lr_min"):
+        TrainConfig(lr_min=lr_min, lr_max=lr_max)
+
+
+def test_train_config_accepts_zero_lr_min():
+    cfg = TrainConfig(hidden_width=4, map_epochs=20, vi_epochs=20, warmup_epochs=4,
+                      lr_min=0.0, seed=1)
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal(30)
+    model = train_conditional(x, np.tanh(x), cfg, RngStream(1).child("zero-lr-min"))
+    assert np.isfinite(pack_params(model)).all()
 
 
 def test_linear_pair_compresses_below_marginal():
@@ -211,3 +231,15 @@ def test_more_vi_epochs_do_not_hurt_linear_pair():
     short, se_short = fit(100)
     long, se_long = fit(2500)
     assert long <= short + 3.0 * math.hypot(se_short, se_long)
+
+
+def test_golden_scores_are_pinned():
+    # exact score reprs: any change to the order of the training or evaluation
+    # arithmetic shows up here, even when every tolerance-based test still passes
+    cfg = TrainConfig(hidden_width=6, vi_epochs=40, warmup_epochs=8, map_epochs=40,
+                      mc_eval_samples=4, seed=5)
+    pairs = generate_dataset(GeneratorSpec("LS-s", 4, 40, seed=900))
+    assert [repr(score_pair(pair, cfg).final_delta) for pair in pairs] == [
+        "-2.0220304524681296", "3.1028371701346202", "3.0840597428575904",
+        "-4.226605665413842",
+    ]
