@@ -16,10 +16,12 @@ gradients share one layout: pack_params flattens either into the same
 vector (pack_grads is the same function), and unpack_params turns a vector
 back into a model whose blocks are views of it.
 
-Every pass goes through one forward/backward pair per layer: with a noise
-matrix it is the sampled (local reparameterization) pass; without one it
-is the deterministic pass through the posterior means, which does no
-variance work and leaves the variance gradients untouched.
+Every pass, training or evaluation, goes through one forward/backward pair
+per layer: with a noise matrix it is the sampled (local reparameterization)
+pass; without one it is the deterministic pass through the posterior means,
+which does no variance work and leaves the variance gradients untouched.
+model_forward samples when given a stream, drawing the noise exactly as
+elbo_objective does, and otherwise predicts from the posterior means.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ class ConditionalModel:
 
     # duck-typed surface used by the codelength estimator
     def sample_predictions(self, x: np.ndarray, stream: RngStream) -> tuple[np.ndarray, np.ndarray]:
-        return model_forward(self, x, mode="sampled", stream=stream)
+        return model_forward(self, x, stream)
 
     def kl(self) -> float:
         return kl_model(self)
@@ -169,15 +171,6 @@ def unpack_params(model: ConditionalModel, vec: np.ndarray) -> ConditionalModel:
     return ConditionalModel(hidden=layers[0], output=layers[1])
 
 
-def _check_input(layer: VariationalLinearLayer, h_in: np.ndarray) -> np.ndarray:
-    h_in = np.asarray(h_in, dtype=float)
-    if h_in.ndim != 2 or h_in.shape[1] != layer.in_dim:
-        raise ArgumentError(
-            f"input shape {h_in.shape} incompatible with layer {layer.in_dim}x{layer.out_dim}"
-        )
-    return h_in
-
-
 def _layer_forward(layer: VariationalLinearLayer, h_in: np.ndarray, eps: np.ndarray | None):
     """Pre-activations of one layer and the cache its backward pass needs.
 
@@ -211,50 +204,32 @@ def _layer_backward(
     return g_in + 2.0 * h_in * (g_v @ v_w.T)
 
 
-def layer_forward_mean(layer: VariationalLinearLayer, h_in: np.ndarray) -> np.ndarray:
-    """Deterministic pass through the posterior means."""
-    return _layer_forward(layer, _check_input(layer, h_in), None)[0]
-
-
-def layer_forward_local_reparam(
-    layer: VariationalLinearLayer, h_in: np.ndarray, stream: RngStream
-) -> np.ndarray:
-    """Sampled pass: pre-activations drawn from their induced Gaussian."""
-    h_in = _check_input(layer, h_in)
-    eps = draw_standard_normal(stream, h_in.shape[0], layer.out_dim)
-    return _layer_forward(layer, h_in, eps)[0]
+def _noise(model: ConditionalModel, n: int, stream: RngStream):
+    """Standard-normal noise for the hidden and output pre-activations of n rows."""
+    return (
+        draw_standard_normal(stream.child("hidden"), n, model.hidden_width),
+        draw_standard_normal(stream.child("output"), n, 2),
+    )
 
 
 def model_forward(
-    model: ConditionalModel,
-    x: np.ndarray,
-    mode: str = "mean",
-    stream: RngStream | None = None,
+    model: ConditionalModel, x: np.ndarray, stream: RngStream | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Predict (mu, sigma) for each x; sigma = exp(clamped log-scale) > 0.
 
-    mode "mean" uses posterior means throughout; mode "sampled" draws one
-    pre-activation noise matrix per layer from the given stream.
+    Without a stream the pass runs through the posterior means; with one it
+    draws the same noise matrices elbo_objective draws from that stream.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ArgumentError(f"x must be a 1-D vector, got shape {x.shape}")
-    if mode == "sampled":
-        if stream is None:
-            raise ArgumentError("sampled mode needs an RngStream")
-    elif mode != "mean":
-        raise ArgumentError(f"unknown forward mode {mode!r}")
-
-    def forward(layer, h_in, tag):
-        if mode == "mean":
-            h_out = layer_forward_mean(layer, h_in)
-        else:
-            h_out = layer_forward_local_reparam(layer, h_in, stream.child(tag))
-        if not np.isfinite(h_out).all():
-            raise NumericError(f"non-finite activations in {tag} layer")
-        return h_out
-
-    p2 = forward(model.output, np.tanh(forward(model.hidden, x[:, None], "hidden")), "output")
+    eps1, eps2 = (None, None) if stream is None else _noise(model, x.shape[0], stream)
+    p1 = _layer_forward(model.hidden, x[:, None], eps1)[0]
+    if not np.isfinite(p1).all():
+        raise NumericError("non-finite activations in hidden layer")
+    p2 = _layer_forward(model.output, np.tanh(p1), eps2)[0]
+    if not np.isfinite(p2).all():
+        raise NumericError("non-finite activations in output layer")
     mu = p2[:, 0]
     sigma = np.exp(np.clip(p2[:, 1], -LOG_SCALE_LIMIT, LOG_SCALE_LIMIT))
     return mu, sigma
@@ -356,9 +331,7 @@ def elbo_objective(
     """
     if not 0.0 <= beta <= 1.0:
         raise ArgumentError(f"beta must lie in [0, 1], got {beta}")
-    n = np.shape(x)[0]
-    eps1 = draw_standard_normal(stream.child("hidden"), n, model.hidden_width)
-    eps2 = draw_standard_normal(stream.child("output"), n, 2)
+    eps1, eps2 = _noise(model, np.shape(x)[0], stream)
     kl_hid, grad_hid = _kl_layer(model.hidden, beta)
     kl_out, grad_out = _kl_layer(model.output, beta)
     grad = ConditionalModel(grad_hid, grad_out)

@@ -35,6 +35,8 @@ CONFIG_KEYS = {
     "format": str,
 }
 
+FORMATS = ("csv", "json")
+
 
 def _read_config_file(path: str) -> dict:
     values = {}
@@ -52,6 +54,9 @@ def _read_config_file(path: str) -> dict:
             values[key] = CONFIG_KEYS[key](raw.strip())
         except ValueError:
             raise ParseError(f"{path}: bad value for {key}", lineno) from None
+        if key == "format" and values[key] not in FORMATS:
+            raise ParseError(f"{path}: format must be one of {', '.join(FORMATS)}, "
+                             f"got {values[key]!r}", lineno)
     return values
 
 
@@ -89,7 +94,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lr-min", dest="lr_min", type=float, default=None)
     parser.add_argument("--mc-eval", dest="mc_eval", type=int, default=None)
     parser.add_argument("--parallelism", type=int, default=None)
-    parser.add_argument("--format", choices=("csv", "json"), default=None)
+    parser.add_argument("--format", choices=FORMATS, default=None)
     parser.add_argument("--config", default=None, help="key=value config file")
     parser.add_argument("--out", default=None)
 

@@ -26,7 +26,7 @@ from .bnn import ConditionalModel
 from .data import PairDataset, UNDECIDED, X_CAUSES_Y, Y_CAUSES_X, standardize
 from .errors import ArgumentError, NumericError
 from .optim import AdamState, CosineSchedule, adam_step, cosine_lr
-from .rng import RngStream
+from .rng import RngStream, check_seed
 
 
 @dataclass
@@ -47,6 +47,7 @@ class TrainConfig:
                      "mc_eval_samples"):
             if getattr(self, name) < 1:
                 raise ArgumentError(f"{name} must be >= 1")
+        check_seed(self.seed)
         if self.warmup_epochs > self.vi_epochs:
             raise ArgumentError("warmup_epochs must not exceed vi_epochs")
         if not (math.isfinite(self.lr_max) and 0.0 <= self.lr_min < self.lr_max):

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ArgumentError, FetchError, NumericError, ParseError
-from .rng import RngStream
+from .rng import RngStream, check_seed
 
 X_CAUSES_Y = "x_causes_y"
 Y_CAUSES_X = "y_causes_x"
@@ -53,8 +53,8 @@ class PairDataset:
             raise ArgumentError("x and y must be 1-D vectors of equal length")
         if self.x.size < 2:
             raise ArgumentError("a pair needs at least 2 observations")
-        if self.weight <= 0:
-            raise ArgumentError("weight must be positive")
+        if not (math.isfinite(self.weight) and self.weight > 0):
+            raise ArgumentError(f"weight must be positive and finite, got {self.weight}")
         if self.label not in (None, X_CAUSES_Y, Y_CAUSES_X):
             raise ArgumentError(f"unknown label {self.label!r}")
 
@@ -120,6 +120,7 @@ class GeneratorSpec:
             raise ArgumentError("n_pairs must be >= 1")
         if self.n_samples < 2:
             raise ArgumentError("n_samples must be >= 2")
+        check_seed(self.seed)
 
 
 def normalize_family(name: str) -> str:
@@ -312,13 +313,15 @@ def parse_pairmeta(path: str | Path) -> list[MetaRow]:
         if len(tokens) != 6:
             raise ParseError(f"{path.name}: expected 6 fields, found {len(tokens)}", lineno)
         try:
-            cols = [int(float(t)) for t in tokens[1:5]]
-            weight = float(tokens[5])
+            *cols, weight = (float(t) for t in tokens[1:6])
         except ValueError:
             raise ParseError(f"{path.name}: malformed meta row {line!r}", lineno) from None
-        if weight <= 0:
-            raise ParseError(f"{path.name}: non-positive weight", lineno)
-        rows.append(MetaRow(tokens[0], *cols, weight))
+        if not all(c.is_integer() for c in cols):
+            raise ParseError(f"{path.name}: non-integer column in {line!r}", lineno)
+        if not (math.isfinite(weight) and weight > 0):
+            raise ParseError(f"{path.name}: weight must be positive and finite, got {tokens[5]!r}",
+                             lineno)
+        rows.append(MetaRow(tokens[0], *(int(c) for c in cols), weight))
     if not rows:
         raise ParseError(f"{path.name}: empty meta file")
     return rows

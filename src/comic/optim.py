@@ -17,9 +17,9 @@ from .errors import ArgumentError, NumericError
 
 @dataclass
 class CosineSchedule:
-    lr_max: float = 1e-2
-    lr_min: float = 1e-6
-    total_epochs: int = 2500
+    lr_max: float
+    lr_min: float
+    total_epochs: int
 
     def __post_init__(self):
         if self.total_epochs < 1:

@@ -20,6 +20,12 @@ from .errors import ArgumentError
 _DOMAIN = b"comic-rng-v1"
 
 
+def check_seed(seed: int) -> None:
+    """Reject a seed that does not fit the signed 64-bit stream key."""
+    if not -2**63 <= seed < 2**63:
+        raise ArgumentError(f"seed must fit in a signed 64-bit integer, got {seed}")
+
+
 @dataclass(frozen=True)
 class RngStream:
     seed: int

@@ -14,10 +14,10 @@ import pytest
 
 from comic.bnn import (
     ConditionalModel,
+    _layer_forward,
     elbo_objective,
     gaussian_nll,
     kl_model,
-    layer_forward_local_reparam,
     map_objective,
     pack_grads,
     pack_params,
@@ -182,8 +182,8 @@ def test_criterion_5_local_reparam_equivalence():
         m_out = row @ layer.mean_w + layer.mean_b
         v_out = (row * row) @ np.exp(layer.logvar_w) + np.exp(layer.logvar_b)
 
-        local = layer_forward_local_reparam(
-            layer, np.tile(row, (n_draws, 1)), RngStream(trial).child("lr"))
+        eps = draw_standard_normal(RngStream(trial).child("lr"), n_draws, b)
+        local = _layer_forward(layer, np.tile(row, (n_draws, 1)), eps)[0]
 
         gen = RngStream(trial).child("ws").generator()
         w = layer.mean_w + np.sqrt(np.exp(layer.logvar_w)) * gen.standard_normal((n_draws, a, b))

@@ -11,9 +11,8 @@ from comic.bnn import (
     VariationalLinearLayer,
     elbo_objective,
     gaussian_nll,
+    _layer_forward,
     kl_model,
-    layer_forward_local_reparam,
-    layer_forward_mean,
     map_objective,
     model_forward,
     pack_grads,
@@ -23,7 +22,7 @@ from comic.bnn import (
 )
 from comic.errors import ArgumentError
 from comic.optim import finite_diff_grad
-from comic.rng import RngStream
+from comic.rng import RngStream, draw_standard_normal
 
 
 def make_layer(mean_w, logvar=-9.0, mean_b=None, logvar_b=None, log_prior=0.0):
@@ -36,6 +35,16 @@ def make_layer(mean_w, logvar=-9.0, mean_b=None, logvar_b=None, log_prior=0.0):
         logvar_b=np.full(b, float(logvar) if logvar_b is None else float(logvar_b)),
         log_prior_scale_w=np.full((a, b), float(log_prior)),
     )
+
+
+def sampled_layer(layer, h_in, stream):
+    """One sampled pass through a single layer, its noise drawn from stream."""
+    eps = draw_standard_normal(stream, h_in.shape[0], layer.out_dim)
+    return _layer_forward(layer, h_in, eps)[0]
+
+
+def mean_layer(layer, h_in):
+    return _layer_forward(layer, h_in, None)[0]
 
 
 def random_model(width, stream_seed, jitter_seed):
@@ -52,14 +61,14 @@ def test_degenerate_variance_layer_is_affine():
     layer = make_layer([[1.0], [1.0]], logvar=-60.0, mean_b=[0.5])
     h_in = np.array([[1.0, 2.0]])
     for tag in ("s1", "s2", "s3"):
-        out = layer_forward_local_reparam(layer, h_in, RngStream(0).child(tag))
+        out = sampled_layer(layer, h_in, RngStream(0).child(tag))
         assert out[0, 0] == approx(3.5, abs=1e-12)
 
 
 def test_zero_input_layer_matches_bias_posterior():
     layer = make_layer(np.ones((2, 3)), logvar=math.log(0.04), mean_b=[1.0, -1.0, 0.0])
     h_in = np.zeros((20000, 2))
-    out = layer_forward_local_reparam(layer, h_in, RngStream(3).child("zero-in"))
+    out = sampled_layer(layer, h_in, RngStream(3).child("zero-in"))
     assert out.mean(axis=0) == approx([1.0, -1.0, 0.0], abs=0.01)
     assert out.var(axis=0) == approx([0.04, 0.04, 0.04], rel=0.1)
 
@@ -67,27 +76,19 @@ def test_zero_input_layer_matches_bias_posterior():
 def test_mean_forward_identity_columns():
     layer = make_layer(np.eye(3), mean_b=[0.0, 0.0, 0.0])
     h_in = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    assert np.array_equal(layer_forward_mean(layer, h_in), h_in)
+    assert np.array_equal(mean_layer(layer, h_in), h_in)
 
 
 def test_mean_forward_worked_value():
     layer = make_layer([[3.0]], mean_b=[1.0])
-    assert layer_forward_mean(layer, np.array([[2.0]]))[0, 0] == 7.0
+    assert mean_layer(layer, np.array([[2.0]]))[0, 0] == 7.0
 
 
 def test_mean_forward_matches_degenerate_sampled():
     layer = make_layer([[0.7, -0.2]], logvar=-60.0, mean_b=[0.1, 0.3])
     h_in = np.array([[1.5], [-2.0]])
-    sampled = layer_forward_local_reparam(layer, h_in, RngStream(1).child("x"))
-    assert sampled == approx(layer_forward_mean(layer, h_in), abs=1e-11)
-
-
-def test_layer_shape_mismatch():
-    layer = make_layer(np.ones((2, 2)))
-    with pytest.raises(ArgumentError):
-        layer_forward_mean(layer, np.ones((4, 3)))
-    with pytest.raises(ArgumentError):
-        layer_forward_local_reparam(layer, np.ones((4, 3)), RngStream(0))
+    sampled = sampled_layer(layer, h_in, RngStream(1).child("x"))
+    assert sampled == approx(mean_layer(layer, h_in), abs=1e-11)
 
 
 def test_local_reparam_monte_carlo_moments():
@@ -97,7 +98,7 @@ def test_local_reparam_monte_carlo_moments():
     row = np.array([1.2, -0.7])
     n = 100_000
     h_in = np.tile(row, (n, 1))
-    out = layer_forward_local_reparam(layer, h_in, RngStream(11).child("mc"))
+    out = sampled_layer(layer, h_in, RngStream(11).child("mc"))
     m_out = row @ layer.mean_w + layer.mean_b
     v_out = (row * row) @ np.exp(layer.logvar_w) + np.exp(layer.logvar_b)
     assert out.mean(axis=0) == approx(m_out, abs=4.0 * np.sqrt(v_out / n).max())
@@ -113,7 +114,7 @@ def test_prior_collapse_forward_is_standard_normal_params():
         output=make_layer(np.zeros((4, 2)), logvar=-60.0),
     )
     x = np.linspace(-3, 3, 7)
-    mu, sigma = model_forward(model, x, mode="mean")
+    mu, sigma = model_forward(model, x)
     assert np.array_equal(mu, np.zeros(7))
     assert sigma == approx(np.ones(7))
 
@@ -124,7 +125,7 @@ def test_sigma_clamped_for_adversarial_inputs():
         output=make_layer(np.full((3, 2), 50.0), logvar=-60.0),
     )
     x = np.array([-1e6, -10.0, 10.0, 1e6])
-    _, sigma = model_forward(model, x, mode="mean")
+    _, sigma = model_forward(model, x)
     assert np.all(np.isfinite(sigma))
     assert np.all((sigma >= math.exp(-15)) & (sigma <= math.exp(15)))
 
@@ -134,17 +135,11 @@ def test_tiny_network_closed_form():
         hidden=make_layer([[1.0]], logvar=-60.0),
         output=make_layer([[1.0, 1.0]], logvar=-60.0),
     )
-    mu, sigma = model_forward(model, np.array([0.5]), mode="mean")
+    mu, sigma = model_forward(model, np.array([0.5]))
     assert mu[0] == approx(math.tanh(0.5), abs=1e-12)
     assert sigma[0] == approx(math.exp(math.tanh(0.5)), abs=1e-12)
     assert mu[0] == approx(0.4621, abs=1e-4)
     assert sigma[0] == approx(1.5875, abs=1e-4)
-
-
-def test_sampled_mode_needs_stream():
-    model = ConditionalModel.initial(3, RngStream(0))
-    with pytest.raises(ArgumentError):
-        model_forward(model, np.zeros(4), mode="sampled")
 
 
 def test_nonfinite_intermediate_names_layer():
@@ -156,7 +151,7 @@ def test_nonfinite_intermediate_names_layer():
     )
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericError, match="hidden layer"):
-            model_forward(broken, np.ones(3), mode="mean")
+            model_forward(broken, np.ones(3))
 
 
 # ---------------------------------------------------------------- losses
@@ -218,7 +213,7 @@ def test_elbo_beta_zero_is_sampled_nll():
     y = np.sin(x)
     stream = RngStream(9).child("noise")
     loss, _ = elbo_objective(model, x, y, 0.0, stream)
-    mu, sigma = model_forward(model, x, mode="sampled", stream=stream)
+    mu, sigma = model_forward(model, x, stream)
     assert loss == approx(gaussian_nll(y, mu, sigma), rel=1e-12)
 
 
@@ -232,7 +227,7 @@ def test_elbo_zero_kl_case():
     stream = RngStream(2).child("draw")
     assert kl_model(model) == approx(0.0, abs=1e-14)
     loss, _ = elbo_objective(model, x, y, 1.0, stream)
-    mu, sigma = model_forward(model, x, mode="sampled", stream=stream)
+    mu, sigma = model_forward(model, x, stream)
     assert loss == approx(gaussian_nll(y, mu, sigma), rel=1e-12)
 
 
@@ -307,8 +302,7 @@ def test_local_reparam_matches_weight_space_sampling():
                        mean_b=[0.2, -0.1], logvar_b=math.log(0.01))
     row = np.array([0.8, -1.1])
     n = 100_000
-    out_lr = layer_forward_local_reparam(layer, np.tile(row, (n, 1)),
-                                         RngStream(5).child("lr"))
+    out_lr = sampled_layer(layer, np.tile(row, (n, 1)), RngStream(5).child("lr"))
 
     gen = RngStream(5).child("ws").generator()
     w = layer.mean_w + np.sqrt(np.exp(layer.logvar_w)) * gen.standard_normal((n, 2, 2))

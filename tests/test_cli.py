@@ -113,6 +113,27 @@ def test_non_integer_env_seed_is_a_json_error(command, smoke_pair_file, tmp_path
     assert "COMIC_SEED" in error["message"] and "'abc'" in error["message"]
 
 
+@pytest.mark.parametrize("command", ["generate", "score"])
+@pytest.mark.parametrize("flag,env", [
+    (str(2**63), None),
+    (str(2**70), None),
+    (None, str(-2**64)),
+])
+def test_seed_outside_64_bits_is_a_json_error(command, flag, env, smoke_pair_file, tmp_path,
+                                             capsys, monkeypatch):
+    if env is not None:
+        monkeypatch.setenv("COMIC_SEED", env)
+    argv = {
+        "generate": ["generate", "AN", "2", "10", "--out", str(tmp_path / "gen")],
+        "score": ["score", str(smoke_pair_file), *FAST_FLAGS],
+    }[command]
+    code, out = run_cli(capsys, argv + (["--seed", flag] if flag is not None else []))
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ArgumentError"
+    assert "seed" in error["message"]
+
+
 @pytest.mark.parametrize("flags", [["--lr-min", "-0.01"], ["--lr-max", "inf"]])
 def test_score_rejects_bad_learning_rates_before_training(smoke_pair_file, capsys, flags):
     code, out = run_cli(capsys, ["score", str(smoke_pair_file), *FAST_FLAGS, *flags])
@@ -141,6 +162,16 @@ def test_config_file_unknown_key(smoke_pair_file, tmp_path, capsys):
     code, out = run_cli(capsys, ["score", str(smoke_pair_file), "--config", str(cfg)])
     assert code == 1
     assert "not_a_key" in json.loads(out)["error"]["message"]
+
+
+def test_config_file_rejects_unknown_format(smoke_pair_file, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("seed=1\nformat=xml\n")
+    code, out = run_cli(capsys, ["score", str(smoke_pair_file), "--config", str(cfg)])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ParseError"
+    assert "line 2" in error["message"] and "'xml'" in error["message"]
 
 
 def test_score_skip_header(tmp_path, capsys):

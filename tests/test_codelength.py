@@ -14,7 +14,8 @@ from comic.codelength import (
     train_conditional,
 )
 from comic.data import (
-    GeneratorSpec, PairDataset, X_CAUSES_Y, Y_CAUSES_X, generate_dataset, swap_pair,
+    GeneratorSpec, PairDataset, X_CAUSES_Y, Y_CAUSES_X, generate_dataset, generate_pair,
+    swap_pair,
 )
 from comic.errors import ArgumentError, NumericError
 from comic.rng import RngStream
@@ -46,6 +47,20 @@ def test_train_config_validation():
 def test_train_config_rejects_bad_learning_rates(lr_min, lr_max):
     with pytest.raises(ArgumentError, match="lr_min"):
         TrainConfig(lr_min=lr_min, lr_max=lr_max)
+
+
+@pytest.mark.parametrize("seed", [-2**63 - 1, 2**63, 2**70])
+def test_seed_outside_64_bits_rejected(seed):
+    with pytest.raises(ArgumentError, match="seed"):
+        TrainConfig(seed=seed)
+    with pytest.raises(ArgumentError, match="seed"):
+        GeneratorSpec("AN", 1, 10, seed=seed)
+
+
+def test_seed_at_64_bit_edges_accepted():
+    for seed in (-2**63, 2**63 - 1):
+        TrainConfig(seed=seed)
+        assert generate_pair(GeneratorSpec("AN", 1, 10, seed=seed), 0).n == 10
 
 
 def test_train_config_accepts_zero_lr_min():

@@ -317,6 +317,26 @@ def test_parse_pairmeta_malformed(tmp_path):
         parse_pairmeta(meta)
 
 
+@pytest.mark.parametrize("row,reason", [
+    ("0001 1 1 2 2 nan", "weight must be positive and finite"),
+    ("0001 1 1 2 2 inf", "weight must be positive and finite"),
+    ("0001 1 1 2 2 -1", "weight must be positive and finite"),
+    ("0001 1.7 1 2 2 1.0", "non-integer column"),
+    ("0001 1 1 2 inf 1.0", "non-integer column"),
+])
+def test_parse_pairmeta_rejects_bad_weight_or_column(tmp_path, row, reason):
+    meta = tmp_path / "pairmeta.txt"
+    meta.write_text("0002 1 1 2 2 1.0\n" + row + "\n")
+    with pytest.raises(ParseError, match=f"line 2: .*{reason}"):
+        parse_pairmeta(meta)
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, 0.0, -1.0])
+def test_pair_dataset_rejects_non_finite_or_non_positive_weight(weight):
+    with pytest.raises(ArgumentError, match="weight"):
+        PairDataset(np.arange(3.0), np.arange(3.0), weight=weight)
+
+
 def make_corpus(tmp_path):
     (tmp_path / "pair0001.txt").write_text("1 2\n3 4\n5 6\n")
     (tmp_path / "pair0002.txt").write_text("1 2\n3 4\n5 6\n")
