@@ -47,7 +47,7 @@ class TrainConfig:
                      "mc_eval_samples"):
             if getattr(self, name) < 1:
                 raise ArgumentError(f"{name} must be >= 1")
-        check_seed(self.seed)
+        self.seed = check_seed(self.seed)
         if self.warmup_epochs > self.vi_epochs:
             raise ArgumentError("warmup_epochs must not exceed vi_epochs")
         if not (math.isfinite(self.lr_max) and 0.0 <= self.lr_min < self.lr_max):

@@ -16,7 +16,6 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -69,18 +68,18 @@ def swap_pair(pair: PairDataset) -> PairDataset:
     return PairDataset(pair.y.copy(), pair.x.copy(), pair.weight, mirrored, pair.id)
 
 
-def _sqrt_fraction(f: Fraction) -> float:
-    # deterministic: 50-digit decimal sqrt, then one rounding to binary
+def _sqrt_ratio(num: int, den: int) -> float:
+    # deterministic: 50-digit decimal sqrt of num/den, then one rounding to binary
     with localcontext() as ctx:
         ctx.prec = 50
-        root = (Decimal(f.numerator) / Decimal(f.denominator)).sqrt()
+        root = (Decimal(num) / Decimal(den)).sqrt()
     return float(root)
 
 
 def standardize(v: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Center and scale to population std 1; returns (vector, mean, std).
 
-    Mean and variance are accumulated in exact rational arithmetic and each
+    Mean and variance are accumulated in exact integer arithmetic and each
     output entry is rounded once from the exact ratio d_i / sqrt(var). The
     result is therefore a deterministic function of the exact input values,
     and affine maps that introduce no per-element rounding (any power-of-two
@@ -91,20 +90,25 @@ def standardize(v: np.ndarray) -> tuple[np.ndarray, float, float]:
         raise ArgumentError("standardize needs a 1-D vector with at least 2 entries")
     if not np.isfinite(v).all():
         raise ArgumentError("standardize requires finite values")
-    exact = [Fraction(t) for t in v.tolist()]
-    n = len(exact)
-    mean = sum(exact) / n
-    devs = [t - mean for t in exact]
-    var = sum(d * d for d in devs) / n
-    if var == 0:
+    # every float is N_i / scale for one common power-of-two denominator scale
+    ratios = [t.as_integer_ratio() for t in v.tolist()]
+    scale = max(den for _, den in ratios)
+    nums = [num * (scale // den) for num, den in ratios]
+    n = len(nums)
+    total = sum(nums)
+    # deviation d_i = A_i / (n scale); variance = sum(A_i^2) / (n^3 scale^2)
+    devs = [n * num - total for num in nums]
+    sum_sq = sum(a * a for a in devs)
+    if sum_sq == 0:
         raise ArgumentError("degenerate variable: zero variance")
     out = np.empty(n)
-    for i, d in enumerate(devs):
-        if d == 0:
+    for i, a in enumerate(devs):
+        if a == 0:
             out[i] = 0.0
         else:
-            out[i] = math.copysign(_sqrt_fraction(d * d / var), float(d))
-    return out, float(mean), _sqrt_fraction(var)
+            root = _sqrt_ratio(a * a * n, sum_sq)
+            out[i] = -root if a < 0 else root
+    return out, total / (n * scale), _sqrt_ratio(sum_sq, n**3 * scale * scale)
 
 
 @dataclass
@@ -120,7 +124,7 @@ class GeneratorSpec:
             raise ArgumentError("n_pairs must be >= 1")
         if self.n_samples < 2:
             raise ArgumentError("n_samples must be >= 2")
-        check_seed(self.seed)
+        self.seed = check_seed(self.seed)
 
 
 def normalize_family(name: str) -> str:
@@ -131,23 +135,31 @@ def normalize_family(name: str) -> str:
     return table[canon]
 
 
-def _gp_draw(x: np.ndarray, stream: RngStream) -> np.ndarray:
-    """Sample a squared-exponential GP (lengthscale 1, signal std 1) at x."""
-    diff = x[:, None] - x[None, :]
-    k = np.exp(-0.5 * diff * diff)
-    eye = np.eye(x.size)
+def _gp_factor(x: np.ndarray) -> np.ndarray:
+    """Cholesky factor of the squared-exponential kernel (lengthscale 1) at x."""
+    diff = np.subtract.outer(x, x)
+    k = -0.5 * diff
+    k *= diff
+    del diff
+    np.exp(k, out=k)
+    # jitter goes on the diagonal only; each retry starts from the bare kernel's
+    diagonal = k.diagonal().copy()
     jitter = 1e-8
     while True:
+        np.fill_diagonal(k, diagonal + jitter)
         try:
-            chol = np.linalg.cholesky(k + jitter * eye)
-            break
+            return np.linalg.cholesky(k)
         except np.linalg.LinAlgError:
             jitter *= 10.0
             if jitter > 1e-4:
                 raise NumericError(
                     "GP kernel not positive definite even with jitter 1e-4"
                 ) from None
-    z = stream.generator().standard_normal(x.size)
+
+
+def _gp_draw(chol: np.ndarray, stream: RngStream) -> np.ndarray:
+    """Sample a GP (signal std 1) whose kernel has Cholesky factor chol."""
+    z = stream.generator().standard_normal(chol.shape[0])
     return chol @ z
 
 
@@ -178,7 +190,8 @@ def generate_pair(
     fam = spec.family
 
     if fam in ("AN", "LS"):
-        f = _gp_draw(x, stream.child("f"))
+        chol = _gp_factor(x)
+        f = _gp_draw(chol, stream.child("f"))
     else:
         f = _sigmoid_draw(stream.child("f"))(x)
 
@@ -189,7 +202,7 @@ def generate_pair(
         sigma = stream.child("sigma").generator().uniform(0.2, 0.6)
         noise = sigma * gen.standard_normal(spec.n_samples)
         if fam in ("LS", "LS-s"):
-            g = _gp_draw(x, stream.child("g")) if fam == "LS" \
+            g = _gp_draw(chol, stream.child("g")) if fam == "LS" \
                 else _sigmoid_draw(stream.child("g"))(x)
             y = f + (np.abs(g) + 0.3) * noise
         else:

@@ -11,6 +11,7 @@ with new tags whenever fresh randomness is needed.
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,10 +21,15 @@ from .errors import ArgumentError
 _DOMAIN = b"comic-rng-v1"
 
 
-def check_seed(seed: int) -> None:
-    """Reject a seed that does not fit the signed 64-bit stream key."""
-    if not -2**63 <= seed < 2**63:
-        raise ArgumentError(f"seed must fit in a signed 64-bit integer, got {seed}")
+def check_seed(seed: int) -> int:
+    """The seed as a Python int; rejects non-integers and values outside 64 bits."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        raise ArgumentError(f"seed must be an integer, got {seed!r}") from None
+    if not -2**63 <= value < 2**63:
+        raise ArgumentError(f"seed must fit in a signed 64-bit integer, got {value}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,23 @@ def test_seed_at_64_bit_edges_accepted():
         assert generate_pair(GeneratorSpec("AN", 1, 10, seed=seed), 0).n == 10
 
 
+@pytest.mark.parametrize("seed", [1.5, 5.0, np.float64(2.0), "5", None])
+def test_non_integer_seed_rejected(seed):
+    with pytest.raises(ArgumentError, match="seed must be an integer"):
+        TrainConfig(seed=seed)
+    with pytest.raises(ArgumentError, match="seed must be an integer"):
+        GeneratorSpec("AN", 1, 10, seed=seed)
+
+
+def test_numpy_integer_seed_stored_as_int():
+    spec = GeneratorSpec("AN", 1, 10, seed=np.int64(5))
+    assert type(spec.seed) is int
+    assert type(TrainConfig(seed=np.int64(5)).seed) is int
+    pair = generate_pair(spec, 0)
+    reference = generate_pair(GeneratorSpec("AN", 1, 10, seed=5), 0)
+    assert np.array_equal(pair.x, reference.x) and np.array_equal(pair.y, reference.y)
+
+
 def test_train_config_accepts_zero_lr_min():
     cfg = TrainConfig(hidden_width=4, map_epochs=20, vi_epochs=20, warmup_epochs=4,
                       lr_min=0.0, seed=1)

@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -117,6 +119,83 @@ def test_standardize_general_affine_close(values, a, b):
     assert z2 == approx(z1, abs=1e-9)
 
 
+def _oracle_sqrt_fraction(f):
+    with localcontext() as ctx:
+        ctx.prec = 50
+        root = (Decimal(f.numerator) / Decimal(f.denominator)).sqrt()
+    return float(root)
+
+
+def standardize_oracle(v):
+    """The rational-arithmetic standardize the integer version must match."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1 or v.size < 2:
+        raise ArgumentError("standardize needs a 1-D vector with at least 2 entries")
+    if not np.isfinite(v).all():
+        raise ArgumentError("standardize requires finite values")
+    exact = [Fraction(t) for t in v.tolist()]
+    n = len(exact)
+    mean = sum(exact) / n
+    devs = [t - mean for t in exact]
+    var = sum(d * d for d in devs) / n
+    if var == 0:
+        raise ArgumentError("degenerate variable: zero variance")
+    out = np.empty(n)
+    for i, d in enumerate(devs):
+        if d == 0:
+            out[i] = 0.0
+        else:
+            out[i] = math.copysign(_oracle_sqrt_fraction(d * d / var), float(d))
+    return out, float(mean), _oracle_sqrt_fraction(var)
+
+
+def _standardize_bits(fn, v):
+    try:
+        z, mean, std = fn(v)
+    except ArgumentError as e:
+        return "error", str(e)
+    return z.tobytes(), mean.hex(), std.hex()
+
+
+# the oracle converts each deviation to float, so spans stay below the float range
+_HALF_MAX = 8.98e307
+edge_floats = st.one_of(
+    st.floats(-_HALF_MAX, _HALF_MAX),
+    st.floats(-1e-300, 1e-300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     _HALF_MAX, -_HALF_MAX, 1.0, 1e15 + 0.5]),
+)
+edge_vectors = st.one_of(
+    st.lists(edge_floats, min_size=2, max_size=30),
+    # heavy ties: long vectors over a pool of at most three values
+    st.lists(edge_floats, min_size=1, max_size=3).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=60)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_vectors)
+def test_standardize_matches_rational_oracle_bit_exact(values):
+    v = np.asarray(values, dtype=float)
+    assert _standardize_bits(standardize, v) == _standardize_bits(standardize_oracle, v)
+
+
+def test_standardize_matches_oracle_on_normal_column():
+    v = np.random.default_rng(4).standard_normal(500) * 3.0 + 1e3
+    assert _standardize_bits(standardize, v) == _standardize_bits(standardize_oracle, v)
+
+
+def test_standardize_span_beyond_float_range():
+    # deviations of 4/3 * 1.7e308 exceed the float range; the output must not
+    # overflow and, by exact scale invariance, equals that of [-1, 1, 1]
+    big = 1.7e308
+    z, mean, std = standardize(np.array([-big, big, big]))
+    z_unit, _, std_unit = standardize(np.array([-1.0, 1.0, 1.0]))
+    assert np.array_equal(z, z_unit)
+    assert mean == big / 3
+    assert std == pytest.approx(big * std_unit, rel=1e-15)
+
+
 # ---------------------------------------------------------------- generators
 
 
@@ -130,12 +209,12 @@ def test_generate_pair_deterministic():
 
 
 def regenerate_f(pair, spec, pair_index=0, which="f"):
-    from comic.data import _gp_draw, _sigmoid_draw
+    from comic.data import _gp_draw, _gp_factor, _sigmoid_draw
     from comic.rng import RngStream
 
     stream = RngStream(spec.seed).child("generate", spec.family, pair_index)
     if spec.family in ("AN", "LS"):
-        return _gp_draw(pair.x, stream.child(which))
+        return _gp_draw(_gp_factor(pair.x), stream.child(which))
     return _sigmoid_draw(stream.child(which))(pair.x)
 
 
@@ -183,7 +262,7 @@ def test_all_families_pass_self_checks():
 
 
 def test_gp_jitter_escalation(monkeypatch):
-    from comic.data import _gp_draw
+    from comic.data import _gp_draw, _gp_factor
     from comic.errors import NumericError
     from comic.rng import RngStream
 
@@ -198,7 +277,7 @@ def test_gp_jitter_escalation(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "cholesky", flaky)
     x = np.zeros(4)  # identical inputs: kernel is all ones
-    draw = _gp_draw(x, RngStream(0).child("gp"))
+    draw = _gp_draw(_gp_factor(x), RngStream(0).child("gp"))
     assert draw.shape == (4,)
     # escalation multiplies the diagonal jitter by 10 per retry
     assert jitters[1] / jitters[0] == pytest.approx(10.0, rel=1e-6)
@@ -208,7 +287,22 @@ def test_gp_jitter_escalation(monkeypatch):
         lambda m: (_ for _ in ()).throw(np.linalg.LinAlgError("no"))
     )
     with pytest.raises(NumericError):
-        _gp_draw(x, RngStream(0).child("gp"))
+        _gp_factor(x)
+
+
+@pytest.mark.parametrize("family,factorizations",
+                         [("AN", 1), ("LS", 1), ("AN-s", 0), ("LS-s", 0), ("MN-U", 0)])
+def test_one_kernel_factorization_per_pair(monkeypatch, family, factorizations):
+    real_cholesky = np.linalg.cholesky
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return real_cholesky(matrix)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    generate_pair(GeneratorSpec(family, 1, 30, seed=2), 0)
+    assert calls == [(30, 30)] * factorizations
 
 
 def test_generate_dataset_alternates_orientation():
