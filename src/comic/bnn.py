@@ -171,37 +171,71 @@ def unpack_params(model: ConditionalModel, vec: np.ndarray) -> ConditionalModel:
     return ConditionalModel(hidden=layers[0], output=layers[1])
 
 
+def _affine(h_in: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """h_in @ w + b, computing a width-1 input as a broadcast product.
+
+    Matmul adds each product to +0.0, so a -0.0 product comes back as +0.0;
+    adding the bias plus 0.0 instead gives the same sum for every product
+    and bias, -0.0 included.
+    """
+    if h_in.shape[1] == 1:
+        out = h_in * w
+        out += b + 0.0
+    else:
+        out = h_in @ w
+        out += b
+    return out
+
+
 def _layer_forward(layer: VariationalLinearLayer, h_in: np.ndarray, eps: np.ndarray | None):
     """Pre-activations of one layer and the cache its backward pass needs.
 
     With eps the pre-activations are drawn from their induced Gaussian;
     with eps=None the pass runs through the posterior means only.
     """
-    m_out = h_in @ layer.mean_w + layer.mean_b
+    m_out = _affine(h_in, layer.mean_w, layer.mean_b)
     if eps is None:
         return m_out, (h_in, None)
     v_w = np.exp(layer.logvar_w)
     v_b = np.exp(layer.logvar_b)
     h_sq = h_in * h_in
-    s_out = np.sqrt(h_sq @ v_w + v_b)
-    return m_out + s_out * eps, (h_in, (h_sq, v_w, v_b, s_out, eps))
+    s_out = np.sqrt(_affine(h_sq, v_w, v_b))
+    out = s_out * eps
+    out += m_out
+    return out, (h_in, (h_sq, v_w, v_b, s_out, eps))
 
 
 def _layer_backward(
     layer: VariationalLinearLayer, cache, g_out: np.ndarray, grad: VariationalLinearLayer
-) -> np.ndarray:
-    """Add the layer's gradient given d(loss)/d(h_out) into grad; return d(loss)/d(h_in)."""
+):
+    """Add the layer's gradient given d(loss)/d(h_out) into grad.
+
+    Returns the scaled noise gradient g_v that _layer_input_grad needs, or
+    None on the mean path.
+    """
     h_in, noise = cache
     grad.mean_w += h_in.T @ g_out
     grad.mean_b += g_out.sum(axis=0)
-    g_in = g_out @ layer.mean_w.T
     if noise is None:
-        return g_in
+        return None
     h_sq, v_w, v_b, s_out, eps = noise
-    g_v = g_out * eps * (0.5 / s_out)
+    g_v = g_out * eps
+    g_v *= 0.5 / s_out
     grad.logvar_w += (h_sq.T @ g_v) * v_w
     grad.logvar_b += g_v.sum(axis=0) * v_b
-    return g_in + 2.0 * h_in * (g_v @ v_w.T)
+    return g_v
+
+
+def _layer_input_grad(layer: VariationalLinearLayer, cache, g_out: np.ndarray, g_v) -> np.ndarray:
+    """d(loss)/d(h_in), given the g_v that _layer_backward returned."""
+    g_in = g_out @ layer.mean_w.T
+    if g_v is None:
+        return g_in
+    h_in, (_, v_w, _, _, _) = cache
+    g_h = 2.0 * h_in
+    g_h *= g_v @ v_w.T
+    g_in += g_h
+    return g_in
 
 
 def _noise(model: ConditionalModel, n: int, stream: RngStream):
@@ -227,7 +261,7 @@ def model_forward(
     p1 = _layer_forward(model.hidden, x[:, None], eps1)[0]
     if not np.isfinite(p1).all():
         raise NumericError("non-finite activations in hidden layer")
-    p2 = _layer_forward(model.output, np.tanh(p1), eps2)[0]
+    p2 = _layer_forward(model.output, np.tanh(p1, out=p1), eps2)[0]
     if not np.isfinite(p2).all():
         raise NumericError("non-finite activations in output layer")
     mu = p2[:, 0]
@@ -253,11 +287,11 @@ def _kl_layer(layer: VariationalLinearLayer, scale: float):
     mu = layer.mean_w
     inv_z2 = np.exp(-2.0 * ls)
     v_w = np.exp(lv)
-    kl_w = np.sum(ls - 0.5 * lv + (v_w + mu * mu) * inv_z2 * 0.5 - 0.5)
+    kl_w = (ls - 0.5 * lv + (v_w + mu * mu) * inv_z2 * 0.5 - 0.5).sum()
     lvb = layer.logvar_b
     mub = layer.mean_b
     v_b = np.exp(lvb)
-    kl_b = np.sum(-0.5 * lvb + (v_b + mub * mub) * 0.5 - 0.5)
+    kl_b = (-0.5 * lvb + (v_b + mub * mub) * 0.5 - 0.5).sum()
     grad = VariationalLinearLayer(
         mean_w=scale * mu * inv_z2,
         logvar_w=scale * (-0.5 + 0.5 * v_w * inv_z2),
@@ -278,8 +312,8 @@ def _map_penalty(layer: VariationalLinearLayer):
     ls = layer.log_prior_scale_w
     mu = layer.mean_w
     inv_z2 = np.exp(-2.0 * ls)
-    pen_w = np.sum(ls + 0.5 * mu * mu * inv_z2)
-    pen_b = 0.5 * np.sum(layer.mean_b ** 2)
+    pen_w = (ls + 0.5 * mu * mu * inv_z2).sum()
+    pen_b = 0.5 * (layer.mean_b ** 2).sum()
     grad = VariationalLinearLayer(
         mean_w=mu * inv_z2,
         logvar_w=np.zeros_like(layer.logvar_w),
@@ -297,11 +331,13 @@ def _nll_head(y: np.ndarray, p2: np.ndarray):
     tc = np.clip(t, -LOG_SCALE_LIMIT, LOG_SCALE_LIMIT)
     inv_var = np.exp(-2.0 * tc)
     r = y - mu
-    loss = float(np.sum(HALF_LOG_2PI + tc + 0.5 * r * r * inv_var))
-    g_mu = -r * inv_var
-    g_tc = 1.0 - r * r * inv_var
+    loss = float((HALF_LOG_2PI + tc + 0.5 * r * r * inv_var).sum())
+    g_p2 = np.empty_like(p2)
+    g_p2[:, 0] = -r * inv_var
+    g_p2[:, 1] = 1.0 - r * r * inv_var
+    # a clamped (or NaN) log-scale passes no gradient
     active = (t > -LOG_SCALE_LIMIT) & (t < LOG_SCALE_LIMIT)
-    g_p2 = np.stack([g_mu, np.where(active, g_tc, 0.0)], axis=1)
+    g_p2[~active, 1] = 0.0
     return loss, g_p2
 
 
@@ -309,11 +345,15 @@ def _data_nll(model, x, y, grad: ConditionalModel, eps1=None, eps2=None) -> floa
     """NLL of y given x through the network; its gradient is added into grad."""
     h_in = np.asarray(x, dtype=float)[:, None]
     p1, cache1 = _layer_forward(model.hidden, h_in, eps1)
-    a = np.tanh(p1)
+    a = np.tanh(p1, out=p1)
     p2, cache2 = _layer_forward(model.output, a, eps2)
     loss, g_p2 = _nll_head(np.asarray(y, dtype=float), p2)
-    g_a = _layer_backward(model.output, cache2, g_p2, grad.output)
-    _layer_backward(model.hidden, cache1, g_a * (1.0 - a * a), grad.hidden)
+    g_v = _layer_backward(model.output, cache2, g_p2, grad.output)
+    g_a = _layer_input_grad(model.output, cache2, g_p2, g_v)
+    # tanh' = 1 - a^2; the sampled output layer has already formed a * a
+    a_sq = a * a if eps2 is None else cache2[1][0]
+    g_a *= 1.0 - a_sq
+    _layer_backward(model.hidden, cache1, g_a, grad.hidden)
     return loss
 
 

@@ -100,7 +100,7 @@ def train_conditional(
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.size != y.size or x.size < 2:
+    if x.ndim != 1 or x.shape != y.shape or x.size < 2:
         raise ArgumentError("training needs matched vectors with at least 2 samples")
 
     initial = ConditionalModel.initial(cfg.hidden_width, stream.child("init"))
@@ -136,6 +136,8 @@ def conditional_variational_codelength(
         raise ArgumentError("mc_eval_samples must be >= 1")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ArgumentError("x and y must be 1-D vectors of equal length")
     total = 0.0
     for m in range(mc_eval_samples):
         mu, sigma = model.sample_predictions(x, stream.child("eval", m))

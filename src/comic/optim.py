@@ -79,8 +79,8 @@ def adam_step(
         )
     if lr <= 0:
         raise ArgumentError(f"learning rate must be positive, got {lr}")
-    bad = ~np.isfinite(grads)
-    if bad.any():
+    if not np.isfinite(grads).all():
+        bad = ~np.isfinite(grads)
         raise NumericError(
             "non-finite gradient in " + _locate_block(int(np.argmax(bad)), param_blocks)
         )

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from comic.bnn import (
+    HALF_LOG_2PI,
+    LOG_SCALE_LIMIT,
     ConditionalModel,
     VariationalLinearLayer,
     elbo_objective,
@@ -321,3 +323,195 @@ def test_pack_unpack_roundtrip():
     assert np.array_equal(pack_params(rebuilt), vec)
     total = sum(length for _, length in param_blocks(model))
     assert total == vec.size
+
+
+# ------------------------------------------------- byte-level oracle
+#
+# Plain reference versions of the hot loop. The package's own versions
+# (broadcast products for width-1 inputs, in-place temporaries, the input
+# gradient only where it is used, one reused generator) must give every
+# loss, gradient and prediction byte for byte as these do.
+
+
+def oracle_layer_forward(layer, h_in, eps):
+    m_out = h_in @ layer.mean_w + layer.mean_b
+    if eps is None:
+        return m_out, (h_in, None)
+    v_w = np.exp(layer.logvar_w)
+    v_b = np.exp(layer.logvar_b)
+    h_sq = h_in * h_in
+    s_out = np.sqrt(h_sq @ v_w + v_b)
+    return m_out + s_out * eps, (h_in, (h_sq, v_w, v_b, s_out, eps))
+
+
+def oracle_layer_backward(layer, cache, g_out, grad):
+    h_in, noise = cache
+    grad.mean_w += h_in.T @ g_out
+    grad.mean_b += g_out.sum(axis=0)
+    g_in = g_out @ layer.mean_w.T
+    if noise is None:
+        return g_in
+    h_sq, v_w, v_b, s_out, eps = noise
+    g_v = g_out * eps * (0.5 / s_out)
+    grad.logvar_w += (h_sq.T @ g_v) * v_w
+    grad.logvar_b += g_v.sum(axis=0) * v_b
+    return g_in + 2.0 * h_in * (g_v @ v_w.T)
+
+
+def oracle_nll_head(y, p2):
+    mu = p2[:, 0]
+    t = p2[:, 1]
+    tc = np.clip(t, -LOG_SCALE_LIMIT, LOG_SCALE_LIMIT)
+    inv_var = np.exp(-2.0 * tc)
+    r = y - mu
+    loss = float(np.sum(HALF_LOG_2PI + tc + 0.5 * r * r * inv_var))
+    g_mu = -r * inv_var
+    g_tc = 1.0 - r * r * inv_var
+    active = (t > -LOG_SCALE_LIMIT) & (t < LOG_SCALE_LIMIT)
+    return loss, np.stack([g_mu, np.where(active, g_tc, 0.0)], axis=1)
+
+
+def oracle_data_nll(model, x, y, grad, eps1=None, eps2=None):
+    h_in = np.asarray(x, dtype=float)[:, None]
+    p1, cache1 = oracle_layer_forward(model.hidden, h_in, eps1)
+    a = np.tanh(p1)
+    p2, cache2 = oracle_layer_forward(model.output, a, eps2)
+    loss, g_p2 = oracle_nll_head(np.asarray(y, dtype=float), p2)
+    g_a = oracle_layer_backward(model.output, cache2, g_p2, grad.output)
+    oracle_layer_backward(model.hidden, cache1, g_a * (1.0 - a * a), grad.hidden)
+    return loss
+
+
+def oracle_kl_layer(layer, scale):
+    ls, lv, mu = layer.log_prior_scale_w, layer.logvar_w, layer.mean_w
+    inv_z2 = np.exp(-2.0 * ls)
+    v_w = np.exp(lv)
+    kl_w = np.sum(ls - 0.5 * lv + (v_w + mu * mu) * inv_z2 * 0.5 - 0.5)
+    lvb, mub = layer.logvar_b, layer.mean_b
+    v_b = np.exp(lvb)
+    kl_b = np.sum(-0.5 * lvb + (v_b + mub * mub) * 0.5 - 0.5)
+    grad = VariationalLinearLayer(
+        mean_w=scale * mu * inv_z2,
+        logvar_w=scale * (-0.5 + 0.5 * v_w * inv_z2),
+        mean_b=scale * mub,
+        logvar_b=scale * (-0.5 + 0.5 * v_b),
+        log_prior_scale_w=scale * (1.0 - (v_w + mu ** 2) * inv_z2),
+    )
+    return float(kl_w + kl_b), grad
+
+
+def oracle_map_penalty(layer):
+    ls, mu = layer.log_prior_scale_w, layer.mean_w
+    inv_z2 = np.exp(-2.0 * ls)
+    pen_w = np.sum(ls + 0.5 * mu * mu * inv_z2)
+    pen_b = 0.5 * np.sum(layer.mean_b ** 2)
+    grad = VariationalLinearLayer(
+        mean_w=mu * inv_z2,
+        logvar_w=np.zeros_like(layer.logvar_w),
+        mean_b=layer.mean_b.copy(),
+        logvar_b=np.zeros_like(layer.logvar_b),
+        log_prior_scale_w=1.0 - mu ** 2 * inv_z2,
+    )
+    return float(pen_w + pen_b), grad
+
+
+def oracle_noise(model, n, stream):
+    # a fresh generator per draw, as each stream's definition states
+    return (stream.child("hidden").generator().standard_normal((n, model.hidden_width)),
+            stream.child("output").generator().standard_normal((n, 2)))
+
+
+def oracle_map_objective(model, x, y):
+    pen_hid, grad_hid = oracle_map_penalty(model.hidden)
+    pen_out, grad_out = oracle_map_penalty(model.output)
+    grad = ConditionalModel(grad_hid, grad_out)
+    return oracle_data_nll(model, x, y, grad) + pen_hid + pen_out, grad
+
+
+def oracle_elbo_objective(model, x, y, beta, stream):
+    eps1, eps2 = oracle_noise(model, np.shape(x)[0], stream)
+    kl_hid, grad_hid = oracle_kl_layer(model.hidden, beta)
+    kl_out, grad_out = oracle_kl_layer(model.output, beta)
+    grad = ConditionalModel(grad_hid, grad_out)
+    loss_nll = oracle_data_nll(model, x, y, grad, eps1, eps2)
+    return loss_nll + beta * (kl_hid + kl_out), grad
+
+
+def oracle_model_forward(model, x, stream=None):
+    eps1, eps2 = (None, None) if stream is None else oracle_noise(model, x.shape[0], stream)
+    p1 = oracle_layer_forward(model.hidden, x[:, None], eps1)[0]
+    p2 = oracle_layer_forward(model.output, np.tanh(p1), eps2)[0]
+    return p2[:, 0], np.exp(np.clip(p2[:, 1], -LOG_SCALE_LIMIT, LOG_SCALE_LIMIT))
+
+
+def with_signed_zeros(rng, values, share):
+    """values with about share of its entries replaced by +0.0 or -0.0."""
+    mask = rng.random(values.shape) < share
+    values[mask] = rng.choice([0.0, -0.0], size=int(mask.sum()))
+    return values
+
+
+def edge_layer(rng, in_dim, out_dim, mean_scale, zero_share):
+    shape = (in_dim, out_dim)
+    # log-variances mostly moderate, some pinned at +-20
+    logvar_w = np.where(rng.random(shape) < 0.2, rng.choice([-20.0, 20.0], shape),
+                        rng.normal(-6.0, 3.0, shape))
+    logvar_b = np.where(rng.random(out_dim) < 0.2, rng.choice([-20.0, 20.0], out_dim),
+                        rng.normal(-6.0, 3.0, out_dim))
+    return VariationalLinearLayer(
+        mean_w=with_signed_zeros(rng, rng.normal(0.0, mean_scale, shape), zero_share),
+        logvar_w=logvar_w,
+        mean_b=with_signed_zeros(rng, rng.normal(0.0, mean_scale, out_dim), zero_share),
+        logvar_b=logvar_b,
+        log_prior_scale_w=rng.normal(0.0, 0.5, shape),
+    )
+
+
+def edge_problem(width, n, seed, zero_share):
+    rng = np.random.default_rng(seed)
+    model = ConditionalModel(
+        hidden=edge_layer(rng, 1, width, 1.0, zero_share),
+        # wide output weights push the log-scale past +-15, into the clamp
+        output=edge_layer(rng, width, 2, 20.0 / math.sqrt(width), zero_share),
+    )
+    x = with_signed_zeros(rng, 2.0 * rng.standard_normal(n), zero_share)
+    y = with_signed_zeros(rng, rng.standard_normal(n), zero_share)
+    return model, x, y
+
+
+def objective_bytes(loss, grad):
+    return loss.hex(), pack_grads(grad).tobytes()
+
+
+def prediction_bytes(mu, sigma):
+    return mu.tobytes(), sigma.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    width=st.sampled_from([1, 2, 50]),
+    n=st.sampled_from([2, 3, 500]),
+    seed=st.integers(0, 2**32 - 1),
+    zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+    beta=st.sampled_from([0.0, 0.4, 1.0]),
+)
+def test_hot_loop_matches_oracle_bytes(width, n, seed, zero_share, beta):
+    model, x, y = edge_problem(width, n, seed, zero_share)
+    stream = RngStream(seed).child("oracle")
+    assert (objective_bytes(*map_objective(model, x, y))
+            == objective_bytes(*oracle_map_objective(model, x, y)))
+    assert (objective_bytes(*elbo_objective(model, x, y, beta, stream))
+            == objective_bytes(*oracle_elbo_objective(model, x, y, beta, stream)))
+    assert (prediction_bytes(*model_forward(model, x))
+            == prediction_bytes(*oracle_model_forward(model, x)))
+    assert (prediction_bytes(*model_forward(model, x, stream))
+            == prediction_bytes(*oracle_model_forward(model, x, stream)))
+
+
+def test_oracle_problems_reach_the_clamp_and_signed_zeros():
+    # the edge problems exercise what the byte comparison is meant to cover
+    model, x, _ = edge_problem(50, 500, 3, 0.3)
+    t = oracle_layer_forward(model.output, np.tanh(model.hidden.mean_w * x[:, None]), None)[0][:, 1]
+    assert (np.abs(t) > LOG_SCALE_LIMIT).any() and (np.abs(t) < LOG_SCALE_LIMIT).any()
+    assert np.signbit(x[x == 0.0]).any() and not np.signbit(x[x == 0.0]).all()
+    assert np.signbit(model.hidden.mean_b[model.hidden.mean_b == 0.0]).any()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from comic.bnn import gaussian_nll, pack_params
+from comic.bnn import ConditionalModel, gaussian_nll, pack_params
 from comic.codelength import (
     DirectionReport,
     TrainConfig,
@@ -135,8 +135,6 @@ def test_independent_pair_matches_marginal_plus_kl():
 
 
 def test_eval_codelength_prior_collapse():
-    from comic.bnn import ConditionalModel
-
     model = ConditionalModel(
         hidden=make_layer(np.zeros((1, 3)), logvar=-60.0),
         output=make_layer(np.zeros((3, 2)), logvar=-60.0),
@@ -147,6 +145,26 @@ def test_eval_codelength_prior_collapse():
     value = conditional_variational_codelength(model, x, y, 4, RngStream(0).child("pc"))
     expected = gaussian_nll(y, np.zeros(40), np.ones(40)) + model.kl()
     assert value == approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("x,y", [
+    (np.zeros((3, 2)), np.zeros(6)),   # same size, but x is a matrix
+    (np.zeros(5), np.zeros(4)),
+    (np.zeros(1), np.zeros(1)),
+])
+def test_train_conditional_rejects_unmatched_vectors(x, y):
+    with pytest.raises(ArgumentError, match="matched vectors"):
+        train_conditional(x, y, FAST, RngStream(0))
+
+
+@pytest.mark.parametrize("y_len", [1, 7])
+def test_eval_codelength_rejects_mismatched_y(y_len):
+    # unchecked, a one-element y broadcasts silently and a 7-element one
+    # fails inside numpy
+    model = ConditionalModel.initial(3, RngStream(0).child("init"))
+    x = np.linspace(-1.0, 1.0, 20)
+    with pytest.raises(ArgumentError, match="equal length"):
+        conditional_variational_codelength(model, x, np.full(y_len, 0.3), 2, RngStream(0))
 
 
 def test_eval_codelength_mc_convergence():

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from comic import rng
+from comic.codelength import TrainConfig, train_conditional
 from comic.errors import ArgumentError
 from comic.rng import RngStream, draw_standard_normal
 
@@ -77,3 +79,53 @@ def test_extra_tag_changes_stream(tags):
     a = draw_standard_normal(base, 3, 3)
     b = draw_standard_normal(extended, 3, 3)
     assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed", [1.5, "5", 2**63])
+def test_bad_seed_raises_argument_error_on_first_use(seed):
+    stream = RngStream(seed).child("x")
+    with pytest.raises(ArgumentError, match="seed"):
+        stream.generator()
+    with pytest.raises(ArgumentError, match="seed"):
+        draw_standard_normal(stream, 2, 2)
+
+
+def test_numpy_integer_seed_draws_like_int():
+    a = draw_standard_normal(RngStream(np.int64(5)).child("t"), 3, 4)
+    b = draw_standard_normal(RngStream(5).child("t"), 3, 4)
+    assert a.tobytes() == b.tobytes()
+
+
+def test_reused_generator_draws_equal_fresh_generators():
+    streams = (RngStream(3).child("a"), RngStream(-7).child("b", 2))
+    shapes = [(1, 1), (3, 5), (7, 1), (1, 9), (5, 3), (2, 2), (1, 1), (13, 7)]
+    for i, (r, c) in enumerate(shapes):
+        stream = streams[i % 2]
+        fresh = stream.generator().standard_normal((r, c))
+        assert draw_standard_normal(stream, r, c).tobytes() == fresh.tobytes()
+    # other use of the shared generator leaves a half-used buffer and a
+    # cached 32-bit word behind; the next draw must not see either
+    rng._shared_generator().integers(0, 2**32, size=3, dtype=np.uint32)
+    rng._shared_generator().random(5)
+    fresh = streams[0].generator().standard_normal((3, 3))
+    assert draw_standard_normal(streams[0], 3, 3).tobytes() == fresh.tobytes()
+
+
+def test_philox_constructions_do_not_grow_with_vi_epochs(monkeypatch):
+    built = []
+    real_philox = np.random.Philox
+
+    def counting_philox(*args, **kwargs):
+        built.append(1)
+        return real_philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    x = np.linspace(-1.0, 1.0, 6)
+    counts = []
+    for epochs in (2, 6):
+        built.clear()
+        cfg = TrainConfig(hidden_width=3, vi_epochs=epochs, warmup_epochs=1,
+                          map_epochs=1, mc_eval_samples=1)
+        train_conditional(x, np.sin(x), cfg, RngStream(0))
+        counts.append(len(built))
+    assert counts[0] == counts[1]

@@ -1,5 +1,6 @@
 """Checks that need a fresh interpreter: BLAS thread counts and script entry points."""
 
+import json
 import os
 import subprocess
 import sys
@@ -35,6 +36,15 @@ def test_score_independent_of_blas_threads():
     one, two = (run_python(["-c", SCORE_LS_S], OPENBLAS_NUM_THREADS=threads)
                 for threads in ("1", "2"))
     assert one.strip() and one == two
+
+
+def test_ab_pairs_same_tree_scores_match():
+    out = run_python([str(ROOT / "scripts" / "ab_pairs.py"), "--base", str(ROOT / "src"),
+                      "--change", str(ROOT / "src"), "--pairs-per-family", "1", "--n", "40",
+                      "--hidden-width", "4", "--epochs", "10", "--mc-samples", "2"])
+    result = json.loads(out.strip().splitlines()[-1])
+    assert result["pairs"] == 5
+    assert result["scores_match"] is True
 
 
 @pytest.mark.parametrize("script", ["run_family_benchmark.py", "width_ablation.py"])
