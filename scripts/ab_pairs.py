@@ -10,7 +10,9 @@ the scoring config of perfbench's desk-n500 workload: n = 500, hidden width
 
 Prints one JSON line: each side's median and quartiles of per-pair seconds,
 the median of the per-pair ratio change/base, how many pairs the change
-scored faster, and whether every repr(final_delta) matched.
+scored faster, and whether every repr(final_delta) matched. Exits with
+status 1 when they did not, so a change meant to keep the scores can be
+checked by the exit code alone.
 
 Example, comparing a checkout of the parent commit with this tree:
     python scripts/ab_pairs.py --base ../parent/src --change src --seed 1
@@ -77,15 +79,17 @@ def main():
                 deltas[name].append(repr(report.final_delta))
 
     ratios = [c / b for b, c in zip(seconds["base"], seconds["change"])]
+    scores_match = deltas["base"] == deltas["change"]
     print(json.dumps({
         "pairs": len(pairs),
         "base_s": quartiles(seconds["base"]),
         "change_s": quartiles(seconds["change"]),
         "ratio_median": statistics.median(ratios),
         "change_wins": sum(c < b for b, c in zip(seconds["base"], seconds["change"])),
-        "scores_match": deltas["base"] == deltas["change"],
+        "scores_match": scores_match,
     }))
+    return 0 if scores_match else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

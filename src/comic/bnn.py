@@ -10,11 +10,12 @@ weights, which gives identical output distributions at lower variance.
 
 Gradients for both training objectives are hand-derived for this fixed
 architecture, so the package needs no autodiff dependency; they are checked
-against central differences in the test suite. A gradient is itself a
-ConditionalModel whose blocks hold d(loss)/d(parameter), so parameters and
-gradients share one layout: pack_params flattens either into the same
-vector (pack_grads is the same function), and unpack_params turns a vector
-back into a model whose blocks are views of it.
+against central differences in the test suite. Parameters and gradients
+share one layout: pack_params flattens a model into a vector (pack_grads is
+the same function), and unpack_params turns a vector back into a model
+whose blocks are views of it. Each objective takes such a view as its
+gradient and overwrites every block with d(loss)/d(parameter), so the
+caller's flat gradient vector holds the result without any packing.
 
 Every pass, training or evaluation, goes through one forward/backward pair
 per layer: with a noise matrix it is the sampled (local reparameterization)
@@ -97,7 +98,7 @@ class ConditionalModel:
 
     Output node 0 is the mean; node 1 is clamped to +-LOG_SCALE_LIMIT and
     exponentiated, so the predicted std is always positive and finite.
-    The training objectives return their gradient as a ConditionalModel.
+    The training objectives write their gradient into a ConditionalModel.
     """
 
     hidden: VariationalLinearLayer
@@ -274,14 +275,16 @@ def gaussian_nll(y: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> float:
     y = np.asarray(y, dtype=float)
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
+    if not y.shape == mu.shape == sigma.shape:
+        raise ArgumentError(f"y, mu, sigma shapes differ: {y.shape}, {mu.shape}, {sigma.shape}")
     if np.any(sigma <= 0):
         raise ArgumentError("sigma must be strictly positive")
     r = y - mu
     return float(np.sum(HALF_LOG_2PI + np.log(sigma) + r * r / (2.0 * sigma * sigma)))
 
 
-def _kl_layer(layer: VariationalLinearLayer, scale: float):
-    """KL of one layer and the gradient of scale * KL."""
+def _kl_layer(layer: VariationalLinearLayer, scale: float, grad: VariationalLinearLayer) -> float:
+    """KL of one layer; the gradient of scale * KL overwrites grad."""
     ls = layer.log_prior_scale_w
     lv = layer.logvar_w
     mu = layer.mean_w
@@ -292,36 +295,34 @@ def _kl_layer(layer: VariationalLinearLayer, scale: float):
     mub = layer.mean_b
     v_b = np.exp(lvb)
     kl_b = (-0.5 * lvb + (v_b + mub * mub) * 0.5 - 0.5).sum()
-    grad = VariationalLinearLayer(
-        mean_w=scale * mu * inv_z2,
-        logvar_w=scale * (-0.5 + 0.5 * v_w * inv_z2),
-        mean_b=scale * mub,
-        logvar_b=scale * (-0.5 + 0.5 * v_b),
-        log_prior_scale_w=scale * (1.0 - (v_w + mu ** 2) * inv_z2),
-    )
-    return float(kl_w + kl_b), grad
+    grad.mean_w[...] = scale * mu * inv_z2
+    grad.logvar_w[...] = scale * (-0.5 + 0.5 * v_w * inv_z2)
+    grad.mean_b[...] = scale * mub
+    grad.logvar_b[...] = scale * (-0.5 + 0.5 * v_b)
+    grad.log_prior_scale_w[...] = scale * (1.0 - (v_w + mu ** 2) * inv_z2)
+    return float(kl_w + kl_b)
 
 
 def kl_model(model: ConditionalModel) -> float:
     """Closed-form KL from all factorized posteriors to their priors, in nats."""
-    return _kl_layer(model.hidden, 1.0)[0] + _kl_layer(model.output, 1.0)[0]
+    scratch = unpack_params(model, pack_params(model))
+    return (_kl_layer(model.hidden, 1.0, scratch.hidden)
+            + _kl_layer(model.output, 1.0, scratch.output))
 
 
-def _map_penalty(layer: VariationalLinearLayer):
-    """Negative log prior of the posterior means, constants dropped, and its gradient."""
+def _map_penalty(layer: VariationalLinearLayer, grad: VariationalLinearLayer) -> float:
+    """Negative log prior of posterior means, constants dropped; its gradient overwrites grad."""
     ls = layer.log_prior_scale_w
     mu = layer.mean_w
     inv_z2 = np.exp(-2.0 * ls)
     pen_w = (ls + 0.5 * mu * mu * inv_z2).sum()
     pen_b = 0.5 * (layer.mean_b ** 2).sum()
-    grad = VariationalLinearLayer(
-        mean_w=mu * inv_z2,
-        logvar_w=np.zeros_like(layer.logvar_w),
-        mean_b=layer.mean_b.copy(),
-        logvar_b=np.zeros_like(layer.logvar_b),
-        log_prior_scale_w=1.0 - mu ** 2 * inv_z2,
-    )
-    return float(pen_w + pen_b), grad
+    grad.mean_w[...] = mu * inv_z2
+    grad.logvar_w[...] = 0.0
+    grad.mean_b[...] = layer.mean_b
+    grad.logvar_b[...] = 0.0
+    grad.log_prior_scale_w[...] = 1.0 - mu ** 2 * inv_z2
+    return float(pen_w + pen_b)
 
 
 def _nll_head(y: np.ndarray, p2: np.ndarray):
@@ -358,13 +359,10 @@ def _data_nll(model, x, y, grad: ConditionalModel, eps1=None, eps2=None) -> floa
 
 
 def elbo_objective(
-    model: ConditionalModel,
-    x: np.ndarray,
-    y: np.ndarray,
-    beta: float,
-    stream: RngStream,
-) -> tuple[float, ConditionalModel]:
-    """Sampled NLL plus beta-weighted KL, with exact gradients under the draw.
+    model: ConditionalModel, x: np.ndarray, y: np.ndarray, beta: float, stream: RngStream,
+    grad: ConditionalModel,
+) -> float:
+    """Sampled NLL plus beta-weighted KL; its exact gradient under the draw overwrites grad.
 
     The noise matrices are a pure function of the stream, so repeated calls
     with the same stream evaluate the identical stochastic objective.
@@ -372,22 +370,19 @@ def elbo_objective(
     if not 0.0 <= beta <= 1.0:
         raise ArgumentError(f"beta must lie in [0, 1], got {beta}")
     eps1, eps2 = _noise(model, np.shape(x)[0], stream)
-    kl_hid, grad_hid = _kl_layer(model.hidden, beta)
-    kl_out, grad_out = _kl_layer(model.output, beta)
-    grad = ConditionalModel(grad_hid, grad_out)
+    kl_hid = _kl_layer(model.hidden, beta, grad.hidden)
+    kl_out = _kl_layer(model.output, beta, grad.output)
     loss_nll = _data_nll(model, x, y, grad, eps1, eps2)
-    return loss_nll + beta * (kl_hid + kl_out), grad
+    return loss_nll + beta * (kl_hid + kl_out)
 
 
 def map_objective(
-    model: ConditionalModel, x: np.ndarray, y: np.ndarray
-) -> tuple[float, ConditionalModel]:
+    model: ConditionalModel, x: np.ndarray, y: np.ndarray, grad: ConditionalModel
+) -> float:
     """Joint negative log-likelihood of data, mean parameters and prior scales.
 
-    Deterministic point-estimate phase: posterior variances take no gradient.
+    Deterministic point-estimate phase: posterior variances take no gradient (their blocks get 0).
     """
-    pen_hid, grad_hid = _map_penalty(model.hidden)
-    pen_out, grad_out = _map_penalty(model.output)
-    grad = ConditionalModel(grad_hid, grad_out)
-    loss_nll = _data_nll(model, x, y, grad)
-    return loss_nll + pen_hid + pen_out, grad
+    pen_hid = _map_penalty(model.hidden, grad.hidden)
+    pen_out = _map_penalty(model.output, grad.output)
+    return _data_nll(model, x, y, grad) + pen_hid + pen_out

@@ -94,9 +94,10 @@ def train_conditional(
     Both phases run full-batch under Adam with a cosine learning-rate
     schedule; the second phase starts from a fresh optimizer state since it
     minimizes a different objective. The model is bound once to a flat
-    parameter vector (its blocks are views of it); gradients come back in
-    the same layout, and each Adam result is written into that vector, so
-    the model always reflects the latest update.
+    parameter vector, and its gradient to a flat gradient vector (blocks are
+    views of them). Each objective overwrites the gradient vector, Adam reads
+    it as it is, and each Adam result is written into the parameter vector,
+    so the model always reflects the latest update.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -106,23 +107,24 @@ def train_conditional(
     initial = ConditionalModel.initial(cfg.hidden_width, stream.child("init"))
     params = bnn.pack_params(initial)
     model = bnn.unpack_params(initial, params)
+    grads = np.empty_like(params)
+    grad = bnn.unpack_params(initial, grads)
     blocks = bnn.param_blocks(model)
     vi_stream = stream.child("vi")
     phases = (
-        ("MAP", cfg.map_epochs, lambda t: bnn.map_objective(model, x, y)),
+        ("MAP", cfg.map_epochs, lambda t: bnn.map_objective(model, x, y, grad)),
         ("VI", cfg.vi_epochs, lambda t: bnn.elbo_objective(
-            model, x, y, min(1.0, t / cfg.warmup_epochs), vi_stream.child(t))),
+            model, x, y, min(1.0, t / cfg.warmup_epochs), vi_stream.child(t), grad)),
     )
     for phase, epochs, objective in phases:
         sched = CosineSchedule(cfg.lr_max, cfg.lr_min, epochs)
         adam = AdamState.initial(params.size)
         for t in range(epochs):
-            loss, grads = objective(t)
+            loss = objective(t)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss in {phase} phase at epoch {t}")
             try:
-                adam, params[:] = adam_step(
-                    adam, params, bnn.pack_grads(grads), cosine_lr(t, sched), blocks)
+                adam, params[:] = adam_step(adam, params, grads, cosine_lr(t, sched), blocks)
             except NumericError as e:
                 raise NumericError(f"{phase} phase, epoch {t}: {e}") from None
     return model

@@ -177,14 +177,11 @@ def _sigmoid_draw(stream: RngStream) -> Callable[[np.ndarray], np.ndarray]:
     return s
 
 
-def generate_pair(
-    spec: GeneratorSpec, pair_index: int, stream: RngStream | None = None
-) -> PairDataset:
+def generate_pair(spec: GeneratorSpec, pair_index: int) -> PairDataset:
     """One synthetic cause-effect pair; deterministic in (spec, pair_index)."""
     if not 0 <= pair_index < spec.n_pairs:
         raise ArgumentError(f"pair_index {pair_index} outside [0, {spec.n_pairs})")
-    if stream is None:
-        stream = RngStream(spec.seed).child("generate", spec.family, pair_index)
+    stream = RngStream(spec.seed).child("generate", spec.family, pair_index)
     gen = stream.child("noise").generator()
     x = stream.child("x").generator().standard_normal(spec.n_samples)
     fam = spec.family
@@ -318,25 +315,34 @@ def parse_pairmeta(path: str | Path) -> list[MetaRow]:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"missing meta file {path}")
+    return _parse_meta_text(path.read_bytes(), path.name)
+
+
+def _parse_meta_text(content: bytes, name: str) -> list[MetaRow]:
+    """The rows of a pairmeta file's content; name labels its errors."""
+    try:
+        text = content.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{name}: not UTF-8 text ({e.reason} at byte {e.start})") from None
     rows = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         tokens = line.split()
         if len(tokens) != 6:
-            raise ParseError(f"{path.name}: expected 6 fields, found {len(tokens)}", lineno)
+            raise ParseError(f"{name}: expected 6 fields, found {len(tokens)}", lineno)
         try:
             *cols, weight = (float(t) for t in tokens[1:6])
         except ValueError:
-            raise ParseError(f"{path.name}: malformed meta row {line!r}", lineno) from None
+            raise ParseError(f"{name}: malformed meta row {line!r}", lineno) from None
         if not all(c.is_integer() for c in cols):
-            raise ParseError(f"{path.name}: non-integer column in {line!r}", lineno)
+            raise ParseError(f"{name}: non-integer column in {line!r}", lineno)
         if not (math.isfinite(weight) and weight > 0):
-            raise ParseError(f"{path.name}: weight must be positive and finite, got {tokens[5]!r}",
+            raise ParseError(f"{name}: weight must be positive and finite, got {tokens[5]!r}",
                              lineno)
         rows.append(MetaRow(tokens[0], *(int(c) for c in cols), weight))
     if not rows:
-        raise ParseError(f"{path.name}: empty meta file")
+        raise ParseError(f"{name}: empty meta file")
     return rows
 
 
@@ -443,16 +449,8 @@ def fetch_tuebingen(
     meta_path = out / "pairmeta.txt"
     if not meta_path.exists():
         content = _download(base + "pairmeta.txt", retries, log)
-        text = content.decode("utf-8", errors="strict")
-        fd, tmp = tempfile.mkstemp(dir=out, prefix="pairmeta.")
-        os.close(fd)
-        Path(tmp).write_text(text)
-        try:
-            parse_pairmeta(tmp)
-        except ParseError:
-            os.unlink(tmp)
-            raise
-        os.replace(tmp, meta_path)
+        _parse_meta_text(content, meta_path.name)
+        _write_atomic(meta_path, content)
         written += 1
         log("wrote pairmeta.txt")
 

@@ -1,4 +1,4 @@
-"""Adam, the cosine learning-rate schedule, and a finite-difference oracle.
+"""Adam and the cosine learning-rate schedule.
 
 All state lives in plain float64 arrays owned by the caller; every update
 is deterministic given its inputs.
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -101,24 +101,3 @@ def _locate_block(index: int, blocks: Sequence[tuple[str, int]] | None) -> str:
             return f"block '{name}' (offset {index - offset})"
         offset += length
     return f"parameter {index}"
-
-
-def finite_diff_grad(
-    f: Callable[[np.ndarray], float], x: np.ndarray, h: float
-) -> np.ndarray:
-    """Central-difference gradient of a scalar function, used as a test oracle."""
-    if h <= 0:
-        raise ArgumentError(f"step size must be positive, got {h}")
-    x = np.asarray(x, dtype=float)
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp.flat[i] += h
-        xm.flat[i] -= h
-        fp = f(xp)
-        fm = f(xm)
-        if not (math.isfinite(fp) and math.isfinite(fm)):
-            raise NumericError(f"non-finite objective at probe for coordinate {i}")
-        grad.flat[i] = (fp - fm) / (2.0 * h)
-    return grad

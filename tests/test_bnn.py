@@ -23,8 +23,8 @@ from comic.bnn import (
     unpack_params,
 )
 from comic.errors import ArgumentError
-from comic.optim import finite_diff_grad
 from comic.rng import RngStream, draw_standard_normal
+from gradcheck import finite_diff_grad
 
 
 def make_layer(mean_w, logvar=-9.0, mean_b=None, logvar_b=None, log_prior=0.0):
@@ -54,6 +54,12 @@ def random_model(width, stream_seed, jitter_seed):
     rng = np.random.default_rng(jitter_seed)
     vec = pack_params(model) + 0.3 * rng.standard_normal(pack_params(model).size)
     return unpack_params(model, vec)
+
+
+def grad_buffer(model):
+    """A NaN-filled flat gradient vector and the model of its views an objective writes into."""
+    vec = np.full(pack_params(model).size, np.nan)
+    return vec, unpack_params(model, vec)
 
 
 # ---------------------------------------------------------------- layers
@@ -165,6 +171,14 @@ def test_gaussian_nll_worked_values():
     assert gaussian_nll([0.0], [0.0], [2.0]) == approx(1.612086, abs=1e-6)
 
 
+def test_gaussian_nll_rejects_mismatched_shapes():
+    # a length-1 y used to broadcast against 20 predictions and return 19.28 nats
+    with pytest.raises(ArgumentError, match="shape"):
+        gaussian_nll([0.3], np.zeros(20), np.ones(20))
+    with pytest.raises(ArgumentError, match="shape"):
+        gaussian_nll(np.zeros(20), np.zeros(20), np.ones(7))
+
+
 def test_gaussian_nll_rejects_nonpositive_sigma():
     with pytest.raises(ArgumentError):
         gaussian_nll([0.0], [0.0], [0.0])
@@ -214,7 +228,7 @@ def test_elbo_beta_zero_is_sampled_nll():
     x = np.linspace(-1, 1, 8)
     y = np.sin(x)
     stream = RngStream(9).child("noise")
-    loss, _ = elbo_objective(model, x, y, 0.0, stream)
+    loss = elbo_objective(model, x, y, 0.0, stream, grad_buffer(model)[1])
     mu, sigma = model_forward(model, x, stream)
     assert loss == approx(gaussian_nll(y, mu, sigma), rel=1e-12)
 
@@ -228,7 +242,7 @@ def test_elbo_zero_kl_case():
     y = np.zeros(4)
     stream = RngStream(2).child("draw")
     assert kl_model(model) == approx(0.0, abs=1e-14)
-    loss, _ = elbo_objective(model, x, y, 1.0, stream)
+    loss = elbo_objective(model, x, y, 1.0, stream, grad_buffer(model)[1])
     mu, sigma = model_forward(model, x, stream)
     assert loss == approx(gaussian_nll(y, mu, sigma), rel=1e-12)
 
@@ -238,10 +252,11 @@ def test_elbo_deterministic_given_stream():
     x = np.linspace(-2, 2, 10)
     y = np.cos(x)
     stream = RngStream(77).child("epoch-3")
-    l1, g1 = elbo_objective(model, x, y, 0.5, stream)
-    l2, g2 = elbo_objective(model, x, y, 0.5, stream)
+    (g1, grad1), (g2, grad2) = grad_buffer(model), grad_buffer(model)
+    l1 = elbo_objective(model, x, y, 0.5, stream, grad1)
+    l2 = elbo_objective(model, x, y, 0.5, stream, grad2)
     assert l1 == l2
-    assert np.array_equal(pack_grads(g1), pack_grads(g2))
+    assert np.array_equal(g1, g2)
 
 
 def test_map_zero_mean_unit_prior_is_pure_nll():
@@ -251,7 +266,7 @@ def test_map_zero_mean_unit_prior_is_pure_nll():
     )
     x = np.array([0.5, -0.5, 1.0])
     y = np.array([0.2, 0.1, -0.3])
-    loss, _ = map_objective(model, x, y)
+    loss = map_objective(model, x, y, grad_buffer(model)[1])
     assert loss == approx(gaussian_nll(y, np.zeros(3), np.ones(3)), rel=1e-12)
 
 
@@ -267,8 +282,8 @@ def test_map_prior_penalty_single_weight():
     x = np.zeros(4)
     y = np.zeros(4)
     # x = 0 makes the data term identical, isolating the mu^2/(2 z^2) penalty
-    loss_base, _ = map_objective(base, x, y)
-    loss_bumped, _ = map_objective(bumped, x, y)
+    loss_base = map_objective(base, x, y, grad_buffer(base)[1])
+    loss_bumped = map_objective(bumped, x, y, grad_buffer(bumped)[1])
     assert loss_bumped - loss_base == approx(2.0, rel=1e-12)
 
 
@@ -276,8 +291,10 @@ def test_map_prior_penalty_single_weight():
 
 
 def relative_grad_errors(model, objective):
-    analytic = pack_grads(objective(model)[1])
-    fd = finite_diff_grad(lambda v: objective(unpack_params(model, v))[0],
+    analytic, grad = grad_buffer(model)
+    objective(model, grad)
+    scratch = grad_buffer(model)[1]
+    fd = finite_diff_grad(lambda v: objective(unpack_params(model, v), scratch),
                           pack_params(model), h=1e-5)
     mask = np.abs(fd) > 1e-6
     if not mask.any():
@@ -293,8 +310,8 @@ def test_gradients_match_finite_differences(width, n):
     model = random_model(width, width + n, width * n)
     noise = RngStream(width * 7 + n).child("fixed-draw")
 
-    err_elbo = relative_grad_errors(model, lambda m: elbo_objective(m, x, y, 0.7, noise))
-    err_map = relative_grad_errors(model, lambda m: map_objective(m, x, y))
+    err_elbo = relative_grad_errors(model, lambda m, g: elbo_objective(m, x, y, 0.7, noise, g))
+    err_map = relative_grad_errors(model, lambda m, g: map_objective(m, x, y, g))
     assert err_elbo.max() < 1e-4
     assert err_map.max() < 1e-4
 
@@ -483,6 +500,12 @@ def objective_bytes(loss, grad):
     return loss.hex(), pack_grads(grad).tobytes()
 
 
+def package_objective_bytes(objective, model, *args):
+    """Loss and gradient bytes of a package objective writing into a fresh NaN-filled vector."""
+    vec, grad = grad_buffer(model)
+    return objective(model, *args, grad).hex(), vec.tobytes()
+
+
 def prediction_bytes(mu, sigma):
     return mu.tobytes(), sigma.tobytes()
 
@@ -498,14 +521,36 @@ def prediction_bytes(mu, sigma):
 def test_hot_loop_matches_oracle_bytes(width, n, seed, zero_share, beta):
     model, x, y = edge_problem(width, n, seed, zero_share)
     stream = RngStream(seed).child("oracle")
-    assert (objective_bytes(*map_objective(model, x, y))
+    assert (package_objective_bytes(map_objective, model, x, y)
             == objective_bytes(*oracle_map_objective(model, x, y)))
-    assert (objective_bytes(*elbo_objective(model, x, y, beta, stream))
+    assert (package_objective_bytes(elbo_objective, model, x, y, beta, stream)
             == objective_bytes(*oracle_elbo_objective(model, x, y, beta, stream)))
     assert (prediction_bytes(*model_forward(model, x))
             == prediction_bytes(*oracle_model_forward(model, x)))
     assert (prediction_bytes(*model_forward(model, x, stream))
             == prediction_bytes(*oracle_model_forward(model, x, stream)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    width=st.sampled_from([1, 2, 50]),
+    n=st.sampled_from([2, 3, 500]),
+    seed=st.integers(0, 2**32 - 1),
+    beta=st.sampled_from([0.0, 0.4, 1.0]),
+)
+def test_objectives_overwrite_every_gradient_entry(width, n, seed, beta):
+    # one NaN-filled vector serves every call, as in training: each objective
+    # must overwrite all of it, the MAP phase's zero log-variance blocks too
+    model, x, y = edge_problem(width, n, seed, 0.3)
+    stream = RngStream(seed).child("oracle")
+    vec, grad = grad_buffer(model)
+    for objective, args, oracle in (
+        (map_objective, (x, y), oracle_map_objective),
+        (elbo_objective, (x, y, beta, stream), oracle_elbo_objective),
+        (map_objective, (x, y), oracle_map_objective),
+    ):
+        loss = objective(model, *args, grad)
+        assert (loss.hex(), vec.tobytes()) == objective_bytes(*oracle(model, *args))
 
 
 def test_oracle_problems_reach_the_clamp_and_signed_zeros():

@@ -269,7 +269,8 @@ class CorpusHandler(BaseHTTPRequestHandler):
         if name in self.fail_always or name not in self.corpus:
             self.send_error(404)
             return
-        body = self.corpus[name].encode()
+        body = self.corpus[name]
+        body = body.encode() if isinstance(body, str) else body
         if name in self.truncate:
             # advertise the full length but drop the connection midway
             self.send_response(200)
@@ -339,6 +340,22 @@ def test_fetch_corrupt_file_discarded(corpus_server, tmp_path):
         assert not (out_dir / "pair0002.txt").exists()
     finally:
         CorpusHandler.corpus["pair0002.txt"] = PAIR_BODY
+
+
+def test_fetch_non_utf8_meta_is_a_parse_error(corpus_server, tmp_path, capsys):
+    CorpusHandler.corpus = dict(CorpusHandler.corpus)
+    CorpusHandler.corpus["pairmeta.txt"] = b"0001 1 1 2 2 1.0\n\xff\xfe 2 2 1 1 1.5\n"
+    try:
+        out_dir = tmp_path / "corpus"
+        code, out = run_cli(capsys, ["fetch-tuebingen", "--url", corpus_server,
+                                     "--out", str(out_dir)])
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["type"] == "ParseError"
+        assert "pairmeta.txt" in error["message"] and "UTF-8" in error["message"]
+        assert list(out_dir.iterdir()) == []
+    finally:
+        CorpusHandler.corpus["pairmeta.txt"] = "0001 1 1 2 2 1.0\n0002 2 2 1 1 1.5\n"
 
 
 def test_fetch_offline_retries_then_fails(tmp_path, capsys):

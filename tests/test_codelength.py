@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from comic import bnn
 from comic.bnn import ConditionalModel, gaussian_nll, pack_params
 from comic.codelength import (
     DirectionReport,
@@ -109,6 +110,29 @@ def test_training_is_deterministic():
     m1 = train_conditional(x, y, FAST, stream)
     m2 = train_conditional(x, y, FAST, stream)
     assert np.array_equal(pack_params(m1), pack_params(m2))
+
+
+def test_packing_calls_do_not_grow_with_epochs(monkeypatch):
+    # gradients are written into one flat vector, so packing happens once
+    # per trained direction, under either of the function's two names
+    packed = []
+    real_pack = bnn.pack_params
+
+    def counting_pack(model):
+        packed.append(1)
+        return real_pack(model)
+
+    monkeypatch.setattr(bnn, "pack_params", counting_pack)
+    monkeypatch.setattr(bnn, "pack_grads", counting_pack)
+    x = np.linspace(-1.0, 1.0, 6)
+    counts = []
+    for epochs in (2, 6):
+        packed.clear()
+        cfg = TrainConfig(hidden_width=3, vi_epochs=epochs, warmup_epochs=1,
+                          map_epochs=epochs, mc_eval_samples=1)
+        train_conditional(x, np.sin(x), cfg, RngStream(0))
+        counts.append(len(packed))
+    assert counts[0] == counts[1]
 
 
 def test_independent_pair_matches_marginal_plus_kl():

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from comic.errors import ArgumentError, NumericError
-from comic.optim import AdamState, CosineSchedule, adam_step, cosine_lr, finite_diff_grad
+from comic.optim import AdamState, CosineSchedule, adam_step, cosine_lr
+from gradcheck import finite_diff_grad
 
 SCHED = CosineSchedule(lr_max=1e-2, lr_min=1e-6, total_epochs=2500)
 

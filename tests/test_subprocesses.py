@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,12 +12,16 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_python(args, **env):
+def python_proc(args, **env):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, *args], env={**os.environ, "PYTHONPATH": path, **env},
         capture_output=True, text=True, timeout=300,
     )
+
+
+def run_python(args, **env):
+    proc = python_proc(args, **env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -38,13 +43,32 @@ def test_score_independent_of_blas_threads():
     assert one.strip() and one == two
 
 
+def run_ab_pairs(change_src):
+    """Exit code and JSON result of a tiny ab_pairs run against this tree's src."""
+    proc = python_proc([str(ROOT / "scripts" / "ab_pairs.py"), "--base", str(ROOT / "src"),
+                        "--change", str(change_src), "--pairs-per-family", "1", "--n", "40",
+                        "--hidden-width", "4", "--epochs", "10", "--mc-samples", "2"])
+    assert proc.stdout.strip(), proc.stderr
+    return proc.returncode, json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def test_ab_pairs_same_tree_scores_match():
-    out = run_python([str(ROOT / "scripts" / "ab_pairs.py"), "--base", str(ROOT / "src"),
-                      "--change", str(ROOT / "src"), "--pairs-per-family", "1", "--n", "40",
-                      "--hidden-width", "4", "--epochs", "10", "--mc-samples", "2"])
-    result = json.loads(out.strip().splitlines()[-1])
+    code, result = run_ab_pairs(ROOT / "src")
+    assert code == 0
     assert result["pairs"] == 5
     assert result["scores_match"] is True
+
+
+def test_ab_pairs_exits_1_when_scores_differ(tmp_path):
+    shutil.copytree(ROOT / "src" / "comic", tmp_path / "src" / "comic",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    bnn = tmp_path / "src" / "comic" / "bnn.py"
+    text = bnn.read_text()
+    assert "INIT_LOGVAR = -9.0\n" in text
+    bnn.write_text(text.replace("INIT_LOGVAR = -9.0\n", "INIT_LOGVAR = -8.0\n"))
+    code, result = run_ab_pairs(tmp_path / "src")
+    assert code == 1
+    assert result["scores_match"] is False
 
 
 @pytest.mark.parametrize("script", ["run_family_benchmark.py", "width_ablation.py"])
