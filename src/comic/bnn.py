@@ -23,6 +23,20 @@ pass; without one it is the deterministic pass through the posterior means,
 which does no variance work and leaves the variance gradients untouched.
 model_forward samples when given a stream, drawing the noise exactly as
 elbo_objective does, and otherwise predicts from the posterior means.
+
+Epochs and Monte Carlo samples allocate no data-sized array: the noise, the
+pre-activations, the stds, the tanh derivative, the input gradient and the
+scaled noise gradients are written with out= into one buffer per (layer,
+role), kept for the life of the process and reallocated only when its shape
+changes (a pair of another length). A value whose last use has passed is
+overwritten in place (the backward pass turns eps into g_v, for one), so
+that few buffers are live and they stay in cache. Each value is computed by
+the same operations on the same operands as with fresh arrays, so the bytes
+are the same. Every buffer is written before it is read within one call, so
+no call sees another's data. Like the rng's shared generator, the buffers
+assume one thread per process, which holds because run_benchmark scores in
+parallel with worker processes. No value returned to a caller aliases a
+buffer.
 """
 
 from __future__ import annotations
@@ -172,47 +186,68 @@ def unpack_params(model: ConditionalModel, vec: np.ndarray) -> ConditionalModel:
     return ConditionalModel(hidden=layers[0], output=layers[1])
 
 
-def _affine(h_in: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """h_in @ w + b, computing a width-1 input as a broadcast product.
+_BUFFERS: dict[tuple[str, str], np.ndarray] = {}
+
+
+def _buffer(name: str, role: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+    """The process's reused array for one role of layer name; its contents are stale.
+
+    Reallocated only when the shape asked for differs from the last one.
+    """
+    buf = _BUFFERS.get((name, role))
+    if buf is None or buf.shape != shape:
+        buf = _BUFFERS[(name, role)] = np.empty(shape, dtype)
+    return buf
+
+
+def _affine(h_in: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """h_in @ w + b written into out, computing a width-1 input as a broadcast product.
 
     Matmul adds each product to +0.0, so a -0.0 product comes back as +0.0;
     adding the bias plus 0.0 instead gives the same sum for every product
     and bias, -0.0 included.
     """
     if h_in.shape[1] == 1:
-        out = h_in * w
+        np.multiply(h_in, w, out=out)
         out += b + 0.0
     else:
-        out = h_in @ w
+        np.matmul(h_in, w, out=out)
         out += b
     return out
 
 
-def _layer_forward(layer: VariationalLinearLayer, h_in: np.ndarray, eps: np.ndarray | None):
+def _layer_forward(
+    layer: VariationalLinearLayer, h_in: np.ndarray, eps: np.ndarray | None, name: str
+):
     """Pre-activations of one layer and the cache its backward pass needs.
 
     With eps the pre-activations are drawn from their induced Gaussian;
-    with eps=None the pass runs through the posterior means only.
+    with eps=None the pass runs through the posterior means only. Both live
+    in the buffers of layer name until its next forward pass.
     """
-    m_out = _affine(h_in, layer.mean_w, layer.mean_b)
+    shape = (h_in.shape[0], layer.out_dim)
+    out = _affine(h_in, layer.mean_w, layer.mean_b, _buffer(name, "out", shape))
     if eps is None:
-        return m_out, (h_in, None)
+        return out, (h_in, None)
     v_w = np.exp(layer.logvar_w)
     v_b = np.exp(layer.logvar_b)
-    h_sq = h_in * h_in
-    s_out = np.sqrt(_affine(h_sq, v_w, v_b))
-    out = s_out * eps
-    out += m_out
+    h_sq = np.multiply(h_in, h_in, out=_buffer(name, "h_sq", h_in.shape))
+    s_out = _affine(h_sq, v_w, v_b, _buffer(name, "s_out", shape))
+    np.sqrt(s_out, out=s_out)
+    # mean + std * eps has the bytes of std * eps + mean: floating-point addition commutes
+    out += np.multiply(s_out, eps, out=_buffer(name, "scratch", shape))
     return out, (h_in, (h_sq, v_w, v_b, s_out, eps))
 
 
 def _layer_backward(
-    layer: VariationalLinearLayer, cache, g_out: np.ndarray, grad: VariationalLinearLayer
+    layer: VariationalLinearLayer, cache, g_out: np.ndarray, grad: VariationalLinearLayer,
+    name: str,
 ):
     """Add the layer's gradient given d(loss)/d(h_out) into grad.
 
     Returns the scaled noise gradient g_v that _layer_input_grad needs, or
-    None on the mean path.
+    None on the mean path. No later pass reads the cache's eps or s_out, so
+    g_v is written over eps and 0.5 / s_out over s_out.
     """
     h_in, noise = cache
     grad.mean_w += h_in.T @ g_out
@@ -220,21 +255,24 @@ def _layer_backward(
     if noise is None:
         return None
     h_sq, v_w, v_b, s_out, eps = noise
-    g_v = g_out * eps
-    g_v *= 0.5 / s_out
+    g_v = np.multiply(g_out, eps, out=eps)
+    g_v *= np.divide(0.5, s_out, out=s_out)
     grad.logvar_w += (h_sq.T @ g_v) * v_w
     grad.logvar_b += g_v.sum(axis=0) * v_b
     return g_v
 
 
-def _layer_input_grad(layer: VariationalLinearLayer, cache, g_out: np.ndarray, g_v) -> np.ndarray:
+def _layer_input_grad(
+    layer: VariationalLinearLayer, cache, g_out: np.ndarray, g_v, name: str
+) -> np.ndarray:
     """d(loss)/d(h_in), given the g_v that _layer_backward returned."""
-    g_in = g_out @ layer.mean_w.T
+    h_in, noise = cache
+    g_in = np.matmul(g_out, layer.mean_w.T, out=_buffer(name, "g_in", h_in.shape))
     if g_v is None:
         return g_in
-    h_in, (_, v_w, _, _, _) = cache
-    g_h = 2.0 * h_in
-    g_h *= g_v @ v_w.T
+    _, v_w, _, _, _ = noise
+    g_h = np.multiply(2.0, h_in, out=_buffer(name, "g_h", h_in.shape))
+    g_h *= np.matmul(g_v, v_w.T, out=_buffer(name, "g_v_w", h_in.shape))
     g_in += g_h
     return g_in
 
@@ -242,9 +280,15 @@ def _layer_input_grad(layer: VariationalLinearLayer, cache, g_out: np.ndarray, g
 def _noise(model: ConditionalModel, n: int, stream: RngStream):
     """Standard-normal noise for the hidden and output pre-activations of n rows."""
     return (
-        draw_standard_normal(stream.child("hidden"), n, model.hidden_width),
-        draw_standard_normal(stream.child("output"), n, 2),
+        draw_standard_normal(stream.child("hidden"),
+                             _buffer("hidden", "eps", (n, model.hidden_width))),
+        draw_standard_normal(stream.child("output"), _buffer("output", "eps", (n, 2))),
     )
+
+
+def _check_finite(values: np.ndarray, name: str) -> None:
+    if not np.isfinite(values, out=_buffer(name, "finite", values.shape, bool)).all():
+        raise NumericError(f"non-finite activations in {name} layer")
 
 
 def model_forward(
@@ -259,13 +303,12 @@ def model_forward(
     if x.ndim != 1:
         raise ArgumentError(f"x must be a 1-D vector, got shape {x.shape}")
     eps1, eps2 = (None, None) if stream is None else _noise(model, x.shape[0], stream)
-    p1 = _layer_forward(model.hidden, x[:, None], eps1)[0]
-    if not np.isfinite(p1).all():
-        raise NumericError("non-finite activations in hidden layer")
-    p2 = _layer_forward(model.output, np.tanh(p1, out=p1), eps2)[0]
-    if not np.isfinite(p2).all():
-        raise NumericError("non-finite activations in output layer")
-    mu = p2[:, 0]
+    p1 = _layer_forward(model.hidden, x[:, None], eps1, "hidden")[0]
+    _check_finite(p1, "hidden")
+    p2 = _layer_forward(model.output, np.tanh(p1, out=p1), eps2, "output")[0]
+    _check_finite(p2, "output")
+    # p2 is a reused buffer: the caller gets copies
+    mu = p2[:, 0].copy()
     sigma = np.exp(np.clip(p2[:, 1], -LOG_SCALE_LIMIT, LOG_SCALE_LIMIT))
     return mu, sigma
 
@@ -333,7 +376,7 @@ def _nll_head(y: np.ndarray, p2: np.ndarray):
     inv_var = np.exp(-2.0 * tc)
     r = y - mu
     loss = float((HALF_LOG_2PI + tc + 0.5 * r * r * inv_var).sum())
-    g_p2 = np.empty_like(p2)
+    g_p2 = _buffer("output", "g_p2", p2.shape)
     g_p2[:, 0] = -r * inv_var
     g_p2[:, 1] = 1.0 - r * r * inv_var
     # a clamped (or NaN) log-scale passes no gradient
@@ -345,16 +388,20 @@ def _nll_head(y: np.ndarray, p2: np.ndarray):
 def _data_nll(model, x, y, grad: ConditionalModel, eps1=None, eps2=None) -> float:
     """NLL of y given x through the network; its gradient is added into grad."""
     h_in = np.asarray(x, dtype=float)[:, None]
-    p1, cache1 = _layer_forward(model.hidden, h_in, eps1)
+    p1, cache1 = _layer_forward(model.hidden, h_in, eps1, "hidden")
     a = np.tanh(p1, out=p1)
-    p2, cache2 = _layer_forward(model.output, a, eps2)
+    p2, cache2 = _layer_forward(model.output, a, eps2, "output")
     loss, g_p2 = _nll_head(np.asarray(y, dtype=float), p2)
-    g_v = _layer_backward(model.output, cache2, g_p2, grad.output)
-    g_a = _layer_input_grad(model.output, cache2, g_p2, g_v)
-    # tanh' = 1 - a^2; the sampled output layer has already formed a * a
-    a_sq = a * a if eps2 is None else cache2[1][0]
-    g_a *= 1.0 - a_sq
-    _layer_backward(model.hidden, cache1, g_a, grad.hidden)
+    g_v = _layer_backward(model.output, cache2, g_p2, grad.output, "output")
+    g_a = _layer_input_grad(model.output, cache2, g_p2, g_v, "output")
+    # tanh' = 1 - a^2, formed over a * a in the output layer's h_sq buffer,
+    # where the sampled pass has already put it
+    if eps2 is None:
+        a_sq = np.multiply(a, a, out=_buffer("output", "h_sq", a.shape))
+    else:
+        a_sq = cache2[1][0]
+    g_a *= np.subtract(1.0, a_sq, out=a_sq)
+    _layer_backward(model.hidden, cache1, g_a, grad.hidden, "hidden")
     return loss
 
 

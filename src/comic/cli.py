@@ -18,7 +18,8 @@ from pathlib import Path
 
 from . import data as data_mod
 from .codelength import TrainConfig, score_pair
-from .data import GeneratorSpec, generate_dataset, load_pair_file, load_tuebingen, write_dataset
+from .data import (GeneratorSpec, decode_utf8, generate_dataset, load_pair_file, load_tuebingen,
+                   write_dataset)
 from .errors import ArgumentError, FetchError, NumericError, ParseError
 from .evaluation import result_to_csv, result_to_json, run_benchmark, write_result
 
@@ -40,7 +41,8 @@ FORMATS = ("csv", "json")
 
 def _read_config_file(path: str) -> dict:
     values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    text = decode_utf8(Path(path).read_bytes(), path)
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -11,10 +11,11 @@ draw_standard_normal is on the training hot path, so it reuses one
 Philox-backed generator per process instead of building one per draw: it
 resets that generator to the stream's key with a zero counter and an empty
 buffer, which is exactly the state a fresh generator starts in, and then
-draws. A draw therefore remains a pure function of (seed, tags, shape). The
-shared generator assumes one thread per process, which holds because
-run_benchmark scores in parallel with worker processes, each holding its
-own. It is built on first use, so importing the package does not load
+fills the array it is given, so the training loop can keep its noise in
+reused buffers. A draw therefore remains a pure function of (seed, tags,
+shape). The shared generator assumes one thread per process, which holds
+because run_benchmark scores in parallel with worker processes, each holding
+its own. It is built on first use, so importing the package does not load
 numpy.random.
 """
 
@@ -74,13 +75,14 @@ def _shared_generator() -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=0))
 
 
-def draw_standard_normal(stream: RngStream, rows: int, cols: int) -> np.ndarray:
-    """An (rows x cols) matrix of i.i.d. standard normals, bit-reproducible.
+def draw_standard_normal(stream: RngStream, out: np.ndarray) -> np.ndarray:
+    """Fill the (rows x cols) float64 matrix out with i.i.d. standard normals; returns out.
 
-    Equal to stream.generator().standard_normal((rows, cols)).
+    Bit-reproducible: out ends up equal to
+    stream.generator().standard_normal(out.shape).
     """
-    if rows < 1 or cols < 1:
-        raise ArgumentError(f"matrix shape must be at least 1x1, got {rows}x{cols}")
+    if out.ndim != 2 or min(out.shape) < 1:
+        raise ArgumentError(f"matrix shape must be at least 1x1, got {out.shape}")
     gen = _shared_generator()
     gen.bit_generator.state = {
         "bit_generator": "Philox",
@@ -88,4 +90,4 @@ def draw_standard_normal(stream: RngStream, rows: int, cols: int) -> np.ndarray:
         "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
         "has_uint32": 0, "uinteger": 0,
     }
-    return gen.standard_normal((rows, cols))
+    return gen.standard_normal(out=out)

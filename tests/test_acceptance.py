@@ -184,8 +184,8 @@ def test_criterion_5_local_reparam_equivalence():
         m_out = row @ layer.mean_w + layer.mean_b
         v_out = (row * row) @ np.exp(layer.logvar_w) + np.exp(layer.logvar_b)
 
-        eps = draw_standard_normal(RngStream(trial).child("lr"), n_draws, b)
-        local = _layer_forward(layer, np.tile(row, (n_draws, 1)), eps)[0]
+        eps = draw_standard_normal(RngStream(trial).child("lr"), np.empty((n_draws, b)))
+        local = _layer_forward(layer, np.tile(row, (n_draws, 1)), eps, "hidden")[0]
 
         gen = RngStream(trial).child("ws").generator()
         w = layer.mean_w + np.sqrt(np.exp(layer.logvar_w)) * gen.standard_normal((n_draws, a, b))
@@ -360,5 +360,5 @@ def test_criterion_9_determinism_and_parallelism():
 
 def test_rng_streams_replay_bit_exact():
     stream = RngStream(123).child("replayable")
-    assert np.array_equal(draw_standard_normal(stream, 16, 16),
-                          draw_standard_normal(stream, 16, 16))
+    assert np.array_equal(draw_standard_normal(stream, np.empty((16, 16))),
+                          draw_standard_normal(stream, np.empty((16, 16))))

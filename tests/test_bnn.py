@@ -41,12 +41,12 @@ def make_layer(mean_w, logvar=-9.0, mean_b=None, logvar_b=None, log_prior=0.0):
 
 def sampled_layer(layer, h_in, stream):
     """One sampled pass through a single layer, its noise drawn from stream."""
-    eps = draw_standard_normal(stream, h_in.shape[0], layer.out_dim)
-    return _layer_forward(layer, h_in, eps)[0]
+    eps = draw_standard_normal(stream, np.empty((h_in.shape[0], layer.out_dim)))
+    return _layer_forward(layer, h_in, eps, "hidden")[0].copy()
 
 
 def mean_layer(layer, h_in):
-    return _layer_forward(layer, h_in, None)[0]
+    return _layer_forward(layer, h_in, None, "hidden")[0].copy()
 
 
 def random_model(width, stream_seed, jitter_seed):
@@ -160,6 +160,19 @@ def test_nonfinite_intermediate_names_layer():
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericError, match="hidden layer"):
             model_forward(broken, np.ones(3))
+
+
+def test_model_forward_results_survive_later_calls():
+    # the passes reuse buffers across calls; what a call returns must not alias them
+    model = random_model(5, 3, 4)
+    x = np.linspace(-2.0, 2.0, 9)
+    for stream in (None, RngStream(6).child("mc")):
+        mu, sigma = model_forward(model, x, stream)
+        kept = mu.tobytes(), sigma.tobytes()
+        model_forward(model, -x, None if stream is None else stream.child("next"))
+        map_objective(model, -x, x, grad_buffer(model)[1])
+        elbo_objective(model, -x, x, 1.0, RngStream(7), grad_buffer(model)[1])
+        assert (mu.tobytes(), sigma.tobytes()) == kept
 
 
 # ---------------------------------------------------------------- losses

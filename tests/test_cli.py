@@ -174,6 +174,26 @@ def test_config_file_rejects_unknown_format(smoke_pair_file, tmp_path, capsys):
     assert "line 2" in error["message"] and "'xml'" in error["message"]
 
 
+def test_score_non_utf8_pair_file_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"1 2\n3 4\n5 \xff6\n")
+    code, out = run_cli(capsys, ["score", str(path), *FAST_FLAGS])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ParseError"
+    assert "latin1.txt" in error["message"] and "UTF-8" in error["message"]
+
+
+def test_non_utf8_config_file_is_a_parse_error(smoke_pair_file, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"seed=7\n# caf\xe9\n")
+    code, out = run_cli(capsys, ["score", str(smoke_pair_file), "--config", str(cfg)])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ParseError"
+    assert "run.cfg" in error["message"] and "UTF-8" in error["message"]
+
+
 def test_score_skip_header(tmp_path, capsys):
     path = tmp_path / "headered.txt"
     body = "\n".join(f"{v} {v + 0.5}" for v in np.linspace(-2, 2, 30))

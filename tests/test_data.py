@@ -1,3 +1,5 @@
+import decimal
+import hashlib
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from comic.data import (
+    GENERATOR_VERSION,
     GeneratorSpec,
     PairDataset,
     X_CAUSES_Y,
@@ -185,6 +188,16 @@ def test_standardize_matches_oracle_on_normal_column():
     assert _standardize_bits(standardize, v) == _standardize_bits(standardize_oracle, v)
 
 
+def test_standardize_ignores_the_callers_decimal_context():
+    v = np.random.default_rng(5).standard_normal(40) * 7.0 - 2.0
+    expected = _standardize_bits(standardize_oracle, v)
+    with localcontext() as ctx:
+        ctx.prec = 5
+        ctx.rounding = decimal.ROUND_FLOOR
+        ctx.traps[decimal.Inexact] = True
+        assert _standardize_bits(standardize, v) == expected
+
+
 def test_standardize_span_beyond_float_range():
     # deviations of 4/3 * 1.7e308 exceed the float range; the output must not
     # overflow and, by exact scale invariance, equals that of [-1, 1, 1]
@@ -209,12 +222,12 @@ def test_generate_pair_deterministic():
 
 
 def regenerate_f(pair, spec, pair_index=0, which="f"):
-    from comic.data import _gp_draw, _gp_factor, _sigmoid_draw
+    from comic.data import _gp_draw, _sigmoid_draw
     from comic.rng import RngStream
 
     stream = RngStream(spec.seed).child("generate", spec.family, pair_index)
     if spec.family in ("AN", "LS"):
-        return _gp_draw(_gp_factor(pair.x), stream.child(which))
+        return _gp_draw(pair.x, stream.child(which))
     return _sigmoid_draw(stream.child(which))(pair.x)
 
 
@@ -261,48 +274,52 @@ def test_all_families_pass_self_checks():
         assert np.isfinite(pair.x).all() and np.isfinite(pair.y).all()
 
 
-def test_gp_jitter_escalation(monkeypatch):
-    from comic.data import _gp_draw, _gp_factor
-    from comic.errors import NumericError
+def test_gp_series_kernel_is_the_squared_exponential():
+    from comic.data import _GP_FREQS, _GP_SCALES
+
+    r = np.linspace(-16.0, 16.0, 6401)
+    kernel = (_GP_SCALES ** 2 * np.cos(np.multiply.outer(r, _GP_FREQS))).sum(axis=1)
+    assert np.abs(kernel - np.exp(-0.5 * r * r)).max() < 1e-15
+
+
+def test_gp_draws_have_unit_variance_and_unit_lengthscale():
+    from comic.data import _gp_draw
     from comic.rng import RngStream
 
-    real_cholesky = np.linalg.cholesky
-    jitters = []
-
-    def flaky(matrix):
-        jitters.append(matrix[0, 0] - 1.0)  # kernel diagonal is 1 + jitter
-        if len(jitters) < 3:
-            raise np.linalg.LinAlgError("not positive definite")
-        return real_cholesky(matrix)
-
-    monkeypatch.setattr(np.linalg, "cholesky", flaky)
-    x = np.zeros(4)  # identical inputs: kernel is all ones
-    draw = _gp_draw(_gp_factor(x), RngStream(0).child("gp"))
-    assert draw.shape == (4,)
-    # escalation multiplies the diagonal jitter by 10 per retry
-    assert jitters[1] / jitters[0] == pytest.approx(10.0, rel=1e-6)
-
-    monkeypatch.setattr(
-        np.linalg, "cholesky",
-        lambda m: (_ for _ in ()).throw(np.linalg.LinAlgError("no"))
-    )
-    with pytest.raises(NumericError):
-        _gp_factor(x)
+    x = np.array([0.0, 0.5, 2.0])
+    draws = np.array([_gp_draw(x, RngStream(4).child("gp", i)) for i in range(4000)])
+    cov = draws.T @ draws / len(draws)
+    target = np.exp(-0.5 * np.subtract.outer(x, x) ** 2)
+    assert cov == approx(target, abs=0.08)
 
 
-@pytest.mark.parametrize("family,factorizations",
-                         [("AN", 1), ("LS", 1), ("AN-s", 0), ("LS-s", 0), ("MN-U", 0)])
-def test_one_kernel_factorization_per_pair(monkeypatch, family, factorizations):
-    real_cholesky = np.linalg.cholesky
-    calls = []
+@pytest.mark.parametrize("family", ["AN", "AN-s", "LS", "LS-s", "MN-U"])
+def test_generate_pair_makes_no_linalg_call(monkeypatch, family):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linalg called while generating a pair")
 
-    def counting(matrix):
-        calls.append(matrix.shape)
-        return real_cholesky(matrix)
+    for name in np.linalg.__all__:
+        if name != "LinAlgError":
+            monkeypatch.setattr(np.linalg, name, forbidden)
+    pair = generate_pair(GeneratorSpec(family, 1, 300, seed=2), 0)
+    assert np.isfinite(pair.y).all()
 
-    monkeypatch.setattr(np.linalg, "cholesky", counting)
-    generate_pair(GeneratorSpec(family, 1, 30, seed=2), 0)
-    assert calls == [(30, 30)] * factorizations
+
+# sha256 of x and y bytes of pair 0 of a 64-row spec at seed 5, per generator
+# version: a change of the generated values must come with a new version
+GENERATED_SHA256 = {
+    "2": {
+        "AN": "2c2869df24d76b0017190f8f543bccc3407191c034fa00c45bd99946ade3d7e1",
+        "LS": "91ac6975c8ea46d98bda9b3ce8bed844686669392d48a332c7e74f7b0ba84749",
+    },
+}
+
+
+@pytest.mark.parametrize("family", ["AN", "LS"])
+def test_generated_gp_pairs_are_pinned_per_generator_version(family):
+    pair = generate_pair(GeneratorSpec(family, 1, 64, seed=5), 0)
+    digest = hashlib.sha256(pair.x.tobytes() + pair.y.tobytes()).hexdigest()
+    assert digest == GENERATED_SHA256[GENERATOR_VERSION][family]
 
 
 def test_generate_dataset_alternates_orientation():

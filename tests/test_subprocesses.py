@@ -1,4 +1,4 @@
-"""Checks that need a fresh interpreter: BLAS thread counts and script entry points."""
+"""Checks that need a fresh interpreter: BLAS thread counts, page faults and script entry points."""
 
 import json
 import os
@@ -36,11 +36,52 @@ print(repr(score_pair(generate_pair(GeneratorSpec("LS-s", 1, 300, seed=6), 0), c
 
 
 def test_score_independent_of_blas_threads():
-    # scoring a fixed pair is bit-identical across BLAS thread counts; GP
-    # generation (a threaded Cholesky) is not, so the pair is an LS-s one
+    # scoring a fixed pair is bit-identical across BLAS thread counts
     one, two = (run_python(["-c", SCORE_LS_S], OPENBLAS_NUM_THREADS=threads)
                 for threads in ("1", "2"))
     assert one.strip() and one == two
+
+
+GENERATE_GP = """
+import hashlib
+from comic.data import GeneratorSpec, generate_pair
+for family in ("AN", "LS"):
+    pair = generate_pair(GeneratorSpec(family, 1, 400, seed=8), 0)
+    print(family, hashlib.sha256(pair.x.tobytes() + pair.y.tobytes()).hexdigest())
+"""
+
+
+def test_gp_generation_independent_of_blas_threads():
+    one, two = (run_python(["-c", GENERATE_GP], OPENBLAS_NUM_THREADS=threads)
+                for threads in ("1", "2"))
+    assert len(one.split()) == 4 and one == two
+
+
+# Scores one n = 500 pair at the desk-n500 config (H = 50, 100 + 100 epochs
+# per direction, 64 MC samples) in an interpreter that has made no large
+# allocation before: with the training buffers allocated once, only their
+# first touch faults (about 500 pages on a 2-CPU x86-64 VM). Fresh n x H
+# temporaries cost about 300 faults per epoch instead, since glibc maps and
+# unmaps each one.
+FAULTS_PER_EPOCH = """
+import resource
+import numpy as np
+from comic.codelength import TrainConfig, score_pair
+from comic.data import PairDataset
+rng = np.random.default_rng(3)
+x = rng.standard_normal(500)
+pair = PairDataset(x, np.tanh(2.0 * x) + 0.3 * rng.standard_normal(500))
+cfg = TrainConfig(hidden_width=50, map_epochs=100, vi_epochs=100, warmup_epochs=10,
+                  mc_eval_samples=64, seed=0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+score_pair(pair, cfg)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+print((after - before) / (2 * (cfg.map_epochs + cfg.vi_epochs)))
+"""
+
+
+def test_training_epochs_take_almost_no_page_faults():
+    assert float(run_python(["-c", FAULTS_PER_EPOCH])) < 5.0
 
 
 def run_ab_pairs(change_src):
