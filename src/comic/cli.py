@@ -86,17 +86,12 @@ def _train_config(settings: dict) -> TrainConfig:
     return TrainConfig(mc_eval_samples=settings["mc_eval"], **shared)
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--hidden-width", dest="hidden_width", type=int, default=None)
-    parser.add_argument("--vi-epochs", dest="vi_epochs", type=int, default=None)
-    parser.add_argument("--map-epochs", dest="map_epochs", type=int, default=None)
-    parser.add_argument("--warmup-epochs", dest="warmup_epochs", type=int, default=None)
-    parser.add_argument("--lr-max", dest="lr_max", type=float, default=None)
-    parser.add_argument("--lr-min", dest="lr_min", type=float, default=None)
-    parser.add_argument("--mc-eval", dest="mc_eval", type=int, default=None)
-    parser.add_argument("--parallelism", type=int, default=None)
-    parser.add_argument("--format", choices=FORMATS, default=None)
+def _add_config_flags(parser: argparse.ArgumentParser, keys) -> None:
+    """One --key-name flag per config key in keys, plus --config and --out."""
+    for key in keys:
+        choices = FORMATS if key == "format" else None
+        parser.add_argument("--" + key.replace("_", "-"), type=CONFIG_KEYS[key],
+                            choices=choices, default=None)
     parser.add_argument("--config", default=None, help="key=value config file")
     parser.add_argument("--out", default=None)
 
@@ -191,18 +186,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("family", help="AN, AN-s, LS, LS-s or MN-U")
     p_gen.add_argument("n_pairs", type=int)
     p_gen.add_argument("n_samples", type=int)
-    _add_common_flags(p_gen)
+    _add_config_flags(p_gen, ["seed"])
     p_gen.set_defaults(func=cmd_generate)
 
     p_score = sub.add_parser("score", help="score one pair file")
     p_score.add_argument("pair_file")
     p_score.add_argument("--skip-header", action="store_true")
-    _add_common_flags(p_score)
+    _add_config_flags(p_score, [k for k in CONFIG_KEYS if k not in ("parallelism", "format")])
     p_score.set_defaults(func=cmd_score)
 
     p_bench = sub.add_parser("benchmark", help="score a pair/meta directory")
     p_bench.add_argument("data_dir")
-    _add_common_flags(p_bench)
+    _add_config_flags(p_bench, CONFIG_KEYS)
     p_bench.set_defaults(func=cmd_benchmark)
 
     p_fetch = sub.add_parser("fetch-tuebingen", help="download the cause-effect corpus")

@@ -24,8 +24,8 @@ import numpy as np
 from . import bnn
 from .bnn import ConditionalModel
 from .data import PairDataset, UNDECIDED, X_CAUSES_Y, Y_CAUSES_X, standardize
-from .errors import ArgumentError, NumericError
-from .optim import AdamState, CosineSchedule, adam_step, cosine_lr
+from .errors import ArgumentError, NumericError, check_int
+from .optim import adam_step, cosine_lr
 from .rng import RngStream, check_seed
 
 
@@ -45,8 +45,10 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("hidden_width", "vi_epochs", "warmup_epochs", "map_epochs",
                      "mc_eval_samples"):
-            if getattr(self, name) < 1:
+            value = check_int(name, getattr(self, name))
+            if value < 1:
                 raise ArgumentError(f"{name} must be >= 1")
+            setattr(self, name, value)
         self.seed = check_seed(self.seed)
         if self.warmup_epochs > self.vi_epochs:
             raise ArgumentError("warmup_epochs must not exceed vi_epochs")
@@ -92,12 +94,12 @@ def train_conditional(
     variational optimization with a linear complexity warm-up.
 
     Both phases run full-batch under Adam with a cosine learning-rate
-    schedule; the second phase starts from a fresh optimizer state since it
+    schedule; the second phase starts from zeroed Adam moments since it
     minimizes a different objective. The model is bound once to a flat
     parameter vector, and its gradient to a flat gradient vector (blocks are
-    views of them). Each objective overwrites the gradient vector, Adam reads
-    it as it is, and each Adam result is written into the parameter vector,
-    so the model always reflects the latest update.
+    views of them). Each objective overwrites the gradient vector, and Adam
+    reads it as it is and updates the parameter vector and the moment
+    vectors m and v in place, so the model always reflects the latest update.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -117,14 +119,15 @@ def train_conditional(
             model, x, y, min(1.0, t / cfg.warmup_epochs), vi_stream.child(t), grad)),
     )
     for phase, epochs, objective in phases:
-        sched = CosineSchedule(cfg.lr_max, cfg.lr_min, epochs)
-        adam = AdamState.initial(params.size)
+        m = np.zeros_like(params)
+        v = np.zeros_like(params)
         for t in range(epochs):
             loss = objective(t)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss in {phase} phase at epoch {t}")
+            lr = cosine_lr(t, epochs, cfg.lr_max, cfg.lr_min)
             try:
-                adam, params[:] = adam_step(adam, params, grads, cosine_lr(t, sched), blocks)
+                adam_step(params, grads, m, v, t + 1, lr, blocks)
             except NumericError as e:
                 raise NumericError(f"{phase} phase, epoch {t}: {e}") from None
     return model

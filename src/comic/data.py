@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, FetchError, ParseError
+from .errors import ArgumentError, FetchError, ParseError, check_int
 from .rng import RngStream, check_seed
 
 X_CAUSES_Y = "x_causes_y"
@@ -130,8 +130,10 @@ class GeneratorSpec:
 
     def __post_init__(self):
         self.family = normalize_family(self.family)
+        self.n_pairs = check_int("n_pairs", self.n_pairs)
         if self.n_pairs < 1:
             raise ArgumentError("n_pairs must be >= 1")
+        self.n_samples = check_int("n_samples", self.n_samples)
         if self.n_samples < 2:
             raise ArgumentError("n_samples must be >= 2")
         self.seed = check_seed(self.seed)

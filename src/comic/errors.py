@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that raises one."""
+
+import operator
 
 
 class ArgumentError(ValueError):
@@ -24,3 +26,11 @@ class ParseError(ValueError):
 
 class FetchError(OSError):
     """A download failed after all retries."""
+
+
+def check_int(name: str, value) -> int:
+    """value as a Python int (operator.index); ArgumentError naming name otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ArgumentError(f"{name} must be an integer, got {value!r}") from None

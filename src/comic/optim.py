@@ -1,13 +1,14 @@
 """Adam and the cosine learning-rate schedule.
 
-All state lives in plain float64 arrays owned by the caller; every update
-is deterministic given its inputs.
+Adam's state is two plain float64 arrays, the moments m and v, owned by the
+caller next to the parameter vector. adam_step updates all three in place
+and returns nothing; every update is deterministic given its inputs, and a
+step that raises has written nothing.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -15,32 +16,17 @@ import numpy as np
 from .errors import ArgumentError, NumericError
 
 
-@dataclass
-class CosineSchedule:
-    lr_max: float
-    lr_min: float
-    total_epochs: int
-
-    def __post_init__(self):
-        if self.total_epochs < 1:
-            raise ArgumentError("total_epochs must be >= 1")
-        if not self.lr_min <= self.lr_max:
-            raise ArgumentError("lr_min must not exceed lr_max")
-
-
-def cosine_lr(t: float, sched: CosineSchedule) -> float:
+def cosine_lr(t: float, total_epochs: int, lr_max: float, lr_min: float) -> float:
     """Learning rate at epoch t, annealed from lr_max to lr_min."""
-    if not 0 <= t <= sched.total_epochs:
-        raise ArgumentError(
-            f"epoch {t} outside schedule range [0, {sched.total_epochs}]"
-        )
+    if not 0 <= t <= total_epochs:
+        raise ArgumentError(f"epoch {t} outside schedule range [0, {total_epochs}]")
     # endpoints returned exactly, independent of rounding in the formula
     if t == 0:
-        return sched.lr_max
-    if t == sched.total_epochs:
-        return sched.lr_min
-    span = sched.lr_max - sched.lr_min
-    return sched.lr_min + 0.5 * span * (1.0 + math.cos(math.pi * t / sched.total_epochs))
+        return lr_max
+    if t == total_epochs:
+        return lr_min
+    span = lr_max - lr_min
+    return lr_min + 0.5 * span * (1.0 + math.cos(math.pi * t / total_epochs))
 
 
 # Adam's moment decay rates and denominator guard
@@ -49,47 +35,43 @@ BETA2 = 0.999
 EPS = 1e-8
 
 
-@dataclass
-class AdamState:
-    step: int
-    m: np.ndarray
-    v: np.ndarray
-
-    @classmethod
-    def initial(cls, n_params: int) -> "AdamState":
-        return cls(0, np.zeros(n_params), np.zeros(n_params))
-
-
 def adam_step(
-    state: AdamState,
     params: np.ndarray,
     grads: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
+    step: int,
     lr: float,
     param_blocks: Sequence[tuple[str, int]] | None = None,
-) -> tuple[AdamState, np.ndarray]:
-    """One bias-corrected Adam update; returns new state and parameters.
+) -> None:
+    """One bias-corrected Adam update of params, m and v, in place.
 
-    param_blocks optionally names contiguous segments of the flat vector
-    (name, length) so a non-finite gradient can be reported by block.
+    step counts from 1 (the first update of a run passes 1). param_blocks
+    optionally names contiguous segments of the flat vector (name, length)
+    so a non-finite gradient can be reported by block.
     """
-    if params.shape != grads.shape or params.shape != state.m.shape:
+    if not params.shape == grads.shape == m.shape == v.shape:
         raise ArgumentError(
             f"length mismatch: params {params.shape}, grads {grads.shape}, "
-            f"state {state.m.shape}"
+            f"m {m.shape}, v {v.shape}"
         )
-    if lr <= 0:
+    if step < 1:
+        raise ArgumentError(f"step counts from 1, got {step}")
+    if not lr > 0:
         raise ArgumentError(f"learning rate must be positive, got {lr}")
     if not np.isfinite(grads).all():
         bad = ~np.isfinite(grads)
         raise NumericError(
             "non-finite gradient in " + _locate_block(int(np.argmax(bad)), param_blocks)
         )
-    step = state.step + 1
-    m = BETA1 * state.m + (1.0 - BETA1) * grads
-    v = BETA2 * state.v + (1.0 - BETA2) * grads * grads
+    # m * BETA1 has the bytes of BETA1 * m, so these match the textbook form
+    m *= BETA1
+    m += (1.0 - BETA1) * grads
+    v *= BETA2
+    v += (1.0 - BETA2) * grads * grads
     m_hat = m / (1.0 - BETA1 ** step)
     v_hat = v / (1.0 - BETA2 ** step)
-    return AdamState(step, m, v), params - lr * m_hat / (np.sqrt(v_hat) + EPS)
+    params -= lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def _locate_block(index: int, blocks: Sequence[tuple[str, int]] | None) -> str:

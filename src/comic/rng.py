@@ -23,22 +23,18 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, check_int
 
 _DOMAIN = b"comic-rng-v1"
 
 
 def check_seed(seed: int) -> int:
     """The seed as a Python int; rejects non-integers and values outside 64 bits."""
-    try:
-        value = operator.index(seed)
-    except TypeError:
-        raise ArgumentError(f"seed must be an integer, got {seed!r}") from None
+    value = check_int("seed", seed)
     if not -2**63 <= value < 2**63:
         raise ArgumentError(f"seed must fit in a signed 64-bit integer, got {value}")
     return value

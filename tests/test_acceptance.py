@@ -32,7 +32,7 @@ from comic.data import (
     swap_pair,
 )
 from comic.evaluation import auroc, result_to_csv, run_benchmark
-from comic.optim import AdamState, CosineSchedule, adam_step, cosine_lr
+from comic.optim import adam_step, cosine_lr
 from comic.rng import RngStream, draw_standard_normal
 from gradcheck import finite_diff_grad
 
@@ -304,11 +304,10 @@ def train_toy(x, y, steps=4000):
         return data + kl, np.array([d_mu, d_lv])
 
     params = np.array([0.0, math.log(0.09)])
-    sched = CosineSchedule(0.05, 1e-6, steps)
-    state = AdamState.initial(2)
+    m, v = np.zeros(2), np.zeros(2)
     for t in range(steps):
         _, grads = loss_and_grads(params)
-        state, params = adam_step(state, params, grads, cosine_lr(t, sched))
+        adam_step(params, grads, m, v, t + 1, cosine_lr(t, steps, 0.05, 1e-6))
     return params
 
 

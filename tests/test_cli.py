@@ -50,6 +50,31 @@ def test_generate_rejects_single_sample(tmp_path, capsys):
     assert "error" in json.loads(out)
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "AN", "2", "20", "--hidden-width", "5"],
+    ["generate", "AN", "2", "20", "--parallelism", "0"],
+    ["score", "pair.txt", "--format", "csv"],
+    ["score", "pair.txt", "--parallelism", "2"],
+])
+def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, tmp_path, capsys,
+                                                          monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_config_file_keys_a_subcommand_does_not_read_are_accepted(tmp_path, capsys):
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("seed=3\nhidden_width=6\nparallelism=2\nformat=json\n")
+    code, _ = run_cli(capsys, ["generate", "AN", "2", "20", "--config", str(cfg),
+                               "--out", str(tmp_path / "gen")])
+    assert code == 0
+    manifest = json.loads((tmp_path / "gen" / "manifest.json").read_text())
+    assert manifest["seed"] == 3
+
+
 # ---------------------------------------------------------------- score
 
 

@@ -81,6 +81,39 @@ def test_numpy_integer_seed_stored_as_int():
     assert np.array_equal(pair.x, reference.x) and np.array_equal(pair.y, reference.y)
 
 
+@pytest.mark.parametrize("field,kwargs", [
+    ("vi_epochs", {"vi_epochs": 2.5, "warmup_epochs": 1}),
+    ("hidden_width", {"hidden_width": 2.0}),
+    ("mc_eval_samples", {"mc_eval_samples": 1.5}),
+    ("hidden_width", {"hidden_width": "5"}),
+    ("map_epochs", {"map_epochs": None}),
+    ("warmup_epochs", {"warmup_epochs": np.float64(3.0)}),
+])
+def test_train_config_rejects_non_integer_counts(field, kwargs):
+    with pytest.raises(ArgumentError, match=f"{field} must be an integer"):
+        TrainConfig(**kwargs)
+
+
+@pytest.mark.parametrize("field,args", [
+    ("n_samples", ("AN", 1, 10.5)),
+    ("n_pairs", ("AN", 2.5, 10)),
+    ("n_pairs", ("AN", "3", 10)),
+])
+def test_generator_spec_rejects_non_integer_counts(field, args):
+    with pytest.raises(ArgumentError, match=f"{field} must be an integer"):
+        GeneratorSpec(*args)
+
+
+def test_numpy_integer_counts_stored_as_int():
+    counts = ("hidden_width", "vi_epochs", "warmup_epochs", "map_epochs", "mc_eval_samples")
+    cfg = TrainConfig(**{name: np.int64(5) for name in counts})
+    assert all(type(getattr(cfg, name)) is int for name in counts)
+    assert cfg == TrainConfig(**{name: 5 for name in counts})
+    spec = GeneratorSpec("AN", np.int64(2), np.int32(10))
+    assert type(spec.n_pairs) is int and type(spec.n_samples) is int
+    assert spec == GeneratorSpec("AN", 2, 10)
+
+
 def test_train_config_accepts_zero_lr_min():
     cfg = TrainConfig(hidden_width=4, map_epochs=20, vi_epochs=20, warmup_epochs=4,
                       lr_min=0.0, seed=1)

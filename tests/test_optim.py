@@ -5,77 +5,113 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from comic.errors import ArgumentError, NumericError
-from comic.optim import AdamState, CosineSchedule, adam_step, cosine_lr
+from comic.optim import BETA1, BETA2, EPS, adam_step, cosine_lr
 from gradcheck import finite_diff_grad
 
-SCHED = CosineSchedule(lr_max=1e-2, lr_min=1e-6, total_epochs=2500)
+LR_MAX, LR_MIN, TOTAL = 1e-2, 1e-6, 2500
+
+
+def adam_oracle(params, grads, m, v, step, lr):
+    """The functional Adam update: returns new (params, m, v), inputs untouched."""
+    m = BETA1 * m + (1.0 - BETA1) * grads
+    v = BETA2 * v + (1.0 - BETA2) * grads * grads
+    m_hat = m / (1.0 - BETA1 ** step)
+    v_hat = v / (1.0 - BETA2 ** step)
+    return params - lr * m_hat / (np.sqrt(v_hat) + EPS), m, v
 
 
 def test_cosine_endpoints_exact():
-    assert cosine_lr(0, SCHED) == 1e-2
-    assert cosine_lr(2500, SCHED) == 1e-6
+    assert cosine_lr(0, TOTAL, LR_MAX, LR_MIN) == 1e-2
+    assert cosine_lr(2500, TOTAL, LR_MAX, LR_MIN) == 1e-6
 
 
 def test_cosine_midpoint():
-    assert cosine_lr(1250, SCHED) == approx(0.0050005, rel=1e-12)
+    assert cosine_lr(1250, TOTAL, LR_MAX, LR_MIN) == approx(0.0050005, rel=1e-12)
 
 
 def test_cosine_monotone_non_increasing():
-    values = [cosine_lr(t, SCHED) for t in range(2501)]
+    values = [cosine_lr(t, TOTAL, LR_MAX, LR_MIN) for t in range(2501)]
     assert all(b <= a for a, b in zip(values, values[1:]))
-    assert all(SCHED.lr_min <= v <= SCHED.lr_max for v in values)
+    assert all(LR_MIN <= v <= LR_MAX for v in values)
 
 
 def test_cosine_out_of_range():
     with pytest.raises(ArgumentError):
-        cosine_lr(-1, SCHED)
+        cosine_lr(-1, TOTAL, LR_MAX, LR_MIN)
     with pytest.raises(ArgumentError):
-        cosine_lr(2501, SCHED)
+        cosine_lr(2501, TOTAL, LR_MAX, LR_MIN)
 
 
 def test_adam_zero_grad_fixed_point():
     params = np.array([1.0, -2.0, 3.0])
-    state = AdamState.initial(3)
-    new_state, new_params = adam_step(state, params, np.zeros(3), lr=0.1)
+    new_params = params.copy()
+    m, v = np.zeros(3), np.zeros(3)
+    adam_step(new_params, np.zeros(3), m, v, 1, lr=0.1)
     assert np.array_equal(new_params, params)
-    assert new_state.step == 1
+    assert np.array_equal(m, np.zeros(3)) and np.array_equal(v, np.zeros(3))
 
 
 def test_adam_first_step_bias_corrected():
-    state = AdamState.initial(1)
-    _, params = adam_step(state, np.zeros(1), np.array([2.0]), lr=0.01)
+    params = np.zeros(1)
+    adam_step(params, np.array([2.0]), np.zeros(1), np.zeros(1), 1, lr=0.01)
     # bias correction makes the first update -lr * g / (|g| + eps)
     assert params[0] == approx(-0.01, rel=1e-7)
 
 
 def test_adam_deterministic():
     grads = np.array([0.3, -0.7])
-    a1, p1 = adam_step(AdamState.initial(2), np.ones(2), grads, lr=0.05)
-    a2, p2 = adam_step(AdamState.initial(2), np.ones(2), grads, lr=0.05)
+    p1, m1, v1 = np.ones(2), np.zeros(2), np.zeros(2)
+    p2, m2, v2 = np.ones(2), np.zeros(2), np.zeros(2)
+    adam_step(p1, grads, m1, v1, 1, lr=0.05)
+    adam_step(p2, grads, m2, v2, 1, lr=0.05)
     assert np.array_equal(p1, p2)
-    assert np.array_equal(a1.m, a2.m)
-    assert np.array_equal(a1.v, a2.v)
+    assert np.array_equal(m1, m2)
+    assert np.array_equal(v1, v2)
 
 
 def test_adam_second_moment_nonnegative():
-    state = AdamState.initial(4)
-    params = np.zeros(4)
+    params, m, v = np.zeros(4), np.zeros(4), np.zeros(4)
     rng = np.random.default_rng(1)
-    for _ in range(25):
-        state, params = adam_step(state, params, rng.standard_normal(4), lr=0.01)
-    assert np.all(state.v >= 0)
+    for t in range(25):
+        adam_step(params, rng.standard_normal(4), m, v, t + 1, lr=0.01)
+    assert np.all(v >= 0)
 
 
 def test_adam_length_mismatch():
+    for sizes in [(3, 3, 2, 3), (3, 3, 3, 2), (2, 3, 3, 3)]:
+        params, grads, m, v = (np.zeros(k) for k in sizes)
+        with pytest.raises(ArgumentError):
+            adam_step(params, grads, m, v, 1, lr=0.1)
+
+
+@pytest.mark.parametrize("step,lr", [(0, 0.1), (1, 0.0), (1, -0.1), (1, float("nan"))])
+def test_adam_rejects_bad_step_and_lr_before_writing(step, lr):
+    params, m, v = np.ones(2), np.full(2, 0.5), np.full(2, 0.25)
     with pytest.raises(ArgumentError):
-        adam_step(AdamState.initial(2), np.zeros(3), np.zeros(3), lr=0.1)
+        adam_step(params, np.ones(2), m, v, step, lr)
+    assert params.tolist() == [1.0, 1.0] and m.tolist() == [0.5, 0.5]
+    assert v.tolist() == [0.25, 0.25]
 
 
 def test_adam_nonfinite_grad_names_block():
     grads = np.array([0.0, np.nan, 0.0])
     blocks = [("alpha", 1), ("beta", 2)]
     with pytest.raises(NumericError, match="beta"):
-        adam_step(AdamState.initial(3), np.zeros(3), grads, lr=0.1, param_blocks=blocks)
+        adam_step(np.zeros(3), grads, np.zeros(3), np.zeros(3), 1, lr=0.1,
+                  param_blocks=blocks)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_adam_nonfinite_grad_leaves_state_unchanged(bad):
+    rng = np.random.default_rng(7)
+    params, m, v = rng.standard_normal(5), rng.standard_normal(5), rng.random(5)
+    before = [a.tobytes() for a in (params, m, v)]
+    grads = rng.standard_normal(5)
+    grads[3] = bad
+    blocks = [("w", 2), ("logvar_w", 2), ("b", 1)]
+    with pytest.raises(NumericError, match=r"block 'logvar_w' \(offset 1\)"):
+        adam_step(params, grads, m, v, 4, 0.01, blocks)
+    assert [a.tobytes() for a in (params, m, v)] == before
 
 
 def test_finite_diff_quadratic():
@@ -101,8 +137,8 @@ def test_finite_diff_nonfinite_probe():
 
 @given(st.integers(min_value=0, max_value=2500))
 def test_cosine_within_bounds(t):
-    lr = cosine_lr(t, SCHED)
-    assert SCHED.lr_min <= lr <= SCHED.lr_max
+    lr = cosine_lr(t, TOTAL, LR_MAX, LR_MIN)
+    assert LR_MIN <= lr <= LR_MAX
 
 
 @settings(max_examples=25)
@@ -110,7 +146,31 @@ def test_cosine_within_bounds(t):
 def test_adam_pure_and_repeatable(values, lr):
     grads = np.asarray(values)
     params = np.zeros_like(grads)
-    s1, p1 = adam_step(AdamState.initial(grads.size), params, grads, lr=lr)
-    s2, p2 = adam_step(AdamState.initial(grads.size), params, grads, lr=lr)
+    p1, m1, v1 = params.copy(), np.zeros_like(grads), np.zeros_like(grads)
+    p2, m2, v2 = params.copy(), np.zeros_like(grads), np.zeros_like(grads)
+    adam_step(p1, grads, m1, v1, 1, lr=lr)
+    adam_step(p2, grads, m2, v2, 1, lr=lr)
     assert np.array_equal(p1, p2)
-    assert np.all(s1.v >= 0)
+    assert np.all(v1 >= 0)
+
+
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 1e150, -1e150]) | st.floats(-5, 5)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 6).flatmap(lambda k: st.tuples(
+    st.lists(EDGE_FLOATS, min_size=k, max_size=k),
+    st.lists(st.tuples(st.lists(EDGE_FLOATS, min_size=k, max_size=k),
+                       st.floats(1e-4, 1.0)), min_size=1, max_size=5))))
+def test_adam_in_place_matches_functional_oracle_bytes(case):
+    start, steps = case
+    params = np.array(start)
+    m, v = np.zeros_like(params), np.zeros_like(params)
+    o_params, o_m, o_v = params.copy(), m.copy(), v.copy()
+    for step, (values, lr) in enumerate(steps, start=1):
+        grads = np.array(values)
+        adam_step(params, grads, m, v, step, lr)
+        o_params, o_m, o_v = adam_oracle(o_params, grads, o_m, o_v, step, lr)
+        assert params.tobytes() == o_params.tobytes()
+        assert m.tobytes() == o_m.tobytes()
+        assert v.tobytes() == o_v.tobytes()
