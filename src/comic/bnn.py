@@ -239,10 +239,7 @@ def _layer_forward(
     return out, (h_in, (h_sq, v_w, v_b, s_out, eps))
 
 
-def _layer_backward(
-    layer: VariationalLinearLayer, cache, g_out: np.ndarray, grad: VariationalLinearLayer,
-    name: str,
-):
+def _layer_backward(cache, g_out: np.ndarray, grad: VariationalLinearLayer):
     """Add the layer's gradient given d(loss)/d(h_out) into grad.
 
     Returns the scaled noise gradient g_v that _layer_input_grad needs, or
@@ -392,7 +389,7 @@ def _data_nll(model, x, y, grad: ConditionalModel, eps1=None, eps2=None) -> floa
     a = np.tanh(p1, out=p1)
     p2, cache2 = _layer_forward(model.output, a, eps2, "output")
     loss, g_p2 = _nll_head(np.asarray(y, dtype=float), p2)
-    g_v = _layer_backward(model.output, cache2, g_p2, grad.output, "output")
+    g_v = _layer_backward(cache2, g_p2, grad.output)
     g_a = _layer_input_grad(model.output, cache2, g_p2, g_v, "output")
     # tanh' = 1 - a^2, formed over a * a in the output layer's h_sq buffer,
     # where the sampled pass has already put it
@@ -401,7 +398,7 @@ def _data_nll(model, x, y, grad: ConditionalModel, eps1=None, eps2=None) -> floa
     else:
         a_sq = cache2[1][0]
     g_a *= np.subtract(1.0, a_sq, out=a_sq)
-    _layer_backward(model.hidden, cache1, g_a, grad.hidden, "hidden")
+    _layer_backward(cache1, g_a, grad.hidden)
     return loss
 
 

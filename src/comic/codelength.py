@@ -24,7 +24,7 @@ import numpy as np
 from . import bnn
 from .bnn import ConditionalModel
 from .data import PairDataset, UNDECIDED, X_CAUSES_Y, Y_CAUSES_X, standardize
-from .errors import ArgumentError, NumericError, check_int
+from .errors import ArgumentError, NumericError, check_int, check_real
 from .optim import adam_step, cosine_lr
 from .rng import RngStream, check_seed
 
@@ -52,6 +52,8 @@ class TrainConfig:
         self.seed = check_seed(self.seed)
         if self.warmup_epochs > self.vi_epochs:
             raise ArgumentError("warmup_epochs must not exceed vi_epochs")
+        self.lr_max = check_real("lr_max", self.lr_max)
+        self.lr_min = check_real("lr_min", self.lr_min)
         if not (math.isfinite(self.lr_max) and 0.0 <= self.lr_min < self.lr_max):
             raise ArgumentError(
                 f"need finite 0 <= lr_min < lr_max, got lr_min={self.lr_min}, "
@@ -137,6 +139,7 @@ def conditional_variational_codelength(
     model, x: np.ndarray, y: np.ndarray, mc_eval_samples: int, stream: RngStream
 ) -> float:
     """Monte Carlo expected NLL under the posterior plus the analytic KL."""
+    mc_eval_samples = check_int("mc_eval_samples", mc_eval_samples)
     if mc_eval_samples < 1:
         raise ArgumentError("mc_eval_samples must be >= 1")
     x = np.asarray(x, dtype=float)

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, FetchError, ParseError, check_int
+from .errors import ArgumentError, FetchError, ParseError, check_int, check_real
 from .rng import RngStream, check_seed
 
 X_CAUSES_Y = "x_causes_y"
@@ -60,6 +60,7 @@ class PairDataset:
             raise ArgumentError("x and y must be 1-D vectors of equal length")
         if self.x.size < 2:
             raise ArgumentError("a pair needs at least 2 observations")
+        self.weight = check_real("weight", self.weight)
         if not (math.isfinite(self.weight) and self.weight > 0):
             raise ArgumentError(f"weight must be positive and finite, got {self.weight}")
         if self.label not in (None, X_CAUSES_Y, Y_CAUSES_X):
@@ -140,6 +141,8 @@ class GeneratorSpec:
 
 
 def normalize_family(name: str) -> str:
+    if not isinstance(name, str):
+        raise ArgumentError(f"family must be a string, got {name!r}")
     canon = name.strip().upper().replace("_", "-")
     table = {fam.upper(): fam for fam in FAMILIES}
     if canon not in table:
@@ -185,6 +188,7 @@ def _sigmoid_draw(stream: RngStream) -> Callable[[np.ndarray], np.ndarray]:
 
 def generate_pair(spec: GeneratorSpec, pair_index: int) -> PairDataset:
     """One synthetic cause-effect pair; deterministic in (spec, pair_index)."""
+    pair_index = check_int("pair_index", pair_index)
     if not 0 <= pair_index < spec.n_pairs:
         raise ArgumentError(f"pair_index {pair_index} outside [0, {spec.n_pairs})")
     stream = RngStream(spec.seed).child("generate", spec.family, pair_index)

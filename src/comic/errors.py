@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the integer check that raises one."""
+"""Exception types shared across the package, and the integer and real checks that raise one."""
 
+import numbers
 import operator
 
 
@@ -34,3 +35,10 @@ def check_int(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ArgumentError(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_real(name: str, value) -> float:
+    """value as a Python float if it is a numbers.Real; ArgumentError naming name otherwise."""
+    if not isinstance(value, numbers.Real):
+        raise ArgumentError(f"{name} must be a real number, got {value!r}")
+    return float(value)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .codelength import TrainConfig, score_pair
 from .data import PairDataset, X_CAUSES_Y, Y_CAUSES_X
-from .errors import ArgumentError
+from .errors import ArgumentError, check_int
 
 
 def auroc(
@@ -134,6 +134,7 @@ def run_benchmark(
         raise ArgumentError("benchmark needs a non-empty pair list")
     if any(p.label is None for p in pairs):
         raise ArgumentError("benchmark pairs need ground-truth labels")
+    parallelism = check_int("parallelism", parallelism)
     if parallelism < 1:
         raise ArgumentError("parallelism must be >= 1")
     jobs = [(p, cfg) for p in pairs]

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from comic.cli import main
-from comic.data import X_CAUSES_Y, fetch_tuebingen
+from comic.codelength import TrainConfig
+from comic.data import X_CAUSES_Y, GeneratorSpec, fetch_tuebingen, generate_dataset
 from comic.errors import FetchError
+from comic.evaluation import run_benchmark
 
 FAST_FLAGS = [
     "--hidden-width", "6", "--map-epochs", "40", "--vi-epochs", "40",
@@ -244,6 +246,22 @@ def test_benchmark_end_to_end(tmp_path, capsys):
     assert set(summary["aggregates"]) == {"accuracy", "weighted_accuracy",
                                           "bi_auroc", "n_failed"}
     assert "accuracy," in out
+
+
+def test_generate_then_benchmark_matches_in_memory_pipeline(tmp_path, capsys):
+    # the documented family run: its scores are those of run_benchmark on the
+    # pairs generate_dataset returns, to the last bit (only the pair ids differ)
+    data_dir = tmp_path / "ls-s"
+    run_cli(capsys, ["generate", "LS-s", "4", "40", "--seed", "11", "--out", str(data_dir)])
+    out_dir = tmp_path / "results"
+    code, _ = run_cli(capsys, ["benchmark", str(data_dir), "--seed", "11",
+                               "--out", str(out_dir), *FAST_FLAGS])
+    assert code == 0
+    rows = (out_dir / "results.csv").read_text().split("# summary")[0].splitlines()[1:]
+    cfg = TrainConfig(hidden_width=6, map_epochs=40, vi_epochs=40, warmup_epochs=8,
+                      mc_eval_samples=4, seed=11)
+    result = run_benchmark(generate_dataset(GeneratorSpec("LS-s", 4, 40, seed=11)), cfg)
+    assert [row.split(",")[1] for row in rows] == [repr(r.final_delta) for r in result.rows]
 
 
 def test_benchmark_parallelism_independent(tmp_path, capsys):

@@ -50,6 +50,17 @@ def test_train_config_rejects_bad_learning_rates(lr_min, lr_max):
         TrainConfig(lr_min=lr_min, lr_max=lr_max)
 
 
+@pytest.mark.parametrize("field,kwargs", [
+    ("lr_max", {"lr_max": "0.01"}),
+    ("lr_max", {"lr_max": None}),
+    ("lr_min", {"lr_min": None}),
+    ("lr_min", {"lr_min": "0"}),
+])
+def test_train_config_rejects_non_real_learning_rates(field, kwargs):
+    with pytest.raises(ArgumentError, match=f"{field} must be a real number"):
+        TrainConfig(**kwargs)
+
+
 @pytest.mark.parametrize("seed", [-2**63 - 1, 2**63, 2**70])
 def test_seed_outside_64_bits_rejected(seed):
     with pytest.raises(ArgumentError, match="seed"):
@@ -222,6 +233,14 @@ def test_eval_codelength_rejects_mismatched_y(y_len):
     x = np.linspace(-1.0, 1.0, 20)
     with pytest.raises(ArgumentError, match="equal length"):
         conditional_variational_codelength(model, x, np.full(y_len, 0.3), 2, RngStream(0))
+
+
+@pytest.mark.parametrize("samples", [1.5, "2", None])
+def test_eval_codelength_rejects_non_integer_sample_count(samples):
+    model = ConditionalModel.initial(3, RngStream(0).child("init"))
+    x = np.linspace(-1.0, 1.0, 20)
+    with pytest.raises(ArgumentError, match="mc_eval_samples must be an integer"):
+        conditional_variational_codelength(model, x, 0.5 * x, samples, RngStream(0))
 
 
 def test_eval_codelength_mc_convergence():

@@ -335,6 +335,18 @@ def test_family_name_normalization():
         GeneratorSpec("XYZ", 1, 10, 0)
 
 
+@pytest.mark.parametrize("family", [5, None, b"AN"])
+def test_family_name_must_be_a_string(family):
+    with pytest.raises(ArgumentError, match="family must be a string"):
+        GeneratorSpec(family, 1, 10)
+
+
+@pytest.mark.parametrize("pair_index", [0.5, "0", None])
+def test_generate_pair_rejects_non_integer_pair_index(pair_index):
+    with pytest.raises(ArgumentError, match="pair_index must be an integer"):
+        generate_pair(GeneratorSpec("AN-s", 2, 10), pair_index)
+
+
 def test_swap_pair_mirrors_label():
     pair = PairDataset(np.array([0.0, 1.0]), np.array([2.0, 3.0]), label=X_CAUSES_Y)
     swapped = swap_pair(pair)
@@ -445,6 +457,12 @@ def test_parse_pairmeta_rejects_bad_weight_or_column(tmp_path, row, reason):
 @pytest.mark.parametrize("weight", [math.nan, math.inf, 0.0, -1.0])
 def test_pair_dataset_rejects_non_finite_or_non_positive_weight(weight):
     with pytest.raises(ArgumentError, match="weight"):
+        PairDataset(np.arange(3.0), np.arange(3.0), weight=weight)
+
+
+@pytest.mark.parametrize("weight", ["1", None])
+def test_pair_dataset_rejects_non_real_weight(weight):
+    with pytest.raises(ArgumentError, match="weight must be a real number"):
         PairDataset(np.arange(3.0), np.arange(3.0), weight=weight)
 
 

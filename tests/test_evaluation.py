@@ -201,6 +201,12 @@ def test_run_benchmark_requires_labels():
         run_benchmark([pair], FAST)
 
 
+@pytest.mark.parametrize("parallelism", ["2", 1.5, None])
+def test_run_benchmark_rejects_non_integer_parallelism(parallelism):
+    with pytest.raises(ArgumentError, match="parallelism must be an integer"):
+        run_benchmark(small_pairs(1), FAST, parallelism=parallelism)
+
+
 def test_run_benchmark_records_failures_without_aborting():
     pairs = small_pairs(2)
     broken = PairDataset(np.full(20, 1.0), np.arange(20.0), label=X_CAUSES_Y, id="flat")
@@ -241,6 +247,13 @@ def test_csv_deterministic_apart_from_runtime():
     assert strip_runtime(a) == strip_runtime(b)
     assert a.splitlines()[0].startswith("id,final_delta,decision,label")
     assert "# summary" in a
+
+
+def test_numpy_weight_prints_as_a_number_in_csv():
+    pair = small_pairs(1, 30)[0]
+    pair = PairDataset(pair.x, pair.y, np.float64(2.0), pair.label, pair.id)
+    row = result_to_csv(run_benchmark([pair], FAST)).splitlines()[1]
+    assert row.split(",")[4] == "2.0"
 
 
 def test_json_mirror_has_same_aggregates():

@@ -1,8 +1,11 @@
 """Source checks that need no linter: every module under src/comic and
-scripts/ uses each name it imports.
+scripts/ uses each name it imports, and every def reads each of its
+parameters.
 
 Package __init__ modules are exempt (their imports are re-exports), as is
-`from __future__ import ...`, which binds no name.
+`from __future__ import ...`, which binds no name. `self` and `cls` are
+exempt from the parameter check, and lambdas are not checked: a callback
+that ignores its argument is written as one on purpose.
 """
 
 import ast
@@ -31,6 +34,22 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+def unused_parameters(source: str) -> list[str]:
+    """Parameters of a def that its body never reads, with their line."""
+    unused = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                  *filter(None, [args.vararg, args.kwarg])]
+        read = {name.id for stmt in node.body for name in ast.walk(stmt)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+        unused += [(param.lineno, f"line {param.lineno}: {node.name}({param.arg})")
+                   for param in params if param.arg not in read | {"self", "cls"}]
+    return [entry for _, entry in sorted(unused)]
+
+
 def test_modules_to_check_were_found():
     names = {path.name for path in MODULES}
     assert {"optim.py", "codelength.py", "cli.py", "ab_pairs.py"} <= names
@@ -48,3 +67,25 @@ def test_unused_import_check_flags_a_planted_import():
               "from dataclasses import dataclass, field\n"
               "x = np.zeros(field)\n")
     assert unused_imports(source) == ["line 2: os", "line 4: dataclass"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_parameter_check_flags_a_planted_parameter():
+    source = ("class A:\n"
+              "    def method(self, used, unused):\n"
+              "        return used\n"
+              "    @classmethod\n"
+              "    def make(cls, *args, scale=1.0, **kwargs):\n"
+              "        def inner(a, b):\n"
+              "            return a + scale\n"
+              "        return inner(*args)\n"
+              "def written_only(x, y):\n"
+              "    x = y\n"
+              "callback = lambda msg: None\n")
+    assert unused_parameters(source) == [
+        "line 2: method(unused)", "line 5: make(kwargs)", "line 6: inner(b)",
+        "line 9: written_only(x)"]
