@@ -317,7 +317,8 @@ def gaussian_nll(y: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> float:
     sigma = np.asarray(sigma, dtype=float)
     if not y.shape == mu.shape == sigma.shape:
         raise ArgumentError(f"y, mu, sigma shapes differ: {y.shape}, {mu.shape}, {sigma.shape}")
-    if np.any(sigma <= 0):
+    # written so that a NaN sigma fails too
+    if not np.all(sigma > 0):
         raise ArgumentError("sigma must be strictly positive")
     r = y - mu
     return float(np.sum(HALF_LOG_2PI + np.log(sigma) + r * r / (2.0 * sigma * sigma)))

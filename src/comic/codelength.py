@@ -6,11 +6,16 @@ effect given the cause under a trained Bayesian network. The difference of
 the two direction scores decides the causal direction; its magnitude is the
 confidence.
 
-All randomness used while scoring a pair is keyed by fingerprints of the
-standardized columns, never by which argument slot a column occupies. A
-column therefore drags its exact training noise along when the pair is
-swapped, which makes score_pair on the swapped pair the bit-exact mirror
-of the original computation.
+The two directions of a pair train in lockstep, epoch by epoch, and are
+evaluated in lockstep, sample by sample. Both take all their randomness,
+initial weights and every noise draw, from one stream keyed by the sorted
+pair of fingerprints of the standardized columns, so each noise matrix is
+generated once per pair and the second direction gets a copy of it (common
+random numbers; each direction's noise is still i.i.d. standard normal).
+The key does not depend on which argument slot a column occupies, and each
+direction's arithmetic depends only on its own data and the stream, so
+score_pair on the swapped pair is the bit-exact mirror of the original
+computation.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -89,97 +95,116 @@ def marginal_gaussian_codelength(x: np.ndarray) -> float:
     return float(np.sum(bnn.HALF_LOG_2PI + 0.5 * x * x))
 
 
+def _check_directions(directions, min_samples: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (cause, effect) pairs as float vectors; ArgumentError if one is malformed."""
+    checked = []
+    for x, y in directions:
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if x.ndim != 1 or x.shape != y.shape or x.size < min_samples:
+            raise ArgumentError(
+                f"each direction needs matched vectors of equal length, at least "
+                f"{min_samples} samples each; got shapes {x.shape} and {y.shape}")
+        checked.append((x, y))
+    if not checked:
+        raise ArgumentError("need at least one direction")
+    return checked
+
+
 def train_conditional(
-    x: np.ndarray, y: np.ndarray, cfg: TrainConfig, stream: RngStream
-) -> ConditionalModel:
-    """Fit the conditional model: point-estimate pretraining, then
-    variational optimization with a linear complexity warm-up.
+    directions: Sequence[tuple[np.ndarray, np.ndarray]], cfg: TrainConfig, stream: RngStream
+) -> list[ConditionalModel]:
+    """Fit one conditional model per (cause, effect) direction, all in lockstep:
+    point-estimate pretraining, then variational optimization with a linear
+    complexity warm-up.
 
-    Both phases run full-batch under Adam with a cosine learning-rate
-    schedule; the second phase starts from zeroed Adam moments since it
-    minimizes a different objective. The model is bound once to a flat
-    parameter vector, and its gradient to a flat gradient vector (blocks are
-    views of them). Each objective overwrites the gradient vector, and Adam
-    reads it as it is and updates the parameter vector and the moment
-    vectors m and v in place, so the model always reflects the latest update.
+    Every direction starts from the same initial weights and, epoch by
+    epoch, draws the same noise from stream, so the noise is generated once
+    per epoch. Both phases run full-batch under Adam with a cosine
+    learning-rate schedule; the second phase starts from zeroed Adam
+    moments since it minimizes a different objective. Each model is bound
+    once to a flat parameter vector, and its gradient to a flat gradient
+    vector (blocks are views of them). Each objective overwrites the
+    gradient vector, and Adam reads it as it is and updates the parameter
+    vector and the moment vectors m and v in place, so the model always
+    reflects the latest update. A NumericError names the direction's index,
+    the phase and the epoch.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or x.shape != y.shape or x.size < 2:
-        raise ArgumentError("training needs matched vectors with at least 2 samples")
-
+    directions = _check_directions(directions, 2)
     initial = ConditionalModel.initial(cfg.hidden_width, stream.child("init"))
-    params = bnn.pack_params(initial)
-    model = bnn.unpack_params(initial, params)
-    grads = np.empty_like(params)
-    grad = bnn.unpack_params(initial, grads)
-    blocks = bnn.param_blocks(model)
+    blocks = bnn.param_blocks(initial)
+    params = [bnn.pack_params(initial) for _ in directions]
+    grads = [np.empty_like(vec) for vec in params]
+    models = [bnn.unpack_params(initial, vec) for vec in params]
+    grad_models = [bnn.unpack_params(initial, vec) for vec in grads]
     vi_stream = stream.child("vi")
     phases = (
-        ("MAP", cfg.map_epochs, lambda t: bnn.map_objective(model, x, y, grad)),
-        ("VI", cfg.vi_epochs, lambda t: bnn.elbo_objective(
-            model, x, y, min(1.0, t / cfg.warmup_epochs), vi_stream.child(t), grad)),
+        ("MAP", cfg.map_epochs, lambda t, d: bnn.map_objective(
+            models[d], *directions[d], grad_models[d])),
+        ("VI", cfg.vi_epochs, lambda t, d: bnn.elbo_objective(
+            models[d], *directions[d], min(1.0, t / cfg.warmup_epochs), vi_stream.child(t),
+            grad_models[d])),
     )
     for phase, epochs, objective in phases:
-        m = np.zeros_like(params)
-        v = np.zeros_like(params)
+        moments = [(np.zeros_like(vec), np.zeros_like(vec)) for vec in params]
         for t in range(epochs):
-            loss = objective(t)
-            if not np.isfinite(loss):
-                raise NumericError(f"non-finite loss in {phase} phase at epoch {t}")
             lr = cosine_lr(t, epochs, cfg.lr_max, cfg.lr_min)
-            try:
-                adam_step(params, grads, m, v, t + 1, lr, blocks)
-            except NumericError as e:
-                raise NumericError(f"{phase} phase, epoch {t}: {e}") from None
-    return model
+            for d, (m, v) in enumerate(moments):
+                loss = objective(t, d)
+                if not np.isfinite(loss):
+                    raise NumericError(
+                        f"non-finite loss in direction {d}, {phase} phase at epoch {t}")
+                try:
+                    adam_step(params[d], grads[d], m, v, t + 1, lr, blocks)
+                except NumericError as e:
+                    raise NumericError(f"direction {d}, {phase} phase, epoch {t}: {e}") from None
+    return models
 
 
 def conditional_variational_codelength(
-    model, x: np.ndarray, y: np.ndarray, mc_eval_samples: int, stream: RngStream
-) -> float:
-    """Monte Carlo expected NLL under the posterior plus the analytic KL."""
+    models: Sequence, directions: Sequence[tuple[np.ndarray, np.ndarray]],
+    mc_eval_samples: int, stream: RngStream,
+) -> list[float]:
+    """Per direction, the Monte Carlo expected NLL of the effect given the
+    cause under the posterior plus the analytic KL.
+
+    The directions are evaluated in lockstep, each sample drawing the same
+    noise for every direction, so the noise is generated once per sample.
+    """
     mc_eval_samples = check_int("mc_eval_samples", mc_eval_samples)
     if mc_eval_samples < 1:
         raise ArgumentError("mc_eval_samples must be >= 1")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or x.shape != y.shape:
-        raise ArgumentError("x and y must be 1-D vectors of equal length")
-    total = 0.0
+    directions = _check_directions(directions, 1)
+    if len(models) != len(directions):
+        raise ArgumentError(f"got {len(models)} models for {len(directions)} directions")
+    totals = [0.0] * len(models)
     for m in range(mc_eval_samples):
-        mu, sigma = model.sample_predictions(x, stream.child("eval", m))
-        total += bnn.gaussian_nll(y, mu, sigma)
-    return total / mc_eval_samples + model.kl()
+        sample_stream = stream.child("eval", m)
+        for d, (model, (x, y)) in enumerate(zip(models, directions)):
+            mu, sigma = model.sample_predictions(x, sample_stream)
+            totals[d] += bnn.gaussian_nll(y, mu, sigma)
+    return [total / mc_eval_samples + model.kl() for total, model in zip(totals, models)]
 
 
 def _fingerprint(values: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()[:16]
 
 
-def _direction_report(
-    cause: np.ndarray, effect: np.ndarray, cfg: TrainConfig, stream: RngStream
-) -> DirectionReport:
-    l_marginal = marginal_gaussian_codelength(cause)
-    model = train_conditional(cause, effect, cfg, stream)
-    l_conditional = conditional_variational_codelength(
-        model, cause, effect, cfg.mc_eval_samples, stream.child("final-eval")
-    )
-    return DirectionReport.of(l_marginal, l_conditional)
-
-
 def score_pair(pair: PairDataset, cfg: TrainConfig) -> PairReport:
     """Score both directions of a pair and decide which column is the cause.
 
     A positive final_delta means the first column causes the second.
+    In a NumericError, direction 0 is x -> y and direction 1 is y -> x.
     """
     zx, _, _ = standardize(pair.x)
     zy, _, _ = standardize(pair.y)
-    hx = _fingerprint(zx)
-    hy = _fingerprint(zy)
-    root = RngStream(cfg.seed)
-    forward = _direction_report(zx, zy, cfg, root.child("cause", hx, "effect", hy))
-    backward = _direction_report(zy, zx, cfg, root.child("cause", hy, "effect", hx))
+    stream = RngStream(cfg.seed).child("pair", *sorted((_fingerprint(zx), _fingerprint(zy))))
+    directions = ((zx, zy), (zy, zx))
+    models = train_conditional(directions, cfg, stream)
+    l_forward, l_backward = conditional_variational_codelength(
+        models, directions, cfg.mc_eval_samples, stream.child("final-eval"))
+    forward = DirectionReport.of(marginal_gaussian_codelength(zx), l_forward)
+    backward = DirectionReport.of(marginal_gaussian_codelength(zy), l_backward)
     final_delta = backward.delta - forward.delta
     if final_delta > 0:
         decision = X_CAUSES_Y

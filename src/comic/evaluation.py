@@ -16,6 +16,12 @@ from .data import PairDataset, X_CAUSES_Y, Y_CAUSES_X
 from .errors import ArgumentError, check_int
 
 
+def _check_weights(weights: np.ndarray) -> None:
+    """Weights must be finite and non-negative with a positive total."""
+    if not (np.all(np.isfinite(weights)) and np.all(weights >= 0) and weights.sum() > 0):
+        raise ArgumentError("weights must be finite and non-negative with a positive total")
+
+
 def auroc(
     scores: np.ndarray,
     positives: np.ndarray,
@@ -30,6 +36,9 @@ def auroc(
     weights = np.ones_like(scores) if weights is None else np.asarray(weights, dtype=float)
     if not scores.shape == positives.shape == weights.shape:
         raise ArgumentError("scores, positives and weights must have equal length")
+    if np.isnan(scores).any():
+        raise ArgumentError("scores must not be NaN")
+    _check_weights(weights)
     w_pos = weights[positives].sum()
     w_neg = weights[~positives].sum()
     if w_pos == 0 or w_neg == 0:
@@ -82,6 +91,7 @@ def weighted_accuracy(
     weights = np.ones(len(labels)) if weights is None else np.asarray(weights, dtype=float)
     if not decisions.shape == labels.shape == weights.shape:
         raise ArgumentError("decisions, labels and weights must have equal length")
+    _check_weights(weights)
     correct = decisions == labels
     return float(np.sum(weights * correct) / np.sum(weights))
 

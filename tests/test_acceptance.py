@@ -316,13 +316,13 @@ def test_criterion_8_evidence_bound():
     evidence = toy_evidence_quadrature(x, y)
 
     untrained = ScaleToyModel(0.0, math.log(0.09))
-    before = conditional_variational_codelength(
-        untrained, x, y, 4096, RngStream(8).child("before"))
+    [before] = conditional_variational_codelength(
+        [untrained], [(x, y)], 4096, RngStream(8).child("before"))
 
     mu, lv = train_toy(x, y)
     trained = ScaleToyModel(mu, lv)
-    after = conditional_variational_codelength(
-        trained, x, y, 65536, RngStream(8).child("after"))
+    [after] = conditional_variational_codelength(
+        [trained], [(x, y)], 65536, RngStream(8).child("after"))
 
     assert after >= evidence
     assert after <= 1.05 * evidence

@@ -25,6 +25,7 @@ from comic.bnn import (
 from comic.errors import ArgumentError
 from comic.rng import RngStream, draw_standard_normal
 from gradcheck import finite_diff_grad
+from noise_oracle import sfc64_normals
 
 
 def make_layer(mean_w, logvar=-9.0, mean_b=None, logvar_b=None, log_prior=0.0):
@@ -195,6 +196,11 @@ def test_gaussian_nll_rejects_mismatched_shapes():
 def test_gaussian_nll_rejects_nonpositive_sigma():
     with pytest.raises(ArgumentError):
         gaussian_nll([0.0], [0.0], [0.0])
+
+
+def test_gaussian_nll_rejects_nan_sigma():
+    with pytest.raises(ArgumentError, match="sigma must be strictly positive"):
+        gaussian_nll([0.0, 1.0], [0.0, 0.0], [1.0, np.nan])
 
 
 def test_kl_zero_when_posterior_equals_prior():
@@ -447,8 +453,8 @@ def oracle_map_penalty(layer):
 
 def oracle_noise(model, n, stream):
     # a fresh generator per draw, as each stream's definition states
-    return (stream.child("hidden").generator().standard_normal((n, model.hidden_width)),
-            stream.child("output").generator().standard_normal((n, 2)))
+    return (sfc64_normals(stream.child("hidden"), (n, model.hidden_width)),
+            sfc64_normals(stream.child("output"), (n, 2)))
 
 
 def oracle_map_objective(model, x, y):

@@ -130,7 +130,7 @@ def test_train_config_accepts_zero_lr_min():
                       lr_min=0.0, seed=1)
     rng = np.random.default_rng(16)
     x = rng.standard_normal(30)
-    model = train_conditional(x, np.tanh(x), cfg, RngStream(1).child("zero-lr-min"))
+    [model] = train_conditional([(x, np.tanh(x))], cfg, RngStream(1).child("zero-lr-min"))
     assert np.isfinite(pack_params(model)).all()
 
 
@@ -141,8 +141,8 @@ def test_linear_pair_compresses_below_marginal():
     cfg = TrainConfig(hidden_width=10, vi_epochs=300, warmup_epochs=30,
                       map_epochs=300, mc_eval_samples=16, seed=0)
     stream = RngStream(cfg.seed).child("linear-smoke")
-    model = train_conditional(x, y, cfg, stream)
-    codelength = conditional_variational_codelength(model, x, y, 16, stream.child("eval"))
+    [model] = train_conditional([(x, y)], cfg, stream)
+    [codelength] = conditional_variational_codelength([model], [(x, y)], 16, stream.child("eval"))
     assert codelength < marginal_gaussian_codelength(y)
 
 
@@ -151,8 +151,8 @@ def test_training_is_deterministic():
     x = rng.standard_normal(60)
     y = np.tanh(x) + 0.2 * rng.standard_normal(60)
     stream = RngStream(1).child("det")
-    m1 = train_conditional(x, y, FAST, stream)
-    m2 = train_conditional(x, y, FAST, stream)
+    [m1] = train_conditional([(x, y)], FAST, stream)
+    [m2] = train_conditional([(x, y)], FAST, stream)
     assert np.array_equal(pack_params(m1), pack_params(m2))
 
 
@@ -174,7 +174,7 @@ def test_packing_calls_do_not_grow_with_epochs(monkeypatch):
         packed.clear()
         cfg = TrainConfig(hidden_width=3, vi_epochs=epochs, warmup_epochs=1,
                           map_epochs=epochs, mc_eval_samples=1)
-        train_conditional(x, np.sin(x), cfg, RngStream(0))
+        train_conditional([(x, np.sin(x))], cfg, RngStream(0))
         counts.append(len(packed))
     assert counts[0] == counts[1]
 
@@ -189,16 +189,17 @@ def test_independent_pair_matches_marginal_plus_kl():
     cfg = TrainConfig(hidden_width=10, vi_epochs=300, warmup_epochs=30,
                       map_epochs=300, mc_eval_samples=32, seed=2)
     stream = RngStream(cfg.seed).child("indep")
-    model = train_conditional(x, y, cfg, stream)
-    codelength = conditional_variational_codelength(model, x, y, 32, stream.child("e"))
+    [model] = train_conditional([(x, y)], cfg, stream)
+    [codelength] = conditional_variational_codelength([model], [(x, y)], 32, stream.child("e"))
     reference = marginal_gaussian_codelength(y) + model.kl()
     assert codelength == approx(reference, rel=0.03)
 
     # oracle: destroying the pairing must not change the codelength materially
     x_shuffled = x[rng.permutation(n)]
     stream2 = RngStream(cfg.seed).child("indep-shuffled")
-    model2 = train_conditional(x_shuffled, y, cfg, stream2)
-    oracle = conditional_variational_codelength(model2, x_shuffled, y, 32, stream2.child("e"))
+    [model2] = train_conditional([(x_shuffled, y)], cfg, stream2)
+    [oracle] = conditional_variational_codelength(
+        [model2], [(x_shuffled, y)], 32, stream2.child("e"))
     assert codelength == approx(oracle, rel=0.03)
 
 
@@ -210,7 +211,7 @@ def test_eval_codelength_prior_collapse():
     rng = np.random.default_rng(7)
     x = rng.standard_normal(40)
     y = rng.standard_normal(40)
-    value = conditional_variational_codelength(model, x, y, 4, RngStream(0).child("pc"))
+    [value] = conditional_variational_codelength([model], [(x, y)], 4, RngStream(0).child("pc"))
     expected = gaussian_nll(y, np.zeros(40), np.ones(40)) + model.kl()
     assert value == approx(expected, rel=1e-9)
 
@@ -222,7 +223,7 @@ def test_eval_codelength_prior_collapse():
 ])
 def test_train_conditional_rejects_unmatched_vectors(x, y):
     with pytest.raises(ArgumentError, match="matched vectors"):
-        train_conditional(x, y, FAST, RngStream(0))
+        train_conditional([(x, y)], FAST, RngStream(0))
 
 
 @pytest.mark.parametrize("y_len", [1, 7])
@@ -232,7 +233,8 @@ def test_eval_codelength_rejects_mismatched_y(y_len):
     model = ConditionalModel.initial(3, RngStream(0).child("init"))
     x = np.linspace(-1.0, 1.0, 20)
     with pytest.raises(ArgumentError, match="equal length"):
-        conditional_variational_codelength(model, x, np.full(y_len, 0.3), 2, RngStream(0))
+        conditional_variational_codelength(
+            [model], [(x, np.full(y_len, 0.3))], 2, RngStream(0))
 
 
 @pytest.mark.parametrize("samples", [1.5, "2", None])
@@ -240,7 +242,7 @@ def test_eval_codelength_rejects_non_integer_sample_count(samples):
     model = ConditionalModel.initial(3, RngStream(0).child("init"))
     x = np.linspace(-1.0, 1.0, 20)
     with pytest.raises(ArgumentError, match="mc_eval_samples must be an integer"):
-        conditional_variational_codelength(model, x, 0.5 * x, samples, RngStream(0))
+        conditional_variational_codelength([model], [(x, 0.5 * x)], samples, RngStream(0))
 
 
 def test_eval_codelength_mc_convergence():
@@ -248,7 +250,7 @@ def test_eval_codelength_mc_convergence():
     x = rng.standard_normal(50)
     y = np.sin(x) + 0.3 * rng.standard_normal(50)
     stream = RngStream(11).child("mc-conv")
-    model = train_conditional(x, y, FAST, stream)
+    [model] = train_conditional([(x, y)], FAST, stream)
 
     # empirical standard error of the single-draw estimator
     samples = np.array([
@@ -256,8 +258,8 @@ def test_eval_codelength_mc_convergence():
         for i in range(400)
     ])
     se = samples.std(ddof=1)
-    one = conditional_variational_codelength(model, x, y, 1, stream.child("a"))
-    many = conditional_variational_codelength(model, x, y, 4000, stream.child("b"))
+    [one] = conditional_variational_codelength([model], [(x, y)], 1, stream.child("a"))
+    [many] = conditional_variational_codelength([model], [(x, y)], 4000, stream.child("b"))
     assert abs(one - many) <= 5.0 * se
 
 
@@ -325,12 +327,45 @@ def test_independent_columns_still_total():
     assert report.decision in (X_CAUSES_Y, Y_CAUSES_X, "undecided")
 
 
+def test_lockstep_directions_match_directions_run_alone():
+    # each direction's arithmetic depends only on its own data and the
+    # stream, which is what makes the swap an exact mirror
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal(30)
+    y = np.sin(x) + 0.2 * rng.standard_normal(30)
+    directions = [(x, y), (y, x)]
+    stream = RngStream(3).child("lockstep")
+    together = train_conditional(directions, FAST, stream)
+    alone = [train_conditional([d], FAST, stream)[0] for d in directions]
+    assert [pack_params(m).tobytes() for m in together] == [
+        pack_params(m).tobytes() for m in alone]
+    values = conditional_variational_codelength(together, directions, 3, stream.child("e"))
+    assert values == [conditional_variational_codelength([m], [d], 3, stream.child("e"))[0]
+                      for m, d in zip(alone, directions)]
+
+
+def test_eval_codelength_needs_one_model_per_direction():
+    model = ConditionalModel.initial(3, RngStream(0).child("init"))
+    x = np.linspace(-1.0, 1.0, 20)
+    with pytest.raises(ArgumentError, match="1 models for 2 directions"):
+        conditional_variational_codelength([model], [(x, x), (x, x)], 2, RngStream(0))
+
+
 def test_numeric_error_names_phase_and_epoch():
     x = np.array([0.0, 1.0, 2.0])
     y = np.array([0.0, 1e200, -1e200])
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(NumericError, match="MAP phase"):
-            train_conditional(x, y, FAST, RngStream(0).child("overflow"))
+            train_conditional([(x, y)], FAST, RngStream(0).child("overflow"))
+
+
+def test_numeric_error_names_the_direction():
+    # y -> x trains through the MAP phase; x -> y overflows in its first epoch
+    x = np.array([0.0, 1.0, 2.0])
+    y = np.array([0.0, 1e200, -1e200])
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(NumericError, match="direction 1, MAP phase at epoch 0"):
+            train_conditional([(y, x), (x, y)], FAST, RngStream(0).child("overflow"))
 
 
 def test_more_vi_epochs_do_not_hurt_linear_pair():
@@ -345,13 +380,13 @@ def test_more_vi_epochs_do_not_hurt_linear_pair():
                           warmup_epochs=min(100, vi_epochs), map_epochs=300,
                           mc_eval_samples=64, seed=4)
         stream = RngStream(cfg.seed).child("vi-sweep", vi_epochs)
-        model = train_conditional(x, y, cfg, stream)
+        [model] = train_conditional([(x, y)], cfg, stream)
         samples = np.array([
             gaussian_nll(y, *model.sample_predictions(x, stream.child("probe", i)))
             for i in range(200)
         ])
-        value = conditional_variational_codelength(
-            model, x, y, 64, stream.child("eval"))
+        [value] = conditional_variational_codelength(
+            [model], [(x, y)], 64, stream.child("eval"))
         return value, samples.std(ddof=1) / math.sqrt(64)
 
     short, se_short = fit(100)
@@ -366,6 +401,6 @@ def test_golden_scores_are_pinned():
                       mc_eval_samples=4, seed=5)
     pairs = generate_dataset(GeneratorSpec("LS-s", 4, 40, seed=900))
     assert [repr(score_pair(pair, cfg).final_delta) for pair in pairs] == [
-        "-2.0220304524681296", "3.1028371701346202", "3.0840597428575904",
-        "-4.226605665413842",
+        "-1.3298371164263472", "-1.3338839479412172", "2.182597385796953",
+        "-3.1635327761574104",
     ]

@@ -306,16 +306,20 @@ def test_generate_pair_makes_no_linalg_call(monkeypatch, family):
 
 
 # sha256 of x and y bytes of pair 0 of a 64-row spec at seed 5, per generator
-# version: a change of the generated values must come with a new version
+# version and family: a change of the generated values must come with a new
+# version, and a change of the training noise must leave them alone
 GENERATED_SHA256 = {
     "2": {
         "AN": "2c2869df24d76b0017190f8f543bccc3407191c034fa00c45bd99946ade3d7e1",
         "LS": "91ac6975c8ea46d98bda9b3ce8bed844686669392d48a332c7e74f7b0ba84749",
+        "AN-s": "fd46985e5e1519aab7bddd1c247f23450f064724f366a385ebc186c23af6df9b",
+        "LS-s": "af5e74a9e32ccaebb316118e11ea541b55b61c6464e4e9ad1ec7e302fda3fc91",
+        "MN-U": "2331039efb9ad03ecb52bd88771eca3a85c5a2efcceaee5f31fb8ff43818a149",
     },
 }
 
 
-@pytest.mark.parametrize("family", ["AN", "LS"])
+@pytest.mark.parametrize("family", ["AN", "LS", "AN-s", "LS-s", "MN-U"])
 def test_generated_gp_pairs_are_pinned_per_generator_version(family):
     pair = generate_pair(GeneratorSpec(family, 1, 64, seed=5), 0)
     digest = hashlib.sha256(pair.x.tobytes() + pair.y.tobytes()).hexdigest()

@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,6 +60,35 @@ def test_auroc_single_class_rejected():
 def test_auroc_zero_weight_class_rejected():
     with pytest.raises(ArgumentError):
         auroc(np.array([0.1, 0.2]), np.array([True, False]), np.array([1.0, 0.0]))
+
+
+def within_seconds(seconds, fn, *args):
+    """fn(*args), or a failure once seconds have passed: a hang must not stall the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("metric", [auroc, bi_auroc])
+def test_nan_score_rejected(metric):
+    labels = [X_CAUSES_Y, Y_CAUSES_X] if metric is bi_auroc else np.array([True, False])
+    with pytest.raises(ArgumentError, match="NaN"):
+        within_seconds(10, metric, np.array([1.0, np.nan]), labels)
+
+
+@pytest.mark.parametrize("weights", [
+    [1.0, np.nan, 1.0], [1.0, np.inf, 1.0], [1.0, -0.5, 1.0], [0.0, 0.0, 0.0],
+])
+def test_auroc_rejects_bad_weights(weights):
+    with pytest.raises(ArgumentError, match="weights must be finite and non-negative"):
+        auroc(np.array([0.1, 0.2, 0.3]), np.array([True, False, True]), np.array(weights))
 
 
 instances = st.integers(min_value=2, max_value=200).flatmap(
@@ -170,6 +201,16 @@ def test_weighted_accuracy_unit_weights_equal_unweighted():
 def test_weighted_accuracy_length_mismatch():
     with pytest.raises(ArgumentError):
         weighted_accuracy([X_CAUSES_Y], [X_CAUSES_Y, Y_CAUSES_X])
+
+
+@pytest.mark.parametrize("weights", [
+    [0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0], [-1.0, 2.0],
+])
+def test_weighted_accuracy_rejects_bad_weights(weights):
+    # all-zero weights once gave nan with a RuntimeWarning; a negative one
+    # could push the result outside [0, 1]
+    with pytest.raises(ArgumentError, match="weights must be finite and non-negative"):
+        weighted_accuracy([X_CAUSES_Y, Y_CAUSES_X], [X_CAUSES_Y, X_CAUSES_Y], np.array(weights))
 
 
 # ---------------------------------------------------------------- benchmark

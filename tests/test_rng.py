@@ -4,9 +4,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from comic import rng
-from comic.codelength import TrainConfig, train_conditional
+from comic.codelength import TrainConfig, score_pair, train_conditional
+from comic.data import PairDataset
 from comic.errors import ArgumentError
 from comic.rng import RngStream, draw_standard_normal
+from noise_oracle import sfc64_normals
 
 
 def test_replay_is_bit_exact():
@@ -102,41 +104,106 @@ def test_reused_generator_draws_equal_fresh_generators():
     shapes = [(1, 1), (3, 5), (7, 1), (1, 9), (5, 3), (2, 2), (1, 1), (13, 7)]
     for i, (r, c) in enumerate(shapes):
         stream = streams[i % 2]
-        fresh = stream.generator().standard_normal((r, c))
+        fresh = sfc64_normals(stream, (r, c))
         assert draw_standard_normal(stream, np.empty((r, c))).tobytes() == fresh.tobytes()
-    # other use of the shared generator leaves a half-used buffer and a
+    # other use of the shared generator leaves its state moved on and a
     # cached 32-bit word behind; the next draw must not see either
     rng._shared_generator().integers(0, 2**32, size=3, dtype=np.uint32)
     rng._shared_generator().random(5)
-    fresh = streams[0].generator().standard_normal((3, 3))
-    assert draw_standard_normal(streams[0], np.empty((3, 3))).tobytes() == fresh.tobytes()
+    after = streams[0].child("next")
+    fresh = sfc64_normals(after, (3, 3))
+    assert draw_standard_normal(after, np.empty((3, 3))).tobytes() == fresh.tobytes()
 
 
 def test_draw_fills_and_returns_the_given_array():
     stream = RngStream(8).child("fill")
     out = np.full((4, 3), np.nan)
     assert draw_standard_normal(stream, out) is out
-    assert out.tobytes() == stream.generator().standard_normal((4, 3)).tobytes()
+    assert out.tobytes() == sfc64_normals(stream, (4, 3)).tobytes()
     # a second draw overwrites every entry of the same array
     draw_standard_normal(stream.child("again"), out)
-    assert out.tobytes() == stream.child("again").generator().standard_normal((4, 3)).tobytes()
+    assert out.tobytes() == sfc64_normals(stream.child("again"), (4, 3)).tobytes()
+
+
+@pytest.mark.parametrize("out", [np.empty((3, 4), dtype=np.float32), np.empty((4, 3)).T])
+def test_draw_rejects_arrays_it_cannot_fill(out):
+    with pytest.raises(ArgumentError, match="C-contiguous float64"):
+        draw_standard_normal(RngStream(0).child("layout"), out)
+
+
+class CountingGenerator:
+    """Stands in for the shared generator and counts the matrices it fills."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.bit_generator = gen.bit_generator
+        self.fills = 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.fills += 1
+        return self.gen.standard_normal(*args, **kwargs)
+
+
+@pytest.fixture
+def counting_generator(monkeypatch):
+    counting = CountingGenerator(rng._shared_generator())
+    monkeypatch.setattr(rng, "_shared_generator", lambda: counting)
+    return counting
+
+
+def test_repeated_draw_is_a_copy_of_the_oracle(counting_generator):
+    hidden = RngStream(21).child("epoch", 0, "hidden")
+    output = RngStream(21).child("epoch", 0, "output")
+    first = draw_standard_normal(hidden, np.empty((6, 5))).copy()
+    draw_standard_normal(output, np.empty((6, 2)))
+    assert counting_generator.fills == 2
+    # the caller may overwrite its array, and the shared generator may
+    # serve other draws: the copy must still hold the stream's bytes
+    first_out = np.full((6, 5), np.nan)
+    counting_generator.gen.random(7)
+    assert draw_standard_normal(hidden, first_out).tobytes() == first.tobytes()
+    assert draw_standard_normal(output, np.empty((6, 2))).tobytes() == (
+        sfc64_normals(output, (6, 2)).tobytes())
+    assert counting_generator.fills == 2
+    assert first.tobytes() == sfc64_normals(hidden, (6, 5)).tobytes()
+    # a different stream of the same shape must run the generator
+    other = RngStream(21).child("epoch", 1, "hidden")
+    assert draw_standard_normal(other, np.empty((6, 5))).tobytes() == (
+        sfc64_normals(other, (6, 5)).tobytes())
+    assert counting_generator.fills == 3
+
+
+def test_score_pair_fills_each_noise_matrix_once(counting_generator):
+    # both directions draw the same noise per VI epoch and per MC sample, so
+    # a pair costs one hidden and one output matrix per epoch and per sample
+    gen = np.random.default_rng(31)
+    x = gen.standard_normal(40)
+    pair = PairDataset(x, np.tanh(x) + 0.1 * gen.standard_normal(40))
+    cfg = TrainConfig(hidden_width=4, vi_epochs=7, warmup_epochs=2, map_epochs=3,
+                      mc_eval_samples=5, seed=31)
+    score_pair(pair, cfg)
+    assert counting_generator.fills == 2 * (cfg.vi_epochs + cfg.mc_eval_samples)
 
 
 def test_philox_constructions_do_not_grow_with_vi_epochs(monkeypatch):
+    # neither the Philox generators of generator() nor the SFC64 generator
+    # of draw_standard_normal may be built per epoch
+    rng._shared_generator()
     built = []
-    real_philox = np.random.Philox
+    for name in ("Philox", "SFC64"):
+        real = getattr(np.random, name)
 
-    def counting_philox(*args, **kwargs):
-        built.append(1)
-        return real_philox(*args, **kwargs)
+        def counting(*args, real=real, **kwargs):
+            built.append(1)
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(np.random, "Philox", counting_philox)
+        monkeypatch.setattr(np.random, name, counting)
     x = np.linspace(-1.0, 1.0, 6)
     counts = []
     for epochs in (2, 6):
         built.clear()
         cfg = TrainConfig(hidden_width=3, vi_epochs=epochs, warmup_epochs=1,
                           map_epochs=1, mc_eval_samples=1)
-        train_conditional(x, np.sin(x), cfg, RngStream(0))
+        train_conditional([(x, np.sin(x)), (np.sin(x), x)], cfg, RngStream(0))
         counts.append(len(built))
     assert counts[0] == counts[1]
