@@ -17,37 +17,51 @@ whose blocks are views of it. Each objective takes such a view as its
 gradient and overwrites every block with d(loss)/d(parameter), so the
 caller's flat gradient vector holds the result without any packing.
 
+A model may be a stack of models on leading axes: the two directions of a
+pair are one model whose weight blocks are (2, A, B) and bias blocks
+(2, B), packed into a (2, P) matrix whose row d is direction d's vector.
+Inputs, targets, activations and losses carry the same leading axes; the
+noise matrices do not, and broadcast over them, so every model of a stack
+sees the same draw. All block arithmetic runs over the trailing axes
+(per-slice matmul, sums along the last axes), so one forward/backward path
+serves a single model and a stack, and each slice of a stack gets the
+bytes it would get alone. The objectives and kl_model return one value per
+model.
+
 Every pass, training or evaluation, goes through one forward/backward pair
 per layer: with a noise matrix it is the sampled (local reparameterization)
 pass; without one it is the deterministic pass through the posterior means,
 which does no variance work and leaves the variance gradients untouched.
-model_forward samples when given a stream, drawing the noise exactly as
-elbo_objective does, and otherwise predicts from the posterior means.
+The caller draws the noise and passes it in as eps = (hidden, output): an
+n x H and an n x 2 matrix of standard normals. sampler() serves Monte Carlo
+evaluation: the hidden layer's pre-activation mean and std do not depend on
+the noise, so it computes them once and each sample only adds std * eps.
 
-Epochs and Monte Carlo samples allocate no data-sized array: the noise, the
+Epochs and Monte Carlo samples allocate no data-sized array: the
 pre-activations, the stds, the tanh derivative, the input gradient and the
 scaled noise gradients are written with out= into one buffer per (layer,
 role), kept for the life of the process and reallocated only when its shape
 changes (a pair of another length). A value whose last use has passed is
-overwritten in place (the backward pass turns eps into g_v, for one), so
-that few buffers are live and they stay in cache. Each value is computed by
-the same operations on the same operands as with fresh arrays, so the bytes
-are the same. Every buffer is written before it is read within one call, so
-no call sees another's data. Like the rng's shared generator, the buffers
-assume one thread per process, which holds because run_benchmark scores in
-parallel with worker processes. No value returned to a caller aliases a
-buffer.
+overwritten in place (the backward pass turns s_out into 0.5 / s_out, for
+one), so that few buffers are live and they stay in cache. Each value is
+computed by the same operations on the same operands as with fresh arrays,
+so the bytes are the same. Every buffer is written before it is read within
+one call, so no call sees another's data. The buffers assume one thread per
+process, which holds because run_benchmark scores in parallel with worker
+processes. No value returned to a caller aliases a buffer, and no buffer
+aliases the caller's noise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import ArgumentError, NumericError
-from .rng import RngStream, draw_standard_normal
+from .rng import RngStream
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -67,7 +81,8 @@ class VariationalLinearLayer:
     log_prior_scale_w: log of the prior std per weight (A x B); the bias
     prior std is fixed at 1 and carries no hyperparameter.
 
-    The same type holds a layer's gradient, block for block.
+    Every block may carry the same leading (stack) axes: (..., A, B) and
+    (..., B). The same type holds a layer's gradient, block for block.
     """
 
     mean_w: np.ndarray
@@ -77,19 +92,20 @@ class VariationalLinearLayer:
     log_prior_scale_w: np.ndarray
 
     def __post_init__(self):
-        a, b = self.mean_w.shape
-        if self.logvar_w.shape != (a, b) or self.log_prior_scale_w.shape != (a, b):
+        shape = self.mean_w.shape
+        if (len(shape) < 2 or self.logvar_w.shape != shape
+                or self.log_prior_scale_w.shape != shape):
             raise ArgumentError("weight blocks must share the same A x B shape")
-        if self.mean_b.shape != (b,) or self.logvar_b.shape != (b,):
+        if self.mean_b.shape != shape[:-2] + shape[-1:] or self.logvar_b.shape != self.mean_b.shape:
             raise ArgumentError("bias blocks must have length B")
 
     @property
     def in_dim(self) -> int:
-        return self.mean_w.shape[0]
+        return self.mean_w.shape[-2]
 
     @property
     def out_dim(self) -> int:
-        return self.mean_w.shape[1]
+        return self.mean_w.shape[-1]
 
     @classmethod
     def initial(cls, in_dim: int, out_dim: int, stream: RngStream) -> "VariationalLinearLayer":
@@ -123,10 +139,17 @@ class ConditionalModel:
             raise ArgumentError("hidden layer must take a scalar input")
         if self.output.in_dim != self.hidden.out_dim or self.output.out_dim != 2:
             raise ArgumentError("output layer must map hidden width to 2 nodes")
+        if self.output.mean_w.shape[:-2] != self.stack_shape:
+            raise ArgumentError("both layers must have the same leading (stack) axes")
 
     @property
     def hidden_width(self) -> int:
         return self.hidden.out_dim
+
+    @property
+    def stack_shape(self) -> tuple[int, ...]:
+        """The leading axes of every block: () for one model, (D,) for a stack of D."""
+        return self.hidden.mean_w.shape[:-2]
 
     @classmethod
     def initial(cls, hidden_width: int, stream: RngStream) -> "ConditionalModel":
@@ -136,10 +159,11 @@ class ConditionalModel:
         )
 
     # duck-typed surface used by the codelength estimator
-    def sample_predictions(self, x: np.ndarray, stream: RngStream) -> tuple[np.ndarray, np.ndarray]:
-        return model_forward(self, x, stream)
+    def sampler(self, x: np.ndarray) -> Callable[[np.ndarray, np.ndarray],
+                                                 tuple[np.ndarray, np.ndarray]]:
+        return sampler(self, x)
 
-    def kl(self) -> float:
+    def kl(self):
         return kl_model(self)
 
 
@@ -147,20 +171,22 @@ _BLOCK_FIELDS = ("mean_w", "logvar_w", "mean_b", "logvar_b", "log_prior_scale_w"
 
 
 def param_blocks(model: ConditionalModel) -> list[tuple[str, int]]:
-    """(name, length) for each contiguous block of the packed vector."""
+    """(name, length) for each contiguous block of one model's packed vector."""
+    lead = len(model.stack_shape)
     blocks = []
     for lname, layer in (("hidden", model.hidden), ("output", model.output)):
         for f in _BLOCK_FIELDS:
-            blocks.append((f"{lname}.{f}", getattr(layer, f).size))
+            blocks.append((f"{lname}.{f}", math.prod(getattr(layer, f).shape[lead:])))
     return blocks
 
 
 def pack_params(model: ConditionalModel) -> np.ndarray:
-    """Flatten a model (parameters or gradients) into a new vector."""
+    """Flatten a model (parameters or gradients) into a new vector; a stack
+    of models into a matrix with one row per model."""
     parts = []
     for layer in (model.hidden, model.output):
-        parts.extend(getattr(layer, f).ravel() for f in _BLOCK_FIELDS)
-    return np.concatenate(parts)
+        parts.extend(getattr(layer, f).reshape(model.stack_shape + (-1,)) for f in _BLOCK_FIELDS)
+    return np.concatenate(parts, axis=-1)
 
 
 # gradients share the parameters' layout
@@ -168,21 +194,25 @@ pack_grads = pack_params
 
 
 def unpack_params(model: ConditionalModel, vec: np.ndarray) -> ConditionalModel:
-    """A model with the same shapes whose blocks are views of vec.
+    """A model with model's block shapes whose blocks are views of vec.
 
-    Writing into vec therefore updates the returned model in place.
+    vec's leading axes become the stack axes of the result: a (D, P) matrix
+    gives a stack of D models. Writing into vec therefore updates the
+    returned model in place.
     """
+    lead = len(model.stack_shape)
     layers = []
     offset = 0
     for layer in (model.hidden, model.output):
         fields = {}
         for f in _BLOCK_FIELDS:
-            block = getattr(layer, f)
-            fields[f] = vec[offset:offset + block.size].reshape(block.shape)
-            offset += block.size
+            shape = getattr(layer, f).shape[lead:]
+            size = math.prod(shape)
+            fields[f] = vec[..., offset:offset + size].reshape(vec.shape[:-1] + shape)
+            offset += size
         layers.append(VariationalLinearLayer(**fields))
-    if offset != vec.size:
-        raise ArgumentError(f"packed vector has {vec.size} entries, expected {offset}")
+    if offset != vec.shape[-1]:
+        raise ArgumentError(f"packed vector has {vec.shape[-1]} entries, expected {offset}")
     return ConditionalModel(hidden=layers[0], output=layers[1])
 
 
@@ -207,13 +237,29 @@ def _affine(h_in: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> 
     adding the bias plus 0.0 instead gives the same sum for every product
     and bias, -0.0 included.
     """
-    if h_in.shape[1] == 1:
+    if h_in.shape[-1] == 1:
         np.multiply(h_in, w, out=out)
-        out += b + 0.0
+        out += b[..., None, :] + 0.0
     else:
         np.matmul(h_in, w, out=out)
-        out += b
+        out += b[..., None, :]
     return out
+
+
+def _layer_std(layer: VariationalLinearLayer, h_in: np.ndarray, name: str, out: np.ndarray):
+    """The pre-activation std sqrt(h_in^2 @ v_w + v_b), written into out,
+    and the (h_sq, v_w, v_b) the backward pass needs."""
+    v_w = np.exp(layer.logvar_w)
+    v_b = np.exp(layer.logvar_b)
+    h_sq = np.multiply(h_in, h_in, out=_buffer(name, "h_sq", h_in.shape))
+    s_out = np.sqrt(_affine(h_sq, v_w, v_b, out), out=out)
+    return s_out, (h_sq, v_w, v_b)
+
+
+def _sample(mean: np.ndarray, std: np.ndarray, eps: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """mean + std * eps written into out; mean and std are left as they are."""
+    np.multiply(std, eps, out=out)
+    return np.add(mean, out, out=out)
 
 
 def _layer_forward(
@@ -225,37 +271,33 @@ def _layer_forward(
     with eps=None the pass runs through the posterior means only. Both live
     in the buffers of layer name until its next forward pass.
     """
-    shape = (h_in.shape[0], layer.out_dim)
-    out = _affine(h_in, layer.mean_w, layer.mean_b, _buffer(name, "out", shape))
+    shape = h_in.shape[:-1] + (layer.out_dim,)
+    mean = _affine(h_in, layer.mean_w, layer.mean_b, _buffer(name, "mean", shape))
     if eps is None:
-        return out, (h_in, None)
-    v_w = np.exp(layer.logvar_w)
-    v_b = np.exp(layer.logvar_b)
-    h_sq = np.multiply(h_in, h_in, out=_buffer(name, "h_sq", h_in.shape))
-    s_out = _affine(h_sq, v_w, v_b, _buffer(name, "s_out", shape))
-    np.sqrt(s_out, out=s_out)
-    # mean + std * eps has the bytes of std * eps + mean: floating-point addition commutes
-    out += np.multiply(s_out, eps, out=_buffer(name, "scratch", shape))
+        return mean, (h_in, None)
+    s_out, (h_sq, v_w, v_b) = _layer_std(layer, h_in, name, _buffer(name, "s_out", shape))
+    out = _sample(mean, s_out, eps, _buffer(name, "out", shape))
     return out, (h_in, (h_sq, v_w, v_b, s_out, eps))
 
 
-def _layer_backward(cache, g_out: np.ndarray, grad: VariationalLinearLayer):
+def _layer_backward(cache, g_out: np.ndarray, grad: VariationalLinearLayer, name: str):
     """Add the layer's gradient given d(loss)/d(h_out) into grad.
 
     Returns the scaled noise gradient g_v that _layer_input_grad needs, or
-    None on the mean path. No later pass reads the cache's eps or s_out, so
-    g_v is written over eps and 0.5 / s_out over s_out.
+    None on the mean path. g_v gets its own buffer, since eps is the
+    caller's; no later pass reads the cache's s_out, so 0.5 / s_out is
+    written over it.
     """
     h_in, noise = cache
-    grad.mean_w += h_in.T @ g_out
-    grad.mean_b += g_out.sum(axis=0)
+    grad.mean_w += np.swapaxes(h_in, -1, -2) @ g_out
+    grad.mean_b += g_out.sum(axis=-2)
     if noise is None:
         return None
     h_sq, v_w, v_b, s_out, eps = noise
-    g_v = np.multiply(g_out, eps, out=eps)
+    g_v = np.multiply(g_out, eps, out=_buffer(name, "g_v", g_out.shape))
     g_v *= np.divide(0.5, s_out, out=s_out)
-    grad.logvar_w += (h_sq.T @ g_v) * v_w
-    grad.logvar_b += g_v.sum(axis=0) * v_b
+    grad.logvar_w += (np.swapaxes(h_sq, -1, -2) @ g_v) * v_w
+    grad.logvar_b += g_v.sum(axis=-2) * v_b
     return g_v
 
 
@@ -264,23 +306,15 @@ def _layer_input_grad(
 ) -> np.ndarray:
     """d(loss)/d(h_in), given the g_v that _layer_backward returned."""
     h_in, noise = cache
-    g_in = np.matmul(g_out, layer.mean_w.T, out=_buffer(name, "g_in", h_in.shape))
+    g_in = np.matmul(g_out, np.swapaxes(layer.mean_w, -1, -2),
+                     out=_buffer(name, "g_in", h_in.shape))
     if g_v is None:
         return g_in
     _, v_w, _, _, _ = noise
     g_h = np.multiply(2.0, h_in, out=_buffer(name, "g_h", h_in.shape))
-    g_h *= np.matmul(g_v, v_w.T, out=_buffer(name, "g_v_w", h_in.shape))
+    g_h *= np.matmul(g_v, np.swapaxes(v_w, -1, -2), out=_buffer(name, "g_v_w", h_in.shape))
     g_in += g_h
     return g_in
-
-
-def _noise(model: ConditionalModel, n: int, stream: RngStream):
-    """Standard-normal noise for the hidden and output pre-activations of n rows."""
-    return (
-        draw_standard_normal(stream.child("hidden"),
-                             _buffer("hidden", "eps", (n, model.hidden_width))),
-        draw_standard_normal(stream.child("output"), _buffer("output", "eps", (n, 2))),
-    )
 
 
 def _check_finite(values: np.ndarray, name: str) -> None:
@@ -288,109 +322,147 @@ def _check_finite(values: np.ndarray, name: str) -> None:
         raise NumericError(f"non-finite activations in {name} layer")
 
 
-def model_forward(
-    model: ConditionalModel, x: np.ndarray, stream: RngStream | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Predict (mu, sigma) for each x; sigma = exp(clamped log-scale) > 0.
-
-    Without a stream the pass runs through the posterior means; with one it
-    draws the same noise matrices elbo_objective draws from that stream.
-    """
+def _inputs(model: ConditionalModel, x) -> np.ndarray:
+    """x as a float array with the model's stack axes followed by one row axis."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ArgumentError(f"x must be a 1-D vector, got shape {x.shape}")
-    eps1, eps2 = (None, None) if stream is None else _noise(model, x.shape[0], stream)
-    p1 = _layer_forward(model.hidden, x[:, None], eps1, "hidden")[0]
+    lead = model.stack_shape
+    if x.ndim != len(lead) + 1 or x.shape[:-1] != lead:
+        raise ArgumentError(
+            f"x must have shape {lead} + (n,) for a model of stack shape {lead}, "
+            f"got shape {x.shape}")
+    return x
+
+
+def _predictions(model: ConditionalModel, p1: np.ndarray, eps_output):
+    """(mu, sigma) from the hidden pre-activations p1 (a buffer, overwritten)."""
     _check_finite(p1, "hidden")
-    p2 = _layer_forward(model.output, np.tanh(p1, out=p1), eps2, "output")[0]
+    p2 = _layer_forward(model.output, np.tanh(p1, out=p1), eps_output, "output")[0]
     _check_finite(p2, "output")
     # p2 is a reused buffer: the caller gets copies
-    mu = p2[:, 0].copy()
-    sigma = np.exp(np.clip(p2[:, 1], -LOG_SCALE_LIMIT, LOG_SCALE_LIMIT))
+    mu = p2[..., 0].copy()
+    sigma = np.exp(np.clip(p2[..., 1], -LOG_SCALE_LIMIT, LOG_SCALE_LIMIT))
     return mu, sigma
 
 
-def gaussian_nll(y: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> float:
-    """Total negative Gaussian log-likelihood in nats."""
-    y = np.asarray(y, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
+def sampler(
+    model: ConditionalModel, x: np.ndarray
+) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The function (eps_hidden, eps_output) -> (mu, sigma) of sampled predictions at x.
+
+    The hidden layer's pre-activation mean x*w + b and std
+    sqrt(x^2 * v_w + v_b) do not depend on the noise, so they are computed
+    here, once, into arrays the returned function owns; each call forms
+    mean + std * eps_hidden and runs the output layer, with the bytes of
+    the sampled pass elbo_objective makes on that noise.
+    """
+    h_in = _inputs(model, x)[..., None]
+    shape = h_in.shape[:-1] + (model.hidden_width,)
+    mean = _affine(h_in, model.hidden.mean_w, model.hidden.mean_b, np.empty(shape))
+    std = _layer_std(model.hidden, h_in, "hidden", np.empty(shape))[0]
+
+    def sample(eps_hidden: np.ndarray, eps_output: np.ndarray):
+        p1 = _sample(mean, std, eps_hidden, _buffer("hidden", "out", shape))
+        return _predictions(model, p1, eps_output)
+
+    return sample
+
+
+def model_forward(
+    model: ConditionalModel, x: np.ndarray, eps: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Predict (mu, sigma) for each x; sigma = exp(clamped log-scale) > 0.
+
+    Without eps the pass runs through the posterior means; with
+    eps = (eps_hidden, eps_output) it is the sampled pass elbo_objective
+    makes on that noise.
+    """
+    if eps is not None:
+        return sampler(model, x)(*eps)
+    h_in = _inputs(model, x)[..., None]
+    return _predictions(model, _layer_forward(model.hidden, h_in, None, "hidden")[0], None)
+
+
+def gaussian_nll(y: np.ndarray, mu: np.ndarray, sigma: np.ndarray):
+    """Negative Gaussian log-likelihood in nats, summed over the last axis."""
+    y, mu, sigma = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (y, mu, sigma))
     if not y.shape == mu.shape == sigma.shape:
         raise ArgumentError(f"y, mu, sigma shapes differ: {y.shape}, {mu.shape}, {sigma.shape}")
     # written so that a NaN sigma fails too
     if not np.all(sigma > 0):
         raise ArgumentError("sigma must be strictly positive")
     r = y - mu
-    return float(np.sum(HALF_LOG_2PI + np.log(sigma) + r * r / (2.0 * sigma * sigma)))
+    return np.sum(HALF_LOG_2PI + np.log(sigma) + r * r / (2.0 * sigma * sigma), axis=-1)
 
 
-def _kl_layer(layer: VariationalLinearLayer, scale: float, grad: VariationalLinearLayer) -> float:
+def _kl_layer(layer: VariationalLinearLayer, scale: float, grad: VariationalLinearLayer):
     """KL of one layer; the gradient of scale * KL overwrites grad."""
     ls = layer.log_prior_scale_w
     lv = layer.logvar_w
     mu = layer.mean_w
     inv_z2 = np.exp(-2.0 * ls)
     v_w = np.exp(lv)
-    kl_w = (ls - 0.5 * lv + (v_w + mu * mu) * inv_z2 * 0.5 - 0.5).sum()
+    kl_w = (ls - 0.5 * lv + (v_w + mu * mu) * inv_z2 * 0.5 - 0.5).sum(axis=(-2, -1))
     lvb = layer.logvar_b
     mub = layer.mean_b
     v_b = np.exp(lvb)
-    kl_b = (-0.5 * lvb + (v_b + mub * mub) * 0.5 - 0.5).sum()
+    kl_b = (-0.5 * lvb + (v_b + mub * mub) * 0.5 - 0.5).sum(axis=-1)
     grad.mean_w[...] = scale * mu * inv_z2
     grad.logvar_w[...] = scale * (-0.5 + 0.5 * v_w * inv_z2)
     grad.mean_b[...] = scale * mub
     grad.logvar_b[...] = scale * (-0.5 + 0.5 * v_b)
     grad.log_prior_scale_w[...] = scale * (1.0 - (v_w + mu ** 2) * inv_z2)
-    return float(kl_w + kl_b)
+    return kl_w + kl_b
 
 
-def kl_model(model: ConditionalModel) -> float:
-    """Closed-form KL from all factorized posteriors to their priors, in nats."""
+def kl_model(model: ConditionalModel):
+    """Closed-form KL from all factorized posteriors to their priors, in nats, per model."""
     scratch = unpack_params(model, pack_params(model))
     return (_kl_layer(model.hidden, 1.0, scratch.hidden)
             + _kl_layer(model.output, 1.0, scratch.output))
 
 
-def _map_penalty(layer: VariationalLinearLayer, grad: VariationalLinearLayer) -> float:
+def _map_penalty(layer: VariationalLinearLayer, grad: VariationalLinearLayer):
     """Negative log prior of posterior means, constants dropped; its gradient overwrites grad."""
     ls = layer.log_prior_scale_w
     mu = layer.mean_w
     inv_z2 = np.exp(-2.0 * ls)
-    pen_w = (ls + 0.5 * mu * mu * inv_z2).sum()
-    pen_b = 0.5 * (layer.mean_b ** 2).sum()
+    pen_w = (ls + 0.5 * mu * mu * inv_z2).sum(axis=(-2, -1))
+    pen_b = 0.5 * (layer.mean_b ** 2).sum(axis=-1)
     grad.mean_w[...] = mu * inv_z2
     grad.logvar_w[...] = 0.0
     grad.mean_b[...] = layer.mean_b
     grad.logvar_b[...] = 0.0
     grad.log_prior_scale_w[...] = 1.0 - mu ** 2 * inv_z2
-    return float(pen_w + pen_b)
+    return pen_w + pen_b
 
 
 def _nll_head(y: np.ndarray, p2: np.ndarray):
     """Loss and d(loss)/d(p2) for the Gaussian head with clamped log-scale."""
-    mu = p2[:, 0]
-    t = p2[:, 1]
+    mu = p2[..., 0]
+    t = p2[..., 1]
     tc = np.clip(t, -LOG_SCALE_LIMIT, LOG_SCALE_LIMIT)
     inv_var = np.exp(-2.0 * tc)
     r = y - mu
-    loss = float((HALF_LOG_2PI + tc + 0.5 * r * r * inv_var).sum())
+    loss = (HALF_LOG_2PI + tc + 0.5 * r * r * inv_var).sum(axis=-1)
     g_p2 = _buffer("output", "g_p2", p2.shape)
-    g_p2[:, 0] = -r * inv_var
-    g_p2[:, 1] = 1.0 - r * r * inv_var
+    g_p2[..., 0] = -r * inv_var
+    g_log_scale = g_p2[..., 1]
+    g_log_scale[...] = 1.0 - r * r * inv_var
     # a clamped (or NaN) log-scale passes no gradient
     active = (t > -LOG_SCALE_LIMIT) & (t < LOG_SCALE_LIMIT)
-    g_p2[~active, 1] = 0.0
+    g_log_scale[~active] = 0.0
     return loss, g_p2
 
 
-def _data_nll(model, x, y, grad: ConditionalModel, eps1=None, eps2=None) -> float:
+def _data_nll(model, x, y, grad: ConditionalModel, eps=None):
     """NLL of y given x through the network; its gradient is added into grad."""
-    h_in = np.asarray(x, dtype=float)[:, None]
+    eps1, eps2 = (None, None) if eps is None else eps
+    h_in = np.asarray(x, dtype=float)[..., None]
     p1, cache1 = _layer_forward(model.hidden, h_in, eps1, "hidden")
     a = np.tanh(p1, out=p1)
     p2, cache2 = _layer_forward(model.output, a, eps2, "output")
     loss, g_p2 = _nll_head(np.asarray(y, dtype=float), p2)
-    g_v = _layer_backward(cache2, g_p2, grad.output)
+    g_v = _layer_backward(cache2, g_p2, grad.output, "output")
     g_a = _layer_input_grad(model.output, cache2, g_p2, g_v, "output")
     # tanh' = 1 - a^2, formed over a * a in the output layer's h_sq buffer,
     # where the sampled pass has already put it
@@ -399,32 +471,32 @@ def _data_nll(model, x, y, grad: ConditionalModel, eps1=None, eps2=None) -> floa
     else:
         a_sq = cache2[1][0]
     g_a *= np.subtract(1.0, a_sq, out=a_sq)
-    _layer_backward(cache1, g_a, grad.hidden)
+    _layer_backward(cache1, g_a, grad.hidden, "hidden")
     return loss
 
 
 def elbo_objective(
-    model: ConditionalModel, x: np.ndarray, y: np.ndarray, beta: float, stream: RngStream,
-    grad: ConditionalModel,
-) -> float:
-    """Sampled NLL plus beta-weighted KL; its exact gradient under the draw overwrites grad.
+    model: ConditionalModel, x: np.ndarray, y: np.ndarray, beta: float,
+    eps: tuple[np.ndarray, np.ndarray], grad: ConditionalModel,
+):
+    """Sampled NLL plus beta-weighted KL, per model; its exact gradient under
+    the noise eps = (eps_hidden, eps_output) overwrites grad.
 
-    The noise matrices are a pure function of the stream, so repeated calls
-    with the same stream evaluate the identical stochastic objective.
+    The objective is a pure function of its arguments, so calls with the
+    same noise evaluate the identical stochastic objective.
     """
     if not 0.0 <= beta <= 1.0:
         raise ArgumentError(f"beta must lie in [0, 1], got {beta}")
-    eps1, eps2 = _noise(model, np.shape(x)[0], stream)
     kl_hid = _kl_layer(model.hidden, beta, grad.hidden)
     kl_out = _kl_layer(model.output, beta, grad.output)
-    loss_nll = _data_nll(model, x, y, grad, eps1, eps2)
+    loss_nll = _data_nll(model, x, y, grad, eps)
     return loss_nll + beta * (kl_hid + kl_out)
 
 
 def map_objective(
     model: ConditionalModel, x: np.ndarray, y: np.ndarray, grad: ConditionalModel
-) -> float:
-    """Joint negative log-likelihood of data, mean parameters and prior scales.
+):
+    """Joint negative log-likelihood of data, mean parameters and prior scales, per model.
 
     Deterministic point-estimate phase: posterior variances take no gradient (their blocks get 0).
     """

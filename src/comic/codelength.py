@@ -6,16 +6,17 @@ effect given the cause under a trained Bayesian network. The difference of
 the two direction scores decides the causal direction; its magnitude is the
 confidence.
 
-The two directions of a pair train in lockstep, epoch by epoch, and are
-evaluated in lockstep, sample by sample. Both take all their randomness,
+The two directions of a pair are stacked on a leading axis and trained in
+one pass, one objective call and one Adam step per epoch, then evaluated
+in one pass per Monte Carlo sample. Both take all their randomness,
 initial weights and every noise draw, from one stream keyed by the sorted
-pair of fingerprints of the standardized columns, so each noise matrix is
-generated once per pair and the second direction gets a copy of it (common
-random numbers; each direction's noise is still i.i.d. standard normal).
-The key does not depend on which argument slot a column occupies, and each
-direction's arithmetic depends only on its own data and the stream, so
-score_pair on the swapped pair is the bit-exact mirror of the original
-computation.
+pair of fingerprints of the standardized columns. The caller draws each
+epoch's and each sample's noise once and hands the same matrices to both
+directions (common random numbers; each direction's noise is still i.i.d.
+standard normal). The key does not depend on which argument slot a column
+occupies, and each direction's arithmetic depends only on its own data and
+the noise, with no reduction across directions, so score_pair on the
+swapped pair is the bit-exact mirror of the original computation.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .bnn import ConditionalModel
 from .data import PairDataset, UNDECIDED, X_CAUSES_Y, Y_CAUSES_X, standardize
 from .errors import ArgumentError, NumericError, check_int, check_real
 from .optim import adam_step, cosine_lr
-from .rng import RngStream, check_seed
+from .rng import RngStream, check_seed, draw_standard_normal
 
 
 @dataclass
@@ -95,95 +96,108 @@ def marginal_gaussian_codelength(x: np.ndarray) -> float:
     return float(np.sum(bnn.HALF_LOG_2PI + 0.5 * x * x))
 
 
-def _check_directions(directions, min_samples: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The (cause, effect) pairs as float vectors; ArgumentError if one is malformed."""
-    checked = []
+def _stack_directions(directions, min_samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """The causes and the effects as (directions x n) matrices; ArgumentError if one is malformed."""
+    causes, effects = [], []
     for x, y in directions:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        if x.ndim != 1 or x.shape != y.shape or x.size < min_samples:
+        if (x.ndim != 1 or x.shape != y.shape or x.size < min_samples
+                or (causes and x.shape != causes[0].shape)):
             raise ArgumentError(
                 f"each direction needs matched vectors of equal length, at least "
                 f"{min_samples} samples each; got shapes {x.shape} and {y.shape}")
-        checked.append((x, y))
-    if not checked:
+        causes.append(x)
+        effects.append(y)
+    if not causes:
         raise ArgumentError("need at least one direction")
-    return checked
+    return np.stack(causes), np.stack(effects)
+
+
+def _draw_noise(stream: RngStream, eps: tuple[np.ndarray, np.ndarray]):
+    """Fill the hidden and output noise matrices eps from the "hidden" and
+    "output" children of stream; returns eps."""
+    for tag, out in zip(("hidden", "output"), eps):
+        draw_standard_normal(stream.child(tag), out)
+    return eps
 
 
 def train_conditional(
     directions: Sequence[tuple[np.ndarray, np.ndarray]], cfg: TrainConfig, stream: RngStream
-) -> list[ConditionalModel]:
-    """Fit one conditional model per (cause, effect) direction, all in lockstep:
-    point-estimate pretraining, then variational optimization with a linear
-    complexity warm-up.
+) -> ConditionalModel:
+    """Fit a conditional model for each (cause, effect) direction, all in one
+    pass: point-estimate pretraining, then variational optimization with a
+    linear complexity warm-up. Returns the fitted models stacked along the
+    leading axis, in the order of directions.
 
-    Every direction starts from the same initial weights and, epoch by
-    epoch, draws the same noise from stream, so the noise is generated once
-    per epoch. Both phases run full-batch under Adam with a cosine
-    learning-rate schedule; the second phase starts from zeroed Adam
-    moments since it minimizes a different objective. Each model is bound
-    once to a flat parameter vector, and its gradient to a flat gradient
-    vector (blocks are views of them). Each objective overwrites the
-    gradient vector, and Adam reads it as it is and updates the parameter
-    vector and the moment vectors m and v in place, so the model always
-    reflects the latest update. A NumericError names the direction's index,
-    the phase and the epoch.
+    Every direction starts from the same initial weights, and each VI
+    epoch's noise is drawn once from stream for all directions. The
+    parameters are one (directions x P) matrix, bound once to a stacked
+    model whose blocks are views of it, and the gradient likewise. Each
+    epoch makes one objective call, which overwrites the gradient matrix,
+    and one Adam step on the flattened matrices, which updates the
+    parameters and the moment vectors m and v in place. No operation mixes
+    directions, so each gets the bytes it would get trained alone. Both
+    phases run full-batch under Adam with a cosine learning-rate schedule;
+    the second phase starts from zeroed Adam moments since it minimizes a
+    different objective. A NumericError names the direction's index, the
+    phase and the epoch.
     """
-    directions = _check_directions(directions, 2)
+    x, y = _stack_directions(directions, 2)
     initial = ConditionalModel.initial(cfg.hidden_width, stream.child("init"))
-    blocks = bnn.param_blocks(initial)
-    params = [bnn.pack_params(initial) for _ in directions]
-    grads = [np.empty_like(vec) for vec in params]
-    models = [bnn.unpack_params(initial, vec) for vec in params]
-    grad_models = [bnn.unpack_params(initial, vec) for vec in grads]
+    params = np.tile(bnn.pack_params(initial), (len(x), 1))
+    grads = np.empty_like(params)
+    model = bnn.unpack_params(initial, params)
+    grad_model = bnn.unpack_params(initial, grads)
+    blocks = bnn.param_blocks(initial) * len(x)
+    eps = (np.empty((x.shape[1], cfg.hidden_width)), np.empty((x.shape[1], 2)))
     vi_stream = stream.child("vi")
     phases = (
-        ("MAP", cfg.map_epochs, lambda t, d: bnn.map_objective(
-            models[d], *directions[d], grad_models[d])),
-        ("VI", cfg.vi_epochs, lambda t, d: bnn.elbo_objective(
-            models[d], *directions[d], min(1.0, t / cfg.warmup_epochs), vi_stream.child(t),
-            grad_models[d])),
+        ("MAP", cfg.map_epochs, lambda t: bnn.map_objective(model, x, y, grad_model)),
+        ("VI", cfg.vi_epochs, lambda t: bnn.elbo_objective(
+            model, x, y, min(1.0, t / cfg.warmup_epochs), _draw_noise(vi_stream.child(t), eps),
+            grad_model)),
     )
+    flat_params, flat_grads = params.reshape(-1), grads.reshape(-1)
     for phase, epochs, objective in phases:
-        moments = [(np.zeros_like(vec), np.zeros_like(vec)) for vec in params]
+        m, v = np.zeros_like(flat_params), np.zeros_like(flat_params)
         for t in range(epochs):
             lr = cosine_lr(t, epochs, cfg.lr_max, cfg.lr_min)
-            for d, (m, v) in enumerate(moments):
-                loss = objective(t, d)
-                if not np.isfinite(loss):
-                    raise NumericError(
-                        f"non-finite loss in direction {d}, {phase} phase at epoch {t}")
-                try:
-                    adam_step(params[d], grads[d], m, v, t + 1, lr, blocks)
-                except NumericError as e:
-                    raise NumericError(f"direction {d}, {phase} phase, epoch {t}: {e}") from None
-    return models
+            bad = ~np.isfinite(objective(t))
+            if bad.any():
+                raise NumericError(f"non-finite loss in direction {int(np.argmax(bad))}, "
+                                   f"{phase} phase at epoch {t}")
+            try:
+                adam_step(flat_params, flat_grads, m, v, t + 1, lr, blocks)
+            except NumericError as e:
+                d = int(np.argmin(np.isfinite(grads).all(axis=1)))
+                raise NumericError(f"direction {d}, {phase} phase, epoch {t}: {e}") from None
+    return model
 
 
 def conditional_variational_codelength(
-    models: Sequence, directions: Sequence[tuple[np.ndarray, np.ndarray]],
+    model, directions: Sequence[tuple[np.ndarray, np.ndarray]],
     mc_eval_samples: int, stream: RngStream,
 ) -> list[float]:
     """Per direction, the Monte Carlo expected NLL of the effect given the
     cause under the posterior plus the analytic KL.
 
-    The directions are evaluated in lockstep, each sample drawing the same
-    noise for every direction, so the noise is generated once per sample.
+    model holds one model per direction along its leading axis, as
+    train_conditional returns it; it is used through a duck-typed surface:
+    hidden_width, sampler(causes) and kl(). Each sample's noise is drawn
+    once and shared by all directions, and one pass evaluates them all.
     """
     mc_eval_samples = check_int("mc_eval_samples", mc_eval_samples)
     if mc_eval_samples < 1:
         raise ArgumentError("mc_eval_samples must be >= 1")
-    directions = _check_directions(directions, 1)
-    if len(models) != len(directions):
-        raise ArgumentError(f"got {len(models)} models for {len(directions)} directions")
-    totals = [0.0] * len(models)
+    x, y = _stack_directions(directions, 1)
+    eps = (np.empty((x.shape[1], model.hidden_width)), np.empty((x.shape[1], 2)))
+    sample = model.sampler(x)
+    totals = np.zeros(len(x))
     for m in range(mc_eval_samples):
-        sample_stream = stream.child("eval", m)
-        for d, (model, (x, y)) in enumerate(zip(models, directions)):
-            mu, sigma = model.sample_predictions(x, sample_stream)
-            totals[d] += bnn.gaussian_nll(y, mu, sigma)
-    return [total / mc_eval_samples + model.kl() for total, model in zip(totals, models)]
+        mu, sigma = sample(*_draw_noise(stream.child("eval", m), eps))
+        totals += bnn.gaussian_nll(y, mu, sigma)
+    return [float(value) for value in totals / mc_eval_samples + model.kl()]
 
 
 def _fingerprint(values: np.ndarray) -> str:
@@ -200,9 +214,9 @@ def score_pair(pair: PairDataset, cfg: TrainConfig) -> PairReport:
     zy, _, _ = standardize(pair.y)
     stream = RngStream(cfg.seed).child("pair", *sorted((_fingerprint(zx), _fingerprint(zy))))
     directions = ((zx, zy), (zy, zx))
-    models = train_conditional(directions, cfg, stream)
+    model = train_conditional(directions, cfg, stream)
     l_forward, l_backward = conditional_variational_codelength(
-        models, directions, cfg.mc_eval_samples, stream.child("final-eval"))
+        model, directions, cfg.mc_eval_samples, stream.child("final-eval"))
     forward = DirectionReport.of(marginal_gaussian_codelength(zx), l_forward)
     backward = DirectionReport.of(marginal_gaussian_codelength(zy), l_backward)
     final_delta = backward.delta - forward.delta

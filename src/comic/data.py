@@ -16,12 +16,9 @@ changes whenever a generated value does.
 
 from __future__ import annotations
 
-import http.client
 import math
 import os
 import tempfile
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from pathlib import Path
@@ -424,6 +421,11 @@ def write_dataset(directory: str | Path, pairs: Sequence[PairDataset]) -> list[s
 
 
 def _download(url: str, retries: int, log: Callable[[str], None]) -> bytes:
+    # imported here: the network stack (email, ssl) costs about 20 ms to import
+    import http.client
+    import urllib.error
+    import urllib.request
+
     last_error: Exception | None = None
     for attempt in range(1, retries + 1):
         try:

@@ -152,7 +152,7 @@ def run_benchmark(
         rows = [_score_one(job) for job in jobs]
     else:
         with Pool(processes=parallelism) as pool:
-            rows = pool.map(_score_one, jobs)
+            rows = pool.map(_score_one, jobs, chunksize=1)
 
     ok = [r for r in rows if r.error is None]
     n_failed = len(rows) - len(ok)

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, NumericError
+from .errors import ArgumentError, NumericError, check_int
 
 
 def cosine_lr(t: float, total_epochs: int, lr_max: float, lr_min: float) -> float:
@@ -46,19 +46,20 @@ def adam_step(
 ) -> None:
     """One bias-corrected Adam update of params, m and v, in place.
 
-    step counts from 1 (the first update of a run passes 1). param_blocks
-    optionally names contiguous segments of the flat vector (name, length)
-    so a non-finite gradient can be reported by block.
+    step is an integer counting from 1 (the first update of a run passes
+    1), and lr a finite positive real. param_blocks optionally names
+    contiguous segments of the flat vector (name, length) so a non-finite
+    gradient can be reported by block.
     """
     if not params.shape == grads.shape == m.shape == v.shape:
         raise ArgumentError(
             f"length mismatch: params {params.shape}, grads {grads.shape}, "
             f"m {m.shape}, v {v.shape}"
         )
-    if step < 1:
+    if check_int("step", step) < 1:
         raise ArgumentError(f"step counts from 1, got {step}")
-    if not lr > 0:
-        raise ArgumentError(f"learning rate must be positive, got {lr}")
+    if not (lr > 0 and math.isfinite(lr)):
+        raise ArgumentError(f"learning rate must be finite and positive, got {lr}")
     if not np.isfinite(grads).all():
         bad = ~np.isfinite(grads)
         raise NumericError(

@@ -16,14 +16,11 @@ draw_standard_normal is on the training hot path, so it reuses one SFC64
 generator per process instead of building one per draw: before each draw
 it sets the whole state, which leaves nothing of the previous use behind,
 and then fills the array it is given, so the training loop can keep its
-noise in reused buffers. It also keeps a copy of its two latest draws with
-the hash of their stream. A draw of the same stream and shape as one of
-them copies those bytes instead of running the generator; that is how the
-two directions of a pair, which train in lockstep on one stream, generate
-each noise matrix once. The shared generator and the copies assume one
-thread per process, which holds because run_benchmark scores in parallel
-with worker processes, each holding its own. The generator is built on
-first use, so importing the package does not load numpy.random.
+noise in reused buffers. That generator is the module's only mutable
+state; it assumes one thread per process, which holds because
+run_benchmark scores in parallel with worker processes, each holding its
+own. It is built on first use, so importing the package does not load
+numpy.random.
 """
 
 from __future__ import annotations
@@ -80,27 +77,18 @@ def _shared_generator() -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(0))
 
 
-# (stream hash, values) of the two latest draws, oldest first
-_RECENT: list[tuple[bytes, np.ndarray]] = []
-
-
 def draw_standard_normal(stream: RngStream, out: np.ndarray) -> np.ndarray:
     """Fill the (rows x cols) float64 matrix out with i.i.d. standard normals; returns out.
 
     Bit-reproducible: out ends up equal to the standard normals of a fresh
     SFC64 generator whose state is the stream's hash under _NOISE_DOMAIN,
-    after it has discarded 12 outputs. A repeat of one of the two latest
-    draws is served from a copy.
+    after it has discarded 12 outputs.
     """
     if out.ndim != 2 or min(out.shape) < 1:
         raise ArgumentError(f"matrix shape must be at least 1x1, got {out.shape}")
     if out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ArgumentError("out must be a C-contiguous float64 matrix")
     digest = stream._digest(_NOISE_DOMAIN)
-    for seen, values in _RECENT:
-        if seen == digest and values.shape == out.shape:
-            np.copyto(out, values)
-            return out
     gen = _shared_generator()
     gen.bit_generator.state = {
         "bit_generator": "SFC64",
@@ -109,9 +97,4 @@ def draw_standard_normal(stream: RngStream, out: np.ndarray) -> np.ndarray:
     }
     gen.bit_generator.random_raw(12)
     gen.standard_normal(out=out)
-    values = _RECENT.pop(0)[1] if len(_RECENT) == 2 else None
-    if values is None or values.shape != out.shape:
-        values = np.empty_like(out)
-    np.copyto(values, out)
-    _RECENT.append((digest, values))
     return out

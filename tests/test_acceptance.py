@@ -35,6 +35,7 @@ from comic.evaluation import auroc, result_to_csv, run_benchmark
 from comic.optim import adam_step, cosine_lr
 from comic.rng import RngStream, draw_standard_normal
 from gradcheck import finite_diff_grad
+from tests.test_bnn import draw_noise
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -102,7 +103,7 @@ def test_criterion_3_gradient_exactness():
         model = unpack_params(model, vec)
         x = rng.standard_normal(n)
         y = rng.standard_normal(n)
-        noise = RngStream(trial).child("fixed-noise")
+        noise = draw_noise(model, n, RngStream(trial).child("fixed-noise"))
         beta = rng.uniform(0.1, 1.0)
 
         for objective in (
@@ -257,10 +258,16 @@ class ScaleToyModel:
         self.mean = mean
         self.logvar = logvar
 
-    def sample_predictions(self, x, stream):
-        w = self.mean + math.exp(0.5 * self.logvar) * float(
-            stream.generator().standard_normal())
-        return np.zeros_like(x), np.exp(np.clip(w * x, -15.0, 15.0))
+    # one standard normal per sample drives the weight: the estimator's
+    # hidden noise, of width 1
+    hidden_width = 1
+
+    def sampler(self, x):
+        def sample(eps_hidden, eps_output):
+            w = self.mean + math.exp(0.5 * self.logvar) * float(eps_hidden[0, 0])
+            return np.zeros_like(x), np.exp(np.clip(w * x, -15.0, 15.0))
+
+        return sample
 
     def kl(self):
         s2 = math.exp(self.logvar)
@@ -317,12 +324,12 @@ def test_criterion_8_evidence_bound():
 
     untrained = ScaleToyModel(0.0, math.log(0.09))
     [before] = conditional_variational_codelength(
-        [untrained], [(x, y)], 4096, RngStream(8).child("before"))
+        untrained, [(x, y)], 4096, RngStream(8).child("before"))
 
     mu, lv = train_toy(x, y)
     trained = ScaleToyModel(mu, lv)
     [after] = conditional_variational_codelength(
-        [trained], [(x, y)], 65536, RngStream(8).child("after"))
+        trained, [(x, y)], 65536, RngStream(8).child("after"))
 
     assert after >= evidence
     assert after <= 1.05 * evidence

@@ -20,6 +20,7 @@ from comic.bnn import (
     pack_grads,
     pack_params,
     param_blocks,
+    sampler,
     unpack_params,
 )
 from comic.errors import ArgumentError
@@ -48,6 +49,18 @@ def sampled_layer(layer, h_in, stream):
 
 def mean_layer(layer, h_in):
     return _layer_forward(layer, h_in, None, "hidden")[0].copy()
+
+
+def draw_noise(model, n, stream):
+    """The hidden and output noise for n rows, drawn from the "hidden" and
+    "output" children of stream, as training and evaluation draw it."""
+    return (draw_standard_normal(stream.child("hidden"), np.empty((n, model.hidden_width))),
+            draw_standard_normal(stream.child("output"), np.empty((n, 2))))
+
+
+def stack(*models):
+    """One model holding models along a leading axis, its blocks views of a fresh matrix."""
+    return unpack_params(models[0], np.stack([pack_params(m) for m in models]))
 
 
 def random_model(width, stream_seed, jitter_seed):
@@ -167,13 +180,26 @@ def test_model_forward_results_survive_later_calls():
     # the passes reuse buffers across calls; what a call returns must not alias them
     model = random_model(5, 3, 4)
     x = np.linspace(-2.0, 2.0, 9)
-    for stream in (None, RngStream(6).child("mc")):
-        mu, sigma = model_forward(model, x, stream)
+    for eps in (None, draw_noise(model, 9, RngStream(6).child("mc"))):
+        mu, sigma = model_forward(model, x, eps)
         kept = mu.tobytes(), sigma.tobytes()
-        model_forward(model, -x, None if stream is None else stream.child("next"))
+        model_forward(model, -x, None if eps is None else draw_noise(model, 9, RngStream(8)))
         map_objective(model, -x, x, grad_buffer(model)[1])
-        elbo_objective(model, -x, x, 1.0, RngStream(7), grad_buffer(model)[1])
+        elbo_objective(model, -x, x, 1.0, draw_noise(model, 9, RngStream(7)),
+                       grad_buffer(model)[1])
         assert (mu.tobytes(), sigma.tobytes()) == kept
+
+
+def test_objectives_leave_the_noise_untouched():
+    # the caller's noise is shared by every direction and reused by the
+    # next call, so no pass may write into it
+    model = random_model(5, 3, 4)
+    x = np.linspace(-2.0, 2.0, 9)
+    eps = draw_noise(model, 9, RngStream(6).child("kept"))
+    kept = [e.tobytes() for e in eps]
+    elbo_objective(model, x, -x, 0.5, eps, grad_buffer(model)[1])
+    model_forward(model, x, eps)
+    assert [e.tobytes() for e in eps] == kept
 
 
 # ---------------------------------------------------------------- losses
@@ -246,9 +272,9 @@ def test_elbo_beta_zero_is_sampled_nll():
     model = random_model(3, 5, 6)
     x = np.linspace(-1, 1, 8)
     y = np.sin(x)
-    stream = RngStream(9).child("noise")
-    loss = elbo_objective(model, x, y, 0.0, stream, grad_buffer(model)[1])
-    mu, sigma = model_forward(model, x, stream)
+    eps = draw_noise(model, 8, RngStream(9).child("noise"))
+    loss = elbo_objective(model, x, y, 0.0, eps, grad_buffer(model)[1])
+    mu, sigma = model_forward(model, x, eps)
     assert loss == approx(gaussian_nll(y, mu, sigma), rel=1e-12)
 
 
@@ -259,10 +285,10 @@ def test_elbo_zero_kl_case():
     )
     x = np.zeros(4)
     y = np.zeros(4)
-    stream = RngStream(2).child("draw")
+    eps = draw_noise(model, 4, RngStream(2).child("draw"))
     assert kl_model(model) == approx(0.0, abs=1e-14)
-    loss = elbo_objective(model, x, y, 1.0, stream, grad_buffer(model)[1])
-    mu, sigma = model_forward(model, x, stream)
+    loss = elbo_objective(model, x, y, 1.0, eps, grad_buffer(model)[1])
+    mu, sigma = model_forward(model, x, eps)
     assert loss == approx(gaussian_nll(y, mu, sigma), rel=1e-12)
 
 
@@ -272,8 +298,8 @@ def test_elbo_deterministic_given_stream():
     y = np.cos(x)
     stream = RngStream(77).child("epoch-3")
     (g1, grad1), (g2, grad2) = grad_buffer(model), grad_buffer(model)
-    l1 = elbo_objective(model, x, y, 0.5, stream, grad1)
-    l2 = elbo_objective(model, x, y, 0.5, stream, grad2)
+    l1 = elbo_objective(model, x, y, 0.5, draw_noise(model, 10, stream), grad1)
+    l2 = elbo_objective(model, x, y, 0.5, draw_noise(model, 10, stream), grad2)
     assert l1 == l2
     assert np.array_equal(g1, g2)
 
@@ -327,7 +353,7 @@ def test_gradients_match_finite_differences(width, n):
     x = rng.standard_normal(n)
     y = rng.standard_normal(n)
     model = random_model(width, width + n, width * n)
-    noise = RngStream(width * 7 + n).child("fixed-draw")
+    noise = draw_noise(model, n, RngStream(width * 7 + n).child("fixed-draw"))
 
     err_elbo = relative_grad_errors(model, lambda m, g: elbo_objective(m, x, y, 0.7, noise, g))
     err_map = relative_grad_errors(model, lambda m, g: map_objective(m, x, y, g))
@@ -540,14 +566,54 @@ def prediction_bytes(mu, sigma):
 def test_hot_loop_matches_oracle_bytes(width, n, seed, zero_share, beta):
     model, x, y = edge_problem(width, n, seed, zero_share)
     stream = RngStream(seed).child("oracle")
+    eps = draw_noise(model, n, stream)
     assert (package_objective_bytes(map_objective, model, x, y)
             == objective_bytes(*oracle_map_objective(model, x, y)))
-    assert (package_objective_bytes(elbo_objective, model, x, y, beta, stream)
+    assert (package_objective_bytes(elbo_objective, model, x, y, beta, eps)
             == objective_bytes(*oracle_elbo_objective(model, x, y, beta, stream)))
     assert (prediction_bytes(*model_forward(model, x))
             == prediction_bytes(*oracle_model_forward(model, x)))
-    assert (prediction_bytes(*model_forward(model, x, stream))
+    assert (prediction_bytes(*model_forward(model, x, eps))
             == prediction_bytes(*oracle_model_forward(model, x, stream)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    width=st.sampled_from([1, 2, 50]),
+    n=st.sampled_from([2, 3, 500]),
+    seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+    zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+    beta=st.sampled_from([0.0, 0.4, 1.0]),
+)
+def test_stacked_pair_matches_oracle_bytes_per_slice(width, n, seeds, zero_share, beta):
+    # two edge problems stacked on a leading axis go through one pass; each
+    # slice must get the bytes the oracle gives that problem alone
+    problems = [edge_problem(width, n, seed, zero_share) for seed in seeds]
+    model = stack(*(problem[0] for problem in problems))
+    x = np.stack([problem[1] for problem in problems])
+    y = np.stack([problem[2] for problem in problems])
+    stream = RngStream(seeds[0]).child("oracle")
+    eps = draw_noise(model, n, stream)
+    for objective, args, oracle, oracle_args in (
+        (map_objective, (x, y), oracle_map_objective, ()),
+        (elbo_objective, (x, y, beta, eps), oracle_elbo_objective, (beta, stream)),
+    ):
+        vec = np.full((2, pack_params(problems[0][0]).size), np.nan)
+        loss = objective(model, *args, unpack_params(model, vec))
+        assert loss.shape == (2,)
+        for d, (m, xd, yd) in enumerate(problems):
+            assert (loss[d].hex(), vec[d].tobytes()) == objective_bytes(
+                *oracle(m, xd, yd, *oracle_args))
+    # a sampler serves several samples: the second must not see the first
+    sample = sampler(model, x)
+    sample(*draw_noise(model, n, stream.child("other")))
+    for (mu, sigma), oracle_args in ((model_forward(model, x), ()),
+                                     (model_forward(model, x, eps), (stream,)),
+                                     (sample(*eps), (stream,))):
+        assert mu.shape == sigma.shape == (2, n)
+        for d, (m, xd, _) in enumerate(problems):
+            assert prediction_bytes(mu[d], sigma[d]) == prediction_bytes(
+                *oracle_model_forward(m, xd, *oracle_args))
 
 
 @settings(max_examples=20, deadline=None)
@@ -562,14 +628,16 @@ def test_objectives_overwrite_every_gradient_entry(width, n, seed, beta):
     # must overwrite all of it, the MAP phase's zero log-variance blocks too
     model, x, y = edge_problem(width, n, seed, 0.3)
     stream = RngStream(seed).child("oracle")
+    eps = draw_noise(model, n, stream)
     vec, grad = grad_buffer(model)
-    for objective, args, oracle in (
-        (map_objective, (x, y), oracle_map_objective),
-        (elbo_objective, (x, y, beta, stream), oracle_elbo_objective),
-        (map_objective, (x, y), oracle_map_objective),
+    for objective, args, oracle, oracle_args in (
+        (map_objective, (), oracle_map_objective, ()),
+        (elbo_objective, (beta, eps), oracle_elbo_objective, (beta, stream)),
+        (map_objective, (), oracle_map_objective, ()),
     ):
-        loss = objective(model, *args, grad)
-        assert (loss.hex(), vec.tobytes()) == objective_bytes(*oracle(model, *args))
+        loss = objective(model, x, y, *args, grad)
+        assert (loss.hex(), vec.tobytes()) == objective_bytes(
+            *oracle(model, x, y, *oracle_args))
 
 
 def test_oracle_problems_reach_the_clamp_and_signed_zeros():

@@ -20,10 +20,21 @@ from comic.data import (
 )
 from comic.errors import ArgumentError, NumericError
 from comic.rng import RngStream
-from tests.test_bnn import make_layer
+from tests.test_bnn import draw_noise, make_layer, stack
 
 FAST = TrainConfig(hidden_width=8, vi_epochs=60, warmup_epochs=10, map_epochs=60,
                    mc_eval_samples=8, seed=3)
+
+
+def sampled_nlls(model, x, y, stream, count):
+    """count single-sample NLLs of y given x under a one-direction stack, the
+    i-th on the noise of stream.child("probe", i)."""
+    sample = model.sampler(x[None])
+    nlls = []
+    for i in range(count):
+        mu, sigma = sample(*draw_noise(model, x.size, stream.child("probe", i)))
+        nlls.append(gaussian_nll(y, mu[0], sigma[0]))
+    return np.array(nlls)
 
 
 def test_marginal_worked_values():
@@ -130,7 +141,7 @@ def test_train_config_accepts_zero_lr_min():
                       lr_min=0.0, seed=1)
     rng = np.random.default_rng(16)
     x = rng.standard_normal(30)
-    [model] = train_conditional([(x, np.tanh(x))], cfg, RngStream(1).child("zero-lr-min"))
+    model = train_conditional([(x, np.tanh(x))], cfg, RngStream(1).child("zero-lr-min"))
     assert np.isfinite(pack_params(model)).all()
 
 
@@ -141,8 +152,8 @@ def test_linear_pair_compresses_below_marginal():
     cfg = TrainConfig(hidden_width=10, vi_epochs=300, warmup_epochs=30,
                       map_epochs=300, mc_eval_samples=16, seed=0)
     stream = RngStream(cfg.seed).child("linear-smoke")
-    [model] = train_conditional([(x, y)], cfg, stream)
-    [codelength] = conditional_variational_codelength([model], [(x, y)], 16, stream.child("eval"))
+    model = train_conditional([(x, y)], cfg, stream)
+    [codelength] = conditional_variational_codelength(model, [(x, y)], 16, stream.child("eval"))
     assert codelength < marginal_gaussian_codelength(y)
 
 
@@ -151,8 +162,8 @@ def test_training_is_deterministic():
     x = rng.standard_normal(60)
     y = np.tanh(x) + 0.2 * rng.standard_normal(60)
     stream = RngStream(1).child("det")
-    [m1] = train_conditional([(x, y)], FAST, stream)
-    [m2] = train_conditional([(x, y)], FAST, stream)
+    m1 = train_conditional([(x, y)], FAST, stream)
+    m2 = train_conditional([(x, y)], FAST, stream)
     assert np.array_equal(pack_params(m1), pack_params(m2))
 
 
@@ -189,17 +200,18 @@ def test_independent_pair_matches_marginal_plus_kl():
     cfg = TrainConfig(hidden_width=10, vi_epochs=300, warmup_epochs=30,
                       map_epochs=300, mc_eval_samples=32, seed=2)
     stream = RngStream(cfg.seed).child("indep")
-    [model] = train_conditional([(x, y)], cfg, stream)
-    [codelength] = conditional_variational_codelength([model], [(x, y)], 32, stream.child("e"))
-    reference = marginal_gaussian_codelength(y) + model.kl()
+    model = train_conditional([(x, y)], cfg, stream)
+    [codelength] = conditional_variational_codelength(model, [(x, y)], 32, stream.child("e"))
+    [kl] = model.kl()
+    reference = marginal_gaussian_codelength(y) + kl
     assert codelength == approx(reference, rel=0.03)
 
     # oracle: destroying the pairing must not change the codelength materially
     x_shuffled = x[rng.permutation(n)]
     stream2 = RngStream(cfg.seed).child("indep-shuffled")
-    [model2] = train_conditional([(x_shuffled, y)], cfg, stream2)
+    model2 = train_conditional([(x_shuffled, y)], cfg, stream2)
     [oracle] = conditional_variational_codelength(
-        [model2], [(x_shuffled, y)], 32, stream2.child("e"))
+        model2, [(x_shuffled, y)], 32, stream2.child("e"))
     assert codelength == approx(oracle, rel=0.03)
 
 
@@ -211,7 +223,8 @@ def test_eval_codelength_prior_collapse():
     rng = np.random.default_rng(7)
     x = rng.standard_normal(40)
     y = rng.standard_normal(40)
-    [value] = conditional_variational_codelength([model], [(x, y)], 4, RngStream(0).child("pc"))
+    [value] = conditional_variational_codelength(
+        stack(model), [(x, y)], 4, RngStream(0).child("pc"))
     expected = gaussian_nll(y, np.zeros(40), np.ones(40)) + model.kl()
     assert value == approx(expected, rel=1e-9)
 
@@ -234,7 +247,7 @@ def test_eval_codelength_rejects_mismatched_y(y_len):
     x = np.linspace(-1.0, 1.0, 20)
     with pytest.raises(ArgumentError, match="equal length"):
         conditional_variational_codelength(
-            [model], [(x, np.full(y_len, 0.3))], 2, RngStream(0))
+            stack(model), [(x, np.full(y_len, 0.3))], 2, RngStream(0))
 
 
 @pytest.mark.parametrize("samples", [1.5, "2", None])
@@ -242,7 +255,7 @@ def test_eval_codelength_rejects_non_integer_sample_count(samples):
     model = ConditionalModel.initial(3, RngStream(0).child("init"))
     x = np.linspace(-1.0, 1.0, 20)
     with pytest.raises(ArgumentError, match="mc_eval_samples must be an integer"):
-        conditional_variational_codelength([model], [(x, 0.5 * x)], samples, RngStream(0))
+        conditional_variational_codelength(stack(model), [(x, 0.5 * x)], samples, RngStream(0))
 
 
 def test_eval_codelength_mc_convergence():
@@ -250,16 +263,12 @@ def test_eval_codelength_mc_convergence():
     x = rng.standard_normal(50)
     y = np.sin(x) + 0.3 * rng.standard_normal(50)
     stream = RngStream(11).child("mc-conv")
-    [model] = train_conditional([(x, y)], FAST, stream)
+    model = train_conditional([(x, y)], FAST, stream)
 
     # empirical standard error of the single-draw estimator
-    samples = np.array([
-        gaussian_nll(y, *model.sample_predictions(x, stream.child("probe", i)))
-        for i in range(400)
-    ])
-    se = samples.std(ddof=1)
-    [one] = conditional_variational_codelength([model], [(x, y)], 1, stream.child("a"))
-    [many] = conditional_variational_codelength([model], [(x, y)], 4000, stream.child("b"))
+    se = sampled_nlls(model, x, y, stream, 400).std(ddof=1)
+    [one] = conditional_variational_codelength(model, [(x, y)], 1, stream.child("a"))
+    [many] = conditional_variational_codelength(model, [(x, y)], 4000, stream.child("b"))
     assert abs(one - many) <= 5.0 * se
 
 
@@ -336,19 +345,25 @@ def test_lockstep_directions_match_directions_run_alone():
     directions = [(x, y), (y, x)]
     stream = RngStream(3).child("lockstep")
     together = train_conditional(directions, FAST, stream)
-    alone = [train_conditional([d], FAST, stream)[0] for d in directions]
-    assert [pack_params(m).tobytes() for m in together] == [
-        pack_params(m).tobytes() for m in alone]
+    alone = [train_conditional([d], FAST, stream) for d in directions]
+    assert [row.tobytes() for row in pack_params(together)] == [
+        pack_params(m)[0].tobytes() for m in alone]
     values = conditional_variational_codelength(together, directions, 3, stream.child("e"))
-    assert values == [conditional_variational_codelength([m], [d], 3, stream.child("e"))[0]
+    assert values == [conditional_variational_codelength(m, [d], 3, stream.child("e"))[0]
                       for m, d in zip(alone, directions)]
 
 
 def test_eval_codelength_needs_one_model_per_direction():
-    model = ConditionalModel.initial(3, RngStream(0).child("init"))
+    model = stack(ConditionalModel.initial(3, RngStream(0).child("init")))
     x = np.linspace(-1.0, 1.0, 20)
-    with pytest.raises(ArgumentError, match="1 models for 2 directions"):
-        conditional_variational_codelength([model], [(x, x), (x, x)], 2, RngStream(0))
+    with pytest.raises(ArgumentError, match=r"stack shape \(1,\), got shape \(2, 20\)"):
+        conditional_variational_codelength(model, [(x, x), (x, x)], 2, RngStream(0))
+
+
+def test_train_conditional_needs_directions_of_one_length():
+    x = np.linspace(-1.0, 1.0, 20)
+    with pytest.raises(ArgumentError, match="equal length"):
+        train_conditional([(x, x), (x[:10], x[:10])], FAST, RngStream(0))
 
 
 def test_numeric_error_names_phase_and_epoch():
@@ -368,6 +383,26 @@ def test_numeric_error_names_the_direction():
             train_conditional([(y, x), (x, y)], FAST, RngStream(0).child("overflow"))
 
 
+def test_numeric_error_in_adam_names_direction_phase_and_epoch(monkeypatch):
+    # a finite loss over a non-finite gradient is caught by Adam, which sees
+    # both directions in one flat vector
+    real = bnn.elbo_objective
+    calls = []
+
+    def nan_gradient(model, x, y, beta, eps, grad):
+        loss = real(model, x, y, beta, eps, grad)
+        calls.append(1)
+        if len(calls) == 3:
+            grad.hidden.logvar_w[1, 0, 2] = np.nan
+        return loss
+
+    monkeypatch.setattr(bnn, "elbo_objective", nan_gradient)
+    x = np.linspace(-1.0, 1.0, 20)
+    with pytest.raises(NumericError, match=r"^direction 1, VI phase, epoch 2: non-finite "
+                                           r"gradient in block 'hidden.logvar_w' \(offset 2\)$"):
+        train_conditional([(x, np.sin(x)), (np.sin(x), x)], FAST, RngStream(0))
+
+
 def test_more_vi_epochs_do_not_hurt_linear_pair():
     rng = np.random.default_rng(15)
     from comic.data import standardize
@@ -380,13 +415,10 @@ def test_more_vi_epochs_do_not_hurt_linear_pair():
                           warmup_epochs=min(100, vi_epochs), map_epochs=300,
                           mc_eval_samples=64, seed=4)
         stream = RngStream(cfg.seed).child("vi-sweep", vi_epochs)
-        [model] = train_conditional([(x, y)], cfg, stream)
-        samples = np.array([
-            gaussian_nll(y, *model.sample_predictions(x, stream.child("probe", i)))
-            for i in range(200)
-        ])
+        model = train_conditional([(x, y)], cfg, stream)
+        samples = sampled_nlls(model, x, y, stream, 200)
         [value] = conditional_variational_codelength(
-            [model], [(x, y)], 64, stream.child("eval"))
+            model, [(x, y)], 64, stream.child("eval"))
         return value, samples.std(ddof=1) / math.sqrt(64)
 
     short, se_short = fit(100)

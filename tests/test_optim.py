@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,6 +93,22 @@ def test_adam_rejects_bad_step_and_lr_before_writing(step, lr):
         adam_step(params, np.ones(2), m, v, step, lr)
     assert params.tolist() == [1.0, 1.0] and m.tolist() == [0.5, 0.5]
     assert v.tolist() == [0.25, 0.25]
+
+
+def test_adam_rejects_infinite_learning_rate_before_writing():
+    # an infinite rate used to write [-inf, nan, inf] into the parameters
+    params, m, v = np.ones(3), np.full(3, 0.5), np.full(3, 0.25)
+    with pytest.raises(ArgumentError, match="finite and positive"):
+        adam_step(params, np.array([1.0, 0.0, -1.0]), m, v, 1, math.inf)
+    assert params.tolist() == [1.0] * 3 and m.tolist() == [0.5] * 3 and v.tolist() == [0.25] * 3
+
+
+def test_adam_rejects_fractional_step_before_writing():
+    # a step of 1.5 used to be taken as a bias-correction exponent
+    params, m, v = np.ones(3), np.full(3, 0.5), np.full(3, 0.25)
+    with pytest.raises(ArgumentError, match="step must be an integer"):
+        adam_step(params, np.ones(3), m, v, 1.5, 0.1)
+    assert params.tolist() == [1.0] * 3 and m.tolist() == [0.5] * 3 and v.tolist() == [0.25] * 3
 
 
 def test_adam_nonfinite_grad_names_block():

@@ -1,4 +1,4 @@
-"""Checks that need a fresh interpreter: BLAS thread counts, page faults and script entry points."""
+"""Checks that need a fresh interpreter: BLAS thread counts, page faults, imports and script entry points."""
 
 import json
 import os
@@ -109,3 +109,11 @@ def test_ab_pairs_exits_1_when_scores_differ(tmp_path):
     assert code == 1
     assert result["scores_match"] is False
 
+
+
+def test_import_leaves_the_network_stack_unloaded():
+    # only fetching needs http.client, which pulls in email and ssl (about
+    # 20 ms of every start-up); importing the package must not load them
+    out = run_python(["-c", "import sys, comic; print(sorted(m for m in "
+                            "('http.client', 'ssl', 'urllib.request') if m in sys.modules))"])
+    assert out.strip() == "[]"
