@@ -367,17 +367,12 @@ def sampler(
     return sample
 
 
-def model_forward(
-    model: ConditionalModel, x: np.ndarray, eps: tuple[np.ndarray, np.ndarray] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Predict (mu, sigma) for each x; sigma = exp(clamped log-scale) > 0.
+def model_forward(model: ConditionalModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Predict (mu, sigma) for each x through the posterior means.
 
-    Without eps the pass runs through the posterior means; with
-    eps = (eps_hidden, eps_output) it is the sampled pass elbo_objective
-    makes on that noise.
+    sigma = exp(clamped log-scale) > 0. Sampled predictions come from
+    sampler(model, x).
     """
-    if eps is not None:
-        return sampler(model, x)(*eps)
     h_in = _inputs(model, x)[..., None]
     return _predictions(model, _layer_forward(model.hidden, h_in, None, "hidden")[0], None)
 

@@ -1,11 +1,14 @@
 """Datasets: standardization, synthetic pair generators, file formats, fetching.
 
 Pair files are plain text, one observation per line, whitespace-separated
-decimal columns. A dataset directory couples pair files with a pairmeta.txt
-whose rows read: id, cause-start, cause-end, effect-start, effect-end,
-weight. Generated datasets add a labels.csv sidecar (id, direction). Every
-input file is read as UTF-8 through decode_utf8, so a stray byte is a
-ParseError naming the file.
+decimal columns; load_pair_file reads a file of exactly two. A dataset
+directory couples pair files with a pairmeta.txt whose rows read: id,
+cause-start, cause-end, effect-start, effect-end, weight. Row <id> names the
+file pair<id>.txt and the pair id pair<id>; its columns are 1-based, each
+range runs first to last, and the two ranges share no column. The meta row
+alone selects a pair's columns, label and weight. Generated datasets add a
+labels.csv sidecar (id, direction). Every input file is read as UTF-8
+through decode_utf8, so a stray byte is a ParseError naming the file.
 
 The AN and LS generators draw their Gaussian-process functions from a
 quadrature Fourier series of the squared-exponential kernel (_gp_draw): O(n)
@@ -228,11 +231,12 @@ def generate_dataset(spec: GeneratorSpec) -> list[PairDataset]:
     return pairs
 
 
-def _parse_matrix(lines: Sequence[str], path: str, skip_header: bool = False):
+def _parse_matrix(content: bytes, name: str, skip_header: bool = False) -> np.ndarray:
+    """The numeric rows of a pair file's content; name labels its errors."""
     rows = []
     ncols = None
     start = 2 if skip_header else 1
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(decode_utf8(content, name).splitlines(), start=1):
         if skip_header and lineno == 1:
             continue
         if not line.strip():
@@ -241,61 +245,31 @@ def _parse_matrix(lines: Sequence[str], path: str, skip_header: bool = False):
         try:
             values = [float(t) for t in tokens]
         except ValueError:
-            raise ParseError(f"{path}: non-numeric token in {tokens}", lineno) from None
+            raise ParseError(f"{name}: non-numeric token in {tokens}", lineno) from None
         if any(not math.isfinite(t) for t in values):
-            raise ParseError(f"{path}: non-finite value", lineno)
+            raise ParseError(f"{name}: non-finite value", lineno)
         if ncols is None:
             ncols = len(values)
         elif len(values) != ncols:
             raise ParseError(
-                f"{path}: expected {ncols} columns, found {len(values)}", lineno
+                f"{name}: expected {ncols} columns, found {len(values)}", lineno
             )
         rows.append(values)
     if ncols is None or len(rows) < 2:
-        raise ParseError(f"{path}: fewer than 2 data rows (first data line {start})")
-    return np.asarray(rows), ncols
+        raise ParseError(f"{name}: fewer than 2 data rows (first data line {start})")
+    return np.asarray(rows)
 
 
-def load_pair_file(
-    path: str | Path,
-    skip_header: bool = False,
-    cause_col: int | None = None,
-    effect_col: int | None = None,
-    weight: float = 1.0,
-    pair_id: str | None = None,
-) -> PairDataset:
-    """Read one pair file; columns are selectable for multi-column files.
+def load_pair_file(path: str | Path, skip_header: bool = False) -> PairDataset:
+    """Read a two-column pair file, unlabelled, with unit weight and the file's stem as id.
 
-    Without explicit 1-based cause/effect columns the file must have exactly
-    two columns; anything wider is rejected as multidimensional.
+    A wider file is rejected as multidimensional.
     """
     path = Path(path)
-    lines = decode_utf8(path.read_bytes(), path.name).splitlines()
-    data, ncols = _parse_matrix(lines, path.name, skip_header=skip_header)
-    if cause_col is None and effect_col is None:
-        if ncols != 2:
-            raise ArgumentError(
-                f"{path.name}: {ncols} columns but no column selection; "
-                "pair is multidimensional"
-            )
-        first, second, label = 1, 2, None
-    else:
-        if cause_col is None or effect_col is None or cause_col == effect_col:
-            raise ArgumentError("cause and effect columns must differ and both be given")
-        if not (1 <= cause_col <= ncols and 1 <= effect_col <= ncols):
-            raise ParseError(
-                f"{path.name}: meta names columns {cause_col}/{effect_col} "
-                f"but file has {ncols}"
-            )
-        first, second = sorted((cause_col, effect_col))
-        label = X_CAUSES_Y if first == cause_col else Y_CAUSES_X
-    return PairDataset(
-        data[:, first - 1],
-        data[:, second - 1],
-        weight=weight,
-        label=label,
-        id=pair_id if pair_id is not None else path.stem,
-    )
+    data = _parse_matrix(path.read_bytes(), path.name, skip_header)
+    if data.shape[1] != 2:
+        raise ArgumentError(f"{path.name}: {data.shape[1]} columns; pair is multidimensional")
+    return PairDataset(data[:, 0], data[:, 1], id=path.stem)
 
 
 def write_pair_file(path: str | Path, pair: PairDataset) -> None:
@@ -354,17 +328,17 @@ def _parse_meta_text(content: bytes, name: str) -> list[MetaRow]:
         if not (math.isfinite(weight) and weight > 0):
             raise ParseError(f"{name}: weight must be positive and finite, got {tokens[5]!r}",
                              lineno)
-        rows.append(MetaRow(tokens[0], *(int(c) for c in cols), weight))
+        row = MetaRow(tokens[0], *(int(c) for c in cols), weight)
+        if min(row.cause_first, row.effect_first) < 1:
+            raise ParseError(f"{name}: columns are 1-based in {line!r}", lineno)
+        if row.cause_first > row.cause_last or row.effect_first > row.effect_last:
+            raise ParseError(f"{name}: column range runs backwards in {line!r}", lineno)
+        if row.cause_first <= row.effect_last and row.effect_first <= row.cause_last:
+            raise ParseError(f"{name}: cause and effect share a column in {line!r}", lineno)
+        rows.append(row)
     if not rows:
         raise ParseError(f"{name}: empty meta file")
     return rows
-
-
-def _meta_pair_path(directory: Path, pair_id: str) -> Path:
-    candidate = directory / f"pair{pair_id}.txt"
-    if candidate.exists():
-        return candidate
-    return directory / f"{pair_id}.txt"
 
 
 def load_tuebingen(directory: str | Path) -> list[PairDataset]:
@@ -380,20 +354,21 @@ def load_tuebingen(directory: str | Path) -> list[PairDataset]:
     for row in parse_pairmeta(directory / "pairmeta.txt"):
         if not row.univariate:
             continue
-        path = _meta_pair_path(directory, row.pair_id)
+        path = directory / f"pair{row.pair_id}.txt"
         if not path.exists():
             raise FileNotFoundError(f"pair {row.pair_id}: data file {path} missing")
         try:
-            pair = load_pair_file(
-                path,
-                cause_col=row.cause_first,
-                effect_col=row.effect_first,
-                weight=row.weight,
-                pair_id=f"pair{row.pair_id}" if not row.pair_id.startswith("pair") else row.pair_id,
-            )
+            data = _parse_matrix(path.read_bytes(), path.name)
         except ParseError as e:
             raise ParseError(f"pair {row.pair_id}: {e}") from None
-        pairs.append(pair)
+        cause, effect = row.cause_first, row.effect_first
+        if max(cause, effect) > data.shape[1]:
+            raise ParseError(f"pair {row.pair_id}: {path.name}: meta names columns "
+                             f"{cause}/{effect} but file has {data.shape[1]}")
+        first, second = sorted((cause, effect))
+        label = X_CAUSES_Y if first == cause else Y_CAUSES_X
+        pairs.append(PairDataset(data[:, first - 1], data[:, second - 1], row.weight, label,
+                                 f"pair{row.pair_id}"))
     return pairs
 
 
@@ -480,7 +455,7 @@ def fetch_tuebingen(
             continue
         content = _download(base + name, retries, log)
         try:
-            _parse_matrix(decode_utf8(content, name).splitlines(), name)
+            _parse_matrix(content, name)
         except ParseError:
             log(f"discarding corrupt download {name}")
             raise

@@ -43,23 +43,13 @@ def auroc(
     w_neg = weights[~positives].sum()
     if w_pos == 0 or w_neg == 0:
         raise ArgumentError("AUROC needs at least one positive and one negative")
-    order = np.argsort(scores, kind="stable")
-    s = scores[order]
-    p = positives[order]
-    w = weights[order]
-    total = 0.0
-    cum_neg = 0.0
-    i = 0
-    n = s.size
-    while i < n:
-        j = i
-        while j < n and s[j] == s[i]:
-            j += 1
-        wp = w[i:j][p[i:j]].sum()
-        wn = w[i:j][~p[i:j]].sum()
-        total += wp * (cum_neg + 0.5 * wn)
-        cum_neg += wn
-        i = j
+    # group the scores by value; bincount adds each group's weights in input order
+    _, group = np.unique(scores, return_inverse=True)
+    wp = np.bincount(group, weights * positives)
+    wn = np.bincount(group, weights * ~positives)
+    # negative weight below each group, and the terms' total, as sequential running sums
+    below = np.concatenate(([0.0], np.cumsum(wn)[:-1]))
+    total = np.cumsum(wp * (below + 0.5 * wn))[-1]
     return float(total / (w_pos * w_neg))
 
 
@@ -148,10 +138,11 @@ def run_benchmark(
     if parallelism < 1:
         raise ArgumentError("parallelism must be >= 1")
     jobs = [(p, cfg) for p in pairs]
-    if parallelism == 1 or len(pairs) == 1:
+    workers = min(parallelism, len(jobs))
+    if workers == 1:
         rows = [_score_one(job) for job in jobs]
     else:
-        with Pool(processes=parallelism) as pool:
+        with Pool(processes=workers) as pool:
             rows = pool.map(_score_one, jobs, chunksize=1)
 
     ok = [r for r in rows if r.error is None]

@@ -180,10 +180,12 @@ def test_model_forward_results_survive_later_calls():
     # the passes reuse buffers across calls; what a call returns must not alias them
     model = random_model(5, 3, 4)
     x = np.linspace(-2.0, 2.0, 9)
-    for eps in (None, draw_noise(model, 9, RngStream(6).child("mc"))):
-        mu, sigma = model_forward(model, x, eps)
+    mean_pass = lambda x, stream: model_forward(model, x)
+    sampled_pass = lambda x, stream: sampler(model, x)(*draw_noise(model, 9, stream))
+    for predict in (mean_pass, sampled_pass):
+        mu, sigma = predict(x, RngStream(6).child("mc"))
         kept = mu.tobytes(), sigma.tobytes()
-        model_forward(model, -x, None if eps is None else draw_noise(model, 9, RngStream(8)))
+        predict(-x, RngStream(8))
         map_objective(model, -x, x, grad_buffer(model)[1])
         elbo_objective(model, -x, x, 1.0, draw_noise(model, 9, RngStream(7)),
                        grad_buffer(model)[1])
@@ -198,7 +200,7 @@ def test_objectives_leave_the_noise_untouched():
     eps = draw_noise(model, 9, RngStream(6).child("kept"))
     kept = [e.tobytes() for e in eps]
     elbo_objective(model, x, -x, 0.5, eps, grad_buffer(model)[1])
-    model_forward(model, x, eps)
+    sampler(model, x)(*eps)
     assert [e.tobytes() for e in eps] == kept
 
 
@@ -274,7 +276,7 @@ def test_elbo_beta_zero_is_sampled_nll():
     y = np.sin(x)
     eps = draw_noise(model, 8, RngStream(9).child("noise"))
     loss = elbo_objective(model, x, y, 0.0, eps, grad_buffer(model)[1])
-    mu, sigma = model_forward(model, x, eps)
+    mu, sigma = sampler(model, x)(*eps)
     assert loss == approx(gaussian_nll(y, mu, sigma), rel=1e-12)
 
 
@@ -288,7 +290,7 @@ def test_elbo_zero_kl_case():
     eps = draw_noise(model, 4, RngStream(2).child("draw"))
     assert kl_model(model) == approx(0.0, abs=1e-14)
     loss = elbo_objective(model, x, y, 1.0, eps, grad_buffer(model)[1])
-    mu, sigma = model_forward(model, x, eps)
+    mu, sigma = sampler(model, x)(*eps)
     assert loss == approx(gaussian_nll(y, mu, sigma), rel=1e-12)
 
 
@@ -573,7 +575,7 @@ def test_hot_loop_matches_oracle_bytes(width, n, seed, zero_share, beta):
             == objective_bytes(*oracle_elbo_objective(model, x, y, beta, stream)))
     assert (prediction_bytes(*model_forward(model, x))
             == prediction_bytes(*oracle_model_forward(model, x)))
-    assert (prediction_bytes(*model_forward(model, x, eps))
+    assert (prediction_bytes(*sampler(model, x)(*eps))
             == prediction_bytes(*oracle_model_forward(model, x, stream)))
 
 
@@ -608,7 +610,7 @@ def test_stacked_pair_matches_oracle_bytes_per_slice(width, n, seeds, zero_share
     sample = sampler(model, x)
     sample(*draw_noise(model, n, stream.child("other")))
     for (mu, sigma), oracle_args in ((model_forward(model, x), ()),
-                                     (model_forward(model, x, eps), (stream,)),
+                                     (sampler(model, x)(*eps), (stream,)),
                                      (sample(*eps), (stream,))):
         assert mu.shape == sigma.shape == (2, n)
         for d, (m, xd, _) in enumerate(problems):

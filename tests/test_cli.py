@@ -312,6 +312,17 @@ def test_benchmark_exit_codes_on_failures(tmp_path, capsys):
     assert summary["aggregates"]["n_failed"] == 1
 
 
+def test_benchmark_names_the_meta_line_of_a_bad_column_range(tmp_path, capsys):
+    (tmp_path / "pair0001.txt").write_text("1 2\n3 4\n5 6\n")
+    (tmp_path / "pairmeta.txt").write_text("0001 1 1 1 1 1.0\n")
+    code, out = run_cli(capsys, ["benchmark", str(tmp_path), "--out",
+                                 str(tmp_path / "results"), *FAST_FLAGS])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ParseError"
+    assert "pairmeta.txt" in error["message"] and "line 1" in error["message"]
+
+
 # ---------------------------------------------------------------- fetch
 
 
@@ -416,6 +427,22 @@ def test_fetch_non_utf8_meta_is_a_parse_error(corpus_server, tmp_path, capsys):
         error = json.loads(out)["error"]
         assert error["type"] == "ParseError"
         assert "pairmeta.txt" in error["message"] and "UTF-8" in error["message"]
+        assert list(out_dir.iterdir()) == []
+    finally:
+        CorpusHandler.corpus["pairmeta.txt"] = "0001 1 1 2 2 1.0\n0002 2 2 1 1 1.5\n"
+
+
+def test_fetch_rejects_a_bad_meta_row_before_writing(corpus_server, tmp_path, capsys):
+    CorpusHandler.corpus = dict(CorpusHandler.corpus)
+    CorpusHandler.corpus["pairmeta.txt"] = "0001 1 1 2 2 1.0\n0002 2 1 3 3 1.5\n"
+    try:
+        out_dir = tmp_path / "corpus"
+        code, out = run_cli(capsys, ["fetch-tuebingen", "--url", corpus_server,
+                                     "--out", str(out_dir)])
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["type"] == "ParseError"
+        assert "pairmeta.txt" in error["message"] and "line 2" in error["message"]
         assert list(out_dir.iterdir()) == []
     finally:
         CorpusHandler.corpus["pairmeta.txt"] = "0001 1 1 2 2 1.0\n0002 2 2 1 1 1.5\n"

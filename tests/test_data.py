@@ -26,7 +26,9 @@ from comic.data import (
     write_dataset,
     write_pair_file,
 )
+from comic.codelength import TrainConfig
 from comic.errors import ArgumentError, ParseError
+from comic.evaluation import run_benchmark
 
 finite_vectors = st.lists(
     st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
@@ -391,10 +393,6 @@ def test_load_pair_file_multidimensional_rejected(tmp_path):
     path.write_text("1 2 3 4\n5 6 7 8\n")
     with pytest.raises(ArgumentError, match="multidimensional"):
         load_pair_file(path)
-    # with explicit 1-wide columns from a meta entry the file is usable
-    pair = load_pair_file(path, cause_col=1, effect_col=2)
-    assert np.array_equal(pair.x, [1.0, 5.0])
-    assert np.array_equal(pair.y, [2.0, 6.0])
 
 
 def test_load_pair_file_too_short(tmp_path):
@@ -450,6 +448,10 @@ def test_parse_pairmeta_malformed(tmp_path):
     ("0001 1 1 2 2 -1", "weight must be positive and finite"),
     ("0001 1.7 1 2 2 1.0", "non-integer column"),
     ("0001 1 1 2 inf 1.0", "non-integer column"),
+    ("0001 1 1 1 1 1.0", "cause and effect share a column"),
+    ("0001 0 0 2 2 1.0", "columns are 1-based"),
+    ("0001 2 1 3 3 1.0", "column range runs backwards"),
+    ("0001 1 2 2 3 1.0", "cause and effect share a column"),
 ])
 def test_parse_pairmeta_rejects_bad_weight_or_column(tmp_path, row, reason):
     meta = tmp_path / "pairmeta.txt"
@@ -470,25 +472,58 @@ def test_pair_dataset_rejects_non_real_weight(weight):
         PairDataset(np.arange(3.0), np.arange(3.0), weight=weight)
 
 
+# pair0004.txt: four columns, of which the meta names the third as the cause
+# (discrete, three levels, heavily tied) and the first as the effect
+WIDE_EFFECT = [0.3, 1.1, 0.9, 2.2, 2.0, 1.8, 3.1, 2.9]
+WIDE_CAUSE = [1, 1, 1, 2, 2, 2, 2, 3]
+
+
 def make_corpus(tmp_path):
+    """An offline pair/meta directory with the layout of the Tuebingen corpus."""
     (tmp_path / "pair0001.txt").write_text("1 2\n3 4\n5 6\n")
     (tmp_path / "pair0002.txt").write_text("1 2\n3 4\n5 6\n")
     (tmp_path / "pair0003.txt").write_text("1 2 3\n4 5 6\n7 8 9\n")
+    rows = zip(WIDE_EFFECT, WIDE_CAUSE)
+    (tmp_path / "pair0004.txt").write_text(
+        "".join(f"{effect} 7 {cause} {-i}\n" for i, (effect, cause) in enumerate(rows)))
     (tmp_path / "pairmeta.txt").write_text(
         "0001 1 1 2 2 1.0\n"
         "0002 2 2 1 1 0.5\n"
         "0003 1 2 3 3 1.0\n"  # cause spans two columns: excluded
+        "0004 3 3 1 1 0.25\n"
     )
     return tmp_path
 
 
 def test_load_tuebingen_convention(tmp_path):
     pairs = load_tuebingen(make_corpus(tmp_path))
-    assert [p.id for p in pairs] == ["pair0001", "pair0002"]
+    assert [p.id for p in pairs] == ["pair0001", "pair0002", "pair0004"]
     assert pairs[0].label == X_CAUSES_Y and pairs[0].weight == 1.0
     assert pairs[1].label == Y_CAUSES_X and pairs[1].weight == 0.5
     # column order of the file is preserved
     assert np.array_equal(pairs[1].x, [1.0, 3.0, 5.0])
+    # of a wider file only the meta's columns are read, in stored order
+    assert pairs[2].label == Y_CAUSES_X and pairs[2].weight == 0.25
+    assert np.array_equal(pairs[2].x, WIDE_EFFECT)
+    assert np.array_equal(pairs[2].y, WIDE_CAUSE)
+
+
+def test_tuebingen_layout_benchmarks_with_its_weights(tmp_path):
+    cfg = TrainConfig(hidden_width=6, vi_epochs=40, warmup_epochs=8, map_epochs=40,
+                      mc_eval_samples=4, seed=1)
+    result = run_benchmark(load_tuebingen(make_corpus(tmp_path)), cfg)
+    assert result.n_failed == 0
+    assert [(r.id, r.label, r.weight) for r in result.rows] == [
+        ("pair0001", X_CAUSES_Y, 1.0), ("pair0002", Y_CAUSES_X, 0.5),
+        ("pair0004", Y_CAUSES_X, 0.25)]
+
+
+def test_load_tuebingen_reads_only_pair_id_file_names(tmp_path):
+    # the meta's id 0001 names pair0001.txt; a file named 0001.txt is not read
+    (tmp_path / "0001.txt").write_text("1 2\n3 4\n5 6\n")
+    (tmp_path / "pairmeta.txt").write_text("0001 1 1 2 2 1.0\n")
+    with pytest.raises(FileNotFoundError, match="pair0001.txt"):
+        load_tuebingen(tmp_path)
 
 
 def test_load_tuebingen_missing_meta(tmp_path):

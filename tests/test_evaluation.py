@@ -114,6 +114,42 @@ def test_auroc_matches_bruteforce(instance):
     assert fast == approx(slow, abs=1e-12)
 
 
+def auroc_tie_loop(scores, positives, weights):
+    """The former O(n log n) loop over tied runs of the sorted scores."""
+    order = np.argsort(scores, kind="stable")
+    s, p, w = scores[order], positives[order], weights[order]
+    total = cum_neg = 0.0
+    i = 0
+    while i < s.size:
+        j = i
+        while j < s.size and s[j] == s[i]:
+            j += 1
+        wp = w[i:j][p[i:j]].sum()
+        wn = w[i:j][~p[i:j]].sum()
+        total += wp * (cum_neg + 0.5 * wn)
+        cum_neg += wn
+        i = j
+    return total / (weights[positives].sum() * weights[~positives].sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 300), st.integers(0, 2**32 - 1), st.booleans())
+def test_auroc_matches_the_tie_loop(n, seed, tied):
+    # without ties every group sum is one term, so the arithmetic is the
+    # loop's and the bits agree; the loop summed a tied group of 8 or more
+    # pairwise and bincount sums it in order, so there they may part by ulps
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(-4, 5, n).astype(float) if tied else rng.standard_normal(n)
+    positives = rng.random(n) < 0.5
+    positives[:2] = True, False
+    weights = rng.uniform(0.1, 3.0, n)
+    expected = auroc_tie_loop(scores, positives, weights)
+    if tied:
+        assert auroc(scores, positives, weights) == approx(expected, rel=0, abs=1e-15)
+    else:
+        assert auroc(scores, positives, weights) == expected
+
+
 @settings(max_examples=60, deadline=None)
 @given(instances)
 def test_auroc_monotone_transform_invariant(instance):
@@ -269,6 +305,33 @@ def test_parallelism_does_not_change_metrics():
     for a, b in zip(serial.rows, parallel.rows):
         assert a.id == b.id
         assert a.final_delta == b.final_delta
+
+
+def test_run_benchmark_starts_no_more_workers_than_pairs(monkeypatch):
+    import comic.evaluation
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize):
+            return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(comic.evaluation, "Pool", SerialPool)
+    pairs = small_pairs(2, 30)
+    serial = run_benchmark(pairs, FAST, parallelism=1)
+    assert [r.final_delta for r in run_benchmark(pairs, FAST, parallelism=8).rows] \
+        == [r.final_delta for r in serial.rows]
+    run_benchmark(pairs[:1], FAST, parallelism=8)
+    assert started == [2]
 
 
 def strip_runtime(csv_text):

@@ -1,11 +1,17 @@
 """Source checks that need no linter: every module under src/comic and
-scripts/ uses each name it imports, and every def reads each of its
-parameters.
+scripts/ uses each name it imports, every def reads each of its
+parameters, and no package code is there only for the tests.
 
 Package __init__ modules are exempt (their imports are re-exports), as is
 `from __future__ import ...`, which binds no name. `self` and `cls` are
 exempt from the parameter check, and lambdas are not checked: a callback
 that ignores its argument is written as one on purpose.
+
+A module-level def or class of src/comic counts as used when the package
+names it outside its own definition, when scripts/ or perfbench/ (outside
+its tests) names it, or when comic.__all__ exports it. Identifiers,
+attribute names and string constants all count as naming it: the perfbench
+tracer patches functions by their names as strings.
 """
 
 import ast
@@ -16,6 +22,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(path for folder in ("src/comic", "scripts")
                  for path in (ROOT / folder).glob("*.py") if path.name != "__init__.py")
+PACKAGE = [path for path in MODULES if path.parent.name == "comic"]
+USERS = sorted(path for folder in ("scripts", "perfbench") for path in (ROOT / folder).glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -50,9 +58,37 @@ def unused_parameters(source: str) -> list[str]:
     return [entry for _, entry in sorted(unused)]
 
 
+def named(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Identifiers, attribute names and string constants in tree, outside the subtree skip."""
+    names = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def unreferenced_definitions(source: str, elsewhere: set[str]) -> list[str]:
+    """Module-level defs and classes that neither elsewhere nor source, outside
+    their own definition, names, with their line."""
+    tree = ast.parse(source)
+    return [f"line {node.lineno}: {node.name}" for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name not in elsewhere | named(tree, skip=node)]
+
+
 def test_modules_to_check_were_found():
     names = {path.name for path in MODULES}
     assert {"optim.py", "codelength.py", "cli.py", "ab_pairs.py"} <= names
+    assert {"run.py", "tracing.py", "ab_pairs.py"} <= {path.name for path in USERS}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
@@ -89,3 +125,32 @@ def test_unused_parameter_check_flags_a_planted_parameter():
     assert unused_parameters(source) == [
         "line 2: method(unused)", "line 5: make(kwargs)", "line 6: inner(b)",
         "line 9: written_only(x)"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_package_code_that_only_tests_use(path):
+    import comic
+
+    elsewhere = set(comic.__all__).union(
+        *(named(ast.parse(other.read_text(encoding="utf-8")))
+          for other in PACKAGE + USERS if other != path))
+    assert unreferenced_definitions(path.read_text(encoding="utf-8"), elsewhere) == []
+
+
+def test_unreferenced_definition_check_flags_a_planted_name():
+    source = ("def entry():\n"
+              "    return helper()\n"
+              "def helper():\n"
+              "    return helper\n"
+              "class Exported:\n"
+              "    def method(self):\n"
+              "        return orphan\n"
+              "def orphan():\n"
+              "    return orphan()\n"
+              "def recursive():\n"
+              "    return recursive()\n"
+              "TABLE = ('traced',)\n"
+              "def traced():\n"
+              "    pass\n")
+    assert unreferenced_definitions(source, {"Exported"}) == [
+        "line 1: entry", "line 10: recursive"]
