@@ -93,7 +93,7 @@ class PairReport:
 def marginal_gaussian_codelength(x: np.ndarray) -> float:
     """Nats to encode x under a fixed standard normal."""
     x = np.asarray(x, dtype=float)
-    return float(np.sum(bnn.HALF_LOG_2PI + 0.5 * x * x))
+    return float(bnn.gaussian_nll(x, np.zeros_like(x), np.ones_like(x)))
 
 
 def _stack_directions(directions, min_samples: int) -> tuple[np.ndarray, np.ndarray]:
@@ -135,13 +135,13 @@ def train_conditional(
     parameters are one (directions x P) matrix, bound once to a stacked
     model whose blocks are views of it, and the gradient likewise. Each
     epoch makes one objective call, which overwrites the gradient matrix,
-    and one Adam step on the flattened matrices, which updates the
-    parameters and the moment vectors m and v in place. No operation mixes
-    directions, so each gets the bytes it would get trained alone. Both
-    phases run full-batch under Adam with a cosine learning-rate schedule;
-    the second phase starts from zeroed Adam moments since it minimizes a
-    different objective. A NumericError names the direction's index, the
-    phase and the epoch.
+    and one Adam step on the matrices, which updates the parameters and
+    the moment matrices m and v in place. No operation mixes directions, so
+    each gets the bytes it would get trained alone. Both phases run
+    full-batch under Adam with a cosine learning-rate schedule; the second
+    phase starts from zeroed Adam moments since it minimizes a different
+    objective. A NumericError names the direction's index, the phase and
+    the epoch, and a non-finite gradient's block and offset too.
     """
     x, y = _stack_directions(directions, 2)
     initial = ConditionalModel.initial(cfg.hidden_width, stream.child("init"))
@@ -149,7 +149,6 @@ def train_conditional(
     grads = np.empty_like(params)
     model = bnn.unpack_params(initial, params)
     grad_model = bnn.unpack_params(initial, grads)
-    blocks = bnn.param_blocks(initial) * len(x)
     eps = (np.empty((x.shape[1], cfg.hidden_width)), np.empty((x.shape[1], 2)))
     vi_stream = stream.child("vi")
     phases = (
@@ -158,9 +157,8 @@ def train_conditional(
             model, x, y, min(1.0, t / cfg.warmup_epochs), _draw_noise(vi_stream.child(t), eps),
             grad_model)),
     )
-    flat_params, flat_grads = params.reshape(-1), grads.reshape(-1)
     for phase, epochs, objective in phases:
-        m, v = np.zeros_like(flat_params), np.zeros_like(flat_params)
+        m, v = np.zeros_like(params), np.zeros_like(params)
         for t in range(epochs):
             lr = cosine_lr(t, epochs, cfg.lr_max, cfg.lr_min)
             bad = ~np.isfinite(objective(t))
@@ -168,10 +166,15 @@ def train_conditional(
                 raise NumericError(f"non-finite loss in direction {int(np.argmax(bad))}, "
                                    f"{phase} phase at epoch {t}")
             try:
-                adam_step(flat_params, flat_grads, m, v, t + 1, lr, blocks)
-            except NumericError as e:
-                d = int(np.argmin(np.isfinite(grads).all(axis=1)))
-                raise NumericError(f"direction {d}, {phase} phase, epoch {t}: {e}") from None
+                adam_step(params, grads, m, v, t + 1, lr)
+            except NumericError:
+                d, i = np.argwhere(~np.isfinite(grads))[0]
+                for name, length in bnn.param_blocks(initial):
+                    if i < length:
+                        break
+                    i -= length
+                raise NumericError(f"direction {d}, {phase} phase, epoch {t}: non-finite "
+                                   f"gradient in block '{name}' (offset {i})") from None
     return model
 
 

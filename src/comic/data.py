@@ -41,6 +41,7 @@ FAMILIES = ("AN", "AN-s", "LS", "LS-s", "MN-U")
 GENERATOR_VERSION = "2"
 
 TUEBINGEN_URL = "https://webdav.tuebingen.mpg.de/cause-effect/"
+FETCH_RETRIES = 3  # download attempts per file before fetch_tuebingen gives up
 
 
 @dataclass
@@ -313,6 +314,7 @@ def _parse_meta_text(content: bytes, name: str) -> list[MetaRow]:
     """The rows of a pairmeta file's content; name labels its errors."""
     text = decode_utf8(content, name)
     rows = []
+    first_lines: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -335,6 +337,10 @@ def _parse_meta_text(content: bytes, name: str) -> list[MetaRow]:
             raise ParseError(f"{name}: column range runs backwards in {line!r}", lineno)
         if row.cause_first <= row.effect_last and row.effect_first <= row.cause_last:
             raise ParseError(f"{name}: cause and effect share a column in {line!r}", lineno)
+        first = first_lines.setdefault(row.pair_id, lineno)
+        if first != lineno:
+            raise ParseError(f"{name}: pair id {row.pair_id!r} repeats the row on line {first}",
+                             lineno)
         rows.append(row)
     if not rows:
         raise ParseError(f"{name}: empty meta file")
@@ -395,21 +401,21 @@ def write_dataset(directory: str | Path, pairs: Sequence[PairDataset]) -> list[s
     return names
 
 
-def _download(url: str, retries: int, log: Callable[[str], None]) -> bytes:
+def _download(url: str, log: Callable[[str], None]) -> bytes:
     # imported here: the network stack (email, ssl) costs about 20 ms to import
     import http.client
     import urllib.error
     import urllib.request
 
     last_error: Exception | None = None
-    for attempt in range(1, retries + 1):
+    for attempt in range(1, FETCH_RETRIES + 1):
         try:
             with urllib.request.urlopen(url, timeout=60) as response:
                 return response.read()
         except (urllib.error.URLError, http.client.HTTPException, OSError, TimeoutError) as e:
             last_error = e
-            log(f"attempt {attempt}/{retries} failed for {url}: {e}")
-    raise FetchError(f"could not fetch {url} after {retries} attempts: {last_error}")
+            log(f"attempt {attempt}/{FETCH_RETRIES} failed for {url}: {e}")
+    raise FetchError(f"could not fetch {url} after {FETCH_RETRIES} attempts: {last_error}")
 
 
 def _write_atomic(path: Path, content: bytes) -> None:
@@ -427,7 +433,6 @@ def _write_atomic(path: Path, content: bytes) -> None:
 def fetch_tuebingen(
     url: str = TUEBINGEN_URL,
     out_dir: str | Path = "tuebingen",
-    retries: int = 3,
     log: Callable[[str], None] = lambda msg: None,
 ) -> int:
     """Download the cause-effect pair corpus; returns count of new files.
@@ -442,7 +447,7 @@ def fetch_tuebingen(
 
     meta_path = out / "pairmeta.txt"
     if not meta_path.exists():
-        content = _download(base + "pairmeta.txt", retries, log)
+        content = _download(base + "pairmeta.txt", log)
         _parse_meta_text(content, meta_path.name)
         _write_atomic(meta_path, content)
         written += 1
@@ -453,7 +458,7 @@ def fetch_tuebingen(
         target = out / name
         if target.exists():
             continue
-        content = _download(base + name, retries, log)
+        content = _download(base + name, log)
         try:
             _parse_matrix(content, name)
         except ParseError:

@@ -1,15 +1,14 @@
 """Adam and the cosine learning-rate schedule.
 
 Adam's state is two plain float64 arrays, the moments m and v, owned by the
-caller next to the parameter vector. adam_step updates all three in place
-and returns nothing; every update is deterministic given its inputs, and a
-step that raises has written nothing.
+caller next to a parameter array of any shape. adam_step updates all three
+in place, elementwise, and returns nothing; every update is deterministic
+given its inputs, and a step that raises has written nothing.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -42,14 +41,13 @@ def adam_step(
     v: np.ndarray,
     step: int,
     lr: float,
-    param_blocks: Sequence[tuple[str, int]] | None = None,
 ) -> None:
     """One bias-corrected Adam update of params, m and v, in place.
 
-    step is an integer counting from 1 (the first update of a run passes
-    1), and lr a finite positive real. param_blocks optionally names
-    contiguous segments of the flat vector (name, length) so a non-finite
-    gradient can be reported by block.
+    The four arrays share one shape, so a (D, P) matrix steps as its D rows
+    would one by one. step is an integer counting from 1 (the first update
+    of a run passes 1), and lr a finite positive real. A non-finite
+    gradient is named by its flat index.
     """
     if not params.shape == grads.shape == m.shape == v.shape:
         raise ArgumentError(
@@ -60,11 +58,9 @@ def adam_step(
         raise ArgumentError(f"step counts from 1, got {step}")
     if not (lr > 0 and math.isfinite(lr)):
         raise ArgumentError(f"learning rate must be finite and positive, got {lr}")
-    if not np.isfinite(grads).all():
-        bad = ~np.isfinite(grads)
-        raise NumericError(
-            "non-finite gradient in " + _locate_block(int(np.argmax(bad)), param_blocks)
-        )
+    finite = np.isfinite(grads)
+    if not finite.all():
+        raise NumericError(f"non-finite gradient in parameter {int(np.argmin(finite))}")
     # m * BETA1 has the bytes of BETA1 * m, so these match the textbook form
     m *= BETA1
     m += (1.0 - BETA1) * grads
@@ -73,14 +69,3 @@ def adam_step(
     m_hat = m / (1.0 - BETA1 ** step)
     v_hat = v / (1.0 - BETA2 ** step)
     params -= lr * m_hat / (np.sqrt(v_hat) + EPS)
-
-
-def _locate_block(index: int, blocks: Sequence[tuple[str, int]] | None) -> str:
-    if blocks is None:
-        return f"parameter {index}"
-    offset = 0
-    for name, length in blocks:
-        if index < offset + length:
-            return f"block '{name}' (offset {index - offset})"
-        offset += length
-    return f"parameter {index}"

@@ -100,6 +100,10 @@ def test_score_smoke_pair(smoke_pair_file, capsys):
     assert payload["seed"] == 5
     assert payload["config"]["hidden_width"] == 6
     assert payload["delta_xy"] == payload["l_marginal_x"] + payload["l_cond_y_given_x"]
+    out_file = smoke_pair_file.parent / "score.json"
+    _, again = run_cli(capsys, ["score", str(smoke_pair_file), "--seed", "5", *FAST_FLAGS,
+                                "--out", str(out_file)])
+    assert out_file.read_text() == again == out
 
 
 def test_score_repeat_is_byte_identical(smoke_pair_file, capsys):
@@ -185,10 +189,15 @@ def test_config_file_and_flag_override(smoke_pair_file, tmp_path, capsys):
 
 def test_config_file_unknown_key(smoke_pair_file, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("not_a_key=1\n")
-    code, out = run_cli(capsys, ["score", str(smoke_pair_file), "--config", str(cfg)])
-    assert code == 1
-    assert "not_a_key" in json.loads(out)["error"]["message"]
+    for text, reason in [("not_a_key=1\n", "unknown config key 'not_a_key'"),
+                         ("seed 3\n", "expected key=value"),
+                         ("hidden_width=abc\n", "bad value for hidden_width")]:
+        cfg.write_text(text)
+        code, out = run_cli(capsys, ["score", str(smoke_pair_file), "--config", str(cfg)])
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["type"] == "ParseError"
+        assert error["message"] == f"line 1: {cfg}: {reason}"
 
 
 def test_config_file_rejects_unknown_format(smoke_pair_file, tmp_path, capsys):
@@ -284,9 +293,17 @@ def test_benchmark_parallelism_independent(tmp_path, capsys):
 def test_benchmark_empty_dir(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
-    code, out = run_cli(capsys, ["benchmark", str(empty)])
-    assert code == 1
-    assert "error" in json.loads(out)
+    wide = tmp_path / "wide"
+    wide.mkdir()
+    (wide / "pairmeta.txt").write_text("0001 1 2 3 3 1.0\n")
+    a_file = tmp_path / "pair.txt"
+    a_file.write_text("1 2\n3 4\n")
+    for path, message in [(empty, f"missing meta file {empty / 'pairmeta.txt'}"),
+                          (a_file, f"{a_file} is not a directory"),
+                          (wide, f"no usable pairs in {wide}")]:
+        code, out = run_cli(capsys, ["benchmark", str(path), "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert json.loads(out)["error"]["message"] == message
 
 
 def test_benchmark_exit_codes_on_failures(tmp_path, capsys):
@@ -432,9 +449,12 @@ def test_fetch_non_utf8_meta_is_a_parse_error(corpus_server, tmp_path, capsys):
         CorpusHandler.corpus["pairmeta.txt"] = "0001 1 1 2 2 1.0\n0002 2 2 1 1 1.5\n"
 
 
-def test_fetch_rejects_a_bad_meta_row_before_writing(corpus_server, tmp_path, capsys):
+@pytest.mark.parametrize("meta", ["0001 1 1 2 2 1.0\n0002 2 1 3 3 1.5\n",
+                                  "0001 1 1 2 2 1.0\n0001 2 2 1 1 1.5\n"],
+                         ids=["backwards-column-range", "repeated-pair-id"])
+def test_fetch_rejects_a_bad_meta_row_before_writing(corpus_server, tmp_path, capsys, meta):
     CorpusHandler.corpus = dict(CorpusHandler.corpus)
-    CorpusHandler.corpus["pairmeta.txt"] = "0001 1 1 2 2 1.0\n0002 2 1 3 3 1.5\n"
+    CorpusHandler.corpus["pairmeta.txt"] = meta
     try:
         out_dir = tmp_path / "corpus"
         code, out = run_cli(capsys, ["fetch-tuebingen", "--url", corpus_server,

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -383,23 +384,31 @@ def test_numeric_error_names_the_direction():
             train_conditional([(y, x), (x, y)], FAST, RngStream(0).child("overflow"))
 
 
-def test_numeric_error_in_adam_names_direction_phase_and_epoch(monkeypatch):
-    # a finite loss over a non-finite gradient is caught by Adam, which sees
-    # both directions in one flat vector
+@pytest.mark.parametrize("direction,block,index,offset", [
+    (1, "hidden.logvar_w", (0, 2), 2),
+    # the first output block lies past all five hidden blocks
+    (0, "output.mean_b", (1,), 1),
+], ids=["direction1-hidden.logvar_w", "direction0-output.mean_b"])
+def test_numeric_error_in_adam_names_direction_phase_and_epoch(monkeypatch, direction, block,
+                                                               index, offset):
+    # a finite loss over a non-finite gradient is caught by Adam; training
+    # names the entry by direction, block and offset
     real = bnn.elbo_objective
     calls = []
+    layer, field = block.split(".")
 
     def nan_gradient(model, x, y, beta, eps, grad):
         loss = real(model, x, y, beta, eps, grad)
         calls.append(1)
         if len(calls) == 3:
-            grad.hidden.logvar_w[1, 0, 2] = np.nan
+            getattr(getattr(grad, layer), field)[(direction, *index)] = np.nan
         return loss
 
     monkeypatch.setattr(bnn, "elbo_objective", nan_gradient)
     x = np.linspace(-1.0, 1.0, 20)
-    with pytest.raises(NumericError, match=r"^direction 1, VI phase, epoch 2: non-finite "
-                                           r"gradient in block 'hidden.logvar_w' \(offset 2\)$"):
+    expected = (f"direction {direction}, VI phase, epoch 2: non-finite gradient in "
+                f"block '{block}' (offset {offset})")
+    with pytest.raises(NumericError, match=f"^{re.escape(expected)}$"):
         train_conditional([(x, np.sin(x)), (np.sin(x), x)], FAST, RngStream(0))
 
 

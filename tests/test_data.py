@@ -383,9 +383,11 @@ def test_load_pair_file_header_errors(tmp_path):
 
 def test_load_pair_file_malformed_row_line_number(tmp_path):
     path = tmp_path / "pair.txt"
-    path.write_text("1 2\n3 oops\n5 6\n")
-    with pytest.raises(ParseError, match="line 2"):
-        load_pair_file(path)
+    for row, reason in [("3 oops", "non-numeric token"), ("3 nan", "non-finite value"),
+                        ("3 4 5", "expected 2 columns, found 3")]:
+        path.write_text(f"1 2\n{row}\n5 6\n")
+        with pytest.raises(ParseError, match=f"^line 2: pair.txt: {reason}"):
+            load_pair_file(path)
 
 
 def test_load_pair_file_multidimensional_rejected(tmp_path):
@@ -437,9 +439,14 @@ def test_parse_pairmeta_row(tmp_path):
 
 def test_parse_pairmeta_malformed(tmp_path):
     meta = tmp_path / "pairmeta.txt"
-    meta.write_text("0001 1 1 2\n")
-    with pytest.raises(ParseError):
-        parse_pairmeta(meta)
+    for text, reason in [
+        ("0001 1 1 2\n", "line 1: pairmeta.txt: expected 6 fields, found 4"),
+        ("0001 a 1 2 2 1.0\n", "line 1: pairmeta.txt: malformed meta row"),
+        ("\n  \n\n", "pairmeta.txt: empty meta file"),
+    ]:
+        meta.write_text(text)
+        with pytest.raises(ParseError, match=f"^{reason}"):
+            parse_pairmeta(meta)
 
 
 @pytest.mark.parametrize("row,reason", [
@@ -452,6 +459,7 @@ def test_parse_pairmeta_malformed(tmp_path):
     ("0001 0 0 2 2 1.0", "columns are 1-based"),
     ("0001 2 1 3 3 1.0", "column range runs backwards"),
     ("0001 1 2 2 3 1.0", "cause and effect share a column"),
+    ("0002 2 2 1 1 1.0", "pair id '0002' repeats the row on line 1"),
 ])
 def test_parse_pairmeta_rejects_bad_weight_or_column(tmp_path, row, reason):
     meta = tmp_path / "pairmeta.txt"
@@ -532,10 +540,12 @@ def test_load_tuebingen_missing_meta(tmp_path):
 
 
 def test_load_tuebingen_column_mismatch(tmp_path):
-    (tmp_path / "pair0001.txt").write_text("1\n2\n3\n")
     (tmp_path / "pairmeta.txt").write_text("0001 1 1 2 2 1.0\n")
-    with pytest.raises(ParseError, match="0001"):
-        load_tuebingen(tmp_path)
+    for body, reason in [("1\n2\n3\n", "pair0001.txt: meta names columns 1/2 but file has 1"),
+                         ("1 2\n3 x\n5 6\n", "line 2: pair0001.txt: non-numeric token")]:
+        (tmp_path / "pair0001.txt").write_text(body)
+        with pytest.raises(ParseError, match=f"^pair 0001: {reason}"):
+            load_tuebingen(tmp_path)
 
 
 def test_write_dataset_roundtrip(tmp_path):
