@@ -40,21 +40,22 @@ the noise, so it computes them once and each sample only adds std * eps.
 Epochs and Monte Carlo samples allocate no data-sized array: the
 pre-activations, the stds, the tanh derivative, the input gradient and the
 scaled noise gradients are written with out= into one buffer per (layer,
-role), kept for the life of the process and reallocated only when its shape
+role), kept for the life of the thread and reallocated only when its shape
 changes (a pair of another length). A value whose last use has passed is
 overwritten in place (the backward pass turns s_out into 0.5 / s_out, for
 one), so that few buffers are live and they stay in cache. Each value is
 computed by the same operations on the same operands as with fresh arrays,
 so the bytes are the same. Every buffer is written before it is read within
-one call, so no call sees another's data. The buffers assume one thread per
-process, which holds because run_benchmark scores in parallel with worker
-processes. No value returned to a caller aliases a buffer, and no buffer
-aliases the caller's noise.
+one call, so no call sees another's data. Each thread has its own
+buffers, so threads scoring at once get the bytes they would get alone.
+No value returned to a caller aliases a buffer, and no buffer aliases the
+caller's noise.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -216,17 +217,20 @@ def unpack_params(model: ConditionalModel, vec: np.ndarray) -> ConditionalModel:
     return ConditionalModel(hidden=layers[0], output=layers[1])
 
 
-_BUFFERS: dict[tuple[str, str], np.ndarray] = {}
+_LOCAL = threading.local()
 
 
 def _buffer(name: str, role: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
-    """The process's reused array for one role of layer name; its contents are stale.
+    """This thread's reused array for one role of layer name; its contents are stale.
 
     Reallocated only when the shape asked for differs from the last one.
     """
-    buf = _BUFFERS.get((name, role))
+    buffers = getattr(_LOCAL, "buffers", None)
+    if buffers is None:
+        buffers = _LOCAL.buffers = {}
+    buf = buffers.get((name, role))
     if buf is None or buf.shape != shape:
-        buf = _BUFFERS[(name, role)] = np.empty(shape, dtype)
+        buf = buffers[(name, role)] = np.empty(shape, dtype)
     return buf
 
 

@@ -29,8 +29,6 @@ CONFIG_KEYS = {
     "vi_epochs": int,
     "map_epochs": int,
     "warmup_epochs": int,
-    "lr_max": float,
-    "lr_min": float,
     "mc_eval": int,
     "parallelism": int,
     "format": str,

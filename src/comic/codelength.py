@@ -22,7 +22,6 @@ swapped pair is the bit-exact mirror of the original computation.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,21 +30,19 @@ import numpy as np
 from . import bnn
 from .bnn import ConditionalModel
 from .data import PairDataset, UNDECIDED, X_CAUSES_Y, Y_CAUSES_X, standardize
-from .errors import ArgumentError, NumericError, check_int, check_real
-from .optim import adam_step, cosine_lr
+from .errors import ArgumentError, NumericError, check_int
+from .optim import LR_MAX, LR_MIN, adam_step, cosine_lr
 from .rng import RngStream, check_seed, draw_standard_normal
 
 
 @dataclass
 class TrainConfig:
-    """All knobs of the two-phase training schedule."""
+    """The two-phase training schedule's settings; optim fixes its learning-rate range."""
 
     hidden_width: int = 50
     vi_epochs: int = 2500
     warmup_epochs: int = 250
     map_epochs: int = 2500
-    lr_max: float = 1e-2
-    lr_min: float = 1e-6
     mc_eval_samples: int = 64
     seed: int = 0
 
@@ -59,12 +56,6 @@ class TrainConfig:
         self.seed = check_seed(self.seed)
         if self.warmup_epochs > self.vi_epochs:
             raise ArgumentError("warmup_epochs must not exceed vi_epochs")
-        self.lr_max = check_real("lr_max", self.lr_max)
-        self.lr_min = check_real("lr_min", self.lr_min)
-        if not (math.isfinite(self.lr_max) and 0.0 <= self.lr_min < self.lr_max):
-            raise ArgumentError(
-                f"need finite 0 <= lr_min < lr_max, got lr_min={self.lr_min}, "
-                f"lr_max={self.lr_max}")
 
 
 @dataclass
@@ -138,10 +129,11 @@ def train_conditional(
     and one Adam step on the matrices, which updates the parameters and
     the moment matrices m and v in place. No operation mixes directions, so
     each gets the bytes it would get trained alone. Both phases run
-    full-batch under Adam with a cosine learning-rate schedule; the second
-    phase starts from zeroed Adam moments since it minimizes a different
-    objective. A NumericError names the direction's index, the phase and
-    the epoch, and a non-finite gradient's block and offset too.
+    full-batch under Adam with a cosine learning-rate schedule from LR_MAX
+    to LR_MIN; the second phase starts from zeroed Adam moments since it
+    minimizes a different objective. A NumericError names the direction's
+    index, the phase and the epoch, and a non-finite gradient's block and
+    offset too.
     """
     x, y = _stack_directions(directions, 2)
     initial = ConditionalModel.initial(cfg.hidden_width, stream.child("init"))
@@ -160,7 +152,7 @@ def train_conditional(
     for phase, epochs, objective in phases:
         m, v = np.zeros_like(params), np.zeros_like(params)
         for t in range(epochs):
-            lr = cosine_lr(t, epochs, cfg.lr_max, cfg.lr_min)
+            lr = cosine_lr(t, epochs, LR_MAX, LR_MIN)
             bad = ~np.isfinite(objective(t))
             if bad.any():
                 raise NumericError(f"non-finite loss in direction {int(np.argmax(bad))}, "

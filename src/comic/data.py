@@ -321,6 +321,8 @@ def _parse_meta_text(content: bytes, name: str) -> list[MetaRow]:
         tokens = line.split()
         if len(tokens) != 6:
             raise ParseError(f"{name}: expected 6 fields, found {len(tokens)}", lineno)
+        if "/" in tokens[0] or "\\" in tokens[0]:
+            raise ParseError(f"{name}: pair id {tokens[0]!r} is not a plain file name", lineno)
         try:
             *cols, weight = (float(t) for t in tokens[1:6])
         except ValueError:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, asdict
-from multiprocessing import Pool
 from pathlib import Path
 from typing import Sequence
 
@@ -128,7 +127,10 @@ def run_benchmark(
 
     Pair scoring is a pure function of (data, config), so results do not
     depend on the parallelism degree. Failed pairs are excluded from the
-    aggregates but kept in the rows with their error message.
+    aggregates but kept in the rows with their error message. With more
+    than one worker process, a worker that dies breaks the pool: the rows
+    of pairs already scored are kept, and every pair left without a result
+    gets a row whose error starts "BrokenProcessPool:", with runtime 0.0.
     """
     if not pairs:
         raise ArgumentError("benchmark needs a non-empty pair list")
@@ -142,8 +144,19 @@ def run_benchmark(
     if workers == 1:
         rows = [_score_one(job) for job in jobs]
     else:
-        with Pool(processes=workers) as pool:
-            rows = pool.map(_score_one, jobs, chunksize=1)
+        # imported here so that importing the package loads no process pool
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        rows = []
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_score_one, job) for job in jobs]
+            for pair, future in zip(pairs, futures):
+                try:
+                    rows.append(future.result())
+                except BrokenProcessPool as e:
+                    rows.append(PairRow(pair.id, None, None, pair.label, pair.weight, 0.0,
+                                        error=f"BrokenProcessPool: {e}"))
 
     ok = [r for r in rows if r.error is None]
     n_failed = len(rows) - len(ok)

@@ -28,6 +28,10 @@ def cosine_lr(t: float, total_epochs: int, lr_max: float, lr_min: float) -> floa
     return lr_min + 0.5 * span * (1.0 + math.cos(math.pi * t / total_epochs))
 
 
+# the learning-rate range every training phase anneals over, fixed like the betas
+LR_MAX = 1e-2
+LR_MIN = 1e-6
+
 # Adam's moment decay rates and denominator guard
 BETA1 = 0.9
 BETA2 = 0.999

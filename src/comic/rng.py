@@ -13,20 +13,19 @@ statistically independent. Streams carry no mutable state; derive a child
 with new tags whenever fresh randomness is needed.
 
 draw_standard_normal is on the training hot path, so it reuses one SFC64
-generator per process instead of building one per draw: before each draw
+generator per thread instead of building one per draw: before each draw
 it sets the whole state, which leaves nothing of the previous use behind,
 and then fills the array it is given, so the training loop can keep its
 noise in reused buffers. That generator is the module's only mutable
-state; it assumes one thread per process, which holds because
-run_benchmark scores in parallel with worker processes, each holding its
-own. It is built on first use, so importing the package does not load
-numpy.random.
+state, and each thread holds its own, so threads drawing at once get the
+bits they would get alone. It is built on a thread's first draw, so
+importing the package does not load numpy.random.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,10 +70,15 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-@functools.cache
+_LOCAL = threading.local()
+
+
 def _shared_generator() -> np.random.Generator:
-    """The one generator draw_standard_normal reuses, built on first use."""
-    return np.random.Generator(np.random.SFC64(0))
+    """The generator draw_standard_normal reuses on this thread, built on its first use."""
+    gen = getattr(_LOCAL, "generator", None)
+    if gen is None:
+        gen = _LOCAL.generator = np.random.Generator(np.random.SFC64(0))
+    return gen
 
 
 def draw_standard_normal(stream: RngStream, out: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -48,29 +50,7 @@ def test_train_config_validation():
     with pytest.raises(ArgumentError):
         TrainConfig(vi_epochs=10, warmup_epochs=20)
     with pytest.raises(ArgumentError):
-        TrainConfig(lr_max=1e-6, lr_min=1e-2)
-    with pytest.raises(ArgumentError):
         TrainConfig(hidden_width=0)
-
-
-@pytest.mark.parametrize("lr_min,lr_max", [
-    (-0.01, 1e-2), (-1e-300, 1e-2), (1e-2, 1e-2), (0.0, math.inf), (math.nan, 1e-2),
-    (0.0, math.nan), (-math.inf, 1e-2),
-])
-def test_train_config_rejects_bad_learning_rates(lr_min, lr_max):
-    with pytest.raises(ArgumentError, match="lr_min"):
-        TrainConfig(lr_min=lr_min, lr_max=lr_max)
-
-
-@pytest.mark.parametrize("field,kwargs", [
-    ("lr_max", {"lr_max": "0.01"}),
-    ("lr_max", {"lr_max": None}),
-    ("lr_min", {"lr_min": None}),
-    ("lr_min", {"lr_min": "0"}),
-])
-def test_train_config_rejects_non_real_learning_rates(field, kwargs):
-    with pytest.raises(ArgumentError, match=f"{field} must be a real number"):
-        TrainConfig(**kwargs)
 
 
 @pytest.mark.parametrize("seed", [-2**63 - 1, 2**63, 2**70])
@@ -135,15 +115,6 @@ def test_numpy_integer_counts_stored_as_int():
     spec = GeneratorSpec("AN", np.int64(2), np.int32(10))
     assert type(spec.n_pairs) is int and type(spec.n_samples) is int
     assert spec == GeneratorSpec("AN", 2, 10)
-
-
-def test_train_config_accepts_zero_lr_min():
-    cfg = TrainConfig(hidden_width=4, map_epochs=20, vi_epochs=20, warmup_epochs=4,
-                      lr_min=0.0, seed=1)
-    rng = np.random.default_rng(16)
-    x = rng.standard_normal(30)
-    model = train_conditional([(x, np.tanh(x))], cfg, RngStream(1).child("zero-lr-min"))
-    assert np.isfinite(pack_params(model)).all()
 
 
 def test_linear_pair_compresses_below_marginal():
@@ -300,6 +271,26 @@ def test_swap_antisymmetry_bit_exact():
     assert {forward.decision, mirrored.decision} == {X_CAUSES_Y, Y_CAUSES_X}
     assert mirrored.forward.delta == forward.backward.delta
     assert mirrored.backward.delta == forward.forward.delta
+
+
+def test_threads_score_like_serial():
+    # each thread keeps its own training buffers and noise generator, so
+    # pairs scored at once get the bits each gets alone; more threads than
+    # CPUs and a short switch interval make the threads interleave often
+    pairs = [generate_pair(GeneratorSpec(family, 2, 300, seed=1), i)
+             for family in ("AN-s", "LS-s") for i in range(2)]
+    cfg = TrainConfig(hidden_width=20, map_epochs=30, vi_epochs=30, warmup_epochs=3,
+                      mc_eval_samples=8, seed=1)
+    serial = [score_pair(pair, cfg).final_delta for pair in pairs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        with ThreadPoolExecutor(max_workers=len(pairs)) as pool:
+            threaded = list(pool.map(lambda pair: score_pair(pair, cfg).final_delta, pairs,
+                                     timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
 
 
 def test_affine_rescaling_does_not_move_decision():

@@ -460,6 +460,8 @@ def test_parse_pairmeta_malformed(tmp_path):
     ("0001 2 1 3 3 1.0", "column range runs backwards"),
     ("0001 1 2 2 3 1.0", "cause and effect share a column"),
     ("0002 2 2 1 1 1.0", "pair id '0002' repeats the row on line 1"),
+    ("00/03 1 1 2 2 1.0", "pair id '00/03' is not a plain file name"),
+    ("..\\y 1 1 2 2 1.0", "pair id '..\\\\\\\\y' is not a plain file name"),
 ])
 def test_parse_pairmeta_rejects_bad_weight_or_column(tmp_path, row, reason):
     meta = tmp_path / "pairmeta.txt"

@@ -308,13 +308,13 @@ def test_parallelism_does_not_change_metrics():
 
 
 def test_run_benchmark_starts_no_more_workers_than_pairs(monkeypatch):
-    import comic.evaluation
+    import concurrent.futures
 
     started = []
 
-    class SerialPool:
-        def __init__(self, processes):
-            started.append(processes)
+    class SerialExecutor:
+        def __init__(self, max_workers):
+            started.append(max_workers)
 
         def __enter__(self):
             return self
@@ -322,10 +322,12 @@ def test_run_benchmark_starts_no_more_workers_than_pairs(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs, chunksize):
-            return [fn(job) for job in jobs]
+        def submit(self, fn, job):
+            future = concurrent.futures.Future()
+            future.set_result(fn(job))
+            return future
 
-    monkeypatch.setattr(comic.evaluation, "Pool", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
     pairs = small_pairs(2, 30)
     serial = run_benchmark(pairs, FAST, parallelism=1)
     assert [r.final_delta for r in run_benchmark(pairs, FAST, parallelism=8).rows] \

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from comic.errors import ArgumentError, NumericError
-from comic.optim import BETA1, BETA2, EPS, adam_step, cosine_lr
+from comic.optim import BETA1, BETA2, EPS, LR_MAX, LR_MIN, adam_step, cosine_lr
 from gradcheck import finite_diff_grad
 
-LR_MAX, LR_MIN, TOTAL = 1e-2, 1e-6, 2500
+TOTAL = 2500
 
 
 def adam_oracle(params, grads, m, v, step, lr):
@@ -23,8 +23,8 @@ def adam_oracle(params, grads, m, v, step, lr):
 
 
 def test_cosine_endpoints_exact():
-    assert cosine_lr(0, TOTAL, LR_MAX, LR_MIN) == 1e-2
-    assert cosine_lr(2500, TOTAL, LR_MAX, LR_MIN) == 1e-6
+    assert cosine_lr(0, TOTAL, LR_MAX, LR_MIN) == LR_MAX
+    assert cosine_lr(2500, TOTAL, LR_MAX, LR_MIN) == LR_MIN
 
 
 def test_cosine_midpoint():

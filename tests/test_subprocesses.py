@@ -1,20 +1,24 @@
-"""Checks that need a fresh interpreter: BLAS thread counts, page faults, imports and script entry points."""
+"""Checks that need a fresh interpreter: BLAS thread counts, page faults, imports, dying
+workers and script entry points."""
 
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def python_proc(args, **env):
+def python_proc(args, timeout=300, **env):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args], env={**os.environ, "PYTHONPATH": path, **env},
-        capture_output=True, text=True, timeout=300,
+        capture_output=True, text=True, timeout=timeout,
     )
 
 
@@ -110,10 +114,51 @@ def test_ab_pairs_exits_1_when_scores_differ(tmp_path):
     assert result["scores_match"] is False
 
 
-
 def test_import_leaves_the_network_stack_unloaded():
     # only fetching needs http.client, which pulls in email and ssl (about
-    # 20 ms of every start-up); importing the package must not load them
+    # 20 ms of every start-up), and only a parallel benchmark needs a process
+    # pool (about 25 ms more); importing the package must load none of them
     out = run_python(["-c", "import sys, comic; print(sorted(m for m in "
-                            "('http.client', 'ssl', 'urllib.request') if m in sys.modules))"])
+                            "('http.client', 'ssl', 'urllib.request', 'multiprocessing', "
+                            "'concurrent.futures') if m in sys.modules))"])
     assert out.strip() == "[]"
+
+
+# Scores 4 tiny pairs on 2 worker processes, one of which exits while
+# scoring the third pair; the forked workers inherit the patched _score_one.
+DEAD_WORKER = """
+import json, multiprocessing, os
+multiprocessing.set_start_method("fork")
+from comic import evaluation
+from comic.codelength import TrainConfig
+from comic.data import GeneratorSpec, generate_dataset
+pairs = generate_dataset(GeneratorSpec("AN", 4, 30, seed=1))
+score_one = evaluation._score_one
+
+def exit_on_third(job):
+    if job[0].id == pairs[2].id:
+        os._exit(1)
+    return score_one(job)
+
+evaluation._score_one = exit_on_third
+cfg = TrainConfig(hidden_width=4, map_epochs=10, vi_epochs=10, warmup_epochs=2,
+                  mc_eval_samples=2, seed=1)
+result = evaluation.run_benchmark(pairs, cfg, parallelism=2)
+print(json.dumps({"ids": [r.id for r in result.rows], "n_failed": result.n_failed,
+                  "rows": [[r.final_delta, r.runtime_seconds, r.error] for r in result.rows]}))
+"""
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the patched worker function reaches the pool only by fork")
+def test_a_dead_worker_becomes_error_rows_instead_of_a_hang():
+    proc = python_proc(["-c", DEAD_WORKER], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["ids"] == [f"AN-{i:04d}" for i in range(4)]
+    assert out["n_failed"] >= 1
+    delta, runtime, error = out["rows"][2]
+    assert delta is None and runtime == 0.0 and error.startswith("BrokenProcessPool: ")
+    for delta, runtime, error in out["rows"]:
+        assert (error is None) == (delta is not None)
+        assert error is None or (error.startswith("BrokenProcessPool: ") and runtime == 0.0)
