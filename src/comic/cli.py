@@ -151,8 +151,10 @@ def cmd_benchmark(args) -> int:
     pairs = load_tuebingen(directory)
     if not pairs:
         raise ArgumentError(f"no usable pairs in {directory}")
-    result = run_benchmark(pairs, cfg, parallelism=settings["parallelism"])
+    # made before scoring, so a bad --out fails before a long run, not after it
     out_dir = Path(args.out or "benchmark-out")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    result = run_benchmark(pairs, cfg, parallelism=settings["parallelism"])
     write_result(result, out_dir)
     if settings["format"] == "json":
         sys.stdout.write(result_to_json(result))

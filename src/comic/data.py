@@ -88,14 +88,32 @@ def _sqrt_ratio(num: int, den: int) -> float:
     return float(_DECIMAL.sqrt(_DECIMAL.divide(Decimal(num), Decimal(den))))
 
 
+# Ziv's rounding test (Ziv, ACM TOMS 1991) for the entries of standardize.
+# _sqrt_ratio rounds the quotient and then its root to 50 significant digits,
+# each within 5e-50 relative; the root halves the first error, so its decimal
+# value D lies within 7.5e-50 relative of the exact root. A bracket of the
+# exact root, widened by 2^-_ROUND_GUARD relative (about 6.8e-49), therefore
+# contains D. Rounding to binary is monotonic: when both widened ends round
+# to the same double, float(D) is that double too, and _sqrt_ratio is only
+# called when they do not.
+_ROUND_GUARD = 160
+
+
 def standardize(v: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Center and scale to population std 1; returns (vector, mean, std).
 
-    Mean and variance are accumulated in exact integer arithmetic and each
-    output entry is rounded once from the exact ratio d_i / sqrt(var). The
-    result is therefore a deterministic function of the exact input values,
-    and affine maps that introduce no per-element rounding (any power-of-two
-    rescaling, exactly representable shifts) change nothing downstream.
+    Mean and variance are accumulated in exact integer arithmetic. Each
+    output entry is d_i / sqrt(var) as _sqrt_ratio gives it: the double
+    nearest the 50-digit decimal root of a 50-digit decimal quotient, a
+    value within 7.5e-50 relative of the exact ratio. A rounding test keeps
+    the decimal arithmetic off the common path: one integer root of
+    n / sum_sq, to about 200 bits, brackets every entry; when the bracket,
+    widened by 2^-160 relative, rounds to a single double, that double is
+    the entry, and only a bracket that straddles a rounding boundary takes
+    the decimal root. Either way the result is a deterministic function of
+    the exact input values, and affine maps that introduce no per-element
+    rounding (any power-of-two rescaling, exactly representable shifts)
+    change nothing downstream.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size < 2:
@@ -113,13 +131,23 @@ def standardize(v: np.ndarray) -> tuple[np.ndarray, float, float]:
     sum_sq = sum(a * a for a in devs)
     if sum_sq == 0:
         raise ArgumentError("degenerate variable: zero variance")
+    # sqrt(n / sum_sq) lies in [root, root + 1) / unit, root having about 200 bits
+    k = (400 + sum_sq.bit_length() - n.bit_length()) // 2
+    root = math.isqrt((n << 2 * k) // sum_sq)
+    unit = 1 << k
     out = np.empty(n)
     for i, a in enumerate(devs):
         if a == 0:
             out[i] = 0.0
-        else:
-            root = _sqrt_ratio(a * a * n, sum_sq)
-            out[i] = -root if a < 0 else root
+            continue
+        # |z_i| lies in [lo, hi) / unit; int / int rounds each widened end once
+        m = abs(a)
+        lo = m * root
+        hi = lo + m
+        z = (lo - (lo >> _ROUND_GUARD) - 1) / unit
+        if z != (hi + (hi >> _ROUND_GUARD) + 1) / unit:
+            z = _sqrt_ratio(a * a * n, sum_sq)
+        out[i] = -z if a < 0 else z
     return out, total / (n * scale), _sqrt_ratio(sum_sq, n**3 * scale * scale)
 
 

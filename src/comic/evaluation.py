@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import time
 from dataclasses import dataclass, asdict
@@ -131,6 +132,8 @@ def run_benchmark(
     than one worker process, a worker that dies breaks the pool: the rows
     of pairs already scored are kept, and every pair left without a result
     gets a row whose error starts "BrokenProcessPool:", with runtime 0.0.
+    An interrupt (Ctrl-C) cancels every pair not yet handed to a worker and
+    propagates once the pairs in flight finish.
     """
     if not pairs:
         raise ArgumentError("benchmark needs a non-empty pair list")
@@ -151,12 +154,19 @@ def run_benchmark(
         rows = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_score_one, job) for job in jobs]
-            for pair, future in zip(pairs, futures):
-                try:
-                    rows.append(future.result())
-                except BrokenProcessPool as e:
-                    rows.append(PairRow(pair.id, None, None, pair.label, pair.weight, 0.0,
-                                        error=f"BrokenProcessPool: {e}"))
+            try:
+                for pair, future in zip(pairs, futures):
+                    try:
+                        rows.append(future.result())
+                    except BrokenProcessPool as e:
+                        rows.append(PairRow(pair.id, None, None, pair.label, pair.weight, 0.0,
+                                            error=f"BrokenProcessPool: {e}"))
+            except BaseException:
+                # an interrupt leaves the pool at once: the with block's shutdown then
+                # waits only for the pairs already handed to a worker
+                for future in futures:
+                    future.cancel()
+                raise
 
     ok = [r for r in rows if r.error is None]
     n_failed = len(rows) - len(ok)
@@ -191,19 +201,24 @@ def _fmt(value) -> str:
 
 
 def result_to_csv(result: BenchmarkResult) -> str:
-    """CSV with one row per pair followed by a summary block."""
-    lines = ["id,final_delta,decision,label,weight,runtime_seconds,error"]
+    """CSV with one row per pair followed by a summary block.
+
+    A field is quoted only when it holds a comma, a quote or a line break,
+    as an error message or a pair id may.
+    """
+    import csv  # imported here: only the CSV writer needs it, not `import comic`
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["id", "final_delta", "decision", "label", "weight", "runtime_seconds",
+                     "error"])
     for r in result.rows:
-        lines.append(
-            f"{r.id},{_fmt(r.final_delta)},{r.decision or ''},{r.label or ''},"
-            f"{_fmt(r.weight)},{_fmt(r.runtime_seconds)},{r.error or ''}"
-        )
-    lines.append("# summary")
-    lines.append(f"accuracy,{_fmt(result.accuracy)}")
-    lines.append(f"weighted_accuracy,{_fmt(result.weighted_accuracy)}")
-    lines.append(f"bi_auroc,{_fmt(result.bi_auroc)}")
-    lines.append(f"n_failed,{result.n_failed}")
-    return "\n".join(lines) + "\n"
+        writer.writerow([r.id, _fmt(r.final_delta), r.decision or "", r.label or "",
+                         _fmt(r.weight), _fmt(r.runtime_seconds), r.error or ""])
+    writer.writerows([["# summary"], ["accuracy", _fmt(result.accuracy)],
+                      ["weighted_accuracy", _fmt(result.weighted_accuracy)],
+                      ["bi_auroc", _fmt(result.bi_auroc)], ["n_failed", result.n_failed]])
+    return out.getvalue()
 
 
 def result_to_json(result: BenchmarkResult) -> str:

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from comic import cli
 from comic.cli import main
 from comic.codelength import TrainConfig
 from comic.data import X_CAUSES_Y, GeneratorSpec, fetch_tuebingen, generate_dataset
@@ -321,6 +322,22 @@ def test_benchmark_exit_codes_on_failures(tmp_path, capsys):
     assert code == 0
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["aggregates"]["n_failed"] == 1
+
+
+def test_benchmark_rejects_an_out_file_before_scoring(tmp_path, capsys, monkeypatch):
+    data_dir = tmp_path / "an"
+    run_cli(capsys, ["generate", "AN", "2", "30", "--seed", "3", "--out", str(data_dir)])
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+
+    def must_not_score(*args, **kwargs):
+        raise AssertionError("scored before the output directory was made")
+
+    monkeypatch.setattr(cli, "run_benchmark", must_not_score)
+    code, out = run_cli(capsys, ["benchmark", str(data_dir), "--out", str(taken)])
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "FileExistsError"
+    assert taken.read_text() == "not a directory\n"
 
 
 def test_benchmark_names_the_meta_line_of_a_bad_column_range(tmp_path, capsys):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
+from comic import data as data_mod
 from comic.data import (
     GENERATOR_VERSION,
     GeneratorSpec,
@@ -185,9 +186,45 @@ def test_standardize_matches_rational_oracle_bit_exact(values):
     assert _standardize_bits(standardize, v) == _standardize_bits(standardize_oracle, v)
 
 
-def test_standardize_matches_oracle_on_normal_column():
-    v = np.random.default_rng(4).standard_normal(500) * 3.0 + 1e3
+ORACLE_COLUMNS = {
+    "normal-n500": lambda: np.random.default_rng(4).standard_normal(500) * 3.0 + 1e3,
+    "LS-n2000": lambda: generate_pair(GeneratorSpec("LS", 1, 2000, seed=3), 0).y,
+    "AN-s-n4000": lambda: generate_pair(GeneratorSpec("AN-s", 1, 4000, seed=5), 0).y,
+    "three-ties-n2000": lambda: np.random.default_rng(6).choice([-1.5, 0.1, 7.25], 2000),
+}
+
+
+@pytest.mark.parametrize("column", ORACLE_COLUMNS)
+def test_standardize_matches_oracle_on_normal_column(column):
+    v = ORACLE_COLUMNS[column]()
     assert _standardize_bits(standardize, v) == _standardize_bits(standardize_oracle, v)
+
+
+def count_sqrt_ratio_calls(monkeypatch):
+    calls = []
+    sqrt_ratio = data_mod._sqrt_ratio
+    monkeypatch.setattr(data_mod, "_sqrt_ratio",
+                        lambda num, den: calls.append(1) or sqrt_ratio(num, den))
+    return calls
+
+
+def test_standardize_takes_one_decimal_root_per_column(monkeypatch):
+    # the rounding test settles every entry; only the std needs the decimal root
+    v = generate_pair(GeneratorSpec("AN", 1, 2000, seed=2), 0).y
+    calls = count_sqrt_ratio_calls(monkeypatch)
+    standardize(v)
+    assert len(calls) == 1
+
+
+def test_standardize_decimal_fallback_matches_oracle(monkeypatch):
+    # a guard of one bit widens each bracket to [lo / 2, 3 hi / 2], which always
+    # straddles a rounding boundary, so every entry takes the decimal root
+    v = np.random.default_rng(7).standard_normal(300) * 5.0 - 2.0
+    expected = _standardize_bits(standardize_oracle, v)
+    monkeypatch.setattr(data_mod, "_ROUND_GUARD", 1)
+    calls = count_sqrt_ratio_calls(monkeypatch)
+    assert _standardize_bits(standardize, v) == expected
+    assert len(calls) == v.size + 1
 
 
 def test_standardize_ignores_the_callers_decimal_context():

@@ -1,3 +1,5 @@
+import csv
+import io
 import signal
 
 import numpy as np
@@ -10,6 +12,8 @@ from comic.codelength import TrainConfig
 from comic.data import GeneratorSpec, PairDataset, X_CAUSES_Y, Y_CAUSES_X, generate_dataset
 from comic.errors import ArgumentError
 from comic.evaluation import (
+    BenchmarkResult,
+    PairRow,
     auroc,
     bi_auroc,
     result_to_csv,
@@ -360,6 +364,19 @@ def test_numpy_weight_prints_as_a_number_in_csv():
     pair = PairDataset(pair.x, pair.y, np.float64(2.0), pair.label, pair.id)
     row = result_to_csv(run_benchmark([pair], FAST)).splitlines()[1]
     assert row.split(",")[4] == "2.0"
+
+
+def test_csv_quotes_fields_that_hold_a_comma():
+    error = "NumericError: non-finite loss in direction 0, VI phase at epoch 5"
+    rows = [PairRow("AN-0001", 1.5, X_CAUSES_Y, X_CAUSES_Y, 1.0, 0.25),
+            PairRow('pair,"02"', None, None, Y_CAUSES_X, 2.0, 0.5, error=error)]
+    text = result_to_csv(BenchmarkResult(rows, 1.0, 1.0, None, 1, {}))
+    table = text.split("# summary\n")[0]
+    read = list(csv.reader(io.StringIO(table)))
+    assert [len(r) for r in read] == [7, 7, 7]
+    assert read[2] == ['pair,"02"', "n/a", "", Y_CAUSES_X, "2.0", "0.5", error]
+    # a row with nothing to quote keeps the unquoted bytes
+    assert table.splitlines()[1] == "AN-0001,1.5,x_causes_y,x_causes_y,1.0,0.25,"
 
 
 def test_json_mirror_has_same_aggregates():

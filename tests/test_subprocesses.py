@@ -5,8 +5,10 @@ import json
 import multiprocessing
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -14,12 +16,14 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def python_proc(args, timeout=300, **env):
+def child_env(**env):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args], env={**os.environ, "PYTHONPATH": path, **env},
-        capture_output=True, text=True, timeout=timeout,
-    )
+    return {**os.environ, "PYTHONPATH": path, **env}
+
+
+def python_proc(args, timeout=300, **env):
+    return subprocess.run([sys.executable, *args], env=child_env(**env), capture_output=True,
+                          text=True, timeout=timeout)
 
 
 def run_python(args, **env):
@@ -162,3 +166,43 @@ def test_a_dead_worker_becomes_error_rows_instead_of_a_hang():
     for delta, runtime, error in out["rows"]:
         assert (error is None) == (delta is not None)
         assert error is None or (error.startswith("BrokenProcessPool: ") and runtime == 0.0)
+
+
+# 24 pairs that take 1 s each on 2 worker processes: about 12 s of work. The
+# forked workers inherit the patched _score_one; "started" tells the parent
+# that the pool is about to start.
+INTERRUPTED = """
+import multiprocessing, time
+multiprocessing.set_start_method("fork")
+from comic import evaluation
+from comic.codelength import TrainConfig
+from comic.data import GeneratorSpec, generate_dataset
+pairs = generate_dataset(GeneratorSpec("AN", 24, 30, seed=1))
+
+def sleep_one_second(job):
+    time.sleep(1.0)
+    return evaluation.PairRow(job[0].id, 0.0, None, job[0].label, 1.0, 1.0)
+
+evaluation._score_one = sleep_one_second
+print("started", flush=True)
+evaluation.run_benchmark(pairs, TrainConfig(), parallelism=2)
+"""
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the patched worker function reaches the pool only by fork")
+def test_ctrl_c_stops_a_parallel_benchmark_without_scoring_the_queue():
+    proc = subprocess.Popen([sys.executable, "-c", INTERRUPTED], env=child_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        assert proc.stdout.readline() == "started\n"
+        time.sleep(1.5)
+        proc.send_signal(signal.SIGINT)  # the main process only: workers keep their pairs
+        sent = time.monotonic()
+        _, stderr = proc.communicate(timeout=60)
+        elapsed = time.monotonic() - sent
+    finally:
+        proc.kill()
+        proc.wait()
+    assert "KeyboardInterrupt" in stderr
+    assert elapsed < 5.0
