@@ -119,6 +119,12 @@ def cmd_generate(args) -> int:
 def cmd_score(args) -> int:
     settings = _effective_settings(args)
     cfg = _train_config(settings)
+    out = Path(args.out) if args.out else None
+    # checked before training, so a bad --out fails at once, not after the score
+    if out is not None and out.is_dir():
+        raise IsADirectoryError(f"--out {out} is a directory")
+    if out is not None and not out.parent.is_dir():
+        raise FileNotFoundError(f"--out {out}: no directory {out.parent}")
     pair = load_pair_file(args.pair_file, skip_header=args.skip_header)
     report = score_pair(pair, cfg)
     payload = {
@@ -136,8 +142,8 @@ def cmd_score(args) -> int:
         "config": asdict(cfg),
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
+    if out is not None:
+        out.write_text(text)
     sys.stdout.write(text)
     return 0
 

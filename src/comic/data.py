@@ -20,6 +20,7 @@ changes whenever a generated value does.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import tempfile
 from dataclasses import dataclass
@@ -99,55 +100,160 @@ def _sqrt_ratio(num: int, den: int) -> float:
 _ROUND_GUARD = 160
 
 
+def _round_exact(a: int, n: int, sum_sq: int, root: int, unit: int) -> float:
+    """The entry A * sqrt(n / sum_sq) of standardize, by the integer bracket."""
+    if a == 0:
+        return 0.0
+    # |z| lies in [lo, hi) / unit; int / int rounds each widened end once
+    m = abs(a)
+    lo = m * root
+    hi = lo + m
+    z = (lo - (lo >> _ROUND_GUARD) - 1) / unit
+    if z != (hi + (hi >> _ROUND_GUARD) + 1) / unit:
+        z = _sqrt_ratio(a * a * n, sum_sq)
+    return -z if a < 0 else z
+
+
+# Error-free transformations (Dekker, Numer. Math. 1971; Ogita, Rump & Oishi,
+# SIAM J. Sci. Comput. 2005), elementwise: each is exact barring overflow and
+# underflow, with + - * alone, so no CPU dispatch level changes a bit.
+def _split(a):
+    # Veltkamp: a = hi + lo, each part with at most 26 significant bits
+    t = a * 134217729.0
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _two_sum(a, b):
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _two_product(a, b):
+    p = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+# The columnwise stage of standardize rounds z_i = A_i c, c = sqrt(n / sum_sq),
+# from a double-double y_i = q + zl and accepts r = RN(y_i) when y_i +- E lies
+# strictly inside the rounding cell of r, so that RN(z_i) is r too. With
+# P = |p| + |T1| and eps = 2^-53, z - y = c (A - a) + a (c - c1 - c2) +
+# (a (c1 + c2) - y) for a = ah + al, and the three parts are bounded thus:
+#   - A = p + e - T1 - T2 - T3 exactly; (s, r1) = two_sum(p, -T1) is exact and
+#     u = r1 + e - T2 - T3 adds terms of at most 2 eps P in all in three
+#     roundings, so |A - a| = |A - s - u| <= 3 eps (2 eps P) < 2^-103 P.
+#   - c lies within 2^-199 c of root / unit, and c1 + c2 within eps |c2| +
+#     2^-1075 of that. In the safe range every |N_i| < 2^900, so
+#     1 / c <= max |A| < 2 n 2^900 <= 2^954, c1 >= 2^-954 and the c part is
+#     under 2^-105 |ah| c1.
+#   - ah c1 = q + f exactly (ah is a nonzero integer, so nothing underflows);
+#     the products ah c2 and al c1, the dropped al c2 and the two additions
+#     into zl err by at most 2^-102 |ah| c1 in all, plus 2^-1075 per product.
+#   - d = (q - r) + zl: q - r is exact (Sterbenz) and the addition errs by at
+#     most eps |d| <= 2^-106 |r|.
+# So |z - r - d| <= 2^-101 |r| + 2^-102 c1 P for |r| > 2^-900, where every
+# 2^-1075 term is below 2^-170 |r|. E = _ROUND_MARGIN (|r| + 2^-5 c1 P) is 2^11
+# and 2^7 times larger, which covers the rounding of E and of the cell tests.
+_ROUND_MARGIN = 2.0 ** -90
+
+
+@np.errstate(under="ignore")  # underflow is within the error bound
+def _round_columnwise(v: np.ndarray, scale: int, total: int, root: int, unit: int):
+    """Entries of standardize the double-double stage decides, and a mask of them.
+
+    The caller keeps the column in the stage's safe range: scale at most
+    2^900 and every |x_i| scale below 2^900. Returns None when three doubles
+    do not hold the total T = sum N_i exactly.
+    """
+    t1 = float(total)
+    t2 = float(total - int(t1))
+    rest = total - int(t1) - int(t2)
+    t3 = float(rest)
+    if rest != int(t3):
+        return None
+    c1 = root / unit
+    num, den = c1.as_integer_ratio()
+    c2 = (root * den - num * unit) / (unit * den)
+    # A_i = n N_i - T, as the double-double ah + al
+    p, e = _two_product(v * float(scale), float(v.size))
+    s, r1 = _two_sum(p, -t1)
+    ah, al = _two_sum(s, ((r1 + e) - t2) - t3)
+    # z_i = A_i (c1 + c2), rounded to r, and d = y - r
+    q, f = _two_product(ah, c1)
+    zl = f + (ah * c2 + al * c1)
+    r = q + zl
+    d = (q - r) + zl
+    mag = np.abs(r)
+    err = _ROUND_MARGIN * (mag + 2.0 ** -5 * c1 * (np.abs(p) + abs(t1)))
+    # the cell of |r| spans half the gap to each neighbour, narrower toward zero
+    away = np.where(r < 0, -d, d)
+    ok = ((mag > 2.0 ** -900) & (away + err < 0.5 * np.spacing(mag))
+          & (err - away < 0.5 * (mag - np.nextafter(mag, 0.0))))
+    return r, ok
+
+
 def standardize(v: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Center and scale to population std 1; returns (vector, mean, std).
 
     Mean and variance are accumulated in exact integer arithmetic. Each
     output entry is d_i / sqrt(var) as _sqrt_ratio gives it: the double
     nearest the 50-digit decimal root of a 50-digit decimal quotient, a
-    value within 7.5e-50 relative of the exact ratio. A rounding test keeps
-    the decimal arithmetic off the common path: one integer root of
-    n / sum_sq, to about 200 bits, brackets every entry; when the bracket,
-    widened by 2^-160 relative, rounds to a single double, that double is
-    the entry, and only a bracket that straddles a rounding boundary takes
-    the decimal root. Either way the result is a deterministic function of
-    the exact input values, and affine maps that introduce no per-element
-    rounding (any power-of-two rescaling, exactly representable shifts)
-    change nothing downstream.
+    value within 7.5e-50 relative of the exact ratio. Three stages, each
+    deciding what the last leaves open, give that double:
+
+    1. Columnwise double-double (_round_columnwise): every entry at once,
+       from error-free products and sums of doubles with a proven error
+       bound; an entry is accepted when the bound leaves a single double.
+    2. The integer bracket (_round_exact): one integer root of n / sum_sq,
+       to about 200 bits, brackets an entry; when the bracket, widened by
+       2^-160 relative, rounds to a single double, that double is the entry.
+    3. The decimal root (_sqrt_ratio), for a bracket that straddles a
+       rounding boundary.
+
+    An accepted value is the double nearest the exact ratio, and the decimal
+    root lies within the same rounding cell, so every stage gives the same
+    bits. The result is a deterministic function of the exact input values,
+    and affine maps that introduce no per-element rounding (any power-of-two
+    rescaling, exactly representable shifts) change nothing downstream.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size < 2:
         raise ArgumentError("standardize needs a 1-D vector with at least 2 entries")
     if not np.isfinite(v).all():
         raise ArgumentError("standardize requires finite values")
-    # every float is N_i / scale for one common power-of-two denominator scale
-    ratios = [t.as_integer_ratio() for t in v.tolist()]
-    scale = max(den for _, den in ratios)
-    nums = [num * (scale // den) for num, den in ratios]
+    # every float is N_i / scale for one common power-of-two denominator: a
+    # float is a whole number of its ulp, and the least nonzero |x_i| has the
+    # least ulp (an ulp of 1 or more gives scale 1)
+    least = np.abs(v[v != 0]).min(initial=2.0 ** 53)
+    scale = math.ulp(float(least)).as_integer_ratio()[1]
+    # the columnwise stage's safe range, where every N_i is a double
+    columnwise = scale <= 1 << 900 and float(np.abs(v).max()) * scale < 2.0 ** 900
+    if columnwise:
+        nums = list(map(int, (v * float(scale)).tolist()))
+    else:
+        nums = [num * (scale // den) for num, den in map(float.as_integer_ratio, v.tolist())]
     n = len(nums)
     total = sum(nums)
-    # deviation d_i = A_i / (n scale); variance = sum(A_i^2) / (n^3 scale^2)
-    devs = [n * num - total for num in nums]
-    sum_sq = sum(a * a for a in devs)
+    # deviation d_i = A_i / (n scale) with A_i = n N_i - T; variance =
+    # sum(A_i^2) / (n^3 scale^2), where sum(A_i^2) = n^2 sum(N_i^2) - n T^2
+    sum_sq = n * n * sum(map(operator.mul, nums, nums)) - n * total * total
     if sum_sq == 0:
         raise ArgumentError("degenerate variable: zero variance")
     # sqrt(n / sum_sq) lies in [root, root + 1) / unit, root having about 200 bits
     k = (400 + sum_sq.bit_length() - n.bit_length()) // 2
     root = math.isqrt((n << 2 * k) // sum_sq)
     unit = 1 << k
-    out = np.empty(n)
-    for i, a in enumerate(devs):
-        if a == 0:
-            out[i] = 0.0
-            continue
-        # |z_i| lies in [lo, hi) / unit; int / int rounds each widened end once
-        m = abs(a)
-        lo = m * root
-        hi = lo + m
-        z = (lo - (lo >> _ROUND_GUARD) - 1) / unit
-        if z != (hi + (hi >> _ROUND_GUARD) + 1) / unit:
-            z = _sqrt_ratio(a * a * n, sum_sq)
-        out[i] = -z if a < 0 else z
+    decided = _round_columnwise(v, scale, total, root, unit) if columnwise else None
+    if decided is None:
+        out, rest = np.empty(n), range(n)
+    else:
+        out, ok = decided
+        rest = np.flatnonzero(~ok).tolist()
+    for i in rest:
+        out[i] = _round_exact(n * nums[i] - total, n, sum_sq, root, unit)
     return out, total / (n * scale), _sqrt_ratio(sum_sq, n**3 * scale * scale)
 
 
@@ -184,9 +290,21 @@ def normalize_family(name: str) -> str:
 # spectral density N(0, 1). By Poisson summation the series' kernel is
 # exp(-r^2/2) up to aliasing at period 8*pi; for |r| <= 16 the two agree to
 # about 4e-16, and the density is below 3e-17 past the last frequency.
+# _GP_SCALES[j] = sqrt(a_j / 4 / sqrt(2 pi) exp(-f_j^2 / 2)) for f_j = j / 4,
+# with a_0 = 1 and a_j = 2 otherwise, is written out because the bits of
+# np.exp vary with numpy's CPU dispatch level.
 _GP_FREQS = np.arange(36) / 4.0
-_GP_SCALES = np.sqrt(np.where(_GP_FREQS > 0.0, 2.0, 1.0) * 0.25 / math.sqrt(2.0 * math.pi)
-                     * np.exp(-0.5 * _GP_FREQS * _GP_FREQS))
+_GP_SCALES = np.array(list(map(float.fromhex, """
+    0x1.43638953eaed2p-2 0x1.c2401c76ff332p-2 0x1.ada1c882c254ep-2 0x1.8d58389a565f4p-2
+    0x1.642d6ab9b5184p-2 0x1.3573c9b09692dp-2 0x1.0495bfea6be40p-2 0x1.a95dd25bf87fbp-3
+    0x1.507e1a67d04a5p-3 0x1.01ff7107b6b38p-3 0x1.7f7494eb7c689p-4 0x1.14314bb991030p-4
+    0x1.81a080c80bf5ep-5 0x1.04eda2388d4b4p-5 0x1.563dea54f3cc8p-6 0x1.b31595ffd13d3p-7
+    0x1.0c0c345772d0bp-7 0x1.401dfdbe0817bp-8 0x1.728a084ba7501p-9 0x1.9fb5113daf8cap-10
+    0x1.c40842ecfd8ccp-11 0x1.dc6895caf5875p-12 0x1.e6a6be4c30b3bp-13 0x1.e1d1dc35853d0p-14
+    0x1.ce5bfb21ae2f5p-15 0x1.ae08b9e52711ep-16 0x1.83a9c0c2a49b3p-17 0x1.52b7059e9b7fap-18
+    0x1.1ed783799fe55p-19 0x1.d6e0ee076ec11p-21 0x1.769aeba68bb0ep-22 0x1.20d8a7a45da4ap-23
+    0x1.afbc6527ec85ep-25 0x1.38ba9103e37e9p-26 0x1.b71cccc3e9c97p-28 0x1.2acd0ecda3ab9p-29
+""".split())))
 
 
 def _gp_draw(x: np.ndarray, stream: RngStream) -> np.ndarray:
@@ -261,11 +379,28 @@ def generate_dataset(spec: GeneratorSpec) -> list[PairDataset]:
 
 
 def _parse_matrix(content: bytes, name: str, skip_header: bool = False) -> np.ndarray:
-    """The numeric rows of a pair file's content; name labels its errors."""
+    """The numeric rows of a pair file's content; name labels its errors.
+
+    A well-formed file (at least 2 rows, one column count, every token a
+    finite number) takes one pass: the data lines, joined, split into the
+    rows' tokens in order, and float() converts them all at once. Any other
+    file runs the line loop, which names the first bad line and why.
+    """
+    lines = decode_utf8(content, name).splitlines()
+    header = 1 if skip_header else 0
+    body = lines[header:]
+    counts = [c for c in map(len, map(str.split, body)) if c]
+    if len(counts) >= 2 and counts.count(counts[0]) == len(counts):
+        tokens = " ".join(body).split()
+        try:
+            values = np.array(list(map(float, tokens)))
+        except ValueError:
+            values = None
+        if values is not None and np.isfinite(values).all():
+            return values.reshape(len(counts), counts[0])
     rows = []
     ncols = None
-    start = 2 if skip_header else 1
-    for lineno, line in enumerate(decode_utf8(content, name).splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if skip_header and lineno == 1:
             continue
         if not line.strip():
@@ -285,7 +420,7 @@ def _parse_matrix(content: bytes, name: str, skip_header: bool = False) -> np.nd
             )
         rows.append(values)
     if ncols is None or len(rows) < 2:
-        raise ParseError(f"{name}: fewer than 2 data rows (first data line {start})")
+        raise ParseError(f"{name}: fewer than 2 data rows (first data line {header + 1})")
     return np.asarray(rows)
 
 
@@ -302,7 +437,7 @@ def load_pair_file(path: str | Path, skip_header: bool = False) -> PairDataset:
 
 
 def write_pair_file(path: str | Path, pair: PairDataset) -> None:
-    lines = [f"{a:.17g} {b:.17g}" for a, b in zip(pair.x, pair.y)]
+    lines = map("{:.17g} {:.17g}".format, pair.x.tolist(), pair.y.tolist())
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -340,6 +340,21 @@ def test_benchmark_rejects_an_out_file_before_scoring(tmp_path, capsys, monkeypa
     assert taken.read_text() == "not a directory\n"
 
 
+@pytest.mark.parametrize("out,error", [("no-such-dir/x.json", "FileNotFoundError"),
+                                       (".", "IsADirectoryError")])
+def test_score_rejects_a_bad_out_before_training(smoke_pair_file, tmp_path, capsys,
+                                                 monkeypatch, out, error):
+    def must_not_score(*args, **kwargs):
+        raise AssertionError("trained before --out was checked")
+
+    monkeypatch.setattr(cli, "score_pair", must_not_score)
+    code, printed = run_cli(capsys, ["score", str(smoke_pair_file), "--out",
+                                     str(tmp_path / out)])
+    assert code == 1
+    assert json.loads(printed)["error"]["type"] == error
+    assert not (tmp_path / "no-such-dir").exists()
+
+
 def test_benchmark_names_the_meta_line_of_a_bad_column_range(tmp_path, capsys):
     (tmp_path / "pair0001.txt").write_text("1 2\n3 4\n5 6\n")
     (tmp_path / "pairmeta.txt").write_text("0001 1 1 1 1 1.0\n")

@@ -191,6 +191,10 @@ ORACLE_COLUMNS = {
     "LS-n2000": lambda: generate_pair(GeneratorSpec("LS", 1, 2000, seed=3), 0).y,
     "AN-s-n4000": lambda: generate_pair(GeneratorSpec("AN-s", 1, 4000, seed=5), 0).y,
     "three-ties-n2000": lambda: np.random.default_rng(6).choice([-1.5, 0.1, 7.25], 2000),
+    # the columnwise stage declines the entries nearest the mean of this one
+    "near-mean-n2000": lambda: 2000.0 + 1e-9 * np.arange(2000),
+    # and the whole of this one, whose common denominator exceeds 2^900
+    "span-1e600-n500": lambda: np.geomspace(1e-300, 1e300, 500) * np.tile([1.0, -1.0], 250),
 }
 
 
@@ -208,6 +212,34 @@ def count_sqrt_ratio_calls(monkeypatch):
     return calls
 
 
+def count_round_exact_calls(monkeypatch):
+    calls = []
+    round_exact = data_mod._round_exact
+    monkeypatch.setattr(data_mod, "_round_exact",
+                        lambda *args: calls.append(1) or round_exact(*args))
+    return calls
+
+
+def test_standardize_settles_a_generated_column_columnwise(monkeypatch):
+    v = generate_pair(GeneratorSpec("LS", 1, 2000, seed=4), 0).y
+    exact_calls = count_round_exact_calls(monkeypatch)
+    root_calls = count_sqrt_ratio_calls(monkeypatch)
+    standardize(v)
+    assert len(exact_calls) == 0
+    assert len(root_calls) == 1
+
+
+@pytest.mark.parametrize("column", ["near-mean-n2000", "LS-n2000"])
+def test_standardize_without_the_columnwise_stage_matches_oracle(monkeypatch, column):
+    # a margin of 1 makes the error bound wider than any rounding cell
+    v = ORACLE_COLUMNS[column]()
+    expected = _standardize_bits(standardize_oracle, v)
+    monkeypatch.setattr(data_mod, "_ROUND_MARGIN", 1.0)
+    calls = count_round_exact_calls(monkeypatch)
+    assert _standardize_bits(standardize, v) == expected
+    assert len(calls) == v.size
+
+
 def test_standardize_takes_one_decimal_root_per_column(monkeypatch):
     # the rounding test settles every entry; only the std needs the decimal root
     v = generate_pair(GeneratorSpec("AN", 1, 2000, seed=2), 0).y
@@ -221,6 +253,7 @@ def test_standardize_decimal_fallback_matches_oracle(monkeypatch):
     # straddles a rounding boundary, so every entry takes the decimal root
     v = np.random.default_rng(7).standard_normal(300) * 5.0 - 2.0
     expected = _standardize_bits(standardize_oracle, v)
+    monkeypatch.setattr(data_mod, "_ROUND_MARGIN", 1.0)
     monkeypatch.setattr(data_mod, "_ROUND_GUARD", 1)
     calls = count_sqrt_ratio_calls(monkeypatch)
     assert _standardize_bits(standardize, v) == expected
@@ -234,6 +267,14 @@ def test_standardize_ignores_the_callers_decimal_context():
         ctx.prec = 5
         ctx.rounding = decimal.ROUND_FLOOR
         ctx.traps[decimal.Inexact] = True
+        assert _standardize_bits(standardize, v) == expected
+
+
+def test_standardize_ignores_the_callers_numpy_error_state():
+    # the middle entry is the mean, whose zero the columnwise stage declines
+    v = np.array([1.0, 2.0, 3.0, 2.0])
+    expected = _standardize_bits(standardize_oracle, v)
+    with np.errstate(all="raise"):
         assert _standardize_bits(standardize, v) == expected
 
 
@@ -319,6 +360,15 @@ def test_gp_series_kernel_is_the_squared_exponential():
     r = np.linspace(-16.0, 16.0, 6401)
     kernel = (_GP_SCALES ** 2 * np.cos(np.multiply.outer(r, _GP_FREQS))).sum(axis=1)
     assert np.abs(kernel - np.exp(-0.5 * r * r)).max() < 1e-15
+
+
+def test_gp_scales_are_the_formula_to_one_ulp():
+    from comic.data import _GP_FREQS, _GP_SCALES
+
+    for w, scale in zip(_GP_FREQS.tolist(), _GP_SCALES.tolist()):
+        weight = 2.0 if w > 0.0 else 1.0
+        formula = math.sqrt(weight * 0.25 / math.sqrt(2.0 * math.pi) * math.exp(-0.5 * w * w))
+        assert abs(scale - formula) <= math.ulp(formula)
 
 
 def test_gp_draws_have_unit_variance_and_unit_lengthscale():
@@ -427,6 +477,68 @@ def test_load_pair_file_malformed_row_line_number(tmp_path):
             load_pair_file(path)
 
 
+def parse_lines_reference(text, name, skip_header=False):
+    """The line-by-line parser that _parse_matrix's one pass must agree with."""
+    rows = []
+    ncols = None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if (skip_header and lineno == 1) or not line.strip():
+            continue
+        tokens = line.split()
+        try:
+            values = [float(t) for t in tokens]
+        except ValueError:
+            raise ParseError(f"{name}: non-numeric token in {tokens}", lineno) from None
+        if any(not math.isfinite(t) for t in values):
+            raise ParseError(f"{name}: non-finite value", lineno)
+        if ncols is None:
+            ncols = len(values)
+        elif len(values) != ncols:
+            raise ParseError(f"{name}: expected {ncols} columns, found {len(values)}", lineno)
+        rows.append(values)
+    if ncols is None or len(rows) < 2:
+        start = 2 if skip_header else 1
+        raise ParseError(f"{name}: fewer than 2 data rows (first data line {start})")
+    return np.asarray(rows)
+
+
+def _parsed(parse, text, skip_header):
+    try:
+        data = parse(text, skip_header)
+    except ParseError as e:
+        return "error", str(e)
+    return data.shape, data.tobytes()
+
+
+@pytest.mark.parametrize("text,skip_header,expected", [
+    ("1 2\n3 4\n5 inf\n6 7\n8 9 10\n", False, "line 3: f.txt: non-finite value"),
+    ("1 2\n3 4 5\n6 x\n", False, "line 2: f.txt: expected 2 columns, found 3"),
+    ("1 2\n3 x\n5 6 7\n", False, "line 2: f.txt: non-numeric token in ['3', 'x']"),
+    ("1 2\r\n3 4\r\n5 6\r\n", False, None),
+    ("1\xa02\n3\u20034\n5\t6\n", False, None),
+    ("1 2\x0c3 4\x0c5 6", False, None),
+    ("1\x0c2\n3 4\n", False, "line 3: f.txt: expected 1 columns, found 2"),
+    ("1 2\x853 4\u20285 6\x0b7 8", False, None),
+    ("1_000 2\n3 4_5.5\n", False, None),
+    ("\n1 2\n3 4\n", True, None),
+    ("0.5 1.5\n1 2\n3 4\n", True, None),
+    ("x y z\n1 2\n\n3 4\n", True, None),
+    ("1 2\n3 4\n", False, None),
+    ("1 2\n\n  \n", False, "f.txt: fewer than 2 data rows (first data line 1)"),
+    ("1 2\n3 4\n", True, "f.txt: fewer than 2 data rows (first data line 2)"),
+    ("", False, "f.txt: fewer than 2 data rows (first data line 1)"),
+])
+def test_parse_matrix_agrees_with_the_line_loop(text, skip_header, expected):
+    one_pass = _parsed(lambda t, h: data_mod._parse_matrix(t.encode(), "f.txt", h),
+                       text, skip_header)
+    assert one_pass == _parsed(lambda t, h: parse_lines_reference(t, "f.txt", h),
+                               text, skip_header)
+    if expected is None:
+        assert one_pass[0] != "error"
+    else:
+        assert one_pass == ("error", expected)
+
+
 def test_load_pair_file_multidimensional_rejected(tmp_path):
     path = tmp_path / "pair.txt"
     path.write_text("1 2 3 4\n5 6 7 8\n")
@@ -439,6 +551,14 @@ def test_load_pair_file_too_short(tmp_path):
     path.write_text("1 2\n")
     with pytest.raises(ParseError):
         load_pair_file(path)
+
+
+def test_write_pair_file_writes_17_significant_digits(tmp_path):
+    pair = PairDataset(np.array([0.1, -2.5e-300, 1e22]), np.array([1 / 3, 0.0, -7.0]))
+    path = tmp_path / "pair.txt"
+    write_pair_file(path, pair)
+    assert path.read_text() == "".join(
+        f"{a:.17g} {b:.17g}\n" for a, b in zip(pair.x, pair.y))
 
 
 def test_roundtrip_through_text(tmp_path):

@@ -63,6 +63,40 @@ def test_gp_generation_independent_of_blas_threads():
     assert len(one.split()) == 4 and one == two
 
 
+GENERATE_AND_STANDARDIZE = """
+import hashlib
+from comic.data import GeneratorSpec, generate_pair, standardize
+for family in ("AN", "LS"):
+    pair = generate_pair(GeneratorSpec(family, 1, 64, seed=5), 0)
+    print(hashlib.sha256(pair.x.tobytes() + pair.y.tobytes()).hexdigest())
+print(standardize(pair.y)[0].tobytes().hex())
+"""
+
+# numpy's dispatch targets that NPY_DISABLE_CPU_FEATURES turns off: AVX-512
+# changes the bits of np.exp, and AVX2 those of np.tanh as well
+DISPATCH_OFF = {"avx512-off": "X86_V4 AVX512_ICL AVX512_SPR",
+                "avx2-off": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
+
+
+@pytest.mark.parametrize("setting", DISPATCH_OFF)
+def test_generated_pairs_do_not_depend_on_the_dispatch_level(setting):
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    from comic.data import GENERATOR_VERSION, GeneratorSpec, generate_pair, standardize
+    from test_data import GENERATED_SHA256
+
+    features = DISPATCH_OFF[setting].split()
+    if not all(f in __cpu_dispatch__ and __cpu_features__.get(f) for f in features):
+        pytest.skip(f"this CPU or numpy build has no {DISPATCH_OFF[setting]} to turn off")
+    out = run_python(["-c", GENERATE_AND_STANDARDIZE],
+                     NPY_DISABLE_CPU_FEATURES=DISPATCH_OFF[setting]).split()
+    pinned = GENERATED_SHA256[GENERATOR_VERSION]
+    ls_y = generate_pair(GeneratorSpec("LS", 1, 64, seed=5), 0).y
+    assert out == [pinned["AN"], pinned["LS"], standardize(ls_y)[0].tobytes().hex()]
+
+
 # Scores one n = 500 pair at the desk-n500 config (H = 50, 100 + 100 epochs
 # per direction, 64 MC samples) in an interpreter that has made no large
 # allocation before: with the training buffers allocated once, only their
