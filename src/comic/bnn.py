@@ -159,7 +159,9 @@ class ConditionalModel:
             output=VariationalLinearLayer.initial(hidden_width, 2, stream.child("output")),
         )
 
-    # duck-typed surface used by the codelength estimator
+    # the duck-typed surface conditional_variational_codelength prices a model
+    # through; it stays as the seam where a test substitutes a stand-in model
+    # (criterion 8's ScaleToyModel in tests/test_acceptance.py)
     def sampler(self, x: np.ndarray) -> Callable[[np.ndarray, np.ndarray],
                                                  tuple[np.ndarray, np.ndarray]]:
         return sampler(self, x)

@@ -89,31 +89,6 @@ def _sqrt_ratio(num: int, den: int) -> float:
     return float(_DECIMAL.sqrt(_DECIMAL.divide(Decimal(num), Decimal(den))))
 
 
-# Ziv's rounding test (Ziv, ACM TOMS 1991) for the entries of standardize.
-# _sqrt_ratio rounds the quotient and then its root to 50 significant digits,
-# each within 5e-50 relative; the root halves the first error, so its decimal
-# value D lies within 7.5e-50 relative of the exact root. A bracket of the
-# exact root, widened by 2^-_ROUND_GUARD relative (about 6.8e-49), therefore
-# contains D. Rounding to binary is monotonic: when both widened ends round
-# to the same double, float(D) is that double too, and _sqrt_ratio is only
-# called when they do not.
-_ROUND_GUARD = 160
-
-
-def _round_exact(a: int, n: int, sum_sq: int, root: int, unit: int) -> float:
-    """The entry A * sqrt(n / sum_sq) of standardize, by the integer bracket."""
-    if a == 0:
-        return 0.0
-    # |z| lies in [lo, hi) / unit; int / int rounds each widened end once
-    m = abs(a)
-    lo = m * root
-    hi = lo + m
-    z = (lo - (lo >> _ROUND_GUARD) - 1) / unit
-    if z != (hi + (hi >> _ROUND_GUARD) + 1) / unit:
-        z = _sqrt_ratio(a * a * n, sum_sq)
-    return -z if a < 0 else z
-
-
 # Error-free transformations (Dekker, Numer. Math. 1971; Ogita, Rump & Oishi,
 # SIAM J. Sci. Comput. 2005), elementwise: each is exact barring overflow and
 # underflow, with + - * alone, so no CPU dispatch level changes a bit.
@@ -201,20 +176,18 @@ def standardize(v: np.ndarray) -> tuple[np.ndarray, float, float]:
     Mean and variance are accumulated in exact integer arithmetic. Each
     output entry is d_i / sqrt(var) as _sqrt_ratio gives it: the double
     nearest the 50-digit decimal root of a 50-digit decimal quotient, a
-    value within 7.5e-50 relative of the exact ratio. Three stages, each
-    deciding what the last leaves open, give that double:
+    value within 7.5e-50 relative of the exact ratio. Two stages give that
+    double:
 
     1. Columnwise double-double (_round_columnwise): every entry at once,
        from error-free products and sums of doubles with a proven error
        bound; an entry is accepted when the bound leaves a single double.
-    2. The integer bracket (_round_exact): one integer root of n / sum_sq,
-       to about 200 bits, brackets an entry; when the bracket, widened by
-       2^-160 relative, rounds to a single double, that double is the entry.
-    3. The decimal root (_sqrt_ratio), for a bracket that straddles a
-       rounding boundary.
+    2. The decimal root (_sqrt_ratio) itself, for each entry the first
+       stage declines and for every entry of a column outside its safe
+       range.
 
     An accepted value is the double nearest the exact ratio, and the decimal
-    root lies within the same rounding cell, so every stage gives the same
+    root lies within the same rounding cell, so both stages give the same
     bits. The result is a deterministic function of the exact input values,
     and affine maps that introduce no per-element rounding (any power-of-two
     rescaling, exactly representable shifts) change nothing downstream.
@@ -253,7 +226,9 @@ def standardize(v: np.ndarray) -> tuple[np.ndarray, float, float]:
         out, ok = decided
         rest = np.flatnonzero(~ok).tolist()
     for i in rest:
-        out[i] = _round_exact(n * nums[i] - total, n, sum_sq, root, unit)
+        a = n * nums[i] - total
+        z = _sqrt_ratio(a * a * n, sum_sq) if a else 0.0
+        out[i] = -z if a < 0 else z
     return out, total / (n * scale), _sqrt_ratio(sum_sq, n**3 * scale * scale)
 
 
@@ -427,11 +402,13 @@ def _parse_matrix(content: bytes, name: str, skip_header: bool = False) -> np.nd
 def load_pair_file(path: str | Path, skip_header: bool = False) -> PairDataset:
     """Read a two-column pair file, unlabelled, with unit weight and the file's stem as id.
 
-    A wider file is rejected as multidimensional.
+    A wider file is rejected as multidimensional, a narrower one as short of a column.
     """
     path = Path(path)
     data = _parse_matrix(path.read_bytes(), path.name, skip_header)
-    if data.shape[1] != 2:
+    if data.shape[1] < 2:
+        raise ArgumentError(f"{path.name}: {data.shape[1]} column; a pair file needs 2")
+    if data.shape[1] > 2:
         raise ArgumentError(f"{path.name}: {data.shape[1]} columns; pair is multidimensional")
     return PairDataset(data[:, 0], data[:, 1], id=path.stem)
 

@@ -212,52 +212,65 @@ def count_sqrt_ratio_calls(monkeypatch):
     return calls
 
 
-def count_round_exact_calls(monkeypatch):
-    calls = []
-    round_exact = data_mod._round_exact
-    monkeypatch.setattr(data_mod, "_round_exact",
-                        lambda *args: calls.append(1) or round_exact(*args))
-    return calls
-
-
-def test_standardize_settles_a_generated_column_columnwise(monkeypatch):
-    v = generate_pair(GeneratorSpec("LS", 1, 2000, seed=4), 0).y
-    exact_calls = count_round_exact_calls(monkeypatch)
-    root_calls = count_sqrt_ratio_calls(monkeypatch)
-    standardize(v)
-    assert len(exact_calls) == 0
-    assert len(root_calls) == 1
-
-
-@pytest.mark.parametrize("column", ["near-mean-n2000", "LS-n2000"])
-def test_standardize_without_the_columnwise_stage_matches_oracle(monkeypatch, column):
-    # a margin of 1 makes the error bound wider than any rounding cell
-    v = ORACLE_COLUMNS[column]()
-    expected = _standardize_bits(standardize_oracle, v)
-    monkeypatch.setattr(data_mod, "_ROUND_MARGIN", 1.0)
-    calls = count_round_exact_calls(monkeypatch)
-    assert _standardize_bits(standardize, v) == expected
-    assert len(calls) == v.size
-
-
-def test_standardize_takes_one_decimal_root_per_column(monkeypatch):
-    # the rounding test settles every entry; only the std needs the decimal root
-    v = generate_pair(GeneratorSpec("AN", 1, 2000, seed=2), 0).y
+@pytest.mark.parametrize("family, seed", [("LS", 4), ("AN", 2)])
+def test_standardize_settles_a_generated_column_columnwise(monkeypatch, family, seed):
+    # the columnwise stage decides every entry; only the std takes the decimal root
+    v = generate_pair(GeneratorSpec(family, 1, 2000, seed=seed), 0).y
     calls = count_sqrt_ratio_calls(monkeypatch)
     standardize(v)
     assert len(calls) == 1
 
 
-def test_standardize_decimal_fallback_matches_oracle(monkeypatch):
-    # a guard of one bit widens each bracket to [lo / 2, 3 hi / 2], which always
-    # straddles a rounding boundary, so every entry takes the decimal root
-    v = np.random.default_rng(7).standard_normal(300) * 5.0 - 2.0
+@pytest.mark.parametrize("column", [
+    ORACLE_COLUMNS["near-mean-n2000"],
+    ORACLE_COLUMNS["LS-n2000"],
+    lambda: np.random.default_rng(7).standard_normal(300) * 5.0 - 2.0,
+], ids=["near-mean-n2000", "LS-n2000", "normal-n300"])
+def test_standardize_without_the_columnwise_stage_matches_oracle(monkeypatch, column):
+    # a margin of 1 makes the error bound wider than any rounding cell, so each
+    # nonzero deviation takes the decimal root, and so does the std
+    v = column()
     expected = _standardize_bits(standardize_oracle, v)
+    exact = list(map(Fraction, v.tolist()))
+    mean = sum(exact) / len(exact)
+    nonzero = sum(t != mean for t in exact)
     monkeypatch.setattr(data_mod, "_ROUND_MARGIN", 1.0)
-    monkeypatch.setattr(data_mod, "_ROUND_GUARD", 1)
     calls = count_sqrt_ratio_calls(monkeypatch)
     assert _standardize_bits(standardize, v) == expected
-    assert len(calls) == v.size + 1
+    assert len(calls) == nonzero + 1
+
+
+# (X, the double below a rounding midpoint, offset): with root chosen so that
+# X root / 2^260 is (1 + offset) times that midpoint, the columnwise stage's own
+# error (about 2^-106 relative) can put its estimate on the other side of the
+# midpoint. With _ROUND_MARGIN = 0 it then accepts the wrong neighbour for each
+# of these entries. The first four midpoints lie just below a power of two.
+ROUNDING_BOUNDARY_CASES = [
+    (2908071642091607, "0x1.fffffffffffffp+0", -2.0 ** -111),
+    (7023682231748101, "0x1.fffffffffffffp-2", 2.0 ** -110),
+    (6198716944325787, "0x1.fffffffffffffp-1", 2.0 ** -112),
+    (2762613259875643, "0x1.fffffffffffffp-5", -2.0 ** -111),
+    (6442545293783301, "0x1.87b28f170ebe6p-4", 2.0 ** -111),
+    (5788203522843729, "0x1.c7acb760fa1e4p-2", -2.0 ** -111),
+    (3350450408750069, "0x1.cb4532d7046d1p+2", -7 * 2.0 ** -112),
+    (6696150306263995, "0x1.ccd580e13df4fp+4", -2.0 ** -110),
+]
+
+
+def test_round_columnwise_accepts_only_correctly_rounded_entries():
+    # the column [0, X] at scale 1 has T = X and A = (-X, X), so its entries
+    # are -+X root / unit; an entry 2^40 times farther from the midpoint is
+    # far outside the error bound and must be accepted
+    unit = 1 << 260
+    for x, low, offset in ROUNDING_BOUNDARY_CASES:
+        low = float.fromhex(low)
+        midpoint = (Fraction(low) + Fraction(float(np.nextafter(low, np.inf)))) / 2
+        for off, decidable in ((offset, False), (offset * 2.0 ** 40, True)):
+            root = round(midpoint * (1 + Fraction(off)) * unit / x)
+            r, ok = data_mod._round_columnwise(np.array([0.0, float(x)]), 1, x, root, unit)
+            exact = float(Fraction(x * root, unit))
+            assert r[ok].tolist() == np.array([-exact, exact])[ok].tolist(), (x, off)
+            assert ok.all() or not decidable, (x, off)
 
 
 def test_standardize_ignores_the_callers_decimal_context():
@@ -539,11 +552,16 @@ def test_parse_matrix_agrees_with_the_line_loop(text, skip_header, expected):
         assert one_pass == ("error", expected)
 
 
-def test_load_pair_file_multidimensional_rejected(tmp_path):
+@pytest.mark.parametrize("text, message", [
+    ("1 2 3 4\n5 6 7 8\n", "pair.txt: 4 columns; pair is multidimensional"),
+    ("1\n5\n", "pair.txt: 1 column; a pair file needs 2"),
+], ids=["4-columns", "1-column"])
+def test_load_pair_file_multidimensional_rejected(tmp_path, text, message):
     path = tmp_path / "pair.txt"
-    path.write_text("1 2 3 4\n5 6 7 8\n")
-    with pytest.raises(ArgumentError, match="multidimensional"):
+    path.write_text(text)
+    with pytest.raises(ArgumentError) as err:
         load_pair_file(path)
+    assert str(err.value) == message
 
 
 def test_load_pair_file_too_short(tmp_path):

@@ -7,8 +7,8 @@ Package __init__ modules are exempt (their imports are re-exports), as is
 exempt from the parameter check, and lambdas are not checked: a callback
 that ignores its argument is written as one on purpose.
 
-A module-level def or class of src/comic counts as used when the package
-names it outside its own definition, when scripts/ or perfbench/ (outside
+A module-level def, class or assigned name of src/comic counts as used when
+the package names it outside its own definition or assignment, when scripts/ or perfbench/ (outside
 its tests) names it, or when comic.__all__ exports it. Identifiers,
 attribute names and string constants all count as naming it: the perfbench
 tracer patches functions by their names as strings.
@@ -76,13 +76,24 @@ def named(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     return names
 
 
+def defined_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a def's or class's name, or
+    the names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [name.id for target in targets for name in ast.walk(target)
+                if isinstance(name, ast.Name)]
+    return []
+
+
 def unreferenced_definitions(source: str, elsewhere: set[str]) -> list[str]:
-    """Module-level defs and classes that neither elsewhere nor source, outside
-    their own definition, names, with their line."""
+    """Module-level defs, classes and assigned names that neither elsewhere nor
+    source, outside their own definition or assignment, names, with their line."""
     tree = ast.parse(source)
-    return [f"line {node.lineno}: {node.name}" for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node.name not in elsewhere | named(tree, skip=node)]
+    return [f"line {node.lineno}: {name}" for node in tree.body for name in defined_names(node)
+            if name not in elsewhere | named(tree, skip=node)]
 
 
 def test_modules_to_check_were_found():
@@ -151,6 +162,11 @@ def test_unreferenced_definition_check_flags_a_planted_name():
               "    return recursive()\n"
               "TABLE = ('traced',)\n"
               "def traced():\n"
-              "    pass\n")
-    assert unreferenced_definitions(source, {"Exported"}) == [
-        "line 1: entry", "line 10: recursive"]
+              "    pass\n"
+              "LIMIT: int = 3\n"
+              "WIDTH, _GUARD = 2, 1\n"
+              "def uses_width():\n"
+              "    return WIDTH\n")
+    assert unreferenced_definitions(source, {"Exported", "uses_width"}) == [
+        "line 1: entry", "line 10: recursive", "line 12: TABLE", "line 15: LIMIT",
+        "line 16: _GUARD"]
