@@ -68,10 +68,6 @@ class PairDataset:
         if self.label not in (None, X_CAUSES_Y, Y_CAUSES_X):
             raise ArgumentError(f"unknown label {self.label!r}")
 
-    @property
-    def n(self) -> int:
-        return self.x.size
-
 
 def swap_pair(pair: PairDataset) -> PairDataset:
     """Exchange the two columns, mirroring the label."""
@@ -356,47 +352,37 @@ def generate_dataset(spec: GeneratorSpec) -> list[PairDataset]:
 def _parse_matrix(content: bytes, name: str, skip_header: bool = False) -> np.ndarray:
     """The numeric rows of a pair file's content; name labels its errors.
 
-    A well-formed file (at least 2 rows, one column count, every token a
-    finite number) takes one pass: the data lines, joined, split into the
-    rows' tokens in order, and float() converts them all at once. Any other
-    file runs the line loop, which names the first bad line and why.
+    Each line after the header is split once, and float() converts the
+    tokens of every non-blank line at once. The file is accepted when it has
+    at least 2 rows of one width and every value is finite. Otherwise the
+    same token lists are walked by line only to raise: within a line a
+    non-numeric token, then a non-finite value, then a width unlike the
+    first row's; the first bad line wins, then a file short of 2 rows.
     """
-    lines = decode_utf8(content, name).splitlines()
+    import itertools
+
     header = 1 if skip_header else 0
-    body = lines[header:]
-    counts = [c for c in map(len, map(str.split, body)) if c]
-    if len(counts) >= 2 and counts.count(counts[0]) == len(counts):
-        tokens = " ".join(body).split()
-        try:
-            values = np.array(list(map(float, tokens)))
-        except ValueError:
-            values = None
-        if values is not None and np.isfinite(values).all():
-            return values.reshape(len(counts), counts[0])
-    rows = []
-    ncols = None
-    for lineno, line in enumerate(lines, start=1):
-        if skip_header and lineno == 1:
-            continue
-        if not line.strip():
-            continue
-        tokens = line.split()
-        try:
-            values = [float(t) for t in tokens]
-        except ValueError:
-            raise ParseError(f"{name}: non-numeric token in {tokens}", lineno) from None
-        if any(not math.isfinite(t) for t in values):
-            raise ParseError(f"{name}: non-finite value", lineno)
-        if ncols is None:
-            ncols = len(values)
-        elif len(values) != ncols:
-            raise ParseError(
-                f"{name}: expected {ncols} columns, found {len(values)}", lineno
-            )
-        rows.append(values)
-    if ncols is None or len(rows) < 2:
+    lines = list(map(str.split, decode_utf8(content, name).splitlines()[header:]))
+    rows = list(filter(None, lines))
+    width = len(rows[0]) if rows else 0
+    try:
+        values = np.array(list(map(float, itertools.chain.from_iterable(rows))))
+    except ValueError:
+        values = None
+    if (values is None or len(rows) < 2 or len(set(map(len, rows))) > 1
+            or not np.isfinite(values).all()):
+        for lineno, tokens in enumerate(lines, start=header + 1):
+            try:
+                finite = all(map(math.isfinite, [float(t) for t in tokens]))
+            except ValueError:
+                raise ParseError(f"{name}: non-numeric token in {tokens}", lineno) from None
+            if not finite:
+                raise ParseError(f"{name}: non-finite value", lineno)
+            if tokens and len(tokens) != width:
+                raise ParseError(f"{name}: expected {width} columns, found {len(tokens)}",
+                                 lineno)
         raise ParseError(f"{name}: fewer than 2 data rows (first data line {header + 1})")
-    return np.asarray(rows)
+    return values.reshape(len(rows), width)
 
 
 def load_pair_file(path: str | Path, skip_header: bool = False) -> PairDataset:
@@ -521,7 +507,11 @@ def load_tuebingen(directory: str | Path) -> list[PairDataset]:
 
 
 def write_dataset(directory: str | Path, pairs: Sequence[PairDataset]) -> list[str]:
-    """Write pair files, pairmeta.txt and labels.csv; returns file names."""
+    """Write the files of labelled pairs, pairmeta.txt and labels.csv; returns file names."""
+    for i, pair in enumerate(pairs, start=1):
+        if pair.label is None:
+            raise ArgumentError(f"pair {i} ({pair.id!r}) has no label; "
+                                "pairmeta.txt cannot record an unknown direction")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     meta_lines = []
@@ -536,7 +526,7 @@ def write_dataset(directory: str | Path, pairs: Sequence[PairDataset]) -> list[s
         else:
             cause, effect = 1, 2
         meta_lines.append(f"{pair_id} {cause} {cause} {effect} {effect} {pair.weight:.17g}")
-        label_lines.append(f"pair{pair_id},{pair.label or ''}")
+        label_lines.append(f"pair{pair_id},{pair.label}")
         names.append(name)
     (directory / "pairmeta.txt").write_text("\n".join(meta_lines) + "\n")
     (directory / "labels.csv").write_text("\n".join(label_lines) + "\n")

@@ -64,7 +64,7 @@ def test_seed_outside_64_bits_rejected(seed):
 def test_seed_at_64_bit_edges_accepted():
     for seed in (-2**63, 2**63 - 1):
         TrainConfig(seed=seed)
-        assert generate_pair(GeneratorSpec("AN", 1, 10, seed=seed), 0).n == 10
+        assert generate_pair(GeneratorSpec("AN", 1, 10, seed=seed), 0).x.size == 10
 
 
 @pytest.mark.parametrize("seed", [1.5, 5.0, np.float64(2.0), "5", None])

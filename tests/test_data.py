@@ -363,7 +363,7 @@ def test_all_families_pass_self_checks():
     for family in ("AN", "AN-s", "LS", "LS-s", "MN-U"):
         pair = generate_pair(GeneratorSpec(family, 1, 200, seed=21), 0)
         assert pair.label == X_CAUSES_Y
-        assert pair.n == 200
+        assert pair.x.size == 200
         assert np.isfinite(pair.x).all() and np.isfinite(pair.y).all()
 
 
@@ -540,6 +540,12 @@ def _parsed(parse, text, skip_header):
     ("1 2\n\n  \n", False, "f.txt: fewer than 2 data rows (first data line 1)"),
     ("1 2\n3 4\n", True, "f.txt: fewer than 2 data rows (first data line 2)"),
     ("", False, "f.txt: fewer than 2 data rows (first data line 1)"),
+    # a bad token or width is named before a file short of 2 rows
+    ("x\n", False, "line 1: f.txt: non-numeric token in ['x']"),
+    ("1 inf\n", False, "line 1: f.txt: non-finite value"),
+    ("nan 1\n\n", False, "line 1: f.txt: non-finite value"),
+    ("1 2\n3\n", False, "line 2: f.txt: expected 2 columns, found 1"),
+    ("x y\n1 2\n", True, "f.txt: fewer than 2 data rows (first data line 2)"),
 ])
 def test_parse_matrix_agrees_with_the_line_loop(text, skip_header, expected):
     one_pass = _parsed(lambda t, h: data_mod._parse_matrix(t.encode(), "f.txt", h),
@@ -550,6 +556,29 @@ def test_parse_matrix_agrees_with_the_line_loop(text, skip_header, expected):
         assert one_pass[0] != "error"
     else:
         assert one_pass == ("error", expected)
+
+
+PARSE_TOKENS = ["1", "2.5", "-3e2", "x", "inf", "nan", "1_0", "0x1", "--1", "1e400"]
+
+
+@st.composite
+def token_grid_texts(draw):
+    """Up to 5 lines of up to 3 tokens, joined by odd spaces and line breaks;
+    a line with no tokens is blank."""
+    text = ""
+    for tokens in draw(st.lists(st.lists(st.sampled_from(PARSE_TOKENS), max_size=3),
+                                max_size=5)):
+        text += draw(st.sampled_from([" ", "\t", "\xa0", "\u2003"])).join(tokens)
+        text += draw(st.sampled_from(["\n", "\r\n", "\x0b", "\x0c", "\x85", "\u2028"]))
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(token_grid_texts(), st.booleans())
+def test_parse_matrix_agrees_with_the_line_loop_on_token_grids(text, skip_header):
+    assert (_parsed(lambda t, h: data_mod._parse_matrix(t.encode(), "f.txt", h),
+                    text, skip_header)
+            == _parsed(lambda t, h: parse_lines_reference(t, "f.txt", h), text, skip_header))
 
 
 @pytest.mark.parametrize("text, message", [
@@ -738,3 +767,12 @@ def test_write_dataset_roundtrip(tmp_path):
     assert labels[0] == "id,direction"
     assert labels[1] == f"pair0001,{X_CAUSES_Y}"
     assert labels[2] == f"pair0002,{Y_CAUSES_X}"
+
+
+def test_write_dataset_rejects_an_unlabelled_pair_before_writing(tmp_path):
+    labelled = generate_pair(GeneratorSpec("AN", 1, 5, seed=1), 0)
+    unlabelled = PairDataset(labelled.x, labelled.y, id="loose")
+    out = tmp_path / "out"
+    with pytest.raises(ArgumentError, match=r"^pair 2 \('loose'\) has no label"):
+        write_dataset(out, [labelled, unlabelled])
+    assert not out.exists()
