@@ -21,7 +21,7 @@ from .codelength import TrainConfig, score_pair
 from .data import (GeneratorSpec, decode_utf8, generate_dataset, load_pair_file, load_tuebingen,
                    write_dataset)
 from .errors import ArgumentError, FetchError, NumericError, ParseError
-from .evaluation import result_to_csv, result_to_json, run_benchmark, write_result
+from .evaluation import run_benchmark, write_result
 
 CONFIG_KEYS = {
     "seed": int,
@@ -161,11 +161,7 @@ def cmd_benchmark(args) -> int:
     out_dir = Path(args.out or "benchmark-out")
     out_dir.mkdir(parents=True, exist_ok=True)
     result = run_benchmark(pairs, cfg, parallelism=settings["parallelism"])
-    write_result(result, out_dir)
-    if settings["format"] == "json":
-        sys.stdout.write(result_to_json(result))
-    else:
-        sys.stdout.write(result_to_csv(result))
+    sys.stdout.write(write_result(result, out_dir)[settings["format"]])
     if result.n_failed == len(result.rows):
         return 1
     return 0

@@ -290,18 +290,14 @@ def _gp_draw(x: np.ndarray, stream: RngStream) -> np.ndarray:
     return (np.cos(phase) * (_GP_SCALES * a) + np.sin(phase) * (_GP_SCALES * b)).sum(axis=1)
 
 
-def _sigmoid_draw(stream: RngStream) -> Callable[[np.ndarray], np.ndarray]:
-    """Random injective sigmoid-type function t -> a*b*(t+c)/(1+|b*(t+c)|)."""
+def _sigmoid_draw(x: np.ndarray, stream: RngStream) -> np.ndarray:
+    """A random injective sigmoid-type function a*u/(1+|u|), u = b*(x+c), evaluated at x."""
     gen = stream.generator()
     a = gen.uniform(1.0, 3.0) * (1.0 if gen.random() < 0.5 else -1.0)
     b = gen.uniform(0.5, 2.0)
     c = gen.uniform(-2.0, 2.0)
-
-    def s(t: np.ndarray) -> np.ndarray:
-        u = b * (t + c)
-        return a * u / (1.0 + np.abs(u))
-
-    return s
+    u = b * (x + c)
+    return a * u / (1.0 + np.abs(u))
 
 
 def generate_pair(spec: GeneratorSpec, pair_index: int) -> PairDataset:
@@ -313,22 +309,16 @@ def generate_pair(spec: GeneratorSpec, pair_index: int) -> PairDataset:
     gen = stream.child("noise").generator()
     x = stream.child("x").generator().standard_normal(spec.n_samples)
     fam = spec.family
-
-    if fam in ("AN", "LS"):
-        f = _gp_draw(x, stream.child("f"))
-    else:
-        f = _sigmoid_draw(stream.child("f"))(x)
+    draw = _gp_draw if fam in ("AN", "LS") else _sigmoid_draw
+    f = draw(x, stream.child("f"))
 
     if fam == "MN-U":
-        noise = gen.uniform(0.5, 1.5, size=spec.n_samples)
-        y = f * noise
+        y = f * gen.uniform(0.5, 1.5, size=spec.n_samples)
     else:
         sigma = stream.child("sigma").generator().uniform(0.2, 0.6)
         noise = sigma * gen.standard_normal(spec.n_samples)
         if fam in ("LS", "LS-s"):
-            g = _gp_draw(x, stream.child("g")) if fam == "LS" \
-                else _sigmoid_draw(stream.child("g"))(x)
-            y = f + (np.abs(g) + 0.3) * noise
+            y = f + (np.abs(draw(x, stream.child("g"))) + 0.3) * noise
         else:
             y = f + noise
 

@@ -63,6 +63,9 @@ def bi_auroc(
     labels = np.asarray(labels)
     pos_forward = labels == X_CAUSES_Y
     pos_backward = labels == Y_CAUSES_X
+    stray = labels[~(pos_forward | pos_backward)].tolist()
+    if stray:
+        raise ArgumentError(f"unknown label {stray[0]!r}")
     if not (pos_forward.any() and pos_backward.any()):
         raise ArgumentError("bi_auroc needs both ground-truth directions present")
     forward = auroc(final_deltas, pos_forward, weights)
@@ -107,8 +110,7 @@ class BenchmarkResult:
     metadata: dict
 
 
-def _score_one(args: tuple[PairDataset, TrainConfig]) -> PairRow:
-    pair, cfg = args
+def _score_one(pair: PairDataset, cfg: TrainConfig) -> PairRow:
     start = time.perf_counter()
     try:
         report = score_pair(pair, cfg)
@@ -142,31 +144,27 @@ def run_benchmark(
     parallelism = check_int("parallelism", parallelism)
     if parallelism < 1:
         raise ArgumentError("parallelism must be >= 1")
-    jobs = [(p, cfg) for p in pairs]
-    workers = min(parallelism, len(jobs))
+    workers = min(parallelism, len(pairs))
     if workers == 1:
-        rows = [_score_one(job) for job in jobs]
+        rows = [_score_one(pair, cfg) for pair in pairs]
     else:
         # imported here so that importing the package loads no process pool
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
         rows = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_score_one, job) for job in jobs]
-            try:
-                for pair, future in zip(pairs, futures):
-                    try:
-                        rows.append(future.result())
-                    except BrokenProcessPool as e:
-                        rows.append(PairRow(pair.id, None, None, pair.label, pair.weight, 0.0,
-                                            error=f"BrokenProcessPool: {e}"))
-            except BaseException:
-                # an interrupt leaves the pool at once: the with block's shutdown then
-                # waits only for the pairs already handed to a worker
-                for future in futures:
-                    future.cancel()
-                raise
+        pool = ProcessPoolExecutor(max_workers=workers)
+        try:
+            futures = [pool.submit(_score_one, pair, cfg) for pair in pairs]
+            for pair, future in zip(pairs, futures):
+                try:
+                    rows.append(future.result())
+                except BrokenProcessPool as e:
+                    rows.append(PairRow(pair.id, None, None, pair.label, pair.weight, 0.0,
+                                        error=f"BrokenProcessPool: {e}"))
+        finally:
+            # after an interrupt: drop the queued pairs, wait only for those in flight
+            pool.shutdown(cancel_futures=True)
 
     ok = [r for r in rows if r.error is None]
     n_failed = len(rows) - len(ok)
@@ -182,13 +180,9 @@ def run_benchmark(
     labels = [r.label for r in ok]
     weights = np.array([r.weight for r in ok])
     deltas = np.array([r.final_delta for r in ok])
-    acc = weighted_accuracy(decisions, labels, np.ones(len(ok)))
+    acc = weighted_accuracy(decisions, labels)
     wacc = weighted_accuracy(decisions, labels, weights)
-    label_arr = np.asarray(labels)
-    if (label_arr == X_CAUSES_Y).any() and (label_arr == Y_CAUSES_X).any():
-        bi = bi_auroc(deltas, labels, weights)
-    else:
-        bi = None
+    bi = bi_auroc(deltas, labels, weights) if {X_CAUSES_Y, Y_CAUSES_X} <= set(labels) else None
     return BenchmarkResult(rows, acc, wacc, bi, n_failed, metadata)
 
 
@@ -235,11 +229,11 @@ def result_to_json(result: BenchmarkResult) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def write_result(result: BenchmarkResult, out_dir: str | Path) -> tuple[Path, Path]:
+def write_result(result: BenchmarkResult, out_dir: str | Path) -> dict[str, str]:
+    """Write results.csv and summary.json into out_dir; returns both texts by format."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "results.csv"
-    json_path = out / "summary.json"
-    csv_path.write_text(result_to_csv(result))
-    json_path.write_text(result_to_json(result))
-    return csv_path, json_path
+    texts = {"csv": result_to_csv(result), "json": result_to_json(result)}
+    (out / "results.csv").write_text(texts["csv"])
+    (out / "summary.json").write_text(texts["json"])
+    return texts

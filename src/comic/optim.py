@@ -19,11 +19,11 @@ def cosine_lr(t: float, total_epochs: int, lr_max: float, lr_min: float) -> floa
     """Learning rate at epoch t, annealed from lr_max to lr_min."""
     if not 0 <= t <= total_epochs:
         raise ArgumentError(f"epoch {t} outside schedule range [0, {total_epochs}]")
-    # endpoints returned exactly, independent of rounding in the formula
+    # lr_min + (lr_max - lr_min) can round away from lr_max, as for (0.9, 0.2); at
+    # t == total_epochs the angle is within an ulp of pi, whose cosine rounds to
+    # exactly -1.0, so the formula gives lr_min itself
     if t == 0:
         return lr_max
-    if t == total_epochs:
-        return lr_min
     span = lr_max - lr_min
     return lr_min + 0.5 * span * (1.0 + math.cos(math.pi * t / total_epochs))
 

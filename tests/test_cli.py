@@ -324,6 +324,19 @@ def test_benchmark_exit_codes_on_failures(tmp_path, capsys):
     assert summary["aggregates"]["n_failed"] == 1
 
 
+def test_benchmark_prints_the_file_its_format_names(tmp_path, capsys):
+    # one degenerate pair fails at once, so the run trains nothing
+    data_dir = tmp_path / "bad"
+    data_dir.mkdir()
+    (data_dir / "pair0001.txt").write_text("2 1\n2 2\n2 3\n")
+    (data_dir / "pairmeta.txt").write_text("0001 1 1 2 2 1.0\n")
+    for fmt, name in (("csv", "results.csv"), ("json", "summary.json")):
+        out_dir = tmp_path / fmt
+        _, out = run_cli(capsys, ["benchmark", str(data_dir), "--format", fmt,
+                                  "--out", str(out_dir), *FAST_FLAGS])
+        assert out == (out_dir / name).read_text()
+
+
 def test_benchmark_rejects_an_out_file_before_scoring(tmp_path, capsys, monkeypatch):
     data_dir = tmp_path / "an"
     run_cli(capsys, ["generate", "AN", "2", "30", "--seed", "3", "--out", str(data_dir)])

@@ -319,9 +319,8 @@ def regenerate_f(pair, spec, pair_index=0, which="f"):
     from comic.rng import RngStream
 
     stream = RngStream(spec.seed).child("generate", spec.family, pair_index)
-    if spec.family in ("AN", "LS"):
-        return _gp_draw(pair.x, stream.child(which))
-    return _sigmoid_draw(stream.child(which))(pair.x)
+    draw = _gp_draw if spec.family in ("AN", "LS") else _sigmoid_draw
+    return draw(pair.x, stream.child(which))
 
 
 @pytest.mark.parametrize("family", ["AN", "AN-s"])

@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 import signal
 
 import numpy as np
@@ -212,6 +213,14 @@ def test_bi_auroc_single_class_rejected():
         bi_auroc(np.array([1.0, 2.0]), [X_CAUSES_Y, X_CAUSES_Y])
 
 
+@pytest.mark.parametrize("stray", [None, "undecided", "x_cause_y"])
+def test_bi_auroc_names_a_label_that_is_neither_direction(stray):
+    # a label that is neither direction must not count as a negative of both
+    labels = [X_CAUSES_Y, Y_CAUSES_X, stray, "later"]
+    with pytest.raises(ArgumentError, match=re.escape(f"unknown label {stray!r}")):
+        bi_auroc(np.array([1.0, -1.0, 2.0, 0.0]), labels)
+
+
 # ---------------------------------------------------------------- accuracy
 
 
@@ -315,21 +324,19 @@ def test_run_benchmark_starts_no_more_workers_than_pairs(monkeypatch):
     import concurrent.futures
 
     started = []
+    cancelling = []
 
     class SerialExecutor:
         def __init__(self, max_workers):
             started.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, job):
+        def submit(self, fn, *args):
             future = concurrent.futures.Future()
-            future.set_result(fn(job))
+            future.set_result(fn(*args))
             return future
+
+        def shutdown(self, cancel_futures=False):
+            cancelling.append(cancel_futures)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
     pairs = small_pairs(2, 30)
@@ -338,6 +345,7 @@ def test_run_benchmark_starts_no_more_workers_than_pairs(monkeypatch):
         == [r.final_delta for r in serial.rows]
     run_benchmark(pairs[:1], FAST, parallelism=8)
     assert started == [2]
+    assert cancelling == [True]
 
 
 def strip_runtime(csv_text):

@@ -23,8 +23,21 @@ def adam_oracle(params, grads, m, v, step, lr):
 
 
 def test_cosine_endpoints_exact():
-    assert cosine_lr(0, TOTAL, LR_MAX, LR_MIN) == LR_MAX
-    assert cosine_lr(2500, TOTAL, LR_MAX, LR_MIN) == LR_MIN
+    # (0.9, 0.2) is a range where the formula alone would miss lr_max at t == 0
+    ranges = [(LR_MAX, LR_MIN), (0.9, 0.2), (1.0, 0.0), (0.3, 0.1), (1e-2, 1e-2),
+              (7e300, 1e-300)]
+    for lr_max, lr_min in ranges:
+        for total in (1, 3, 100, TOTAL):
+            assert cosine_lr(0, total, lr_max, lr_min) == lr_max
+            assert cosine_lr(total, total, lr_max, lr_min) == lr_min
+
+
+@settings(max_examples=300)
+@given(st.floats(0.0, 1e6), st.floats(0.0, 1e6), st.integers(1, 10**6))
+def test_cosine_endpoints_exact_for_any_range(a, b, total):
+    lr_max, lr_min = max(a, b), min(a, b)
+    assert cosine_lr(0, total, lr_max, lr_min) == lr_max
+    assert cosine_lr(total, total, lr_max, lr_min) == lr_min
 
 
 def test_cosine_midpoint():

@@ -173,10 +173,10 @@ from comic.data import GeneratorSpec, generate_dataset
 pairs = generate_dataset(GeneratorSpec("AN", 4, 30, seed=1))
 score_one = evaluation._score_one
 
-def exit_on_third(job):
-    if job[0].id == pairs[2].id:
+def exit_on_third(pair, cfg):
+    if pair.id == pairs[2].id:
         os._exit(1)
-    return score_one(job)
+    return score_one(pair, cfg)
 
 evaluation._score_one = exit_on_third
 cfg = TrainConfig(hidden_width=4, map_epochs=10, vi_epochs=10, warmup_epochs=2,
@@ -213,9 +213,9 @@ from comic.codelength import TrainConfig
 from comic.data import GeneratorSpec, generate_dataset
 pairs = generate_dataset(GeneratorSpec("AN", 24, 30, seed=1))
 
-def sleep_one_second(job):
+def sleep_one_second(pair, cfg):
     time.sleep(1.0)
-    return evaluation.PairRow(job[0].id, 0.0, None, job[0].label, 1.0, 1.0)
+    return evaluation.PairRow(pair.id, 0.0, None, pair.label, 1.0, 1.0)
 
 evaluation._score_one = sleep_one_second
 print("started", flush=True)
