@@ -8,19 +8,26 @@ so drift in machine speed falls on both sides alike. The default config is
 the scoring config of perfbench's desk-n500 workload: n = 500, hidden width
 50, 100 MAP + 100 VI epochs with a warm-up of 10, 64 MC samples.
 
-Prints one JSON line: each side's median and quartiles of per-pair seconds,
-the median of the per-pair ratio change/base, how many pairs the change
-scored faster, and whether every repr(final_delta) matched. Exits with
-status 1 when they did not, so a change meant to keep the scores can be
-checked by the exit code alone.
+Prints one JSON line per seed: the seed, each side's median and quartiles
+of per-pair seconds, the median of the per-pair ratio change/base, how many
+pairs the change scored faster, and whether every repr(final_delta)
+matched. Exits with status 1 when any did not, so a change meant to keep
+the scores can be checked by the exit code alone. With --out PATH the
+lines are also written to PATH as {"runs": [...], "context": {...}}; the
+context holds the CPU count, the config and the change side's machine
+block (numpy version, dispatch targets, OpenBLAS core), so the change
+tree must have evaluation.machine_info.
 
 Example, comparing a checkout of the parent commit with this tree:
-    python scripts/ab_pairs.py --base ../parent/src --change src --seed 1
+    python scripts/ab_pairs.py --base ../parent/src --change src --seed 1 2 \
+        --out BENCH_label.json
 """
 
 import argparse
+import dataclasses
 import importlib
 import json
+import os
 import shutil
 import statistics
 import sys
@@ -40,6 +47,33 @@ def quartiles(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def ab_seed(sides, configs, args, seed):
+    """The result line for the pairs the base tree generates at seed."""
+    base = sides["base"]
+    pairs = [p for fam in base.data.FAMILIES for p in base.data.generate_dataset(
+        base.data.GeneratorSpec(fam, args.pairs_per_family, args.n, seed))]
+    seconds = {name: [] for name in sides}
+    deltas = {name: [] for name in sides}
+    for i, pair in enumerate(pairs):
+        for name in ("base", "change") if i % 2 == 0 else ("change", "base"):
+            pkg = sides[name]
+            own = pkg.data.PairDataset(pair.x.copy(), pair.y.copy(), label=pair.label)
+            start = time.perf_counter()
+            report = pkg.codelength.score_pair(own, configs[name])
+            seconds[name].append(time.perf_counter() - start)
+            deltas[name].append(repr(report.final_delta))
+    ratios = [c / b for b, c in zip(seconds["base"], seconds["change"])]
+    return {
+        "seed": seed,
+        "pairs": len(pairs),
+        "base_s": quartiles(seconds["base"]),
+        "change_s": quartiles(seconds["change"]),
+        "ratio_median": statistics.median(ratios),
+        "change_wins": sum(c < b for b, c in zip(seconds["base"], seconds["change"])),
+        "scores_match": deltas["base"] == deltas["change"],
+    }
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -47,48 +81,35 @@ def main():
                         help="source directory holding the base comic package")
     parser.add_argument("--change", type=Path, required=True,
                         help="source directory holding the changed comic package")
-    parser.add_argument("--seed", type=int, default=1, help="seed of the generated pairs")
+    parser.add_argument("--seed", type=int, nargs="+", default=[1],
+                        help="seeds of the generated pairs, one result line each")
     parser.add_argument("--pairs-per-family", type=int, default=2)
     parser.add_argument("--n", type=int, default=500, help="rows per pair")
     parser.add_argument("--hidden-width", type=int, default=50)
     parser.add_argument("--epochs", type=int, default=100,
                         help="MAP and VI epochs each; the warm-up is a tenth")
     parser.add_argument("--mc-samples", type=int, default=64)
+    parser.add_argument("--out", type=Path,
+                        help="also write the result lines, with their context, to this file")
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         sides = {"base": load_package(args.base, "comic_base", Path(tmp)),
                  "change": load_package(args.change, "comic_change", Path(tmp))}
-        base = sides["base"]
-        pairs = [p for fam in base.data.FAMILIES for p in base.data.generate_dataset(
-            base.data.GeneratorSpec(fam, args.pairs_per_family, args.n, args.seed))]
         configs = {name: pkg.codelength.TrainConfig(
             hidden_width=args.hidden_width, map_epochs=args.epochs, vi_epochs=args.epochs,
             warmup_epochs=max(1, args.epochs // 10), mc_eval_samples=args.mc_samples, seed=0)
             for name, pkg in sides.items()}
-        seconds = {name: [] for name in sides}
-        deltas = {name: [] for name in sides}
-        for i, pair in enumerate(pairs):
-            for name in ("base", "change") if i % 2 == 0 else ("change", "base"):
-                pkg = sides[name]
-                own = pkg.data.PairDataset(pair.x.copy(), pair.y.copy(), label=pair.label)
-                start = time.perf_counter()
-                report = pkg.codelength.score_pair(own, configs[name])
-                seconds[name].append(time.perf_counter() - start)
-                deltas[name].append(repr(report.final_delta))
-
-    ratios = [c / b for b, c in zip(seconds["base"], seconds["change"])]
-    scores_match = deltas["base"] == deltas["change"]
-    print(json.dumps({
-        "pairs": len(pairs),
-        "base_s": quartiles(seconds["base"]),
-        "change_s": quartiles(seconds["change"]),
-        "ratio_median": statistics.median(ratios),
-        "change_wins": sum(c < b for b, c in zip(seconds["base"], seconds["change"])),
-        "scores_match": scores_match,
-    }))
-    return 0 if scores_match else 1
+        runs = []
+        for seed in args.seed:
+            runs.append(ab_seed(sides, configs, args, seed))
+            print(json.dumps(runs[-1]), flush=True)
+        if args.out is not None:
+            context = {"nproc": os.cpu_count(), "config": dataclasses.asdict(configs["change"]),
+                       "machine": sides["change"].evaluation.machine_info()}
+            args.out.write_text(json.dumps({"runs": runs, "context": context}, indent=2) + "\n")
+    return 0 if all(run["scores_match"] for run in runs) else 1
 
 
 if __name__ == "__main__":

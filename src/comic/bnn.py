@@ -37,15 +37,26 @@ n x H and an n x 2 matrix of standard normals. sampler() serves Monte Carlo
 evaluation: the hidden layer's pre-activation mean and std do not depend on
 the noise, so it computes them once and each sample only adds std * eps.
 
+The hidden layer's input has width 1, so its pre-activation mean x*w + b
+and variance x^2*v_w + v_b are each one BLAS product of the n x 2 design
+[x, 1] (or [x^2, 1]) with the stacked 2 x H weights [w; b]. Every entry is
+RN(RN(x*w) + b), with a -0.0 product taken as +0.0: a gemm kernel starts
+each sum at +0.0 and adds the two terms in column order, which is why the
+ones are the second column. These are the bytes of the broadcast form
+x*w + (b + 0.0), which n = 1 or H = 1 keeps: numpy hands those shapes to
+gemv, whose FMA kernels may fuse the multiply and the add. A test checks
+the product against the broadcast form under four OpenBLAS kernels.
+
 Epochs and Monte Carlo samples allocate no data-sized array: the
-pre-activations, the stds, the tanh derivative, the input gradient and the
-scaled noise gradients are written with out= into one buffer per (layer,
-role), kept for the life of the thread and reallocated only when its shape
-changes (a pair of another length). A value whose last use has passed is
-overwritten in place (the backward pass turns s_out into 0.5 / s_out, for
-one), so that few buffers are live and they stay in cache. Each value is
-computed by the same operations on the same operands as with fresh arrays,
-so the bytes are the same. Every buffer is written before it is read within
+pre-activations, the stds, the hidden layer's design and stacked weights,
+the tanh derivative, the input gradient and the scaled noise gradients are
+written with out= or in place into one buffer per (layer, role), kept for
+the life of the thread and reallocated only when its shape changes (a pair
+of another length). A value whose last use has passed is overwritten in
+place (the backward pass turns s_out into 0.5 / s_out, for one), so that
+few buffers are live and they stay in cache. Each value is computed by the
+same operations on the same operands as with fresh arrays, so the bytes
+are the same. Every buffer is written before it is read within
 one call, so no call sees another's data. Each thread has its own
 buffers, so threads scoring at once get the bytes they would get alone.
 No value returned to a caller aliases a buffer, and no buffer aliases the
@@ -236,19 +247,36 @@ def _buffer(name: str, role: str, shape: tuple[int, ...], dtype=float) -> np.nda
     return buf
 
 
-def _affine(h_in: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """h_in @ w + b written into out, computing a width-1 input as a broadcast product.
+def _affine(h_in: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray,
+            name: str) -> np.ndarray:
+    """h_in @ w + b written into out; every entry of a width-1 input is
+    RN(RN(h * w) + (b + 0.0)).
 
-    Matmul adds each product to +0.0, so a -0.0 product comes back as +0.0;
-    adding the bias plus 0.0 instead gives the same sum for every product
-    and bias, -0.0 included.
+    A width-1 input with at least 2 rows and 2 columns goes through one
+    product of the design [h_in, 1] with the stacked [w; b], in the layer's
+    buffers. A gemm kernel starts each sum at +0.0 and adds the terms in
+    column order, so it rounds h * w first, turning a -0.0 product into
+    +0.0, and then adds 1 * b exactly as the broadcast form adds b + 0.0.
+    With 1 row or 1 column numpy hands the product to gemv instead, whose
+    FMA kernels may fuse the multiply and the add, so those shapes keep the
+    broadcast form.
     """
-    if h_in.shape[-1] == 1:
+    rows, width = out.shape[-2:]
+    if h_in.shape[-1] != 1:
+        np.matmul(h_in, w, out=out)
+        out += b[..., None, :]
+    elif rows < 2 or width < 2:
         np.multiply(h_in, w, out=out)
         out += b[..., None, :] + 0.0
     else:
-        np.matmul(h_in, w, out=out)
-        out += b[..., None, :]
+        # the buffers are stale, the ones column included
+        design = _buffer(name, "design", h_in.shape[:-1] + (2,))
+        design[..., :1] = h_in
+        design[..., 1] = 1.0
+        wb = _buffer(name, "wb", w.shape[:-2] + (2, width))
+        wb[..., :1, :] = w
+        wb[..., 1, :] = b
+        np.matmul(design, wb, out=out)
     return out
 
 
@@ -258,7 +286,7 @@ def _layer_std(layer: VariationalLinearLayer, h_in: np.ndarray, name: str, out: 
     v_w = np.exp(layer.logvar_w)
     v_b = np.exp(layer.logvar_b)
     h_sq = np.multiply(h_in, h_in, out=_buffer(name, "h_sq", h_in.shape))
-    s_out = np.sqrt(_affine(h_sq, v_w, v_b, out), out=out)
+    s_out = np.sqrt(_affine(h_sq, v_w, v_b, out, name), out=out)
     return s_out, (h_sq, v_w, v_b)
 
 
@@ -278,7 +306,7 @@ def _layer_forward(
     in the buffers of layer name until its next forward pass.
     """
     shape = h_in.shape[:-1] + (layer.out_dim,)
-    mean = _affine(h_in, layer.mean_w, layer.mean_b, _buffer(name, "mean", shape))
+    mean = _affine(h_in, layer.mean_w, layer.mean_b, _buffer(name, "mean", shape), name)
     if eps is None:
         return mean, (h_in, None)
     s_out, (h_sq, v_w, v_b) = _layer_std(layer, h_in, name, _buffer(name, "s_out", shape))
@@ -363,7 +391,7 @@ def sampler(
     """
     h_in = _inputs(model, x)[..., None]
     shape = h_in.shape[:-1] + (model.hidden_width,)
-    mean = _affine(h_in, model.hidden.mean_w, model.hidden.mean_b, np.empty(shape))
+    mean = _affine(h_in, model.hidden.mean_w, model.hidden.mean_b, np.empty(shape), "hidden")
     std = _layer_std(model.hidden, h_in, "hidden", np.empty(shape))[0]
 
     def sample(eps_hidden: np.ndarray, eps_output: np.ndarray):

@@ -21,7 +21,7 @@ from .codelength import TrainConfig, score_pair
 from .data import (GeneratorSpec, decode_utf8, generate_dataset, load_pair_file, load_tuebingen,
                    write_dataset)
 from .errors import ArgumentError, FetchError, NumericError, ParseError
-from .evaluation import run_benchmark, write_result
+from .evaluation import machine_info, run_benchmark, write_result
 
 CONFIG_KEYS = {
     "seed": int,
@@ -140,6 +140,7 @@ def cmd_score(args) -> int:
         "l_cond_x_given_y": report.backward.l_conditional_effect,
         "seed": settings["seed"],
         "config": asdict(cfg),
+        "machine": machine_info(),
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out is not None:

@@ -110,6 +110,31 @@ class BenchmarkResult:
     metadata: dict
 
 
+def machine_info() -> dict:
+    """The numpy version, its active CPU dispatch targets and the OpenBLAS
+    core of this process: scores are bit-exact per machine type, and these
+    name it. The core is None when numpy's BLAS does not report one."""
+    import ctypes  # imported here, so that importing the package does no more work
+
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    try:
+        corename = ctypes.CDLL(umath.__file__).scipy_openblas_get_corename64_
+    except AttributeError:
+        blas_core = None
+    else:
+        corename.argtypes = []
+        corename.restype = ctypes.c_char_p
+        blas_core = corename().decode()
+    return {
+        "numpy_version": np.__version__,
+        "dispatch_targets": [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)],
+        "blas_core": blas_core,
+    }
+
+
 def _score_one(pair: PairDataset, cfg: TrainConfig) -> PairRow:
     start = time.perf_counter()
     try:
@@ -173,6 +198,7 @@ def run_benchmark(
         "n_pairs": len(rows),
         "weighted_accuracy_uses_weights": True,
         "bi_auroc_uses_weights": True,
+        "machine": machine_info(),
     }
     if not ok:
         return BenchmarkResult(rows, 0.0, 0.0, None, n_failed, metadata)

@@ -3,7 +3,8 @@
 Run with `pytest tests/test_acceptance.py -v -s`. The synthetic-family
 criterion trains 200 models and dominates the runtime (minutes, not hours);
 the real-world corpus criterion downloads data and trains at full scale, so
-it only runs when COMIC_RUN_TUEBINGEN=1 is exported.
+it only runs when COMIC_RUN_TUEBINGEN=1 is exported. Criterion 10 scores 11
+pairs at the shipped defaults, under a minute on two cores.
 """
 
 import math
@@ -359,6 +360,24 @@ def test_criterion_9_determinism_and_parallelism():
     assert strip_runtime(result_to_csv(first)) == strip_runtime(result_to_csv(repeat))
     report(9, "metrics identical across parallelism degrees; repeated runs "
               "byte-identical apart from runtimes")
+
+
+# --------------------------------------------------------------- criterion 10
+
+
+def test_criterion_10_shipped_defaults():
+    # the only offline run at TrainConfig()'s 2500 + 2500 epochs: two
+    # criterion-1 pairs per family, and the first one swapped
+    pairs = [generate_pair(GeneratorSpec(family, 20, 500, seed=11), i)
+             for family in ("AN", "AN-s", "LS", "LS-s", "MN-U") for i in range(2)]
+    result = run_benchmark([*pairs, swap_pair(pairs[0])], TrainConfig(seed=0),
+                           parallelism=WORKERS)
+    assert result.n_failed == 0
+    assert [r.decision for r in result.rows] == [r.label for r in result.rows]
+    assert result.rows[-1].final_delta == -result.rows[0].final_delta
+    smallest = min(abs(r.final_delta) for r in result.rows)
+    report(10, f"defaults: {len(pairs)} pairs decided right (smallest |delta| "
+               f"{smallest:.2f}); the swapped first pair is its bit-exact negation")
 
 
 # -------------------------------------------------- supporting determinism

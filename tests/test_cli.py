@@ -11,7 +11,7 @@ from comic.cli import main
 from comic.codelength import TrainConfig
 from comic.data import X_CAUSES_Y, GeneratorSpec, fetch_tuebingen, generate_dataset
 from comic.errors import FetchError
-from comic.evaluation import run_benchmark
+from comic.evaluation import machine_info, run_benchmark
 
 FAST_FLAGS = [
     "--hidden-width", "6", "--map-epochs", "40", "--vi-epochs", "40",
@@ -102,6 +102,7 @@ def test_score_smoke_pair(smoke_pair_file, capsys):
     assert payload["confidence"] == abs(payload["final_delta"])
     assert payload["seed"] == 5
     assert payload["config"]["hidden_width"] == 6
+    assert payload["machine"] == machine_info()
     assert payload["delta_xy"] == payload["l_marginal_x"] + payload["l_cond_y_given_x"]
     out_file = smoke_pair_file.parent / "score.json"
     _, again = run_cli(capsys, ["score", str(smoke_pair_file), "--seed", "5", *FAST_FLAGS,
@@ -335,6 +336,7 @@ def test_benchmark_prints_the_file_its_format_names(tmp_path, capsys):
         _, out = run_cli(capsys, ["benchmark", str(data_dir), "--format", fmt,
                                   "--out", str(out_dir), *FAST_FLAGS])
         assert out == (out_dir / name).read_text()
+    assert json.loads(out)["metadata"]["machine"] == machine_info()
 
 
 def test_benchmark_rejects_an_out_file_before_scoring(tmp_path, capsys, monkeypatch):

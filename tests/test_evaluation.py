@@ -17,6 +17,7 @@ from comic.evaluation import (
     PairRow,
     auroc,
     bi_auroc,
+    machine_info,
     result_to_csv,
     result_to_json,
     run_benchmark,
@@ -277,6 +278,31 @@ def test_run_benchmark_aggregates():
     assert 0.0 <= result.weighted_accuracy <= 1.0
     assert result.bi_auroc is None or 0.0 <= result.bi_auroc <= 1.0
     assert result.metadata["bi_auroc_uses_weights"] is True
+
+
+def test_machine_info_names_numpy_its_dispatch_targets_and_blas_core():
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__
+    info = machine_info()
+    assert set(info) == {"numpy_version", "dispatch_targets", "blas_core"}
+    assert info["numpy_version"] == np.__version__
+    assert isinstance(info["dispatch_targets"], list)
+    assert set(info["dispatch_targets"]) <= set(__cpu_dispatch__)
+    assert info["blas_core"] is None or (isinstance(info["blas_core"], str) and info["blas_core"])
+
+
+def test_machine_info_core_is_none_without_the_openblas_symbol(monkeypatch):
+    import ctypes
+    from types import SimpleNamespace
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: SimpleNamespace())
+    assert machine_info()["blas_core"] is None
+
+
+def test_run_benchmark_metadata_names_the_machine():
+    assert run_benchmark(small_pairs(1), FAST).metadata["machine"] == machine_info()
 
 
 def test_run_benchmark_single_pair_no_bi_auroc():

@@ -35,17 +35,73 @@ def run_python(args, **env):
 SCORE_LS_S = """
 from comic.codelength import TrainConfig, score_pair
 from comic.data import GeneratorSpec, generate_pair
-cfg = TrainConfig(hidden_width=50, vi_epochs=20, warmup_epochs=5, map_epochs=20,
-                  mc_eval_samples=4, seed=1)
-print(repr(score_pair(generate_pair(GeneratorSpec("LS-s", 1, 300, seed=6), 0), cfg).final_delta))
+cfg = TrainConfig(hidden_width=50, vi_epochs={epochs}, warmup_epochs={warmup},
+                  map_epochs={epochs}, mc_eval_samples={mc}, seed=1)
+print(repr(score_pair(generate_pair(GeneratorSpec("LS-s", 1, {n}, seed=6), 0), cfg).final_delta))
 """
 
 
-def test_score_independent_of_blas_threads():
+def assert_score_independent_of_blas_threads(**schedule):
     # scoring a fixed pair is bit-identical across BLAS thread counts
-    one, two = (run_python(["-c", SCORE_LS_S], OPENBLAS_NUM_THREADS=threads)
+    script = SCORE_LS_S.format(**schedule)
+    one, two = (run_python(["-c", script], OPENBLAS_NUM_THREADS=threads)
                 for threads in ("1", "2"))
     assert one.strip() and one == two
+
+
+def test_score_independent_of_blas_threads():
+    assert_score_independent_of_blas_threads(n=300, epochs=20, warmup=5, mc=4)
+
+
+def test_score_independent_of_blas_threads_where_products_use_threads():
+    # at n = 300 every product stays at or below OpenBLAS's gemm threading
+    # threshold (M * N * K <= 65536 * 4); at n = 4000 the hidden layer's
+    # (n x 2) @ (2 x 50) products and the output layer's run on 2 threads
+    assert_score_independent_of_blas_threads(n=4000, epochs=5, warmup=2, mc=2)
+
+
+# The hidden layer's pre-activation mean and variance, x * w + b and
+# x^2 * v_w + v_b, against the broadcast form h * w + (b + 0.0) byte for
+# byte, for one model and a stack of two: with signed zeros, with a row
+# where h * w = -b exactly, and with positive variance-like operands.
+HIDDEN_AFFINE = """
+import json
+import numpy as np
+from comic.bnn import _affine
+from comic.evaluation import machine_info
+rng = np.random.default_rng(21)
+
+def signed_zeros(values):
+    mask = rng.random(values.shape) < 0.3
+    values[mask] = rng.choice([0.0, -0.0], size=int(mask.sum()))
+    return values
+
+mismatches = []
+for width in (1, 2, 50):
+    for n in (1, 2, 3, 500, 4000):
+        for stack in ((), (2,)):
+            h = signed_zeros(2.0 * rng.standard_normal(stack + (n, 1)))
+            w = signed_zeros(rng.standard_normal(stack + (1, width)))
+            cases = {
+                "signed zeros": (h, w, signed_zeros(rng.standard_normal(stack + (width,)))),
+                "cancelling row": (h, w, -(h[..., n // 2, :] * w[..., 0, :])),
+                "variance": (h * h, np.exp(rng.normal(-6.0, 3.0, w.shape)),
+                             np.exp(rng.normal(-6.0, 3.0, stack + (width,)))),
+            }
+            for kind, (hk, wk, bk) in cases.items():
+                expected = np.multiply(hk, wk) + (bk[..., None, :] + 0.0)
+                got = _affine(hk, wk, bk, np.empty(stack + (n, width)), "hidden")
+                if got.tobytes() != expected.tobytes():
+                    mismatches.append([width, n, len(stack), kind])
+print(json.dumps([machine_info()["blas_core"], mismatches]))
+"""
+
+
+@pytest.mark.parametrize("coretype", ["Prescott", "Sandybridge", "Haswell", "SkylakeX"])
+def test_hidden_affine_matches_the_broadcast_form_under_each_blas_kernel(coretype):
+    # OpenBLAS picks its kernels once, at load, so each needs a fresh interpreter
+    core, mismatches = json.loads(run_python(["-c", HIDDEN_AFFINE], OPENBLAS_CORETYPE=coretype))
+    assert mismatches == [], f"BLAS core {core}"
 
 
 GENERATE_GP = """
@@ -124,11 +180,11 @@ def test_training_epochs_take_almost_no_page_faults():
     assert float(run_python(["-c", FAULTS_PER_EPOCH])) < 5.0
 
 
-def run_ab_pairs(change_src):
-    """Exit code and JSON result of a tiny ab_pairs run against this tree's src."""
+def run_ab_pairs(change_src, *extra):
+    """Exit code and last JSON line of a tiny ab_pairs run against this tree's src."""
     proc = python_proc([str(ROOT / "scripts" / "ab_pairs.py"), "--base", str(ROOT / "src"),
                         "--change", str(change_src), "--pairs-per-family", "1", "--n", "40",
-                        "--hidden-width", "4", "--epochs", "10", "--mc-samples", "2"])
+                        "--hidden-width", "4", "--epochs", "10", "--mc-samples", "2", *extra])
     assert proc.stdout.strip(), proc.stderr
     return proc.returncode, json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -138,6 +194,20 @@ def test_ab_pairs_same_tree_scores_match():
     assert code == 0
     assert result["pairs"] == 5
     assert result["scores_match"] is True
+
+
+def test_ab_pairs_writes_each_seed_and_its_context(tmp_path):
+    out = tmp_path / "BENCH_same.json"
+    code, last = run_ab_pairs(ROOT / "src", "--seed", "1", "2", "--out", str(out))
+    written = json.loads(out.read_text())
+    assert code == 0
+    assert [run["seed"] for run in written["runs"]] == [1, 2]
+    assert written["runs"][-1] == last
+    assert all(run["scores_match"] for run in written["runs"])
+    assert set(written["context"]) == {"nproc", "config", "machine"}
+    assert written["context"]["config"]["hidden_width"] == 4
+    assert set(written["context"]["machine"]) == {"numpy_version", "dispatch_targets",
+                                                  "blas_core"}
 
 
 def test_ab_pairs_exits_1_when_scores_differ(tmp_path):
