@@ -14,9 +14,11 @@ pairs the change scored faster, and whether every repr(final_delta)
 matched. Exits with status 1 when any did not, so a change meant to keep
 the scores can be checked by the exit code alone. With --out PATH the
 lines are also written to PATH as {"runs": [...], "context": {...}}; the
-context holds the CPU count, the config and the change side's machine
-block (numpy version, dispatch targets, OpenBLAS core), so the change
-tree must have evaluation.machine_info.
+context holds the CPU count, --n, --pairs-per-family, the config and the
+change side's machine block (numpy version, dispatch targets, OpenBLAS
+core), so the change tree must have evaluation.machine_info. Which trees
+were compared is not recorded: the commit that adds a result file names
+them.
 
 Example, comparing a checkout of the parent commit with this tree:
     python scripts/ab_pairs.py --base ../parent/src --change src --seed 1 2 \
@@ -106,7 +108,9 @@ def main():
             runs.append(ab_seed(sides, configs, args, seed))
             print(json.dumps(runs[-1]), flush=True)
         if args.out is not None:
-            context = {"nproc": os.cpu_count(), "config": dataclasses.asdict(configs["change"]),
+            context = {"nproc": os.cpu_count(), "n": args.n,
+                       "pairs_per_family": args.pairs_per_family,
+                       "config": dataclasses.asdict(configs["change"]),
                        "machine": sides["change"].evaluation.machine_info()}
             args.out.write_text(json.dumps({"runs": runs, "context": context}, indent=2) + "\n")
     return 0 if all(run["scores_match"] for run in runs) else 1

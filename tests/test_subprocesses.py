@@ -32,32 +32,68 @@ def run_python(args, **env):
     return proc.stdout
 
 
+def numpy_cpu():
+    """numpy's dispatch targets and the CPU features it detected."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return __cpu_dispatch__, __cpu_features__
+
+
+# Scores an LS-s pair and prints repr(final_delta) and the CPU clock ticks
+# that every thread but the main one spent scoring it (None without
+# /proc): OpenBLAS's worker threads, when a product runs on more than one.
 SCORE_LS_S = """
+import os
 from comic.codelength import TrainConfig, score_pair
 from comic.data import GeneratorSpec, generate_pair
+
+def other_thread_ticks():
+    if not os.path.isdir("/proc/self/task"):
+        return None
+    ticks = 0
+    for tid in os.listdir("/proc/self/task"):
+        if tid != str(os.getpid()):
+            with open(f"/proc/self/task/{{tid}}/stat") as stat:
+                ticks += sum(map(int, stat.read().rsplit(")", 1)[1].split()[11:13]))
+    return ticks
+
 cfg = TrainConfig(hidden_width=50, vi_epochs={epochs}, warmup_epochs={warmup},
                   map_epochs={epochs}, mc_eval_samples={mc}, seed=1)
-print(repr(score_pair(generate_pair(GeneratorSpec("LS-s", 1, {n}, seed=6), 0), cfg).final_delta))
+pair = generate_pair(GeneratorSpec("LS-s", 1, {n}, seed=6), 0)
+before = other_thread_ticks()
+delta = score_pair(pair, cfg).final_delta
+after = other_thread_ticks()
+print(repr(delta), None if before is None else after - before)
 """
 
 
-def assert_score_independent_of_blas_threads(**schedule):
-    # scoring a fixed pair is bit-identical across BLAS thread counts
+def score_at_one_and_two_blas_threads(**schedule):
+    """(score, other threads' ticks) of the LS-s pair at 1 and 2 BLAS threads."""
     script = SCORE_LS_S.format(**schedule)
-    one, two = (run_python(["-c", script], OPENBLAS_NUM_THREADS=threads)
-                for threads in ("1", "2"))
-    assert one.strip() and one == two
+    return [run_python(["-c", script], OPENBLAS_NUM_THREADS=threads).split()
+            for threads in ("1", "2")]
 
 
 def test_score_independent_of_blas_threads():
-    assert_score_independent_of_blas_threads(n=300, epochs=20, warmup=5, mc=4)
+    # scoring a fixed pair is bit-identical across BLAS thread counts
+    (one, _), (two, _) = score_at_one_and_two_blas_threads(n=300, epochs=20, warmup=5, mc=4)
+    assert one == two
 
 
 def test_score_independent_of_blas_threads_where_products_use_threads():
-    # at n = 300 every product stays at or below OpenBLAS's gemm threading
-    # threshold (M * N * K <= 65536 * 4); at n = 4000 the hidden layer's
-    # (n x 2) @ (2 x 50) products and the output layer's run on 2 threads
-    assert_score_independent_of_blas_threads(n=4000, epochs=5, warmup=2, mc=2)
+    # OpenBLAS 0.3.31 runs a gemm on one thread until M * N * K reaches
+    # twice 65536 * 4, so at n = 300 and at n = 4000 every product of a
+    # width-50 model stays on one thread; at n = 6000 some do not, which
+    # the second thread's CPU time shows
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("OpenBLAS starts no second thread on one CPU")
+    (one, _), (two, ticks) = score_at_one_and_two_blas_threads(n=6000, epochs=5, warmup=2, mc=2)
+    if ticks == "None":
+        pytest.skip("no per-thread CPU times to show that a second BLAS thread ran")
+    assert int(ticks) > 0, "no product ran on a second BLAS thread"
+    assert one == two
 
 
 # The hidden layer's pre-activation mean and variance, x * w + b and
@@ -97,10 +133,25 @@ print(json.dumps([machine_info()["blas_core"], mismatches]))
 """
 
 
-@pytest.mark.parametrize("coretype", ["Prescott", "Sandybridge", "Haswell", "SkylakeX"])
+# OpenBLAS core types and the CPU features their kernels use: OpenBLAS runs
+# a forced core without checking for them, so a CPU that lacks one would
+# die of an illegal instruction
+CORETYPE_FEATURES = {"Prescott": "SSE3", "Sandybridge": "AVX", "Haswell": "AVX2 FMA3",
+                     "SkylakeX": "AVX512_SKX"}
+
+
+@pytest.mark.parametrize("coretype", CORETYPE_FEATURES)
 def test_hidden_affine_matches_the_broadcast_form_under_each_blas_kernel(coretype):
+    from comic.evaluation import machine_info
+
+    if machine_info()["blas_core"] is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS, which alone reads OPENBLAS_CORETYPE")
+    _, features = numpy_cpu()
+    if not all(features.get(f) for f in CORETYPE_FEATURES[coretype].split()):
+        pytest.skip(f"this CPU has no {CORETYPE_FEATURES[coretype]} for the {coretype} kernels")
     # OpenBLAS picks its kernels once, at load, so each needs a fresh interpreter
     core, mismatches = json.loads(run_python(["-c", HIDDEN_AFFINE], OPENBLAS_CORETYPE=coretype))
+    assert core is not None
     assert mismatches == [], f"BLAS core {core}"
 
 
@@ -136,15 +187,12 @@ DISPATCH_OFF = {"avx512-off": "X86_V4 AVX512_ICL AVX512_SPR",
 
 @pytest.mark.parametrize("setting", DISPATCH_OFF)
 def test_generated_pairs_do_not_depend_on_the_dispatch_level(setting):
-    try:
-        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    except ImportError:  # numpy < 2
-        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     from comic.data import GENERATOR_VERSION, GeneratorSpec, generate_pair, standardize
     from test_data import GENERATED_SHA256
 
+    dispatch, cpu_features = numpy_cpu()
     features = DISPATCH_OFF[setting].split()
-    if not all(f in __cpu_dispatch__ and __cpu_features__.get(f) for f in features):
+    if not all(f in dispatch and cpu_features.get(f) for f in features):
         pytest.skip(f"this CPU or numpy build has no {DISPATCH_OFF[setting]} to turn off")
     out = run_python(["-c", GENERATE_AND_STANDARDIZE],
                      NPY_DISABLE_CPU_FEATURES=DISPATCH_OFF[setting]).split()
@@ -204,7 +252,8 @@ def test_ab_pairs_writes_each_seed_and_its_context(tmp_path):
     assert [run["seed"] for run in written["runs"]] == [1, 2]
     assert written["runs"][-1] == last
     assert all(run["scores_match"] for run in written["runs"])
-    assert set(written["context"]) == {"nproc", "config", "machine"}
+    assert set(written["context"]) == {"nproc", "n", "pairs_per_family", "config", "machine"}
+    assert (written["context"]["n"], written["context"]["pairs_per_family"]) == (40, 1)
     assert written["context"]["config"]["hidden_width"] == 4
     assert set(written["context"]["machine"]) == {"numpy_version", "dispatch_targets",
                                                   "blas_core"}
