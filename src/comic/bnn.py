@@ -25,8 +25,12 @@ noise matrices do not, and broadcast over them, so every model of a stack
 sees the same draw. All block arithmetic runs over the trailing axes
 (per-slice matmul, sums along the last axes), so one forward/backward path
 serves a single model and a stack, and each slice of a stack gets the
-bytes it would get alone. The objectives and kl_model return one value per
-model.
+bytes it would get alone. One exception was measured: at hidden width 1
+and odd n, OpenBLAS's Prescott and Core2 kernels (core "Katmai") give the
+product h_in^T @ g of the second slice, which starts off a 16-byte
+boundary, other bits than a fresh copy; widths of 2 and more keep the
+bytes (a test checks Prescott). The objectives and kl_model return one
+value per model.
 
 Every pass, training or evaluation, goes through one forward/backward pair
 per layer: with a noise matrix it is the sampled (local reparameterization)
@@ -43,9 +47,11 @@ and variance x^2*v_w + v_b are each one BLAS product of the n x 2 design
 RN(RN(x*w) + b), with a -0.0 product taken as +0.0: a gemm kernel starts
 each sum at +0.0 and adds the two terms in column order, which is why the
 ones are the second column. These are the bytes of the broadcast form
-x*w + (b + 0.0), which n = 1 or H = 1 keeps: numpy hands those shapes to
-gemv, whose FMA kernels may fuse the multiply and the add. A test checks
-the product against the broadcast form under four OpenBLAS kernels.
+x*w + (b + 0.0), which n = 1 or H = 1 keeps: under the Haswell and SkylakeX
+kernels the product gave other bits at H = 1 for every n >= 2 tried, and
+at n = 1 with H = 50 under SkylakeX; under Prescott, Nehalem and
+Sandybridge it did not. A test checks the product against the broadcast
+form under four OpenBLAS kernels.
 
 Epochs and Monte Carlo samples allocate no data-sized array: the
 pre-activations, the stds, the hidden layer's design and stacked weights,
@@ -257,9 +263,10 @@ def _affine(h_in: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray,
     buffers. A gemm kernel starts each sum at +0.0 and adds the terms in
     column order, so it rounds h * w first, turning a -0.0 product into
     +0.0, and then adds 1 * b exactly as the broadcast form adds b + 0.0.
-    With 1 row or 1 column numpy hands the product to gemv instead, whose
-    FMA kernels may fuse the multiply and the add, so those shapes keep the
-    broadcast form.
+    1 row or 1 column keeps the broadcast form: there the product gave
+    other bits under the Haswell and SkylakeX kernels (at width 1 for every
+    n >= 2 tried, and with 1 row at width 50 under SkylakeX), though not
+    under Prescott, Nehalem or Sandybridge.
     """
     rows, width = out.shape[-2:]
     if h_in.shape[-1] != 1:

@@ -23,16 +23,11 @@ from .data import (GeneratorSpec, decode_utf8, generate_dataset, load_pair_file,
 from .errors import ArgumentError, FetchError, NumericError, ParseError
 from .evaluation import machine_info, run_benchmark, write_result
 
-CONFIG_KEYS = {
-    "seed": int,
-    "hidden_width": int,
-    "vi_epochs": int,
-    "map_epochs": int,
-    "warmup_epochs": int,
-    "mc_eval": int,
-    "parallelism": int,
-    "format": str,
-}
+# TrainConfig fields whose config key, and so whose flag, is not the field's name
+ALIASES = {"mc_eval_samples": "mc_eval"}
+TRAIN_FIELDS = {ALIASES.get(f.name, f.name): f for f in fields(TrainConfig)}
+CONFIG_KEYS = {**{key: type(f.default) for key, f in TRAIN_FIELDS.items()},
+               "parallelism": int, "format": str}
 
 FORMATS = ("csv", "json")
 
@@ -61,9 +56,8 @@ def _read_config_file(path: str) -> dict:
 
 
 def _effective_settings(args) -> dict:
-    settings = asdict(TrainConfig())
-    settings["mc_eval"] = settings.pop("mc_eval_samples")
-    settings.update(parallelism=1, format="csv")
+    settings = {**{key: f.default for key, f in TRAIN_FIELDS.items()},
+                "parallelism": 1, "format": "csv"}
     env_seed = os.environ.get("COMIC_SEED")
     if env_seed is not None:
         try:
@@ -80,8 +74,7 @@ def _effective_settings(args) -> dict:
 
 
 def _train_config(settings: dict) -> TrainConfig:
-    shared = {f.name: settings[f.name] for f in fields(TrainConfig) if f.name in settings}
-    return TrainConfig(mc_eval_samples=settings["mc_eval"], **shared)
+    return TrainConfig(**{f.name: settings[key] for key, f in TRAIN_FIELDS.items()})
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, keys) -> None:
@@ -195,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_score = sub.add_parser("score", help="score one pair file")
     p_score.add_argument("pair_file")
     p_score.add_argument("--skip-header", action="store_true")
-    _add_config_flags(p_score, [k for k in CONFIG_KEYS if k not in ("parallelism", "format")])
+    _add_config_flags(p_score, TRAIN_FIELDS)
     p_score.set_defaults(func=cmd_score)
 
     p_bench = sub.add_parser("benchmark", help="score a pair/meta directory")

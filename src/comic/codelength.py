@@ -30,7 +30,7 @@ import numpy as np
 from . import bnn
 from .bnn import ConditionalModel
 from .data import PairDataset, UNDECIDED, X_CAUSES_Y, Y_CAUSES_X, standardize
-from .errors import ArgumentError, NumericError, check_int
+from .errors import ArgumentError, NumericError, check_count
 from .optim import LR_MAX, LR_MIN, adam_step, cosine_lr
 from .rng import RngStream, check_seed, draw_standard_normal
 
@@ -49,10 +49,7 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("hidden_width", "vi_epochs", "warmup_epochs", "map_epochs",
                      "mc_eval_samples"):
-            value = check_int(name, getattr(self, name))
-            if value < 1:
-                raise ArgumentError(f"{name} must be >= 1")
-            setattr(self, name, value)
+            setattr(self, name, check_count(name, getattr(self, name), 1))
         self.seed = check_seed(self.seed)
         if self.warmup_epochs > self.vi_epochs:
             raise ArgumentError("warmup_epochs must not exceed vi_epochs")
@@ -128,7 +125,8 @@ def train_conditional(
     epoch makes one objective call, which overwrites the gradient matrix,
     and one Adam step on the matrices, which updates the parameters and
     the moment matrices m and v in place. No operation mixes directions, so
-    each gets the bytes it would get trained alone. Both phases run
+    each gets the bytes it would get trained alone (for the one BLAS kernel
+    exception at hidden width 1, see bnn). Both phases run
     full-batch under Adam with a cosine learning-rate schedule from LR_MAX
     to LR_MIN; the second phase starts from zeroed Adam moments since it
     minimizes a different objective. A NumericError names the direction's
@@ -182,9 +180,7 @@ def conditional_variational_codelength(
     hidden_width, sampler(causes) and kl(). Each sample's noise is drawn
     once and shared by all directions, and one pass evaluates them all.
     """
-    mc_eval_samples = check_int("mc_eval_samples", mc_eval_samples)
-    if mc_eval_samples < 1:
-        raise ArgumentError("mc_eval_samples must be >= 1")
+    mc_eval_samples = check_count("mc_eval_samples", mc_eval_samples, 1)
     x, y = _stack_directions(directions, 1)
     eps = (np.empty((x.shape[1], model.hidden_width)), np.empty((x.shape[1], 2)))
     sample = model.sampler(x)

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, FetchError, ParseError, check_int, check_real
+from .errors import ArgumentError, FetchError, ParseError, check_count, check_int, check_real
 from .rng import RngStream, check_seed
 
 X_CAUSES_Y = "x_causes_y"
@@ -237,12 +237,8 @@ class GeneratorSpec:
 
     def __post_init__(self):
         self.family = normalize_family(self.family)
-        self.n_pairs = check_int("n_pairs", self.n_pairs)
-        if self.n_pairs < 1:
-            raise ArgumentError("n_pairs must be >= 1")
-        self.n_samples = check_int("n_samples", self.n_samples)
-        if self.n_samples < 2:
-            raise ArgumentError("n_samples must be >= 2")
+        self.n_pairs = check_count("n_pairs", self.n_pairs, 1)
+        self.n_samples = check_count("n_samples", self.n_samples, 2)
         self.seed = check_seed(self.seed)
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer and real checks that raise one."""
+"""Exception types shared across the package, and the argument checks that raise one."""
 
 import numbers
 import operator
@@ -35,6 +35,14 @@ def check_int(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ArgumentError(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_count(name: str, value, least: int) -> int:
+    """check_int(name, value) if it is at least least; ArgumentError naming name otherwise."""
+    value = check_int(name, value)
+    if value < least:
+        raise ArgumentError(f"{name} must be >= {least}")
+    return value
 
 
 def check_real(name: str, value) -> float:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .codelength import TrainConfig, score_pair
 from .data import PairDataset, X_CAUSES_Y, Y_CAUSES_X
-from .errors import ArgumentError, check_int
+from .errors import ArgumentError, check_count
 
 
 def _check_weights(weights: np.ndarray) -> None:
@@ -166,9 +166,7 @@ def run_benchmark(
         raise ArgumentError("benchmark needs a non-empty pair list")
     if any(p.label is None for p in pairs):
         raise ArgumentError("benchmark pairs need ground-truth labels")
-    parallelism = check_int("parallelism", parallelism)
-    if parallelism < 1:
-        raise ArgumentError("parallelism must be >= 1")
+    parallelism = check_count("parallelism", parallelism, 1)
     workers = min(parallelism, len(pairs))
     if workers == 1:
         rows = [_score_one(pair, cfg) for pair in pairs]

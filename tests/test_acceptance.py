@@ -4,7 +4,8 @@ Run with `pytest tests/test_acceptance.py -v -s`. The synthetic-family
 criterion trains 200 models and dominates the runtime (minutes, not hours);
 the real-world corpus criterion downloads data and trains at full scale, so
 it only runs when COMIC_RUN_TUEBINGEN=1 is exported. Criterion 10 scores 11
-pairs at the shipped defaults, under a minute on two cores.
+pairs at the shipped defaults, under a minute on two cores. Criteria 1 and
+10 carry the `slow` marker, so `pytest -m "not slow"` leaves them out.
 """
 
 import math
@@ -55,6 +56,7 @@ def report(criterion: int, message: str) -> None:
 # ---------------------------------------------------------------- criterion 1
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("family", ["AN", "AN-s", "LS", "LS-s", "MN-U"])
 def test_criterion_1_synthetic_family_accuracy(family):
     pairs = generate_dataset(GeneratorSpec(family, 20, 500, seed=11))
@@ -365,6 +367,7 @@ def test_criterion_9_determinism_and_parallelism():
 # --------------------------------------------------------------- criterion 10
 
 
+@pytest.mark.slow
 def test_criterion_10_shipped_defaults():
     # the only offline run at TrainConfig()'s 2500 + 2500 epochs: two
     # criterion-1 pairs per family, and the first one swapped

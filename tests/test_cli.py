@@ -1,5 +1,6 @@
 import json
 import threading
+from dataclasses import fields
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -180,6 +181,30 @@ def test_config_file_and_flag_override(smoke_pair_file, tmp_path, capsys):
     _, out2 = run_cli(capsys, ["score", str(smoke_pair_file), "--config", str(cfg),
                                "--seed", "8"])
     assert json.loads(out2)["seed"] == 8
+
+
+FAST_KEYS = {"hidden_width": 6, "map_epochs": 40, "vi_epochs": 40, "warmup_epochs": 8,
+             "mc_eval": 4}
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+@pytest.mark.parametrize("field", [f.name for f in fields(TrainConfig)])
+def test_every_train_config_field_reaches_score(field, route, smoke_pair_file, tmp_path,
+                                                capsys):
+    # 9 is valid for each field next to the fast settings, and none of them
+    # or of the defaults
+    key = {"mc_eval_samples": "mc_eval"}.get(field, field)
+    if route == "flag":
+        argv = [*FAST_FLAGS, "--" + key.replace("_", "-"), "9"]
+    else:
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in {**FAST_KEYS, key: 9}.items()))
+        argv = ["--config", str(cfg)]
+    code, out = run_cli(capsys, ["score", str(smoke_pair_file), *argv])
+    assert code == 0, out
+    config = json.loads(out)["config"]
+    assert config[field] == 9
+    assert getattr(TrainConfig(), field) != 9
 
 
 def test_config_file_unknown_key(smoke_pair_file, tmp_path, capsys):

@@ -22,6 +22,7 @@ from comic.data import (
     swap_pair,
 )
 from comic.errors import ArgumentError, NumericError
+from comic.evaluation import run_benchmark
 from comic.rng import RngStream
 from tests.test_bnn import draw_noise, make_layer, stack
 
@@ -115,6 +116,45 @@ def test_numpy_integer_counts_stored_as_int():
     spec = GeneratorSpec("AN", np.int64(2), np.int32(10))
     assert type(spec.n_pairs) is int and type(spec.n_samples) is int
     assert spec == GeneratorSpec("AN", 2, 10)
+
+
+TINY = TrainConfig(hidden_width=2, vi_epochs=2, warmup_epochs=1, map_epochs=2,
+                   mc_eval_samples=1, seed=0)
+TINY_X = np.linspace(-1.0, 1.0, 5)
+
+
+def evaluate_tiny(mc_eval_samples):
+    model = train_conditional([(TINY_X, TINY_X ** 3)], TINY, RngStream(0))
+    return conditional_variational_codelength(model, [(TINY_X, TINY_X ** 3)], mc_eval_samples,
+                                              RngStream(1))
+
+
+# every count that errors.check_count guards: its name, its least value and
+# a call that passes the value on
+COUNT_BOUNDS = [
+    pytest.param("hidden_width", 1, lambda v: TrainConfig(hidden_width=v), id="hidden_width"),
+    pytest.param("vi_epochs", 1, lambda v: TrainConfig(vi_epochs=v, warmup_epochs=1),
+                 id="vi_epochs"),
+    pytest.param("warmup_epochs", 1, lambda v: TrainConfig(warmup_epochs=v), id="warmup_epochs"),
+    pytest.param("map_epochs", 1, lambda v: TrainConfig(map_epochs=v), id="map_epochs"),
+    pytest.param("mc_eval_samples", 1, lambda v: TrainConfig(mc_eval_samples=v),
+                 id="TrainConfig.mc_eval_samples"),
+    pytest.param("mc_eval_samples", 1, evaluate_tiny,
+                 id="conditional_variational_codelength.mc_eval_samples"),
+    pytest.param("n_pairs", 1, lambda v: GeneratorSpec("AN", v, 10), id="n_pairs"),
+    pytest.param("n_samples", 2, lambda v: GeneratorSpec("AN", 1, v), id="n_samples"),
+    pytest.param("parallelism", 1, lambda v: run_benchmark(
+        [PairDataset(TINY_X, TINY_X ** 3, label=X_CAUSES_Y)], TINY, parallelism=v),
+        id="parallelism"),
+]
+
+
+@pytest.mark.parametrize("name,least,call", COUNT_BOUNDS)
+def test_each_count_takes_its_least_value_and_names_it_below(name, least, call):
+    with pytest.raises(ArgumentError) as exc:
+        call(least - 1)
+    assert str(exc.value) == f"{name} must be >= {least}"
+    call(least)
 
 
 def test_linear_pair_compresses_below_marginal():

@@ -140,8 +140,9 @@ CORETYPE_FEATURES = {"Prescott": "SSE3", "Sandybridge": "AVX", "Haswell": "AVX2 
                      "SkylakeX": "AVX512_SKX"}
 
 
-@pytest.mark.parametrize("coretype", CORETYPE_FEATURES)
-def test_hidden_affine_matches_the_broadcast_form_under_each_blas_kernel(coretype):
+def run_under_blas_kernel(script, coretype):
+    """script's JSON output from a fresh interpreter under OPENBLAS_CORETYPE=coretype;
+    skips where numpy's BLAS is not OpenBLAS or the CPU cannot run that kernel."""
     from comic.evaluation import machine_info
 
     if machine_info()["blas_core"] is None:
@@ -150,7 +151,66 @@ def test_hidden_affine_matches_the_broadcast_form_under_each_blas_kernel(coretyp
     if not all(features.get(f) for f in CORETYPE_FEATURES[coretype].split()):
         pytest.skip(f"this CPU has no {CORETYPE_FEATURES[coretype]} for the {coretype} kernels")
     # OpenBLAS picks its kernels once, at load, so each needs a fresh interpreter
-    core, mismatches = json.loads(run_python(["-c", HIDDEN_AFFINE], OPENBLAS_CORETYPE=coretype))
+    return json.loads(run_python(["-c", script], OPENBLAS_CORETYPE=coretype))
+
+
+@pytest.mark.parametrize("coretype", CORETYPE_FEATURES)
+def test_hidden_affine_matches_the_broadcast_form_under_each_blas_kernel(coretype):
+    core, mismatches = run_under_blas_kernel(HIDDEN_AFFINE, coretype)
+    assert core is not None
+    assert mismatches == [], f"BLAS core {core}"
+
+
+# Two perturbed models stacked on a leading axis against each model alone:
+# the bytes of the MAP and ELBO losses and gradients, of model_forward and
+# of one sampler draw, per slice. For odd n the second slice of a stacked
+# (2, n, 1) input starts 8n bytes in, off the 16-byte alignment of a fresh
+# array. At width 1 the Prescott kernels (core "Katmai") then give the
+# (1 x n) @ (n x 1) gradient product h_in^T @ g other bits than for the
+# same data alone, so the stack keeps its per-slice bytes only at widths
+# of 2 and more, which this checks.
+STACKED_AND_ALONE = """
+import json
+import numpy as np
+from comic import bnn
+from comic.bnn import ConditionalModel
+from comic.evaluation import machine_info
+from comic.rng import RngStream
+rng = np.random.default_rng(38)
+
+def passes(model, x, y, eps):
+    vec = np.full(bnn.pack_params(model).shape, np.nan)
+    grad = bnn.unpack_params(model, vec)
+    return {
+        "map": (bnn.map_objective(model, x, y, grad), vec.copy()),
+        "elbo": (bnn.elbo_objective(model, x, y, 0.4, eps, grad), vec.copy()),
+        "forward": bnn.model_forward(model, x),
+        "sampler": tuple(a.copy() for a in bnn.sampler(model, x)(*eps)),
+    }
+
+mismatches = []
+for width in (2, 50):
+    for n in (3, 5, 7, 333):
+        initial = ConditionalModel.initial(width, RngStream(0).child("init"))
+        packed = bnn.pack_params(initial)
+        flat = packed + 0.3 * rng.standard_normal((2, packed.size))
+        stacked = bnn.unpack_params(initial, flat)
+        x, y = 2.0 * rng.standard_normal((2, 2, n))
+        eps = (rng.standard_normal((n, width)), rng.standard_normal((n, 2)))
+        together = passes(stacked, x, y, eps)
+        for d in range(2):
+            model = bnn.unpack_params(initial, flat[d].copy())
+            alone = passes(model, x[d].copy(), y[d].copy(), eps)
+            for kind, values in together.items():
+                if any(np.asarray(a[d]).tobytes() != np.asarray(b).tobytes()
+                       for a, b in zip(values, alone[kind])):
+                    mismatches.append([width, n, d, kind])
+print(json.dumps([machine_info()["blas_core"], mismatches]))
+"""
+
+
+def test_stacked_models_match_each_model_alone_under_the_prescott_kernels():
+    core, mismatches = run_under_blas_kernel(STACKED_AND_ALONE, "Prescott")
     assert core is not None
     assert mismatches == [], f"BLAS core {core}"
 
