@@ -11,11 +11,12 @@ weights, which gives identical output distributions at lower variance.
 Gradients for both training objectives are hand-derived for this fixed
 architecture, so the package needs no autodiff dependency; they are checked
 against central differences in the test suite. Parameters and gradients
-share one layout: pack_params flattens a model into a vector (pack_grads is
-the same function), and unpack_params turns a vector back into a model
-whose blocks are views of it. Each objective takes such a view as its
-gradient and overwrites every block with d(loss)/d(parameter), so the
-caller's flat gradient vector holds the result without any packing.
+share one layout, and blocks() is the one walk over it: pack_params
+concatenates its blocks into a vector (pack_grads is the same function),
+and unpack_params slices a vector by their shapes into a model whose blocks
+are views of it. Each objective takes such a view as its gradient and
+overwrites every block with d(loss)/d(parameter), so the caller's flat
+gradient vector holds the result without any packing.
 
 A model may be a stack of models on leading axes: the two directions of a
 pair are one model whose weight blocks are (2, A, B) and bias blocks
@@ -29,8 +30,8 @@ bytes it would get alone. One exception was measured: at hidden width 1
 and odd n, OpenBLAS's Prescott and Core2 kernels (core "Katmai") give the
 product h_in^T @ g of the second slice, which starts off a 16-byte
 boundary, other bits than a fresh copy; widths of 2 and more keep the
-bytes (a test checks Prescott). The objectives and kl_model return one
-value per model.
+bytes (a test checks widths 2, 3, 7 and 50 under Prescott). The
+objectives and kl_model return one value per model.
 
 Every pass, training or evaluation, goes through one forward/backward pair
 per layer: with a noise matrix it is the sampled (local reparameterization)
@@ -73,7 +74,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -187,26 +188,21 @@ class ConditionalModel:
         return kl_model(self)
 
 
-_BLOCK_FIELDS = ("mean_w", "logvar_w", "mean_b", "logvar_b", "log_prior_scale_w")
+def blocks(model: ConditionalModel) -> list[tuple[str, np.ndarray]]:
+    """(name, block) for each block of model, named like "hidden.mean_w": the
+    hidden layer's fields and then the output layer's, in field order.
 
-
-def param_blocks(model: ConditionalModel) -> list[tuple[str, int]]:
-    """(name, length) for each contiguous block of one model's packed vector."""
-    lead = len(model.stack_shape)
-    blocks = []
-    for lname, layer in (("hidden", model.hidden), ("output", model.output)):
-        for f in _BLOCK_FIELDS:
-            blocks.append((f"{lname}.{f}", math.prod(getattr(layer, f).shape[lead:])))
-    return blocks
+    This is the packed layout, for parameters and gradients alike.
+    """
+    return [(f"{layer.name}.{field.name}", getattr(getattr(model, layer.name), field.name))
+            for layer in fields(ConditionalModel) for field in fields(VariationalLinearLayer)]
 
 
 def pack_params(model: ConditionalModel) -> np.ndarray:
     """Flatten a model (parameters or gradients) into a new vector; a stack
     of models into a matrix with one row per model."""
-    parts = []
-    for layer in (model.hidden, model.output):
-        parts.extend(getattr(layer, f).reshape(model.stack_shape + (-1,)) for f in _BLOCK_FIELDS)
-    return np.concatenate(parts, axis=-1)
+    return np.concatenate([block.reshape(model.stack_shape + (-1,))
+                           for _, block in blocks(model)], axis=-1)
 
 
 # gradients share the parameters' layout
@@ -221,19 +217,19 @@ def unpack_params(model: ConditionalModel, vec: np.ndarray) -> ConditionalModel:
     returned model in place.
     """
     lead = len(model.stack_shape)
-    layers = []
+    layers = {}
     offset = 0
-    for layer in (model.hidden, model.output):
-        fields = {}
-        for f in _BLOCK_FIELDS:
-            shape = getattr(layer, f).shape[lead:]
-            size = math.prod(shape)
-            fields[f] = vec[..., offset:offset + size].reshape(vec.shape[:-1] + shape)
-            offset += size
-        layers.append(VariationalLinearLayer(**fields))
+    for name, block in blocks(model):
+        shape = block.shape[lead:]
+        size = math.prod(shape)
+        layer, field = name.split(".")
+        layers.setdefault(layer, {})[field] = (
+            vec[..., offset:offset + size].reshape(vec.shape[:-1] + shape))
+        offset += size
     if offset != vec.shape[-1]:
         raise ArgumentError(f"packed vector has {vec.shape[-1]} entries, expected {offset}")
-    return ConditionalModel(hidden=layers[0], output=layers[1])
+    return ConditionalModel(**{layer: VariationalLinearLayer(**views)
+                               for layer, views in layers.items()})
 
 
 _LOCAL = threading.local()

@@ -158,13 +158,14 @@ def train_conditional(
             try:
                 adam_step(params, grads, m, v, t + 1, lr)
             except NumericError:
-                d, i = np.argwhere(~np.isfinite(grads))[0]
-                for name, length in bnn.param_blocks(initial):
-                    if i < length:
-                        break
-                    i -= length
-                raise NumericError(f"direction {d}, {phase} phase, epoch {t}: non-finite "
-                                   f"gradient in block '{name}' (offset {i})") from None
+                d = int(np.argmin(np.isfinite(grads).all(axis=-1)))
+                for name, block in bnn.blocks(grad_model):
+                    bad = np.flatnonzero(~np.isfinite(block[d]))
+                    if bad.size:
+                        raise NumericError(
+                            f"direction {d}, {phase} phase, epoch {t}: non-finite "
+                            f"gradient in block '{name}' (offset {bad[0]})") from None
+                raise
     return model
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from comic.bnn import (
     LOG_SCALE_LIMIT,
     ConditionalModel,
     VariationalLinearLayer,
+    blocks,
     elbo_objective,
     gaussian_nll,
     _layer_forward,
@@ -19,7 +21,6 @@ from comic.bnn import (
     model_forward,
     pack_grads,
     pack_params,
-    param_blocks,
     sampler,
     unpack_params,
 )
@@ -385,8 +386,16 @@ def test_pack_unpack_roundtrip():
     vec = pack_params(model)
     rebuilt = unpack_params(model, vec.copy())
     assert np.array_equal(pack_params(rebuilt), vec)
-    total = sum(length for _, length in param_blocks(model))
-    assert total == vec.size
+    assert [name for name, _ in blocks(model)] == [
+        f"{layer}.{field.name}" for layer in ("hidden", "output")
+        for field in dataclasses.fields(VariationalLinearLayer)]
+    # every named block comes back with its shape and values, so a field added
+    # to VariationalLinearLayer is packed, unpacked and checked here as it is
+    for (name, block), (rebuilt_name, rebuilt_block) in zip(blocks(model), blocks(rebuilt),
+                                                            strict=True):
+        assert rebuilt_name == name
+        assert rebuilt_block.shape == block.shape and np.array_equal(rebuilt_block, block)
+    assert sum(block.size for _, block in blocks(model)) == vec.size
 
 
 # ------------------------------------------------- byte-level oracle

@@ -451,10 +451,13 @@ def corpus_server():
     CorpusHandler.truncate = set()
     CorpusHandler.fail_always = set()
     server = ThreadingHTTPServer(("127.0.0.1", 0), CorpusHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll lets shutdown() return at once instead of after up to 0.5 s
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
+                              daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/"
     server.shutdown()
+    server.server_close()
     thread.join(timeout=5)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import sys
@@ -303,10 +304,14 @@ def test_score_pair_report_consistency():
     assert report.decision in (X_CAUSES_Y, Y_CAUSES_X)
 
 
-def test_swap_antisymmetry_bit_exact():
-    pair = make_anm_pair(10)
-    forward = score_pair(pair, FAST)
-    mirrored = score_pair(swap_pair(pair), FAST)
+# at odd n the second direction's slice of each stacked (2, n, ...) array
+# starts off a 16-byte boundary
+@pytest.mark.parametrize("n,width", [(60, 8), (61, 7)], ids=["n60-width8", "n61-width7"])
+def test_swap_antisymmetry_bit_exact(n, width):
+    pair = make_anm_pair(10, n)
+    cfg = dataclasses.replace(FAST, hidden_width=width)
+    forward = score_pair(pair, cfg)
+    mirrored = score_pair(swap_pair(pair), cfg)
     assert mirrored.final_delta == -forward.final_delta
     assert {forward.decision, mirrored.decision} == {X_CAUSES_Y, Y_CAUSES_X}
     assert mirrored.forward.delta == forward.backward.delta
@@ -415,24 +420,30 @@ def test_numeric_error_names_the_direction():
             train_conditional([(y, x), (x, y)], FAST, RngStream(0).child("overflow"))
 
 
-@pytest.mark.parametrize("direction,block,index,offset", [
-    (1, "hidden.logvar_w", (0, 2), 2),
+@pytest.mark.parametrize("entries,direction,block,offset", [
+    ([(1, "hidden.logvar_w", (0, 2))], 1, "hidden.logvar_w", 2),
     # the first output block lies past all five hidden blocks
-    (0, "output.mean_b", (1,), 1),
-], ids=["direction1-hidden.logvar_w", "direction0-output.mean_b"])
-def test_numeric_error_in_adam_names_direction_phase_and_epoch(monkeypatch, direction, block,
-                                                               index, offset):
+    ([(0, "output.mean_b", (1,))], 0, "output.mean_b", 1),
+    # the first entry in packed (direction, block, offset) order is named: a
+    # later block's entry at a lower offset, and an earlier block of a later
+    # direction, come after it
+    ([(1, "hidden.mean_w", (0, 1)), (0, "output.mean_w", (0, 0)),
+      (0, "hidden.logvar_b", (5,))], 0, "hidden.logvar_b", 5),
+], ids=["direction1-hidden.logvar_w", "direction0-output.mean_b", "first-of-three"])
+def test_numeric_error_in_adam_names_direction_phase_and_epoch(monkeypatch, entries, direction,
+                                                               block, offset):
     # a finite loss over a non-finite gradient is caught by Adam; training
     # names the entry by direction, block and offset
     real = bnn.elbo_objective
     calls = []
-    layer, field = block.split(".")
 
     def nan_gradient(model, x, y, beta, eps, grad):
         loss = real(model, x, y, beta, eps, grad)
         calls.append(1)
         if len(calls) == 3:
-            getattr(getattr(grad, layer), field)[(direction, *index)] = np.nan
+            for d, name, index in entries:
+                layer, field = name.split(".")
+                getattr(getattr(grad, layer), field)[(d, *index)] = np.nan
         return loss
 
     monkeypatch.setattr(bnn, "elbo_objective", nan_gradient)
