@@ -37,10 +37,11 @@ Every pass, training or evaluation, goes through one forward/backward pair
 per layer: with a noise matrix it is the sampled (local reparameterization)
 pass; without one it is the deterministic pass through the posterior means,
 which does no variance work and leaves the variance gradients untouched.
-The caller draws the noise and passes it in as eps = (hidden, output): an
-n x H and an n x 2 matrix of standard normals. sampler() serves Monte Carlo
-evaluation: the hidden layer's pre-activation mean and std do not depend on
-the noise, so it computes them once and each sample only adds std * eps.
+A sampled pass takes a stream and draws its own noise from it: an n x H
+matrix of standard normals from the stream's "hidden" child and an n x 2
+one from its "output" child. sampler() serves Monte Carlo evaluation: the
+hidden layer's pre-activation mean and std do not depend on the noise, so
+it computes them once and each sample only adds std * eps.
 
 The hidden layer's input has width 1, so its pre-activation mean x*w + b
 and variance x^2*v_w + v_b are each one BLAS product of the n x 2 design
@@ -54,8 +55,8 @@ at n = 1 with H = 50 under SkylakeX; under Prescott, Nehalem and
 Sandybridge it did not. A test checks the product against the broadcast
 form under four OpenBLAS kernels.
 
-Epochs and Monte Carlo samples allocate no data-sized array: the
-pre-activations, the stds, the hidden layer's design and stacked weights,
+Epochs and Monte Carlo samples allocate no data-sized array: the noise,
+the pre-activations, the stds, the hidden layer's design and stacked weights,
 the tanh derivative, the input gradient and the scaled noise gradients are
 written with out= or in place into one buffer per (layer, role), kept for
 the life of the thread and reallocated only when its shape changes (a pair
@@ -66,8 +67,7 @@ same operations on the same operands as with fresh arrays, so the bytes
 are the same. Every buffer is written before it is read within
 one call, so no call sees another's data. Each thread has its own
 buffers, so threads scoring at once get the bytes they would get alone.
-No value returned to a caller aliases a buffer, and no buffer aliases the
-caller's noise.
+No value returned to a caller aliases a buffer.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ArgumentError, NumericError
-from .rng import RngStream
+from .rng import RngStream, draw_standard_normal
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -180,8 +180,7 @@ class ConditionalModel:
     # the duck-typed surface conditional_variational_codelength prices a model
     # through; it stays as the seam where a test substitutes a stand-in model
     # (criterion 8's ScaleToyModel in tests/test_acceptance.py)
-    def sampler(self, x: np.ndarray) -> Callable[[np.ndarray, np.ndarray],
-                                                 tuple[np.ndarray, np.ndarray]]:
+    def sampler(self, x: np.ndarray) -> Callable[[RngStream], tuple[np.ndarray, np.ndarray]]:
         return sampler(self, x)
 
     def kl(self):
@@ -217,17 +216,17 @@ def unpack_params(model: ConditionalModel, vec: np.ndarray) -> ConditionalModel:
     returned model in place.
     """
     lead = len(model.stack_shape)
+    shapes = [(name, block.shape[lead:]) for name, block in blocks(model)]
+    size = sum(math.prod(shape) for _, shape in shapes)
+    if vec.shape[-1] != size:
+        raise ArgumentError(f"packed vector has {vec.shape[-1]} entries, expected {size}")
     layers = {}
     offset = 0
-    for name, block in blocks(model):
-        shape = block.shape[lead:]
-        size = math.prod(shape)
+    for name, shape in shapes:
+        end = offset + math.prod(shape)
         layer, field = name.split(".")
-        layers.setdefault(layer, {})[field] = (
-            vec[..., offset:offset + size].reshape(vec.shape[:-1] + shape))
-        offset += size
-    if offset != vec.shape[-1]:
-        raise ArgumentError(f"packed vector has {vec.shape[-1]} entries, expected {offset}")
+        layers.setdefault(layer, {})[field] = vec[..., offset:end].reshape(vec.shape[:-1] + shape)
+        offset = end
     return ConditionalModel(**{layer: VariationalLinearLayer(**views)
                                for layer, views in layers.items()})
 
@@ -247,6 +246,14 @@ def _buffer(name: str, role: str, shape: tuple[int, ...], dtype=float) -> np.nda
     if buf is None or buf.shape != shape:
         buf = buffers[(name, role)] = np.empty(shape, dtype)
     return buf
+
+
+def _draw_noise(model: ConditionalModel, n: int, stream: RngStream):
+    """The noise (eps_hidden, eps_output) of a sampled pass over n rows, in
+    this thread's buffers: n x H and n x 2 standard normals from the
+    "hidden" and "output" children of stream."""
+    return tuple(draw_standard_normal(stream.child(name), _buffer(name, "eps", (n, width)))
+                 for name, width in (("hidden", model.hidden_width), ("output", 2)))
 
 
 def _affine(h_in: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray,
@@ -321,9 +328,9 @@ def _layer_backward(cache, g_out: np.ndarray, grad: VariationalLinearLayer, name
     """Add the layer's gradient given d(loss)/d(h_out) into grad.
 
     Returns the scaled noise gradient g_v that _layer_input_grad needs, or
-    None on the mean path. g_v gets its own buffer, since eps is the
-    caller's; no later pass reads the cache's s_out, so 0.5 / s_out is
-    written over it.
+    None on the mean path. g_v gets its own buffer, since eps has no stack
+    axes to hold it; no later pass reads the cache's s_out, so 0.5 / s_out
+    is written over it.
     """
     h_in, noise = cache
     grad.mean_w += np.swapaxes(h_in, -1, -2) @ g_out
@@ -383,21 +390,23 @@ def _predictions(model: ConditionalModel, p1: np.ndarray, eps_output):
 
 def sampler(
     model: ConditionalModel, x: np.ndarray
-) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """The function (eps_hidden, eps_output) -> (mu, sigma) of sampled predictions at x.
+) -> Callable[[RngStream], tuple[np.ndarray, np.ndarray]]:
+    """The function stream -> (mu, sigma) of sampled predictions at x.
 
     The hidden layer's pre-activation mean x*w + b and std
     sqrt(x^2 * v_w + v_b) do not depend on the noise, so they are computed
-    here, once, into arrays the returned function owns; each call forms
-    mean + std * eps_hidden and runs the output layer, with the bytes of
-    the sampled pass elbo_objective makes on that noise.
+    here, once, into arrays the returned function owns; each call draws
+    the noise from its stream, forms mean + std * eps_hidden and runs the
+    output layer, with the bytes of the sampled pass elbo_objective makes
+    on that stream.
     """
     h_in = _inputs(model, x)[..., None]
     shape = h_in.shape[:-1] + (model.hidden_width,)
     mean = _affine(h_in, model.hidden.mean_w, model.hidden.mean_b, np.empty(shape), "hidden")
     std = _layer_std(model.hidden, h_in, "hidden", np.empty(shape))[0]
 
-    def sample(eps_hidden: np.ndarray, eps_output: np.ndarray):
+    def sample(stream: RngStream):
+        eps_hidden, eps_output = _draw_noise(model, h_in.shape[-2], stream)
         p1 = _sample(mean, std, eps_hidden, _buffer("hidden", "out", shape))
         return _predictions(model, p1, eps_output)
 
@@ -509,16 +518,17 @@ def _data_nll(model, x, y, grad: ConditionalModel, eps=None):
 
 def elbo_objective(
     model: ConditionalModel, x: np.ndarray, y: np.ndarray, beta: float,
-    eps: tuple[np.ndarray, np.ndarray], grad: ConditionalModel,
+    stream: RngStream, grad: ConditionalModel,
 ):
     """Sampled NLL plus beta-weighted KL, per model; its exact gradient under
-    the noise eps = (eps_hidden, eps_output) overwrites grad.
+    the noise drawn from stream overwrites grad.
 
     The objective is a pure function of its arguments, so calls with the
-    same noise evaluate the identical stochastic objective.
+    same stream evaluate the identical stochastic objective.
     """
     if not 0.0 <= beta <= 1.0:
         raise ArgumentError(f"beta must lie in [0, 1], got {beta}")
+    eps = _draw_noise(model, np.shape(x)[-1], stream)
     kl_hid = _kl_layer(model.hidden, beta, grad.hidden)
     kl_out = _kl_layer(model.output, beta, grad.output)
     loss_nll = _data_nll(model, x, y, grad, eps)

@@ -10,13 +10,14 @@ The two directions of a pair are stacked on a leading axis and trained in
 one pass, one objective call and one Adam step per epoch, then evaluated
 in one pass per Monte Carlo sample. Both take all their randomness,
 initial weights and every noise draw, from one stream keyed by the sorted
-pair of fingerprints of the standardized columns. The caller draws each
-epoch's and each sample's noise once and hands the same matrices to both
-directions (common random numbers; each direction's noise is still i.i.d.
-standard normal). The key does not depend on which argument slot a column
-occupies, and each direction's arithmetic depends only on its own data and
-the noise, with no reduction across directions, so score_pair on the
-swapped pair is the bit-exact mirror of the original computation.
+pair of fingerprints of the standardized columns. Each epoch and each
+sample hands bnn one child of that stream, from which it draws the noise
+once for both directions (common random numbers; each direction's noise
+is still i.i.d. standard normal). The key does not depend on which
+argument slot a column occupies, and each direction's arithmetic depends
+only on its own data and the noise, with no reduction across directions,
+so score_pair on the swapped pair is the bit-exact mirror of the original
+computation.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .bnn import ConditionalModel
 from .data import PairDataset, UNDECIDED, X_CAUSES_Y, Y_CAUSES_X, standardize
 from .errors import ArgumentError, NumericError, check_count
 from .optim import LR_MAX, LR_MIN, adam_step, cosine_lr
-from .rng import RngStream, check_seed, draw_standard_normal
+from .rng import RngStream, check_seed
 
 
 @dataclass
@@ -102,14 +103,6 @@ def _stack_directions(directions, min_samples: int) -> tuple[np.ndarray, np.ndar
     return np.stack(causes), np.stack(effects)
 
 
-def _draw_noise(stream: RngStream, eps: tuple[np.ndarray, np.ndarray]):
-    """Fill the hidden and output noise matrices eps from the "hidden" and
-    "output" children of stream; returns eps."""
-    for tag, out in zip(("hidden", "output"), eps):
-        draw_standard_normal(stream.child(tag), out)
-    return eps
-
-
 def train_conditional(
     directions: Sequence[tuple[np.ndarray, np.ndarray]], cfg: TrainConfig, stream: RngStream
 ) -> ConditionalModel:
@@ -139,13 +132,11 @@ def train_conditional(
     grads = np.empty_like(params)
     model = bnn.unpack_params(initial, params)
     grad_model = bnn.unpack_params(initial, grads)
-    eps = (np.empty((x.shape[1], cfg.hidden_width)), np.empty((x.shape[1], 2)))
     vi_stream = stream.child("vi")
     phases = (
         ("MAP", cfg.map_epochs, lambda t: bnn.map_objective(model, x, y, grad_model)),
         ("VI", cfg.vi_epochs, lambda t: bnn.elbo_objective(
-            model, x, y, min(1.0, t / cfg.warmup_epochs), _draw_noise(vi_stream.child(t), eps),
-            grad_model)),
+            model, x, y, min(1.0, t / cfg.warmup_epochs), vi_stream.child(t), grad_model)),
     )
     for phase, epochs, objective in phases:
         m, v = np.zeros_like(params), np.zeros_like(params)
@@ -178,16 +169,16 @@ def conditional_variational_codelength(
 
     model holds one model per direction along its leading axis, as
     train_conditional returns it; it is used through a duck-typed surface:
-    hidden_width, sampler(causes) and kl(). Each sample's noise is drawn
-    once and shared by all directions, and one pass evaluates them all.
+    sampler(causes), whose function draws a sample's noise from a stream,
+    and kl(). Sample m takes stream.child("eval", m), its noise drawn once
+    and shared by all directions, and one pass evaluates them all.
     """
     mc_eval_samples = check_count("mc_eval_samples", mc_eval_samples, 1)
     x, y = _stack_directions(directions, 1)
-    eps = (np.empty((x.shape[1], model.hidden_width)), np.empty((x.shape[1], 2)))
     sample = model.sampler(x)
     totals = np.zeros(len(x))
     for m in range(mc_eval_samples):
-        mu, sigma = sample(*_draw_noise(stream.child("eval", m), eps))
+        mu, sigma = sample(stream.child("eval", m))
         totals += bnn.gaussian_nll(y, mu, sigma)
     return [float(value) for value in totals / mc_eval_samples + model.kl()]
 

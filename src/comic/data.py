@@ -561,28 +561,22 @@ def fetch_tuebingen(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     base = url if url.endswith("/") else url + "/"
-    written = 0
 
-    meta_path = out / "pairmeta.txt"
-    if not meta_path.exists():
-        content = _download(base + "pairmeta.txt", log)
-        _parse_meta_text(content, meta_path.name)
-        _write_atomic(meta_path, content)
-        written += 1
-        log("wrote pairmeta.txt")
-
-    for row in parse_pairmeta(meta_path):
-        name = f"pair{row.pair_id}.txt"
+    def fetch(name: str, check: Callable[[bytes, str], object]) -> int:
+        """1 if name was downloaded, checked by check and written; 0 if it was there."""
         target = out / name
         if target.exists():
-            continue
+            return 0
         content = _download(base + name, log)
         try:
-            _parse_matrix(content, name)
+            check(content, name)
         except ParseError:
             log(f"discarding corrupt download {name}")
             raise
         _write_atomic(target, content)
-        written += 1
         log(f"wrote {name}")
-    return written
+        return 1
+
+    written = fetch("pairmeta.txt", _parse_meta_text)
+    return written + sum(fetch(f"pair{row.pair_id}.txt", _parse_matrix)
+                         for row in parse_pairmeta(out / "pairmeta.txt"))

@@ -15,8 +15,8 @@ with new tags whenever fresh randomness is needed.
 draw_standard_normal is on the training hot path, so it reuses one SFC64
 generator per thread instead of building one per draw: before each draw
 it sets the whole state, which leaves nothing of the previous use behind,
-and then fills the array it is given, so the training loop can keep its
-noise in reused buffers. That generator is the module's only mutable
+and then fills the array it is given, so bnn's sampled passes can keep
+their noise in reused buffers. That generator is the module's only mutable
 state, and each thread holds its own, so threads drawing at once get the
 bits they would get alone. It is built on a thread's first draw, so
 importing the package does not load numpy.random.

@@ -37,7 +37,6 @@ from comic.evaluation import auroc, result_to_csv, run_benchmark
 from comic.optim import adam_step, cosine_lr
 from comic.rng import RngStream, draw_standard_normal
 from gradcheck import finite_diff_grad
-from tests.test_bnn import draw_noise
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -106,11 +105,11 @@ def test_criterion_3_gradient_exactness():
         model = unpack_params(model, vec)
         x = rng.standard_normal(n)
         y = rng.standard_normal(n)
-        noise = draw_noise(model, n, RngStream(trial).child("fixed-noise"))
+        stream = RngStream(trial).child("fixed-noise")
         beta = rng.uniform(0.1, 1.0)
 
         for objective in (
-            lambda m, g: elbo_objective(m, x, y, beta, noise, g),
+            lambda m, g: elbo_objective(m, x, y, beta, stream, g),
             lambda m, g: map_objective(m, x, y, g),
         ):
             analytic = np.empty_like(vec)
@@ -261,13 +260,12 @@ class ScaleToyModel:
         self.mean = mean
         self.logvar = logvar
 
-    # one standard normal per sample drives the weight: the estimator's
-    # hidden noise, of width 1
-    hidden_width = 1
-
     def sampler(self, x):
-        def sample(eps_hidden, eps_output):
-            w = self.mean + math.exp(0.5 * self.logvar) * float(eps_hidden[0, 0])
+        def sample(stream):
+            # one standard normal per sample drives the weight: the first of
+            # the stream's hidden noise, as the network would read it
+            eps = draw_standard_normal(stream.child("hidden"), np.empty((1, 1)))[0, 0]
+            w = self.mean + math.exp(0.5 * self.logvar) * eps
             return np.zeros_like(x), np.exp(np.clip(w * x, -15.0, 15.0))
 
         return sample

@@ -52,13 +52,6 @@ def mean_layer(layer, h_in):
     return _layer_forward(layer, h_in, None, "hidden")[0].copy()
 
 
-def draw_noise(model, n, stream):
-    """The hidden and output noise for n rows, drawn from the "hidden" and
-    "output" children of stream, as training and evaluation draw it."""
-    return (draw_standard_normal(stream.child("hidden"), np.empty((n, model.hidden_width))),
-            draw_standard_normal(stream.child("output"), np.empty((n, 2))))
-
-
 def stack(*models):
     """One model holding models along a leading axis, its blocks views of a fresh matrix."""
     return unpack_params(models[0], np.stack([pack_params(m) for m in models]))
@@ -182,27 +175,14 @@ def test_model_forward_results_survive_later_calls():
     model = random_model(5, 3, 4)
     x = np.linspace(-2.0, 2.0, 9)
     mean_pass = lambda x, stream: model_forward(model, x)
-    sampled_pass = lambda x, stream: sampler(model, x)(*draw_noise(model, 9, stream))
+    sampled_pass = lambda x, stream: sampler(model, x)(stream)
     for predict in (mean_pass, sampled_pass):
         mu, sigma = predict(x, RngStream(6).child("mc"))
         kept = mu.tobytes(), sigma.tobytes()
         predict(-x, RngStream(8))
         map_objective(model, -x, x, grad_buffer(model)[1])
-        elbo_objective(model, -x, x, 1.0, draw_noise(model, 9, RngStream(7)),
-                       grad_buffer(model)[1])
+        elbo_objective(model, -x, x, 1.0, RngStream(7), grad_buffer(model)[1])
         assert (mu.tobytes(), sigma.tobytes()) == kept
-
-
-def test_objectives_leave_the_noise_untouched():
-    # the caller's noise is shared by every direction and reused by the
-    # next call, so no pass may write into it
-    model = random_model(5, 3, 4)
-    x = np.linspace(-2.0, 2.0, 9)
-    eps = draw_noise(model, 9, RngStream(6).child("kept"))
-    kept = [e.tobytes() for e in eps]
-    elbo_objective(model, x, -x, 0.5, eps, grad_buffer(model)[1])
-    sampler(model, x)(*eps)
-    assert [e.tobytes() for e in eps] == kept
 
 
 # ---------------------------------------------------------------- losses
@@ -275,9 +255,9 @@ def test_elbo_beta_zero_is_sampled_nll():
     model = random_model(3, 5, 6)
     x = np.linspace(-1, 1, 8)
     y = np.sin(x)
-    eps = draw_noise(model, 8, RngStream(9).child("noise"))
-    loss = elbo_objective(model, x, y, 0.0, eps, grad_buffer(model)[1])
-    mu, sigma = sampler(model, x)(*eps)
+    stream = RngStream(9).child("noise")
+    loss = elbo_objective(model, x, y, 0.0, stream, grad_buffer(model)[1])
+    mu, sigma = sampler(model, x)(stream)
     assert loss == approx(gaussian_nll(y, mu, sigma), rel=1e-12)
 
 
@@ -288,10 +268,10 @@ def test_elbo_zero_kl_case():
     )
     x = np.zeros(4)
     y = np.zeros(4)
-    eps = draw_noise(model, 4, RngStream(2).child("draw"))
+    stream = RngStream(2).child("draw")
     assert kl_model(model) == approx(0.0, abs=1e-14)
-    loss = elbo_objective(model, x, y, 1.0, eps, grad_buffer(model)[1])
-    mu, sigma = sampler(model, x)(*eps)
+    loss = elbo_objective(model, x, y, 1.0, stream, grad_buffer(model)[1])
+    mu, sigma = sampler(model, x)(stream)
     assert loss == approx(gaussian_nll(y, mu, sigma), rel=1e-12)
 
 
@@ -301,8 +281,8 @@ def test_elbo_deterministic_given_stream():
     y = np.cos(x)
     stream = RngStream(77).child("epoch-3")
     (g1, grad1), (g2, grad2) = grad_buffer(model), grad_buffer(model)
-    l1 = elbo_objective(model, x, y, 0.5, draw_noise(model, 10, stream), grad1)
-    l2 = elbo_objective(model, x, y, 0.5, draw_noise(model, 10, stream), grad2)
+    l1 = elbo_objective(model, x, y, 0.5, stream, grad1)
+    l2 = elbo_objective(model, x, y, 0.5, stream, grad2)
     assert l1 == l2
     assert np.array_equal(g1, g2)
 
@@ -356,9 +336,9 @@ def test_gradients_match_finite_differences(width, n):
     x = rng.standard_normal(n)
     y = rng.standard_normal(n)
     model = random_model(width, width + n, width * n)
-    noise = draw_noise(model, n, RngStream(width * 7 + n).child("fixed-draw"))
+    stream = RngStream(width * 7 + n).child("fixed-draw")
 
-    err_elbo = relative_grad_errors(model, lambda m, g: elbo_objective(m, x, y, 0.7, noise, g))
+    err_elbo = relative_grad_errors(model, lambda m, g: elbo_objective(m, x, y, 0.7, stream, g))
     err_map = relative_grad_errors(model, lambda m, g: map_objective(m, x, y, g))
     assert err_elbo.max() < 1e-4
     assert err_map.max() < 1e-4
@@ -396,6 +376,14 @@ def test_pack_unpack_roundtrip():
         assert rebuilt_name == name
         assert rebuilt_block.shape == block.shape and np.array_equal(rebuilt_block, block)
     assert sum(block.size for _, block in blocks(model)) == vec.size
+
+
+@pytest.mark.parametrize("shape", [(3,), (50,), (2, 47)], ids=["short", "long", "short-rows"])
+def test_unpack_rejects_a_vector_of_the_wrong_length(shape):
+    # a short vector used to fail in reshape with a bare ValueError
+    model = random_model(4, 2, 3)
+    with pytest.raises(ArgumentError, match=f"has {shape[-1]} entries, expected 48"):
+        unpack_params(model, np.zeros(shape))
 
 
 # ------------------------------------------------- byte-level oracle
@@ -578,14 +566,13 @@ def prediction_bytes(mu, sigma):
 def test_hot_loop_matches_oracle_bytes(width, n, seed, zero_share, beta):
     model, x, y = edge_problem(width, n, seed, zero_share)
     stream = RngStream(seed).child("oracle")
-    eps = draw_noise(model, n, stream)
     assert (package_objective_bytes(map_objective, model, x, y)
             == objective_bytes(*oracle_map_objective(model, x, y)))
-    assert (package_objective_bytes(elbo_objective, model, x, y, beta, eps)
+    assert (package_objective_bytes(elbo_objective, model, x, y, beta, stream)
             == objective_bytes(*oracle_elbo_objective(model, x, y, beta, stream)))
     assert (prediction_bytes(*model_forward(model, x))
             == prediction_bytes(*oracle_model_forward(model, x)))
-    assert (prediction_bytes(*sampler(model, x)(*eps))
+    assert (prediction_bytes(*sampler(model, x)(stream))
             == prediction_bytes(*oracle_model_forward(model, x, stream)))
 
 
@@ -605,10 +592,9 @@ def test_stacked_pair_matches_oracle_bytes_per_slice(width, n, seeds, zero_share
     x = np.stack([problem[1] for problem in problems])
     y = np.stack([problem[2] for problem in problems])
     stream = RngStream(seeds[0]).child("oracle")
-    eps = draw_noise(model, n, stream)
     for objective, args, oracle, oracle_args in (
         (map_objective, (x, y), oracle_map_objective, ()),
-        (elbo_objective, (x, y, beta, eps), oracle_elbo_objective, (beta, stream)),
+        (elbo_objective, (x, y, beta, stream), oracle_elbo_objective, (beta, stream)),
     ):
         vec = np.full((2, pack_params(problems[0][0]).size), np.nan)
         loss = objective(model, *args, unpack_params(model, vec))
@@ -616,12 +602,15 @@ def test_stacked_pair_matches_oracle_bytes_per_slice(width, n, seeds, zero_share
         for d, (m, xd, yd) in enumerate(problems):
             assert (loss[d].hex(), vec[d].tobytes()) == objective_bytes(
                 *oracle(m, xd, yd, *oracle_args))
-    # a sampler serves several samples: the second must not see the first
+    # a sampler serves several samples: the second must not see the first,
+    # nor the noise buffers an objective in between reallocates at another n
     sample = sampler(model, x)
-    sample(*draw_noise(model, n, stream.child("other")))
+    sample(stream.child("other"))
+    other, x_other, y_other = edge_problem(width, n + 1, seeds[1], zero_share)
+    elbo_objective(other, x_other, y_other, beta, stream, grad_buffer(other)[1])
     for (mu, sigma), oracle_args in ((model_forward(model, x), ()),
-                                     (sampler(model, x)(*eps), (stream,)),
-                                     (sample(*eps), (stream,))):
+                                     (sampler(model, x)(stream), (stream,)),
+                                     (sample(stream), (stream,))):
         assert mu.shape == sigma.shape == (2, n)
         for d, (m, xd, _) in enumerate(problems):
             assert prediction_bytes(mu[d], sigma[d]) == prediction_bytes(
@@ -640,11 +629,10 @@ def test_objectives_overwrite_every_gradient_entry(width, n, seed, beta):
     # must overwrite all of it, the MAP phase's zero log-variance blocks too
     model, x, y = edge_problem(width, n, seed, 0.3)
     stream = RngStream(seed).child("oracle")
-    eps = draw_noise(model, n, stream)
     vec, grad = grad_buffer(model)
     for objective, args, oracle, oracle_args in (
         (map_objective, (), oracle_map_objective, ()),
-        (elbo_objective, (beta, eps), oracle_elbo_objective, (beta, stream)),
+        (elbo_objective, (beta, stream), oracle_elbo_objective, (beta, stream)),
         (map_objective, (), oracle_map_objective, ()),
     ):
         loss = objective(model, x, y, *args, grad)

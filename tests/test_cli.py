@@ -489,17 +489,21 @@ def test_fetch_interrupted_download_leaves_no_partial(corpus_server, tmp_path):
 
 
 def test_fetch_corrupt_file_discarded(corpus_server, tmp_path):
-    CorpusHandler.corpus = dict(CorpusHandler.corpus)
-    CorpusHandler.corpus["pair0002.txt"] = "this is not a number table\n"
-    try:
-        out_dir = tmp_path / "corpus"
-        from comic.errors import ParseError
+    # the meta file and a pair file go through the same check, log and discard
+    from comic.errors import ParseError
 
-        with pytest.raises(ParseError):
-            fetch_tuebingen(url=corpus_server, out_dir=out_dir)
-        assert not (out_dir / "pair0002.txt").exists()
-    finally:
-        CorpusHandler.corpus["pair0002.txt"] = PAIR_BODY
+    original = CorpusHandler.corpus
+    for name in ("pairmeta.txt", "pair0002.txt"):
+        CorpusHandler.corpus = {**original, name: "this is not a number table\n"}
+        try:
+            out_dir = tmp_path / name
+            logs = []
+            with pytest.raises(ParseError):
+                fetch_tuebingen(url=corpus_server, out_dir=out_dir, log=logs.append)
+            assert f"discarding corrupt download {name}" in logs
+            assert not (out_dir / name).exists()
+        finally:
+            CorpusHandler.corpus = original
 
 
 def test_fetch_non_utf8_meta_is_a_parse_error(corpus_server, tmp_path, capsys):

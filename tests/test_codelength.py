@@ -25,7 +25,7 @@ from comic.data import (
 from comic.errors import ArgumentError, NumericError
 from comic.evaluation import run_benchmark
 from comic.rng import RngStream
-from tests.test_bnn import draw_noise, make_layer, stack
+from tests.test_bnn import make_layer, stack
 
 FAST = TrainConfig(hidden_width=8, vi_epochs=60, warmup_epochs=10, map_epochs=60,
                    mc_eval_samples=8, seed=3)
@@ -37,7 +37,7 @@ def sampled_nlls(model, x, y, stream, count):
     sample = model.sampler(x[None])
     nlls = []
     for i in range(count):
-        mu, sigma = sample(*draw_noise(model, x.size, stream.child("probe", i)))
+        mu, sigma = sample(stream.child("probe", i))
         nlls.append(gaussian_nll(y, mu[0], sigma[0]))
     return np.array(nlls)
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from comic import codelength, rng
+from comic import bnn, rng
 from comic.codelength import TrainConfig, score_pair, train_conditional
 from comic.data import PairDataset
 from comic.errors import ArgumentError
@@ -157,13 +157,13 @@ def test_score_pair_fills_each_noise_matrix_once(counting_generator, monkeypatch
     # per epoch and per sample, each from one draw call (328 calls at
     # H = 50, 100 VI epochs and 64 MC samples)
     draws = []
-    real = codelength.draw_standard_normal
+    real = bnn.draw_standard_normal
 
     def counting_draw(stream, out):
         draws.append(out.shape)
         return real(stream, out)
 
-    monkeypatch.setattr(codelength, "draw_standard_normal", counting_draw)
+    monkeypatch.setattr(bnn, "draw_standard_normal", counting_draw)
     gen = np.random.default_rng(31)
     x = gen.standard_normal(40)
     pair = PairDataset(x, np.tanh(x) + 0.1 * gen.standard_normal(40))

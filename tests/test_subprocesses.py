@@ -181,14 +181,14 @@ from comic.evaluation import machine_info
 from comic.rng import RngStream
 rng = np.random.default_rng(38)
 
-def passes(model, x, y, eps):
+def passes(model, x, y, stream):
     vec = np.full(bnn.pack_params(model).shape, np.nan)
     grad = bnn.unpack_params(model, vec)
     return {
         "map": (bnn.map_objective(model, x, y, grad), vec.copy()),
-        "elbo": (bnn.elbo_objective(model, x, y, 0.4, eps, grad), vec.copy()),
+        "elbo": (bnn.elbo_objective(model, x, y, 0.4, stream, grad), vec.copy()),
         "forward": bnn.model_forward(model, x),
-        "sampler": tuple(a.copy() for a in bnn.sampler(model, x)(*eps)),
+        "sampler": tuple(a.copy() for a in bnn.sampler(model, x)(stream)),
     }
 
 mismatches = []
@@ -199,11 +199,11 @@ for width in (2, 3, 7, 50):
         flat = packed + 0.3 * rng.standard_normal((2, packed.size))
         stacked = bnn.unpack_params(initial, flat)
         x, y = 2.0 * rng.standard_normal((2, 2, n))
-        eps = (rng.standard_normal((n, width)), rng.standard_normal((n, 2)))
-        together = passes(stacked, x, y, eps)
+        stream = RngStream(width).child("noise", n)
+        together = passes(stacked, x, y, stream)
         for d in range(2):
             model = bnn.unpack_params(initial, flat[d].copy())
-            alone = passes(model, x[d].copy(), y[d].copy(), eps)
+            alone = passes(model, x[d].copy(), y[d].copy(), stream)
             for kind, values in together.items():
                 if any(np.asarray(a[d]).tobytes() != np.asarray(b).tobytes()
                        for a, b in zip(values, alone[kind])):
