@@ -14,9 +14,16 @@ against central differences in the test suite. Parameters and gradients
 share one layout, and blocks() is the one walk over it: pack_params
 concatenates its blocks into a vector (pack_grads is the same function),
 and unpack_params slices a vector by their shapes into a model whose blocks
-are views of it. Each objective takes such a view as its gradient and
-overwrites every block with d(loss)/d(parameter), so the caller's flat
-gradient vector holds the result without any packing.
+are views of it. The layout is field-major: the hidden layer's mean_w, the
+output layer's mean_w, then both layers' logvar_w, and so on, so each
+field's blocks of both layers are one contiguous slice, the hidden layer's
+hidden_width entries first. The prior terms (the KL and the MAP penalty)
+run as one pass of whole-slice operations over both layers; each layer's
+sum still runs over its own part of a slice, so it adds what it added over
+its block alone, in the same order. Each objective takes a model that
+unpack_params built as its gradient and overwrites every block with
+d(loss)/d(parameter), so the caller's flat gradient vector holds the
+result without any packing.
 
 A model may be a stack of models on leading axes: the two directions of a
 pair are one model whose weight blocks are (2, A, B) and bias blocks
@@ -26,12 +33,14 @@ noise matrices do not, and broadcast over them, so every model of a stack
 sees the same draw. All block arithmetic runs over the trailing axes
 (per-slice matmul, sums along the last axes), so one forward/backward path
 serves a single model and a stack, and each slice of a stack gets the
-bytes it would get alone. One exception was measured: at hidden width 1
-and odd n, OpenBLAS's Prescott and Core2 kernels (core "Katmai") give the
-product h_in^T @ g of the second slice, which starts off a 16-byte
-boundary, other bits than a fresh copy; widths of 2 and more keep the
-bytes (a test checks widths 2, 3, 7 and 50 under Prescott). The
-objectives and kl_model return one value per model.
+bytes it would get alone. At hidden width 1 the hidden layer's gradient
+products h_in^T @ g are (1 x n) @ (n x 1), and OpenBLAS's Prescott and
+Core2 kernels (core "Katmai") give such a product other bits when a row
+starts off a 16-byte boundary, as the second slice of a stacked (2, n, 1)
+input does for odd n. That product therefore runs on copies whose rows
+start on 16-byte boundaries, for a stack and a single model alike (a test
+checks widths 1, 2, 3, 7 and 50 under Prescott). The objectives and
+kl_model return one value per model.
 
 Every pass, training or evaluation, goes through one forward/backward pair
 per layer: with a noise matrix it is the sampled (local reparameterization)
@@ -41,7 +50,9 @@ A sampled pass takes a stream and draws its own noise from it: an n x H
 matrix of standard normals from the stream's "hidden" child and an n x 2
 one from its "output" child. sampler() serves Monte Carlo evaluation: the
 hidden layer's pre-activation mean and std do not depend on the noise, so
-it computes them once and each sample only adds std * eps.
+it computes them once and each sample only adds std * eps. In training,
+the sampled pass reuses the posterior variances exp(logvar) that the KL
+pass computed.
 
 The hidden layer's input has width 1, so its pre-activation mean x*w + b
 and variance x^2*v_w + v_b are each one BLAS product of the n x 2 design
@@ -53,21 +64,26 @@ x*w + (b + 0.0), which n = 1 or H = 1 keeps: under the Haswell and SkylakeX
 kernels the product gave other bits at H = 1 for every n >= 2 tried, and
 at n = 1 with H = 50 under SkylakeX; under Prescott, Nehalem and
 Sandybridge it did not. A test checks the product against the broadcast
-form under four OpenBLAS kernels.
+form under four OpenBLAS kernels. x, x^2 and the two designs depend on x
+alone, so each thread builds them once for a run of passes over the same x
+(a pair's epochs and its evaluation) and builds them anew when x's bytes
+change.
 
 Epochs and Monte Carlo samples allocate no data-sized array: the noise,
-the pre-activations, the stds, the hidden layer's design and stacked weights,
-the tanh derivative, the input gradient and the scaled noise gradients are
+the pre-activations, the stds, the stacked weights [w; b], the tanh
+derivative, the input gradient and the scaled noise gradients are
 written with out= or in place into one buffer per (layer, role), kept for
 the life of the thread and reallocated only when its shape changes (a pair
 of another length). A value whose last use has passed is overwritten in
-place (the backward pass turns s_out into 0.5 / s_out, for one), so that
-few buffers are live and they stay in cache. Each value is computed by the
-same operations on the same operands as with fresh arrays, so the bytes
-are the same. Every buffer is written before it is read within
-one call, so no call sees another's data. Each thread has its own
-buffers, so threads scoring at once get the bytes they would get alone.
-No value returned to a caller aliases a buffer.
+place (the backward pass turns s_out into 0.5 / s_out, d(loss)/d(h_out)
+into the scaled noise gradient and the output layer's input a into 2a), so
+that few buffers are live and they stay in cache; an in-place product on
+n x H arrays also costs about half of one into another array. Each value
+is computed by the same operations on the same operands as with fresh
+arrays, so the bytes are the same. Every buffer is written before it is
+read within one call, so no call sees another's data. Each thread has its
+own buffers, so threads scoring at once get the bytes they would get
+alone. No value returned to a caller aliases a buffer.
 """
 
 from __future__ import annotations
@@ -75,7 +91,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, fields
-from typing import Callable
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -89,6 +105,14 @@ LOG_SCALE_LIMIT = 15.0
 
 # initial log posterior variance (-9 -> posterior std ~ 0.011)
 INIT_LOGVAR = -9.0
+
+# The scalar operands of the per-epoch arithmetic, as 0-d arrays: numpy turns
+# a Python float operand into an array on every call, which costs about as
+# much as the operation itself on a parameter-sized block. They hold the
+# literals' doubles, so every result keeps its bytes.
+_ZERO, _HALF, _ONE, _TWO, _MINUS_TWO = (np.array(v) for v in (0.0, 0.5, 1.0, 2.0, -2.0))
+_HALF_LOG_2PI = np.array(HALF_LOG_2PI)
+_LIMIT, _MINUS_LIMIT = np.array(LOG_SCALE_LIMIT), np.array(-LOG_SCALE_LIMIT)
 
 
 @dataclass
@@ -153,6 +177,11 @@ class ConditionalModel:
     hidden: VariationalLinearLayer
     output: VariationalLinearLayer
 
+    # set by unpack_params on the model it returns: per field of
+    # VariationalLinearLayer, in field order, the (..., k) slice of the
+    # packed matrix holding that field's blocks of both layers
+    field_slices: ClassVar[tuple[np.ndarray, ...] | None] = None
+
     def __post_init__(self):
         if self.hidden.in_dim != 1:
             raise ArgumentError("hidden layer must take a scalar input")
@@ -188,13 +217,14 @@ class ConditionalModel:
 
 
 def blocks(model: ConditionalModel) -> list[tuple[str, np.ndarray]]:
-    """(name, block) for each block of model, named like "hidden.mean_w": the
-    hidden layer's fields and then the output layer's, in field order.
+    """(name, block) for each block of model, named like "hidden.mean_w":
+    field by field in field order, and within a field the hidden layer's
+    block and then the output layer's.
 
     This is the packed layout, for parameters and gradients alike.
     """
     return [(f"{layer.name}.{field.name}", getattr(getattr(model, layer.name), field.name))
-            for layer in fields(ConditionalModel) for field in fields(VariationalLinearLayer)]
+            for field in fields(VariationalLinearLayer) for layer in fields(ConditionalModel)]
 
 
 def pack_params(model: ConditionalModel) -> np.ndarray:
@@ -221,14 +251,113 @@ def unpack_params(model: ConditionalModel, vec: np.ndarray) -> ConditionalModel:
     if vec.shape[-1] != size:
         raise ArgumentError(f"packed vector has {vec.shape[-1]} entries, expected {size}")
     layers = {}
+    spans = {}
     offset = 0
     for name, shape in shapes:
         end = offset + math.prod(shape)
         layer, field = name.split(".")
         layers.setdefault(layer, {})[field] = vec[..., offset:end].reshape(vec.shape[:-1] + shape)
+        spans[field] = spans.get(field, (offset,))[0], end
         offset = end
-    return ConditionalModel(**{layer: VariationalLinearLayer(**views)
-                               for layer, views in layers.items()})
+    unpacked = ConditionalModel(**{layer: VariationalLinearLayer(**views)
+                                   for layer, views in layers.items()})
+    unpacked.field_slices = tuple(vec[..., start:end] for start, end in spans.values())
+    return unpacked
+
+
+def _field_slices(model: ConditionalModel) -> tuple[np.ndarray, ...]:
+    """model's field slices; a model built from separate blocks is packed first."""
+    if model.field_slices is None:
+        return unpack_params(model, pack_params(model)).field_slices
+    return model.field_slices
+
+
+def _grad_slices(grad: ConditionalModel) -> tuple[np.ndarray, ...]:
+    """The field slices an objective writes its gradient into."""
+    if grad.field_slices is None:
+        raise ArgumentError("the gradient must be a model that unpack_params built")
+    return grad.field_slices
+
+
+def _kl(model: ConditionalModel, scale: float, grad: ConditionalModel | None = None):
+    """Per model, the KL from the factorized posteriors to the priors, as
+    (hidden layer, output layer), and each layer's posterior variances
+    (v_w, v_b). With grad, the gradient of scale * KL overwrites its blocks.
+
+    Each operation covers a field of both layers at once; each layer's sum
+    runs over its own part of a slice (the first hidden_width entries are
+    the hidden layer's), so it has the bytes of a sum over its block alone.
+    """
+    mu, lv, mu_b, lv_b, ls = _field_slices(model)
+    # per weight ls - 0.5 lv + (v_w + mu^2) / z^2 * 0.5 - 0.5, per bias
+    # -0.5 lv_b + (v_b + mu_b^2) * 0.5 - 0.5, each rounded in that order
+    # (x - 0.5 lv_b has the bytes of -0.5 lv_b + x)
+    inv_z2 = np.exp(_MINUS_TWO * ls)
+    v_w = np.exp(lv)
+    # (v_w + mu^2) / z^2, shared by the KL and its log-scale gradient
+    ratio = v_w + mu * mu
+    ratio *= inv_z2
+    kl_w = ls - _HALF * lv
+    kl_w += ratio * _HALF
+    kl_w -= _HALF
+    v_b = np.exp(lv_b)
+    kl_b = mu_b * mu_b
+    kl_b += v_b
+    kl_b *= _HALF
+    kl_b -= _HALF * lv_b
+    kl_b -= _HALF
+    if grad is not None:
+        g_mu, g_lv, g_mu_b, g_lv_b, g_ls = _grad_slices(grad)
+        scale = np.array(scale)
+        np.multiply(scale, mu, out=g_mu)
+        g_mu *= inv_z2
+        np.multiply(_HALF, v_w, out=g_lv)
+        g_lv *= inv_z2
+        g_lv -= _HALF
+        g_lv *= scale
+        np.multiply(scale, mu_b, out=g_mu_b)
+        np.multiply(_HALF, v_b, out=g_lv_b)
+        g_lv_b -= _HALF
+        g_lv_b *= scale
+        np.subtract(_ONE, ratio, out=g_ls)
+        g_ls *= scale
+    h = model.hidden_width
+    reduce = np.add.reduce
+    kl = (reduce(kl_w[..., :h], -1) + reduce(kl_b[..., :h], -1),
+          reduce(kl_w[..., h:], -1) + reduce(kl_b[..., h:], -1))
+    variances = ((v_w[..., :h].reshape(model.hidden.logvar_w.shape), v_b[..., :h]),
+                 (v_w[..., h:].reshape(model.output.logvar_w.shape), v_b[..., h:]))
+    return kl, variances
+
+
+def kl_model(model: ConditionalModel):
+    """Closed-form KL from all factorized posteriors to their priors, in nats, per model."""
+    (kl_hidden, kl_output), _ = _kl(model, 1.0)
+    return kl_hidden + kl_output
+
+
+def _map_penalty(model: ConditionalModel, grad: ConditionalModel):
+    """Per model, the negative log prior of the posterior means with constants
+    dropped, as (hidden layer, output layer); its gradient overwrites grad's blocks."""
+    mu, _, mu_b, _, ls = _field_slices(model)
+    g_mu, g_lv, g_mu_b, g_lv_b, g_ls = _grad_slices(grad)
+    inv_z2 = np.exp(_MINUS_TWO * ls)
+    pen_w = _HALF * mu
+    pen_w *= mu
+    pen_w *= inv_z2
+    pen_w += ls
+    pen_b = mu_b * mu_b
+    np.multiply(mu, inv_z2, out=g_mu)
+    g_lv.fill(0.0)
+    g_mu_b[...] = mu_b
+    g_lv_b.fill(0.0)
+    np.multiply(mu, mu, out=g_ls)
+    g_ls *= inv_z2
+    np.subtract(_ONE, g_ls, out=g_ls)
+    h = model.hidden_width
+    reduce = np.add.reduce
+    return (reduce(pen_w[..., :h], -1) + _HALF * reduce(pen_b[..., :h], -1),
+            reduce(pen_w[..., h:], -1) + _HALF * reduce(pen_b[..., h:], -1))
 
 
 _LOCAL = threading.local()
@@ -252,24 +381,61 @@ def _draw_noise(model: ConditionalModel, n: int, stream: RngStream):
     """The noise (eps_hidden, eps_output) of a sampled pass over n rows, in
     this thread's buffers: n x H and n x 2 standard normals from the
     "hidden" and "output" children of stream."""
-    return tuple(draw_standard_normal(stream.child(name), _buffer(name, "eps", (n, width)))
-                 for name, width in (("hidden", model.hidden_width), ("output", 2)))
+    return (draw_standard_normal(stream.child("hidden"),
+                                 _buffer("hidden", "eps", (n, model.hidden_width))),
+            draw_standard_normal(stream.child("output"), _buffer("output", "eps", (n, 2))))
+
+
+class _LayerInput(NamedTuple):
+    """A layer's (..., n, A) input h and what a pass derives from it, where
+    already built: its square and, for A = 1, the designs [h, 1] and [h^2, 1]."""
+
+    h: np.ndarray
+    h_sq: np.ndarray | None = None
+    design: np.ndarray | None = None
+    design_sq: np.ndarray | None = None
+
+
+def _with_ones(h: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The design [h, 1] of a width-1 input h, written into out."""
+    out[..., :1] = h
+    out[..., 1] = _ONE
+    return out
+
+
+def _hidden_input(x: np.ndarray) -> _LayerInput:
+    """x as the hidden layer's input, with its square and both designs.
+
+    They depend on x alone, so this thread keeps the last ones it built,
+    in arrays of their own that no pass writes into, and builds them anew
+    only when x's shape or bytes differ.
+    """
+    key = (x.shape, x.tobytes())
+    cached = getattr(_LOCAL, "hidden_input", None)
+    if cached is None or cached[0] != key:
+        h = x[..., None].copy()
+        h_sq = h * h
+        designs = ((_with_ones(h, np.empty(h.shape[:-1] + (2,))),
+                    _with_ones(h_sq, np.empty(h.shape[:-1] + (2,))))
+                   if h.shape[-2] >= 2 else ())
+        cached = _LOCAL.hidden_input = key, _LayerInput(h, h_sq, *designs)
+    return cached[1]
 
 
 def _affine(h_in: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray,
-            name: str) -> np.ndarray:
+            name: str, design: np.ndarray | None = None) -> np.ndarray:
     """h_in @ w + b written into out; every entry of a width-1 input is
     RN(RN(h * w) + (b + 0.0)).
 
     A width-1 input with at least 2 rows and 2 columns goes through one
-    product of the design [h_in, 1] with the stacked [w; b], in the layer's
-    buffers. A gemm kernel starts each sum at +0.0 and adds the terms in
-    column order, so it rounds h * w first, turning a -0.0 product into
-    +0.0, and then adds 1 * b exactly as the broadcast form adds b + 0.0.
-    1 row or 1 column keeps the broadcast form: there the product gave
-    other bits under the Haswell and SkylakeX kernels (at width 1 for every
-    n >= 2 tried, and with 1 row at width 50 under SkylakeX), though not
-    under Prescott, Nehalem or Sandybridge.
+    product of the design [h_in, 1] (given, or built in the layer's
+    buffers) with the stacked [w; b]. A gemm kernel starts each sum at
+    +0.0 and adds the terms in column order, so it rounds h * w first,
+    turning a -0.0 product into +0.0, and then adds 1 * b exactly as the
+    broadcast form adds b + 0.0. 1 row or 1 column keeps the broadcast
+    form: there the product gave other bits under the Haswell and SkylakeX
+    kernels (at width 1 for every n >= 2 tried, and with 1 row at width 50
+    under SkylakeX), though not under Prescott, Nehalem or Sandybridge.
     """
     rows, width = out.shape[-2:]
     if h_in.shape[-1] != 1:
@@ -277,12 +443,10 @@ def _affine(h_in: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray,
         out += b[..., None, :]
     elif rows < 2 or width < 2:
         np.multiply(h_in, w, out=out)
-        out += b[..., None, :] + 0.0
+        out += b[..., None, :] + _ZERO
     else:
-        # the buffers are stale, the ones column included
-        design = _buffer(name, "design", h_in.shape[:-1] + (2,))
-        design[..., :1] = h_in
-        design[..., 1] = 1.0
+        if design is None:
+            design = _with_ones(h_in, _buffer(name, "design", h_in.shape[:-1] + (2,)))
         wb = _buffer(name, "wb", w.shape[:-2] + (2, width))
         wb[..., :1, :] = w
         wb[..., 1, :] = b
@@ -290,14 +454,14 @@ def _affine(h_in: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray,
     return out
 
 
-def _layer_std(layer: VariationalLinearLayer, h_in: np.ndarray, name: str, out: np.ndarray):
+def _layer_std(inp: _LayerInput, v_w: np.ndarray, v_b: np.ndarray, name: str,
+               out: np.ndarray):
     """The pre-activation std sqrt(h_in^2 @ v_w + v_b), written into out,
-    and the (h_sq, v_w, v_b) the backward pass needs."""
-    v_w = np.exp(layer.logvar_w)
-    v_b = np.exp(layer.logvar_b)
-    h_sq = np.multiply(h_in, h_in, out=_buffer(name, "h_sq", h_in.shape))
-    s_out = np.sqrt(_affine(h_sq, v_w, v_b, out, name), out=out)
-    return s_out, (h_sq, v_w, v_b)
+    and the h_in^2 the backward pass needs."""
+    h_sq = inp.h_sq
+    if h_sq is None:
+        h_sq = np.multiply(inp.h, inp.h, out=_buffer(name, "h_sq", inp.h.shape))
+    return np.sqrt(_affine(h_sq, v_w, v_b, out, name, inp.design_sq), out=out), h_sq
 
 
 def _sample(mean: np.ndarray, std: np.ndarray, eps: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -306,64 +470,103 @@ def _sample(mean: np.ndarray, std: np.ndarray, eps: np.ndarray, out: np.ndarray)
     return np.add(mean, out, out=out)
 
 
-def _layer_forward(
-    layer: VariationalLinearLayer, h_in: np.ndarray, eps: np.ndarray | None, name: str
-):
+def _layer_forward(layer: VariationalLinearLayer, inp: _LayerInput, eps: np.ndarray | None,
+                   name: str, variances=None):
     """Pre-activations of one layer and the cache its backward pass needs.
 
-    With eps the pre-activations are drawn from their induced Gaussian;
-    with eps=None the pass runs through the posterior means only. Both live
-    in the buffers of layer name until its next forward pass.
+    With eps the pre-activations are drawn from their induced Gaussian,
+    whose posterior variances (v_w, v_b) are given or computed here; with
+    eps=None the pass runs through the posterior means only. Both live in
+    the buffers of layer name until its next forward pass: its "pre"
+    buffer holds the mean, the std and the sample.
     """
-    shape = h_in.shape[:-1] + (layer.out_dim,)
-    mean = _affine(h_in, layer.mean_w, layer.mean_b, _buffer(name, "mean", shape), name)
+    h_in = inp.h
+    pre = _buffer(name, "pre", (3,) + h_in.shape[:-1] + (layer.out_dim,))
+    mean = _affine(h_in, layer.mean_w, layer.mean_b, pre[0], name, inp.design)
     if eps is None:
         return mean, (h_in, None)
-    s_out, (h_sq, v_w, v_b) = _layer_std(layer, h_in, name, _buffer(name, "s_out", shape))
-    out = _sample(mean, s_out, eps, _buffer(name, "out", shape))
+    if variances is None:
+        variances = np.exp(layer.logvar_w), np.exp(layer.logvar_b)
+    v_w, v_b = variances
+    s_out, h_sq = _layer_std(inp, v_w, v_b, name, pre[1])
+    out = _sample(mean, s_out, eps, pre[2])
     return out, (h_in, (h_sq, v_w, v_b, s_out, eps))
 
 
-def _layer_backward(cache, g_out: np.ndarray, grad: VariationalLinearLayer, name: str):
-    """Add the layer's gradient given d(loss)/d(h_out) into grad.
+def _transposed_product(h: np.ndarray, g: np.ndarray, name: str) -> np.ndarray:
+    """h^T @ g over the trailing axes.
 
-    Returns the scaled noise gradient g_v that _layer_input_grad needs, or
-    None on the mean path. g_v gets its own buffer, since eps has no stack
-    axes to hold it; no later pass reads the cache's s_out, so 0.5 / s_out
-    is written over it.
+    For a width-1 h and g this is a (1 x n) @ (n x 1) product, which the
+    Prescott and Core2 kernels compute with other bits when a row starts
+    off a 16-byte boundary; it runs on copies in a (..., 2, n + n % 2)
+    buffer, whose rows all start on one.
+    """
+    if h.shape[-1] != 1 or g.shape[-1] != 1:
+        return h.swapaxes(-1, -2) @ g
+    n = h.shape[-2]
+    rows = _buffer(name, "aligned", h.shape[:-2] + (2, n + n % 2))
+    rows[..., 0, :n] = h[..., 0]
+    rows[..., 1, :n] = g[..., 0]
+    return rows[..., :1, :n] @ rows[..., 1, :n, None]
+
+
+def _row_sums(g: np.ndarray) -> np.ndarray:
+    """g summed over its rows (axis -2), with the bytes of g.sum(axis=-2).
+
+    With 2 or more columns that reduction adds the rows in order, from
+    +0.0, running one inner loop per row; einsum adds them in the same
+    order in fewer, cheaper steps (an n = 500 pair's 2-column sums take
+    about a quarter of the time, its 50-column ones about 60 %). One column
+    is summed pairwise instead, which einsum would not reproduce.
+    """
+    if g.shape[-1] == 1:
+        return np.add.reduce(g, axis=-2)
+    return np.einsum("...ij->...j", g)
+
+
+def _layer_backward(cache, g_out: np.ndarray, grad: VariationalLinearLayer, name: str,
+                    layer: VariationalLinearLayer | None = None):
+    """Add the layer's gradient given d(loss)/d(h_out) into grad; given the
+    layer itself, return d(loss)/d(h_in) as well.
+
+    The pass writes over what it has used for the last time, since an
+    in-place product on n x H arrays costs about half of one into another
+    array: g_out becomes the scaled noise gradient g_v, the cache's s_out
+    becomes 0.5 / s_out and, where d(loss)/d(h_in) is asked for, h_in
+    becomes 2 * h_in. The caller must not need them afterwards.
     """
     h_in, noise = cache
-    grad.mean_w += np.swapaxes(h_in, -1, -2) @ g_out
-    grad.mean_b += g_out.sum(axis=-2)
+    grad.mean_w += _transposed_product(h_in, g_out, name)
+    grad.mean_b += _row_sums(g_out)
+    g_in = None
+    if layer is not None:
+        g_in, g_v_w = _buffer(name, "input_grad", (2,) + h_in.shape)
+        np.matmul(g_out, layer.mean_w.swapaxes(-1, -2), out=g_in)
     if noise is None:
-        return None
-    h_sq, v_w, v_b, s_out, eps = noise
-    g_v = np.multiply(g_out, eps, out=_buffer(name, "g_v", g_out.shape))
-    g_v *= np.divide(0.5, s_out, out=s_out)
-    grad.logvar_w += (np.swapaxes(h_sq, -1, -2) @ g_v) * v_w
-    grad.logvar_b += g_v.sum(axis=-2) * v_b
-    return g_v
-
-
-def _layer_input_grad(
-    layer: VariationalLinearLayer, cache, g_out: np.ndarray, g_v, name: str
-) -> np.ndarray:
-    """d(loss)/d(h_in), given the g_v that _layer_backward returned."""
-    h_in, noise = cache
-    g_in = np.matmul(g_out, np.swapaxes(layer.mean_w, -1, -2),
-                     out=_buffer(name, "g_in", h_in.shape))
-    if g_v is None:
         return g_in
-    _, v_w, _, _, _ = noise
-    g_h = np.multiply(2.0, h_in, out=_buffer(name, "g_h", h_in.shape))
-    g_h *= np.matmul(g_v, np.swapaxes(v_w, -1, -2), out=_buffer(name, "g_v_w", h_in.shape))
-    g_in += g_h
+    h_sq, v_w, v_b, s_out, eps = noise
+    g_v = np.multiply(g_out, eps, out=g_out)
+    g_v *= np.divide(_HALF, s_out, out=s_out)
+    grad.logvar_w += _transposed_product(h_sq, g_v, name) * v_w
+    grad.logvar_b += _row_sums(g_v) * v_b
+    if layer is not None:
+        g_h = np.multiply(_TWO, h_in, out=h_in)
+        g_h *= np.matmul(g_v, v_w.swapaxes(-1, -2), out=g_v_w)
+        g_in += g_h
     return g_in
 
 
 def _check_finite(values: np.ndarray, name: str) -> None:
-    if not np.isfinite(values, out=_buffer(name, "finite", values.shape, bool)).all():
+    finite = np.isfinite(values, out=_buffer(name, "finite", values.shape, bool))
+    if not np.logical_and.reduce(finite, axis=None):
         raise NumericError(f"non-finite activations in {name} layer")
+
+
+def _clamped(t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """t clipped to +-LOG_SCALE_LIMIT, written into out (np.clip's ufuncs,
+    without its Python-level wrapper)."""
+    np.maximum(t, _MINUS_LIMIT, out=out)
+    return np.minimum(out, _LIMIT, out=out)
 
 
 def _inputs(model: ConditionalModel, x) -> np.ndarray:
@@ -377,15 +580,16 @@ def _inputs(model: ConditionalModel, x) -> np.ndarray:
     return x
 
 
-def _predictions(model: ConditionalModel, p1: np.ndarray, eps_output):
+def _predictions(model: ConditionalModel, p1: np.ndarray, eps_output, variances=None):
     """(mu, sigma) from the hidden pre-activations p1 (a buffer, overwritten)."""
     _check_finite(p1, "hidden")
-    p2 = _layer_forward(model.output, np.tanh(p1, out=p1), eps_output, "output")[0]
+    p2 = _layer_forward(model.output, _LayerInput(np.tanh(p1, out=p1)), eps_output, "output",
+                        variances)[0]
     _check_finite(p2, "output")
     # p2 is a reused buffer: the caller gets copies
     mu = p2[..., 0].copy()
-    sigma = np.exp(np.clip(p2[..., 1], -LOG_SCALE_LIMIT, LOG_SCALE_LIMIT))
-    return mu, sigma
+    sigma = _clamped(p2[..., 1], np.empty(mu.shape))
+    return mu, np.exp(sigma, out=sigma)
 
 
 def sampler(
@@ -395,20 +599,23 @@ def sampler(
 
     The hidden layer's pre-activation mean x*w + b and std
     sqrt(x^2 * v_w + v_b) do not depend on the noise, so they are computed
-    here, once, into arrays the returned function owns; each call draws
-    the noise from its stream, forms mean + std * eps_hidden and runs the
-    output layer, with the bytes of the sampled pass elbo_objective makes
-    on that stream.
+    here, once, into arrays the returned function owns, as are the output
+    layer's posterior variances; each call draws the noise from its
+    stream, forms mean + std * eps_hidden and runs the output layer, with
+    the bytes of the sampled pass elbo_objective makes on that stream.
     """
-    h_in = _inputs(model, x)[..., None]
-    shape = h_in.shape[:-1] + (model.hidden_width,)
-    mean = _affine(h_in, model.hidden.mean_w, model.hidden.mean_b, np.empty(shape), "hidden")
-    std = _layer_std(model.hidden, h_in, "hidden", np.empty(shape))[0]
+    inp = _hidden_input(_inputs(model, x))
+    shape = inp.h.shape[:-1] + (model.hidden_width,)
+    hidden = model.hidden
+    mean = _affine(inp.h, hidden.mean_w, hidden.mean_b, np.empty(shape), "hidden", inp.design)
+    std = _layer_std(inp, np.exp(hidden.logvar_w), np.exp(hidden.logvar_b), "hidden",
+                     np.empty(shape))[0]
+    output_variances = np.exp(model.output.logvar_w), np.exp(model.output.logvar_b)
 
     def sample(stream: RngStream):
-        eps_hidden, eps_output = _draw_noise(model, h_in.shape[-2], stream)
-        p1 = _sample(mean, std, eps_hidden, _buffer("hidden", "out", shape))
-        return _predictions(model, p1, eps_output)
+        eps_hidden, eps_output = _draw_noise(model, shape[-2], stream)
+        p1 = _sample(mean, std, eps_hidden, _buffer("hidden", "pre", (3,) + shape)[2])
+        return _predictions(model, p1, eps_output, output_variances)
 
     return sample
 
@@ -419,8 +626,8 @@ def model_forward(model: ConditionalModel, x: np.ndarray) -> tuple[np.ndarray, n
     sigma = exp(clamped log-scale) > 0. Sampled predictions come from
     sampler(model, x).
     """
-    h_in = _inputs(model, x)[..., None]
-    return _predictions(model, _layer_forward(model.hidden, h_in, None, "hidden")[0], None)
+    inp = _hidden_input(_inputs(model, x))
+    return _predictions(model, _layer_forward(model.hidden, inp, None, "hidden")[0], None)
 
 
 def gaussian_nll(y: np.ndarray, mu: np.ndarray, sigma: np.ndarray):
@@ -429,89 +636,62 @@ def gaussian_nll(y: np.ndarray, mu: np.ndarray, sigma: np.ndarray):
     if not y.shape == mu.shape == sigma.shape:
         raise ArgumentError(f"y, mu, sigma shapes differ: {y.shape}, {mu.shape}, {sigma.shape}")
     # written so that a NaN sigma fails too
-    if not np.all(sigma > 0):
+    if not np.logical_and.reduce(sigma > 0, axis=None):
         raise ArgumentError("sigma must be strictly positive")
     r = y - mu
-    return np.sum(HALF_LOG_2PI + np.log(sigma) + r * r / (2.0 * sigma * sigma), axis=-1)
-
-
-def _kl_layer(layer: VariationalLinearLayer, scale: float, grad: VariationalLinearLayer):
-    """KL of one layer; the gradient of scale * KL overwrites grad."""
-    ls = layer.log_prior_scale_w
-    lv = layer.logvar_w
-    mu = layer.mean_w
-    inv_z2 = np.exp(-2.0 * ls)
-    v_w = np.exp(lv)
-    kl_w = (ls - 0.5 * lv + (v_w + mu * mu) * inv_z2 * 0.5 - 0.5).sum(axis=(-2, -1))
-    lvb = layer.logvar_b
-    mub = layer.mean_b
-    v_b = np.exp(lvb)
-    kl_b = (-0.5 * lvb + (v_b + mub * mub) * 0.5 - 0.5).sum(axis=-1)
-    grad.mean_w[...] = scale * mu * inv_z2
-    grad.logvar_w[...] = scale * (-0.5 + 0.5 * v_w * inv_z2)
-    grad.mean_b[...] = scale * mub
-    grad.logvar_b[...] = scale * (-0.5 + 0.5 * v_b)
-    grad.log_prior_scale_w[...] = scale * (1.0 - (v_w + mu ** 2) * inv_z2)
-    return kl_w + kl_b
-
-
-def kl_model(model: ConditionalModel):
-    """Closed-form KL from all factorized posteriors to their priors, in nats, per model."""
-    scratch = unpack_params(model, pack_params(model))
-    return (_kl_layer(model.hidden, 1.0, scratch.hidden)
-            + _kl_layer(model.output, 1.0, scratch.output))
-
-
-def _map_penalty(layer: VariationalLinearLayer, grad: VariationalLinearLayer):
-    """Negative log prior of posterior means, constants dropped; its gradient overwrites grad."""
-    ls = layer.log_prior_scale_w
-    mu = layer.mean_w
-    inv_z2 = np.exp(-2.0 * ls)
-    pen_w = (ls + 0.5 * mu * mu * inv_z2).sum(axis=(-2, -1))
-    pen_b = 0.5 * (layer.mean_b ** 2).sum(axis=-1)
-    grad.mean_w[...] = mu * inv_z2
-    grad.logvar_w[...] = 0.0
-    grad.mean_b[...] = layer.mean_b
-    grad.logvar_b[...] = 0.0
-    grad.log_prior_scale_w[...] = 1.0 - mu ** 2 * inv_z2
-    return pen_w + pen_b
+    return np.add.reduce(_HALF_LOG_2PI + np.log(sigma) + r * r / (_TWO * sigma * sigma), axis=-1)
 
 
 def _nll_head(y: np.ndarray, p2: np.ndarray):
-    """Loss and d(loss)/d(p2) for the Gaussian head with clamped log-scale."""
+    """Loss and d(loss)/d(p2) for the Gaussian head with clamped log-scale.
+
+    Each value keeps its expression's order: the loss term is
+    ((0.5 * r) * r) * inv_var and the log-scale gradient 1 - (r * r) * inv_var.
+    """
     mu = p2[..., 0]
     t = p2[..., 1]
-    tc = np.clip(t, -LOG_SCALE_LIMIT, LOG_SCALE_LIMIT)
-    inv_var = np.exp(-2.0 * tc)
-    r = y - mu
-    loss = (HALF_LOG_2PI + tc + 0.5 * r * r * inv_var).sum(axis=-1)
+    tc, inv_var, r, term = _buffer("output", "head", (4,) + mu.shape)
+    _clamped(t, tc)
+    np.multiply(_MINUS_TWO, tc, out=inv_var)
+    np.exp(inv_var, out=inv_var)
+    np.subtract(y, mu, out=r)
+    np.multiply(_HALF, r, out=term)
+    term *= r
+    term *= inv_var
+    # tc's last use: the loss terms HALF_LOG_2PI + tc + term are written over it
+    np.add(_HALF_LOG_2PI, tc, out=tc)
+    tc += term
+    loss = np.add.reduce(tc, axis=-1)
     g_p2 = _buffer("output", "g_p2", p2.shape)
-    g_p2[..., 0] = -r * inv_var
-    g_log_scale = g_p2[..., 1]
-    g_log_scale[...] = 1.0 - r * r * inv_var
-    # a clamped (or NaN) log-scale passes no gradient
-    active = (t > -LOG_SCALE_LIMIT) & (t < LOG_SCALE_LIMIT)
-    g_log_scale[~active] = 0.0
+    g_mu = np.negative(r, out=g_p2[..., 0])
+    g_mu *= inv_var
+    g_log_scale = np.multiply(r, r, out=g_p2[..., 1])
+    g_log_scale *= inv_var
+    np.subtract(_ONE, g_log_scale, out=g_log_scale)
+    # a clamped (or NaN) log-scale passes no gradient; NaN fails the max test too
+    size = np.abs(t, out=term)
+    if not np.maximum.reduce(size, axis=None) < LOG_SCALE_LIMIT:
+        np.copyto(g_log_scale, 0.0, where=~(size < LOG_SCALE_LIMIT))
     return loss, g_p2
 
 
-def _data_nll(model, x, y, grad: ConditionalModel, eps=None):
-    """NLL of y given x through the network; its gradient is added into grad."""
+def _data_nll(model, x, y, grad: ConditionalModel, eps=None, variances=(None, None)):
+    """NLL of y given x through the network; its gradient is added into grad.
+
+    A sampled pass (eps given) uses the layers' posterior variances when
+    given them.
+    """
     eps1, eps2 = (None, None) if eps is None else eps
-    h_in = np.asarray(x, dtype=float)[..., None]
-    p1, cache1 = _layer_forward(model.hidden, h_in, eps1, "hidden")
+    inp = _hidden_input(np.asarray(x, dtype=float))
+    p1, cache1 = _layer_forward(model.hidden, inp, eps1, "hidden", variances[0])
     a = np.tanh(p1, out=p1)
-    p2, cache2 = _layer_forward(model.output, a, eps2, "output")
+    p2, cache2 = _layer_forward(model.output, _LayerInput(a), eps2, "output", variances[1])
     loss, g_p2 = _nll_head(np.asarray(y, dtype=float), p2)
-    g_v = _layer_backward(cache2, g_p2, grad.output, "output")
-    g_a = _layer_input_grad(model.output, cache2, g_p2, g_v, "output")
-    # tanh' = 1 - a^2, formed over a * a in the output layer's h_sq buffer,
-    # where the sampled pass has already put it
-    if eps2 is None:
-        a_sq = np.multiply(a, a, out=_buffer("output", "h_sq", a.shape))
-    else:
-        a_sq = cache2[1][0]
-    g_a *= np.subtract(1.0, a_sq, out=a_sq)
+    g_a = _layer_backward(cache2, g_p2, grad.output, "output", model.output)
+    # tanh' = 1 - a^2, formed over a * a: the sampled pass has put it in the
+    # output layer's h_sq buffer; on the mean path a is not needed any more
+    a_sq = np.multiply(a, a, out=a) if eps2 is None else cache2[1][0]
+    g_a *= np.subtract(_ONE, a_sq, out=a_sq)
     _layer_backward(cache1, g_a, grad.hidden, "hidden")
     return loss
 
@@ -528,11 +708,11 @@ def elbo_objective(
     """
     if not 0.0 <= beta <= 1.0:
         raise ArgumentError(f"beta must lie in [0, 1], got {beta}")
-    eps = _draw_noise(model, np.shape(x)[-1], stream)
-    kl_hid = _kl_layer(model.hidden, beta, grad.hidden)
-    kl_out = _kl_layer(model.output, beta, grad.output)
-    loss_nll = _data_nll(model, x, y, grad, eps)
-    return loss_nll + beta * (kl_hid + kl_out)
+    x = np.asarray(x, dtype=float)
+    eps = _draw_noise(model, x.shape[-1], stream)
+    (kl_hidden, kl_output), variances = _kl(model, beta, grad)
+    loss_nll = _data_nll(model, x, y, grad, eps, variances)
+    return loss_nll + beta * (kl_hidden + kl_output)
 
 
 def map_objective(
@@ -542,6 +722,5 @@ def map_objective(
 
     Deterministic point-estimate phase: posterior variances take no gradient (their blocks get 0).
     """
-    pen_hid = _map_penalty(model.hidden, grad.hidden)
-    pen_out = _map_penalty(model.output, grad.output)
-    return _data_nll(model, x, y, grad) + pen_hid + pen_out
+    pen_hidden, pen_output = _map_penalty(model, grad)
+    return _data_nll(model, x, y, grad) + pen_hidden + pen_output

@@ -118,8 +118,8 @@ def train_conditional(
     epoch makes one objective call, which overwrites the gradient matrix,
     and one Adam step on the matrices, which updates the parameters and
     the moment matrices m and v in place. No operation mixes directions, so
-    each gets the bytes it would get trained alone (for the one BLAS kernel
-    exception at hidden width 1, see bnn). Both phases run
+    each gets the bytes it would get trained alone (at hidden width 1 with
+    the help of aligned copies, see bnn). Both phases run
     full-batch under Adam with a cosine learning-rate schedule from LR_MAX
     to LR_MIN; the second phase starts from zeroed Adam moments since it
     minimizes a different objective. A NumericError names the direction's

@@ -13,8 +13,10 @@ through decode_utf8, so a stray byte is a ParseError naming the file.
 The AN and LS generators draw their Gaussian-process functions from a
 quadrature Fourier series of the squared-exponential kernel (_gp_draw): O(n)
 per draw, no kernel matrix and no BLAS call, so generated pairs are the same
-at any BLAS thread count. GENERATOR_VERSION names the generators' output; it
-changes whenever a generated value does.
+at any BLAS thread count. The series' cos/sin basis at x (_gp_basis) is
+evaluated once per pair and serves both of an LS pair's draws.
+GENERATOR_VERSION names the generators' output; it changes whenever a
+generated value does.
 """
 
 from __future__ import annotations
@@ -274,16 +276,23 @@ _GP_SCALES = np.array(list(map(float.fromhex, """
 """.split())))
 
 
-def _gp_draw(x: np.ndarray, stream: RngStream) -> np.ndarray:
-    """A GP function (signal std 1, lengthscale 1) evaluated at x, in O(len(x)).
+def _gp_basis(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos(w_j x) and sin(w_j x) for each x and each series frequency w_j."""
+    phase = np.multiply.outer(x, _GP_FREQS)
+    return np.cos(phase), np.sin(phase)
+
+
+def _gp_draw(basis: tuple[np.ndarray, np.ndarray], stream: RngStream) -> np.ndarray:
+    """A GP function (signal std 1, lengthscale 1) evaluated at the x of
+    basis = _gp_basis(x), in O(len(x)).
 
     f(x) = sum_j s_j (a_j cos(w_j x) + b_j sin(w_j x)) with a, b standard
     normal. Only elementwise cos/sin and a row sum: no kernel matrix and no
     BLAS call, so the draw does not depend on the BLAS thread count.
     """
     a, b = stream.generator().standard_normal((2, _GP_FREQS.size))
-    phase = np.multiply.outer(x, _GP_FREQS)
-    return (np.cos(phase) * (_GP_SCALES * a) + np.sin(phase) * (_GP_SCALES * b)).sum(axis=1)
+    cos, sin = basis
+    return (cos * (_GP_SCALES * a) + sin * (_GP_SCALES * b)).sum(axis=1)
 
 
 def _sigmoid_draw(x: np.ndarray, stream: RngStream) -> np.ndarray:
@@ -305,8 +314,9 @@ def generate_pair(spec: GeneratorSpec, pair_index: int) -> PairDataset:
     gen = stream.child("noise").generator()
     x = stream.child("x").generator().standard_normal(spec.n_samples)
     fam = spec.family
-    draw = _gp_draw if fam in ("AN", "LS") else _sigmoid_draw
-    f = draw(x, stream.child("f"))
+    # a GP draw takes the basis at x, shared by both of an LS pair's draws
+    draw, at = (_gp_draw, _gp_basis(x)) if fam in ("AN", "LS") else (_sigmoid_draw, x)
+    f = draw(at, stream.child("f"))
 
     if fam == "MN-U":
         y = f * gen.uniform(0.5, 1.5, size=spec.n_samples)
@@ -314,7 +324,7 @@ def generate_pair(spec: GeneratorSpec, pair_index: int) -> PairDataset:
         sigma = stream.child("sigma").generator().uniform(0.2, 0.6)
         noise = sigma * gen.standard_normal(spec.n_samples)
         if fam in ("LS", "LS-s"):
-            y = f + (np.abs(draw(x, stream.child("g"))) + 0.3) * noise
+            y = f + (np.abs(draw(at, stream.child("g"))) + 0.3) * noise
         else:
             y = f + noise
 

@@ -159,6 +159,7 @@ def run_benchmark(
     than one worker process, a worker that dies breaks the pool: the rows
     of pairs already scored are kept, and every pair left without a result
     gets a row whose error starts "BrokenProcessPool:", with runtime 0.0.
+    Workers get the longest pairs first; the rows keep the input order.
     An interrupt (Ctrl-C) cancels every pair not yet handed to a worker and
     propagates once the pairs in flight finish.
     """
@@ -178,10 +179,14 @@ def run_benchmark(
         rows = []
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
-            futures = [pool.submit(_score_one, pair, cfg) for pair in pairs]
-            for pair, future in zip(pairs, futures):
+            # the longest pairs go first, so that no long pair starts last
+            # while the other workers sit idle; the sort is stable, so equal
+            # lengths keep their order, and rows still come in input order
+            longest_first = sorted(range(len(pairs)), key=lambda i: -pairs[i].x.size)
+            futures = {i: pool.submit(_score_one, pairs[i], cfg) for i in longest_first}
+            for i, pair in enumerate(pairs):
                 try:
-                    rows.append(future.result())
+                    rows.append(futures[i].result())
                 except BrokenProcessPool as e:
                     rows.append(PairRow(pair.id, None, None, pair.label, pair.weight, 0.0,
                                         error=f"BrokenProcessPool: {e}"))

@@ -37,6 +37,11 @@ BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
 
+# adam_step's constant operands as 0-d arrays, which numpy need not convert
+# on every call as it does a Python float; the doubles are the same
+_BETA1, _BETA2, _EPS = np.array(BETA1), np.array(BETA2), np.array(EPS)
+_ONE_MINUS_BETA1, _ONE_MINUS_BETA2 = np.array(1.0 - BETA1), np.array(1.0 - BETA2)
+
 
 def adam_step(
     params: np.ndarray,
@@ -63,13 +68,21 @@ def adam_step(
     if not (lr > 0 and math.isfinite(lr)):
         raise ArgumentError(f"learning rate must be finite and positive, got {lr}")
     finite = np.isfinite(grads)
-    if not finite.all():
+    if not np.logical_and.reduce(finite, axis=None):
         raise NumericError(f"non-finite gradient in parameter {int(np.argmin(finite))}")
-    # m * BETA1 has the bytes of BETA1 * m, so these match the textbook form
-    m *= BETA1
-    m += (1.0 - BETA1) * grads
-    v *= BETA2
-    v += (1.0 - BETA2) * grads * grads
-    m_hat = m / (1.0 - BETA1 ** step)
-    v_hat = v / (1.0 - BETA2 ** step)
-    params -= lr * m_hat / (np.sqrt(v_hat) + EPS)
+    # m * BETA1 has the bytes of BETA1 * m, and x * lr those of lr * x, so
+    # these match the textbook form; two temporaries serve every step
+    m *= _BETA1
+    scratch = np.multiply(_ONE_MINUS_BETA1, grads)
+    m += scratch
+    v *= _BETA2
+    np.multiply(_ONE_MINUS_BETA2, grads, out=scratch)
+    scratch *= grads
+    v += scratch
+    denom = np.divide(v, 1.0 - BETA2 ** step)
+    np.sqrt(denom, out=denom)
+    denom += _EPS
+    update = np.divide(m, 1.0 - BETA1 ** step, out=scratch)
+    update *= lr
+    update /= denom
+    params -= update

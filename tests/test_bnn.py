@@ -15,7 +15,10 @@ from comic.bnn import (
     blocks,
     elbo_objective,
     gaussian_nll,
+    _kl,
     _layer_forward,
+    _LayerInput,
+    _map_penalty,
     kl_model,
     map_objective,
     model_forward,
@@ -45,11 +48,11 @@ def make_layer(mean_w, logvar=-9.0, mean_b=None, logvar_b=None, log_prior=0.0):
 def sampled_layer(layer, h_in, stream):
     """One sampled pass through a single layer, its noise drawn from stream."""
     eps = draw_standard_normal(stream, np.empty((h_in.shape[0], layer.out_dim)))
-    return _layer_forward(layer, h_in, eps, "hidden")[0].copy()
+    return _layer_forward(layer, _LayerInput(h_in), eps, "hidden")[0].copy()
 
 
 def mean_layer(layer, h_in):
-    return _layer_forward(layer, h_in, None, "hidden")[0].copy()
+    return _layer_forward(layer, _LayerInput(h_in), None, "hidden")[0].copy()
 
 
 def stack(*models):
@@ -367,8 +370,8 @@ def test_pack_unpack_roundtrip():
     rebuilt = unpack_params(model, vec.copy())
     assert np.array_equal(pack_params(rebuilt), vec)
     assert [name for name, _ in blocks(model)] == [
-        f"{layer}.{field.name}" for layer in ("hidden", "output")
-        for field in dataclasses.fields(VariationalLinearLayer)]
+        f"{layer}.{field.name}" for field in dataclasses.fields(VariationalLinearLayer)
+        for layer in ("hidden", "output")]
     # every named block comes back with its shape and values, so a field added
     # to VariationalLinearLayer is packed, unpacked and checked here as it is
     for (name, block), (rebuilt_name, rebuilt_block) in zip(blocks(model), blocks(rebuilt),
@@ -638,6 +641,38 @@ def test_objectives_overwrite_every_gradient_entry(width, n, seed, beta):
         loss = objective(model, x, y, *args, grad)
         assert (loss.hex(), vec.tobytes()) == objective_bytes(
             *oracle(model, x, y, *oracle_args))
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+@pytest.mark.parametrize("width", [1, 2, 7, 50])
+def test_prior_terms_match_the_per_layer_oracles(width, stacked):
+    # the KL and the MAP penalty run over both layers' field slices at once;
+    # each layer's value and every gradient entry must keep the bytes of the
+    # per-layer forms, and a NaN-filled gradient must come back all finite
+    problems = [edge_problem(width, 3, seed, 0.3)[0] for seed in (width, width + 100)]
+    model = stack(*problems) if stacked else problems[0]
+    for scale in (0.4, 1.0):
+        vec = np.full(pack_params(model).shape, np.nan)
+        kl, _ = _kl(model, scale, unpack_params(model, vec))
+        assert np.isfinite(vec).all()
+        for d, problem in enumerate(problems[:1 + stacked]):
+            oracle = [oracle_kl_layer(layer, scale) for layer in (problem.hidden, problem.output)]
+            assert [float(np.atleast_1d(value)[d]).hex() for value in kl] == [
+                value.hex() for value, _ in oracle]
+            assert np.atleast_2d(vec)[d].tobytes() == pack_grads(
+                ConditionalModel(*(grad for _, grad in oracle))).tobytes()
+    vec = np.full(pack_params(model).shape, np.nan)
+    penalty = _map_penalty(model, unpack_params(model, vec))
+    assert np.isfinite(vec).all()
+    for d, problem in enumerate(problems[:1 + stacked]):
+        oracle = [oracle_map_penalty(layer) for layer in (problem.hidden, problem.output)]
+        assert [float(np.atleast_1d(value)[d]).hex() for value in penalty] == [
+            value.hex() for value, _ in oracle]
+        assert np.atleast_2d(vec)[d].tobytes() == pack_grads(
+            ConditionalModel(*(grad for _, grad in oracle))).tobytes()
+        (kl_hidden, _), (kl_output, _) = (oracle_kl_layer(layer, 1.0)
+                                          for layer in (problem.hidden, problem.output))
+        assert float(np.atleast_1d(kl_model(model))[d]).hex() == (kl_hidden + kl_output).hex()
 
 
 def test_oracle_problems_reach_the_clamp_and_signed_zeros():

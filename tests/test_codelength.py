@@ -422,13 +422,14 @@ def test_numeric_error_names_the_direction():
 
 @pytest.mark.parametrize("entries,direction,block,offset", [
     ([(1, "hidden.logvar_w", (0, 2))], 1, "hidden.logvar_w", 2),
-    # the first output block lies past all five hidden blocks
+    # the layout is field-major: output.mean_b lies past hidden.mean_b and
+    # both layers' mean_w and logvar_w blocks
     ([(0, "output.mean_b", (1,))], 0, "output.mean_b", 1),
-    # the first entry in packed (direction, block, offset) order is named: a
-    # later block's entry at a lower offset, and an earlier block of a later
-    # direction, come after it
+    # the first entry in packed (direction, block, offset) order is named:
+    # output.mean_w comes before hidden.logvar_b in the field-major layout,
+    # and an earlier block of a later direction comes after both
     ([(1, "hidden.mean_w", (0, 1)), (0, "output.mean_w", (0, 0)),
-      (0, "hidden.logvar_b", (5,))], 0, "hidden.logvar_b", 5),
+      (0, "hidden.logvar_b", (5,))], 0, "output.mean_w", 0),
 ], ids=["direction1-hidden.logvar_w", "direction0-output.mean_b", "first-of-three"])
 def test_numeric_error_in_adam_names_direction_phase_and_epoch(monkeypatch, entries, direction,
                                                                block, offset):

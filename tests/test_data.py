@@ -315,12 +315,13 @@ def test_generate_pair_deterministic():
 
 
 def regenerate_f(pair, spec, pair_index=0, which="f"):
-    from comic.data import _gp_draw, _sigmoid_draw
+    from comic.data import _gp_basis, _gp_draw, _sigmoid_draw
     from comic.rng import RngStream
 
     stream = RngStream(spec.seed).child("generate", spec.family, pair_index)
-    draw = _gp_draw if spec.family in ("AN", "LS") else _sigmoid_draw
-    return draw(pair.x, stream.child(which))
+    if spec.family in ("AN", "LS"):
+        return _gp_draw(_gp_basis(pair.x), stream.child(which))
+    return _sigmoid_draw(pair.x, stream.child(which))
 
 
 @pytest.mark.parametrize("family", ["AN", "AN-s"])
@@ -384,11 +385,11 @@ def test_gp_scales_are_the_formula_to_one_ulp():
 
 
 def test_gp_draws_have_unit_variance_and_unit_lengthscale():
-    from comic.data import _gp_draw
+    from comic.data import _gp_basis, _gp_draw
     from comic.rng import RngStream
 
     x = np.array([0.0, 0.5, 2.0])
-    draws = np.array([_gp_draw(x, RngStream(4).child("gp", i)) for i in range(4000)])
+    draws = np.array([_gp_draw(_gp_basis(x), RngStream(4).child("gp", i)) for i in range(4000)])
     cov = draws.T @ draws / len(draws)
     target = np.exp(-0.5 * np.subtract.outer(x, x) ** 2)
     assert cov == approx(target, abs=0.08)
@@ -404,6 +405,21 @@ def test_generate_pair_makes_no_linalg_call(monkeypatch, family):
             monkeypatch.setattr(np.linalg, name, forbidden)
     pair = generate_pair(GeneratorSpec(family, 1, 300, seed=2), 0)
     assert np.isfinite(pair.y).all()
+
+
+@pytest.mark.parametrize("family,calls", [("AN", 1), ("LS", 1), ("LS-s", 0)])
+def test_generate_pair_evaluates_the_gp_basis_once(monkeypatch, family, calls):
+    # an LS pair draws f and g at the same x: their cos/sin basis is shared
+    counted = []
+    real = np.cos
+
+    def counting_cos(*args, **kwargs):
+        counted.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "cos", counting_cos)
+    generate_pair(GeneratorSpec(family, 1, 50, seed=3), 0)
+    assert len(counted) == calls
 
 
 # sha256 of x and y bytes of pair 0 of a 64-row spec at seed 5, per generator

@@ -374,6 +374,39 @@ def test_run_benchmark_starts_no_more_workers_than_pairs(monkeypatch):
     assert cancelling == [True]
 
 
+def test_run_benchmark_submits_the_longest_pairs_first(monkeypatch):
+    # rows stay in input order, bit-equal to a serial run, while the pool
+    # gets the longest pairs first and equal lengths in input order
+    import concurrent.futures
+
+    submitted = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            pass
+
+        def submit(self, fn, pair, cfg):
+            submitted.append(pair.id)
+            future = concurrent.futures.Future()
+            future.set_result(fn(pair, cfg))
+            return future
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    pairs = [generate_dataset(GeneratorSpec("AN-s", 1, n, seed=i))[0]
+             for i, n in enumerate((50, 200, 100, 200))]
+    pairs = [PairDataset(p.x, p.y, p.weight, p.label, id=f"n{p.x.size}-{i}")
+             for i, p in enumerate(pairs)]
+    serial = run_benchmark(pairs, FAST, parallelism=1)
+    pooled = run_benchmark(pairs, FAST, parallelism=2)
+    assert submitted == ["n200-1", "n200-3", "n100-2", "n50-0"]
+    assert [r.id for r in pooled.rows] == [p.id for p in pairs]
+    assert ([repr(r.final_delta) for r in pooled.rows]
+            == [repr(r.final_delta) for r in serial.rows])
+
+
 def strip_runtime(csv_text):
     kept = []
     for line in csv_text.splitlines():
