@@ -50,9 +50,7 @@ A sampled pass takes a stream and draws its own noise from it: an n x H
 matrix of standard normals from the stream's "hidden" child and an n x 2
 one from its "output" child. sampler() serves Monte Carlo evaluation: the
 hidden layer's pre-activation mean and std do not depend on the noise, so
-it computes them once and each sample only adds std * eps. In training,
-the sampled pass reuses the posterior variances exp(logvar) that the KL
-pass computed.
+it computes them once and each sample only adds std * eps.
 
 The hidden layer's input has width 1, so its pre-activation mean x*w + b
 and variance x^2*v_w + v_b are each one BLAS product of the n x 2 design
@@ -64,21 +62,19 @@ x*w + (b + 0.0), which n = 1 or H = 1 keeps: under the Haswell and SkylakeX
 kernels the product gave other bits at H = 1 for every n >= 2 tried, and
 at n = 1 with H = 50 under SkylakeX; under Prescott, Nehalem and
 Sandybridge it did not. A test checks the product against the broadcast
-form under four OpenBLAS kernels. x, x^2 and the two designs depend on x
-alone, so each thread builds them once for a run of passes over the same x
-(a pair's epochs and its evaluation) and builds them anew when x's bytes
-change.
+form under four OpenBLAS kernels.
 
 Epochs and Monte Carlo samples allocate no data-sized array: the noise,
-the pre-activations, the stds, the stacked weights [w; b], the tanh
-derivative, the input gradient and the scaled noise gradients are
-written with out= or in place into one buffer per (layer, role), kept for
-the life of the thread and reallocated only when its shape changes (a pair
-of another length). A value whose last use has passed is overwritten in
-place (the backward pass turns s_out into 0.5 / s_out, d(loss)/d(h_out)
-into the scaled noise gradient and the output layer's input a into 2a), so
-that few buffers are live and they stay in cache; an in-place product on
-n x H arrays also costs about half of one into another array. Each value
+the pre-activations, the squared inputs, the stds, the designs [h, 1] and
+stacked weights [w; b], the tanh derivative, the input gradient and the
+scaled noise gradients are written with out= or in place into one buffer
+per (layer, role), kept for the life of the thread and reallocated only
+when its shape changes (a pair of another length). A value whose last use
+has passed is overwritten in place (the backward pass turns s_out into
+0.5 / s_out, d(loss)/d(h_out) into the scaled noise gradient and the
+output layer's input a into 2a), so that few buffers are live and they
+stay in cache; an in-place product on n x H arrays also costs about half
+of one into another array. Each value
 is computed by the same operations on the same operands as with fresh
 arrays, so the bytes are the same. Every buffer is written before it is
 read within one call, so no call sees another's data. Each thread has its
@@ -91,7 +87,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, fields
-from typing import Callable, ClassVar, NamedTuple
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -281,8 +277,8 @@ def _grad_slices(grad: ConditionalModel) -> tuple[np.ndarray, ...]:
 
 def _kl(model: ConditionalModel, scale: float, grad: ConditionalModel | None = None):
     """Per model, the KL from the factorized posteriors to the priors, as
-    (hidden layer, output layer), and each layer's posterior variances
-    (v_w, v_b). With grad, the gradient of scale * KL overwrites its blocks.
+    (hidden layer, output layer). With grad, the gradient of scale * KL
+    overwrites its blocks.
 
     Each operation covers a field of both layers at once; each layer's sum
     runs over its own part of a slice (the first hidden_width entries are
@@ -323,16 +319,13 @@ def _kl(model: ConditionalModel, scale: float, grad: ConditionalModel | None = N
         g_ls *= scale
     h = model.hidden_width
     reduce = np.add.reduce
-    kl = (reduce(kl_w[..., :h], -1) + reduce(kl_b[..., :h], -1),
-          reduce(kl_w[..., h:], -1) + reduce(kl_b[..., h:], -1))
-    variances = ((v_w[..., :h].reshape(model.hidden.logvar_w.shape), v_b[..., :h]),
-                 (v_w[..., h:].reshape(model.output.logvar_w.shape), v_b[..., h:]))
-    return kl, variances
+    return (reduce(kl_w[..., :h], -1) + reduce(kl_b[..., :h], -1),
+            reduce(kl_w[..., h:], -1) + reduce(kl_b[..., h:], -1))
 
 
 def kl_model(model: ConditionalModel):
     """Closed-form KL from all factorized posteriors to their priors, in nats, per model."""
-    (kl_hidden, kl_output), _ = _kl(model, 1.0)
+    kl_hidden, kl_output = _kl(model, 1.0)
     return kl_hidden + kl_output
 
 
@@ -386,56 +379,20 @@ def _draw_noise(model: ConditionalModel, n: int, stream: RngStream):
             draw_standard_normal(stream.child("output"), _buffer("output", "eps", (n, 2))))
 
 
-class _LayerInput(NamedTuple):
-    """A layer's (..., n, A) input h and what a pass derives from it, where
-    already built: its square and, for A = 1, the designs [h, 1] and [h^2, 1]."""
-
-    h: np.ndarray
-    h_sq: np.ndarray | None = None
-    design: np.ndarray | None = None
-    design_sq: np.ndarray | None = None
-
-
-def _with_ones(h: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The design [h, 1] of a width-1 input h, written into out."""
-    out[..., :1] = h
-    out[..., 1] = _ONE
-    return out
-
-
-def _hidden_input(x: np.ndarray) -> _LayerInput:
-    """x as the hidden layer's input, with its square and both designs.
-
-    They depend on x alone, so this thread keeps the last ones it built,
-    in arrays of their own that no pass writes into, and builds them anew
-    only when x's shape or bytes differ.
-    """
-    key = (x.shape, x.tobytes())
-    cached = getattr(_LOCAL, "hidden_input", None)
-    if cached is None or cached[0] != key:
-        h = x[..., None].copy()
-        h_sq = h * h
-        designs = ((_with_ones(h, np.empty(h.shape[:-1] + (2,))),
-                    _with_ones(h_sq, np.empty(h.shape[:-1] + (2,))))
-                   if h.shape[-2] >= 2 else ())
-        cached = _LOCAL.hidden_input = key, _LayerInput(h, h_sq, *designs)
-    return cached[1]
-
-
 def _affine(h_in: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray,
-            name: str, design: np.ndarray | None = None) -> np.ndarray:
+            name: str) -> np.ndarray:
     """h_in @ w + b written into out; every entry of a width-1 input is
     RN(RN(h * w) + (b + 0.0)).
 
     A width-1 input with at least 2 rows and 2 columns goes through one
-    product of the design [h_in, 1] (given, or built in the layer's
-    buffers) with the stacked [w; b]. A gemm kernel starts each sum at
-    +0.0 and adds the terms in column order, so it rounds h * w first,
-    turning a -0.0 product into +0.0, and then adds 1 * b exactly as the
-    broadcast form adds b + 0.0. 1 row or 1 column keeps the broadcast
-    form: there the product gave other bits under the Haswell and SkylakeX
-    kernels (at width 1 for every n >= 2 tried, and with 1 row at width 50
-    under SkylakeX), though not under Prescott, Nehalem or Sandybridge.
+    product of the design [h_in, 1] with the stacked [w; b], both built in
+    the layer's buffers. A gemm kernel starts each sum at +0.0 and adds the
+    terms in column order, so it rounds h * w first, turning a -0.0
+    product into +0.0, and then adds 1 * b exactly as the broadcast form
+    adds b + 0.0. 1 row or 1 column keeps the broadcast form: there the
+    product gave other bits under the Haswell and SkylakeX kernels (at
+    width 1 for every n >= 2 tried, and with 1 row at width 50 under
+    SkylakeX), though not under Prescott, Nehalem or Sandybridge.
     """
     rows, width = out.shape[-2:]
     if h_in.shape[-1] != 1:
@@ -445,8 +402,9 @@ def _affine(h_in: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray,
         np.multiply(h_in, w, out=out)
         out += b[..., None, :] + _ZERO
     else:
-        if design is None:
-            design = _with_ones(h_in, _buffer(name, "design", h_in.shape[:-1] + (2,)))
+        design = _buffer(name, "design", h_in.shape[:-1] + (2,))
+        design[..., :1] = h_in
+        design[..., 1] = _ONE
         wb = _buffer(name, "wb", w.shape[:-2] + (2, width))
         wb[..., :1, :] = w
         wb[..., 1, :] = b
@@ -454,14 +412,12 @@ def _affine(h_in: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray,
     return out
 
 
-def _layer_std(inp: _LayerInput, v_w: np.ndarray, v_b: np.ndarray, name: str,
+def _layer_std(h_in: np.ndarray, v_w: np.ndarray, v_b: np.ndarray, name: str,
                out: np.ndarray):
     """The pre-activation std sqrt(h_in^2 @ v_w + v_b), written into out,
     and the h_in^2 the backward pass needs."""
-    h_sq = inp.h_sq
-    if h_sq is None:
-        h_sq = np.multiply(inp.h, inp.h, out=_buffer(name, "h_sq", inp.h.shape))
-    return np.sqrt(_affine(h_sq, v_w, v_b, out, name, inp.design_sq), out=out), h_sq
+    h_sq = np.multiply(h_in, h_in, out=_buffer(name, "h_sq", h_in.shape))
+    return np.sqrt(_affine(h_sq, v_w, v_b, out, name), out=out), h_sq
 
 
 def _sample(mean: np.ndarray, std: np.ndarray, eps: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -470,25 +426,22 @@ def _sample(mean: np.ndarray, std: np.ndarray, eps: np.ndarray, out: np.ndarray)
     return np.add(mean, out, out=out)
 
 
-def _layer_forward(layer: VariationalLinearLayer, inp: _LayerInput, eps: np.ndarray | None,
-                   name: str, variances=None):
-    """Pre-activations of one layer and the cache its backward pass needs.
+def _layer_forward(layer: VariationalLinearLayer, h_in: np.ndarray, eps: np.ndarray | None,
+                   name: str):
+    """Pre-activations of one layer for the (..., n, A) input h_in and the
+    cache its backward pass needs.
 
-    With eps the pre-activations are drawn from their induced Gaussian,
-    whose posterior variances (v_w, v_b) are given or computed here; with
-    eps=None the pass runs through the posterior means only. Both live in
-    the buffers of layer name until its next forward pass: its "pre"
+    With eps the pre-activations are drawn from their induced Gaussian;
+    with eps=None the pass runs through the posterior means only. Both live
+    in the buffers of layer name until its next forward pass: its "pre"
     buffer holds the mean, the std and the sample.
     """
-    h_in = inp.h
     pre = _buffer(name, "pre", (3,) + h_in.shape[:-1] + (layer.out_dim,))
-    mean = _affine(h_in, layer.mean_w, layer.mean_b, pre[0], name, inp.design)
+    mean = _affine(h_in, layer.mean_w, layer.mean_b, pre[0], name)
     if eps is None:
         return mean, (h_in, None)
-    if variances is None:
-        variances = np.exp(layer.logvar_w), np.exp(layer.logvar_b)
-    v_w, v_b = variances
-    s_out, h_sq = _layer_std(inp, v_w, v_b, name, pre[1])
+    v_w, v_b = np.exp(layer.logvar_w), np.exp(layer.logvar_b)
+    s_out, h_sq = _layer_std(h_in, v_w, v_b, name, pre[1])
     out = _sample(mean, s_out, eps, pre[2])
     return out, (h_in, (h_sq, v_w, v_b, s_out, eps))
 
@@ -580,11 +533,19 @@ def _inputs(model: ConditionalModel, x) -> np.ndarray:
     return x
 
 
-def _predictions(model: ConditionalModel, p1: np.ndarray, eps_output, variances=None):
+def _data(model: ConditionalModel, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) as float arrays of the shape _inputs asks of x."""
+    x = _inputs(model, x)
+    y = np.asarray(y, dtype=float)
+    if y.shape != x.shape:
+        raise ArgumentError(f"y must have x's shape {x.shape}, got shape {y.shape}")
+    return x, y
+
+
+def _predictions(model: ConditionalModel, p1: np.ndarray, eps_output):
     """(mu, sigma) from the hidden pre-activations p1 (a buffer, overwritten)."""
     _check_finite(p1, "hidden")
-    p2 = _layer_forward(model.output, _LayerInput(np.tanh(p1, out=p1)), eps_output, "output",
-                        variances)[0]
+    p2 = _layer_forward(model.output, np.tanh(p1, out=p1), eps_output, "output")[0]
     _check_finite(p2, "output")
     # p2 is a reused buffer: the caller gets copies
     mu = p2[..., 0].copy()
@@ -599,23 +560,22 @@ def sampler(
 
     The hidden layer's pre-activation mean x*w + b and std
     sqrt(x^2 * v_w + v_b) do not depend on the noise, so they are computed
-    here, once, into arrays the returned function owns, as are the output
-    layer's posterior variances; each call draws the noise from its
-    stream, forms mean + std * eps_hidden and runs the output layer, with
-    the bytes of the sampled pass elbo_objective makes on that stream.
+    here, once, into arrays the returned function owns; each call draws
+    the noise from its stream, forms mean + std * eps_hidden and runs the
+    output layer, with the bytes of the sampled pass elbo_objective makes
+    on that stream.
     """
-    inp = _hidden_input(_inputs(model, x))
-    shape = inp.h.shape[:-1] + (model.hidden_width,)
+    h_in = _inputs(model, x)[..., None]
+    shape = h_in.shape[:-1] + (model.hidden_width,)
     hidden = model.hidden
-    mean = _affine(inp.h, hidden.mean_w, hidden.mean_b, np.empty(shape), "hidden", inp.design)
-    std = _layer_std(inp, np.exp(hidden.logvar_w), np.exp(hidden.logvar_b), "hidden",
+    mean = _affine(h_in, hidden.mean_w, hidden.mean_b, np.empty(shape), "hidden")
+    std = _layer_std(h_in, np.exp(hidden.logvar_w), np.exp(hidden.logvar_b), "hidden",
                      np.empty(shape))[0]
-    output_variances = np.exp(model.output.logvar_w), np.exp(model.output.logvar_b)
 
     def sample(stream: RngStream):
         eps_hidden, eps_output = _draw_noise(model, shape[-2], stream)
         p1 = _sample(mean, std, eps_hidden, _buffer("hidden", "pre", (3,) + shape)[2])
-        return _predictions(model, p1, eps_output, output_variances)
+        return _predictions(model, p1, eps_output)
 
     return sample
 
@@ -626,8 +586,8 @@ def model_forward(model: ConditionalModel, x: np.ndarray) -> tuple[np.ndarray, n
     sigma = exp(clamped log-scale) > 0. Sampled predictions come from
     sampler(model, x).
     """
-    inp = _hidden_input(_inputs(model, x))
-    return _predictions(model, _layer_forward(model.hidden, inp, None, "hidden")[0], None)
+    h_in = _inputs(model, x)[..., None]
+    return _predictions(model, _layer_forward(model.hidden, h_in, None, "hidden")[0], None)
 
 
 def gaussian_nll(y: np.ndarray, mu: np.ndarray, sigma: np.ndarray):
@@ -675,18 +635,14 @@ def _nll_head(y: np.ndarray, p2: np.ndarray):
     return loss, g_p2
 
 
-def _data_nll(model, x, y, grad: ConditionalModel, eps=None, variances=(None, None)):
-    """NLL of y given x through the network; its gradient is added into grad.
-
-    A sampled pass (eps given) uses the layers' posterior variances when
-    given them.
-    """
+def _data_nll(model, x: np.ndarray, y: np.ndarray, grad: ConditionalModel, eps=None):
+    """NLL of y given x (arrays _data checked) through the network; its
+    gradient is added into grad."""
     eps1, eps2 = (None, None) if eps is None else eps
-    inp = _hidden_input(np.asarray(x, dtype=float))
-    p1, cache1 = _layer_forward(model.hidden, inp, eps1, "hidden", variances[0])
+    p1, cache1 = _layer_forward(model.hidden, x[..., None], eps1, "hidden")
     a = np.tanh(p1, out=p1)
-    p2, cache2 = _layer_forward(model.output, _LayerInput(a), eps2, "output", variances[1])
-    loss, g_p2 = _nll_head(np.asarray(y, dtype=float), p2)
+    p2, cache2 = _layer_forward(model.output, a, eps2, "output")
+    loss, g_p2 = _nll_head(y, p2)
     g_a = _layer_backward(cache2, g_p2, grad.output, "output", model.output)
     # tanh' = 1 - a^2, formed over a * a: the sampled pass has put it in the
     # output layer's h_sq buffer; on the mean path a is not needed any more
@@ -708,11 +664,10 @@ def elbo_objective(
     """
     if not 0.0 <= beta <= 1.0:
         raise ArgumentError(f"beta must lie in [0, 1], got {beta}")
-    x = np.asarray(x, dtype=float)
+    x, y = _data(model, x, y)
     eps = _draw_noise(model, x.shape[-1], stream)
-    (kl_hidden, kl_output), variances = _kl(model, beta, grad)
-    loss_nll = _data_nll(model, x, y, grad, eps, variances)
-    return loss_nll + beta * (kl_hidden + kl_output)
+    kl_hidden, kl_output = _kl(model, beta, grad)
+    return _data_nll(model, x, y, grad, eps) + beta * (kl_hidden + kl_output)
 
 
 def map_objective(
@@ -722,5 +677,6 @@ def map_objective(
 
     Deterministic point-estimate phase: posterior variances take no gradient (their blocks get 0).
     """
+    x, y = _data(model, x, y)
     pen_hidden, pen_output = _map_penalty(model, grad)
     return _data_nll(model, x, y, grad) + pen_hidden + pen_output

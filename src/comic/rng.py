@@ -9,11 +9,8 @@ sets an SFC64 generator's 256-bit state to the hash under _NOISE_DOMAIN and
 discards 12 outputs, as SFC64's own seeding does. Either way a draw is a
 pure function of (seed, tags, shape): replaying a stream gives
 bit-identical output on any platform, and differently tagged streams are
-statistically independent. Derive a child with new tags whenever fresh
-randomness is needed. A stream's only mutable state is a cache of its
-identity's hash per domain: a child derived by child() extends a copy of
-its parent's hash by the new tags instead of hashing every tag again, which
-gives the same digest.
+statistically independent. Streams carry no mutable state; derive a child
+with new tags whenever fresh randomness is needed.
 
 draw_standard_normal is on the training hot path, so it reuses one SFC64
 generator per thread instead of building one per draw: before each draw
@@ -51,44 +48,21 @@ def check_seed(seed: int) -> int:
 class RngStream:
     seed: int
     tags: tuple[str, ...] = field(default_factory=tuple)
-    # the stream child() derived this one from, and this stream's hash state
-    # per domain, filled on first use; neither is part of its identity
-    _parent: RngStream | None = field(default=None, init=False, repr=False, compare=False)
-    _hashes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def child(self, *tags: str | int) -> "RngStream":
         """Derive a sub-stream; int tags are stringified."""
-        child = RngStream(self.seed, self.tags + tuple(map(str, tags)))
-        object.__setattr__(child, "_parent", self)
-        return child
-
-    def __reduce__(self):
-        # the cached hash states cannot be pickled; the identity rebuilds them
-        return RngStream, (self.seed, self.tags)
-
-    def _hash(self, domain: bytes):
-        """SHA-256 state after the domain and this stream's identity."""
-        h = self._hashes.get(domain)
-        if h is None:
-            parent = self._parent
-            if parent is None:
-                h = hashlib.sha256(domain)
-                h.update(check_seed(self.seed).to_bytes(8, "little", signed=True))
-                tags = self.tags
-            else:
-                h = parent._hash(domain).copy()
-                tags = self.tags[len(parent.tags):]
-            for tag in tags:
-                raw = tag.encode("utf-8")
-                # length prefix keeps ("a","b") distinct from ("ab",)
-                h.update(len(raw).to_bytes(4, "little"))
-                h.update(raw)
-            self._hashes[domain] = h
-        return h
+        return RngStream(self.seed, self.tags + tuple(map(str, tags)))
 
     def _digest(self, domain: bytes) -> bytes:
         """SHA-256 of the domain and this stream's identity."""
-        return self._hash(domain).digest()
+        h = hashlib.sha256(domain)
+        h.update(check_seed(self.seed).to_bytes(8, "little", signed=True))
+        for tag in self.tags:
+            raw = tag.encode("utf-8")
+            # length prefix keeps ("a","b") distinct from ("ab",)
+            h.update(len(raw).to_bytes(4, "little"))
+            h.update(raw)
+        return h.digest()
 
     def generator(self) -> np.random.Generator:
         """A fresh Philox generator positioned at the start of this stream."""

@@ -17,7 +17,6 @@ import pytest
 from comic.bnn import (
     ConditionalModel,
     _layer_forward,
-    _LayerInput,
     elbo_objective,
     gaussian_nll,
     kl_model,
@@ -189,7 +188,7 @@ def test_criterion_5_local_reparam_equivalence():
         v_out = (row * row) @ np.exp(layer.logvar_w) + np.exp(layer.logvar_b)
 
         eps = draw_standard_normal(RngStream(trial).child("lr"), np.empty((n_draws, b)))
-        local = _layer_forward(layer, _LayerInput(np.tile(row, (n_draws, 1))), eps, "hidden")[0]
+        local = _layer_forward(layer, np.tile(row, (n_draws, 1)), eps, "hidden")[0]
 
         gen = RngStream(trial).child("ws").generator()
         w = layer.mean_w + np.sqrt(np.exp(layer.logvar_w)) * gen.standard_normal((n_draws, a, b))

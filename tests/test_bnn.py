@@ -17,7 +17,6 @@ from comic.bnn import (
     gaussian_nll,
     _kl,
     _layer_forward,
-    _LayerInput,
     _map_penalty,
     kl_model,
     map_objective,
@@ -48,11 +47,11 @@ def make_layer(mean_w, logvar=-9.0, mean_b=None, logvar_b=None, log_prior=0.0):
 def sampled_layer(layer, h_in, stream):
     """One sampled pass through a single layer, its noise drawn from stream."""
     eps = draw_standard_normal(stream, np.empty((h_in.shape[0], layer.out_dim)))
-    return _layer_forward(layer, _LayerInput(h_in), eps, "hidden")[0].copy()
+    return _layer_forward(layer, h_in, eps, "hidden")[0].copy()
 
 
 def mean_layer(layer, h_in):
-    return _layer_forward(layer, _LayerInput(h_in), None, "hidden")[0].copy()
+    return _layer_forward(layer, h_in, None, "hidden")[0].copy()
 
 
 def stack(*models):
@@ -389,6 +388,25 @@ def test_unpack_rejects_a_vector_of_the_wrong_length(shape):
         unpack_params(model, np.zeros(shape))
 
 
+@pytest.mark.parametrize("objective", [map_objective, elbo_objective], ids=["map", "elbo"])
+@pytest.mark.parametrize("case", ["rows-on-single", "one-row-on-stack", "short-y"])
+def test_objectives_reject_mismatched_inputs(case, objective):
+    # each used to fail inside the pass with a bare numpy ValueError, after
+    # the prior terms had written part of the gradient
+    single = random_model(4, 2, 3)
+    x = np.linspace(-1.0, 1.0, 6)
+    model, x, y = {
+        "rows-on-single": (single, np.stack([x, x]), np.stack([x, x])),
+        "one-row-on-stack": (stack(single, single), x, x),
+        "short-y": (single, x, x[:-1]),
+    }[case]
+    vec = np.full(pack_params(model).shape, np.nan)
+    args = (0.5, RngStream(0)) if objective is elbo_objective else ()
+    with pytest.raises(ArgumentError, match="shape"):
+        objective(model, x, y, *args, unpack_params(model, vec))
+    assert np.isnan(vec).all()
+
+
 # ------------------------------------------------- byte-level oracle
 #
 # Plain reference versions of the hot loop. The package's own versions
@@ -653,7 +671,7 @@ def test_prior_terms_match_the_per_layer_oracles(width, stacked):
     model = stack(*problems) if stacked else problems[0]
     for scale in (0.4, 1.0):
         vec = np.full(pack_params(model).shape, np.nan)
-        kl, _ = _kl(model, scale, unpack_params(model, vec))
+        kl = _kl(model, scale, unpack_params(model, vec))
         assert np.isfinite(vec).all()
         for d, problem in enumerate(problems[:1 + stacked]):
             oracle = [oracle_kl_layer(layer, scale) for layer in (problem.hidden, problem.output)]

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -62,6 +64,15 @@ def test_child_does_not_mutate_parent():
     child = parent.child("y")
     assert parent.tags == ("x",)
     assert child.tags == ("x", "y")
+
+
+def test_derived_stream_round_trips_through_pickle():
+    # a stream is its (seed, tags) and nothing else, drawn from or not
+    stream = RngStream(9, ("x",)).child("y", 3)
+    drawn = draw_standard_normal(stream, np.empty((3, 4))).tobytes()
+    copy = pickle.loads(pickle.dumps(stream))
+    assert copy == stream and copy.tags == ("x", "y", "3")
+    assert draw_standard_normal(copy, np.empty((3, 4))).tobytes() == drawn
 
 
 @given(

@@ -83,10 +83,11 @@ def test_score_independent_of_blas_threads():
 
 
 def test_score_independent_of_blas_threads_where_products_use_threads():
-    # OpenBLAS 0.3.31 runs a gemm on one thread until M * N * K reaches
-    # twice 65536 * 4, so at n = 300 and at n = 4000 every product of a
-    # width-50 model stays on one thread; at n = 6000 some do not, which
-    # the second thread's CPU time shows
+    # which products OpenBLAS 0.3.31 threads does not follow from their
+    # sizes alone: on a 2-CPU SkylakeX VM at n = 6000 only the output
+    # layer's g @ w^T products, taken on transposed views of w, ran on a
+    # second thread, while contiguous copies of the same products ran on
+    # one. The second thread's CPU time shows whether any product used it
     if (os.cpu_count() or 1) < 2:
         pytest.skip("OpenBLAS starts no second thread on one CPU")
     (one, _), (two, ticks) = score_at_one_and_two_blas_threads(n=6000, epochs=5, warmup=2, mc=2)
