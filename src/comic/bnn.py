@@ -20,10 +20,12 @@ field's blocks of both layers are one contiguous slice, the hidden layer's
 hidden_width entries first. The prior terms (the KL and the MAP penalty)
 run as one pass of whole-slice operations over both layers; each layer's
 sum still runs over its own part of a slice, so it adds what it added over
-its block alone, in the same order. Each objective takes a model that
-unpack_params built as its gradient and overwrites every block with
-d(loss)/d(parameter), so the caller's flat gradient vector holds the
-result without any packing.
+its block alone, in the same order. They run on the slices unpack_params
+records, so kl_model and the objectives take only models and gradients
+that unpack_params built, as ConditionalModel.initial's model is; any
+other raises ArgumentError before a gradient entry is written. Each
+objective overwrites every block of its gradient with d(loss)/d(parameter),
+so the caller's flat gradient vector holds the result without any packing.
 
 A model may be a stack of models on leading axes: the two directions of a
 pair are one model whose weight blocks are (2, A, B) and bias blocks
@@ -33,14 +35,9 @@ noise matrices do not, and broadcast over them, so every model of a stack
 sees the same draw. All block arithmetic runs over the trailing axes
 (per-slice matmul, sums along the last axes), so one forward/backward path
 serves a single model and a stack, and each slice of a stack gets the
-bytes it would get alone. At hidden width 1 the hidden layer's gradient
-products h_in^T @ g are (1 x n) @ (n x 1), and OpenBLAS's Prescott and
-Core2 kernels (core "Katmai") give such a product other bits when a row
-starts off a 16-byte boundary, as the second slice of a stacked (2, n, 1)
-input does for odd n. That product therefore runs on copies whose rows
-start on 16-byte boundaries, for a stack and a single model alike (a test
-checks widths 1, 2, 3, 7 and 50 under Prescott). The objectives and
-kl_model return one value per model.
+bytes it would get alone (at hidden width 1 with the help of aligned
+copies, see _transposed_product). The objectives and kl_model return one
+value per model.
 
 Every pass, training or evaluation, goes through one forward/backward pair
 per layer: with a noise matrix it is the sampled (local reparameterization)
@@ -58,11 +55,7 @@ and variance x^2*v_w + v_b are each one BLAS product of the n x 2 design
 RN(RN(x*w) + b), with a -0.0 product taken as +0.0: a gemm kernel starts
 each sum at +0.0 and adds the two terms in column order, which is why the
 ones are the second column. These are the bytes of the broadcast form
-x*w + (b + 0.0), which n = 1 or H = 1 keeps: under the Haswell and SkylakeX
-kernels the product gave other bits at H = 1 for every n >= 2 tried, and
-at n = 1 with H = 50 under SkylakeX; under Prescott, Nehalem and
-Sandybridge it did not. A test checks the product against the broadcast
-form under four OpenBLAS kernels.
+x*w + (b + 0.0), which n = 1 or H = 1 keeps (see _affine).
 
 Epochs and Monte Carlo samples allocate no data-sized array: the noise,
 the pre-activations, the squared inputs, the stds, the designs [h, 1] and
@@ -71,11 +64,10 @@ scaled noise gradients are written with out= or in place into one buffer
 per (layer, role), kept for the life of the thread and reallocated only
 when its shape changes (a pair of another length). A value whose last use
 has passed is overwritten in place (the backward pass turns s_out into
-0.5 / s_out, d(loss)/d(h_out) into the scaled noise gradient and the
-output layer's input a into 2a), so that few buffers are live and they
-stay in cache; an in-place product on n x H arrays also costs about half
-of one into another array. Each value
-is computed by the same operations on the same operands as with fresh
+0.5 / s_out and d(loss)/d(h_out) into the scaled noise gradient), so that
+few buffers are live and they stay in cache; an in-place product on n x H
+arrays also costs about half of one into another array. Each value is
+computed by the same operations on the same operands as with fresh
 arrays, so the bytes are the same. Every buffer is written before it is
 read within one call, so no call sees another's data. Each thread has its
 own buffers, so threads scoring at once get the bytes they would get
@@ -197,10 +189,12 @@ class ConditionalModel:
 
     @classmethod
     def initial(cls, hidden_width: int, stream: RngStream) -> "ConditionalModel":
-        return cls(
+        """A fresh model whose blocks are views of one packed vector."""
+        model = cls(
             hidden=VariationalLinearLayer.initial(1, hidden_width, stream.child("hidden")),
             output=VariationalLinearLayer.initial(hidden_width, 2, stream.child("output")),
         )
+        return unpack_params(model, pack_params(model))
 
     # the duck-typed surface conditional_variational_codelength prices a model
     # through; it stays as the seam where a test substitutes a stand-in model
@@ -239,7 +233,8 @@ def unpack_params(model: ConditionalModel, vec: np.ndarray) -> ConditionalModel:
 
     vec's leading axes become the stack axes of the result: a (D, P) matrix
     gives a stack of D models. Writing into vec therefore updates the
-    returned model in place.
+    returned model in place. Only a model built here has the field_slices
+    that kl_model and the objectives read and write.
     """
     lead = len(model.stack_shape)
     shapes = [(name, block.shape[lead:]) for name, block in blocks(model)]
@@ -262,17 +257,11 @@ def unpack_params(model: ConditionalModel, vec: np.ndarray) -> ConditionalModel:
 
 
 def _field_slices(model: ConditionalModel) -> tuple[np.ndarray, ...]:
-    """model's field slices; a model built from separate blocks is packed first."""
+    """The field slices of a model or gradient that unpack_params built."""
     if model.field_slices is None:
-        return unpack_params(model, pack_params(model)).field_slices
+        raise ArgumentError("models and gradients must be views of a packed vector: "
+                            "build them with unpack_params")
     return model.field_slices
-
-
-def _grad_slices(grad: ConditionalModel) -> tuple[np.ndarray, ...]:
-    """The field slices an objective writes its gradient into."""
-    if grad.field_slices is None:
-        raise ArgumentError("the gradient must be a model that unpack_params built")
-    return grad.field_slices
 
 
 def _kl(model: ConditionalModel, scale: float, grad: ConditionalModel | None = None):
@@ -303,7 +292,7 @@ def _kl(model: ConditionalModel, scale: float, grad: ConditionalModel | None = N
     kl_b -= _HALF * lv_b
     kl_b -= _HALF
     if grad is not None:
-        g_mu, g_lv, g_mu_b, g_lv_b, g_ls = _grad_slices(grad)
+        g_mu, g_lv, g_mu_b, g_lv_b, g_ls = _field_slices(grad)
         scale = np.array(scale)
         np.multiply(scale, mu, out=g_mu)
         g_mu *= inv_z2
@@ -324,7 +313,8 @@ def _kl(model: ConditionalModel, scale: float, grad: ConditionalModel | None = N
 
 
 def kl_model(model: ConditionalModel):
-    """Closed-form KL from all factorized posteriors to their priors, in nats, per model."""
+    """Closed-form KL from all factorized posteriors to their priors, in nats,
+    per model, of a model that unpack_params built."""
     kl_hidden, kl_output = _kl(model, 1.0)
     return kl_hidden + kl_output
 
@@ -333,7 +323,7 @@ def _map_penalty(model: ConditionalModel, grad: ConditionalModel):
     """Per model, the negative log prior of the posterior means with constants
     dropped, as (hidden layer, output layer); its gradient overwrites grad's blocks."""
     mu, _, mu_b, _, ls = _field_slices(model)
-    g_mu, g_lv, g_mu_b, g_lv_b, g_ls = _grad_slices(grad)
+    g_mu, g_lv, g_mu_b, g_lv_b, g_ls = _field_slices(grad)
     inv_z2 = np.exp(_MINUS_TWO * ls)
     pen_w = _HALF * mu
     pen_w *= mu
@@ -450,9 +440,10 @@ def _transposed_product(h: np.ndarray, g: np.ndarray, name: str) -> np.ndarray:
     """h^T @ g over the trailing axes.
 
     For a width-1 h and g this is a (1 x n) @ (n x 1) product, which the
-    Prescott and Core2 kernels compute with other bits when a row starts
-    off a 16-byte boundary; it runs on copies in a (..., 2, n + n % 2)
-    buffer, whose rows all start on one.
+    Prescott and Core2 kernels (core "Katmai") compute with other bits when
+    a row starts off a 16-byte boundary, as the second slice of a stacked
+    (2, n, 1) input does for odd n; it runs on copies in a
+    (..., 2, n + n % 2) buffer, whose rows all start on one.
     """
     if h.shape[-1] != 1 or g.shape[-1] != 1:
         return h.swapaxes(-1, -2) @ g
@@ -484,9 +475,10 @@ def _layer_backward(cache, g_out: np.ndarray, grad: VariationalLinearLayer, name
 
     The pass writes over what it has used for the last time, since an
     in-place product on n x H arrays costs about half of one into another
-    array: g_out becomes the scaled noise gradient g_v, the cache's s_out
-    becomes 0.5 / s_out and, where d(loss)/d(h_in) is asked for, h_in
-    becomes 2 * h_in. The caller must not need them afterwards.
+    array: g_out becomes the scaled noise gradient g_v and the cache's s_out
+    becomes 0.5 / s_out. The caller must not need them afterwards. The
+    term 2 h_in (g_v @ v_w^T) is taken as h_in (g_v @ (2 v_w)^T), which
+    doubling keeps exact unless a product g_v * v_w is subnormal.
     """
     h_in, noise = cache
     grad.mean_w += _transposed_product(h_in, g_out, name)
@@ -503,9 +495,9 @@ def _layer_backward(cache, g_out: np.ndarray, grad: VariationalLinearLayer, name
     grad.logvar_w += _transposed_product(h_sq, g_v, name) * v_w
     grad.logvar_b += _row_sums(g_v) * v_b
     if layer is not None:
-        g_h = np.multiply(_TWO, h_in, out=h_in)
-        g_h *= np.matmul(g_v, v_w.swapaxes(-1, -2), out=g_v_w)
-        g_in += g_h
+        np.matmul(g_v, (_TWO * v_w).swapaxes(-1, -2), out=g_v_w)
+        g_v_w *= h_in
+        g_in += g_v_w
     return g_in
 
 
@@ -657,7 +649,7 @@ def elbo_objective(
     stream: RngStream, grad: ConditionalModel,
 ):
     """Sampled NLL plus beta-weighted KL, per model; its exact gradient under
-    the noise drawn from stream overwrites grad.
+    the noise drawn from stream overwrites grad (both built by unpack_params).
 
     The objective is a pure function of its arguments, so calls with the
     same stream evaluate the identical stochastic objective.
@@ -673,7 +665,8 @@ def elbo_objective(
 def map_objective(
     model: ConditionalModel, x: np.ndarray, y: np.ndarray, grad: ConditionalModel
 ):
-    """Joint negative log-likelihood of data, mean parameters and prior scales, per model.
+    """Joint negative log-likelihood of data, mean parameters and prior scales, per
+    model; its gradient overwrites grad (both built by unpack_params).
 
     Deterministic point-estimate phase: posterior variances take no gradient (their blocks get 0).
     """

@@ -170,17 +170,20 @@ def conditional_variational_codelength(
     model holds one model per direction along its leading axis, as
     train_conditional returns it; it is used through a duck-typed surface:
     sampler(causes), whose function draws a sample's noise from a stream,
-    and kl(). Sample m takes stream.child("eval", m), its noise drawn once
+    and kl(), which a ConditionalModel answers only if unpack_params built
+    it (bnn.kl_model raises ArgumentError otherwise, before any sample is
+    drawn). Sample m takes stream.child("eval", m), its noise drawn once
     and shared by all directions, and one pass evaluates them all.
     """
     mc_eval_samples = check_count("mc_eval_samples", mc_eval_samples, 1)
     x, y = _stack_directions(directions, 1)
+    kl = model.kl()
     sample = model.sampler(x)
     totals = np.zeros(len(x))
     for m in range(mc_eval_samples):
         mu, sigma = sample(stream.child("eval", m))
         totals += bnn.gaussian_nll(y, mu, sigma)
-    return [float(value) for value in totals / mc_eval_samples + model.kl()]
+    return [float(value) for value in totals / mc_eval_samples + kl]
 
 
 def _fingerprint(values: np.ndarray) -> str:

@@ -99,6 +99,6 @@ def draw_standard_normal(stream: RngStream, out: np.ndarray) -> np.ndarray:
         "state": {"state": np.frombuffer(digest, dtype=np.uint64)},
         "has_uint32": 0, "uinteger": 0,
     }
-    gen.bit_generator.random_raw(12)
+    gen.bit_generator.random_raw(12, output=False)
     gen.standard_normal(out=out)
     return out

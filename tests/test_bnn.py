@@ -54,6 +54,18 @@ def mean_layer(layer, h_in):
     return _layer_forward(layer, h_in, None, "hidden")[0].copy()
 
 
+def packed(model):
+    """model with its blocks views of a fresh vector, as kl_model and the objectives need."""
+    return unpack_params(model, pack_params(model))
+
+
+def loose(model):
+    """A copy of model in blocks of their own, as a model built by hand has them."""
+    return ConditionalModel(*(
+        VariationalLinearLayer(*(getattr(layer, f.name).copy() for f in dataclasses.fields(layer)))
+        for layer in (model.hidden, model.output)))
+
+
 def stack(*models):
     """One model holding models along a leading axis, its blocks views of a fresh matrix."""
     return unpack_params(models[0], np.stack([pack_params(m) for m in models]))
@@ -215,11 +227,11 @@ def test_gaussian_nll_rejects_nan_sigma():
 
 
 def test_kl_zero_when_posterior_equals_prior():
-    model = ConditionalModel(
+    model = packed(ConditionalModel(
         hidden=make_layer(np.zeros((1, 3)), logvar=0.0, log_prior=0.0),
         output=make_layer(np.zeros((3, 2)), logvar=0.0, log_prior=0.0,
                           logvar_b=0.0),
-    )
+    ))
     # bias priors are N(0,1): bias logvar 0 and mean 0 contribute zero too
     model.hidden.logvar_b[:] = 0.0
     assert kl_model(model) == approx(0.0, abs=1e-14)
@@ -238,7 +250,7 @@ def single_weight_kl(mu, var):
         hidden=layer,
         output=make_layer(np.zeros((1, 2)), logvar=0.0, logvar_b=0.0),
     )
-    return kl_model(model)
+    return kl_model(packed(model))
 
 
 def test_kl_worked_values():
@@ -264,10 +276,10 @@ def test_elbo_beta_zero_is_sampled_nll():
 
 
 def test_elbo_zero_kl_case():
-    model = ConditionalModel(
+    model = packed(ConditionalModel(
         hidden=make_layer(np.zeros((1, 2)), logvar=0.0, logvar_b=0.0),
         output=make_layer(np.zeros((2, 2)), logvar=0.0, logvar_b=0.0),
-    )
+    ))
     x = np.zeros(4)
     y = np.zeros(4)
     stream = RngStream(2).child("draw")
@@ -290,10 +302,10 @@ def test_elbo_deterministic_given_stream():
 
 
 def test_map_zero_mean_unit_prior_is_pure_nll():
-    model = ConditionalModel(
+    model = packed(ConditionalModel(
         hidden=make_layer(np.zeros((1, 3))),
         output=make_layer(np.zeros((3, 2))),
-    )
+    ))
     x = np.array([0.5, -0.5, 1.0])
     y = np.array([0.2, 0.1, -0.3])
     loss = map_objective(model, x, y, grad_buffer(model)[1])
@@ -301,14 +313,14 @@ def test_map_zero_mean_unit_prior_is_pure_nll():
 
 
 def test_map_prior_penalty_single_weight():
-    base = ConditionalModel(
+    base = packed(ConditionalModel(
         hidden=make_layer(np.zeros((1, 1))),
         output=make_layer(np.zeros((1, 2))),
-    )
-    bumped = ConditionalModel(
+    ))
+    bumped = packed(ConditionalModel(
         hidden=make_layer(np.array([[2.0]])),
         output=make_layer(np.zeros((1, 2))),
-    )
+    ))
     x = np.zeros(4)
     y = np.zeros(4)
     # x = 0 makes the data term identical, isolating the mu^2/(2 z^2) penalty
@@ -386,6 +398,32 @@ def test_unpack_rejects_a_vector_of_the_wrong_length(shape):
     model = random_model(4, 2, 3)
     with pytest.raises(ArgumentError, match=f"has {shape[-1]} entries, expected 48"):
         unpack_params(model, np.zeros(shape))
+
+
+def test_initial_model_is_a_view_of_one_packed_vector():
+    model = ConditionalModel.initial(4, RngStream(0).child("init"))
+    base = model.field_slices[0].base
+    assert base.shape == pack_params(model).shape
+    assert all(block.base is base for _, block in blocks(model))
+    assert all(field_slice.base is base for field_slice in model.field_slices)
+
+
+@pytest.mark.parametrize("call", ["map", "elbo", "kl"])
+def test_prior_terms_refuse_a_model_that_unpack_params_did_not_build(call):
+    # such a model or gradient used to be packed afresh on every call; now
+    # it is refused, naming the function that builds one, before any
+    # gradient entry is written
+    model = random_model(3, 4, 5)
+    x = np.linspace(-1.0, 1.0, 6)
+    vec, grad = grad_buffer(model)
+    nan_grad = loose(grad)
+    run = {"map": lambda m, g: map_objective(m, x, x, g),
+           "elbo": lambda m, g: elbo_objective(m, x, x, 0.5, RngStream(0), g),
+           "kl": lambda m, g: kl_model(m)}[call]
+    for m, g in [(loose(model), grad)] + ([] if call == "kl" else [(model, nan_grad)]):
+        with pytest.raises(ArgumentError, match="unpack_params"):
+            run(m, g)
+    assert np.isnan(vec).all() and np.isnan(pack_params(nan_grad)).all()
 
 
 @pytest.mark.parametrize("objective", [map_objective, elbo_objective], ids=["map", "elbo"])
@@ -552,11 +590,11 @@ def edge_layer(rng, in_dim, out_dim, mean_scale, zero_share):
 
 def edge_problem(width, n, seed, zero_share):
     rng = np.random.default_rng(seed)
-    model = ConditionalModel(
+    model = packed(ConditionalModel(
         hidden=edge_layer(rng, 1, width, 1.0, zero_share),
         # wide output weights push the log-scale past +-15, into the clamp
         output=edge_layer(rng, width, 2, 20.0 / math.sqrt(width), zero_share),
-    )
+    ))
     x = with_signed_zeros(rng, 2.0 * rng.standard_normal(n), zero_share)
     y = with_signed_zeros(rng, rng.standard_normal(n), zero_share)
     return model, x, y

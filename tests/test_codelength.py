@@ -25,7 +25,7 @@ from comic.data import (
 from comic.errors import ArgumentError, NumericError
 from comic.evaluation import run_benchmark
 from comic.rng import RngStream
-from tests.test_bnn import make_layer, stack
+from tests.test_bnn import loose, make_layer, packed, stack
 
 FAST = TrainConfig(hidden_width=8, vi_epochs=60, warmup_epochs=10, map_epochs=60,
                    mc_eval_samples=8, seed=3)
@@ -229,10 +229,10 @@ def test_independent_pair_matches_marginal_plus_kl():
 
 
 def test_eval_codelength_prior_collapse():
-    model = ConditionalModel(
+    model = packed(ConditionalModel(
         hidden=make_layer(np.zeros((1, 3)), logvar=-60.0),
         output=make_layer(np.zeros((3, 2)), logvar=-60.0),
-    )
+    ))
     rng = np.random.default_rng(7)
     x = rng.standard_normal(40)
     y = rng.standard_normal(40)
@@ -397,6 +397,15 @@ def test_eval_codelength_needs_one_model_per_direction():
         conditional_variational_codelength(model, [(x, x), (x, x)], 2, RngStream(0))
 
 
+def test_eval_codelength_refuses_a_model_unpack_params_did_not_build(monkeypatch):
+    # the refusal comes from kl(), before any Monte Carlo sample is drawn
+    model = loose(stack(ConditionalModel.initial(3, RngStream(0).child("init"))))
+    monkeypatch.setattr(bnn, "sampler", lambda *args: pytest.fail("sampled first"))
+    x = np.linspace(-1.0, 1.0, 20)
+    with pytest.raises(ArgumentError, match="unpack_params"):
+        conditional_variational_codelength(model, [(x, x)], 2, RngStream(0))
+
+
 def test_train_conditional_needs_directions_of_one_length():
     x = np.linspace(-1.0, 1.0, 20)
     with pytest.raises(ArgumentError, match="equal length"):
@@ -478,12 +487,18 @@ def test_more_vi_epochs_do_not_hurt_linear_pair():
     assert long <= short + 3.0 * math.hypot(se_short, se_long)
 
 
+# the golden pairs and their config; tests/test_subprocesses.py scores them
+# under each OpenBLAS kernel too
+GOLDEN_CONFIG = dict(hidden_width=6, vi_epochs=40, warmup_epochs=8, map_epochs=40,
+                     mc_eval_samples=4, seed=5)
+GOLDEN_SPEC = dict(family="LS-s", n_pairs=4, n_samples=40, seed=900)
+
+
 def test_golden_scores_are_pinned():
     # exact score reprs: any change to the order of the training or evaluation
     # arithmetic shows up here, even when every tolerance-based test still passes
-    cfg = TrainConfig(hidden_width=6, vi_epochs=40, warmup_epochs=8, map_epochs=40,
-                      mc_eval_samples=4, seed=5)
-    pairs = generate_dataset(GeneratorSpec("LS-s", 4, 40, seed=900))
+    cfg = TrainConfig(**GOLDEN_CONFIG)
+    pairs = generate_dataset(GeneratorSpec(**GOLDEN_SPEC))
     assert [repr(score_pair(pair, cfg).final_delta) for pair in pairs] == [
         "-1.3298371164263472", "-1.3338839479412172", "2.182597385796953",
         "-3.1635327761574104",

@@ -1,6 +1,7 @@
 """Checks that need a fresh interpreter: BLAS thread counts, page faults, imports, dying
 workers and script entry points."""
 
+import functools
 import json
 import multiprocessing
 import os
@@ -217,6 +218,47 @@ def test_stacked_models_match_each_model_alone_under_the_prescott_kernels():
     core, mismatches = run_under_blas_kernel(STACKED_AND_ALONE, "Prescott")
     assert core is not None
     assert mismatches == [], f"BLAS core {core}"
+
+
+# Scores the golden pairs of test_golden_scores_are_pinned and each pair
+# swapped, at that test's config, in a fresh interpreter.
+GOLDEN_AND_SWAPPED = """
+import json
+from comic.codelength import TrainConfig, score_pair
+from comic.data import GeneratorSpec, generate_dataset, swap_pair
+from comic.evaluation import machine_info
+cfg = TrainConfig(**{config!r})
+scores = [[score_pair(p, cfg).final_delta for p in (pair, swap_pair(pair))]
+          for pair in generate_dataset(GeneratorSpec(**{spec!r}))]
+print(json.dumps([machine_info()["blas_core"], scores]))
+"""
+
+# Measured on a 2-CPU SkylakeX VM (numpy 2.4, OpenBLAS 0.3.31): Prescott,
+# Sandybridge and SkylakeX gave the default kernel's bits on every golden
+# pair, and Haswell moved one score by 1.3e-14 relative. The bound leaves
+# room for CPUs whose kernels round more products differently.
+CROSS_KERNEL_REL = 1e-9
+
+
+@functools.cache
+def golden_and_swapped(coretype=None):
+    """[BLAS core, [[delta, swapped delta] per golden pair]], under coretype or
+    under the kernel OpenBLAS picks for this CPU."""
+    from test_codelength import GOLDEN_CONFIG, GOLDEN_SPEC
+
+    script = GOLDEN_AND_SWAPPED.format(config=GOLDEN_CONFIG, spec=GOLDEN_SPEC)
+    if coretype is None:
+        return json.loads(run_python(["-c", script]))
+    return run_under_blas_kernel(script, coretype)
+
+
+@pytest.mark.parametrize("coretype", CORETYPE_FEATURES)
+def test_golden_scores_mirror_and_agree_across_blas_kernels(coretype):
+    core, scores = golden_and_swapped(coretype)
+    _, default = golden_and_swapped()
+    for (delta, swapped), (reference, _) in zip(scores, default, strict=True):
+        assert delta.hex() == (-swapped).hex(), f"BLAS core {core}"
+        assert delta == pytest.approx(reference, rel=CROSS_KERNEL_REL), f"BLAS core {core}"
 
 
 GENERATE_GP = """
