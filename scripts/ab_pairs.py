@@ -14,9 +14,11 @@ pairs the change scored faster, and whether every repr(final_delta)
 matched. Exits with status 1 when any did not, so a change meant to keep
 the scores can be checked by the exit code alone. With --out PATH the
 lines are also written to PATH as {"runs": [...], "context": {...}}; the
-context holds the CPU count, --n, --pairs-per-family, the config and the
-change side's machine block (numpy version, dispatch targets, OpenBLAS
-core), so the change tree must have evaluation.machine_info. Which trees
+context holds the CPU count, the CPUs this process may run on, the BLAS
+and OpenMP thread variables as found (None when unset), --n,
+--pairs-per-family, the config and the change side's machine block (numpy
+version, dispatch targets, OpenBLAS core), so the change tree must have
+evaluation.machine_info. Which trees
 were compared is not recorded: the commit that adds a result file names
 them.
 
@@ -36,6 +38,10 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+# the thread counts of numpy's BLAS and of OpenMP code, which set how many
+# CPUs one scoring process keeps busy
+THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def load_package(src: Path, name: str, into: Path):
@@ -108,7 +114,9 @@ def main():
             runs.append(ab_seed(sides, configs, args, seed))
             print(json.dumps(runs[-1]), flush=True)
         if args.out is not None:
-            context = {"nproc": os.cpu_count(), "n": args.n,
+            context = {"nproc": os.cpu_count(), "usable_cpus": len(os.sched_getaffinity(0)),
+                       "thread_env": {name: os.environ.get(name) for name in THREAD_ENV},
+                       "n": args.n,
                        "pairs_per_family": args.pairs_per_family,
                        "config": dataclasses.asdict(configs["change"]),
                        "machine": sides["change"].evaluation.machine_info()}

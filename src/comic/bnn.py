@@ -10,22 +10,20 @@ weights, which gives identical output distributions at lower variance.
 
 Gradients for both training objectives are hand-derived for this fixed
 architecture, so the package needs no autodiff dependency; they are checked
-against central differences in the test suite. Parameters and gradients
-share one layout, and blocks() is the one walk over it: pack_params
-concatenates its blocks into a vector (pack_grads is the same function),
-and unpack_params slices a vector by their shapes into a model whose blocks
-are views of it. The layout is field-major: the hidden layer's mean_w, the
-output layer's mean_w, then both layers' logvar_w, and so on, so each
-field's blocks of both layers are one contiguous slice, the hidden layer's
-hidden_width entries first. The prior terms (the KL and the MAP penalty)
-run as one pass of whole-slice operations over both layers; each layer's
-sum still runs over its own part of a slice, so it adds what it added over
-its block alone, in the same order. They run on the slices unpack_params
-records, so kl_model and the objectives take only models and gradients
-that unpack_params built, as ConditionalModel.initial's model is; any
-other raises ArgumentError before a gradient entry is written. Each
-objective overwrites every block of its gradient with d(loss)/d(parameter),
-so the caller's flat gradient vector holds the result without any packing.
+against central differences in the test suite. A model is its packed
+parameter matrix. The layout, derived from the hidden width alone, is
+field-major: the hidden layer's mean_w, the output layer's mean_w, then
+both layers' logvar_w, and so on, so each field's blocks of both layers are
+one contiguous slice, the hidden layer's hidden_width entries first.
+ConditionalModel binds views of the matrix once, when it is built: each
+layer's blocks and each field's slice, so writing into the matrix updates
+the model in place. A gradient is a ConditionalModel over its own matrix.
+The prior terms (the KL and the MAP penalty) run as one pass of
+whole-slice operations over both layers; each layer's sum still runs over
+its own part of a slice, so it adds what it added over its block alone, in
+the same order. Each objective overwrites every block of its gradient with
+d(loss)/d(parameter), so the caller's flat gradient vector holds the result
+without any packing.
 
 A model may be a stack of models on leading axes: the two directions of a
 pair are one model whose weight blocks are (2, A, B) and bias blocks
@@ -79,7 +77,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, fields
-from typing import Callable, ClassVar
+from typing import Callable
 
 import numpy as np
 
@@ -122,79 +120,70 @@ class VariationalLinearLayer:
     logvar_b: np.ndarray
     log_prior_scale_w: np.ndarray
 
-    def __post_init__(self):
-        shape = self.mean_w.shape
-        if (len(shape) < 2 or self.logvar_w.shape != shape
-                or self.log_prior_scale_w.shape != shape):
-            raise ArgumentError("weight blocks must share the same A x B shape")
-        if self.mean_b.shape != shape[:-2] + shape[-1:] or self.logvar_b.shape != self.mean_b.shape:
-            raise ArgumentError("bias blocks must have length B")
-
-    @property
-    def in_dim(self) -> int:
-        return self.mean_w.shape[-2]
-
     @property
     def out_dim(self) -> int:
         return self.mean_w.shape[-1]
 
-    @classmethod
-    def initial(cls, in_dim: int, out_dim: int, stream: RngStream) -> "VariationalLinearLayer":
-        """Mean init uniform in +-1/sqrt(fan_in); tiny posterior variances; unit priors."""
-        bound = 1.0 / math.sqrt(in_dim)
-        gen = stream.generator()
-        mean_w = gen.uniform(-bound, bound, size=(in_dim, out_dim))
-        return cls(
-            mean_w=mean_w,
-            logvar_w=np.full((in_dim, out_dim), INIT_LOGVAR),
-            mean_b=np.zeros(out_dim),
-            logvar_b=np.full(out_dim, INIT_LOGVAR),
-            log_prior_scale_w=np.zeros((in_dim, out_dim)),
-        )
+
+def _layout(hidden_width: int):
+    """The packed layout at hidden_width: {(layer, field): (start, end,
+    shape)} of each block, and (start, end) of each field's slice over both
+    layers, in field order. Fields ending in _w are A x B, the others B."""
+    dims = {"hidden": (1, hidden_width), "output": (hidden_width, 2)}
+    spans, slices = {}, []
+    offset = 0
+    for field in fields(VariationalLinearLayer):
+        start = offset
+        for layer, dim in dims.items():
+            shape = dim if field.name.endswith("_w") else dim[1:]
+            end = offset + math.prod(shape)
+            spans[layer, field.name] = offset, end, shape
+            offset = end
+        slices.append((start, offset))
+    return spans, slices
 
 
-@dataclass
 class ConditionalModel:
     """One-hidden-layer Bayesian network emitting (mean, std) of y given x.
 
     Output node 0 is the mean; node 1 is clamped to +-LOG_SCALE_LIMIT and
     exponentiated, so the predicted std is always positive and finite.
     The training objectives write their gradient into a ConditionalModel.
+
+    Built from a (..., P) parameter matrix and the hidden width: params's
+    leading axes are the stack axes, a (D, P) matrix giving a stack of D
+    models. hidden and output are layers of views of params, and
+    field_slices holds, per field of VariationalLinearLayer in field order,
+    the (..., k) slice of params holding that field's blocks of both layers.
     """
 
-    hidden: VariationalLinearLayer
-    output: VariationalLinearLayer
-
-    # set by unpack_params on the model it returns: per field of
-    # VariationalLinearLayer, in field order, the (..., k) slice of the
-    # packed matrix holding that field's blocks of both layers
-    field_slices: ClassVar[tuple[np.ndarray, ...] | None] = None
-
-    def __post_init__(self):
-        if self.hidden.in_dim != 1:
-            raise ArgumentError("hidden layer must take a scalar input")
-        if self.output.in_dim != self.hidden.out_dim or self.output.out_dim != 2:
-            raise ArgumentError("output layer must map hidden width to 2 nodes")
-        if self.output.mean_w.shape[:-2] != self.stack_shape:
-            raise ArgumentError("both layers must have the same leading (stack) axes")
-
-    @property
-    def hidden_width(self) -> int:
-        return self.hidden.out_dim
-
-    @property
-    def stack_shape(self) -> tuple[int, ...]:
-        """The leading axes of every block: () for one model, (D,) for a stack of D."""
-        return self.hidden.mean_w.shape[:-2]
+    def __init__(self, params: np.ndarray, hidden_width: int):
+        spans, slices = _layout(hidden_width)
+        size = slices[-1][1]
+        if params.shape[-1] != size:
+            raise ArgumentError(f"packed vector has {params.shape[-1]} entries, expected {size}")
+        views = {}
+        for (layer, field), (start, end, shape) in spans.items():
+            views.setdefault(layer, {})[field] = params[..., start:end].reshape(
+                params.shape[:-1] + shape)
+        self.params = params
+        self.hidden_width = hidden_width
+        self.hidden, self.output = (VariationalLinearLayer(**v) for v in views.values())
+        self.field_slices = tuple(params[..., start:end] for start, end in slices)
 
     @classmethod
     def initial(cls, hidden_width: int, stream: RngStream) -> "ConditionalModel":
-        """A fresh model whose blocks are views of one packed vector."""
-        model = cls(
-            hidden=VariationalLinearLayer.initial(1, hidden_width, stream.child("hidden")),
-            output=VariationalLinearLayer.initial(hidden_width, 2, stream.child("output")),
-        )
-        return unpack_params(model, pack_params(model))
+        """A fresh model: each layer's mean_w uniform in +-1/sqrt(fan_in),
+        drawn from the stream's child named after the layer; tiny posterior
+        variances; zero biases; unit priors."""
+        model = cls(np.zeros(_layout(hidden_width)[1][-1][1]), hidden_width)
+        for name, layer in (("hidden", model.hidden), ("output", model.output)):
+            layer.logvar_w.fill(INIT_LOGVAR)
+            layer.logvar_b.fill(INIT_LOGVAR)
+            bound = 1.0 / math.sqrt(layer.mean_w.shape[-2])
+            layer.mean_w[...] = stream.child(name).generator().uniform(
+                -bound, bound, size=layer.mean_w.shape)
+        return model
 
     # the duck-typed surface conditional_variational_codelength prices a model
     # through; it stays as the seam where a test substitutes a stand-in model
@@ -207,21 +196,16 @@ class ConditionalModel:
 
 
 def blocks(model: ConditionalModel) -> list[tuple[str, np.ndarray]]:
-    """(name, block) for each block of model, named like "hidden.mean_w":
-    field by field in field order, and within a field the hidden layer's
-    block and then the output layer's.
-
-    This is the packed layout, for parameters and gradients alike.
-    """
-    return [(f"{layer.name}.{field.name}", getattr(getattr(model, layer.name), field.name))
-            for field in fields(VariationalLinearLayer) for layer in fields(ConditionalModel)]
+    """(name, block) for each block of model in packed order, named like
+    "hidden.mean_w": field by field in field order, and within a field the
+    hidden layer's block and then the output layer's."""
+    return [(f"{layer}.{field}", getattr(getattr(model, layer), field))
+            for layer, field in _layout(model.hidden_width)[0]]
 
 
 def pack_params(model: ConditionalModel) -> np.ndarray:
-    """Flatten a model (parameters or gradients) into a new vector; a stack
-    of models into a matrix with one row per model."""
-    return np.concatenate([block.reshape(model.stack_shape + (-1,))
-                           for _, block in blocks(model)], axis=-1)
+    """A copy of a model's (parameters' or gradients') packed matrix."""
+    return model.params.copy()
 
 
 # gradients share the parameters' layout
@@ -229,39 +213,10 @@ pack_grads = pack_params
 
 
 def unpack_params(model: ConditionalModel, vec: np.ndarray) -> ConditionalModel:
-    """A model with model's block shapes whose blocks are views of vec.
-
-    vec's leading axes become the stack axes of the result: a (D, P) matrix
-    gives a stack of D models. Writing into vec therefore updates the
-    returned model in place. Only a model built here has the field_slices
-    that kl_model and the objectives read and write.
-    """
-    lead = len(model.stack_shape)
-    shapes = [(name, block.shape[lead:]) for name, block in blocks(model)]
-    size = sum(math.prod(shape) for _, shape in shapes)
-    if vec.shape[-1] != size:
-        raise ArgumentError(f"packed vector has {vec.shape[-1]} entries, expected {size}")
-    layers = {}
-    spans = {}
-    offset = 0
-    for name, shape in shapes:
-        end = offset + math.prod(shape)
-        layer, field = name.split(".")
-        layers.setdefault(layer, {})[field] = vec[..., offset:end].reshape(vec.shape[:-1] + shape)
-        spans[field] = spans.get(field, (offset,))[0], end
-        offset = end
-    unpacked = ConditionalModel(**{layer: VariationalLinearLayer(**views)
-                                   for layer, views in layers.items()})
-    unpacked.field_slices = tuple(vec[..., start:end] for start, end in spans.values())
-    return unpacked
-
-
-def _field_slices(model: ConditionalModel) -> tuple[np.ndarray, ...]:
-    """The field slices of a model or gradient that unpack_params built."""
-    if model.field_slices is None:
-        raise ArgumentError("models and gradients must be views of a packed vector: "
-                            "build them with unpack_params")
-    return model.field_slices
+    """model's layout over vec: a model whose blocks are views of vec, so
+    writing into vec updates it in place. vec's leading axes become its
+    stack axes."""
+    return ConditionalModel(vec, model.hidden_width)
 
 
 def _kl(model: ConditionalModel, scale: float, grad: ConditionalModel | None = None):
@@ -273,7 +228,7 @@ def _kl(model: ConditionalModel, scale: float, grad: ConditionalModel | None = N
     runs over its own part of a slice (the first hidden_width entries are
     the hidden layer's), so it has the bytes of a sum over its block alone.
     """
-    mu, lv, mu_b, lv_b, ls = _field_slices(model)
+    mu, lv, mu_b, lv_b, ls = model.field_slices
     # per weight ls - 0.5 lv + (v_w + mu^2) / z^2 * 0.5 - 0.5, per bias
     # -0.5 lv_b + (v_b + mu_b^2) * 0.5 - 0.5, each rounded in that order
     # (x - 0.5 lv_b has the bytes of -0.5 lv_b + x)
@@ -292,7 +247,7 @@ def _kl(model: ConditionalModel, scale: float, grad: ConditionalModel | None = N
     kl_b -= _HALF * lv_b
     kl_b -= _HALF
     if grad is not None:
-        g_mu, g_lv, g_mu_b, g_lv_b, g_ls = _field_slices(grad)
+        g_mu, g_lv, g_mu_b, g_lv_b, g_ls = grad.field_slices
         scale = np.array(scale)
         np.multiply(scale, mu, out=g_mu)
         g_mu *= inv_z2
@@ -313,8 +268,7 @@ def _kl(model: ConditionalModel, scale: float, grad: ConditionalModel | None = N
 
 
 def kl_model(model: ConditionalModel):
-    """Closed-form KL from all factorized posteriors to their priors, in nats,
-    per model, of a model that unpack_params built."""
+    """Closed-form KL from all factorized posteriors to their priors, in nats, per model."""
     kl_hidden, kl_output = _kl(model, 1.0)
     return kl_hidden + kl_output
 
@@ -322,8 +276,8 @@ def kl_model(model: ConditionalModel):
 def _map_penalty(model: ConditionalModel, grad: ConditionalModel):
     """Per model, the negative log prior of the posterior means with constants
     dropped, as (hidden layer, output layer); its gradient overwrites grad's blocks."""
-    mu, _, mu_b, _, ls = _field_slices(model)
-    g_mu, g_lv, g_mu_b, g_lv_b, g_ls = _field_slices(grad)
+    mu, _, mu_b, _, ls = model.field_slices
+    g_mu, g_lv, g_mu_b, g_lv_b, g_ls = grad.field_slices
     inv_z2 = np.exp(_MINUS_TWO * ls)
     pen_w = _HALF * mu
     pen_w *= mu
@@ -517,7 +471,7 @@ def _clamped(t: np.ndarray, out: np.ndarray) -> np.ndarray:
 def _inputs(model: ConditionalModel, x) -> np.ndarray:
     """x as a float array with the model's stack axes followed by one row axis."""
     x = np.asarray(x, dtype=float)
-    lead = model.stack_shape
+    lead = model.params.shape[:-1]
     if x.ndim != len(lead) + 1 or x.shape[:-1] != lead:
         raise ArgumentError(
             f"x must have shape {lead} + (n,) for a model of stack shape {lead}, "
@@ -649,7 +603,7 @@ def elbo_objective(
     stream: RngStream, grad: ConditionalModel,
 ):
     """Sampled NLL plus beta-weighted KL, per model; its exact gradient under
-    the noise drawn from stream overwrites grad (both built by unpack_params).
+    the noise drawn from stream overwrites grad.
 
     The objective is a pure function of its arguments, so calls with the
     same stream evaluate the identical stochastic objective.
@@ -666,7 +620,7 @@ def map_objective(
     model: ConditionalModel, x: np.ndarray, y: np.ndarray, grad: ConditionalModel
 ):
     """Joint negative log-likelihood of data, mean parameters and prior scales, per
-    model; its gradient overwrites grad (both built by unpack_params).
+    model; its gradient overwrites grad.
 
     Deterministic point-estimate phase: posterior variances take no gradient (their blocks get 0).
     """

@@ -113,8 +113,8 @@ def train_conditional(
 
     Every direction starts from the same initial weights, and each VI
     epoch's noise is drawn once from stream for all directions. The
-    parameters are one (directions x P) matrix, bound once to a stacked
-    model whose blocks are views of it, and the gradient likewise. Each
+    parameters are one (directions x P) matrix, which is the stacked model
+    (its blocks are views of it), and the gradient likewise. Each
     epoch makes one objective call, which overwrites the gradient matrix,
     and one Adam step on the matrices, which updates the parameters and
     the moment matrices m and v in place. No operation mixes directions, so
@@ -170,9 +170,7 @@ def conditional_variational_codelength(
     model holds one model per direction along its leading axis, as
     train_conditional returns it; it is used through a duck-typed surface:
     sampler(causes), whose function draws a sample's noise from a stream,
-    and kl(), which a ConditionalModel answers only if unpack_params built
-    it (bnn.kl_model raises ArgumentError otherwise, before any sample is
-    drawn). Sample m takes stream.child("eval", m), its noise drawn once
+    and kl(). Sample m takes stream.child("eval", m), its noise drawn once
     and shared by all directions, and one pass evaluates them all.
     """
     mc_eval_samples = check_count("mc_eval_samples", mc_eval_samples, 1)

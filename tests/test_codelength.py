@@ -25,7 +25,7 @@ from comic.data import (
 from comic.errors import ArgumentError, NumericError
 from comic.evaluation import run_benchmark
 from comic.rng import RngStream
-from tests.test_bnn import loose, make_layer, packed, stack
+from tests.test_bnn import make_layer, packed, stack
 
 FAST = TrainConfig(hidden_width=8, vi_epochs=60, warmup_epochs=10, map_epochs=60,
                    mc_eval_samples=8, seed=3)
@@ -229,10 +229,10 @@ def test_independent_pair_matches_marginal_plus_kl():
 
 
 def test_eval_codelength_prior_collapse():
-    model = packed(ConditionalModel(
+    model = packed(
         hidden=make_layer(np.zeros((1, 3)), logvar=-60.0),
         output=make_layer(np.zeros((3, 2)), logvar=-60.0),
-    ))
+    )
     rng = np.random.default_rng(7)
     x = rng.standard_normal(40)
     y = rng.standard_normal(40)
@@ -395,15 +395,6 @@ def test_eval_codelength_needs_one_model_per_direction():
     x = np.linspace(-1.0, 1.0, 20)
     with pytest.raises(ArgumentError, match=r"stack shape \(1,\), got shape \(2, 20\)"):
         conditional_variational_codelength(model, [(x, x), (x, x)], 2, RngStream(0))
-
-
-def test_eval_codelength_refuses_a_model_unpack_params_did_not_build(monkeypatch):
-    # the refusal comes from kl(), before any Monte Carlo sample is drawn
-    model = loose(stack(ConditionalModel.initial(3, RngStream(0).child("init"))))
-    monkeypatch.setattr(bnn, "sampler", lambda *args: pytest.fail("sampled first"))
-    x = np.linspace(-1.0, 1.0, 20)
-    with pytest.raises(ArgumentError, match="unpack_params"):
-        conditional_variational_codelength(model, [(x, x)], 2, RngStream(0))
 
 
 def test_train_conditional_needs_directions_of_one_length():

@@ -220,8 +220,9 @@ def test_stacked_models_match_each_model_alone_under_the_prescott_kernels():
     assert mismatches == [], f"BLAS core {core}"
 
 
-# Scores the golden pairs of test_golden_scores_are_pinned and each pair
-# swapped, at that test's config, in a fresh interpreter.
+# Scores the golden pairs of test_golden_scores_are_pinned, then the n = 500
+# pair of LONG_SPEC, each pair swapped too, at that test's config, in a
+# fresh interpreter.
 GOLDEN_AND_SWAPPED = """
 import json
 from comic.codelength import TrainConfig, score_pair
@@ -229,36 +230,77 @@ from comic.data import GeneratorSpec, generate_dataset, swap_pair
 from comic.evaluation import machine_info
 cfg = TrainConfig(**{config!r})
 scores = [[score_pair(p, cfg).final_delta for p in (pair, swap_pair(pair))]
-          for pair in generate_dataset(GeneratorSpec(**{spec!r}))]
+          for spec in {specs!r} for pair in generate_dataset(GeneratorSpec(**spec))]
 print(json.dumps([machine_info()["blas_core"], scores]))
 """
 
+# One pair as long as desk-n500's, where every product and transcendental
+# runs over 500 rows; it stays out of GOLDEN_SPEC, whose scores are pinned
+LONG_SPEC = dict(family="AN-s", n_pairs=1, n_samples=500, seed=900)
+
 # Measured on a 2-CPU SkylakeX VM (numpy 2.4, OpenBLAS 0.3.31): Prescott,
 # Sandybridge and SkylakeX gave the default kernel's bits on every golden
-# pair, and Haswell moved one score by 1.3e-14 relative. The bound leaves
-# room for CPUs whose kernels round more products differently.
+# pair and on the n = 500 pair, and Haswell moved golden pair 3 by 1.3e-14
+# relative. The bound leaves room for CPUs whose kernels round more
+# products differently.
 CROSS_KERNEL_REL = 1e-9
+
+# numpy's dispatch targets that NPY_DISABLE_CPU_FEATURES turns off: AVX-512
+# changes the bits of np.exp, and AVX2 those of np.tanh as well
+DISPATCH_OFF = {"avx512-off": "X86_V4 AVX512_ICL AVX512_SPR",
+                "avx2-off": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
+
+# Measured on the same VM (numpy 2.4.6): avx512-off moved golden pair 3 from
+# 2.182597385796953 to 2.1825973857969245 (1.3e-14 relative); avx2-off and
+# the n = 500 pair kept every bit. The bound leaves the same room as
+# CROSS_KERNEL_REL for builds whose exp, log and tanh round more values
+# differently.
+CROSS_DISPATCH_REL = 1e-9
+
+
+def dispatch_off_env(setting):
+    """The environment that turns off setting's numpy dispatch targets; skips
+    where the CPU or the numpy build has none of them to turn off."""
+    dispatch, cpu_features = numpy_cpu()
+    features = DISPATCH_OFF[setting].split()
+    if not all(f in dispatch and cpu_features.get(f) for f in features):
+        pytest.skip(f"this CPU or numpy build has no {DISPATCH_OFF[setting]} to turn off")
+    return {"NPY_DISABLE_CPU_FEATURES": DISPATCH_OFF[setting]}
 
 
 @functools.cache
-def golden_and_swapped(coretype=None):
-    """[BLAS core, [[delta, swapped delta] per golden pair]], under coretype or
-    under the kernel OpenBLAS picks for this CPU."""
+def golden_and_swapped(coretype=None, dispatch=None):
+    """[BLAS core, [[delta, swapped delta] per golden pair and the LONG_SPEC
+    pair]], under OPENBLAS_CORETYPE=coretype, under the DISPATCH_OFF setting
+    dispatch, or else as numpy and OpenBLAS pick for this CPU."""
     from test_codelength import GOLDEN_CONFIG, GOLDEN_SPEC
 
-    script = GOLDEN_AND_SWAPPED.format(config=GOLDEN_CONFIG, spec=GOLDEN_SPEC)
-    if coretype is None:
-        return json.loads(run_python(["-c", script]))
-    return run_under_blas_kernel(script, coretype)
+    script = GOLDEN_AND_SWAPPED.format(config=GOLDEN_CONFIG, specs=[GOLDEN_SPEC, LONG_SPEC])
+    if coretype is not None:
+        return run_under_blas_kernel(script, coretype)
+    env = {} if dispatch is None else dispatch_off_env(dispatch)
+    return json.loads(run_python(["-c", script], **env))
+
+
+def assert_mirrored_and_close(scores, rel, label):
+    """Each pair's swap is its exact mirror, and each score lies within rel of
+    the default run's."""
+    _, default = golden_and_swapped()
+    for (delta, swapped), (reference, _) in zip(scores, default, strict=True):
+        assert delta.hex() == (-swapped).hex(), label
+        assert delta == pytest.approx(reference, rel=rel), label
 
 
 @pytest.mark.parametrize("coretype", CORETYPE_FEATURES)
 def test_golden_scores_mirror_and_agree_across_blas_kernels(coretype):
     core, scores = golden_and_swapped(coretype)
-    _, default = golden_and_swapped()
-    for (delta, swapped), (reference, _) in zip(scores, default, strict=True):
-        assert delta.hex() == (-swapped).hex(), f"BLAS core {core}"
-        assert delta == pytest.approx(reference, rel=CROSS_KERNEL_REL), f"BLAS core {core}"
+    assert_mirrored_and_close(scores, CROSS_KERNEL_REL, f"BLAS core {core}")
+
+
+@pytest.mark.parametrize("setting", DISPATCH_OFF)
+def test_golden_scores_mirror_and_agree_across_dispatch_levels(setting):
+    _, scores = golden_and_swapped(dispatch=setting)
+    assert_mirrored_and_close(scores, CROSS_DISPATCH_REL, setting)
 
 
 GENERATE_GP = """
@@ -285,23 +327,13 @@ for family in ("AN", "LS"):
 print(standardize(pair.y)[0].tobytes().hex())
 """
 
-# numpy's dispatch targets that NPY_DISABLE_CPU_FEATURES turns off: AVX-512
-# changes the bits of np.exp, and AVX2 those of np.tanh as well
-DISPATCH_OFF = {"avx512-off": "X86_V4 AVX512_ICL AVX512_SPR",
-                "avx2-off": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
-
 
 @pytest.mark.parametrize("setting", DISPATCH_OFF)
 def test_generated_pairs_do_not_depend_on_the_dispatch_level(setting):
     from comic.data import GENERATOR_VERSION, GeneratorSpec, generate_pair, standardize
     from test_data import GENERATED_SHA256
 
-    dispatch, cpu_features = numpy_cpu()
-    features = DISPATCH_OFF[setting].split()
-    if not all(f in dispatch and cpu_features.get(f) for f in features):
-        pytest.skip(f"this CPU or numpy build has no {DISPATCH_OFF[setting]} to turn off")
-    out = run_python(["-c", GENERATE_AND_STANDARDIZE],
-                     NPY_DISABLE_CPU_FEATURES=DISPATCH_OFF[setting]).split()
+    out = run_python(["-c", GENERATE_AND_STANDARDIZE], **dispatch_off_env(setting)).split()
     pinned = GENERATED_SHA256[GENERATOR_VERSION]
     ls_y = generate_pair(GeneratorSpec("LS", 1, 64, seed=5), 0).y
     assert out == [pinned["AN"], pinned["LS"], standardize(ls_y)[0].tobytes().hex()]
@@ -358,7 +390,10 @@ def test_ab_pairs_writes_each_seed_and_its_context(tmp_path):
     assert [run["seed"] for run in written["runs"]] == [1, 2]
     assert written["runs"][-1] == last
     assert all(run["scores_match"] for run in written["runs"])
-    assert set(written["context"]) == {"nproc", "n", "pairs_per_family", "config", "machine"}
+    assert set(written["context"]) == {"nproc", "usable_cpus", "thread_env", "n",
+                                       "pairs_per_family", "config", "machine"}
+    assert set(written["context"]["thread_env"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                                     "MKL_NUM_THREADS"}
     assert (written["context"]["n"], written["context"]["pairs_per_family"]) == (40, 1)
     assert written["context"]["config"]["hidden_width"] == 4
     assert set(written["context"]["machine"]) == {"numpy_version", "dispatch_targets",
