@@ -51,6 +51,9 @@ def load_package(src: Path, name: str, into: Path):
 
 
 def quartiles(values):
+    """Median and quartiles of values; all three are the value itself for one."""
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
 

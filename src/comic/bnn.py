@@ -479,8 +479,15 @@ def _inputs(model: ConditionalModel, x) -> np.ndarray:
     return x
 
 
-def _data(model: ConditionalModel, x, y) -> tuple[np.ndarray, np.ndarray]:
-    """(x, y) as float arrays of the shape _inputs asks of x."""
+def _data(
+    model: ConditionalModel, x, y, grad: ConditionalModel
+) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) as float arrays of the shape _inputs asks of x, once grad is
+    known to have the model's parameter shape and hidden width."""
+    if grad.params.shape != model.params.shape or grad.hidden_width != model.hidden_width:
+        raise ArgumentError(
+            f"grad must have the model's params shape {model.params.shape} and hidden width "
+            f"{model.hidden_width}, got shape {grad.params.shape} and width {grad.hidden_width}")
     x = _inputs(model, x)
     y = np.asarray(y, dtype=float)
     if y.shape != x.shape:
@@ -610,7 +617,7 @@ def elbo_objective(
     """
     if not 0.0 <= beta <= 1.0:
         raise ArgumentError(f"beta must lie in [0, 1], got {beta}")
-    x, y = _data(model, x, y)
+    x, y = _data(model, x, y, grad)
     eps = _draw_noise(model, x.shape[-1], stream)
     kl_hidden, kl_output = _kl(model, beta, grad)
     return _data_nll(model, x, y, grad, eps) + beta * (kl_hidden + kl_output)
@@ -624,6 +631,6 @@ def map_objective(
 
     Deterministic point-estimate phase: posterior variances take no gradient (their blocks get 0).
     """
-    x, y = _data(model, x, y)
+    x, y = _data(model, x, y, grad)
     pen_hidden, pen_output = _map_penalty(model, grad)
     return _data_nll(model, x, y, grad) + pen_hidden + pen_output

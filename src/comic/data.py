@@ -11,10 +11,11 @@ labels.csv sidecar (id, direction). Every input file is read as UTF-8
 through decode_utf8, so a stray byte is a ParseError naming the file.
 
 The AN and LS generators draw their Gaussian-process functions from a
-quadrature Fourier series of the squared-exponential kernel (_gp_draw): O(n)
-per draw, no kernel matrix and no BLAS call, so generated pairs are the same
-at any BLAS thread count. The series' cos/sin basis at x (_gp_basis) is
-evaluated once per pair and serves both of an LS pair's draws.
+quadrature Fourier series of the squared-exponential kernel (_gp_draws): no
+kernel matrix and no BLAS call, so generated pairs are the same at any BLAS
+thread count. The draws walk x in blocks of _GP_BLOCK rows: each block forms
+the series' cos/sin basis once, and within it an LS pair's two draws share
+that basis. Time and output are O(n); temporaries are bounded by one block.
 GENERATOR_VERSION names the generators' output; it changes whenever a
 generated value does.
 """
@@ -263,6 +264,9 @@ def normalize_family(name: str) -> str:
 # with a_0 = 1 and a_j = 2 otherwise, is written out because the bits of
 # np.exp vary with numpy's CPU dispatch level.
 _GP_FREQS = np.arange(36) / 4.0
+# rows of x per block of _gp_draws: a block's phase, cos, sin and products
+# (about 0.4 MB at 256 rows) stay within L2
+_GP_BLOCK = 256
 _GP_SCALES = np.array(list(map(float.fromhex, """
     0x1.43638953eaed2p-2 0x1.c2401c76ff332p-2 0x1.ada1c882c254ep-2 0x1.8d58389a565f4p-2
     0x1.642d6ab9b5184p-2 0x1.3573c9b09692dp-2 0x1.0495bfea6be40p-2 0x1.a95dd25bf87fbp-3
@@ -276,23 +280,29 @@ _GP_SCALES = np.array(list(map(float.fromhex, """
 """.split())))
 
 
-def _gp_basis(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos(w_j x) and sin(w_j x) for each x and each series frequency w_j."""
-    phase = np.multiply.outer(x, _GP_FREQS)
-    return np.cos(phase), np.sin(phase)
-
-
-def _gp_draw(basis: tuple[np.ndarray, np.ndarray], stream: RngStream) -> np.ndarray:
-    """A GP function (signal std 1, lengthscale 1) evaluated at the x of
-    basis = _gp_basis(x), in O(len(x)).
+def _gp_draws(x: np.ndarray, streams: Sequence[RngStream]) -> np.ndarray:
+    """One GP function (signal std 1, lengthscale 1) per stream, evaluated at
+    x: row k of the (len(streams), len(x)) result is stream k's draw.
 
     f(x) = sum_j s_j (a_j cos(w_j x) + b_j sin(w_j x)) with a, b standard
-    normal. Only elementwise cos/sin and a row sum: no kernel matrix and no
-    BLAS call, so the draw does not depend on the BLAS thread count.
+    normal, drawn once per stream. x is walked in blocks of _GP_BLOCK rows;
+    each block forms its cos/sin basis once and every draw sums over that
+    basis, so an LS pair's f and g share it within each block. Time and
+    output are O(len(x)), temporaries are bounded by one block, and each
+    entry is the same row sum whatever the block size. Only elementwise
+    cos/sin and a row sum: no kernel matrix and no BLAS call, so the draws
+    do not depend on the BLAS thread count.
     """
-    a, b = stream.generator().standard_normal((2, _GP_FREQS.size))
-    cos, sin = basis
-    return (cos * (_GP_SCALES * a) + sin * (_GP_SCALES * b)).sum(axis=1)
+    coefs = [_GP_SCALES * stream.generator().standard_normal((2, _GP_FREQS.size))
+             for stream in streams]
+    out = np.empty((len(coefs), x.size))
+    for start in range(0, x.size, _GP_BLOCK):
+        rows = slice(start, start + _GP_BLOCK)
+        phase = np.multiply.outer(x[rows], _GP_FREQS)
+        cos, sin = np.cos(phase), np.sin(phase)
+        for f, (a, b) in zip(out, coefs):
+            f[rows] = (cos * a + sin * b).sum(axis=1)
+    return out
 
 
 def _sigmoid_draw(x: np.ndarray, stream: RngStream) -> np.ndarray:
@@ -314,9 +324,13 @@ def generate_pair(spec: GeneratorSpec, pair_index: int) -> PairDataset:
     gen = stream.child("noise").generator()
     x = stream.child("x").generator().standard_normal(spec.n_samples)
     fam = spec.family
-    # a GP draw takes the basis at x, shared by both of an LS pair's draws
-    draw, at = (_gp_draw, _gp_basis(x)) if fam in ("AN", "LS") else (_sigmoid_draw, x)
-    f = draw(at, stream.child("f"))
+    names = ("f", "g") if fam in ("LS", "LS-s") else ("f",)
+    streams = [stream.child(name) for name in names]
+    if fam in ("AN", "LS"):
+        # one walk over x draws f and, for LS, g on each block's shared basis
+        f, *g = _gp_draws(x, streams)
+    else:
+        f, *g = [_sigmoid_draw(x, s) for s in streams]
 
     if fam == "MN-U":
         y = f * gen.uniform(0.5, 1.5, size=spec.n_samples)
@@ -324,7 +338,7 @@ def generate_pair(spec: GeneratorSpec, pair_index: int) -> PairDataset:
         sigma = stream.child("sigma").generator().uniform(0.2, 0.6)
         noise = sigma * gen.standard_normal(spec.n_samples)
         if fam in ("LS", "LS-s"):
-            y = f + (np.abs(draw(at, stream.child("g"))) + 0.3) * noise
+            y = f + (np.abs(g[0]) + 0.3) * noise
         else:
             y = f + noise
 

@@ -417,18 +417,22 @@ def test_initial_parameters_are_pinned(width, prefix):
 
 
 @pytest.mark.parametrize("objective", [map_objective, elbo_objective], ids=["map", "elbo"])
-@pytest.mark.parametrize("case", ["rows-on-single", "one-row-on-stack", "short-y"])
+@pytest.mark.parametrize("case", ["rows-on-single", "one-row-on-stack", "short-y",
+                                  "grad-rows-on-single"])
 def test_objectives_reject_mismatched_inputs(case, objective):
-    # each used to fail inside the pass with a bare numpy ValueError, after
-    # the prior terms had written part of the gradient
+    # the first three used to fail inside the pass with a bare numpy
+    # ValueError, after the prior terms had written part of the gradient; a
+    # gradient of two rows for one model used to be filled by broadcasting
     single = random_model(4, 2, 3)
     x = np.linspace(-1.0, 1.0, 6)
     model, x, y = {
         "rows-on-single": (single, np.stack([x, x]), np.stack([x, x])),
         "one-row-on-stack": (stack(single, single), x, x),
         "short-y": (single, x, x[:-1]),
+        "grad-rows-on-single": (single, x, x),
     }[case]
-    vec = np.full(pack_params(model).shape, np.nan)
+    rows = (2,) if case == "grad-rows-on-single" else ()
+    vec = np.full(rows + pack_params(model).shape, np.nan)
     args = (0.5, RngStream(0)) if objective is elbo_objective else ()
     with pytest.raises(ArgumentError, match="shape"):
         objective(model, x, y, *args, unpack_params(model, vec))

@@ -1,6 +1,7 @@
 import decimal
 import hashlib
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -315,12 +316,12 @@ def test_generate_pair_deterministic():
 
 
 def regenerate_f(pair, spec, pair_index=0, which="f"):
-    from comic.data import _gp_basis, _gp_draw, _sigmoid_draw
+    from comic.data import _gp_draws, _sigmoid_draw
     from comic.rng import RngStream
 
     stream = RngStream(spec.seed).child("generate", spec.family, pair_index)
     if spec.family in ("AN", "LS"):
-        return _gp_draw(_gp_basis(pair.x), stream.child(which))
+        return _gp_draws(pair.x, [stream.child(which)])[0]
     return _sigmoid_draw(pair.x, stream.child(which))
 
 
@@ -385,11 +386,11 @@ def test_gp_scales_are_the_formula_to_one_ulp():
 
 
 def test_gp_draws_have_unit_variance_and_unit_lengthscale():
-    from comic.data import _gp_basis, _gp_draw
+    from comic.data import _gp_draws
     from comic.rng import RngStream
 
     x = np.array([0.0, 0.5, 2.0])
-    draws = np.array([_gp_draw(_gp_basis(x), RngStream(4).child("gp", i)) for i in range(4000)])
+    draws = _gp_draws(x, [RngStream(4).child("gp", i) for i in range(4000)])
     cov = draws.T @ draws / len(draws)
     target = np.exp(-0.5 * np.subtract.outer(x, x) ** 2)
     assert cov == approx(target, abs=0.08)
@@ -407,9 +408,22 @@ def test_generate_pair_makes_no_linalg_call(monkeypatch, family):
     assert np.isfinite(pair.y).all()
 
 
-@pytest.mark.parametrize("family,calls", [("AN", 1), ("LS", 1), ("LS-s", 0)])
-def test_generate_pair_evaluates_the_gp_basis_once(monkeypatch, family, calls):
-    # an LS pair draws f and g at the same x: their cos/sin basis is shared
+# pair 0 of an AN or LS spec of this many rows walks x in two full blocks
+# of 256 rows (data._GP_BLOCK) and a partial third
+CROSSING_N = 2 * 256 + 17
+
+
+@pytest.mark.parametrize("family,n,calls", [
+    pytest.param("AN", 50, 1, id="AN-1"),
+    pytest.param("LS", 50, 1, id="LS-1"),
+    pytest.param("LS-s", 50, 0, id="LS-s-0"),
+    pytest.param("AN", CROSSING_N, 3, id="AN-crossing-3"),
+    pytest.param("LS", CROSSING_N, 3, id="LS-crossing-3"),
+    pytest.param("LS-s", CROSSING_N, 0, id="LS-s-crossing-0"),
+])
+def test_generate_pair_evaluates_the_gp_basis_once(monkeypatch, family, n, calls):
+    # the cos/sin basis is formed once per block of x, and an LS pair draws
+    # f and g at the same x: each block's basis serves both
     counted = []
     real = np.cos
 
@@ -418,8 +432,22 @@ def test_generate_pair_evaluates_the_gp_basis_once(monkeypatch, family, calls):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np, "cos", counting_cos)
-    generate_pair(GeneratorSpec(family, 1, 50, seed=3), 0)
+    generate_pair(GeneratorSpec(family, 1, n, seed=3), 0)
     assert len(counted) == calls
+
+
+def test_generate_pair_temporaries_are_bounded_by_one_block():
+    # x, y, the draws and the noise are a few n-vectors; the basis lives one
+    # block at a time, so the peak stays under 16 doubles per row
+    spec = GeneratorSpec("LS", 1, 20_000, seed=3)
+    generate_pair(spec, 0)
+    tracemalloc.start()
+    try:
+        generate_pair(spec, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 8 * spec.n_samples
 
 
 # sha256 of x and y bytes of pair 0 of a 64-row spec at seed 5, per generator
@@ -436,11 +464,28 @@ GENERATED_SHA256 = {
 }
 
 
+# the same digest of pair 0 of a CROSSING_N-row spec at seed 5: the seams
+# between blocks of x must not move a generated value
+CROSSING_SHA256 = {
+    "2": {
+        "AN": "86a6649aa6502944198dcee9bb6120222ffef7624f59eef72e8811ca39e7f770",
+        "LS": "9fd260c7252098778456fcb762aa56da3e625997994dd2de0683ea0648e121a7",
+    },
+}
+
+
 @pytest.mark.parametrize("family", ["AN", "LS", "AN-s", "LS-s", "MN-U"])
 def test_generated_gp_pairs_are_pinned_per_generator_version(family):
     pair = generate_pair(GeneratorSpec(family, 1, 64, seed=5), 0)
     digest = hashlib.sha256(pair.x.tobytes() + pair.y.tobytes()).hexdigest()
     assert digest == GENERATED_SHA256[GENERATOR_VERSION][family]
+
+
+@pytest.mark.parametrize("family", ["AN", "LS"])
+def test_block_crossing_gp_pairs_are_pinned_per_generator_version(family):
+    pair = generate_pair(GeneratorSpec(family, 1, CROSSING_N, seed=5), 0)
+    digest = hashlib.sha256(pair.x.tobytes() + pair.y.tobytes()).hexdigest()
+    assert digest == CROSSING_SHA256[GENERATOR_VERSION][family]
 
 
 def test_generate_dataset_alternates_orientation():

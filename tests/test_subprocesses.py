@@ -412,6 +412,26 @@ def test_ab_pairs_exits_1_when_scores_differ(tmp_path):
     assert result["scores_match"] is False
 
 
+def test_ab_perfbench_same_tree_keeps_the_hashes(tmp_path):
+    out = tmp_path / "ab.json"
+    proc = python_proc([str(ROOT / "scripts" / "ab_perfbench.py"), "--base", str(ROOT),
+                        "--change", str(ROOT), "--workload", "generate-gp", "--seconds", "1",
+                        "--pairs", "1", "--out", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout.strip().splitlines()[-1])
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert set(summary["metrics"]) == {entry["name"] for entry in benchmark["end_to_end"]}
+    assert summary["hashes_match"] is True
+    assert all(len(values) == 1 for values in summary["hashes"].values())
+    for metric in summary["metrics"].values():
+        assert metric["change_wins"] in (0, 1)
+        assert metric["base"]["q1"] == metric["base"]["median"] == metric["base"]["q3"]
+    written = json.loads(out.read_text())
+    assert written["summary"] == summary
+    assert [run["first"] for run in written["runs"]] == ["base"]
+    assert set(written["context"]) == {"base", "change"}
+
+
 def test_import_leaves_the_network_stack_unloaded():
     # only fetching needs http.client, which pulls in email and ssl (about
     # 20 ms of every start-up), and only a parallel benchmark needs a process
