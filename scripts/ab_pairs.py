@@ -4,9 +4,10 @@ Each tree's `comic` package is copied into one temporary directory under
 its own name (the package imports itself only relatively), so both load
 into this one process. The same pairs, generated by the base tree, are then
 scored by both sides, alternating which side goes first from pair to pair,
-so drift in machine speed falls on both sides alike. The default config is
-the scoring config of perfbench's desk-n500 workload: n = 500, hidden width
-50, 100 MAP + 100 VI epochs with a warm-up of 10, 64 MC samples.
+so drift in machine speed falls on both sides alike. Both sides score at
+CONFIG, the scoring config of perfbench's desk-n500 workload: hidden width
+50, 100 MAP + 100 VI epochs with a warm-up of 10, 64 MC samples, seed 0;
+--n defaults to that workload's 500 rows.
 
 Prints one JSON line per seed: the seed, each side's median and quartiles
 of per-pair seconds, the median of the per-pair ratio change/base, how many
@@ -38,6 +39,10 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+# the TrainConfig both sides score at: perfbench's desk-n500 config
+CONFIG = {"hidden_width": 50, "map_epochs": 100, "vi_epochs": 100, "warmup_epochs": 10,
+          "mc_eval_samples": 64, "seed": 0}
 
 # the thread counts of numpy's BLAS and of OpenMP code, which set how many
 # CPUs one scoring process keeps busy
@@ -96,10 +101,6 @@ def main():
                         help="seeds of the generated pairs, one result line each")
     parser.add_argument("--pairs-per-family", type=int, default=2)
     parser.add_argument("--n", type=int, default=500, help="rows per pair")
-    parser.add_argument("--hidden-width", type=int, default=50)
-    parser.add_argument("--epochs", type=int, default=100,
-                        help="MAP and VI epochs each; the warm-up is a tenth")
-    parser.add_argument("--mc-samples", type=int, default=64)
     parser.add_argument("--out", type=Path,
                         help="also write the result lines, with their context, to this file")
     args = parser.parse_args()
@@ -108,10 +109,7 @@ def main():
         sys.path.insert(0, tmp)
         sides = {"base": load_package(args.base, "comic_base", Path(tmp)),
                  "change": load_package(args.change, "comic_change", Path(tmp))}
-        configs = {name: pkg.codelength.TrainConfig(
-            hidden_width=args.hidden_width, map_epochs=args.epochs, vi_epochs=args.epochs,
-            warmup_epochs=max(1, args.epochs // 10), mc_eval_samples=args.mc_samples, seed=0)
-            for name, pkg in sides.items()}
+        configs = {name: pkg.codelength.TrainConfig(**CONFIG) for name, pkg in sides.items()}
         runs = []
         for seed in args.seed:
             runs.append(ab_seed(sides, configs, args, seed))

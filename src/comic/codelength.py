@@ -32,7 +32,7 @@ from . import bnn
 from .bnn import ConditionalModel
 from .data import PairDataset, UNDECIDED, X_CAUSES_Y, Y_CAUSES_X, standardize
 from .errors import ArgumentError, NumericError, check_count
-from .optim import LR_MAX, LR_MIN, adam_step, cosine_lr
+from .optim import adam_step, cosine_lr
 from .rng import RngStream, check_seed
 
 
@@ -141,7 +141,7 @@ def train_conditional(
     for phase, epochs, objective in phases:
         m, v = np.zeros_like(params), np.zeros_like(params)
         for t in range(epochs):
-            lr = cosine_lr(t, epochs, LR_MAX, LR_MIN)
+            lr = cosine_lr(t, epochs)
             bad = ~np.isfinite(objective(t))
             if bad.any():
                 raise NumericError(f"non-finite loss in direction {int(np.argmax(bad))}, "

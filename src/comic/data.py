@@ -8,7 +8,8 @@ file pair<id>.txt and the pair id pair<id>; its columns are 1-based, each
 range runs first to last, and the two ranges share no column. The meta row
 alone selects a pair's columns, label and weight. Generated datasets add a
 labels.csv sidecar (id, direction). Every input file is read as UTF-8
-through decode_utf8, so a stray byte is a ParseError naming the file.
+through decode_utf8, so a stray byte is a ParseError naming the file and a
+leading byte-order mark is ignored.
 
 The AN and LS generators draw their Gaussian-process functions from a
 quadrature Fourier series of the squared-exponential kernel (_gp_draws): no
@@ -432,11 +433,14 @@ def decode_utf8(content: bytes, name: str) -> str:
     """The text of an input file's content; bytes that are not UTF-8 are a ParseError.
 
     Pair, meta and config files all go through this one step; name labels the error.
+    One leading byte-order mark is dropped after decoding, so a bad byte's
+    offset still counts the mark's three bytes.
     """
     try:
-        return content.decode("utf-8")
+        text = content.decode("utf-8")
     except UnicodeDecodeError as e:
         raise ParseError(f"{name}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+    return text.removeprefix("\ufeff")
 
 
 def parse_pairmeta(path: str | Path) -> list[MetaRow]:

@@ -15,22 +15,22 @@ import numpy as np
 from .errors import ArgumentError, NumericError, check_int
 
 
-def cosine_lr(t: float, total_epochs: int, lr_max: float, lr_min: float) -> float:
-    """Learning rate at epoch t, annealed from lr_max to lr_min."""
-    if not 0 <= t <= total_epochs:
-        raise ArgumentError(f"epoch {t} outside schedule range [0, {total_epochs}]")
-    # lr_min + (lr_max - lr_min) can round away from lr_max, as for (0.9, 0.2); at
-    # t == total_epochs the angle is within an ulp of pi, whose cosine rounds to
-    # exactly -1.0, so the formula gives lr_min itself
-    if t == 0:
-        return lr_max
-    span = lr_max - lr_min
-    return lr_min + 0.5 * span * (1.0 + math.cos(math.pi * t / total_epochs))
-
-
 # the learning-rate range every training phase anneals over, fixed like the betas
 LR_MAX = 1e-2
 LR_MIN = 1e-6
+
+
+def cosine_lr(t: float, total_epochs: int) -> float:
+    """Learning rate at epoch t, annealed from LR_MAX to LR_MIN.
+
+    For this range the formula itself gives exactly LR_MAX at t == 0 and,
+    as the cosine of the angle at t == total_epochs rounds to -1.0, exactly
+    LR_MIN there.
+    """
+    if not 0 <= t <= total_epochs:
+        raise ArgumentError(f"epoch {t} outside schedule range [0, {total_epochs}]")
+    return LR_MIN + 0.5 * (LR_MAX - LR_MIN) * (1.0 + math.cos(math.pi * t / total_epochs))
+
 
 # Adam's moment decay rates and denominator guard
 BETA1 = 0.9

@@ -34,7 +34,7 @@ from comic.data import (
     swap_pair,
 )
 from comic.evaluation import auroc, result_to_csv, run_benchmark
-from comic.optim import adam_step, cosine_lr
+from comic.optim import adam_step
 from comic.rng import RngStream, draw_standard_normal
 from gradcheck import finite_diff_grad
 
@@ -315,7 +315,8 @@ def train_toy(x, y, steps=4000):
     m, v = np.zeros(2), np.zeros(2)
     for t in range(steps):
         _, grads = loss_and_grads(params)
-        adam_step(params, grads, m, v, t + 1, cosine_lr(t, steps, 0.05, 1e-6))
+        lr = 1e-6 + 0.5 * (0.05 - 1e-6) * (1.0 + math.cos(math.pi * t / steps))
+        adam_step(params, grads, m, v, t + 1, lr)
     return params
 
 

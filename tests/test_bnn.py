@@ -439,6 +439,16 @@ def test_objectives_reject_mismatched_inputs(case, objective):
     assert np.isnan(vec).all()
 
 
+@pytest.mark.parametrize("beta", [1.5, -0.1])
+def test_elbo_rejects_beta_outside_the_unit_interval(beta):
+    model = random_model(4, 2, 3)
+    x = np.linspace(-1.0, 1.0, 6)
+    vec, grad = grad_buffer(model)
+    with pytest.raises(ArgumentError, match=r"beta must lie in \[0, 1\]"):
+        elbo_objective(model, x, x, beta, RngStream(0), grad)
+    assert np.isnan(vec).all()
+
+
 # ------------------------------------------------- byte-level oracle
 #
 # Plain reference versions of the hot loop. The package's own versions

@@ -251,6 +251,22 @@ def test_non_utf8_config_file_is_a_parse_error(smoke_pair_file, tmp_path, capsys
     assert "run.cfg" in error["message"] and "UTF-8" in error["message"]
 
 
+def test_byte_order_mark_is_ignored_in_pair_and_config_files(smoke_pair_file, tmp_path,
+                                                             capsys):
+    marked_pair = tmp_path / "marked" / smoke_pair_file.name
+    marked_pair.parent.mkdir()
+    marked_pair.write_bytes(b"\xef\xbb\xbf" + smoke_pair_file.read_bytes())
+    lines = "".join(f"{key}={value}\n" for key, value in {"seed": 7, **FAST_KEYS}.items())
+    cfg, marked_cfg = tmp_path / "run.cfg", tmp_path / "marked.cfg"
+    cfg.write_text(lines)
+    marked_cfg.write_bytes(b"\xef\xbb\xbf" + lines.encode())
+    outs = [run_cli(capsys, ["score", str(pair), "--config", str(config)])
+            for pair, config in [(smoke_pair_file, cfg), (marked_pair, cfg),
+                                 (smoke_pair_file, marked_cfg)]]
+    assert [code for code, _ in outs] == [0, 0, 0]
+    assert outs[1][1] == outs[0][1] and outs[2][1] == outs[0][1]
+
+
 def test_score_skip_header(tmp_path, capsys):
     path = tmp_path / "headered.txt"
     body = "\n".join(f"{v} {v + 0.5}" for v in np.linspace(-2, 2, 30))

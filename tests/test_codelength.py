@@ -263,6 +263,15 @@ def test_eval_codelength_rejects_mismatched_y(y_len):
             stack(model), [(x, np.full(y_len, 0.3))], 2, RngStream(0))
 
 
+def test_training_and_evaluation_need_a_direction():
+    # unchecked, np.stack of no arrays raises a bare numpy ValueError
+    model = stack(ConditionalModel.initial(3, RngStream(0).child("init")))
+    with pytest.raises(ArgumentError, match="need at least one direction"):
+        train_conditional([], FAST, RngStream(0))
+    with pytest.raises(ArgumentError, match="need at least one direction"):
+        conditional_variational_codelength(model, [], 2, RngStream(0))
+
+
 @pytest.mark.parametrize("samples", [1.5, "2", None])
 def test_eval_codelength_rejects_non_integer_sample_count(samples):
     model = ConditionalModel.initial(3, RngStream(0).child("init"))

@@ -713,6 +713,26 @@ def test_parse_pairmeta_malformed(tmp_path):
             parse_pairmeta(meta)
 
 
+def test_byte_order_mark_is_ignored_in_pair_and_meta_files(tmp_path):
+    body = "0.5 -1.25\n2 3e-4\n-7 1\n".encode()
+    meta = "0001 1 1 2 2 1.0\n0002 2 2 1 1 2\n".encode()
+    for name, content in [("plain", b""), ("marked", b"\xef\xbb\xbf")]:
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "pair.txt").write_bytes(content + body)
+        (tmp_path / name / "pairmeta.txt").write_bytes(content + meta)
+    plain, marked = (load_pair_file(tmp_path / name / "pair.txt") for name in ("plain", "marked"))
+    assert (marked.x.tobytes(), marked.y.tobytes()) == (plain.x.tobytes(), plain.y.tobytes())
+    assert (parse_pairmeta(tmp_path / "marked" / "pairmeta.txt")
+            == parse_pairmeta(tmp_path / "plain" / "pairmeta.txt"))
+
+
+def test_bad_byte_offset_counts_the_byte_order_mark(tmp_path):
+    path = tmp_path / "pair.txt"
+    path.write_bytes(b"\xef\xbb\xbf1 2\n\xff")
+    with pytest.raises(ParseError, match="pair.txt: not UTF-8 text .* at byte 7"):
+        load_pair_file(path)
+
+
 @pytest.mark.parametrize("row,reason", [
     ("0001 1 1 2 2 nan", "weight must be positive and finite"),
     ("0001 1 1 2 2 inf", "weight must be positive and finite"),
@@ -738,6 +758,17 @@ def test_parse_pairmeta_rejects_bad_weight_or_column(tmp_path, row, reason):
 def test_pair_dataset_rejects_non_finite_or_non_positive_weight(weight):
     with pytest.raises(ArgumentError, match="weight"):
         PairDataset(np.arange(3.0), np.arange(3.0), weight=weight)
+
+
+@pytest.mark.parametrize("x,y,reason", [
+    (np.zeros((3, 2)), np.zeros(6), "1-D vectors of equal length"),   # x is a matrix
+    (np.zeros(3), np.zeros((3, 1)), "1-D vectors of equal length"),
+    (np.arange(3.0), np.arange(4.0), "1-D vectors of equal length"),
+    (np.array([1.0]), np.array([2.0]), "at least 2 observations"),
+], ids=["2-D-x", "2-D-y", "unequal", "one-observation"])
+def test_pair_dataset_rejects_bad_columns(x, y, reason):
+    with pytest.raises(ArgumentError, match=reason):
+        PairDataset(x, y)
 
 
 @pytest.mark.parametrize("weight", ["1", None])
@@ -802,6 +833,12 @@ def test_load_tuebingen_reads_only_pair_id_file_names(tmp_path):
 
 def test_load_tuebingen_missing_meta(tmp_path):
     with pytest.raises(FileNotFoundError):
+        load_tuebingen(tmp_path)
+
+
+def test_load_tuebingen_missing_pair_file(tmp_path):
+    (tmp_path / "pairmeta.txt").write_text("0001 1 1 2 2 1.0\n")
+    with pytest.raises(FileNotFoundError, match="pair 0001: data file .*pair0001.txt missing"):
         load_tuebingen(tmp_path)
 
 

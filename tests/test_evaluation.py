@@ -68,6 +68,22 @@ def test_auroc_zero_weight_class_rejected():
         auroc(np.array([0.1, 0.2]), np.array([True, False]), np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("scores,positives,weights", [
+    ([0.1, 0.2, 0.3], [True, False], None),
+    ([0.1, 0.2], [True, False, True], None),
+    ([0.1, 0.2], [True, False], [1.0, 1.0, 1.0]),
+], ids=["scores", "positives", "weights"])
+def test_auroc_rejects_unequal_lengths(scores, positives, weights):
+    with pytest.raises(ArgumentError, match="must have equal length"):
+        auroc(scores, positives, weights)
+
+
+@pytest.mark.parametrize("label", [X_CAUSES_Y, Y_CAUSES_X])
+def test_bi_auroc_needs_both_directions(label):
+    with pytest.raises(ArgumentError, match="needs both ground-truth directions"):
+        bi_auroc(np.array([1.0, -2.0, 0.5]), [label] * 3)
+
+
 def within_seconds(seconds, fn, *args):
     """fn(*args), or a failure once seconds have passed: a hang must not stall the suite."""
     def expire(signum, frame):
@@ -303,6 +319,11 @@ def test_machine_info_core_is_none_without_the_openblas_symbol(monkeypatch):
 
 def test_run_benchmark_metadata_names_the_machine():
     assert run_benchmark(small_pairs(1), FAST).metadata["machine"] == machine_info()
+
+
+def test_run_benchmark_rejects_an_empty_pair_list():
+    with pytest.raises(ArgumentError, match="non-empty pair list"):
+        run_benchmark([], FAST)
 
 
 def test_run_benchmark_single_pair_no_bi_auroc():

@@ -370,7 +370,7 @@ def run_ab_pairs(change_src, *extra):
     """Exit code and last JSON line of a tiny ab_pairs run against this tree's src."""
     proc = python_proc([str(ROOT / "scripts" / "ab_pairs.py"), "--base", str(ROOT / "src"),
                         "--change", str(change_src), "--pairs-per-family", "1", "--n", "40",
-                        "--hidden-width", "4", "--epochs", "10", "--mc-samples", "2", *extra])
+                        *extra])
     assert proc.stdout.strip(), proc.stderr
     return proc.returncode, json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -395,7 +395,9 @@ def test_ab_pairs_writes_each_seed_and_its_context(tmp_path):
     assert set(written["context"]["thread_env"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                                      "MKL_NUM_THREADS"}
     assert (written["context"]["n"], written["context"]["pairs_per_family"]) == (40, 1)
-    assert written["context"]["config"]["hidden_width"] == 4
+    assert written["context"]["config"] == {
+        "hidden_width": 50, "map_epochs": 100, "vi_epochs": 100, "warmup_epochs": 10,
+        "mc_eval_samples": 64, "seed": 0}
     assert set(written["context"]["machine"]) == {"numpy_version", "dispatch_targets",
                                                   "blas_core"}
 
@@ -430,6 +432,57 @@ def test_ab_perfbench_same_tree_keeps_the_hashes(tmp_path):
     assert written["summary"] == summary
     assert [run["first"] for run in written["runs"]] == ["base"]
     assert set(written["context"]) == {"base", "change"}
+
+
+def test_ab_perfbench_exits_1_when_inputs_differ(tmp_path):
+    for part in ("src", "perfbench"):
+        shutil.copytree(ROOT / part, tmp_path / part, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    data = tmp_path / "src" / "comic" / "data.py"
+    text = data.read_text()
+    assert text.count("0x1.43638953eaed2p-2") == 1
+    data.write_text(text.replace("0x1.43638953eaed2p-2", "0x1.43638953eaed3p-2"))
+    proc = python_proc([str(ROOT / "scripts" / "ab_perfbench.py"), "--base", str(ROOT),
+                        "--change", str(tmp_path), "--workload", "generate-gp",
+                        "--seconds", "1", "--pairs", "1"])
+    assert proc.returncode == 1, proc.stderr
+    summary = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert summary["hashes_match"] is False
+    assert len(summary["hashes"]["inputs_sha256"]) == 2
+
+
+@pytest.fixture()
+def ab_perfbench(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import ab_perfbench
+    return ab_perfbench
+
+
+def test_ab_perfbench_summarize_counts_wins_by_direction(ab_perfbench):
+    end_to_end = [{"name": "wall_s", "better": "lower"},
+                  {"name": "pairs_per_s", "better": "higher"},
+                  {"name": "setup_s", "better": "lower"}]
+    base = {"wall_s": [1.0, 2.0, 3.0, 4.0, 5.0], "pairs_per_s": [10.0, 10.0, 10.0, 11.0, 9.0]}
+    change = {"wall_s": [0.5, 2.0, 2.5, 4.5, 1.0], "pairs_per_s": [12.0, 10.0, 20.0, 9.0, 30.0]}
+    runs = {side: [{"metrics": {"setup_s": 0.1, **{name: values[i]
+                                                 for name, values in metrics.items()}}}
+                   for i in range(5)]
+            for side, metrics in (("base", base), ("change", change))}
+    summary = ab_perfbench.summarize(runs, end_to_end)
+    # lower is better: pairs 1, 3 and 5 are wins, pair 2 a tie and pair 4 a loss;
+    # the medians 3.0 and 2.0 differ by less than the base's spread 4.0 - 2.0
+    assert summary["wall_s"]["better"] == "lower"
+    assert summary["wall_s"]["base"] == {"median": 3.0, "q1": 2.0, "q3": 4.0}
+    assert summary["wall_s"]["change"]["median"] == 2.0
+    assert summary["wall_s"]["change_wins"] == 3
+    assert summary["wall_s"]["shift_exceeds_base_iqr"] is False
+    # higher is better: pairs 1, 3 and 5 again; the base's spread is 0, so a
+    # shift of the medians from 10 to 12 exceeds it
+    assert summary["pairs_per_s"]["change_wins"] == 3
+    assert summary["pairs_per_s"]["shift_exceeds_base_iqr"] is True
+    # five ties: no win for the change, and no shift
+    assert summary["setup_s"]["change_wins"] == 0
+    assert summary["setup_s"]["shift_exceeds_base_iqr"] is False
 
 
 def test_import_leaves_the_network_stack_unloaded():
