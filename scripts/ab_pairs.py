@@ -6,26 +6,27 @@ into this one process. The same pairs, generated by the base tree, are then
 scored by both sides, alternating which side goes first from pair to pair,
 so drift in machine speed falls on both sides alike. Both sides score at
 CONFIG, the scoring config of perfbench's desk-n500 workload: hidden width
-50, 100 MAP + 100 VI epochs with a warm-up of 10, 64 MC samples, seed 0;
---n defaults to that workload's 500 rows.
+50, 100 MAP + 100 VI epochs with a warm-up of 10, 64 MC samples, seed 0.
+--n takes one or more pair lengths and defaults to that workload's 500
+rows.
 
-Prints one JSON line per seed: the seed, each side's median and quartiles
-of per-pair seconds, the median of the per-pair ratio change/base, how many
-pairs the change scored faster, and whether every repr(final_delta)
-matched. Exits with status 1 when any did not, so a change meant to keep
-the scores can be checked by the exit code alone. With --out PATH the
-lines are also written to PATH as {"runs": [...], "context": {...}}; the
-context holds the CPU count, the CPUs this process may run on, the BLAS
-and OpenMP thread variables as found (None when unset), --n,
---pairs-per-family, the config and the change side's machine block (numpy
-version, dispatch targets, OpenBLAS core), so the change tree must have
-evaluation.machine_info. Which trees
-were compared is not recorded: the commit that adds a result file names
-them.
+Prints one JSON line per seed and length: the seed, the length n, each
+side's median and quartiles of per-pair seconds, the median of the
+per-pair ratio change/base, how many pairs the change scored faster, and
+whether every repr(final_delta) matched. Exits with status 1 when any did
+not, so a change meant to keep the scores can be checked by the exit code
+alone. With --out PATH the lines are also written to PATH as
+{"runs": [...], "context": {...}}; the context holds the CPU count, the
+CPUs this process may run on, the BLAS and OpenMP thread variables as
+found (None when unset), the list of --n, --pairs-per-family, the config
+and the change side's machine block (numpy version, dispatch targets,
+OpenBLAS core), so the change tree must have evaluation.machine_info.
+Which trees were compared is not recorded: the commit that adds a result
+file names them.
 
 Example, comparing a checkout of the parent commit with this tree:
     python scripts/ab_pairs.py --base ../parent/src --change src --seed 1 2 \
-        --out BENCH_label.json
+        --n 500 2000 --out BENCH_label.json
 """
 
 import argparse
@@ -63,11 +64,11 @@ def quartiles(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def ab_seed(sides, configs, args, seed):
-    """The result line for the pairs the base tree generates at seed."""
+def ab_run(sides, configs, pairs_per_family, seed, n):
+    """The result line for the n-row pairs the base tree generates at seed."""
     base = sides["base"]
     pairs = [p for fam in base.data.FAMILIES for p in base.data.generate_dataset(
-        base.data.GeneratorSpec(fam, args.pairs_per_family, args.n, seed))]
+        base.data.GeneratorSpec(fam, pairs_per_family, n, seed))]
     seconds = {name: [] for name in sides}
     deltas = {name: [] for name in sides}
     for i, pair in enumerate(pairs):
@@ -81,6 +82,7 @@ def ab_seed(sides, configs, args, seed):
     ratios = [c / b for b, c in zip(seconds["base"], seconds["change"])]
     return {
         "seed": seed,
+        "n": n,
         "pairs": len(pairs),
         "base_s": quartiles(seconds["base"]),
         "change_s": quartiles(seconds["change"]),
@@ -100,7 +102,8 @@ def main():
     parser.add_argument("--seed", type=int, nargs="+", default=[1],
                         help="seeds of the generated pairs, one result line each")
     parser.add_argument("--pairs-per-family", type=int, default=2)
-    parser.add_argument("--n", type=int, default=500, help="rows per pair")
+    parser.add_argument("--n", type=int, nargs="+", default=[500],
+                        help="rows per pair, one result line per seed and length")
     parser.add_argument("--out", type=Path,
                         help="also write the result lines, with their context, to this file")
     args = parser.parse_args()
@@ -112,8 +115,9 @@ def main():
         configs = {name: pkg.codelength.TrainConfig(**CONFIG) for name, pkg in sides.items()}
         runs = []
         for seed in args.seed:
-            runs.append(ab_seed(sides, configs, args, seed))
-            print(json.dumps(runs[-1]), flush=True)
+            for n in args.n:
+                runs.append(ab_run(sides, configs, args.pairs_per_family, seed, n))
+                print(json.dumps(runs[-1]), flush=True)
         if args.out is not None:
             context = {"nproc": os.cpu_count(), "usable_cpus": len(os.sched_getaffinity(0)),
                        "thread_env": {name: os.environ.get(name) for name in THREAD_ENV},

@@ -33,9 +33,8 @@ noise matrices do not, and broadcast over them, so every model of a stack
 sees the same draw. All block arithmetic runs over the trailing axes
 (per-slice matmul, sums along the last axes), so one forward/backward path
 serves a single model and a stack, and each slice of a stack gets the
-bytes it would get alone (at hidden width 1 with the help of aligned
-copies, see _transposed_product). The objectives and kl_model return one
-value per model.
+bytes it would get alone (for the shapes named below). The objectives and
+kl_model return one value per model.
 
 Every pass, training or evaluation, goes through one forward/backward pair
 per layer: with a noise matrix it is the sampled (local reparameterization)
@@ -53,7 +52,14 @@ and variance x^2*v_w + v_b are each one BLAS product of the n x 2 design
 RN(RN(x*w) + b), with a -0.0 product taken as +0.0: a gemm kernel starts
 each sum at +0.0 and adds the two terms in column order, which is why the
 ones are the second column. These are the bytes of the broadcast form
-x*w + (b + 0.0), which n = 1 or H = 1 keeps (see _affine).
+x*w + (b + 0.0).
+
+Both byte promises, a stacked slice's and the broadcast form's, are made
+for at least 2 rows and hidden width at least 2, as every scored pair has
+(TrainConfig asks for width >= 2). Other shapes get the same values, but
+under some OpenBLAS kernels the design product and the (1 x n) @ (n x 1)
+gradient products gave them other bits, and einsum keeps g.sum(axis=-2)'s
+order only over 2 or more columns.
 
 Epochs and Monte Carlo samples allocate no data-sized array: the noise,
 the pre-activations, the squared inputs, the stds, the designs [h, 1] and
@@ -81,7 +87,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ArgumentError, NumericError
+from .errors import ArgumentError, NumericError, check_count
 from .rng import RngStream, draw_standard_normal
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -96,7 +102,7 @@ INIT_LOGVAR = -9.0
 # a Python float operand into an array on every call, which costs about as
 # much as the operation itself on a parameter-sized block. They hold the
 # literals' doubles, so every result keeps its bytes.
-_ZERO, _HALF, _ONE, _TWO, _MINUS_TWO = (np.array(v) for v in (0.0, 0.5, 1.0, 2.0, -2.0))
+_HALF, _ONE, _TWO, _MINUS_TWO = (np.array(v) for v in (0.5, 1.0, 2.0, -2.0))
 _HALF_LOG_2PI = np.array(HALF_LOG_2PI)
 _LIMIT, _MINUS_LIMIT = np.array(LOG_SCALE_LIMIT), np.array(-LOG_SCALE_LIMIT)
 
@@ -129,6 +135,7 @@ def _layout(hidden_width: int):
     """The packed layout at hidden_width: {(layer, field): (start, end,
     shape)} of each block, and (start, end) of each field's slice over both
     layers, in field order. Fields ending in _w are A x B, the others B."""
+    hidden_width = check_count("hidden_width", hidden_width, 1)
     dims = {"hidden": (1, hidden_width), "output": (hidden_width, 2)}
     spans, slices = {}, []
     offset = 0
@@ -325,35 +332,21 @@ def _draw_noise(model: ConditionalModel, n: int, stream: RngStream):
 
 def _affine(h_in: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray,
             name: str) -> np.ndarray:
-    """h_in @ w + b written into out; every entry of a width-1 input is
-    RN(RN(h * w) + (b + 0.0)).
-
-    A width-1 input with at least 2 rows and 2 columns goes through one
-    product of the design [h_in, 1] with the stacked [w; b], both built in
-    the layer's buffers. A gemm kernel starts each sum at +0.0 and adds the
-    terms in column order, so it rounds h * w first, turning a -0.0
-    product into +0.0, and then adds 1 * b exactly as the broadcast form
-    adds b + 0.0. 1 row or 1 column keeps the broadcast form: there the
-    product gave other bits under the Haswell and SkylakeX kernels (at
-    width 1 for every n >= 2 tried, and with 1 row at width 50 under
-    SkylakeX), though not under Prescott, Nehalem or Sandybridge.
-    """
-    rows, width = out.shape[-2:]
+    """h_in @ w + b written into out: a width-1 input through one product
+    of the design [h_in, 1] with the stacked [w; b], built in the layer's
+    buffers, which has the bytes of the broadcast form (see the module
+    docstring); any other input through matmul, then + b."""
     if h_in.shape[-1] != 1:
         np.matmul(h_in, w, out=out)
         out += b[..., None, :]
-    elif rows < 2 or width < 2:
-        np.multiply(h_in, w, out=out)
-        out += b[..., None, :] + _ZERO
-    else:
-        design = _buffer(name, "design", h_in.shape[:-1] + (2,))
-        design[..., :1] = h_in
-        design[..., 1] = _ONE
-        wb = _buffer(name, "wb", w.shape[:-2] + (2, width))
-        wb[..., :1, :] = w
-        wb[..., 1, :] = b
-        np.matmul(design, wb, out=out)
-    return out
+        return out
+    design = _buffer(name, "design", h_in.shape[:-1] + (2,))
+    design[..., :1] = h_in
+    design[..., 1] = _ONE
+    wb = _buffer(name, "wb", w.shape[:-2] + (2, out.shape[-1]))
+    wb[..., :1, :] = w
+    wb[..., 1, :] = b
+    return np.matmul(design, wb, out=out)
 
 
 def _layer_std(h_in: np.ndarray, v_w: np.ndarray, v_b: np.ndarray, name: str,
@@ -390,38 +383,6 @@ def _layer_forward(layer: VariationalLinearLayer, h_in: np.ndarray, eps: np.ndar
     return out, (h_in, (h_sq, v_w, v_b, s_out, eps))
 
 
-def _transposed_product(h: np.ndarray, g: np.ndarray, name: str) -> np.ndarray:
-    """h^T @ g over the trailing axes.
-
-    For a width-1 h and g this is a (1 x n) @ (n x 1) product, which the
-    Prescott and Core2 kernels (core "Katmai") compute with other bits when
-    a row starts off a 16-byte boundary, as the second slice of a stacked
-    (2, n, 1) input does for odd n; it runs on copies in a
-    (..., 2, n + n % 2) buffer, whose rows all start on one.
-    """
-    if h.shape[-1] != 1 or g.shape[-1] != 1:
-        return h.swapaxes(-1, -2) @ g
-    n = h.shape[-2]
-    rows = _buffer(name, "aligned", h.shape[:-2] + (2, n + n % 2))
-    rows[..., 0, :n] = h[..., 0]
-    rows[..., 1, :n] = g[..., 0]
-    return rows[..., :1, :n] @ rows[..., 1, :n, None]
-
-
-def _row_sums(g: np.ndarray) -> np.ndarray:
-    """g summed over its rows (axis -2), with the bytes of g.sum(axis=-2).
-
-    With 2 or more columns that reduction adds the rows in order, from
-    +0.0, running one inner loop per row; einsum adds them in the same
-    order in fewer, cheaper steps (an n = 500 pair's 2-column sums take
-    about a quarter of the time, its 50-column ones about 60 %). One column
-    is summed pairwise instead, which einsum would not reproduce.
-    """
-    if g.shape[-1] == 1:
-        return np.add.reduce(g, axis=-2)
-    return np.einsum("...ij->...j", g)
-
-
 def _layer_backward(cache, g_out: np.ndarray, grad: VariationalLinearLayer, name: str,
                     layer: VariationalLinearLayer | None = None):
     """Add the layer's gradient given d(loss)/d(h_out) into grad; given the
@@ -432,11 +393,14 @@ def _layer_backward(cache, g_out: np.ndarray, grad: VariationalLinearLayer, name
     array: g_out becomes the scaled noise gradient g_v and the cache's s_out
     becomes 0.5 / s_out. The caller must not need them afterwards. The
     term 2 h_in (g_v @ v_w^T) is taken as h_in (g_v @ (2 v_w)^T), which
-    doubling keeps exact unless a product g_v * v_w is subnormal.
+    doubling keeps exact unless a product g_v * v_w is subnormal. The row
+    sums run through einsum, which adds the rows in g.sum(axis=-2)'s order
+    from +0.0 in fewer, cheaper steps (an n = 500 pair's 2-column sums take
+    about a quarter of the time, its 50-column ones about 60 %).
     """
     h_in, noise = cache
-    grad.mean_w += _transposed_product(h_in, g_out, name)
-    grad.mean_b += _row_sums(g_out)
+    grad.mean_w += h_in.swapaxes(-1, -2) @ g_out
+    grad.mean_b += np.einsum("...ij->...j", g_out)
     g_in = None
     if layer is not None:
         g_in, g_v_w = _buffer(name, "input_grad", (2,) + h_in.shape)
@@ -446,8 +410,8 @@ def _layer_backward(cache, g_out: np.ndarray, grad: VariationalLinearLayer, name
     h_sq, v_w, v_b, s_out, eps = noise
     g_v = np.multiply(g_out, eps, out=g_out)
     g_v *= np.divide(_HALF, s_out, out=s_out)
-    grad.logvar_w += _transposed_product(h_sq, g_v, name) * v_w
-    grad.logvar_b += _row_sums(g_v) * v_b
+    grad.logvar_w += (h_sq.swapaxes(-1, -2) @ g_v) * v_w
+    grad.logvar_b += np.einsum("...ij->...j", g_v) * v_b
     if layer is not None:
         np.matmul(g_v, (_TWO * v_w).swapaxes(-1, -2), out=g_v_w)
         g_v_w *= h_in

@@ -36,9 +36,13 @@ from .optim import adam_step, cosine_lr
 from .rng import RngStream, check_seed
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """The two-phase training schedule's settings; optim fixes its learning-rate range."""
+    """The two-phase training schedule's settings; optim fixes its learning-rate range.
+
+    hidden_width is at least 2: bnn makes its byte promises, on which the
+    swap mirror rests, from width 2 on.
+    """
 
     hidden_width: int = 50
     vi_epochs: int = 2500
@@ -48,10 +52,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("hidden_width", "vi_epochs", "warmup_epochs", "map_epochs",
-                     "mc_eval_samples"):
-            setattr(self, name, check_count(name, getattr(self, name), 1))
-        self.seed = check_seed(self.seed)
+        for name, least in (("hidden_width", 2), ("vi_epochs", 1), ("warmup_epochs", 1),
+                            ("map_epochs", 1), ("mc_eval_samples", 1)):
+            object.__setattr__(self, name, check_count(name, getattr(self, name), least))
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if self.warmup_epochs > self.vi_epochs:
             raise ArgumentError("warmup_epochs must not exceed vi_epochs")
 
@@ -114,12 +118,11 @@ def train_conditional(
     Every direction starts from the same initial weights, and each VI
     epoch's noise is drawn once from stream for all directions. The
     parameters are one (directions x P) matrix, which is the stacked model
-    (its blocks are views of it), and the gradient likewise. Each
-    epoch makes one objective call, which overwrites the gradient matrix,
-    and one Adam step on the matrices, which updates the parameters and
-    the moment matrices m and v in place. No operation mixes directions, so
-    each gets the bytes it would get trained alone (at hidden width 1 with
-    the help of aligned copies, see bnn). Both phases run
+    (its blocks are views of it), and the gradient likewise. Each epoch
+    makes one objective call, which overwrites the gradient matrix, and one
+    Adam step on the matrices, which updates the parameters and the moment
+    matrices m and v in place. No operation mixes directions, so each gets
+    the bytes it would get trained alone (see bnn). Both phases run
     full-batch under Adam with a cosine learning-rate schedule from LR_MAX
     to LR_MIN; the second phase starts from zeroed Adam moments since it
     minimizes a different objective. A NumericError names the direction's

@@ -232,7 +232,7 @@ def standardize(v: np.ndarray) -> tuple[np.ndarray, float, float]:
     return out, total / (n * scale), _sqrt_ratio(sum_sq, n**3 * scale * scale)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeneratorSpec:
     family: str
     n_pairs: int
@@ -240,10 +240,10 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self):
-        self.family = normalize_family(self.family)
-        self.n_pairs = check_count("n_pairs", self.n_pairs, 1)
-        self.n_samples = check_count("n_samples", self.n_samples, 2)
-        self.seed = check_seed(self.seed)
+        object.__setattr__(self, "family", normalize_family(self.family))
+        object.__setattr__(self, "n_pairs", check_count("n_pairs", self.n_pairs, 1))
+        object.__setattr__(self, "n_samples", check_count("n_samples", self.n_samples, 2))
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
 def normalize_family(name: str) -> str:

@@ -416,6 +416,22 @@ def test_initial_parameters_are_pinned(width, prefix):
     assert hashlib.sha256(pack_params(model).tobytes()).hexdigest()[:16] == prefix
 
 
+@pytest.mark.parametrize("width,message", [
+    (0, "hidden_width must be >= 1"), (-1, "hidden_width must be >= 1"),
+    (2.5, "hidden_width must be an integer, got 2.5"),
+    ("3", "hidden_width must be an integer, got '3'")])
+@pytest.mark.parametrize("entry", ["initial", "params"])
+def test_model_names_a_bad_hidden_width(entry, width, message):
+    # these used to escape as a bare ZeroDivisionError, ValueError or
+    # TypeError, and ConditionalModel(np.zeros(10), 2.5) asked for 31.5 entries
+    with pytest.raises(ArgumentError) as exc:
+        if entry == "initial":
+            ConditionalModel.initial(width, RngStream(0).child("init"))
+        else:
+            ConditionalModel(np.zeros(10), width)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("objective", [map_objective, elbo_objective], ids=["map", "elbo"])
 @pytest.mark.parametrize("case", ["rows-on-single", "one-row-on-stack", "short-y",
                                   "grad-rows-on-single"])
@@ -452,10 +468,10 @@ def test_elbo_rejects_beta_outside_the_unit_interval(beta):
 # ------------------------------------------------- byte-level oracle
 #
 # Plain reference versions of the hot loop. The package's own versions
-# (a width-1 input's affine map as one product of [h, 1] with [w; b], or as
-# a broadcast product when it has 1 row or 1 column, in-place temporaries,
-# the input gradient only where it is used, one reused generator) must give
-# every loss, gradient and prediction byte for byte as these do.
+# (a width-1 input's affine map as one product of [h, 1] with [w; b],
+# in-place temporaries, the input gradient only where it is used, one
+# reused generator) must give every loss, gradient and prediction byte for
+# byte as these do, at hidden width 2 or more and with 2 or more rows.
 
 
 def oracle_layer_forward(layer, h_in, eps):
@@ -620,8 +636,8 @@ def prediction_bytes(mu, sigma):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    width=st.sampled_from([1, 2, 50]),
-    n=st.sampled_from([1, 2, 3, 500]),
+    width=st.sampled_from([2, 50]),
+    n=st.sampled_from([2, 3, 500]),
     seed=st.integers(0, 2**32 - 1),
     zero_share=st.sampled_from([0.0, 0.3, 1.0]),
     beta=st.sampled_from([0.0, 0.4, 1.0]),
@@ -641,8 +657,8 @@ def test_hot_loop_matches_oracle_bytes(width, n, seed, zero_share, beta):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    width=st.sampled_from([1, 2, 50]),
-    n=st.sampled_from([1, 2, 3, 500]),
+    width=st.sampled_from([2, 50]),
+    n=st.sampled_from([2, 3, 500]),
     seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
     zero_share=st.sampled_from([0.0, 0.3, 1.0]),
     beta=st.sampled_from([0.0, 0.4, 1.0]),
@@ -682,8 +698,8 @@ def test_stacked_pair_matches_oracle_bytes_per_slice(width, n, seeds, zero_share
 
 @settings(max_examples=20, deadline=None)
 @given(
-    width=st.sampled_from([1, 2, 50]),
-    n=st.sampled_from([1, 2, 3, 500]),
+    width=st.sampled_from([2, 50]),
+    n=st.sampled_from([2, 3, 500]),
     seed=st.integers(0, 2**32 - 1),
     beta=st.sampled_from([0.0, 0.4, 1.0]),
 )

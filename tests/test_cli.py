@@ -207,6 +207,21 @@ def test_every_train_config_field_reaches_score(field, route, smoke_pair_file, t
     assert getattr(TrainConfig(), field) != 9
 
 
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_hidden_width_1_is_a_json_error(route, smoke_pair_file, tmp_path, capsys):
+    # training needs a hidden width of at least 2
+    if route == "flag":
+        argv = [*FAST_FLAGS, "--hidden-width", "1"]
+    else:
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in {**FAST_KEYS, "hidden_width": 1}.items()))
+        argv = ["--config", str(cfg)]
+    code, out = run_cli(capsys, ["score", str(smoke_pair_file), *argv])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error == {"type": "ArgumentError", "message": "hidden_width must be >= 2"}
+
+
 def test_config_file_unknown_key(smoke_pair_file, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     for text, reason in [("not_a_key=1\n", "unknown config key 'not_a_key'"),

@@ -133,7 +133,7 @@ def evaluate_tiny(mc_eval_samples):
 # every count that errors.check_count guards: its name, its least value and
 # a call that passes the value on
 COUNT_BOUNDS = [
-    pytest.param("hidden_width", 1, lambda v: TrainConfig(hidden_width=v), id="hidden_width"),
+    pytest.param("hidden_width", 2, lambda v: TrainConfig(hidden_width=v), id="hidden_width"),
     pytest.param("vi_epochs", 1, lambda v: TrainConfig(vi_epochs=v, warmup_epochs=1),
                  id="vi_epochs"),
     pytest.param("warmup_epochs", 1, lambda v: TrainConfig(warmup_epochs=v), id="warmup_epochs"),
@@ -156,6 +156,21 @@ def test_each_count_takes_its_least_value_and_names_it_below(name, least, call):
         call(least - 1)
     assert str(exc.value) == f"{name} must be >= {least}"
     call(least)
+
+
+@pytest.mark.parametrize("field,value", [("warmup_epochs", 10**6), ("hidden_width", 1),
+                                         ("hidden_width", 0)])
+def test_train_config_is_frozen_and_replace_validates(field, value):
+    # an assignment after construction used to skip every check: a warm-up
+    # past vi_epochs scored with a KL weight that never reached 1, and width
+    # 0 ended in a bare ZeroDivisionError
+    cfg = TrainConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cfg, field, value)
+    with pytest.raises(ArgumentError, match=field):
+        dataclasses.replace(cfg, **{field: value})
+    assert cfg == TrainConfig()
+    assert dataclasses.replace(cfg, seed=5) == TrainConfig(seed=5)
 
 
 def test_linear_pair_compresses_below_marginal():

@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import hashlib
 import math
@@ -873,3 +874,17 @@ def test_write_dataset_rejects_an_unlabelled_pair_before_writing(tmp_path):
     with pytest.raises(ArgumentError, match=r"^pair 2 \('loose'\) has no label"):
         write_dataset(out, [labelled, unlabelled])
     assert not out.exists()
+
+
+def test_generator_spec_is_frozen_and_replace_validates():
+    # an assignment after construction used to skip every check: family
+    # "bogus" generated pair bogus-0000 from the sigmoid branch
+    spec = GeneratorSpec("an", 2, 20)
+    assert spec.family == "AN"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.family = "bogus"
+    with pytest.raises(ArgumentError, match="unknown family 'bogus'"):
+        dataclasses.replace(spec, family="bogus")
+    with pytest.raises(ArgumentError, match="n_samples must be >= 2"):
+        dataclasses.replace(spec, n_samples=1)
+    assert dataclasses.replace(spec, family="ls-s").family == "LS-s"

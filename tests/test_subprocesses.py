@@ -1,6 +1,7 @@
 """Checks that need a fresh interpreter: BLAS thread counts, page faults, imports, dying
 workers and script entry points."""
 
+import dataclasses
 import functools
 import json
 import multiprocessing
@@ -115,8 +116,8 @@ def signed_zeros(values):
     return values
 
 mismatches = []
-for width in (1, 2, 50):
-    for n in (1, 2, 3, 500, 4000):
+for width in (2, 50):
+    for n in (2, 3, 500, 4000):
         for stack in ((), (2,)):
             h = signed_zeros(2.0 * rng.standard_normal(stack + (n, 1)))
             w = signed_zeros(rng.standard_normal(stack + (1, width)))
@@ -167,13 +168,9 @@ def test_hidden_affine_matches_the_broadcast_form_under_each_blas_kernel(coretyp
 # the bytes of the MAP and ELBO losses and gradients, of model_forward and
 # of one sampler draw, per slice. For odd n the second slice of a stacked
 # (2, n, 1) input starts 8n bytes in, off the 16-byte alignment of a fresh
-# array. At width 1 the Prescott kernels (core "Katmai") give a
-# (1 x n) @ (n x 1) product such as the gradient h_in^T @ g other bits
-# when its rows start off that alignment, so bnn runs that product on
-# aligned copies; width 1 checks them (without them, the second slice's
-# ELBO gradient differed at n = 333). At the even widths 2 and 50 each
-# direction's slice of a packed (2, P) gradient starts on a 16-byte
-# boundary; at the odd widths 1, 3 and 7 the second slice starts off it.
+# array. At the even widths 2 and 50 each direction's slice of a packed
+# (2, P) gradient starts on a 16-byte boundary; at the odd widths 3 and 7
+# the second slice starts off it.
 STACKED_AND_ALONE = """
 import json
 import numpy as np
@@ -194,7 +191,7 @@ def passes(model, x, y, stream):
     }
 
 mismatches = []
-for width in (1, 2, 3, 7, 50):
+for width in (2, 3, 7, 50):
     for n in (3, 5, 7, 333):
         initial = ConditionalModel.initial(width, RngStream(0).child("init"))
         packed = bnn.pack_params(initial)
@@ -394,12 +391,31 @@ def test_ab_pairs_writes_each_seed_and_its_context(tmp_path):
                                        "pairs_per_family", "config", "machine"}
     assert set(written["context"]["thread_env"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                                      "MKL_NUM_THREADS"}
-    assert (written["context"]["n"], written["context"]["pairs_per_family"]) == (40, 1)
+    assert (written["context"]["n"], written["context"]["pairs_per_family"]) == ([40], 1)
     assert written["context"]["config"] == {
         "hidden_width": 50, "map_epochs": 100, "vi_epochs": 100, "warmup_epochs": 10,
         "mc_eval_samples": 64, "seed": 0}
     assert set(written["context"]["machine"]) == {"numpy_version", "dispatch_targets",
                                                   "blas_core"}
+
+
+def test_ab_pairs_writes_one_line_per_length():
+    proc = python_proc([str(ROOT / "scripts" / "ab_pairs.py"), "--base", str(ROOT / "src"),
+                        "--change", str(ROOT / "src"), "--pairs-per-family", "1",
+                        "--n", "30", "40"])
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.strip().splitlines()]
+    assert [(line["seed"], line["n"]) for line in lines] == [(1, 30), (1, 40)]
+    assert all(line["pairs"] == 5 and line["scores_match"] is True for line in lines)
+
+
+def test_ab_pairs_config_is_the_desk_workloads(monkeypatch):
+    # the two hand-kept copies of desk-n500's training config must not drift apart
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import ab_pairs
+    import run
+    assert ab_pairs.CONFIG == dataclasses.asdict(run.default_config())
 
 
 def test_ab_pairs_exits_1_when_scores_differ(tmp_path):
