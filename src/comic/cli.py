@@ -92,10 +92,8 @@ def cmd_generate(args) -> int:
     spec = GeneratorSpec(args.family, args.n_pairs, args.n_samples, settings["seed"])
     out_dir = Path(args.out or f"{spec.family}-pairs")
     pairs = generate_dataset(spec)
-    names = write_dataset(out_dir, pairs)
-    files = {}
-    for name in names + ["pairmeta.txt", "labels.csv"]:
-        files[name] = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+    files = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+             for name in write_dataset(out_dir, pairs)}
     manifest = {
         "family": spec.family,
         "n_pairs": spec.n_pairs,
@@ -105,7 +103,7 @@ def cmd_generate(args) -> int:
         "files": files,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(names)} pairs to {out_dir}")
+    print(f"wrote {len(pairs)} pairs to {out_dir}")
     return 0
 
 
@@ -162,7 +160,7 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_fetch_tuebingen(args) -> int:
-    out_dir = args.out or "tuebingen"
+    out_dir = args.out or data_mod.TUEBINGEN_DIR
     count = data_mod.fetch_tuebingen(
         url=args.url, out_dir=out_dir, log=lambda msg: print(msg, file=sys.stderr)
     )

@@ -6,25 +6,27 @@ effect given the cause under a trained Bayesian network. The difference of
 the two direction scores decides the causal direction; its magnitude is the
 confidence.
 
-The two directions of a pair are stacked on a leading axis and trained in
-one pass, one objective call and one Adam step per epoch, then evaluated
-in one pass per Monte Carlo sample. Both take all their randomness,
-initial weights and every noise draw, from one stream keyed by the sorted
-pair of fingerprints of the standardized columns. Each epoch and each
-sample hands bnn one child of that stream, from which it draws the noise
-once for both directions (common random numbers; each direction's noise
-is still i.i.d. standard normal). The key does not depend on which
-argument slot a column occupies, and each direction's arithmetic depends
-only on its own data and the noise, with no reduction across directions,
-so score_pair on the swapped pair is the bit-exact mirror of the original
-computation.
+Training and evaluation take the causes x and the effects y as float
+(directions x rows) matrices, with the stack axis bnn uses: x[d] and y[d]
+hold direction d's data rows, and one direction alone is a (1 x rows)
+matrix. score_pair stacks a pair once, x = (zx, zy) and y = (zy, zx), and
+hands the same two matrices to both. The directions are trained in one pass, one objective call and one
+Adam step per epoch, then evaluated in one pass per Monte Carlo sample.
+Both take all their randomness, initial weights and every noise draw,
+from one stream keyed by the sorted pair of fingerprints of the
+standardized columns. Each epoch and each sample hands bnn one child of
+that stream, from which it draws the noise once for both directions
+(common random numbers; each direction's noise is still i.i.d. standard
+normal). The key does not depend on which argument slot a column
+occupies, and each direction's arithmetic depends only on its own data
+and the noise, with no reduction across directions, so score_pair on the
+swapped pair is the bit-exact mirror of the original computation.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -89,31 +91,24 @@ def marginal_gaussian_codelength(x: np.ndarray) -> float:
     return float(bnn.gaussian_nll(x, np.zeros_like(x), np.ones_like(x)))
 
 
-def _stack_directions(directions, min_samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """The causes and the effects as (directions x n) matrices; ArgumentError if one is malformed."""
-    causes, effects = [], []
-    for x, y in directions:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if (x.ndim != 1 or x.shape != y.shape or x.size < min_samples
-                or (causes and x.shape != causes[0].shape)):
-            raise ArgumentError(
-                f"each direction needs matched vectors of equal length, at least "
-                f"{min_samples} samples each; got shapes {x.shape} and {y.shape}")
-        causes.append(x)
-        effects.append(y)
-    if not causes:
-        raise ArgumentError("need at least one direction")
-    return np.stack(causes), np.stack(effects)
+def _directions(x, y, min_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as float arrays; ArgumentError unless they are (directions x
+    rows) matrices of one shape with at least one direction and min_rows rows."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 2 or x.shape != y.shape or len(x) < 1 or x.shape[1] < min_rows:
+        raise ArgumentError(
+            f"x and y must be (directions x rows) matrices of one shape, with at least "
+            f"1 direction and {min_rows} rows; got shapes {x.shape} and {y.shape}")
+    return x, y
 
 
-def train_conditional(
-    directions: Sequence[tuple[np.ndarray, np.ndarray]], cfg: TrainConfig, stream: RngStream
-) -> ConditionalModel:
-    """Fit a conditional model for each (cause, effect) direction, all in one
-    pass: point-estimate pretraining, then variational optimization with a
-    linear complexity warm-up. Returns the fitted models stacked along the
-    leading axis, in the order of directions.
+def train_conditional(x, y, cfg: TrainConfig, stream: RngStream) -> ConditionalModel:
+    """Fit a conditional model of y[d] given x[d] for each direction d, all
+    in one pass: point-estimate pretraining, then variational optimization
+    with a linear complexity warm-up. x and y are (directions x rows)
+    matrices with at least 2 rows; returns the fitted models stacked along
+    the leading axis, in direction order.
 
     Every direction starts from the same initial weights, and each VI
     epoch's noise is drawn once from stream for all directions. The
@@ -129,12 +124,11 @@ def train_conditional(
     index, the phase and the epoch, and a non-finite gradient's block and
     offset too.
     """
-    x, y = _stack_directions(directions, 2)
+    x, y = _directions(x, y, 2)
     initial = ConditionalModel.initial(cfg.hidden_width, stream.child("init"))
-    params = np.tile(bnn.pack_params(initial), (len(x), 1))
-    grads = np.empty_like(params)
-    model = bnn.unpack_params(initial, params)
-    grad_model = bnn.unpack_params(initial, grads)
+    model = ConditionalModel(np.tile(initial.params, (len(x), 1)), cfg.hidden_width)
+    grad_model = ConditionalModel(np.empty_like(model.params), cfg.hidden_width)
+    params, grads = model.params, grad_model.params
     vi_stream = stream.child("vi")
     phases = (
         ("MAP", cfg.map_epochs, lambda t: bnn.map_objective(model, x, y, grad_model)),
@@ -164,27 +158,27 @@ def train_conditional(
 
 
 def conditional_variational_codelength(
-    model, directions: Sequence[tuple[np.ndarray, np.ndarray]],
-    mc_eval_samples: int, stream: RngStream,
+    model, x, y, mc_eval_samples: int, stream: RngStream
 ) -> list[float]:
-    """Per direction, the Monte Carlo expected NLL of the effect given the
-    cause under the posterior plus the analytic KL.
+    """Per direction d of the (directions x rows) matrices x and y, the
+    Monte Carlo expected NLL of y[d] given x[d] under the posterior plus the
+    analytic KL.
 
     model holds one model per direction along its leading axis, as
     train_conditional returns it; it is used through a duck-typed surface:
-    sampler(causes), whose function draws a sample's noise from a stream,
+    sampler(x), whose function draws a sample's noise from a stream,
     and kl(). Sample m takes stream.child("eval", m), its noise drawn once
     and shared by all directions, and one pass evaluates them all.
     """
     mc_eval_samples = check_count("mc_eval_samples", mc_eval_samples, 1)
-    x, y = _stack_directions(directions, 1)
+    x, y = _directions(x, y, 1)
     kl = model.kl()
     sample = model.sampler(x)
     totals = np.zeros(len(x))
     for m in range(mc_eval_samples):
         mu, sigma = sample(stream.child("eval", m))
         totals += bnn.gaussian_nll(y, mu, sigma)
-    return [float(value) for value in totals / mc_eval_samples + kl]
+    return (totals / mc_eval_samples + kl).tolist()
 
 
 def _fingerprint(values: np.ndarray) -> str:
@@ -200,10 +194,10 @@ def score_pair(pair: PairDataset, cfg: TrainConfig) -> PairReport:
     zx, _, _ = standardize(pair.x)
     zy, _, _ = standardize(pair.y)
     stream = RngStream(cfg.seed).child("pair", *sorted((_fingerprint(zx), _fingerprint(zy))))
-    directions = ((zx, zy), (zy, zx))
-    model = train_conditional(directions, cfg, stream)
+    causes, effects = np.stack((zx, zy)), np.stack((zy, zx))
+    model = train_conditional(causes, effects, cfg, stream)
     l_forward, l_backward = conditional_variational_codelength(
-        model, directions, cfg.mc_eval_samples, stream.child("final-eval"))
+        model, causes, effects, cfg.mc_eval_samples, stream.child("final-eval"))
     forward = DirectionReport.of(marginal_gaussian_codelength(zx), l_forward)
     backward = DirectionReport.of(marginal_gaussian_codelength(zy), l_backward)
     final_delta = backward.delta - forward.delta

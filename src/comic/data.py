@@ -46,6 +46,7 @@ FAMILIES = ("AN", "AN-s", "LS", "LS-s", "MN-U")
 GENERATOR_VERSION = "2"
 
 TUEBINGEN_URL = "https://webdav.tuebingen.mpg.de/cause-effect/"
+TUEBINGEN_DIR = "tuebingen"  # where fetch_tuebingen writes the corpus by default
 FETCH_RETRIES = 3  # download attempts per file before fetch_tuebingen gives up
 
 
@@ -521,7 +522,8 @@ def load_tuebingen(directory: str | Path) -> list[PairDataset]:
 
 
 def write_dataset(directory: str | Path, pairs: Sequence[PairDataset]) -> list[str]:
-    """Write the files of labelled pairs, pairmeta.txt and labels.csv; returns file names."""
+    """Write the files of labelled pairs, pairmeta.txt and labels.csv; returns the names
+    of every file written, in that order."""
     for i, pair in enumerate(pairs, start=1):
         if pair.label is None:
             raise ArgumentError(f"pair {i} ({pair.id!r}) has no label; "
@@ -544,7 +546,7 @@ def write_dataset(directory: str | Path, pairs: Sequence[PairDataset]) -> list[s
         names.append(name)
     (directory / "pairmeta.txt").write_text("\n".join(meta_lines) + "\n")
     (directory / "labels.csv").write_text("\n".join(label_lines) + "\n")
-    return names
+    return names + ["pairmeta.txt", "labels.csv"]
 
 
 def _download(url: str, log: Callable[[str], None]) -> bytes:
@@ -578,7 +580,7 @@ def _write_atomic(path: Path, content: bytes) -> None:
 
 def fetch_tuebingen(
     url: str = TUEBINGEN_URL,
-    out_dir: str | Path = "tuebingen",
+    out_dir: str | Path = TUEBINGEN_DIR,
     log: Callable[[str], None] = lambda msg: None,
 ) -> int:
     """Download the cause-effect pair corpus; returns count of new files.

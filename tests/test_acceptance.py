@@ -326,12 +326,12 @@ def test_criterion_8_evidence_bound():
 
     untrained = ScaleToyModel(0.0, math.log(0.09))
     [before] = conditional_variational_codelength(
-        untrained, [(x, y)], 4096, RngStream(8).child("before"))
+        untrained, x[None], y[None], 4096, RngStream(8).child("before"))
 
     mu, lv = train_toy(x, y)
     trained = ScaleToyModel(mu, lv)
     [after] = conditional_variational_codelength(
-        trained, [(x, y)], 65536, RngStream(8).child("after"))
+        trained, x[None], y[None], 65536, RngStream(8).child("after"))
 
     assert after >= evidence
     assert after <= 1.05 * evidence

@@ -9,7 +9,7 @@ import pytest
 from pytest import approx
 
 from comic import bnn
-from comic.bnn import ConditionalModel, gaussian_nll, pack_params
+from comic.bnn import ConditionalModel, gaussian_nll
 from comic.codelength import (
     DirectionReport,
     TrainConfig,
@@ -125,9 +125,9 @@ TINY_X = np.linspace(-1.0, 1.0, 5)
 
 
 def evaluate_tiny(mc_eval_samples):
-    model = train_conditional([(TINY_X, TINY_X ** 3)], TINY, RngStream(0))
-    return conditional_variational_codelength(model, [(TINY_X, TINY_X ** 3)], mc_eval_samples,
-                                              RngStream(1))
+    x, y = TINY_X[None], TINY_X[None] ** 3
+    model = train_conditional(x, y, TINY, RngStream(0))
+    return conditional_variational_codelength(model, x, y, mc_eval_samples, RngStream(1))
 
 
 # every count that errors.check_count guards: its name, its least value and
@@ -180,8 +180,9 @@ def test_linear_pair_compresses_below_marginal():
     cfg = TrainConfig(hidden_width=10, vi_epochs=300, warmup_epochs=30,
                       map_epochs=300, mc_eval_samples=16, seed=0)
     stream = RngStream(cfg.seed).child("linear-smoke")
-    model = train_conditional([(x, y)], cfg, stream)
-    [codelength] = conditional_variational_codelength(model, [(x, y)], 16, stream.child("eval"))
+    model = train_conditional(x[None], y[None], cfg, stream)
+    [codelength] = conditional_variational_codelength(model, x[None], y[None], 16,
+                                                      stream.child("eval"))
     assert codelength < marginal_gaussian_codelength(y)
 
 
@@ -190,32 +191,31 @@ def test_training_is_deterministic():
     x = rng.standard_normal(60)
     y = np.tanh(x) + 0.2 * rng.standard_normal(60)
     stream = RngStream(1).child("det")
-    m1 = train_conditional([(x, y)], FAST, stream)
-    m2 = train_conditional([(x, y)], FAST, stream)
-    assert np.array_equal(pack_params(m1), pack_params(m2))
+    m1 = train_conditional(x[None], y[None], FAST, stream)
+    m2 = train_conditional(x[None], y[None], FAST, stream)
+    assert np.array_equal(m1.params, m2.params)
 
 
-def test_packing_calls_do_not_grow_with_epochs(monkeypatch):
-    # gradients are written into one flat vector, so packing happens once
-    # per trained direction, under either of the function's two names
-    packed = []
-    real_pack = bnn.pack_params
+def test_model_constructions_do_not_grow_with_epochs(monkeypatch):
+    # training builds three models, the initial one, the stacked model and
+    # its gradient, and writes every epoch into their matrices in place
+    built = []
+    real_init = ConditionalModel.__init__
 
-    def counting_pack(model):
-        packed.append(1)
-        return real_pack(model)
+    def counting_init(self, params, hidden_width):
+        built.append(1)
+        real_init(self, params, hidden_width)
 
-    monkeypatch.setattr(bnn, "pack_params", counting_pack)
-    monkeypatch.setattr(bnn, "pack_grads", counting_pack)
+    monkeypatch.setattr(ConditionalModel, "__init__", counting_init)
     x = np.linspace(-1.0, 1.0, 6)
     counts = []
     for epochs in (2, 6):
-        packed.clear()
+        built.clear()
         cfg = TrainConfig(hidden_width=3, vi_epochs=epochs, warmup_epochs=1,
                           map_epochs=epochs, mc_eval_samples=1)
-        train_conditional([(x, np.sin(x))], cfg, RngStream(0))
-        counts.append(len(packed))
-    assert counts[0] == counts[1]
+        train_conditional(x[None], np.sin(x)[None], cfg, RngStream(0))
+        counts.append(len(built))
+    assert counts == [3, 3]
 
 
 def test_independent_pair_matches_marginal_plus_kl():
@@ -228,8 +228,9 @@ def test_independent_pair_matches_marginal_plus_kl():
     cfg = TrainConfig(hidden_width=10, vi_epochs=300, warmup_epochs=30,
                       map_epochs=300, mc_eval_samples=32, seed=2)
     stream = RngStream(cfg.seed).child("indep")
-    model = train_conditional([(x, y)], cfg, stream)
-    [codelength] = conditional_variational_codelength(model, [(x, y)], 32, stream.child("e"))
+    model = train_conditional(x[None], y[None], cfg, stream)
+    [codelength] = conditional_variational_codelength(model, x[None], y[None], 32,
+                                                      stream.child("e"))
     [kl] = model.kl()
     reference = marginal_gaussian_codelength(y) + kl
     assert codelength == approx(reference, rel=0.03)
@@ -237,9 +238,9 @@ def test_independent_pair_matches_marginal_plus_kl():
     # oracle: destroying the pairing must not change the codelength materially
     x_shuffled = x[rng.permutation(n)]
     stream2 = RngStream(cfg.seed).child("indep-shuffled")
-    model2 = train_conditional([(x_shuffled, y)], cfg, stream2)
+    model2 = train_conditional(x_shuffled[None], y[None], cfg, stream2)
     [oracle] = conditional_variational_codelength(
-        model2, [(x_shuffled, y)], 32, stream2.child("e"))
+        model2, x_shuffled[None], y[None], 32, stream2.child("e"))
     assert codelength == approx(oracle, rel=0.03)
 
 
@@ -252,19 +253,21 @@ def test_eval_codelength_prior_collapse():
     x = rng.standard_normal(40)
     y = rng.standard_normal(40)
     [value] = conditional_variational_codelength(
-        stack(model), [(x, y)], 4, RngStream(0).child("pc"))
+        stack(model), x[None], y[None], 4, RngStream(0).child("pc"))
     expected = gaussian_nll(y, np.zeros(40), np.ones(40)) + model.kl()
     assert value == approx(expected, rel=1e-9)
 
 
 @pytest.mark.parametrize("x,y", [
-    (np.zeros((3, 2)), np.zeros(6)),   # same size, but x is a matrix
-    (np.zeros(5), np.zeros(4)),
-    (np.zeros(1), np.zeros(1)),
+    (np.zeros((3, 2)), np.zeros((1, 6))),   # same size, other shape
+    (np.zeros((1, 5)), np.zeros((1, 4))),
+    (np.zeros((1, 1)), np.zeros((1, 1))),   # one row is too few to train on
+    (np.zeros(6), np.zeros(6)),             # a vector, not a (directions x rows) matrix
+    (np.zeros((1, 1, 6)), np.zeros((1, 1, 6))),
 ])
 def test_train_conditional_rejects_unmatched_vectors(x, y):
-    with pytest.raises(ArgumentError, match="matched vectors"):
-        train_conditional([(x, y)], FAST, RngStream(0))
+    with pytest.raises(ArgumentError, match=re.escape(f"got shapes {x.shape} and {y.shape}")):
+        train_conditional(x, y, FAST, RngStream(0))
 
 
 @pytest.mark.parametrize("y_len", [1, 7])
@@ -273,18 +276,28 @@ def test_eval_codelength_rejects_mismatched_y(y_len):
     # fails inside numpy
     model = ConditionalModel.initial(3, RngStream(0).child("init"))
     x = np.linspace(-1.0, 1.0, 20)
-    with pytest.raises(ArgumentError, match="equal length"):
+    with pytest.raises(ArgumentError, match="matrices of one shape"):
         conditional_variational_codelength(
-            stack(model), [(x, np.full(y_len, 0.3))], 2, RngStream(0))
+            stack(model), x[None], np.full((1, y_len), 0.3), 2, RngStream(0))
+
+
+def test_eval_codelength_takes_one_row_and_rejects_none():
+    model = stack(ConditionalModel.initial(3, RngStream(0).child("init")))
+    [value] = conditional_variational_codelength(model, [[0.5]], [[0.3]], 2, RngStream(0))
+    assert math.isfinite(value)
+    with pytest.raises(ArgumentError, match=r"got shapes \(1, 0\) and \(1, 0\)"):
+        conditional_variational_codelength(model, np.zeros((1, 0)), np.zeros((1, 0)), 2,
+                                           RngStream(0))
 
 
 def test_training_and_evaluation_need_a_direction():
-    # unchecked, np.stack of no arrays raises a bare numpy ValueError
+    # a (0 x rows) matrix is refused, not trained or priced as an empty stack
     model = stack(ConditionalModel.initial(3, RngStream(0).child("init")))
-    with pytest.raises(ArgumentError, match="need at least one direction"):
-        train_conditional([], FAST, RngStream(0))
-    with pytest.raises(ArgumentError, match="need at least one direction"):
-        conditional_variational_codelength(model, [], 2, RngStream(0))
+    none = np.zeros((0, 20))
+    with pytest.raises(ArgumentError, match=r"at least 1 direction.*got shapes \(0, 20\)"):
+        train_conditional(none, none, FAST, RngStream(0))
+    with pytest.raises(ArgumentError, match=r"at least 1 direction.*got shapes \(0, 20\)"):
+        conditional_variational_codelength(model, none, none, 2, RngStream(0))
 
 
 @pytest.mark.parametrize("samples", [1.5, "2", None])
@@ -292,7 +305,8 @@ def test_eval_codelength_rejects_non_integer_sample_count(samples):
     model = ConditionalModel.initial(3, RngStream(0).child("init"))
     x = np.linspace(-1.0, 1.0, 20)
     with pytest.raises(ArgumentError, match="mc_eval_samples must be an integer"):
-        conditional_variational_codelength(stack(model), [(x, 0.5 * x)], samples, RngStream(0))
+        conditional_variational_codelength(stack(model), x[None], 0.5 * x[None], samples,
+                                           RngStream(0))
 
 
 def test_eval_codelength_mc_convergence():
@@ -300,12 +314,13 @@ def test_eval_codelength_mc_convergence():
     x = rng.standard_normal(50)
     y = np.sin(x) + 0.3 * rng.standard_normal(50)
     stream = RngStream(11).child("mc-conv")
-    model = train_conditional([(x, y)], FAST, stream)
+    model = train_conditional(x[None], y[None], FAST, stream)
 
     # empirical standard error of the single-draw estimator
     se = sampled_nlls(model, x, y, stream, 400).std(ddof=1)
-    [one] = conditional_variational_codelength(model, [(x, y)], 1, stream.child("a"))
-    [many] = conditional_variational_codelength(model, [(x, y)], 4000, stream.child("b"))
+    [one] = conditional_variational_codelength(model, x[None], y[None], 1, stream.child("a"))
+    [many] = conditional_variational_codelength(model, x[None], y[None], 4000,
+                                                stream.child("b"))
     assert abs(one - many) <= 5.0 * se
 
 
@@ -399,32 +414,37 @@ def test_independent_columns_still_total():
 
 def test_lockstep_directions_match_directions_run_alone():
     # each direction's arithmetic depends only on its own data and the
-    # stream, which is what makes the swap an exact mirror
+    # stream, which is what makes the swap an exact mirror: row d of a
+    # (2, n) stack gets the bytes of the (1, n) run of direction d alone
     rng = np.random.default_rng(17)
     x = rng.standard_normal(30)
     y = np.sin(x) + 0.2 * rng.standard_normal(30)
-    directions = [(x, y), (y, x)]
+    causes, effects = np.stack((x, y)), np.stack((y, x))
     stream = RngStream(3).child("lockstep")
-    together = train_conditional(directions, FAST, stream)
-    alone = [train_conditional([d], FAST, stream) for d in directions]
-    assert [row.tobytes() for row in pack_params(together)] == [
-        pack_params(m)[0].tobytes() for m in alone]
-    values = conditional_variational_codelength(together, directions, 3, stream.child("e"))
-    assert values == [conditional_variational_codelength(m, [d], 3, stream.child("e"))[0]
-                      for m, d in zip(alone, directions)]
+    together = train_conditional(causes, effects, FAST, stream)
+    alone = [train_conditional(causes[d:d + 1], effects[d:d + 1], FAST, stream)
+             for d in range(2)]
+    assert [row.tobytes() for row in together.params] == [
+        m.params[0].tobytes() for m in alone]
+    values = conditional_variational_codelength(together, causes, effects, 3,
+                                                stream.child("e"))
+    assert values == [conditional_variational_codelength(
+        m, causes[d:d + 1], effects[d:d + 1], 3, stream.child("e"))[0]
+        for d, m in enumerate(alone)]
 
 
 def test_eval_codelength_needs_one_model_per_direction():
     model = stack(ConditionalModel.initial(3, RngStream(0).child("init")))
     x = np.linspace(-1.0, 1.0, 20)
     with pytest.raises(ArgumentError, match=r"stack shape \(1,\), got shape \(2, 20\)"):
-        conditional_variational_codelength(model, [(x, x), (x, x)], 2, RngStream(0))
+        conditional_variational_codelength(model, np.stack((x, x)), np.stack((x, x)), 2,
+                                           RngStream(0))
 
 
 def test_train_conditional_needs_directions_of_one_length():
     x = np.linspace(-1.0, 1.0, 20)
-    with pytest.raises(ArgumentError, match="equal length"):
-        train_conditional([(x, x), (x[:10], x[:10])], FAST, RngStream(0))
+    with pytest.raises(ArgumentError, match=r"got shapes \(2, 20\) and \(2, 10\)"):
+        train_conditional(np.stack((x, x)), np.stack((x[:10], x[:10])), FAST, RngStream(0))
 
 
 def test_numeric_error_names_phase_and_epoch():
@@ -432,7 +452,7 @@ def test_numeric_error_names_phase_and_epoch():
     y = np.array([0.0, 1e200, -1e200])
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(NumericError, match="MAP phase"):
-            train_conditional([(x, y)], FAST, RngStream(0).child("overflow"))
+            train_conditional(x[None], y[None], FAST, RngStream(0).child("overflow"))
 
 
 def test_numeric_error_names_the_direction():
@@ -441,7 +461,8 @@ def test_numeric_error_names_the_direction():
     y = np.array([0.0, 1e200, -1e200])
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(NumericError, match="direction 1, MAP phase at epoch 0"):
-            train_conditional([(y, x), (x, y)], FAST, RngStream(0).child("overflow"))
+            train_conditional(np.stack((y, x)), np.stack((x, y)), FAST,
+                              RngStream(0).child("overflow"))
 
 
 @pytest.mark.parametrize("entries,direction,block,offset", [
@@ -476,7 +497,8 @@ def test_numeric_error_in_adam_names_direction_phase_and_epoch(monkeypatch, entr
     expected = (f"direction {direction}, VI phase, epoch 2: non-finite gradient in "
                 f"block '{block}' (offset {offset})")
     with pytest.raises(NumericError, match=f"^{re.escape(expected)}$"):
-        train_conditional([(x, np.sin(x)), (np.sin(x), x)], FAST, RngStream(0))
+        train_conditional(np.stack((x, np.sin(x))), np.stack((np.sin(x), x)), FAST,
+                          RngStream(0))
 
 
 def test_more_vi_epochs_do_not_hurt_linear_pair():
@@ -491,10 +513,10 @@ def test_more_vi_epochs_do_not_hurt_linear_pair():
                           warmup_epochs=min(100, vi_epochs), map_epochs=300,
                           mc_eval_samples=64, seed=4)
         stream = RngStream(cfg.seed).child("vi-sweep", vi_epochs)
-        model = train_conditional([(x, y)], cfg, stream)
+        model = train_conditional(x[None], y[None], cfg, stream)
         samples = sampled_nlls(model, x, y, stream, 200)
         [value] = conditional_variational_codelength(
-            model, [(x, y)], 64, stream.child("eval"))
+            model, x[None], y[None], 64, stream.child("eval"))
         return value, samples.std(ddof=1) / math.sqrt(64)
 
     short, se_short = fit(100)

@@ -855,7 +855,9 @@ def test_load_tuebingen_column_mismatch(tmp_path):
 def test_write_dataset_roundtrip(tmp_path):
     pairs = generate_dataset(GeneratorSpec("LS-s", 4, 25, seed=2))
     names = write_dataset(tmp_path, pairs)
-    assert len(names) == 4
+    assert names == ["pair0001.txt", "pair0002.txt", "pair0003.txt", "pair0004.txt",
+                     "pairmeta.txt", "labels.csv"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(names)
     loaded = load_tuebingen(tmp_path)
     assert [p.label for p in loaded] == [p.label for p in pairs]
     for orig, back in zip(pairs, loaded):

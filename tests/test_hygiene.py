@@ -26,8 +26,8 @@ MODULES = sorted(path for folder in ("src/comic", "scripts")
 PACKAGE = [path for path in MODULES if path.parent.name == "comic"]
 USERS = sorted(path for folder in ("scripts", "perfbench") for path in (ROOT / folder).glob("*.py"))
 # Package code that only perfbench/tracing.py's TRACED table names. ROADMAP item 3
-# deletes both, together with their spans, in the benchmark PR.
-TRACED_ONLY = {"model_forward", "pack_grads"}
+# deletes each of them, together with its span, in the benchmark PR.
+TRACED_ONLY = {"model_forward", "pack_grads", "unpack_params"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -157,6 +157,24 @@ def test_no_package_code_that_only_tests_use(path):
         TRACED_ONLY, *(names_outside_traced(other.read_text(encoding="utf-8"))
                        for other in PACKAGE + USERS if other != path))
     assert unreferenced_definitions(path.read_text(encoding="utf-8"), elsewhere) == []
+
+
+def test_traced_only_names_are_traced_and_named_nowhere_else():
+    # the list exempts its names from the check above, so it must neither
+    # hide a live use nor outlive the definitions it excuses
+    import comic
+
+    tracing = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    traced = named(next(node for node in tracing.body if "TRACED" in defined_names(node)))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    for name in sorted(TRACED_ONLY):
+        assert name in traced, name
+        assert [path.name for path in PACKAGE
+                if any(name in defined_names(node) for node in trees[path].body)] == ["bnn.py"]
+        assert [path.name for path, tree in trees.items()
+                if any(name in named(node) for node in tree.body
+                       if name not in defined_names(node))] == [], name
+        assert name not in comic.__all__
 
 
 def test_unreferenced_definition_check_flags_a_planted_name():

@@ -205,6 +205,6 @@ def test_philox_constructions_do_not_grow_with_vi_epochs(monkeypatch):
         built.clear()
         cfg = TrainConfig(hidden_width=3, vi_epochs=epochs, warmup_epochs=1,
                           map_epochs=1, mc_eval_samples=1)
-        train_conditional([(x, np.sin(x)), (np.sin(x), x)], cfg, RngStream(0))
+        train_conditional(np.stack((x, np.sin(x))), np.stack((np.sin(x), x)), cfg, RngStream(0))
         counts.append(len(built))
     assert counts[0] == counts[1]
