@@ -15,12 +15,17 @@ side's median and quartiles of per-pair seconds, the median of the
 per-pair ratio change/base, how many pairs the change scored faster, and
 whether every repr(final_delta) matched. Exits with status 1 when any did
 not, so a change meant to keep the scores can be checked by the exit code
-alone. With --out PATH the lines are also written to PATH as
-{"runs": [...], "context": {...}}; the context holds the CPU count, the
-CPUs this process may run on, the BLAS and OpenMP thread variables as
-found (None when unset), the list of --n, --pairs-per-family, the config
-and the change side's machine block (numpy version, dispatch targets,
-OpenBLAS core), so the change tree must have evaluation.machine_info.
+alone. With --aa the same pairs are also scored by base against a second
+copy of base, interleaved the same way, and each line gains the median
+and quartiles of that A/A per-pair ratio ("aa_ratio", the noise band) and
+a "verdict": "faster" or "slower" only when ratio_median lies below or
+above the band, "unchanged" otherwise. With --out PATH the lines are also
+written to PATH as {"runs": [...], "context": {...}}; the context holds
+the CPU count, the CPUs this process may run on, the BLAS and OpenMP
+thread variables as found (None when unset), the list of --n,
+--pairs-per-family, the config and the change side's machine block
+(numpy version, dispatch targets, OpenBLAS core), so the change tree must
+have evaluation.machine_info.
 Which trees were compared is not recorded: the commit that adds a result
 file names them.
 
@@ -64,23 +69,42 @@ def quartiles(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def ab_run(sides, configs, pairs_per_family, seed, n):
-    """The result line for the n-row pairs the base tree generates at seed."""
-    base = sides["base"]
-    pairs = [p for fam in base.data.FAMILIES for p in base.data.generate_dataset(
-        base.data.GeneratorSpec(fam, pairs_per_family, n, seed))]
+def verdict(ratio_median, band):
+    """The verdict on a change/base ratio: "faster" or "slower" when it lies
+    below or above the A/A band's quartiles, "unchanged" inside them."""
+    if ratio_median < band["q1"]:
+        return "faster"
+    if ratio_median > band["q3"]:
+        return "slower"
+    return "unchanged"
+
+
+def timed(pairs, sides, configs):
+    """Per side of the two in sides, the seconds and repr(final_delta) of
+    each pair, alternating which side goes first from pair to pair."""
+    first, second = sides
     seconds = {name: [] for name in sides}
     deltas = {name: [] for name in sides}
     for i, pair in enumerate(pairs):
-        for name in ("base", "change") if i % 2 == 0 else ("change", "base"):
+        for name in (first, second) if i % 2 == 0 else (second, first):
             pkg = sides[name]
             own = pkg.data.PairDataset(pair.x.copy(), pair.y.copy(), label=pair.label)
             start = time.perf_counter()
             report = pkg.codelength.score_pair(own, configs[name])
             seconds[name].append(time.perf_counter() - start)
             deltas[name].append(repr(report.final_delta))
+    return seconds, deltas
+
+
+def ab_run(sides, configs, pairs_per_family, seed, n):
+    """The result line for the n-row pairs the base tree generates at seed;
+    with a "base_again" side, the A/A band and verdict as well."""
+    base = sides["base"]
+    pairs = [p for fam in base.data.FAMILIES for p in base.data.generate_dataset(
+        base.data.GeneratorSpec(fam, pairs_per_family, n, seed))]
+    seconds, deltas = timed(pairs, {name: sides[name] for name in ("base", "change")}, configs)
     ratios = [c / b for b, c in zip(seconds["base"], seconds["change"])]
-    return {
+    line = {
         "seed": seed,
         "n": n,
         "pairs": len(pairs),
@@ -90,6 +114,11 @@ def ab_run(sides, configs, pairs_per_family, seed, n):
         "change_wins": sum(c < b for b, c in zip(seconds["base"], seconds["change"])),
         "scores_match": deltas["base"] == deltas["change"],
     }
+    if "base_again" in sides:
+        aa = timed(pairs, {name: sides[name] for name in ("base", "base_again")}, configs)[0]
+        line["aa_ratio"] = quartiles([a / b for b, a in zip(aa["base"], aa["base_again"])])
+        line["verdict"] = verdict(line["ratio_median"], line["aa_ratio"])
+    return line
 
 
 def main():
@@ -104,14 +133,19 @@ def main():
     parser.add_argument("--pairs-per-family", type=int, default=2)
     parser.add_argument("--n", type=int, nargs="+", default=[500],
                         help="rows per pair, one result line per seed and length")
+    parser.add_argument("--aa", action="store_true",
+                        help="also time base against base, for a noise band and a verdict")
     parser.add_argument("--out", type=Path,
                         help="also write the result lines, with their context, to this file")
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
-        sides = {"base": load_package(args.base, "comic_base", Path(tmp)),
-                 "change": load_package(args.change, "comic_change", Path(tmp))}
+        # the A/A side is a copy of its own, as the change is, with its own buffers
+        trees = {"base": args.base, "change": args.change,
+                 **({"base_again": args.base} if args.aa else {})}
+        sides = {name: load_package(src, f"comic_{name}", Path(tmp))
+                 for name, src in trees.items()}
         configs = {name: pkg.codelength.TrainConfig(**CONFIG) for name, pkg in sides.items()}
         runs = []
         for seed in args.seed:

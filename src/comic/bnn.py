@@ -210,19 +210,14 @@ def blocks(model: ConditionalModel) -> list[tuple[str, np.ndarray]]:
             for layer, field in _layout(model.hidden_width)[0]]
 
 
-def pack_params(model: ConditionalModel) -> np.ndarray:
-    """A copy of a model's (parameters' or gradients') packed matrix."""
+def pack_grads(model: ConditionalModel) -> np.ndarray:
+    """model.params.copy(); kept only for perfbench's tracer until ROADMAP item 3."""
     return model.params.copy()
 
 
-# gradients share the parameters' layout
-pack_grads = pack_params
-
-
 def unpack_params(model: ConditionalModel, vec: np.ndarray) -> ConditionalModel:
-    """model's layout over vec: a model whose blocks are views of vec, so
-    writing into vec updates it in place. vec's leading axes become its
-    stack axes."""
+    """ConditionalModel(vec, model.hidden_width); kept only for perfbench's
+    tracer until ROADMAP item 3."""
     return ConditionalModel(vec, model.hidden_width)
 
 

@@ -21,8 +21,6 @@ from comic.bnn import (
     gaussian_nll,
     kl_model,
     map_objective,
-    pack_params,
-    unpack_params,
 )
 from comic.codelength import TrainConfig, conditional_variational_codelength, score_pair
 from comic.data import (
@@ -101,8 +99,8 @@ def test_criterion_3_gradient_exactness():
         width = widths[trial % len(widths)]
         n = sizes[trial % len(sizes)]
         model = ConditionalModel.initial(width, RngStream(trial).child("init"))
-        vec = pack_params(model) + 0.3 * rng.standard_normal(pack_params(model).size)
-        model = unpack_params(model, vec)
+        vec = model.params + 0.3 * rng.standard_normal(model.params.size)
+        model = ConditionalModel(vec, width)
         x = rng.standard_normal(n)
         y = rng.standard_normal(n)
         stream = RngStream(trial).child("fixed-noise")
@@ -113,10 +111,10 @@ def test_criterion_3_gradient_exactness():
             lambda m, g: map_objective(m, x, y, g),
         ):
             analytic = np.empty_like(vec)
-            objective(model, unpack_params(model, analytic))
-            scratch = unpack_params(model, np.empty_like(vec))
-            fd = finite_diff_grad(lambda v: objective(unpack_params(model, v), scratch),
-                                  pack_params(model), h=1e-5)
+            objective(model, ConditionalModel(analytic, width))
+            scratch = ConditionalModel(np.empty_like(vec), width)
+            fd = finite_diff_grad(lambda v: objective(ConditionalModel(v, width), scratch),
+                                  model.params.copy(), h=1e-5)
             mask = np.abs(fd) > 1e-6
             if mask.any():
                 rel = np.abs(analytic - fd)[mask] / np.abs(fd)[mask]
@@ -156,8 +154,7 @@ def test_criterion_4_kl_oracle():
     assert worst <= 1e-12
 
     prior_match = ConditionalModel.initial(3, RngStream(0).child("i"))
-    vec = pack_params(prior_match)
-    prior_match = unpack_params(prior_match, np.zeros_like(vec))  # mu=0, var=1, z=1
+    prior_match = ConditionalModel(np.zeros_like(prior_match.params), 3)  # mu=0, var=1, z=1
     assert kl_model(prior_match) == pytest.approx(0.0, abs=1e-12)
     assert single_weight_kl(1.0, 1.0) == pytest.approx(0.5, abs=1e-12)
     assert single_weight_kl(0.0, 0.25) == pytest.approx(0.318147, abs=1e-6)

@@ -22,10 +22,7 @@ from comic.bnn import (
     kl_model,
     map_objective,
     model_forward,
-    pack_grads,
-    pack_params,
     sampler,
-    unpack_params,
 )
 from comic.errors import ArgumentError
 from comic.rng import RngStream, draw_standard_normal
@@ -67,20 +64,20 @@ def packed(hidden, output):
 
 def stack(*models):
     """One model holding models along a leading axis, its blocks views of a fresh matrix."""
-    return unpack_params(models[0], np.stack([pack_params(m) for m in models]))
+    return ConditionalModel(np.stack([m.params for m in models]), models[0].hidden_width)
 
 
 def random_model(width, stream_seed, jitter_seed):
     model = ConditionalModel.initial(width, RngStream(stream_seed).child("init"))
     rng = np.random.default_rng(jitter_seed)
-    vec = pack_params(model) + 0.3 * rng.standard_normal(pack_params(model).size)
-    return unpack_params(model, vec)
+    vec = model.params + 0.3 * rng.standard_normal(model.params.size)
+    return ConditionalModel(vec, width)
 
 
 def grad_buffer(model):
     """A NaN-filled flat gradient vector and the model of its views an objective writes into."""
-    vec = np.full(pack_params(model).size, np.nan)
-    return vec, unpack_params(model, vec)
+    vec = np.full(model.params.size, np.nan)
+    return vec, ConditionalModel(vec, model.hidden_width)
 
 
 # ---------------------------------------------------------------- layers
@@ -335,8 +332,8 @@ def relative_grad_errors(model, objective):
     analytic, grad = grad_buffer(model)
     objective(model, grad)
     scratch = grad_buffer(model)[1]
-    fd = finite_diff_grad(lambda v: objective(unpack_params(model, v), scratch),
-                          pack_params(model), h=1e-5)
+    fd = finite_diff_grad(lambda v: objective(ConditionalModel(v, model.hidden_width), scratch),
+                          model.params.copy(), h=1e-5)
     mask = np.abs(fd) > 1e-6
     if not mask.any():
         return np.zeros(1)
@@ -376,9 +373,9 @@ def test_local_reparam_matches_weight_space_sampling():
 
 def test_pack_unpack_roundtrip():
     model = random_model(4, 2, 3)
-    vec = pack_params(model)
-    rebuilt = unpack_params(model, vec.copy())
-    assert np.array_equal(pack_params(rebuilt), vec)
+    vec = model.params.copy()
+    rebuilt = ConditionalModel(vec.copy(), model.hidden_width)
+    assert np.array_equal(rebuilt.params, vec)
     assert [name for name, _ in blocks(model)] == [
         f"{layer}.{field.name}" for field in dataclasses.fields(VariationalLinearLayer)
         for layer in ("hidden", "output")]
@@ -396,7 +393,7 @@ def test_unpack_rejects_a_vector_of_the_wrong_length(shape):
     # a short vector used to fail in reshape with a bare ValueError
     model = random_model(4, 2, 3)
     with pytest.raises(ArgumentError, match=f"has {shape[-1]} entries, expected 48"):
-        unpack_params(model, np.zeros(shape))
+        ConditionalModel(np.zeros(shape), model.hidden_width)
 
 
 def test_initial_model_is_a_view_of_one_packed_vector():
@@ -413,7 +410,7 @@ def test_initial_parameters_are_pinned(width, prefix):
     # sha256 prefixes of the packed initial parameters: every golden score
     # starts from them, and this pins them without training
     model = ConditionalModel.initial(width, RngStream(0).child("init"))
-    assert hashlib.sha256(pack_params(model).tobytes()).hexdigest()[:16] == prefix
+    assert hashlib.sha256(model.params.tobytes()).hexdigest()[:16] == prefix
 
 
 @pytest.mark.parametrize("width,message", [
@@ -448,10 +445,10 @@ def test_objectives_reject_mismatched_inputs(case, objective):
         "grad-rows-on-single": (single, x, x),
     }[case]
     rows = (2,) if case == "grad-rows-on-single" else ()
-    vec = np.full(rows + pack_params(model).shape, np.nan)
+    vec = np.full(rows + model.params.shape, np.nan)
     args = (0.5, RngStream(0)) if objective is elbo_objective else ()
     with pytest.raises(ArgumentError, match="shape"):
-        objective(model, x, y, *args, unpack_params(model, vec))
+        objective(model, x, y, *args, ConditionalModel(vec, model.hidden_width))
     assert np.isnan(vec).all()
 
 
@@ -621,7 +618,7 @@ def edge_problem(width, n, seed, zero_share):
 
 
 def objective_bytes(loss, grad):
-    return loss.hex(), pack_grads(grad).tobytes()
+    return loss.hex(), grad.params.tobytes()
 
 
 def package_objective_bytes(objective, model, *args):
@@ -675,8 +672,8 @@ def test_stacked_pair_matches_oracle_bytes_per_slice(width, n, seeds, zero_share
         (map_objective, (x, y), oracle_map_objective, ()),
         (elbo_objective, (x, y, beta, stream), oracle_elbo_objective, (beta, stream)),
     ):
-        vec = np.full((2, pack_params(problems[0][0]).size), np.nan)
-        loss = objective(model, *args, unpack_params(model, vec))
+        vec = np.full(model.params.shape, np.nan)
+        loss = objective(model, *args, ConditionalModel(vec, width))
         assert loss.shape == (2,)
         for d, (m, xd, yd) in enumerate(problems):
             assert (loss[d].hex(), vec[d].tobytes()) == objective_bytes(
@@ -728,24 +725,24 @@ def test_prior_terms_match_the_per_layer_oracles(width, stacked):
     problems = [edge_problem(width, 3, seed, 0.3)[0] for seed in (width, width + 100)]
     model = stack(*problems) if stacked else problems[0]
     for scale in (0.4, 1.0):
-        vec = np.full(pack_params(model).shape, np.nan)
-        kl = _kl(model, scale, unpack_params(model, vec))
+        vec = np.full(model.params.shape, np.nan)
+        kl = _kl(model, scale, ConditionalModel(vec, width))
         assert np.isfinite(vec).all()
         for d, problem in enumerate(problems[:1 + stacked]):
             oracle = [oracle_kl_layer(layer, scale) for layer in (problem.hidden, problem.output)]
             assert [float(np.atleast_1d(value)[d]).hex() for value in kl] == [
                 value.hex() for value, _ in oracle]
-            assert np.atleast_2d(vec)[d].tobytes() == pack_grads(
-                packed(*(grad for _, grad in oracle))).tobytes()
-    vec = np.full(pack_params(model).shape, np.nan)
-    penalty = _map_penalty(model, unpack_params(model, vec))
+            assert np.atleast_2d(vec)[d].tobytes() == packed(
+                *(grad for _, grad in oracle)).params.tobytes()
+    vec = np.full(model.params.shape, np.nan)
+    penalty = _map_penalty(model, ConditionalModel(vec, width))
     assert np.isfinite(vec).all()
     for d, problem in enumerate(problems[:1 + stacked]):
         oracle = [oracle_map_penalty(layer) for layer in (problem.hidden, problem.output)]
         assert [float(np.atleast_1d(value)[d]).hex() for value in penalty] == [
             value.hex() for value, _ in oracle]
-        assert np.atleast_2d(vec)[d].tobytes() == pack_grads(
-            packed(*(grad for _, grad in oracle))).tobytes()
+        assert np.atleast_2d(vec)[d].tobytes() == packed(
+            *(grad for _, grad in oracle)).params.tobytes()
         (kl_hidden, _), (kl_output, _) = (oracle_kl_layer(layer, 1.0)
                                           for layer in (problem.hidden, problem.output))
         assert float(np.atleast_1d(kl_model(model))[d]).hex() == (kl_hidden + kl_output).hex()

@@ -305,7 +305,8 @@ def test_benchmark_end_to_end(tmp_path, capsys):
     assert (out_dir / "results.csv").exists()
     summary = json.loads((out_dir / "summary.json").read_text())
     assert set(summary["aggregates"]) == {"accuracy", "weighted_accuracy",
-                                          "bi_auroc", "n_failed"}
+                                          "bi_auroc", "decision_rate_area", "n_failed"}
+    assert [entry["decision_rate"] for entry in summary["decision_rate_curve"]][-1] == 1.0
     assert "accuracy," in out
 
 
@@ -379,6 +380,26 @@ def test_benchmark_exit_codes_on_failures(tmp_path, capsys):
     assert code == 0
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["aggregates"]["n_failed"] == 1
+
+
+def test_benchmark_reports_no_accuracy_when_every_pair_fails(tmp_path, capsys):
+    # no pair scored, so there is no accuracy to report, not an accuracy of 0
+    all_bad = tmp_path / "allbad"
+    all_bad.mkdir()
+    for i in (1, 2):
+        (all_bad / f"pair000{i}.txt").write_text("2 1\n2 2\n2 3\n")
+    (all_bad / "pairmeta.txt").write_text("0001 1 1 2 2 1.0\n0002 2 2 1 1 1.0\n")
+    out_dir = tmp_path / "r"
+    code, _ = run_cli(capsys, ["benchmark", str(all_bad), "--out", str(out_dir), *FAST_FLAGS])
+    assert code == 1
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["aggregates"] == {"accuracy": None, "weighted_accuracy": None,
+                                     "bi_auroc": None, "decision_rate_area": None,
+                                     "n_failed": 2}
+    assert summary["decision_rate_curve"] == []
+    block = (out_dir / "results.csv").read_text().split("# summary\n")[1]
+    assert block.splitlines() == ["accuracy,n/a", "weighted_accuracy,n/a", "bi_auroc,n/a",
+                                  "n_failed,2"]
 
 
 def test_benchmark_prints_the_file_its_format_names(tmp_path, capsys):

@@ -17,6 +17,7 @@ from comic.evaluation import (
     PairRow,
     auroc,
     bi_auroc,
+    decision_rate_curve,
     machine_info,
     result_to_csv,
     result_to_json,
@@ -279,6 +280,70 @@ def test_weighted_accuracy_rejects_bad_weights(weights):
         weighted_accuracy([X_CAUSES_Y, Y_CAUSES_X], [X_CAUSES_Y, X_CAUSES_Y], np.array(weights))
 
 
+# ---------------------------------------------------------- decision rate
+
+
+def test_decision_rate_curve_hand_worked():
+    # ranked by |delta|: a (right), b (wrong), d (right), then c, whose
+    # delta of 0 is undecided and so wrong; weights 1, 2, 4, 1 of 8
+    curve = decision_rate_curve([3.0, -2.0, 0.0, -1.0],
+                                [X_CAUSES_Y, X_CAUSES_Y, X_CAUSES_Y, Y_CAUSES_X],
+                                np.array([1.0, 2.0, 1.0, 4.0]), ["a", "b", "c", "d"])
+    assert curve.ids == ["a", "b", "d", "c"]
+    assert curve.decision_rates == [0.125, 0.375, 0.875, 1.0]
+    assert curve.accuracies == approx([1.0, 1.0 / 3.0, 5.0 / 7.0, 5.0 / 8.0])
+    # 1/8 * 1 + 2/8 * 1/3 + 4/8 * 5/7 + 1/8 * 5/8
+    assert curve.area == approx(865.0 / 1344.0)
+
+
+def test_decision_rate_curve_breaks_ties_by_ascending_id():
+    labels = [X_CAUSES_Y, X_CAUSES_Y, X_CAUSES_Y]
+    curve = decision_rate_curve([-1.0, 1.0, 2.0], labels, np.ones(3), ["p2", "p1", "p0"])
+    assert curve.ids == ["p0", "p1", "p2"]
+    assert curve.accuracies == approx([1.0, 1.0, 2.0 / 3.0])
+    reordered = decision_rate_curve([1.0, -1.0, 2.0], labels, np.ones(3), ["p1", "p2", "p0"])
+    assert reordered == curve
+
+
+def test_decision_rate_curve_zero_weight_prefix_has_no_accuracy():
+    curve = decision_rate_curve([2.0, 1.0], [X_CAUSES_Y, X_CAUSES_Y], np.array([0.0, 1.0]),
+                                ["a", "b"])
+    assert curve.decision_rates == [0.0, 1.0]
+    assert curve.accuracies == [None, 1.0]
+    assert curve.area == 1.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([-2.0, -0.5, 0.0, 0.5, 2.0, 3.25]),
+                          st.booleans(), st.sampled_from([0.5, 1.0, 3.0])),
+                min_size=1, max_size=12))
+def test_decision_rate_curve_is_unchanged_by_swapping_every_pair(pairs):
+    deltas = np.array([delta for delta, _, _ in pairs])
+    forward = np.array([first for _, first, _ in pairs])
+    weights = np.array([weight for _, _, weight in pairs])
+    ids = [f"{i:04d}" for i in range(len(pairs))]
+    labels = np.where(forward, X_CAUSES_Y, Y_CAUSES_X)
+    mirrored = np.where(forward, Y_CAUSES_X, X_CAUSES_Y)
+    assert decision_rate_curve(deltas, labels, weights, ids) == decision_rate_curve(
+        -deltas, mirrored, weights, ids)
+
+
+@pytest.mark.parametrize("weights", [
+    [0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0], [-1.0, 2.0],
+])
+def test_decision_rate_curve_rejects_bad_weights(weights):
+    with pytest.raises(ArgumentError, match="weights must be finite and non-negative"):
+        decision_rate_curve([1.0, -1.0], [X_CAUSES_Y, X_CAUSES_Y], np.array(weights),
+                            ["a", "b"])
+
+
+def test_decision_rate_curve_rejects_unequal_lengths_and_nan():
+    with pytest.raises(ArgumentError, match="equal length"):
+        decision_rate_curve([1.0, -1.0], [X_CAUSES_Y, X_CAUSES_Y], np.ones(2), ["a"])
+    with pytest.raises(ArgumentError, match="NaN"):
+        decision_rate_curve([np.nan], [X_CAUSES_Y], np.ones(1), ["a"])
+
+
 # ---------------------------------------------------------------- benchmark
 
 
@@ -342,6 +407,29 @@ def test_run_benchmark_requires_labels():
 def test_run_benchmark_rejects_non_integer_parallelism(parallelism):
     with pytest.raises(ArgumentError, match="parallelism must be an integer"):
         run_benchmark(small_pairs(1), FAST, parallelism=parallelism)
+
+
+def test_run_benchmark_reports_no_accuracy_when_every_pair_fails():
+    # an accuracy of 0 over no decisions used to be reported
+    broken = [PairDataset(np.full(20, 1.0), np.arange(20.0), label=X_CAUSES_Y, id=f"flat{i}")
+              for i in range(2)]
+    result = run_benchmark(broken, FAST)
+    assert result.n_failed == 2
+    assert (result.accuracy, result.weighted_accuracy, result.bi_auroc) == (None, None, None)
+    assert result.decision_rate is None
+    summary = result_to_csv(result).split("# summary\n")[1].splitlines()
+    assert summary[:3] == ["accuracy,n/a", "weighted_accuracy,n/a", "bi_auroc,n/a"]
+
+
+def test_run_benchmark_ranks_the_scored_pairs_by_confidence():
+    pairs = small_pairs(3, 30)
+    broken = PairDataset(np.full(20, 1.0), np.arange(20.0), label=X_CAUSES_Y, id="flat")
+    result = run_benchmark(pairs + [broken], FAST)
+    ok = [r for r in result.rows if r.error is None]
+    expected = decision_rate_curve([r.final_delta for r in ok], [r.label for r in ok],
+                                   np.array([r.weight for r in ok]), [r.id for r in ok])
+    assert result.decision_rate == expected
+    assert sorted(result.decision_rate.ids) == sorted(p.id for p in pairs)
 
 
 def test_run_benchmark_records_failures_without_aborting():
@@ -475,3 +563,8 @@ def test_json_mirror_has_same_aggregates():
     assert payload["aggregates"]["accuracy"] == result.accuracy
     assert payload["aggregates"]["n_failed"] == result.n_failed
     assert len(payload["pairs"]) == len(result.rows)
+    curve = result.decision_rate
+    assert payload["aggregates"]["decision_rate_area"] == curve.area
+    assert payload["decision_rate_curve"] == [
+        {"id": i, "decision_rate": rate, "accuracy": acc}
+        for i, rate, acc in zip(curve.ids, curve.decision_rates, curve.accuracies)]

@@ -181,8 +181,8 @@ from comic.rng import RngStream
 rng = np.random.default_rng(38)
 
 def passes(model, x, y, stream):
-    vec = np.full(bnn.pack_params(model).shape, np.nan)
-    grad = bnn.unpack_params(model, vec)
+    vec = np.full(model.params.shape, np.nan)
+    grad = ConditionalModel(vec, model.hidden_width)
     return {
         "map": (bnn.map_objective(model, x, y, grad), vec.copy()),
         "elbo": (bnn.elbo_objective(model, x, y, 0.4, stream, grad), vec.copy()),
@@ -194,14 +194,13 @@ mismatches = []
 for width in (2, 3, 7, 50):
     for n in (3, 5, 7, 333):
         initial = ConditionalModel.initial(width, RngStream(0).child("init"))
-        packed = bnn.pack_params(initial)
-        flat = packed + 0.3 * rng.standard_normal((2, packed.size))
-        stacked = bnn.unpack_params(initial, flat)
+        flat = initial.params + 0.3 * rng.standard_normal((2, initial.params.size))
+        stacked = ConditionalModel(flat, width)
         x, y = 2.0 * rng.standard_normal((2, 2, n))
         stream = RngStream(width).child("noise", n)
         together = passes(stacked, x, y, stream)
         for d in range(2):
-            model = bnn.unpack_params(initial, flat[d].copy())
+            model = ConditionalModel(flat[d].copy(), width)
             alone = passes(model, x[d].copy(), y[d].copy(), stream)
             for kind, values in together.items():
                 if any(np.asarray(a[d]).tobytes() != np.asarray(b).tobytes()
@@ -409,6 +408,31 @@ def test_ab_pairs_writes_one_line_per_length():
     assert all(line["pairs"] == 5 and line["scores_match"] is True for line in lines)
 
 
+def test_ab_pairs_aa_adds_a_noise_band_and_a_verdict_per_line(monkeypatch):
+    proc = python_proc([str(ROOT / "scripts" / "ab_pairs.py"), "--base", str(ROOT / "src"),
+                        "--change", str(ROOT / "src"), "--pairs-per-family", "1",
+                        "--n", "30", "40", "--aa"])
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.strip().splitlines()]
+    assert [(line["seed"], line["n"], line["pairs"]) for line in lines] == [(1, 30, 5),
+                                                                             (1, 40, 5)]
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import ab_pairs
+    for line in lines:
+        band = line["aa_ratio"]
+        assert set(band) == {"median", "q1", "q3"}
+        assert 0.0 < band["q1"] <= band["median"] <= band["q3"]
+        assert line["verdict"] == ab_pairs.verdict(line["ratio_median"], band)
+
+
+def test_ab_pairs_verdict_needs_the_ratio_outside_the_band(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import ab_pairs
+    band = {"median": 1.0, "q1": 0.98, "q3": 1.03}
+    assert [ab_pairs.verdict(ratio, band) for ratio in (0.97, 0.98, 1.0, 1.03, 1.04)] == [
+        "faster", "unchanged", "unchanged", "unchanged", "slower"]
+
+
 def test_ab_pairs_config_is_the_desk_workloads(monkeypatch):
     # the two hand-kept copies of desk-n500's training config must not drift apart
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
@@ -499,6 +523,39 @@ def test_ab_perfbench_summarize_counts_wins_by_direction(ab_perfbench):
     # five ties: no win for the change, and no shift
     assert summary["setup_s"]["change_wins"] == 0
     assert summary["setup_s"]["shift_exceeds_base_iqr"] is False
+
+
+def test_ab_perfbench_summarize_shift_must_exceed_the_base_spread(ab_perfbench):
+    end_to_end = [{"name": "wall_s", "better": "lower"},
+                  {"name": "pairs_per_s", "better": "higher"}]
+
+    def summary(base, change):
+        runs = {side: [{"metrics": {name: values[name][i] for name in values}}
+                       for i in range(5)]
+                for side, values in (("base", base), ("change", change))}
+        return ab_perfbench.summarize(runs, end_to_end)
+
+    base = {"wall_s": [1.0, 2.0, 3.0, 4.0, 5.0], "pairs_per_s": [10.0, 11.0, 12.0, 13.0, 14.0]}
+    # medians 3 -> 5 and 12 -> 14: a shift equal to the base's q3 - q1 = 2 does not exceed it
+    equal = summary(base, {"wall_s": [3.0, 4.0, 5.0, 6.0, 7.0],
+                           "pairs_per_s": [12.0, 13.0, 14.0, 15.0, 16.0]})
+    assert equal["wall_s"]["shift_exceeds_base_iqr"] is False
+    assert equal["pairs_per_s"]["shift_exceeds_base_iqr"] is False
+    # every pair worse for wall_s and better for pairs_per_s
+    assert equal["wall_s"]["change_wins"] == 0
+    assert equal["pairs_per_s"]["change_wins"] == 5
+    # a shift past the spread counts in either direction, a loss as well as a gain
+    beyond = summary(base, {"wall_s": [3.5, 4.5, 5.5, 6.5, 7.5],
+                            "pairs_per_s": [9.0, 9.5, 9.75, 10.0, 10.5]})
+    assert beyond["wall_s"]["shift_exceeds_base_iqr"] is True
+    assert beyond["pairs_per_s"]["shift_exceeds_base_iqr"] is True
+    assert beyond["wall_s"]["change_wins"] == beyond["pairs_per_s"]["change_wins"] == 0
+    # ties count for neither side, whichever direction is better
+    tied = summary(base, base)
+    for metric in tied.values():
+        assert metric["change_wins"] == 0
+        assert metric["change"] == metric["base"]
+        assert metric["shift_exceeds_base_iqr"] is False
 
 
 def test_import_leaves_the_network_stack_unloaded():
