@@ -2,24 +2,24 @@
 
 Each tree's `comic` package is copied into one temporary directory under
 its own name (the package imports itself only relatively), so both load
-into this one process. The same pairs, generated by the base tree, are then
-scored by both sides, alternating which side goes first from pair to pair,
-so drift in machine speed falls on both sides alike. Both sides score at
-CONFIG, the scoring config of perfbench's desk-n500 workload: hidden width
-50, 100 MAP + 100 VI epochs with a warm-up of 10, 64 MC samples, seed 0.
---n takes one or more pair lengths and defaults to that workload's 500
-rows.
+into this one process; the base tree is copied twice, as "base" and
+"base_again", each with its own buffers. The same pairs, generated by the
+base tree, are then scored by all three sides, rotating which side goes
+first from pair to pair, so drift in machine speed and warm-up fall on
+every side alike. Every side scores at CONFIG, the scoring config of
+perfbench's desk-n500 workload: hidden width 50, 100 MAP + 100 VI epochs
+with a warm-up of 10, 64 MC samples, seed 0. --n takes one or more pair
+lengths and defaults to that workload's 500 rows.
 
-Prints one JSON line per seed and length: the seed, the length n, each
-side's median and quartiles of per-pair seconds, the median of the
-per-pair ratio change/base, how many pairs the change scored faster, and
-whether every repr(final_delta) matched. Exits with status 1 when any did
-not, so a change meant to keep the scores can be checked by the exit code
-alone. With --aa the same pairs are also scored by base against a second
-copy of base, interleaved the same way, and each line gains the median
-and quartiles of that A/A per-pair ratio ("aa_ratio", the noise band) and
-a "verdict": "faster" or "slower" only when ratio_median lies below or
-above the band, "unchanged" otherwise. With --out PATH the lines are also
+Prints one JSON line per seed and length: the seed, the length n, base's
+and change's median and quartiles of per-pair seconds, the median of the
+per-pair ratio change/base, how many pairs the change scored faster, the
+median and quartiles of the A/A per-pair ratio base_again/base
+("aa_ratio", the noise band), a "verdict" ("faster" or "slower" only when
+ratio_median lies below or above the band, "unchanged" otherwise), and
+whether every repr(final_delta) matched across the three sides. Exits with
+status 1 when any did not, so a change meant to keep the scores can be
+checked by the exit code alone. With --out PATH the lines are also
 written to PATH as {"runs": [...], "context": {...}}; the context holds
 the CPU count, the CPUs this process may run on, the BLAS and OpenMP
 thread variables as found (None when unset), the list of --n,
@@ -80,13 +80,14 @@ def verdict(ratio_median, band):
 
 
 def timed(pairs, sides, configs):
-    """Per side of the two in sides, the seconds and repr(final_delta) of
-    each pair, alternating which side goes first from pair to pair."""
-    first, second = sides
-    seconds = {name: [] for name in sides}
-    deltas = {name: [] for name in sides}
+    """Per side, the seconds and repr(final_delta) of each pair, rotating
+    which side goes first from pair to pair."""
+    names = list(sides)
+    seconds = {name: [] for name in names}
+    deltas = {name: [] for name in names}
     for i, pair in enumerate(pairs):
-        for name in (first, second) if i % 2 == 0 else (second, first):
+        turn = i % len(names)
+        for name in names[turn:] + names[:turn]:
             pkg = sides[name]
             own = pkg.data.PairDataset(pair.x.copy(), pair.y.copy(), label=pair.label)
             start = time.perf_counter()
@@ -97,14 +98,14 @@ def timed(pairs, sides, configs):
 
 
 def ab_run(sides, configs, pairs_per_family, seed, n):
-    """The result line for the n-row pairs the base tree generates at seed;
-    with a "base_again" side, the A/A band and verdict as well."""
+    """The result line for the n-row pairs the base tree generates at seed."""
     base = sides["base"]
     pairs = [p for fam in base.data.FAMILIES for p in base.data.generate_dataset(
         base.data.GeneratorSpec(fam, pairs_per_family, n, seed))]
-    seconds, deltas = timed(pairs, {name: sides[name] for name in ("base", "change")}, configs)
+    seconds, deltas = timed(pairs, sides, configs)
     ratios = [c / b for b, c in zip(seconds["base"], seconds["change"])]
-    line = {
+    aa_ratio = quartiles([a / b for b, a in zip(seconds["base"], seconds["base_again"])])
+    return {
         "seed": seed,
         "n": n,
         "pairs": len(pairs),
@@ -112,13 +113,10 @@ def ab_run(sides, configs, pairs_per_family, seed, n):
         "change_s": quartiles(seconds["change"]),
         "ratio_median": statistics.median(ratios),
         "change_wins": sum(c < b for b, c in zip(seconds["base"], seconds["change"])),
-        "scores_match": deltas["base"] == deltas["change"],
+        "aa_ratio": aa_ratio,
+        "verdict": verdict(statistics.median(ratios), aa_ratio),
+        "scores_match": deltas["base"] == deltas["change"] == deltas["base_again"],
     }
-    if "base_again" in sides:
-        aa = timed(pairs, {name: sides[name] for name in ("base", "base_again")}, configs)[0]
-        line["aa_ratio"] = quartiles([a / b for b, a in zip(aa["base"], aa["base_again"])])
-        line["verdict"] = verdict(line["ratio_median"], line["aa_ratio"])
-    return line
 
 
 def main():
@@ -133,17 +131,13 @@ def main():
     parser.add_argument("--pairs-per-family", type=int, default=2)
     parser.add_argument("--n", type=int, nargs="+", default=[500],
                         help="rows per pair, one result line per seed and length")
-    parser.add_argument("--aa", action="store_true",
-                        help="also time base against base, for a noise band and a verdict")
     parser.add_argument("--out", type=Path,
                         help="also write the result lines, with their context, to this file")
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
-        # the A/A side is a copy of its own, as the change is, with its own buffers
-        trees = {"base": args.base, "change": args.change,
-                 **({"base_again": args.base} if args.aa else {})}
+        trees = {"base": args.base, "change": args.change, "base_again": args.base}
         sides = {name: load_package(src, f"comic_{name}", Path(tmp))
                  for name, src in trees.items()}
         configs = {name: pkg.codelength.TrainConfig(**CONFIG) for name, pkg in sides.items()}

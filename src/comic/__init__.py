@@ -23,20 +23,11 @@ from .data import (
     standardize,
     swap_pair,
 )
-from .evaluation import (
-    BenchmarkResult,
-    DecisionRateCurve,
-    auroc,
-    bi_auroc,
-    decision_rate_curve,
-    run_benchmark,
-    weighted_accuracy,
-)
+from .evaluation import BenchmarkResult, auroc, bi_auroc, run_benchmark, weighted_accuracy
 from .rng import RngStream, draw_standard_normal
 
 __all__ = [
     "BenchmarkResult",
-    "DecisionRateCurve",
     "DirectionReport",
     "GeneratorSpec",
     "PairDataset",
@@ -49,7 +40,6 @@ __all__ = [
     "auroc",
     "bi_auroc",
     "conditional_variational_codelength",
-    "decision_rate_curve",
     "draw_standard_normal",
     "fetch_tuebingen",
     "generate_dataset",

@@ -94,54 +94,50 @@ class DecisionRateCurve:
     """Weighted accuracy against decision rate, pairs ranked by confidence.
 
     The pairs are ranked by |final_delta|, largest first, ties broken by
-    ascending id. Entry k describes the k + 1 most confident pairs: ids[k]
-    is the pair that enters there, decision_rates[k] their share of the
-    total weight, and accuracies[k] their weighted accuracy (None while
-    their weight is 0). area sums each pair's weight share times the
-    accuracy at its entry: the step integral of accuracy over decision rate.
+    ascending id. Entry k describes the k + 1 most confident pairs: "id" is
+    the pair that enters there, "decision_rate" their share of the total
+    weight and "accuracy" their weighted accuracy (None while their weight
+    is 0). area sums each pair's weight share times the accuracy at its
+    entry: the step integral of accuracy over decision rate.
     """
 
-    ids: list[str]
-    decision_rates: list[float]
-    accuracies: list[float | None]
+    entries: list[dict]
     area: float
 
 
 def decision_rate_curve(
     deltas: np.ndarray,
+    decisions: Sequence[str],
     labels: Sequence[str],
     weights: np.ndarray,
     ids: Sequence[str],
 ) -> DecisionRateCurve:
     """The decision-rate curve of scored pairs (Mooij et al., JMLR 2016, section 5).
 
-    A positive delta decides x -> y and a negative one y -> x; a delta of 0
-    is undecided and never correct. Swapping every pair (negating each delta
-    and mirroring each label) leaves the curve unchanged.
+    A pair is correct when its decision equals its label, so an undecided
+    pair never is. Swapping every pair (negating each delta and mirroring
+    each decision and label) leaves the curve unchanged.
     """
     deltas = np.asarray(deltas, dtype=float)
+    decisions = np.asarray(decisions)
     labels = np.asarray(labels)
     weights = np.asarray(weights, dtype=float)
     ids = list(ids)
-    if not deltas.shape == labels.shape == weights.shape == (len(ids),):
-        raise ArgumentError("deltas, labels, weights and ids must have equal length")
+    if not deltas.shape == decisions.shape == labels.shape == weights.shape == (len(ids),):
+        raise ArgumentError("deltas, decisions, labels, weights and ids must have equal length")
     if np.isnan(deltas).any():
         raise ArgumentError("deltas must not be NaN")
     _check_weights(weights)
     order = np.array(sorted(range(len(ids)), key=lambda i: (-abs(deltas[i]), ids[i])))
-    correct = np.where(deltas > 0, labels == X_CAUSES_Y, (deltas < 0) & (labels == Y_CAUSES_X))
     w = weights[order]
-    right = w * correct[order]
     covered = np.cumsum(w)
     total = covered[-1]
-    accuracies = np.divide(np.cumsum(right), covered, out=np.zeros_like(covered),
-                           where=covered > 0)
-    return DecisionRateCurve(
-        ids=[ids[i] for i in order],
-        decision_rates=(covered / total).tolist(),
-        accuracies=[a if c > 0 else None for a, c in zip(accuracies.tolist(), covered)],
-        area=float(np.sum(w / total * accuracies)),
-    )
+    accuracies = np.divide(np.cumsum(w * (decisions == labels)[order]), covered,
+                           out=np.zeros_like(covered), where=covered > 0)
+    entries = [{"id": ids[i], "decision_rate": float(c / total),
+                "accuracy": float(a) if c > 0 else None}
+               for i, c, a in zip(order, covered, accuracies)]
+    return DecisionRateCurve(entries, float(np.sum(w / total * accuracies)))
 
 
 @dataclass
@@ -271,7 +267,7 @@ def run_benchmark(
     acc = weighted_accuracy(decisions, labels)
     wacc = weighted_accuracy(decisions, labels, weights)
     bi = bi_auroc(deltas, labels, weights) if {X_CAUSES_Y, Y_CAUSES_X} <= set(labels) else None
-    curve = decision_rate_curve(deltas, labels, weights, [r.id for r in ok])
+    curve = decision_rate_curve(deltas, decisions, labels, weights, [r.id for r in ok])
     return BenchmarkResult(rows, acc, wacc, bi, n_failed, metadata, curve)
 
 
@@ -317,9 +313,7 @@ def result_to_json(result: BenchmarkResult) -> str:
             "decision_rate_area": None if curve is None else curve.area,
             "n_failed": result.n_failed,
         },
-        "decision_rate_curve": [] if curve is None else [
-            {"id": pair_id, "decision_rate": rate, "accuracy": acc}
-            for pair_id, rate, acc in zip(curve.ids, curve.decision_rates, curve.accuracies)],
+        "decision_rate_curve": [] if curve is None else curve.entries,
         "pairs": [asdict(r) for r in result.rows],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from comic.codelength import TrainConfig
-from comic.data import GeneratorSpec, PairDataset, X_CAUSES_Y, Y_CAUSES_X, generate_dataset
+from comic.data import (
+    GeneratorSpec,
+    PairDataset,
+    UNDECIDED,
+    X_CAUSES_Y,
+    Y_CAUSES_X,
+    generate_dataset,
+)
 from comic.errors import ArgumentError
 from comic.evaluation import (
     BenchmarkResult,
@@ -283,34 +290,45 @@ def test_weighted_accuracy_rejects_bad_weights(weights):
 # ---------------------------------------------------------- decision rate
 
 
+def entries(curve, key):
+    return [entry[key] for entry in curve.entries]
+
+
 def test_decision_rate_curve_hand_worked():
     # ranked by |delta|: a (right), b (wrong), d (right), then c, whose
     # delta of 0 is undecided and so wrong; weights 1, 2, 4, 1 of 8
     curve = decision_rate_curve([3.0, -2.0, 0.0, -1.0],
+                                [X_CAUSES_Y, Y_CAUSES_X, UNDECIDED, Y_CAUSES_X],
                                 [X_CAUSES_Y, X_CAUSES_Y, X_CAUSES_Y, Y_CAUSES_X],
                                 np.array([1.0, 2.0, 1.0, 4.0]), ["a", "b", "c", "d"])
-    assert curve.ids == ["a", "b", "d", "c"]
-    assert curve.decision_rates == [0.125, 0.375, 0.875, 1.0]
-    assert curve.accuracies == approx([1.0, 1.0 / 3.0, 5.0 / 7.0, 5.0 / 8.0])
+    assert entries(curve, "id") == ["a", "b", "d", "c"]
+    assert entries(curve, "decision_rate") == [0.125, 0.375, 0.875, 1.0]
+    assert entries(curve, "accuracy") == approx([1.0, 1.0 / 3.0, 5.0 / 7.0, 5.0 / 8.0])
     # 1/8 * 1 + 2/8 * 1/3 + 4/8 * 5/7 + 1/8 * 5/8
     assert curve.area == approx(865.0 / 1344.0)
 
 
 def test_decision_rate_curve_breaks_ties_by_ascending_id():
     labels = [X_CAUSES_Y, X_CAUSES_Y, X_CAUSES_Y]
-    curve = decision_rate_curve([-1.0, 1.0, 2.0], labels, np.ones(3), ["p2", "p1", "p0"])
-    assert curve.ids == ["p0", "p1", "p2"]
-    assert curve.accuracies == approx([1.0, 1.0, 2.0 / 3.0])
-    reordered = decision_rate_curve([1.0, -1.0, 2.0], labels, np.ones(3), ["p1", "p2", "p0"])
+    curve = decision_rate_curve([-1.0, 1.0, 2.0], [Y_CAUSES_X, X_CAUSES_Y, X_CAUSES_Y], labels,
+                                np.ones(3), ["p2", "p1", "p0"])
+    assert entries(curve, "id") == ["p0", "p1", "p2"]
+    assert entries(curve, "accuracy") == approx([1.0, 1.0, 2.0 / 3.0])
+    reordered = decision_rate_curve([1.0, -1.0, 2.0], [X_CAUSES_Y, Y_CAUSES_X, X_CAUSES_Y],
+                                    labels, np.ones(3), ["p1", "p2", "p0"])
     assert reordered == curve
 
 
 def test_decision_rate_curve_zero_weight_prefix_has_no_accuracy():
-    curve = decision_rate_curve([2.0, 1.0], [X_CAUSES_Y, X_CAUSES_Y], np.array([0.0, 1.0]),
-                                ["a", "b"])
-    assert curve.decision_rates == [0.0, 1.0]
-    assert curve.accuracies == [None, 1.0]
+    curve = decision_rate_curve([2.0, 1.0], [X_CAUSES_Y, X_CAUSES_Y], [X_CAUSES_Y, X_CAUSES_Y],
+                                np.array([0.0, 1.0]), ["a", "b"])
+    assert entries(curve, "decision_rate") == [0.0, 1.0]
+    assert entries(curve, "accuracy") == [None, 1.0]
     assert curve.area == 1.0
+
+
+def decisions_of(deltas):
+    return np.where(deltas > 0, X_CAUSES_Y, np.where(deltas < 0, Y_CAUSES_X, UNDECIDED))
 
 
 @settings(max_examples=30, deadline=None)
@@ -324,8 +342,8 @@ def test_decision_rate_curve_is_unchanged_by_swapping_every_pair(pairs):
     ids = [f"{i:04d}" for i in range(len(pairs))]
     labels = np.where(forward, X_CAUSES_Y, Y_CAUSES_X)
     mirrored = np.where(forward, Y_CAUSES_X, X_CAUSES_Y)
-    assert decision_rate_curve(deltas, labels, weights, ids) == decision_rate_curve(
-        -deltas, mirrored, weights, ids)
+    assert decision_rate_curve(deltas, decisions_of(deltas), labels, weights, ids) == (
+        decision_rate_curve(-deltas, decisions_of(-deltas), mirrored, weights, ids))
 
 
 @pytest.mark.parametrize("weights", [
@@ -333,15 +351,16 @@ def test_decision_rate_curve_is_unchanged_by_swapping_every_pair(pairs):
 ])
 def test_decision_rate_curve_rejects_bad_weights(weights):
     with pytest.raises(ArgumentError, match="weights must be finite and non-negative"):
-        decision_rate_curve([1.0, -1.0], [X_CAUSES_Y, X_CAUSES_Y], np.array(weights),
-                            ["a", "b"])
+        decision_rate_curve([1.0, -1.0], [X_CAUSES_Y, Y_CAUSES_X], [X_CAUSES_Y, X_CAUSES_Y],
+                            np.array(weights), ["a", "b"])
 
 
 def test_decision_rate_curve_rejects_unequal_lengths_and_nan():
     with pytest.raises(ArgumentError, match="equal length"):
-        decision_rate_curve([1.0, -1.0], [X_CAUSES_Y, X_CAUSES_Y], np.ones(2), ["a"])
+        decision_rate_curve([1.0, -1.0], [X_CAUSES_Y, Y_CAUSES_X], [X_CAUSES_Y, X_CAUSES_Y],
+                            np.ones(2), ["a"])
     with pytest.raises(ArgumentError, match="NaN"):
-        decision_rate_curve([np.nan], [X_CAUSES_Y], np.ones(1), ["a"])
+        decision_rate_curve([np.nan], [UNDECIDED], [X_CAUSES_Y], np.ones(1), ["a"])
 
 
 # ---------------------------------------------------------------- benchmark
@@ -426,10 +445,11 @@ def test_run_benchmark_ranks_the_scored_pairs_by_confidence():
     broken = PairDataset(np.full(20, 1.0), np.arange(20.0), label=X_CAUSES_Y, id="flat")
     result = run_benchmark(pairs + [broken], FAST)
     ok = [r for r in result.rows if r.error is None]
-    expected = decision_rate_curve([r.final_delta for r in ok], [r.label for r in ok],
-                                   np.array([r.weight for r in ok]), [r.id for r in ok])
+    expected = decision_rate_curve([r.final_delta for r in ok], [r.decision for r in ok],
+                                   [r.label for r in ok], np.array([r.weight for r in ok]),
+                                   [r.id for r in ok])
     assert result.decision_rate == expected
-    assert sorted(result.decision_rate.ids) == sorted(p.id for p in pairs)
+    assert sorted(entries(result.decision_rate, "id")) == sorted(p.id for p in pairs)
 
 
 def test_run_benchmark_records_failures_without_aborting():
@@ -565,6 +585,4 @@ def test_json_mirror_has_same_aggregates():
     assert len(payload["pairs"]) == len(result.rows)
     curve = result.decision_rate
     assert payload["aggregates"]["decision_rate_area"] == curve.area
-    assert payload["decision_rate_curve"] == [
-        {"id": i, "decision_rate": rate, "accuracy": acc}
-        for i, rate, acc in zip(curve.ids, curve.decision_rates, curve.accuracies)]
+    assert payload["decision_rate_curve"] == curve.entries

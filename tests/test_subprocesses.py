@@ -408,10 +408,10 @@ def test_ab_pairs_writes_one_line_per_length():
     assert all(line["pairs"] == 5 and line["scores_match"] is True for line in lines)
 
 
-def test_ab_pairs_aa_adds_a_noise_band_and_a_verdict_per_line(monkeypatch):
+def test_ab_pairs_adds_a_noise_band_and_a_verdict_per_line(monkeypatch):
     proc = python_proc([str(ROOT / "scripts" / "ab_pairs.py"), "--base", str(ROOT / "src"),
                         "--change", str(ROOT / "src"), "--pairs-per-family", "1",
-                        "--n", "30", "40", "--aa"])
+                        "--n", "30", "40"])
     assert proc.returncode == 0, proc.stderr
     lines = [json.loads(line) for line in proc.stdout.strip().splitlines()]
     assert [(line["seed"], line["n"], line["pairs"]) for line in lines] == [(1, 30, 5),
