@@ -1,7 +1,6 @@
 """Causal direction from bivariate samples via variational Bayesian codelengths."""
 
 from .codelength import (
-    DirectionReport,
     PairReport,
     TrainConfig,
     conditional_variational_codelength,
@@ -28,7 +27,6 @@ from .rng import RngStream, draw_standard_normal
 
 __all__ = [
     "BenchmarkResult",
-    "DirectionReport",
     "GeneratorSpec",
     "PairDataset",
     "PairReport",

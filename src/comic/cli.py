@@ -120,15 +120,7 @@ def cmd_score(args) -> int:
     report = score_pair(pair, cfg)
     payload = {
         "id": pair.id,
-        "delta_xy": report.forward.delta,
-        "delta_yx": report.backward.delta,
-        "final_delta": report.final_delta,
-        "decision": report.decision,
-        "confidence": report.confidence,
-        "l_marginal_x": report.forward.l_marginal_cause,
-        "l_cond_y_given_x": report.forward.l_conditional_effect,
-        "l_marginal_y": report.backward.l_marginal_cause,
-        "l_cond_x_given_y": report.backward.l_conditional_effect,
+        **asdict(report),
         "seed": settings["seed"],
         "config": asdict(cfg),
         "machine": machine_info(),

@@ -63,23 +63,15 @@ class TrainConfig:
 
 
 @dataclass
-class DirectionReport:
-    """Codelengths for one hypothesized direction; delta is their sum."""
-
-    l_marginal_cause: float
-    l_conditional_effect: float
-    delta: float
-
-    @classmethod
-    def of(cls, l_marginal_cause: float, l_conditional_effect: float) -> "DirectionReport":
-        return cls(l_marginal_cause, l_conditional_effect,
-                   l_marginal_cause + l_conditional_effect)
-
-
-@dataclass
 class PairReport:
-    forward: DirectionReport
-    backward: DirectionReport
+    """One scored pair: each direction's codelengths (nats), their sums, the decision."""
+
+    l_marginal_x: float
+    l_cond_y_given_x: float
+    l_marginal_y: float
+    l_cond_x_given_y: float
+    delta_xy: float
+    delta_yx: float
     final_delta: float
     decision: str
     confidence: float
@@ -188,23 +180,29 @@ def _fingerprint(values: np.ndarray) -> str:
 def score_pair(pair: PairDataset, cfg: TrainConfig) -> PairReport:
     """Score both directions of a pair and decide which column is the cause.
 
-    A positive final_delta means the first column causes the second.
-    In a NumericError, direction 0 is x -> y and direction 1 is y -> x.
+    A positive final_delta means the first column causes the second; the
+    swapped pair scores its bit-exact negation, save an exact tie: columns
+    that standardize to the same bits (x and x.copy() or 2.0 * x) make a
+    pair that is its own swap, scoring +0.0 and UNDECIDED both ways. In a
+    NumericError, direction 0 is x -> y and direction 1 is y -> x.
     """
     zx, _, _ = standardize(pair.x)
     zy, _, _ = standardize(pair.y)
     stream = RngStream(cfg.seed).child("pair", *sorted((_fingerprint(zx), _fingerprint(zy))))
     causes, effects = np.stack((zx, zy)), np.stack((zy, zx))
     model = train_conditional(causes, effects, cfg, stream)
-    l_forward, l_backward = conditional_variational_codelength(
+    l_cond_y_given_x, l_cond_x_given_y = conditional_variational_codelength(
         model, causes, effects, cfg.mc_eval_samples, stream.child("final-eval"))
-    forward = DirectionReport.of(marginal_gaussian_codelength(zx), l_forward)
-    backward = DirectionReport.of(marginal_gaussian_codelength(zy), l_backward)
-    final_delta = backward.delta - forward.delta
+    l_marginal_x = marginal_gaussian_codelength(zx)
+    l_marginal_y = marginal_gaussian_codelength(zy)
+    delta_xy = l_marginal_x + l_cond_y_given_x
+    delta_yx = l_marginal_y + l_cond_x_given_y
+    final_delta = delta_yx - delta_xy
     if final_delta > 0:
         decision = X_CAUSES_Y
     elif final_delta < 0:
         decision = Y_CAUSES_X
     else:
         decision = UNDECIDED
-    return PairReport(forward, backward, final_delta, decision, abs(final_delta))
+    return PairReport(l_marginal_x, l_cond_y_given_x, l_marginal_y, l_cond_x_given_y,
+                      delta_xy, delta_yx, final_delta, decision, abs(final_delta))

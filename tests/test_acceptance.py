@@ -18,7 +18,6 @@ from comic.bnn import (
     ConditionalModel,
     _layer_forward,
     elbo_objective,
-    gaussian_nll,
     kl_model,
     map_objective,
 )
@@ -212,8 +211,8 @@ def test_criterion_6_swap_antisymmetry():
         forward = score_pair(pair, FAST_CFG)
         mirrored = score_pair(swap_pair(pair), FAST_CFG)
         assert mirrored.final_delta == -forward.final_delta
-        assert mirrored.forward.delta == forward.backward.delta
-        assert mirrored.backward.delta == forward.forward.delta
+        assert mirrored.delta_xy == forward.delta_yx
+        assert mirrored.delta_yx == forward.delta_xy
         expected = {X_CAUSES_Y: Y_CAUSES_X, Y_CAUSES_X: X_CAUSES_Y,
                     "undecided": "undecided"}[forward.decision]
         assert mirrored.decision == expected

@@ -2,7 +2,6 @@ import json
 import threading
 from dataclasses import fields
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
 
 import numpy as np
 import pytest

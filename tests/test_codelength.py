@@ -11,7 +11,6 @@ from pytest import approx
 from comic import bnn
 from comic.bnn import ConditionalModel, gaussian_nll
 from comic.codelength import (
-    DirectionReport,
     TrainConfig,
     conditional_variational_codelength,
     marginal_gaussian_codelength,
@@ -19,8 +18,8 @@ from comic.codelength import (
     train_conditional,
 )
 from comic.data import (
-    GeneratorSpec, PairDataset, X_CAUSES_Y, Y_CAUSES_X, generate_dataset, generate_pair,
-    swap_pair,
+    GeneratorSpec, PairDataset, UNDECIDED, X_CAUSES_Y, Y_CAUSES_X, generate_dataset,
+    generate_pair, swap_pair,
 )
 from comic.errors import ArgumentError, NumericError
 from comic.evaluation import run_benchmark
@@ -324,11 +323,6 @@ def test_eval_codelength_mc_convergence():
     assert abs(one - many) <= 5.0 * se
 
 
-def test_direction_report_arithmetic():
-    report = DirectionReport.of(1.25, 2.5)
-    assert report.delta == report.l_marginal_cause + report.l_conditional_effect
-
-
 def make_anm_pair(seed=9, n=60):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n)
@@ -338,7 +332,9 @@ def make_anm_pair(seed=9, n=60):
 
 def test_score_pair_report_consistency():
     report = score_pair(make_anm_pair(), FAST)
-    assert report.final_delta == report.backward.delta - report.forward.delta
+    assert report.delta_xy == report.l_marginal_x + report.l_cond_y_given_x
+    assert report.delta_yx == report.l_marginal_y + report.l_cond_x_given_y
+    assert report.final_delta == report.delta_yx - report.delta_xy
     assert report.confidence == abs(report.final_delta)
     assert report.decision in (X_CAUSES_Y, Y_CAUSES_X)
 
@@ -353,8 +349,23 @@ def test_swap_antisymmetry_bit_exact(n, width):
     mirrored = score_pair(swap_pair(pair), cfg)
     assert mirrored.final_delta == -forward.final_delta
     assert {forward.decision, mirrored.decision} == {X_CAUSES_Y, Y_CAUSES_X}
-    assert mirrored.forward.delta == forward.backward.delta
-    assert mirrored.backward.delta == forward.forward.delta
+    assert mirrored.delta_xy == forward.delta_yx
+    assert mirrored.delta_yx == forward.delta_xy
+
+
+@pytest.mark.parametrize("scale", [None, 2.0], ids=["copy", "doubled"])
+def test_exact_tie_is_undecided_both_ways(scale):
+    # columns that standardize to the same bits make a pair that is its own
+    # swap, so the score is +0.0 both ways rather than a sign-flipped mirror;
+    # only exact maps qualify (4.0 * x - 8.0 rounds in the shift and scores
+    # a nonzero final_delta)
+    x = np.random.default_rng(5).standard_normal(60)
+    pair = PairDataset(x, x.copy() if scale is None else scale * x)
+    for report in (score_pair(pair, FAST), score_pair(swap_pair(pair), FAST)):
+        assert report.final_delta == 0.0 and math.copysign(1.0, report.final_delta) == 1.0
+        assert report.decision == UNDECIDED
+        assert report.confidence == 0.0
+        assert report.delta_xy == report.delta_yx
 
 
 def test_threads_score_like_serial():

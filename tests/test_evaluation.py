@@ -227,6 +227,20 @@ def test_bi_auroc_symmetric_scores_equal_sides():
     assert bi_auroc(deltas, labels) == forward
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 300), st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+def test_bi_auroc_equals_the_one_sided_auroc(n, seed, tied, unit_weights):
+    # every pair has one label and one score, so both sides count the same
+    # pairs and bi_auroc averages two equal numbers, up to rounding
+    rng = np.random.default_rng(seed)
+    deltas = rng.integers(-4, 5, n).astype(float) if tied else rng.standard_normal(n)
+    labels = np.where(rng.random(n) < 0.5, X_CAUSES_Y, Y_CAUSES_X)
+    labels[:2] = X_CAUSES_Y, Y_CAUSES_X
+    weights = None if unit_weights else rng.uniform(0.1, 3.0, n)
+    one_sided = auroc(deltas, labels == X_CAUSES_Y, weights)
+    assert bi_auroc(deltas, labels, weights) == approx(one_sided, rel=0, abs=1e-12)
+
+
 def test_bi_auroc_anti_signed_is_zero():
     deltas = np.array([-2.0, -1.5, 3.0, 0.5])
     labels = [X_CAUSES_Y, X_CAUSES_Y, Y_CAUSES_X, Y_CAUSES_X]

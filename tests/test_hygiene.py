@@ -1,6 +1,9 @@
-"""Source checks that need no linter: every module under src/comic and
-scripts/ uses each name it imports, every def reads each of its
-parameters, and no package code is there only for the tests.
+"""Source checks that need no linter: every module under src/comic,
+scripts/ and tests/ uses each name it imports, every def under src/comic
+and scripts/ reads each of its parameters, and no package code is there
+only for the tests. Test parameters are not checked, since test callbacks
+keep fixed signatures; perfbench/tests belongs to the benchmark and is not
+checked either.
 
 Package __init__ modules are exempt (their imports are re-exports), as is
 `from __future__ import ...`, which binds no name. `self` and `cls` are
@@ -24,6 +27,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(path for folder in ("src/comic", "scripts")
                  for path in (ROOT / folder).glob("*.py") if path.name != "__init__.py")
+IMPORTERS = MODULES + sorted((ROOT / "tests").glob("*.py"))
 PACKAGE = [path for path in MODULES if path.parent.name == "comic"]
 USERS = sorted(path for folder in ("scripts", "perfbench") for path in (ROOT / folder).glob("*.py"))
 # Package code that only perfbench/tracing.py's TRACED table names. ROADMAP item 3
@@ -115,9 +119,10 @@ def test_modules_to_check_were_found():
     names = {path.name for path in MODULES}
     assert {"optim.py", "codelength.py", "cli.py", "ab_pairs.py"} <= names
     assert {"run.py", "tracing.py", "ab_pairs.py"} <= {path.name for path in USERS}
+    assert {"test_cli.py", "test_hygiene.py"} <= {path.name for path in IMPORTERS}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+@pytest.mark.parametrize("path", IMPORTERS, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
