@@ -94,14 +94,7 @@ def cmd_generate(args) -> int:
     pairs = generate_dataset(spec)
     files = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
              for name in write_dataset(out_dir, pairs)}
-    manifest = {
-        "family": spec.family,
-        "n_pairs": spec.n_pairs,
-        "n_samples": spec.n_samples,
-        "seed": spec.seed,
-        "generator_version": data_mod.GENERATOR_VERSION,
-        "files": files,
-    }
+    manifest = {**asdict(spec), "generator_version": data_mod.GENERATOR_VERSION, "files": files}
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(pairs)} pairs to {out_dir}")
     return 0

@@ -5,7 +5,7 @@ from __future__ import annotations
 import io
 import json
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -17,7 +17,10 @@ from .errors import ArgumentError, check_count
 
 
 def _check_weights(weights: np.ndarray) -> None:
-    """Weights must be finite and non-negative with a positive total."""
+    """The input must not be empty; weights must be finite and non-negative
+    with a positive total."""
+    if weights.size == 0:
+        raise ArgumentError("the input is empty")
     if not (np.all(np.isfinite(weights)) and np.all(weights >= 0) and weights.sum() > 0):
         raise ArgumentError("weights must be finite and non-negative with a positive total")
 
@@ -276,32 +279,32 @@ def run_benchmark(
     return BenchmarkResult(rows, acc, wacc, bi, n_failed, metadata, curve)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return "n/a"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _aggregates(result: BenchmarkResult) -> dict:
+    """The run's aggregates by name, in the order the CSV summary block lists them."""
+    curve = result.decision_rate
+    return {"accuracy": result.accuracy, "weighted_accuracy": result.weighted_accuracy,
+            "bi_auroc": result.bi_auroc, "n_failed": result.n_failed,
+            "decision_rate_area": None if curve is None else curve.area}
 
 
 def result_to_csv(result: BenchmarkResult) -> str:
-    """CSV with one row per pair followed by a summary block.
+    """CSV with one row per pair, a column per PairRow field, followed by a
+    summary block of the aggregates that summary.json holds.
 
-    A field is quoted only when it holds a comma, a quote or a line break,
-    as an error message or a pair id may.
+    A row's missing value is left empty; a missing aggregate reads n/a. A
+    field is quoted only when it holds a comma, a quote or a line break, as
+    an error message or a pair id may.
     """
     import csv  # imported here: only the CSV writer needs it, not `import comic`
 
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["id", "final_delta", "decision", "label", "weight", "runtime_seconds",
-                     "error"])
-    for r in result.rows:
-        writer.writerow([r.id, _fmt(r.final_delta), r.decision or "", r.label or "",
-                         _fmt(r.weight), _fmt(r.runtime_seconds), r.error or ""])
-    writer.writerows([["# summary"], ["accuracy", _fmt(result.accuracy)],
-                      ["weighted_accuracy", _fmt(result.weighted_accuracy)],
-                      ["bi_auroc", _fmt(result.bi_auroc)], ["n_failed", result.n_failed]])
+    writer.writerow([f.name for f in fields(PairRow)])
+    # the writer leaves None empty and writes a float as its repr
+    writer.writerows(astuple(r) for r in result.rows)
+    writer.writerow(["# summary"])
+    writer.writerows([name, "n/a" if value is None else value]
+                     for name, value in _aggregates(result).items())
     return out.getvalue()
 
 
@@ -311,13 +314,7 @@ def result_to_json(result: BenchmarkResult) -> str:
     curve = result.decision_rate
     payload = {
         "metadata": result.metadata,
-        "aggregates": {
-            "accuracy": result.accuracy,
-            "weighted_accuracy": result.weighted_accuracy,
-            "bi_auroc": result.bi_auroc,
-            "decision_rate_area": None if curve is None else curve.area,
-            "n_failed": result.n_failed,
-        },
+        "aggregates": _aggregates(result),
         "decision_rate_curve": [] if curve is None else curve.entries,
         "pairs": [asdict(r) for r in result.rows],
     }

@@ -21,7 +21,7 @@ from comic.bnn import (
     _map_penalty,
     kl_model,
     map_objective,
-    model_forward,
+    _predictions,
     sampler,
 )
 from comic.errors import ArgumentError
@@ -50,6 +50,11 @@ def sampled_layer(layer, h_in, stream):
 
 def mean_layer(layer, h_in):
     return _layer_forward(layer, h_in, None, "hidden")[0].copy()
+
+
+def posterior_mean(model, x):
+    """(mu, sigma) for each x of the float array x through the posterior means."""
+    return _predictions(model, _layer_forward(model.hidden, x[..., None], None, "hidden")[0], None)
 
 
 def packed(hidden, output):
@@ -140,7 +145,7 @@ def test_prior_collapse_forward_is_standard_normal_params():
         output=make_layer(np.zeros((4, 2)), logvar=-60.0),
     )
     x = np.linspace(-3, 3, 7)
-    mu, sigma = model_forward(model, x)
+    mu, sigma = posterior_mean(model, x)
     assert np.array_equal(mu, np.zeros(7))
     assert sigma == approx(np.ones(7))
 
@@ -151,7 +156,7 @@ def test_sigma_clamped_for_adversarial_inputs():
         output=make_layer(np.full((3, 2), 50.0), logvar=-60.0),
     )
     x = np.array([-1e6, -10.0, 10.0, 1e6])
-    _, sigma = model_forward(model, x)
+    _, sigma = posterior_mean(model, x)
     assert np.all(np.isfinite(sigma))
     assert np.all((sigma >= math.exp(-15)) & (sigma <= math.exp(15)))
 
@@ -161,7 +166,7 @@ def test_tiny_network_closed_form():
         hidden=make_layer([[1.0]], logvar=-60.0),
         output=make_layer([[1.0, 1.0]], logvar=-60.0),
     )
-    mu, sigma = model_forward(model, np.array([0.5]))
+    mu, sigma = posterior_mean(model, np.array([0.5]))
     assert mu[0] == approx(math.tanh(0.5), abs=1e-12)
     assert sigma[0] == approx(math.exp(math.tanh(0.5)), abs=1e-12)
     assert mu[0] == approx(0.4621, abs=1e-4)
@@ -177,14 +182,14 @@ def test_nonfinite_intermediate_names_layer():
     )
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericError, match="hidden layer"):
-            model_forward(broken, np.ones(3))
+            posterior_mean(broken, np.ones(3))
 
 
 def test_model_forward_results_survive_later_calls():
     # the passes reuse buffers across calls; what a call returns must not alias them
     model = random_model(5, 3, 4)
     x = np.linspace(-2.0, 2.0, 9)
-    mean_pass = lambda x, stream: model_forward(model, x)
+    mean_pass = lambda x, stream: posterior_mean(model, x)
     sampled_pass = lambda x, stream: sampler(model, x)(stream)
     for predict in (mean_pass, sampled_pass):
         mu, sigma = predict(x, RngStream(6).child("mc"))
@@ -646,7 +651,7 @@ def test_hot_loop_matches_oracle_bytes(width, n, seed, zero_share, beta):
             == objective_bytes(*oracle_map_objective(model, x, y)))
     assert (package_objective_bytes(elbo_objective, model, x, y, beta, stream)
             == objective_bytes(*oracle_elbo_objective(model, x, y, beta, stream)))
-    assert (prediction_bytes(*model_forward(model, x))
+    assert (prediction_bytes(*posterior_mean(model, x))
             == prediction_bytes(*oracle_model_forward(model, x)))
     assert (prediction_bytes(*sampler(model, x)(stream))
             == prediction_bytes(*oracle_model_forward(model, x, stream)))
@@ -684,7 +689,7 @@ def test_stacked_pair_matches_oracle_bytes_per_slice(width, n, seeds, zero_share
     sample(stream.child("other"))
     other, x_other, y_other = edge_problem(width, n + 1, seeds[1], zero_share)
     elbo_objective(other, x_other, y_other, beta, stream, grad_buffer(other)[1])
-    for (mu, sigma), oracle_args in ((model_forward(model, x), ()),
+    for (mu, sigma), oracle_args in ((posterior_mean(model, x), ()),
                                      (sampler(model, x)(stream), (stream,)),
                                      (sample(stream), (stream,))):
         assert mu.shape == sigma.shape == (2, n)

@@ -171,8 +171,9 @@ def test_seed_outside_64_bits_is_a_json_error(command, flag, env, smoke_pair_fil
 
 def test_config_file_and_flag_override(smoke_pair_file, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed=7\nhidden_width=6\nmap_epochs=40\nvi_epochs=40\n"
-                   "warmup_epochs=8\nmc_eval=4\n")
+    # a comment line and blank lines, one of spaces only, are skipped
+    cfg.write_text("# fast settings\nseed=7\n\nhidden_width=6\nmap_epochs=40\nvi_epochs=40\n"
+                   "  \nwarmup_epochs=8\nmc_eval=4\n")
     _, out = run_cli(capsys, ["score", str(smoke_pair_file), "--config", str(cfg)])
     payload = json.loads(out)
     assert payload["seed"] == 7
@@ -398,7 +399,7 @@ def test_benchmark_reports_no_accuracy_when_every_pair_fails(tmp_path, capsys):
     assert summary["decision_rate_curve"] == []
     block = (out_dir / "results.csv").read_text().split("# summary\n")[1]
     assert block.splitlines() == ["accuracy,n/a", "weighted_accuracy,n/a", "bi_auroc,n/a",
-                                  "n_failed,2"]
+                                  "n_failed,2", "decision_rate_area,n/a"]
 
 
 def test_benchmark_prints_the_file_its_format_names(tmp_path, capsys):

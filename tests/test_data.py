@@ -508,9 +508,12 @@ def test_family_name_must_be_a_string(family):
         GeneratorSpec(family, 1, 10)
 
 
-@pytest.mark.parametrize("pair_index", [0.5, "0", None])
+@pytest.mark.parametrize("pair_index", [0.5, "0", None, -1, 2])
 def test_generate_pair_rejects_non_integer_pair_index(pair_index):
-    with pytest.raises(ArgumentError, match="pair_index must be an integer"):
+    # an integer outside [0, n_pairs) is rejected too
+    reason = (rf"pair_index {pair_index} outside \[0, 2\)" if isinstance(pair_index, int)
+              else "pair_index must be an integer")
+    with pytest.raises(ArgumentError, match=reason):
         generate_pair(GeneratorSpec("AN-s", 2, 10), pair_index)
 
 
@@ -761,15 +764,16 @@ def test_pair_dataset_rejects_non_finite_or_non_positive_weight(weight):
         PairDataset(np.arange(3.0), np.arange(3.0), weight=weight)
 
 
-@pytest.mark.parametrize("x,y,reason", [
-    (np.zeros((3, 2)), np.zeros(6), "1-D vectors of equal length"),   # x is a matrix
-    (np.zeros(3), np.zeros((3, 1)), "1-D vectors of equal length"),
-    (np.arange(3.0), np.arange(4.0), "1-D vectors of equal length"),
-    (np.array([1.0]), np.array([2.0]), "at least 2 observations"),
-], ids=["2-D-x", "2-D-y", "unequal", "one-observation"])
-def test_pair_dataset_rejects_bad_columns(x, y, reason):
+@pytest.mark.parametrize("x,y,label,reason", [
+    (np.zeros((3, 2)), np.zeros(6), None, "1-D vectors of equal length"),   # x is a matrix
+    (np.zeros(3), np.zeros((3, 1)), None, "1-D vectors of equal length"),
+    (np.arange(3.0), np.arange(4.0), None, "1-D vectors of equal length"),
+    (np.array([1.0]), np.array([2.0]), None, "at least 2 observations"),
+    (np.arange(3.0), np.arange(3.0), "x_cause_y", "unknown label 'x_cause_y'"),
+], ids=["2-D-x", "2-D-y", "unequal", "one-observation", "unknown-label"])
+def test_pair_dataset_rejects_bad_columns(x, y, label, reason):
     with pytest.raises(ArgumentError, match=reason):
-        PairDataset(x, y)
+        PairDataset(x, y, label=label)
 
 
 @pytest.mark.parametrize("weight", ["1", None])

@@ -2,6 +2,7 @@ import csv
 import io
 import re
 import signal
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -34,6 +35,10 @@ from comic.evaluation import (
 
 FAST = TrainConfig(hidden_width=6, vi_epochs=40, warmup_epochs=8, map_epochs=40,
                    mc_eval_samples=4, seed=1)
+
+# the messages of the metrics' checks on their input and weights
+EMPTY = "the input is empty"
+BAD_WEIGHTS = "weights must be finite and non-negative"
 
 
 def auroc_bruteforce(scores, positives, weights):
@@ -114,11 +119,14 @@ def test_nan_score_rejected(metric):
 
 
 @pytest.mark.parametrize("weights", [
-    [1.0, np.nan, 1.0], [1.0, np.inf, 1.0], [1.0, -0.5, 1.0], [0.0, 0.0, 0.0],
+    [1.0, np.nan, 1.0], [1.0, np.inf, 1.0], [1.0, -0.5, 1.0], [0.0, 0.0, 0.0], [],
 ])
 def test_auroc_rejects_bad_weights(weights):
-    with pytest.raises(ArgumentError, match="weights must be finite and non-negative"):
-        auroc(np.array([0.1, 0.2, 0.3]), np.array([True, False, True]), np.array(weights))
+    # the empty case passes no weights, so its message must not name them
+    n = len(weights)
+    with pytest.raises(ArgumentError, match=EMPTY if n == 0 else BAD_WEIGHTS):
+        auroc(np.array([0.1, 0.2, 0.3])[:n], np.array([True, False, True])[:n],
+              np.array(weights) if n else None)
 
 
 instances = st.integers(min_value=2, max_value=200).flatmap(
@@ -292,13 +300,15 @@ def test_weighted_accuracy_length_mismatch():
 
 
 @pytest.mark.parametrize("weights", [
-    [0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0], [-1.0, 2.0],
+    [0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0], [-1.0, 2.0], [],
 ])
 def test_weighted_accuracy_rejects_bad_weights(weights):
     # all-zero weights once gave nan with a RuntimeWarning; a negative one
-    # could push the result outside [0, 1]
-    with pytest.raises(ArgumentError, match="weights must be finite and non-negative"):
-        weighted_accuracy([X_CAUSES_Y, Y_CAUSES_X], [X_CAUSES_Y, X_CAUSES_Y], np.array(weights))
+    # could push the result outside [0, 1]; the empty case passes no weights
+    n = len(weights)
+    with pytest.raises(ArgumentError, match=EMPTY if n == 0 else BAD_WEIGHTS):
+        weighted_accuracy([X_CAUSES_Y, Y_CAUSES_X][:n], [X_CAUSES_Y, X_CAUSES_Y][:n],
+                          np.array(weights) if n else None)
 
 
 # ---------------------------------------------------------- decision rate
@@ -361,12 +371,13 @@ def test_decision_rate_curve_is_unchanged_by_swapping_every_pair(pairs):
 
 
 @pytest.mark.parametrize("weights", [
-    [0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0], [-1.0, 2.0],
+    [0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0], [-1.0, 2.0], [],
 ])
 def test_decision_rate_curve_rejects_bad_weights(weights):
-    with pytest.raises(ArgumentError, match="weights must be finite and non-negative"):
-        decision_rate_curve([1.0, -1.0], [X_CAUSES_Y, Y_CAUSES_X], [X_CAUSES_Y, X_CAUSES_Y],
-                            np.array(weights), ["a", "b"])
+    n = len(weights)
+    with pytest.raises(ArgumentError, match=EMPTY if n == 0 else BAD_WEIGHTS):
+        decision_rate_curve([1.0, -1.0][:n], [X_CAUSES_Y, Y_CAUSES_X][:n],
+                            [X_CAUSES_Y, X_CAUSES_Y][:n], np.array(weights), ["a", "b"][:n])
 
 
 def test_decision_rate_curve_rejects_unequal_lengths_and_nan():
@@ -584,7 +595,7 @@ def test_csv_quotes_fields_that_hold_a_comma():
     table = text.split("# summary\n")[0]
     read = list(csv.reader(io.StringIO(table)))
     assert [len(r) for r in read] == [7, 7, 7]
-    assert read[2] == ['pair,"02"', "n/a", "", Y_CAUSES_X, "2.0", "0.5", error]
+    assert read[2] == ['pair,"02"', "", "", Y_CAUSES_X, "2.0", "0.5", error]
     # a row with nothing to quote keeps the unquoted bytes
     assert table.splitlines()[1] == "AN-0001,1.5,x_causes_y,x_causes_y,1.0,0.25,"
 
@@ -600,3 +611,8 @@ def test_json_mirror_has_same_aggregates():
     curve = result.decision_rate
     assert payload["aggregates"]["decision_rate_area"] == curve.area
     assert payload["decision_rate_curve"] == curve.entries
+    # the CSV's columns are PairRow's fields, and its summary block lists the JSON's aggregates
+    lines = result_to_csv(result).splitlines()
+    assert lines[0].split(",") == [f.name for f in fields(PairRow)]
+    block = lines[lines.index("# summary") + 1:]
+    assert sorted(line.split(",")[0] for line in block) == sorted(payload["aggregates"])

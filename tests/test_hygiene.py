@@ -33,8 +33,6 @@ USERS = sorted(path for folder in ("scripts", "perfbench") for path in (ROOT / f
 # Package code that only perfbench/tracing.py's TRACED table names. ROADMAP item 3
 # deletes each of them, together with its span, in the benchmark PR.
 TRACED_ONLY = {"model_forward", "pack_grads", "unpack_params"}
-# The TRACED_ONLY names tests may still call: the tests that pin them go with them.
-PINNED_BY_TESTS = {"model_forward"}
 TESTS = sorted(path for path in (ROOT / "tests").rglob("*.py") if path != Path(__file__).resolve())
 
 
@@ -184,11 +182,10 @@ def test_traced_only_names_are_traced_and_named_nowhere_else():
                 if any(name in named(node) for node in tree.body
                        if name not in defined_names(node))] == [], name
         assert name not in comic.__all__
-        if name not in PINNED_BY_TESTS:
-            # word by word, so a script a test runs in a subprocess counts too
-            pattern = re.compile(rf"\b{name}\b")
-            assert [path.name for path in TESTS
-                    if pattern.search(path.read_text(encoding="utf-8"))] == [], name
+        # word by word, so a script a test runs in a subprocess counts too
+        pattern = re.compile(rf"\b{name}\b")
+        assert [path.name for path in TESTS
+                if pattern.search(path.read_text(encoding="utf-8"))] == [], name
 
 
 def test_unreferenced_definition_check_flags_a_planted_name():

@@ -43,6 +43,9 @@ def test_cosine_out_of_range():
         cosine_lr(-1, TOTAL)
     with pytest.raises(ArgumentError):
         cosine_lr(2501, TOTAL)
+    # a schedule of no epochs once divided by zero
+    with pytest.raises(ArgumentError, match="total_epochs must be at least 1, got 0"):
+        cosine_lr(0, 0)
 
 
 def test_adam_zero_grad_fixed_point():

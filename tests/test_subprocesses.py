@@ -165,10 +165,10 @@ def test_hidden_affine_matches_the_broadcast_form_under_each_blas_kernel(coretyp
 
 
 # Two perturbed models stacked on a leading axis against each model alone:
-# the bytes of the MAP and ELBO losses and gradients, of model_forward and
-# of one sampler draw, per slice. For odd n the second slice of a stacked
-# (2, n, 1) input starts 8n bytes in, off the 16-byte alignment of a fresh
-# array. At the even widths 2 and 50 each direction's slice of a packed
+# the bytes of the MAP and ELBO losses and gradients, of the posterior-mean
+# pass and of one sampler draw, per slice. For odd n the second slice of a
+# stacked (2, n, 1) input starts 8n bytes in, off the 16-byte alignment of a
+# fresh array. At the even widths 2 and 50 each direction's slice of a packed
 # (2, P) gradient starts on a 16-byte boundary; at the odd widths 3 and 7
 # the second slice starts off it.
 STACKED_AND_ALONE = """
@@ -186,7 +186,8 @@ def passes(model, x, y, stream):
     return {
         "map": (bnn.map_objective(model, x, y, grad), vec.copy()),
         "elbo": (bnn.elbo_objective(model, x, y, 0.4, stream, grad), vec.copy()),
-        "forward": bnn.model_forward(model, x),
+        "forward": bnn._predictions(
+            model, bnn._layer_forward(model.hidden, x[..., None], None, "hidden")[0], None),
         "sampler": tuple(a.copy() for a in bnn.sampler(model, x)(stream)),
     }
 
