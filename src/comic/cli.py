@@ -1,9 +1,10 @@
 """Command-line interface: generate, score, benchmark, fetch-tuebingen.
 
-Configuration precedence: built-in defaults, then a key=value config file,
-then explicit flags. COMIC_SEED in the environment overrides the default
-seed but loses to a config file or a --seed flag. Outputs echo the full
-effective configuration so every run is self-describing.
+CONFIG_KEYS holds every setting with its default: TrainConfig's fields under
+their own names, then parallelism and format. Each key is also a --key-name
+flag. A setting comes from its default, then a key=value config file, then
+an explicit flag. Outputs echo the full effective configuration, so a run's
+echoed config, written as key=value lines, is a config file that repeats it.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -23,17 +23,14 @@ from .data import (GeneratorSpec, decode_utf8, generate_dataset, load_pair_file,
 from .errors import ArgumentError, FetchError, NumericError, ParseError
 from .evaluation import machine_info, run_benchmark, write_result
 
-# TrainConfig fields whose config key, and so whose flag, is not the field's name
-ALIASES = {"mc_eval_samples": "mc_eval"}
-TRAIN_FIELDS = {ALIASES.get(f.name, f.name): f for f in fields(TrainConfig)}
-CONFIG_KEYS = {**{key: type(f.default) for key, f in TRAIN_FIELDS.items()},
-               "parallelism": int, "format": str}
+# every setting's default; a key's type is its default's type
+CONFIG_KEYS = {**asdict(TrainConfig()), "parallelism": 1, "format": "csv"}
 
 FORMATS = ("csv", "json")
 
 
 def _read_config_file(path: str) -> dict:
-    values = {}
+    values, first_lines = {}, {}
     text = decode_utf8(Path(path).read_bytes(), path)
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -45,8 +42,11 @@ def _read_config_file(path: str) -> dict:
         key = key.strip()
         if key not in CONFIG_KEYS:
             raise ParseError(f"{path}: unknown config key {key!r}", lineno)
+        first = first_lines.setdefault(key, lineno)
+        if first != lineno:
+            raise ParseError(f"{path}: {key} is already set on line {first}", lineno)
         try:
-            values[key] = CONFIG_KEYS[key](raw.strip())
+            values[key] = type(CONFIG_KEYS[key])(raw.strip())
         except ValueError:
             raise ParseError(f"{path}: bad value for {key}", lineno) from None
         if key == "format" and values[key] not in FORMATS:
@@ -56,15 +56,8 @@ def _read_config_file(path: str) -> dict:
 
 
 def _effective_settings(args) -> dict:
-    settings = {**{key: f.default for key, f in TRAIN_FIELDS.items()},
-                "parallelism": 1, "format": "csv"}
-    env_seed = os.environ.get("COMIC_SEED")
-    if env_seed is not None:
-        try:
-            settings["seed"] = int(env_seed)
-        except ValueError:
-            raise ArgumentError(f"COMIC_SEED must be an integer, got {env_seed!r}") from None
-    if getattr(args, "config", None):
+    settings = dict(CONFIG_KEYS)
+    if args.config:
         settings.update(_read_config_file(args.config))
     for key in CONFIG_KEYS:
         flag = getattr(args, key, None)
@@ -74,14 +67,14 @@ def _effective_settings(args) -> dict:
 
 
 def _train_config(settings: dict) -> TrainConfig:
-    return TrainConfig(**{f.name: settings[key] for key, f in TRAIN_FIELDS.items()})
+    return TrainConfig(**{f.name: settings[f.name] for f in fields(TrainConfig)})
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, keys) -> None:
     """One --key-name flag per config key in keys, plus --config and --out."""
     for key in keys:
         choices = FORMATS if key == "format" else None
-        parser.add_argument("--" + key.replace("_", "-"), type=CONFIG_KEYS[key],
+        parser.add_argument("--" + key.replace("_", "-"), type=type(CONFIG_KEYS[key]),
                             choices=choices, default=None)
     parser.add_argument("--config", default=None, help="key=value config file")
     parser.add_argument("--out", default=None)
@@ -171,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_score = sub.add_parser("score", help="score one pair file")
     p_score.add_argument("pair_file")
     p_score.add_argument("--skip-header", action="store_true")
-    _add_config_flags(p_score, TRAIN_FIELDS)
+    _add_config_flags(p_score, [f.name for f in fields(TrainConfig)])
     p_score.set_defaults(func=cmd_score)
 
     p_bench = sub.add_parser("benchmark", help="score a pair/meta directory")

@@ -30,11 +30,14 @@ class FetchError(OSError):
 
 
 def check_int(name: str, value) -> int:
-    """value as a Python int (operator.index); ArgumentError naming name otherwise."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ArgumentError(f"{name} must be an integer, got {value!r}") from None
+    """value as a Python int (operator.index) if it is not a bool; ArgumentError
+    naming name otherwise."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ArgumentError(f"{name} must be an integer, got {value!r}")
 
 
 def check_count(name: str, value, least: int) -> int:
@@ -46,7 +49,8 @@ def check_count(name: str, value, least: int) -> int:
 
 
 def check_real(name: str, value) -> float:
-    """value as a Python float if it is a numbers.Real; ArgumentError naming name otherwise."""
-    if not isinstance(value, numbers.Real):
+    """value as a Python float if it is a numbers.Real and not a bool; ArgumentError
+    naming name otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ArgumentError(f"{name} must be a real number, got {value!r}")
     return float(value)

@@ -25,6 +25,16 @@ def _check_weights(weights: np.ndarray) -> None:
         raise ArgumentError("weights must be finite and non-negative with a positive total")
 
 
+def _direction_masks(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where labels read X_CAUSES_Y and where Y_CAUSES_X; ArgumentError naming
+    the first label that is neither."""
+    forward, backward = labels == X_CAUSES_Y, labels == Y_CAUSES_X
+    stray = labels[~(forward | backward)].tolist()
+    if stray:
+        raise ArgumentError(f"unknown label {stray[0]!r}")
+    return forward, backward
+
+
 def auroc(
     scores: np.ndarray,
     positives: np.ndarray,
@@ -69,11 +79,7 @@ def bi_auroc(
     """
     final_deltas = np.asarray(final_deltas, dtype=float)
     labels = np.asarray(labels)
-    pos_forward = labels == X_CAUSES_Y
-    pos_backward = labels == Y_CAUSES_X
-    stray = labels[~(pos_forward | pos_backward)].tolist()
-    if stray:
-        raise ArgumentError(f"unknown label {stray[0]!r}")
+    pos_forward, pos_backward = _direction_masks(labels)
     if not (pos_forward.any() and pos_backward.any()):
         raise ArgumentError("bi_auroc needs both ground-truth directions present")
     forward = auroc(final_deltas, pos_forward, weights)
@@ -86,13 +92,15 @@ def weighted_accuracy(
     labels: Sequence[str],
     weights: np.ndarray | None = None,
 ) -> float:
-    """Weight-normalized fraction of correct decisions; undecided never matches."""
+    """Weight-normalized fraction of correct decisions; undecided never matches.
+    A label must name a direction."""
     decisions = np.asarray(decisions)
     labels = np.asarray(labels)
     weights = np.ones(len(labels)) if weights is None else np.asarray(weights, dtype=float)
     if not decisions.shape == labels.shape == weights.shape:
         raise ArgumentError("decisions, labels and weights must have equal length")
     _check_weights(weights)
+    _direction_masks(labels)
     correct = decisions == labels
     return float(np.sum(weights * correct) / np.sum(weights))
 
@@ -123,8 +131,9 @@ def decision_rate_curve(
     """The decision-rate curve of scored pairs (Mooij et al., JMLR 2016, section 5).
 
     A pair is correct when its decision equals its label, so an undecided
-    pair never is. Swapping every pair (negating each delta and mirroring
-    each decision and label) leaves the curve unchanged.
+    pair never is; a label must name a direction. Swapping every pair
+    (negating each delta and mirroring each decision and label) leaves the
+    curve unchanged.
     """
     deltas = np.asarray(deltas, dtype=float)
     decisions = np.asarray(decisions)
@@ -136,6 +145,7 @@ def decision_rate_curve(
     if np.isnan(deltas).any():
         raise ArgumentError("deltas must not be NaN")
     _check_weights(weights)
+    _direction_masks(labels)
     order = np.array(sorted(range(len(ids)), key=lambda i: (-abs(deltas[i]), ids[i])))
     w = weights[order]
     covered = np.cumsum(w)

@@ -27,7 +27,7 @@ def cosine_lr(t: float, total_epochs: int) -> float:
     as the cosine of the angle at t == total_epochs rounds to -1.0, exactly
     LR_MIN there.
     """
-    if total_epochs < 1:
+    if check_int("total_epochs", total_epochs) < 1:
         raise ArgumentError(f"total_epochs must be at least 1, got {total_epochs}")
     if not 0 <= t <= total_epochs:
         raise ArgumentError(f"epoch {t} outside schedule range [0, {total_epochs}]")

@@ -1,7 +1,9 @@
 import json
+import re
 import threading
 from dataclasses import fields
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from comic.evaluation import machine_info, run_benchmark
 
 FAST_FLAGS = [
     "--hidden-width", "6", "--map-epochs", "40", "--vi-epochs", "40",
-    "--warmup-epochs", "8", "--mc-eval", "4",
+    "--warmup-epochs", "8", "--mc-eval-samples", "4",
 ]
 
 
@@ -124,45 +126,46 @@ def test_score_constant_column_fails_cleanly(tmp_path, capsys):
     assert "degenerate variable" in json.loads(out)["error"]["message"]
 
 
-def test_score_env_seed_and_flag_precedence(smoke_pair_file, capsys, monkeypatch):
+def test_score_ignores_a_seed_in_the_environment(smoke_pair_file, capsys, monkeypatch):
+    # the seed is set on the command line or in a config file, nowhere else
+    _, out = run_cli(capsys, ["score", str(smoke_pair_file), *FAST_FLAGS])
     monkeypatch.setenv("COMIC_SEED", "41")
     _, out_env = run_cli(capsys, ["score", str(smoke_pair_file), *FAST_FLAGS])
-    assert json.loads(out_env)["seed"] == 41
+    assert json.loads(out_env)["seed"] == 0
+    assert json.loads(out_env)["final_delta"] == json.loads(out)["final_delta"]
     _, out_flag = run_cli(capsys, ["score", str(smoke_pair_file), "--seed", "2", *FAST_FLAGS])
     assert json.loads(out_flag)["seed"] == 2
 
 
-@pytest.mark.parametrize("command", ["generate", "score", "benchmark"])
-def test_non_integer_env_seed_is_a_json_error(command, smoke_pair_file, tmp_path, capsys,
-                                              monkeypatch):
-    monkeypatch.setenv("COMIC_SEED", "abc")
-    argv = {
-        "generate": ["generate", "AN", "2", "30", "--out", str(tmp_path / "gen")],
-        "score": ["score", str(smoke_pair_file), *FAST_FLAGS],
-        "benchmark": ["benchmark", str(tmp_path), *FAST_FLAGS],
-    }[command]
-    code, out = run_cli(capsys, argv)
-    assert code == 1
-    error = json.loads(out)["error"]
-    assert error["type"] == "ArgumentError"
-    assert "COMIC_SEED" in error["message"] and "'abc'" in error["message"]
+def test_echoed_config_replays_the_run(smoke_pair_file, tmp_path, capsys):
+    _, out = run_cli(capsys, ["score", str(smoke_pair_file), "--seed", "5", *FAST_FLAGS])
+    cfg = tmp_path / "echo.cfg"
+    cfg.write_text("".join(f"{key}={value}\n" for key, value in json.loads(out)["config"].items()))
+    code, again = run_cli(capsys, ["score", str(smoke_pair_file), "--config", str(cfg)])
+    assert code == 0
+    assert again == out
 
 
 @pytest.mark.parametrize("command", ["generate", "score"])
-@pytest.mark.parametrize("flag,env", [
+@pytest.mark.parametrize("flag,config", [
     (str(2**63), None),
     (str(2**70), None),
     (None, str(-2**64)),
 ])
-def test_seed_outside_64_bits_is_a_json_error(command, flag, env, smoke_pair_file, tmp_path,
-                                             capsys, monkeypatch):
-    if env is not None:
-        monkeypatch.setenv("COMIC_SEED", env)
+def test_seed_outside_64_bits_is_a_json_error(command, flag, config, smoke_pair_file, tmp_path,
+                                             capsys):
+    # by the flag or by a config file's seed= line
     argv = {
         "generate": ["generate", "AN", "2", "10", "--out", str(tmp_path / "gen")],
         "score": ["score", str(smoke_pair_file), *FAST_FLAGS],
     }[command]
-    code, out = run_cli(capsys, argv + (["--seed", flag] if flag is not None else []))
+    if flag is not None:
+        argv += ["--seed", flag]
+    else:
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text(f"seed={config}\n")
+        argv += ["--config", str(cfg)]
+    code, out = run_cli(capsys, argv)
     assert code == 1
     error = json.loads(out)["error"]
     assert error["type"] == "ArgumentError"
@@ -173,7 +176,7 @@ def test_config_file_and_flag_override(smoke_pair_file, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     # a comment line and blank lines, one of spaces only, are skipped
     cfg.write_text("# fast settings\nseed=7\n\nhidden_width=6\nmap_epochs=40\nvi_epochs=40\n"
-                   "  \nwarmup_epochs=8\nmc_eval=4\n")
+                   "  \nwarmup_epochs=8\nmc_eval_samples=4\n")
     _, out = run_cli(capsys, ["score", str(smoke_pair_file), "--config", str(cfg)])
     payload = json.loads(out)
     assert payload["seed"] == 7
@@ -183,8 +186,13 @@ def test_config_file_and_flag_override(smoke_pair_file, tmp_path, capsys):
     assert json.loads(out2)["seed"] == 8
 
 
+def test_config_keys_are_train_config_fields_then_run_settings():
+    assert cli.CONFIG_KEYS == {**{f.name: f.default for f in fields(TrainConfig)},
+                               "parallelism": 1, "format": "csv"}
+
+
 FAST_KEYS = {"hidden_width": 6, "map_epochs": 40, "vi_epochs": 40, "warmup_epochs": 8,
-             "mc_eval": 4}
+             "mc_eval_samples": 4}
 
 
 @pytest.mark.parametrize("route", ["flag", "config"])
@@ -193,12 +201,11 @@ def test_every_train_config_field_reaches_score(field, route, smoke_pair_file, t
                                                 capsys):
     # 9 is valid for each field next to the fast settings, and none of them
     # or of the defaults
-    key = {"mc_eval_samples": "mc_eval"}.get(field, field)
     if route == "flag":
-        argv = [*FAST_FLAGS, "--" + key.replace("_", "-"), "9"]
+        argv = [*FAST_FLAGS, "--" + field.replace("_", "-"), "9"]
     else:
         cfg = tmp_path / "one.cfg"
-        cfg.write_text("".join(f"{k}={v}\n" for k, v in {**FAST_KEYS, key: 9}.items()))
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in {**FAST_KEYS, field: 9}.items()))
         argv = ["--config", str(cfg)]
     code, out = run_cli(capsys, ["score", str(smoke_pair_file), *argv])
     assert code == 0, out
@@ -227,13 +234,33 @@ def test_config_file_unknown_key(smoke_pair_file, tmp_path, capsys):
     for text, reason in [("not_a_key=1\n", "unknown config key 'not_a_key'"),
                          ("seed 3\n", "expected key=value"),
                          ("hidden_width=abc\n", "bad value for hidden_width"),
-                         ("lr_max=0.01\n", "unknown config key 'lr_max'")]:
+                         ("lr_max=0.01\n", "unknown config key 'lr_max'"),
+                         ("mc_eval=4\n", "unknown config key 'mc_eval'")]:
         cfg.write_text(text)
         code, out = run_cli(capsys, ["score", str(smoke_pair_file), "--config", str(cfg)])
         assert code == 1
         error = json.loads(out)["error"]
         assert error["type"] == "ParseError"
         assert error["message"] == f"line 1: {cfg}: {reason}"
+
+
+def test_config_file_rejects_a_repeated_key(smoke_pair_file, tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("seed=1\nhidden_width=6\n# and once more\n seed = 2\n")
+    code, out = run_cli(capsys, ["score", str(smoke_pair_file), "--config", str(cfg)])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error == {"type": "ParseError",
+                     "message": f"line 4: {cfg}: seed is already set on line 1"}
+
+
+def test_readme_lists_the_training_flags_of_score(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"Today they are\s+`([^`]*)`", readme).group(1).split()
+    with pytest.raises(SystemExit):
+        main(["score", "--help"])
+    flags = dict.fromkeys(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == [f for f in flags if f not in ("--help", "--skip-header", "--config", "--out")]
 
 
 def test_config_file_rejects_unknown_format(smoke_pair_file, tmp_path, capsys):

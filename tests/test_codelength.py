@@ -68,7 +68,7 @@ def test_seed_at_64_bit_edges_accepted():
         assert generate_pair(GeneratorSpec("AN", 1, 10, seed=seed), 0).x.size == 10
 
 
-@pytest.mark.parametrize("seed", [1.5, 5.0, np.float64(2.0), "5", None])
+@pytest.mark.parametrize("seed", [1.5, 5.0, np.float64(2.0), "5", None, False, np.True_])
 def test_non_integer_seed_rejected(seed):
     with pytest.raises(ArgumentError, match="seed must be an integer"):
         TrainConfig(seed=seed)
@@ -92,6 +92,8 @@ def test_numpy_integer_seed_stored_as_int():
     ("hidden_width", {"hidden_width": "5"}),
     ("map_epochs", {"map_epochs": None}),
     ("warmup_epochs", {"warmup_epochs": np.float64(3.0)}),
+    ("map_epochs", {"map_epochs": True}),
+    ("hidden_width", {"hidden_width": np.True_}),
 ])
 def test_train_config_rejects_non_integer_counts(field, kwargs):
     with pytest.raises(ArgumentError, match=f"{field} must be an integer"):
@@ -102,6 +104,7 @@ def test_train_config_rejects_non_integer_counts(field, kwargs):
     ("n_samples", ("AN", 1, 10.5)),
     ("n_pairs", ("AN", 2.5, 10)),
     ("n_pairs", ("AN", "3", 10)),
+    ("n_pairs", ("AN", True, 10)),
 ])
 def test_generator_spec_rejects_non_integer_counts(field, args):
     with pytest.raises(ArgumentError, match=f"{field} must be an integer"):

@@ -776,7 +776,7 @@ def test_pair_dataset_rejects_bad_columns(x, y, label, reason):
         PairDataset(x, y, label=label)
 
 
-@pytest.mark.parametrize("weight", ["1", None])
+@pytest.mark.parametrize("weight", ["1", None, True, np.True_])
 def test_pair_dataset_rejects_non_real_weight(weight):
     with pytest.raises(ArgumentError, match="weight must be a real number"):
         PairDataset(np.arange(3.0), np.arange(3.0), weight=weight)

@@ -262,10 +262,21 @@ def test_bi_auroc_single_class_rejected():
 
 @pytest.mark.parametrize("stray", [None, "undecided", "x_cause_y"])
 def test_bi_auroc_names_a_label_that_is_neither_direction(stray):
-    # a label that is neither direction must not count as a negative of both
+    # a label that is neither direction must not count as a negative of both,
+    # nor as a wrong decision in accuracy or in the decision-rate curve
     labels = [X_CAUSES_Y, Y_CAUSES_X, stray, "later"]
-    with pytest.raises(ArgumentError, match=re.escape(f"unknown label {stray!r}")):
-        bi_auroc(np.array([1.0, -1.0, 2.0, 0.0]), labels)
+    deltas = np.array([1.0, -1.0, 2.0, 0.0])
+    decisions = [X_CAUSES_Y, Y_CAUSES_X, X_CAUSES_Y, UNDECIDED]
+    metrics = {
+        "bi_auroc": lambda: bi_auroc(deltas, labels),
+        "weighted_accuracy": lambda: weighted_accuracy(decisions, labels),
+        "decision_rate_curve": lambda: decision_rate_curve(deltas, decisions, labels,
+                                                           np.ones(4), ["a", "b", "c", "d"]),
+    }
+    for name, metric in metrics.items():
+        with pytest.raises(ArgumentError, match=re.escape(f"unknown label {stray!r}")):
+            metric()
+            pytest.fail(f"{name} took the label {stray!r}")
 
 
 # ---------------------------------------------------------------- accuracy

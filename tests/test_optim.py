@@ -46,6 +46,10 @@ def test_cosine_out_of_range():
     # a schedule of no epochs once divided by zero
     with pytest.raises(ArgumentError, match="total_epochs must be at least 1, got 0"):
         cosine_lr(0, 0)
+    # a fractional or boolean length is not a number of epochs
+    for total in (2.5, True):
+        with pytest.raises(ArgumentError, match="total_epochs must be an integer"):
+            cosine_lr(0, total)
 
 
 def test_adam_zero_grad_fixed_point():
