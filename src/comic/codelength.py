@@ -6,21 +6,26 @@ effect given the cause under a trained Bayesian network. The difference of
 the two direction scores decides the causal direction; its magnitude is the
 confidence.
 
+A pair is priced as a sample, not as a file: score_pair sorts each
+direction's rows by (cause, effect) after standardizing, so any row order
+of the pair gives the same bits.
+
 Training and evaluation take the causes x and the effects y as float
 (directions x rows) matrices, with the stack axis bnn uses: x[d] and y[d]
 hold direction d's data rows, and one direction alone is a (1 x rows)
-matrix. score_pair stacks a pair once, x = (zx, zy) and y = (zy, zx), and
-hands the same two matrices to both. The directions are trained in one pass, one objective call and one
-Adam step per epoch, then evaluated in one pass per Monte Carlo sample.
-Both take all their randomness, initial weights and every noise draw,
-from one stream keyed by the sorted pair of fingerprints of the
-standardized columns. Each epoch and each sample hands bnn one child of
-that stream, from which it draws the noise once for both directions
-(common random numbers; each direction's noise is still i.i.d. standard
-normal). The key does not depend on which argument slot a column
-occupies, and each direction's arithmetic depends only on its own data
-and the noise, with no reduction across directions, so score_pair on the
-swapped pair is the bit-exact mirror of the original computation.
+matrix. score_pair stacks a pair once, each direction in its own row
+order, and hands the same two matrices to both. The directions are
+trained in one pass, one objective call and one Adam step per epoch, then
+evaluated in one pass per Monte Carlo sample. Both take all their
+randomness, initial weights and every noise draw, from one stream keyed by
+the sorted pair of fingerprints of the sorted standardized columns. Each
+epoch and each sample hands bnn one child of that stream, from which it
+draws the noise once for both directions (common random numbers; each
+direction's noise is still i.i.d. standard normal). The key does not
+depend on which argument slot a column occupies, and each direction's
+arithmetic depends only on its own data and the noise, with no reduction
+across directions, so score_pair on the swapped pair is the bit-exact
+mirror of the original computation.
 """
 
 from __future__ import annotations
@@ -180,21 +185,28 @@ def _fingerprint(values: np.ndarray) -> str:
 def score_pair(pair: PairDataset, cfg: TrainConfig) -> PairReport:
     """Score both directions of a pair and decide which column is the cause.
 
-    A positive final_delta means the first column causes the second; the
-    swapped pair scores its bit-exact negation, save an exact tie: columns
-    that standardize to the same bits (x and x.copy() or 2.0 * x) make a
-    pair that is its own swap, scoring +0.0 and UNDECIDED both ways. In a
-    NumericError, direction 0 is x -> y and direction 1 is y -> x.
+    Each column is standardized, and each direction's rows are sorted by
+    its cause, ties by its effect (np.lexsort), before any pricing: the
+    marginal and conditional codelengths and the stream key all see the
+    sorted sample, so a row permutation of the pair changes no bit of the
+    report. A positive final_delta means the first column causes the
+    second; the swapped pair scores its bit-exact negation, save an exact
+    tie: columns that standardize to the same bits (x and x.copy() or
+    2.0 * x) make a pair that is its own swap, scoring +0.0 and UNDECIDED
+    both ways. In a NumericError, direction 0 is x -> y and direction 1 is
+    y -> x.
     """
     zx, _, _ = standardize(pair.x)
     zy, _, _ = standardize(pair.y)
-    stream = RngStream(cfg.seed).child("pair", *sorted((_fingerprint(zx), _fingerprint(zy))))
-    causes, effects = np.stack((zx, zy)), np.stack((zy, zx))
+    xy, yx = np.lexsort((zy, zx)), np.lexsort((zx, zy))
+    causes, effects = np.stack((zx[xy], zy[yx])), np.stack((zy[xy], zx[yx]))
+    # causes[0] and causes[1] are the two columns sorted
+    stream = RngStream(cfg.seed).child("pair", *sorted(map(_fingerprint, causes)))
     model = train_conditional(causes, effects, cfg, stream)
     l_cond_y_given_x, l_cond_x_given_y = conditional_variational_codelength(
         model, causes, effects, cfg.mc_eval_samples, stream.child("final-eval"))
-    l_marginal_x = marginal_gaussian_codelength(zx)
-    l_marginal_y = marginal_gaussian_codelength(zy)
+    l_marginal_x = marginal_gaussian_codelength(causes[0])
+    l_marginal_y = marginal_gaussian_codelength(causes[1])
     delta_xy = l_marginal_x + l_cond_y_given_x
     delta_yx = l_marginal_y + l_cond_x_given_y
     final_delta = delta_yx - delta_xy

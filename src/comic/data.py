@@ -11,6 +11,10 @@ labels.csv sidecar (id, direction). Every input file is read as UTF-8
 through decode_utf8, so a stray byte is a ParseError naming the file and a
 leading byte-order mark is ignored.
 
+standardize centres and scales a column from exactly rounded sums
+(math.fsum), so its bits do not depend on the row order, on a power-of-two
+rescaling or on numpy's CPU dispatch level.
+
 The AN and LS generators draw their Gaussian-process functions from a
 quadrature Fourier series of the squared-exponential kernel (_gp_draws): no
 kernel matrix and no BLAS call, so generated pairs are the same at any BLAS
@@ -24,11 +28,9 @@ generated value does.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import tempfile
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -80,157 +82,37 @@ def swap_pair(pair: PairDataset) -> PairDataset:
     return PairDataset(pair.y.copy(), pair.x.copy(), pair.weight, mirrored, pair.id)
 
 
-# A fixed context rather than a copy of the caller's, so that no precision,
-# rounding mode or trap set elsewhere in the process can change or stop it.
-_DECIMAL = Context(prec=50, rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN, Emax=MAX_EMAX, traps=[])
-
-
-def _sqrt_ratio(num: int, den: int) -> float:
-    # deterministic: 50-digit decimal sqrt of num/den, then one rounding to binary
-    return float(_DECIMAL.sqrt(_DECIMAL.divide(Decimal(num), Decimal(den))))
-
-
-# Error-free transformations (Dekker, Numer. Math. 1971; Ogita, Rump & Oishi,
-# SIAM J. Sci. Comput. 2005), elementwise: each is exact barring overflow and
-# underflow, with + - * alone, so no CPU dispatch level changes a bit.
-def _split(a):
-    # Veltkamp: a = hi + lo, each part with at most 26 significant bits
-    t = a * 134217729.0
-    hi = t - (t - a)
-    return hi, a - hi
-
-
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _two_product(a, b):
-    p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-# The columnwise stage of standardize rounds z_i = A_i c, c = sqrt(n / sum_sq),
-# from a double-double y_i = q + zl and accepts r = RN(y_i) when y_i +- E lies
-# strictly inside the rounding cell of r, so that RN(z_i) is r too. With
-# P = |p| + |T1| and eps = 2^-53, z - y = c (A - a) + a (c - c1 - c2) +
-# (a (c1 + c2) - y) for a = ah + al, and the three parts are bounded thus:
-#   - A = p + e - T1 - T2 - T3 exactly; (s, r1) = two_sum(p, -T1) is exact and
-#     u = r1 + e - T2 - T3 adds terms of at most 2 eps P in all in three
-#     roundings, so |A - a| = |A - s - u| <= 3 eps (2 eps P) < 2^-103 P.
-#   - c lies within 2^-199 c of root / unit, and c1 + c2 within eps |c2| +
-#     2^-1075 of that. In the safe range every |N_i| < 2^900, so
-#     1 / c <= max |A| < 2 n 2^900 <= 2^954, c1 >= 2^-954 and the c part is
-#     under 2^-105 |ah| c1.
-#   - ah c1 = q + f exactly (ah is a nonzero integer, so nothing underflows);
-#     the products ah c2 and al c1, the dropped al c2 and the two additions
-#     into zl err by at most 2^-102 |ah| c1 in all, plus 2^-1075 per product.
-#   - d = (q - r) + zl: q - r is exact (Sterbenz) and the addition errs by at
-#     most eps |d| <= 2^-106 |r|.
-# So |z - r - d| <= 2^-101 |r| + 2^-102 c1 P for |r| > 2^-900, where every
-# 2^-1075 term is below 2^-170 |r|. E = _ROUND_MARGIN (|r| + 2^-5 c1 P) is 2^11
-# and 2^7 times larger, which covers the rounding of E and of the cell tests.
-_ROUND_MARGIN = 2.0 ** -90
-
-
-@np.errstate(under="ignore")  # underflow is within the error bound
-def _round_columnwise(v: np.ndarray, scale: int, total: int, root: int, unit: int):
-    """Entries of standardize the double-double stage decides, and a mask of them.
-
-    The caller keeps the column in the stage's safe range: scale at most
-    2^900 and every |x_i| scale below 2^900. Returns None when three doubles
-    do not hold the total T = sum N_i exactly.
-    """
-    t1 = float(total)
-    t2 = float(total - int(t1))
-    rest = total - int(t1) - int(t2)
-    t3 = float(rest)
-    if rest != int(t3):
-        return None
-    c1 = root / unit
-    num, den = c1.as_integer_ratio()
-    c2 = (root * den - num * unit) / (unit * den)
-    # A_i = n N_i - T, as the double-double ah + al
-    p, e = _two_product(v * float(scale), float(v.size))
-    s, r1 = _two_sum(p, -t1)
-    ah, al = _two_sum(s, ((r1 + e) - t2) - t3)
-    # z_i = A_i (c1 + c2), rounded to r, and d = y - r
-    q, f = _two_product(ah, c1)
-    zl = f + (ah * c2 + al * c1)
-    r = q + zl
-    d = (q - r) + zl
-    mag = np.abs(r)
-    err = _ROUND_MARGIN * (mag + 2.0 ** -5 * c1 * (np.abs(p) + abs(t1)))
-    # the cell of |r| spans half the gap to each neighbour, narrower toward zero
-    away = np.where(r < 0, -d, d)
-    ok = ((mag > 2.0 ** -900) & (away + err < 0.5 * np.spacing(mag))
-          & (err - away < 0.5 * (mag - np.nextafter(mag, 0.0))))
-    return r, ok
-
-
+@np.errstate(under="ignore")  # an underflow loses only parts far below the spread
 def standardize(v: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Center and scale to population std 1; returns (vector, mean, std).
 
-    Mean and variance are accumulated in exact integer arithmetic. Each
-    output entry is d_i / sqrt(var) as _sqrt_ratio gives it: the double
-    nearest the 50-digit decimal root of a 50-digit decimal quotient, a
-    value within 7.5e-50 relative of the exact ratio. Two stages give that
-    double:
-
-    1. Columnwise double-double (_round_columnwise): every entry at once,
-       from error-free products and sums of doubles with a proven error
-       bound; an entry is accepted when the bound leaves a single double.
-    2. The decimal root (_sqrt_ratio) itself, for each entry the first
-       stage declines and for every entry of a column outside its safe
-       range.
-
-    An accepted value is the double nearest the exact ratio, and the decimal
-    root lies within the same rounding cell, so both stages give the same
-    bits. The result is a deterministic function of the exact input values,
-    and affine maps that introduce no per-element rounding (any power-of-two
-    rescaling, exactly representable shifts) change nothing downstream.
+    The column is first scaled by the power of two that brings its largest
+    |x_i| into [0.5, 1), so no step overflows. The mean is the double-double
+    m_hi + m_lo of two exactly rounded sums (math.fsum), so deviations far
+    below the mean's own ulp (a column like 2000 + 1e-9 i) survive; the
+    variance is the exactly rounded sum of the squared deviations over n.
+    Every other step is one correctly rounded elementwise ldexp, -, *, /
+    or sqrt, so the result does not depend on the row order, on any
+    power-of-two rescaling of the column, or on numpy's CPU dispatch level.
+    No entry is -0.0, so a sort of the output meets no signed-zero ties.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size < 2:
         raise ArgumentError("standardize needs a 1-D vector with at least 2 entries")
     if not np.isfinite(v).all():
         raise ArgumentError("standardize requires finite values")
-    # every float is N_i / scale for one common power-of-two denominator: a
-    # float is a whole number of its ulp, and the least nonzero |x_i| has the
-    # least ulp (an ulp of 1 or more gives scale 1)
-    least = np.abs(v[v != 0]).min(initial=2.0 ** 53)
-    scale = math.ulp(float(least)).as_integer_ratio()[1]
-    # the columnwise stage's safe range, where every N_i is a double
-    columnwise = scale <= 1 << 900 and float(np.abs(v).max()) * scale < 2.0 ** 900
-    if columnwise:
-        nums = list(map(int, (v * float(scale)).tolist()))
-    else:
-        nums = [num * (scale // den) for num, den in map(float.as_integer_ratio, v.tolist())]
-    n = len(nums)
-    total = sum(nums)
-    # deviation d_i = A_i / (n scale) with A_i = n N_i - T; variance =
-    # sum(A_i^2) / (n^3 scale^2), where sum(A_i^2) = n^2 sum(N_i^2) - n T^2
-    sum_sq = n * n * sum(map(operator.mul, nums, nums)) - n * total * total
-    if sum_sq == 0:
+    n = v.size
+    e = math.frexp(float(np.abs(v).max()))[1]
+    u = np.ldexp(v, -e) + 0.0  # adding +0.0 turns -0.0 into +0.0 and changes no other value
+    terms = u.tolist()
+    m_hi = math.fsum(terms) / n
+    m_lo = math.fsum(terms + [-m_hi] * n) / n
+    d = (u - m_hi) - m_lo
+    var = math.fsum((d * d).tolist()) / n
+    if var == 0:
         raise ArgumentError("degenerate variable: zero variance")
-    # sqrt(n / sum_sq) lies in [root, root + 1) / unit, root having about 200 bits
-    k = (400 + sum_sq.bit_length() - n.bit_length()) // 2
-    root = math.isqrt((n << 2 * k) // sum_sq)
-    unit = 1 << k
-    decided = _round_columnwise(v, scale, total, root, unit) if columnwise else None
-    if decided is None:
-        out, rest = np.empty(n), range(n)
-    else:
-        out, ok = decided
-        rest = np.flatnonzero(~ok).tolist()
-    for i in rest:
-        a = n * nums[i] - total
-        z = _sqrt_ratio(a * a * n, sum_sq) if a else 0.0
-        out[i] = -z if a < 0 else z
-    return out, total / (n * scale), _sqrt_ratio(sum_sq, n**3 * scale * scale)
+    root = math.sqrt(var)
+    return d / root, math.ldexp(m_hi + m_lo, e), math.ldexp(root, e)
 
 
 @dataclass(frozen=True)

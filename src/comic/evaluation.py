@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .codelength import TrainConfig, score_pair
-from .data import PairDataset, X_CAUSES_Y, Y_CAUSES_X
+from .data import PairDataset, UNDECIDED, X_CAUSES_Y, Y_CAUSES_X
 from .errors import ArgumentError, check_count
 
 
@@ -33,6 +33,13 @@ def _direction_masks(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if stray:
         raise ArgumentError(f"unknown label {stray[0]!r}")
     return forward, backward
+
+
+def _check_decisions(decisions: np.ndarray) -> None:
+    """ArgumentError naming the first decision that is neither direction nor UNDECIDED."""
+    stray = decisions[~np.isin(decisions, [X_CAUSES_Y, Y_CAUSES_X, UNDECIDED])].tolist()
+    if stray:
+        raise ArgumentError(f"unknown decision {stray[0]!r}")
 
 
 def auroc(
@@ -71,20 +78,18 @@ def bi_auroc(
     labels: Sequence[str],
     weights: np.ndarray | None = None,
 ) -> float:
-    """Mean of the two AUROCs with each direction in turn as positive class.
+    """The AUROC of final_deltas with X_CAUSES_Y as the positive class.
 
-    Each pair has one label and one score, so both AUROCs count the same
-    pairs and agree up to rounding (at most 4.4e-16 apart over 5000 random
-    cases); both are still computed, so the reported bits stay.
+    Each pair has one label and one score, so the AUROC with Y_CAUSES_X as
+    the positive class, scored by -final_deltas, counts the same pairs and
+    is the same number up to rounding: this one side is the bidirectional
+    AUROC.
     """
     final_deltas = np.asarray(final_deltas, dtype=float)
-    labels = np.asarray(labels)
-    pos_forward, pos_backward = _direction_masks(labels)
-    if not (pos_forward.any() and pos_backward.any()):
+    forward, backward = _direction_masks(np.asarray(labels))
+    if not (forward.any() and backward.any()):
         raise ArgumentError("bi_auroc needs both ground-truth directions present")
-    forward = auroc(final_deltas, pos_forward, weights)
-    backward = auroc(-final_deltas, pos_backward, weights)
-    return 0.5 * (forward + backward)
+    return auroc(final_deltas, forward, weights)
 
 
 def weighted_accuracy(
@@ -93,7 +98,7 @@ def weighted_accuracy(
     weights: np.ndarray | None = None,
 ) -> float:
     """Weight-normalized fraction of correct decisions; undecided never matches.
-    A label must name a direction."""
+    A label must name a direction, and a decision a direction or UNDECIDED."""
     decisions = np.asarray(decisions)
     labels = np.asarray(labels)
     weights = np.ones(len(labels)) if weights is None else np.asarray(weights, dtype=float)
@@ -101,6 +106,7 @@ def weighted_accuracy(
         raise ArgumentError("decisions, labels and weights must have equal length")
     _check_weights(weights)
     _direction_masks(labels)
+    _check_decisions(decisions)
     correct = decisions == labels
     return float(np.sum(weights * correct) / np.sum(weights))
 
@@ -131,7 +137,8 @@ def decision_rate_curve(
     """The decision-rate curve of scored pairs (Mooij et al., JMLR 2016, section 5).
 
     A pair is correct when its decision equals its label, so an undecided
-    pair never is; a label must name a direction. Swapping every pair
+    pair never is. A label must name a direction, and a decision a
+    direction or UNDECIDED. Swapping every pair
     (negating each delta and mirroring each decision and label) leaves the
     curve unchanged.
     """
@@ -146,6 +153,7 @@ def decision_rate_curve(
         raise ArgumentError("deltas must not be NaN")
     _check_weights(weights)
     _direction_masks(labels)
+    _check_decisions(decisions)
     order = np.array(sorted(range(len(ids)), key=lambda i: (-abs(deltas[i]), ids[i])))
     w = weights[order]
     covered = np.cumsum(w)

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import ArgumentError, NumericError, check_int
+from .errors import ArgumentError, NumericError, check_int, check_real
 
 
 # the learning-rate range every training phase anneals over, fixed like the betas
@@ -67,7 +67,7 @@ def adam_step(
         )
     if check_int("step", step) < 1:
         raise ArgumentError(f"step counts from 1, got {step}")
-    if not (lr > 0 and math.isfinite(lr)):
+    if not (check_real("lr", lr) > 0 and math.isfinite(lr)):
         raise ArgumentError(f"learning rate must be finite and positive, got {lr}")
     finite = np.isfinite(grads)
     if not np.logical_and.reduce(finite, axis=None):

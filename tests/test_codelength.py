@@ -6,6 +6,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from pytest import approx
 
 from comic import bnn
@@ -356,6 +358,41 @@ def test_swap_antisymmetry_bit_exact(n, width):
     assert mirrored.delta_yx == forward.delta_xy
 
 
+TINY = TrainConfig(hidden_width=2, vi_epochs=4, warmup_epochs=2, map_epochs=4,
+                   mc_eval_samples=2, seed=7)
+
+
+def sample_columns(n):
+    """Columns of n finite values, some drawn from a pool of at most 3 values so
+    that the row sort meets ties, -0.0 against 0.0 among them."""
+    values = st.floats(-100, 100, allow_nan=False)
+    pooled = st.lists(st.sampled_from([0.0, -0.0, 1.0]) | values, min_size=1, max_size=3)
+    return (st.lists(values, min_size=n, max_size=n)
+            | pooled.flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=n,
+                                                   max_size=n))
+            ).filter(lambda v: max(v) > min(v))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 24).flatmap(lambda n: st.tuples(
+    sample_columns(n), sample_columns(n), st.permutations(range(n)), st.booleans())))
+# rows (-0.0, 2.0) and (0.0, 2.0) tie in the sort, and x's mean is exactly 0
+@example(([-0.0, 0.0, 1.0, -1.0], [2.0, 2.0, 1.0, 3.0], (1, 0, 2, 3), False))
+def test_any_row_order_scores_the_same(case):
+    # score_pair prices the sample: any permutation of the rows gives the same
+    # report bit for bit, and swapping the columns as well negates it
+    x, y, order, swap = case
+    pair = PairDataset(np.array(x), np.array(y))
+    report = score_pair(pair, TINY)
+    permuted = PairDataset(pair.x[list(order)], pair.y[list(order)])
+    if not swap:
+        assert repr(score_pair(permuted, TINY)) == repr(report)
+        return
+    mirrored = score_pair(swap_pair(permuted), TINY)
+    assert mirrored.final_delta == -report.final_delta
+    assert (mirrored.delta_xy, mirrored.delta_yx) == (report.delta_yx, report.delta_xy)
+
+
 @pytest.mark.parametrize("scale", [None, 2.0], ids=["copy", "doubled"])
 def test_exact_tie_is_undecided_both_ways(scale):
     # columns that standardize to the same bits make a pair that is its own
@@ -551,6 +588,6 @@ def test_golden_scores_are_pinned():
     cfg = TrainConfig(**GOLDEN_CONFIG)
     pairs = generate_dataset(GeneratorSpec(**GOLDEN_SPEC))
     assert [repr(score_pair(pair, cfg).final_delta) for pair in pairs] == [
-        "-1.3298371164263472", "-1.3338839479412172", "2.182597385796953",
-        "-3.1635327761574104",
+        "-1.8416926543985994", "1.3666982178085334", "2.226595000034763",
+        "-3.414222185456339",
     ]

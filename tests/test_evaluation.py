@@ -239,14 +239,14 @@ def test_bi_auroc_symmetric_scores_equal_sides():
 @given(st.integers(2, 300), st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
 def test_bi_auroc_equals_the_one_sided_auroc(n, seed, tied, unit_weights):
     # every pair has one label and one score, so both sides count the same
-    # pairs and bi_auroc averages two equal numbers, up to rounding
+    # pairs and bi_auroc is the one-sided AUROC
     rng = np.random.default_rng(seed)
     deltas = rng.integers(-4, 5, n).astype(float) if tied else rng.standard_normal(n)
     labels = np.where(rng.random(n) < 0.5, X_CAUSES_Y, Y_CAUSES_X)
     labels[:2] = X_CAUSES_Y, Y_CAUSES_X
     weights = None if unit_weights else rng.uniform(0.1, 3.0, n)
     one_sided = auroc(deltas, labels == X_CAUSES_Y, weights)
-    assert bi_auroc(deltas, labels, weights) == approx(one_sided, rel=0, abs=1e-12)
+    assert bi_auroc(deltas, labels, weights) == one_sided
 
 
 def test_bi_auroc_anti_signed_is_zero():
@@ -277,6 +277,22 @@ def test_bi_auroc_names_a_label_that_is_neither_direction(stray):
         with pytest.raises(ArgumentError, match=re.escape(f"unknown label {stray!r}")):
             metric()
             pytest.fail(f"{name} took the label {stray!r}")
+
+
+@pytest.mark.parametrize("stray", [None, "x_cause_y", ""])
+def test_accuracy_names_a_decision_that_is_neither_direction_nor_undecided(stray):
+    # a misspelt decision must not count as a wrong one
+    labels = [X_CAUSES_Y, Y_CAUSES_X, X_CAUSES_Y]
+    decisions = [X_CAUSES_Y, UNDECIDED, stray]
+    metrics = {
+        "weighted_accuracy": lambda: weighted_accuracy(decisions, labels),
+        "decision_rate_curve": lambda: decision_rate_curve(np.array([1.0, 0.0, 2.0]), decisions,
+                                                           labels, np.ones(3), ["a", "b", "c"]),
+    }
+    for name, metric in metrics.items():
+        with pytest.raises(ArgumentError, match=re.escape(f"unknown decision {stray!r}")):
+            metric()
+            pytest.fail(f"{name} took the decision {stray!r}")
 
 
 # ---------------------------------------------------------------- accuracy

@@ -94,7 +94,8 @@ def test_adam_length_mismatch():
             adam_step(params, grads, m, v, 1, lr=0.1)
 
 
-@pytest.mark.parametrize("step,lr", [(0, 0.1), (1, 0.0), (1, -0.1), (1, float("nan"))])
+@pytest.mark.parametrize("step,lr", [(0, 0.1), (1, 0.0), (1, -0.1), (1, float("nan")),
+                                     (1, True)])
 def test_adam_rejects_bad_step_and_lr_before_writing(step, lr):
     params, m, v = np.ones(2), np.full(2, 0.5), np.full(2, 0.25)
     with pytest.raises(ArgumentError):
