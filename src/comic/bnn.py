@@ -44,7 +44,8 @@ A sampled pass takes a stream and draws its own noise from it: an n x H
 matrix of standard normals from the stream's "hidden" child and an n x 2
 one from its "output" child. sampler() serves Monte Carlo evaluation: the
 hidden layer's pre-activation mean and std do not depend on the noise, so
-it computes them once and each sample only adds std * eps.
+it computes them once and each sample only adds std * eps. A sample prices
+y with _nll, the head training minimizes: elbo_objective's bytes at beta 0.
 
 The hidden layer's input has width 1, so its pre-activation mean x*w + b
 and variance x^2*v_w + v_b are each one BLAS product of the n x 2 design
@@ -61,11 +62,10 @@ under some OpenBLAS kernels the design product and the (1 x n) @ (n x 1)
 gradient products gave them other bits, and einsum keeps g.sum(axis=-2)'s
 order only over 2 or more columns.
 
-Training epochs allocate no data-sized array (numpy may buffer a
-broadcast operand, at most 8192 elements). A Monte Carlo sample returns
-fresh (mu, sigma) arrays, and gaussian_nll allocates temporaries
-(tracemalloc at 500 rows, two directions: 16 KB kept, a 40 KB peak); the
-rest of its pass reuses buffers as an epoch does. The noise, the
+Every pass, a training epoch or a Monte Carlo sample, allocates no
+data-sized array (numpy may buffer a broadcast operand, at most 8192
+elements) and returns one loss per model; sampler() allocates the hidden
+mean and std its samples share once. The noise, the
 pre-activations, the squared inputs, the stds, the designs [h, 1] and
 stacked weights [w; b], the tanh derivative, the input gradient and the
 scaled noise gradients are written with out= or in place into one buffer
@@ -196,11 +196,11 @@ class ConditionalModel:
                 -bound, bound, size=layer.mean_w.shape)
         return model
 
-    # the duck-typed surface conditional_variational_codelength prices a model
-    # through; it stays as the seam where a test substitutes a stand-in model
-    # (criterion 8's ScaleToyModel in tests/test_acceptance.py)
-    def sampler(self, x: np.ndarray) -> Callable[[RngStream], tuple[np.ndarray, np.ndarray]]:
-        return sampler(self, x)
+    # conditional_variational_codelength prices a model through sampler(x, y),
+    # stream -> one sampled NLL per model, and kl(): the seam where a test
+    # substitutes a stand-in (criterion 8's ScaleToyModel, tests/test_acceptance.py)
+    def sampler(self, x: np.ndarray, y: np.ndarray) -> Callable[[RngStream], np.ndarray]:
+        return sampler(self, x, y)
 
     def kl(self):
         return kl_model(self)
@@ -443,11 +443,12 @@ def _inputs(model: ConditionalModel, x) -> np.ndarray:
 
 
 def _data(
-    model: ConditionalModel, x, y, grad: ConditionalModel
+    model: ConditionalModel, x, y, grad: ConditionalModel | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(x, y) as float arrays of the shape _inputs asks of x, once grad is
-    known to have the model's parameter shape and hidden width."""
-    if grad.params.shape != model.params.shape or grad.hidden_width != model.hidden_width:
+    """(x, y) as float arrays of the shape _inputs asks of x, once a grad
+    given is known to have the model's parameter shape and hidden width."""
+    if grad is not None and (grad.params.shape != model.params.shape
+                             or grad.hidden_width != model.hidden_width):
         raise ArgumentError(
             f"grad must have the model's params shape {model.params.shape} and hidden width "
             f"{model.hidden_width}, got shape {grad.params.shape} and width {grad.hidden_width}")
@@ -458,31 +459,20 @@ def _data(
     return x, y
 
 
-def _predictions(model: ConditionalModel, p1: np.ndarray, eps_output):
-    """(mu, sigma) from the hidden pre-activations p1 (a buffer, overwritten)."""
-    _check_finite(p1, "hidden")
-    p2 = _layer_forward(model.output, np.tanh(p1, out=p1), eps_output, "output")[0]
-    _check_finite(p2, "output")
-    # p2 is a reused buffer: the caller gets copies
-    mu = p2[..., 0].copy()
-    sigma = _clamped(p2[..., 1], np.empty(mu.shape))
-    return mu, np.exp(sigma, out=sigma)
-
-
 def sampler(
-    model: ConditionalModel, x: np.ndarray
-) -> Callable[[RngStream], tuple[np.ndarray, np.ndarray]]:
-    """The function stream -> (mu, sigma) of sampled predictions at x.
+    model: ConditionalModel, x: np.ndarray, y: np.ndarray
+) -> Callable[[RngStream], np.ndarray]:
+    """The function stream -> NLL of y given x per model, on the sampled
+    pass whose noise it draws from stream: the bytes of
+    elbo_objective(model, x, y, 0.0, stream, grad).
 
     The hidden layer's pre-activation mean x*w + b and std
     sqrt(x^2 * v_w + v_b) do not depend on the noise, so they are computed
-    here, once, into arrays the returned function owns; each call draws
-    the noise from its stream, forms mean + std * eps_hidden and runs the
-    output layer, with the bytes of the sampled pass elbo_objective makes
-    on that stream.
+    here, once, into arrays the returned function owns. A non-finite
+    activation is a NumericError naming its layer.
     """
-    h_in = _inputs(model, x)[..., None]
-    shape = h_in.shape[:-1] + (model.hidden_width,)
+    x, y = _data(model, x, y)
+    h_in, shape = x[..., None], x.shape + (model.hidden_width,)
     hidden = model.hidden
     mean = _affine(h_in, hidden.mean_w, hidden.mean_b, np.empty(shape), "hidden")
     std = _layer_std(h_in, np.exp(hidden.logvar_w), np.exp(hidden.logvar_b), "hidden",
@@ -491,19 +481,20 @@ def sampler(
     def sample(stream: RngStream):
         eps_hidden, eps_output = _draw_noise(model, shape[-2], stream)
         p1 = _sample(mean, std, eps_hidden, _buffer("hidden", "pre", (3,) + shape)[2])
-        return _predictions(model, p1, eps_output)
+        _check_finite(p1, "hidden")
+        p2 = _layer_forward(model.output, np.tanh(p1, out=p1), eps_output, "output")[0]
+        _check_finite(p2, "output")
+        return _nll(y, p2)[0]
 
     return sample
 
 
 def model_forward(model: ConditionalModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Predict (mu, sigma) for each x through the posterior means.
-
-    sigma = exp(clamped log-scale) > 0. Sampled predictions come from
-    sampler(model, x).
-    """
-    h_in = _inputs(model, x)[..., None]
-    return _predictions(model, _layer_forward(model.hidden, h_in, None, "hidden")[0], None)
+    """Predict (mu, sigma) for each x through the posterior means, sigma =
+    exp(clamped log-scale); kept only for perfbench's tracer until ROADMAP item 3."""
+    p1 = _layer_forward(model.hidden, _inputs(model, x)[..., None], None, "hidden")[0]
+    p2 = _layer_forward(model.output, np.tanh(p1, out=p1), None, "output")[0]
+    return p2[..., 0].copy(), np.exp(np.clip(p2[..., 1], -LOG_SCALE_LIMIT, LOG_SCALE_LIMIT))
 
 
 def gaussian_nll(y: np.ndarray, mu: np.ndarray, sigma: np.ndarray):
@@ -518,16 +509,14 @@ def gaussian_nll(y: np.ndarray, mu: np.ndarray, sigma: np.ndarray):
     return np.add.reduce(_HALF_LOG_2PI + np.log(sigma) + r * r / (_TWO * sigma * sigma), axis=-1)
 
 
-def _nll_head(y: np.ndarray, p2: np.ndarray):
-    """Loss and d(loss)/d(p2) for the Gaussian head with clamped log-scale.
-
-    Each value keeps its expression's order: the loss term is
-    ((0.5 * r) * r) * inv_var and the log-scale gradient 1 - (r * r) * inv_var.
+def _nll(y: np.ndarray, p2: np.ndarray):
+    """Per model, the NLL of y under the Gaussian head on the output
+    pre-activations p2, log-scale clamped, and the buffers _nll_head reads:
+    inv_var, r = y - mu and a free one. The loss term is ((0.5 * r) * r) * inv_var.
     """
     mu = p2[..., 0]
-    t = p2[..., 1]
     tc, inv_var, r, term = _buffer("output", "head", (4,) + mu.shape)
-    _clamped(t, tc)
+    _clamped(p2[..., 1], tc)
     np.multiply(_MINUS_TWO, tc, out=inv_var)
     np.exp(inv_var, out=inv_var)
     np.subtract(y, mu, out=r)
@@ -537,7 +526,13 @@ def _nll_head(y: np.ndarray, p2: np.ndarray):
     # tc's last use: the loss terms HALF_LOG_2PI + tc + term are written over it
     np.add(_HALF_LOG_2PI, tc, out=tc)
     tc += term
-    loss = np.add.reduce(tc, axis=-1)
+    return np.add.reduce(tc, axis=-1), inv_var, r, term
+
+
+def _nll_head(y: np.ndarray, p2: np.ndarray):
+    """_nll's loss and d(loss)/d(p2); the log-scale gradient is 1 - (r * r) * inv_var."""
+    loss, inv_var, r, term = _nll(y, p2)
+    t = p2[..., 1]
     g_p2 = _buffer("output", "g_p2", p2.shape)
     g_mu = np.negative(r, out=g_p2[..., 0])
     g_mu *= inv_var

@@ -89,14 +89,17 @@ def marginal_gaussian_codelength(x: np.ndarray) -> float:
 
 
 def _directions(x, y, min_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """x and y as float arrays; ArgumentError unless they are (directions x
-    rows) matrices of one shape with at least one direction and min_rows rows."""
+    """x and y as float arrays; ArgumentError unless they are finite (directions
+    x rows) matrices of one shape with at least one direction and min_rows rows."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 2 or x.shape != y.shape or len(x) < 1 or x.shape[1] < min_rows:
         raise ArgumentError(
             f"x and y must be (directions x rows) matrices of one shape, with at least "
             f"1 direction and {min_rows} rows; got shapes {x.shape} and {y.shape}")
+    for name, values in (("x", x), ("y", y)):
+        if not np.isfinite(values).all():
+            raise ArgumentError(f"{name} must be finite, got {values[~np.isfinite(values)][0]}")
     return x, y
 
 
@@ -163,18 +166,18 @@ def conditional_variational_codelength(
 
     model holds one model per direction along its leading axis, as
     train_conditional returns it; it is used through a duck-typed surface:
-    sampler(x), whose function draws a sample's noise from a stream,
-    and kl(). Sample m takes stream.child("eval", m), its noise drawn once
-    and shared by all directions, and one pass evaluates them all.
+    sampler(x, y), whose function prices a sample, its noise drawn from a
+    stream, by the NLL training minimizes, and kl(). Sample m takes
+    stream.child("eval", m), its noise drawn once and shared by all
+    directions, and one pass evaluates them all.
     """
     mc_eval_samples = check_count("mc_eval_samples", mc_eval_samples, 1)
     x, y = _directions(x, y, 1)
     kl = model.kl()
-    sample = model.sampler(x)
+    sample = model.sampler(x, y)
     totals = np.zeros(len(x))
     for m in range(mc_eval_samples):
-        mu, sigma = sample(stream.child("eval", m))
-        totals += bnn.gaussian_nll(y, mu, sigma)
+        totals += sample(stream.child("eval", m))
     return (totals / mc_eval_samples + kl).tolist()
 
 

@@ -256,13 +256,15 @@ class ScaleToyModel:
         self.mean = mean
         self.logvar = logvar
 
-    def sampler(self, x):
+    def sampler(self, x, y):
         def sample(stream):
             # one standard normal per sample drives the weight: the first of
             # the stream's hidden noise, as the network would read it
             eps = draw_standard_normal(stream.child("hidden"), np.empty((1, 1)))[0, 0]
             w = self.mean + math.exp(0.5 * self.logvar) * eps
-            return np.zeros_like(x), np.exp(np.clip(w * x, -15.0, 15.0))
+            # toy_nll's sum at the clamped log-scale t, per direction
+            t = np.clip(w * x, -15.0, 15.0)
+            return np.sum(HALF_LOG_2PI + t + 0.5 * y * y * np.exp(-2.0 * t), axis=-1)
 
         return sample
 

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from comic.bnn import (
     _map_penalty,
     kl_model,
     map_objective,
-    _predictions,
+    _nll,
     sampler,
 )
 from comic.errors import ArgumentError
@@ -52,9 +53,12 @@ def mean_layer(layer, h_in):
     return _layer_forward(layer, h_in, None, "hidden")[0].copy()
 
 
-def posterior_mean(model, x):
-    """(mu, sigma) for each x of the float array x through the posterior means."""
-    return _predictions(model, _layer_forward(model.hidden, x[..., None], None, "hidden")[0], None)
+def mean_nll(model, x, y):
+    """The NLL of y given x (float arrays), per model, on the pass through
+    the posterior means, priced by the head training minimizes."""
+    p1 = _layer_forward(model.hidden, x[..., None], None, "hidden")[0]
+    p2 = _layer_forward(model.output, np.tanh(p1, out=p1), None, "output")[0]
+    return _nll(y, p2)[0]
 
 
 def packed(hidden, output):
@@ -145,9 +149,9 @@ def test_prior_collapse_forward_is_standard_normal_params():
         output=make_layer(np.zeros((4, 2)), logvar=-60.0),
     )
     x = np.linspace(-3, 3, 7)
-    mu, sigma = posterior_mean(model, x)
-    assert np.array_equal(mu, np.zeros(7))
-    assert sigma == approx(np.ones(7))
+    # every row is priced under N(0, 1), whatever y is
+    for y in (np.zeros(7), np.linspace(-2.0, 4.0, 7), x):
+        assert mean_nll(model, x, y) == gaussian_nll(y, np.zeros(7), np.ones(7))
 
 
 def test_sigma_clamped_for_adversarial_inputs():
@@ -156,9 +160,13 @@ def test_sigma_clamped_for_adversarial_inputs():
         output=make_layer(np.full((3, 2), 50.0), logvar=-60.0),
     )
     x = np.array([-1e6, -10.0, 10.0, 1e6])
-    _, sigma = posterior_mean(model, x)
-    assert np.all(np.isfinite(sigma))
-    assert np.all((sigma >= math.exp(-15)) & (sigma <= math.exp(15)))
+    assert np.isfinite(mean_nll(model, x, np.zeros(4)))
+    # mu and the log-scale t are both 150 sign(x); priced at y = mu, a row
+    # costs HALF_LOG_2PI + t with t clamped to +-15
+    for value in x:
+        sign = math.copysign(1.0, value)
+        loss = mean_nll(model, np.array([value]), np.array([150.0 * sign]))
+        assert loss == HALF_LOG_2PI + sign * LOG_SCALE_LIMIT
 
 
 def test_tiny_network_closed_form():
@@ -166,11 +174,12 @@ def test_tiny_network_closed_form():
         hidden=make_layer([[1.0]], logvar=-60.0),
         output=make_layer([[1.0, 1.0]], logvar=-60.0),
     )
-    mu, sigma = posterior_mean(model, np.array([0.5]))
-    assert mu[0] == approx(math.tanh(0.5), abs=1e-12)
-    assert sigma[0] == approx(math.exp(math.tanh(0.5)), abs=1e-12)
-    assert mu[0] == approx(0.4621, abs=1e-4)
-    assert sigma[0] == approx(1.5875, abs=1e-4)
+    # mu = tanh(0.5) and sigma = exp(tanh(0.5))
+    x, mu = np.array([0.5]), math.tanh(0.5)
+    for y in (0.0, mu, 2.0):
+        assert mean_nll(model, x, np.array([y])) == approx(
+            gaussian_nll([y], [mu], [math.exp(mu)]), abs=1e-12)
+    assert mean_nll(model, x, np.array([mu])) == approx(1.381056, abs=1e-6)
 
 
 def test_nonfinite_intermediate_names_layer():
@@ -182,22 +191,40 @@ def test_nonfinite_intermediate_names_layer():
     )
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericError, match="hidden layer"):
-            posterior_mean(broken, np.ones(3))
+            sampler(broken, np.ones(3), np.zeros(3))(RngStream(0))
 
 
 def test_model_forward_results_survive_later_calls():
-    # the passes reuse buffers across calls; what a call returns must not alias them
-    model = random_model(5, 3, 4)
-    x = np.linspace(-2.0, 2.0, 9)
-    mean_pass = lambda x, stream: posterior_mean(model, x)
-    sampled_pass = lambda x, stream: sampler(model, x)(stream)
-    for predict in (mean_pass, sampled_pass):
-        mu, sigma = predict(x, RngStream(6).child("mc"))
-        kept = mu.tobytes(), sigma.tobytes()
-        predict(-x, RngStream(8))
-        map_objective(model, -x, x, grad_buffer(model)[1])
-        elbo_objective(model, -x, x, 1.0, RngStream(7), grad_buffer(model)[1])
-        assert (mu.tobytes(), sigma.tobytes()) == kept
+    # the passes reuse buffers across calls; no loss a call returns may alias them
+    model = stack(random_model(5, 3, 4), random_model(5, 4, 5))
+    x = np.stack([np.linspace(-2.0, 2.0, 9), np.linspace(-1.0, 3.0, 9)])
+    grad = ConditionalModel(np.full(model.params.shape, np.nan), model.hidden_width)
+    losses = [sampler(model, x, np.sin(x))(RngStream(6).child("mc")),
+              map_objective(model, x, np.sin(x), grad),
+              elbo_objective(model, x, np.sin(x), 1.0, RngStream(7), grad)]
+    kept = [loss.tobytes() for loss in losses]
+    sampler(model, -x, x)(RngStream(8))
+    map_objective(model, -x, x, grad)
+    elbo_objective(model, -x, x, 1.0, RngStream(7), grad)
+    assert [loss.tobytes() for loss in losses] == kept
+
+
+@pytest.mark.parametrize("n", [500, 4000])
+def test_monte_carlo_sample_allocates_no_data_sized_array(n):
+    # a sample writes into the thread's buffers and returns one loss per
+    # direction; numpy's broadcast buffer (at most 8192 elements) is what
+    # remains, so the peak does not grow with n
+    model = stack(random_model(50, 1, 2), random_model(50, 3, 4))
+    x = np.stack([np.linspace(-2.0, 2.0, n), np.linspace(-1.0, 3.0, n)])
+    sample = sampler(model, x, np.sin(x))
+    sample(RngStream(0))
+    tracemalloc.start()
+    try:
+        sample(RngStream(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 * 1024
 
 
 # ---------------------------------------------------------------- losses
@@ -272,8 +299,7 @@ def test_elbo_beta_zero_is_sampled_nll():
     y = np.sin(x)
     stream = RngStream(9).child("noise")
     loss = elbo_objective(model, x, y, 0.0, stream, grad_buffer(model)[1])
-    mu, sigma = sampler(model, x)(stream)
-    assert loss == approx(gaussian_nll(y, mu, sigma), rel=1e-12)
+    assert loss.tobytes() == sampler(model, x, y)(stream).tobytes()
 
 
 def test_elbo_zero_kl_case():
@@ -286,8 +312,7 @@ def test_elbo_zero_kl_case():
     stream = RngStream(2).child("draw")
     assert kl_model(model) == approx(0.0, abs=1e-14)
     loss = elbo_objective(model, x, y, 1.0, stream, grad_buffer(model)[1])
-    mu, sigma = sampler(model, x)(stream)
-    assert loss == approx(gaussian_nll(y, mu, sigma), rel=1e-12)
+    assert loss.tobytes() == sampler(model, x, y)(stream).tobytes()
 
 
 def test_elbo_deterministic_given_stream():
@@ -472,7 +497,7 @@ def test_elbo_rejects_beta_outside_the_unit_interval(beta):
 # Plain reference versions of the hot loop. The package's own versions
 # (a width-1 input's affine map as one product of [h, 1] with [w; b],
 # in-place temporaries, the input gradient only where it is used, one
-# reused generator) must give every loss, gradient and prediction byte for
+# reused generator) must give every loss, gradient and sampled NLL byte for
 # byte as these do, at hidden width 2 or more and with 2 or more rows.
 
 
@@ -580,11 +605,10 @@ def oracle_elbo_objective(model, x, y, beta, stream):
     return loss_nll + beta * (kl_hid + kl_out), grad
 
 
-def oracle_model_forward(model, x, stream=None):
-    eps1, eps2 = (None, None) if stream is None else oracle_noise(model, x.shape[0], stream)
-    p1 = oracle_layer_forward(model.hidden, x[:, None], eps1)[0]
-    p2 = oracle_layer_forward(model.output, np.tanh(p1), eps2)[0]
-    return p2[:, 0], np.exp(np.clip(p2[:, 1], -LOG_SCALE_LIMIT, LOG_SCALE_LIMIT))
+def oracle_sample_nll(model, x, y, stream):
+    """The sampled NLL on stream's noise; the gradient goes to a scratch model."""
+    return oracle_data_nll(model, x, y, grad_buffer(model)[1],
+                           *oracle_noise(model, np.shape(x)[0], stream))
 
 
 def with_signed_zeros(rng, values, share):
@@ -632,10 +656,6 @@ def package_objective_bytes(objective, model, *args):
     return objective(model, *args, grad).hex(), vec.tobytes()
 
 
-def prediction_bytes(mu, sigma):
-    return mu.tobytes(), sigma.tobytes()
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     width=st.sampled_from([2, 50]),
@@ -651,10 +671,7 @@ def test_hot_loop_matches_oracle_bytes(width, n, seed, zero_share, beta):
             == objective_bytes(*oracle_map_objective(model, x, y)))
     assert (package_objective_bytes(elbo_objective, model, x, y, beta, stream)
             == objective_bytes(*oracle_elbo_objective(model, x, y, beta, stream)))
-    assert (prediction_bytes(*posterior_mean(model, x))
-            == prediction_bytes(*oracle_model_forward(model, x)))
-    assert (prediction_bytes(*sampler(model, x)(stream))
-            == prediction_bytes(*oracle_model_forward(model, x, stream)))
+    assert sampler(model, x, y)(stream).hex() == oracle_sample_nll(model, x, y, stream).hex()
 
 
 @settings(max_examples=40, deadline=None)
@@ -685,17 +702,14 @@ def test_stacked_pair_matches_oracle_bytes_per_slice(width, n, seeds, zero_share
                 *oracle(m, xd, yd, *oracle_args))
     # a sampler serves several samples: the second must not see the first,
     # nor the noise buffers an objective in between reallocates at another n
-    sample = sampler(model, x)
+    sample = sampler(model, x, y)
     sample(stream.child("other"))
     other, x_other, y_other = edge_problem(width, n + 1, seeds[1], zero_share)
     elbo_objective(other, x_other, y_other, beta, stream, grad_buffer(other)[1])
-    for (mu, sigma), oracle_args in ((posterior_mean(model, x), ()),
-                                     (sampler(model, x)(stream), (stream,)),
-                                     (sample(stream), (stream,))):
-        assert mu.shape == sigma.shape == (2, n)
-        for d, (m, xd, _) in enumerate(problems):
-            assert prediction_bytes(mu[d], sigma[d]) == prediction_bytes(
-                *oracle_model_forward(m, xd, *oracle_args))
+    for loss in (sampler(model, x, y)(stream), sample(stream)):
+        assert loss.shape == (2,)
+        for d, (m, xd, yd) in enumerate(problems):
+            assert loss[d].hex() == oracle_sample_nll(m, xd, yd, stream).hex()
 
 
 @settings(max_examples=20, deadline=None)

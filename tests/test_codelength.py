@@ -26,7 +26,7 @@ from comic.data import (
 from comic.errors import ArgumentError, NumericError
 from comic.evaluation import run_benchmark
 from comic.rng import RngStream
-from tests.test_bnn import make_layer, packed, stack
+from tests.test_bnn import edge_problem, make_layer, packed, stack
 
 FAST = TrainConfig(hidden_width=8, vi_epochs=60, warmup_epochs=10, map_epochs=60,
                    mc_eval_samples=8, seed=3)
@@ -35,12 +35,8 @@ FAST = TrainConfig(hidden_width=8, vi_epochs=60, warmup_epochs=10, map_epochs=60
 def sampled_nlls(model, x, y, stream, count):
     """count single-sample NLLs of y given x under a one-direction stack, the
     i-th on the noise of stream.child("probe", i)."""
-    sample = model.sampler(x[None])
-    nlls = []
-    for i in range(count):
-        mu, sigma = sample(stream.child("probe", i))
-        nlls.append(gaussian_nll(y, mu[0], sigma[0]))
-    return np.array(nlls)
+    sample = model.sampler(x[None], y[None])
+    return np.array([sample(stream.child("probe", i))[0] for i in range(count)])
 
 
 def test_marginal_worked_values():
@@ -302,6 +298,43 @@ def test_training_and_evaluation_need_a_direction():
         train_conditional(none, none, FAST, RngStream(0))
     with pytest.raises(ArgumentError, match=r"at least 1 direction.*got shapes \(0, 20\)"):
         conditional_variational_codelength(model, none, none, 2, RngStream(0))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["x", "y"])
+def test_training_and_evaluation_refuse_non_finite_data(name, value):
+    # a NaN or inf effect used to be priced as nan or inf, a NaN cause to fail
+    # as non-finite hidden activations, and training to name a non-finite
+    # loss in the MAP phase
+    x = np.linspace(-1.0, 1.0, 20)[None]
+    data = {"x": x.copy(), "y": np.sin(x)}
+    data[name][0, 3] = value
+    model = stack(ConditionalModel.initial(3, RngStream(0).child("init")))
+    message = f"^{name} must be finite, got {value}$"
+    with pytest.raises(ArgumentError, match=message):
+        train_conditional(data["x"], data["y"], FAST, RngStream(0))
+    with pytest.raises(ArgumentError, match=message):
+        conditional_variational_codelength(model, data["x"], data["y"], 2, RngStream(0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    width=st.sampled_from([2, 50]),
+    n=st.sampled_from([2, 3, 500]),
+    seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+)
+def test_one_sample_codelength_is_the_beta_one_elbo(width, n, seeds):
+    # evaluation prices a sample with the NLL training minimizes, so one
+    # sample's codelength is the beta = 1 objective on its stream, bit for
+    # bit, on a two-direction stack
+    problems = [edge_problem(width, n, seed, 0.3) for seed in seeds]
+    model = stack(*(problem[0] for problem in problems))
+    x, y = (np.stack([problem[i] for problem in problems]) for i in (1, 2))
+    stream = RngStream(seeds[0]).child("identity")
+    grad = ConditionalModel(np.empty(model.params.shape), width)
+    codelength = conditional_variational_codelength(model, x, y, 1, stream)
+    elbo = bnn.elbo_objective(model, x, y, 1.0, stream.child("eval", 0), grad)
+    assert np.array(codelength).tobytes() == elbo.tobytes()
 
 
 @pytest.mark.parametrize("samples", [1.5, "2", None])

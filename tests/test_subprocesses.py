@@ -165,12 +165,12 @@ def test_hidden_affine_matches_the_broadcast_form_under_each_blas_kernel(coretyp
 
 
 # Two perturbed models stacked on a leading axis against each model alone:
-# the bytes of the MAP and ELBO losses and gradients, of the posterior-mean
-# pass and of one sampler draw, per slice. For odd n the second slice of a
-# stacked (2, n, 1) input starts 8n bytes in, off the 16-byte alignment of a
-# fresh array. At the even widths 2 and 50 each direction's slice of a packed
-# (2, P) gradient starts on a 16-byte boundary; at the odd widths 3 and 7
-# the second slice starts off it.
+# the bytes of the MAP and ELBO losses and gradients and of one sampler
+# draw's NLL, per slice (the MAP loss prices the posterior-mean pass). For
+# odd n the second slice of a stacked (2, n, 1) input starts 8n bytes in,
+# off the 16-byte alignment of a fresh array. At the even widths 2 and 50
+# each direction's slice of a packed (2, P) gradient starts on a 16-byte
+# boundary; at the odd widths 3 and 7 the second slice starts off it.
 STACKED_AND_ALONE = """
 import json
 import numpy as np
@@ -186,9 +186,7 @@ def passes(model, x, y, stream):
     return {
         "map": (bnn.map_objective(model, x, y, grad), vec.copy()),
         "elbo": (bnn.elbo_objective(model, x, y, 0.4, stream, grad), vec.copy()),
-        "forward": bnn._predictions(
-            model, bnn._layer_forward(model.hidden, x[..., None], None, "hidden")[0], None),
-        "sampler": tuple(a.copy() for a in bnn.sampler(model, x)(stream)),
+        "sampler": (bnn.sampler(model, x, y)(stream),),
     }
 
 mismatches = []
