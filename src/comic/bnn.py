@@ -16,14 +16,14 @@ field-major: the hidden layer's mean_w, the output layer's mean_w, then
 both layers' logvar_w, and so on, so each field's blocks of both layers are
 one contiguous slice, the hidden layer's hidden_width entries first.
 ConditionalModel binds views of the matrix once, when it is built: each
-layer's blocks and each field's slice, so writing into the matrix updates
-the model in place. A gradient is a ConditionalModel over its own matrix.
-The prior terms (the KL and the MAP penalty) run as one pass of
-whole-slice operations over both layers; each layer's sum still runs over
-its own part of a slice, so it adds what it added over its block alone, in
-the same order. Each objective overwrites every block of its gradient with
-d(loss)/d(parameter), so the caller's flat gradient vector holds the result
-without any packing.
+layer's blocks, each field's slice and each block by name in packed order,
+so writing into the matrix updates the model in place. A gradient is a
+ConditionalModel over its own matrix. The prior terms (the KL and the MAP
+penalty) run as one pass of whole-slice operations over both layers; each
+layer's sum still runs over its own part of a slice, so it adds what it
+added over its block alone, in the same order. Each objective overwrites
+every block of its gradient with d(loss)/d(parameter), so the caller's
+flat gradient vector holds the result without any packing.
 
 A model may be a stack of models on leading axes: the two directions of a
 pair are one model whose weight blocks are (2, A, B) and bias blocks
@@ -42,10 +42,11 @@ pass; without one it is the deterministic pass through the posterior means,
 which does no variance work and leaves the variance gradients untouched.
 A sampled pass takes a stream and draws its own noise from it: an n x H
 matrix of standard normals from the stream's "hidden" child and an n x 2
-one from its "output" child. sampler() serves Monte Carlo evaluation: the
-hidden layer's pre-activation mean and std do not depend on the noise, so
-it computes them once and each sample only adds std * eps. A sample prices
-y with _nll, the head training minimizes: elbo_objective's bytes at beta 0.
+one from its "output" child. ConditionalModel.sampler serves Monte Carlo
+evaluation: the hidden layer's pre-activation mean and std do not depend
+on the noise, so it computes them once and each sample only adds
+std * eps. A sample prices y with _nll, the head training minimizes:
+elbo_objective's bytes at beta 0.
 
 The hidden layer's input has width 1, so its pre-activation mean x*w + b
 and variance x^2*v_w + v_b are each one BLAS product of the n x 2 design
@@ -64,8 +65,8 @@ order only over 2 or more columns.
 
 Every pass, a training epoch or a Monte Carlo sample, allocates no
 data-sized array (numpy may buffer a broadcast operand, at most 8192
-elements) and returns one loss per model; sampler() allocates the hidden
-mean and std its samples share once. The noise, the
+elements) and returns one loss per model; ConditionalModel.sampler
+allocates the hidden mean and std its samples share once. The noise, the
 pre-activations, the squared inputs, the stds, the designs [h, 1] and
 stacked weights [w; b], the tanh derivative, the input gradient and the
 scaled noise gradients are written with out= or in place into one buffer
@@ -166,6 +167,7 @@ class ConditionalModel:
     models. hidden and output are layers of views of params, and
     field_slices holds, per field of VariationalLinearLayer in field order,
     the (..., k) slice of params holding that field's blocks of both layers.
+    blocks holds (name, block) in packed order, named like "hidden.mean_w".
     """
 
     def __init__(self, params: np.ndarray, hidden_width: int):
@@ -181,6 +183,7 @@ class ConditionalModel:
         self.hidden_width = hidden_width
         self.hidden, self.output = (VariationalLinearLayer(**v) for v in views.values())
         self.field_slices = tuple(params[..., start:end] for start, end in slices)
+        self.blocks = [(f"{layer}.{field}", views[layer][field]) for layer, field in spans]
 
     @classmethod
     def initial(cls, hidden_width: int, stream: RngStream) -> "ConditionalModel":
@@ -198,20 +201,37 @@ class ConditionalModel:
 
     # conditional_variational_codelength prices a model through sampler(x, y),
     # stream -> one sampled NLL per model, and kl(): the seam where a test
-    # substitutes a stand-in (criterion 8's ScaleToyModel, tests/test_acceptance.py)
+    # substitutes a stand-in (criterion 8's ScaleToyModel, tests/test_acceptance.py);
+    # kl() calls kl_model, which perfbench's tracer wraps by its module name
     def sampler(self, x: np.ndarray, y: np.ndarray) -> Callable[[RngStream], np.ndarray]:
-        return sampler(self, x, y)
+        """The function stream -> NLL of y given x per model, on the sampled
+        pass whose noise it draws from stream: the bytes of
+        elbo_objective(self, x, y, 0.0, stream, grad).
+
+        The hidden layer's pre-activation mean x*w + b and std
+        sqrt(x^2 * v_w + v_b) do not depend on the noise, so they are computed
+        here, once, into arrays the returned function owns. A non-finite
+        activation is a NumericError naming its layer.
+        """
+        x, y = _data(self, x, y)
+        h_in, shape = x[..., None], x.shape + (self.hidden_width,)
+        hidden = self.hidden
+        mean = _affine(h_in, hidden.mean_w, hidden.mean_b, np.empty(shape), "hidden")
+        std = _layer_std(h_in, np.exp(hidden.logvar_w), np.exp(hidden.logvar_b), "hidden",
+                         np.empty(shape))[0]
+
+        def sample(stream: RngStream):
+            eps_hidden, eps_output = _draw_noise(self, shape[-2], stream)
+            p1 = _sample(mean, std, eps_hidden, _buffer("hidden", "pre", (3,) + shape)[2])
+            _check_finite(p1, "hidden")
+            p2 = _layer_forward(self.output, np.tanh(p1, out=p1), eps_output, "output")[0]
+            _check_finite(p2, "output")
+            return _nll(y, p2)[0]
+
+        return sample
 
     def kl(self):
         return kl_model(self)
-
-
-def blocks(model: ConditionalModel) -> list[tuple[str, np.ndarray]]:
-    """(name, block) for each block of model in packed order, named like
-    "hidden.mean_w": field by field in field order, and within a field the
-    hidden layer's block and then the output layer's."""
-    return [(f"{layer}.{field}", getattr(getattr(model, layer), field))
-            for layer, field in _layout(model.hidden_width)[0]]
 
 
 def pack_grads(model: ConditionalModel) -> np.ndarray:
@@ -431,68 +451,33 @@ def _clamped(t: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.minimum(out, _LIMIT, out=out)
 
 
-def _inputs(model: ConditionalModel, x) -> np.ndarray:
-    """x as a float array with the model's stack axes followed by one row axis."""
+def _data(
+    model: ConditionalModel, x, y, grad: ConditionalModel | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) as float arrays with the model's stack axes followed by one row
+    axis, once a grad given is known to have the model's parameter shape and
+    hidden width."""
+    if grad is not None and (grad.params.shape != model.params.shape
+                             or grad.hidden_width != model.hidden_width):
+        raise ArgumentError(
+            f"grad must have the model's params shape {model.params.shape} and hidden width "
+            f"{model.hidden_width}, got shape {grad.params.shape} and width {grad.hidden_width}")
     x = np.asarray(x, dtype=float)
     lead = model.params.shape[:-1]
     if x.ndim != len(lead) + 1 or x.shape[:-1] != lead:
         raise ArgumentError(
             f"x must have shape {lead} + (n,) for a model of stack shape {lead}, "
             f"got shape {x.shape}")
-    return x
-
-
-def _data(
-    model: ConditionalModel, x, y, grad: ConditionalModel | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(x, y) as float arrays of the shape _inputs asks of x, once a grad
-    given is known to have the model's parameter shape and hidden width."""
-    if grad is not None and (grad.params.shape != model.params.shape
-                             or grad.hidden_width != model.hidden_width):
-        raise ArgumentError(
-            f"grad must have the model's params shape {model.params.shape} and hidden width "
-            f"{model.hidden_width}, got shape {grad.params.shape} and width {grad.hidden_width}")
-    x = _inputs(model, x)
     y = np.asarray(y, dtype=float)
     if y.shape != x.shape:
         raise ArgumentError(f"y must have x's shape {x.shape}, got shape {y.shape}")
     return x, y
 
 
-def sampler(
-    model: ConditionalModel, x: np.ndarray, y: np.ndarray
-) -> Callable[[RngStream], np.ndarray]:
-    """The function stream -> NLL of y given x per model, on the sampled
-    pass whose noise it draws from stream: the bytes of
-    elbo_objective(model, x, y, 0.0, stream, grad).
-
-    The hidden layer's pre-activation mean x*w + b and std
-    sqrt(x^2 * v_w + v_b) do not depend on the noise, so they are computed
-    here, once, into arrays the returned function owns. A non-finite
-    activation is a NumericError naming its layer.
-    """
-    x, y = _data(model, x, y)
-    h_in, shape = x[..., None], x.shape + (model.hidden_width,)
-    hidden = model.hidden
-    mean = _affine(h_in, hidden.mean_w, hidden.mean_b, np.empty(shape), "hidden")
-    std = _layer_std(h_in, np.exp(hidden.logvar_w), np.exp(hidden.logvar_b), "hidden",
-                     np.empty(shape))[0]
-
-    def sample(stream: RngStream):
-        eps_hidden, eps_output = _draw_noise(model, shape[-2], stream)
-        p1 = _sample(mean, std, eps_hidden, _buffer("hidden", "pre", (3,) + shape)[2])
-        _check_finite(p1, "hidden")
-        p2 = _layer_forward(model.output, np.tanh(p1, out=p1), eps_output, "output")[0]
-        _check_finite(p2, "output")
-        return _nll(y, p2)[0]
-
-    return sample
-
-
 def model_forward(model: ConditionalModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Predict (mu, sigma) for each x through the posterior means, sigma =
     exp(clamped log-scale); kept only for perfbench's tracer until ROADMAP item 3."""
-    p1 = _layer_forward(model.hidden, _inputs(model, x)[..., None], None, "hidden")[0]
+    p1 = _layer_forward(model.hidden, np.asarray(x, dtype=float)[..., None], None, "hidden")[0]
     p2 = _layer_forward(model.output, np.tanh(p1, out=p1), None, "output")[0]
     return p2[..., 0].copy(), np.exp(np.clip(p2[..., 1], -LOG_SCALE_LIMIT, LOG_SCALE_LIMIT))
 

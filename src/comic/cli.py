@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("generate", help="write a synthetic pair dataset")
-    p_gen.add_argument("family", help="AN, AN-s, LS, LS-s or MN-U")
+    p_gen.add_argument("family", help="one of " + ", ".join(data_mod.FAMILIES))
     p_gen.add_argument("n_pairs", type=int)
     p_gen.add_argument("n_samples", type=int)
     _add_config_flags(p_gen, ["seed"])

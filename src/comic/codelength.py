@@ -147,7 +147,7 @@ def train_conditional(x, y, cfg: TrainConfig, stream: RngStream) -> ConditionalM
                 adam_step(params, grads, m, v, t + 1, lr)
             except NumericError:
                 d = int(np.argmin(np.isfinite(grads).all(axis=-1)))
-                for name, block in bnn.blocks(grad_model):
+                for name, block in grad_model.blocks:
                     bad = np.flatnonzero(~np.isfinite(block[d]))
                     if bad.size:
                         raise NumericError(
@@ -197,10 +197,16 @@ def score_pair(pair: PairDataset, cfg: TrainConfig) -> PairReport:
     tie: columns that standardize to the same bits (x and x.copy() or
     2.0 * x) make a pair that is its own swap, scoring +0.0 and UNDECIDED
     both ways. In a NumericError, direction 0 is x -> y and direction 1 is
-    y -> x.
+    y -> x; an ArgumentError from standardize is prefixed with its column's
+    name, x or y.
     """
-    zx, _, _ = standardize(pair.x)
-    zy, _, _ = standardize(pair.y)
+    columns = []
+    for name, column in (("x", pair.x), ("y", pair.y)):
+        try:
+            columns.append(standardize(column)[0])
+        except ArgumentError as e:
+            raise ArgumentError(f"{name}: {e}") from None
+    zx, zy = columns
     xy, yx = np.lexsort((zy, zx)), np.lexsort((zx, zy))
     causes, effects = np.stack((zx[xy], zy[yx])), np.stack((zy[xy], zx[yx]))
     # causes[0] and causes[1] are the two columns sorted

@@ -50,8 +50,12 @@ class RngStream:
     tags: tuple[str, ...] = field(default_factory=tuple)
 
     def child(self, *tags: str | int) -> "RngStream":
-        """Derive a sub-stream; int tags are stringified."""
-        return RngStream(self.seed, self.tags + tuple(map(str, tags)))
+        """Derive a sub-stream; an int tag (a numpy integer too, not a bool) is
+        keyed by its decimal string, and any tag but a str or an int is an
+        ArgumentError."""
+        return RngStream(self.seed, self.tags + tuple(
+            tag if isinstance(tag, str) else str(check_int("a stream tag that is not a str", tag))
+            for tag in tags))
 
     def _digest(self, domain: bytes) -> bytes:
         """SHA-256 of the domain and this stream's identity."""

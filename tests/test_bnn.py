@@ -14,7 +14,6 @@ from comic.bnn import (
     LOG_SCALE_LIMIT,
     ConditionalModel,
     VariationalLinearLayer,
-    blocks,
     elbo_objective,
     gaussian_nll,
     _kl,
@@ -23,7 +22,6 @@ from comic.bnn import (
     kl_model,
     map_objective,
     _nll,
-    sampler,
 )
 from comic.errors import ArgumentError
 from comic.rng import RngStream, draw_standard_normal
@@ -65,7 +63,7 @@ def packed(hidden, output):
     """A model whose blocks hold the given layers' blocks, written into a fresh vector."""
     model = ConditionalModel.initial(hidden.out_dim, RngStream(0))
     layers = {"hidden": hidden, "output": output}
-    for name, block in blocks(model):
+    for name, block in model.blocks:
         layer, field = name.split(".")
         block[...] = getattr(layers[layer], field)
     return model
@@ -191,7 +189,7 @@ def test_nonfinite_intermediate_names_layer():
     )
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericError, match="hidden layer"):
-            sampler(broken, np.ones(3), np.zeros(3))(RngStream(0))
+            broken.sampler(np.ones(3), np.zeros(3))(RngStream(0))
 
 
 def test_model_forward_results_survive_later_calls():
@@ -199,28 +197,34 @@ def test_model_forward_results_survive_later_calls():
     model = stack(random_model(5, 3, 4), random_model(5, 4, 5))
     x = np.stack([np.linspace(-2.0, 2.0, 9), np.linspace(-1.0, 3.0, 9)])
     grad = ConditionalModel(np.full(model.params.shape, np.nan), model.hidden_width)
-    losses = [sampler(model, x, np.sin(x))(RngStream(6).child("mc")),
+    losses = [model.sampler(x, np.sin(x))(RngStream(6).child("mc")),
               map_objective(model, x, np.sin(x), grad),
               elbo_objective(model, x, np.sin(x), 1.0, RngStream(7), grad)]
     kept = [loss.tobytes() for loss in losses]
-    sampler(model, -x, x)(RngStream(8))
+    model.sampler(-x, x)(RngStream(8))
     map_objective(model, -x, x, grad)
     elbo_objective(model, -x, x, 1.0, RngStream(7), grad)
     assert [loss.tobytes() for loss in losses] == kept
 
 
 @pytest.mark.parametrize("n", [500, 4000])
-def test_monte_carlo_sample_allocates_no_data_sized_array(n):
-    # a sample writes into the thread's buffers and returns one loss per
-    # direction; numpy's broadcast buffer (at most 8192 elements) is what
-    # remains, so the peak does not grow with n
+@pytest.mark.parametrize("kind", ["sample", "elbo", "map"])
+def test_a_pass_allocates_no_data_sized_array(kind, n):
+    # a Monte Carlo sample or a training epoch writes into the thread's
+    # buffers and returns one loss per direction; numpy's broadcast buffer
+    # (at most 8192 elements) is what remains, so the peak does not grow with n
     model = stack(random_model(50, 1, 2), random_model(50, 3, 4))
     x = np.stack([np.linspace(-2.0, 2.0, n), np.linspace(-1.0, 3.0, n)])
-    sample = sampler(model, x, np.sin(x))
-    sample(RngStream(0))
+    y = np.sin(x)
+    grad = ConditionalModel(np.empty_like(model.params), model.hidden_width)
+    run = model.sampler(x, y) if kind == "sample" else {
+        "elbo": lambda stream: elbo_objective(model, x, y, 0.5, stream, grad),
+        "map": lambda stream: map_objective(model, x, y, grad),
+    }[kind]
+    run(RngStream(0))
     tracemalloc.start()
     try:
-        sample(RngStream(1))
+        run(RngStream(1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -299,7 +303,7 @@ def test_elbo_beta_zero_is_sampled_nll():
     y = np.sin(x)
     stream = RngStream(9).child("noise")
     loss = elbo_objective(model, x, y, 0.0, stream, grad_buffer(model)[1])
-    assert loss.tobytes() == sampler(model, x, y)(stream).tobytes()
+    assert loss.tobytes() == model.sampler(x, y)(stream).tobytes()
 
 
 def test_elbo_zero_kl_case():
@@ -312,7 +316,7 @@ def test_elbo_zero_kl_case():
     stream = RngStream(2).child("draw")
     assert kl_model(model) == approx(0.0, abs=1e-14)
     loss = elbo_objective(model, x, y, 1.0, stream, grad_buffer(model)[1])
-    assert loss.tobytes() == sampler(model, x, y)(stream).tobytes()
+    assert loss.tobytes() == model.sampler(x, y)(stream).tobytes()
 
 
 def test_elbo_deterministic_given_stream():
@@ -406,16 +410,16 @@ def test_pack_unpack_roundtrip():
     vec = model.params.copy()
     rebuilt = ConditionalModel(vec.copy(), model.hidden_width)
     assert np.array_equal(rebuilt.params, vec)
-    assert [name for name, _ in blocks(model)] == [
+    assert [name for name, _ in model.blocks] == [
         f"{layer}.{field.name}" for field in dataclasses.fields(VariationalLinearLayer)
         for layer in ("hidden", "output")]
     # every named block comes back with its shape and values, so a field added
     # to VariationalLinearLayer is packed, unpacked and checked here as it is
-    for (name, block), (rebuilt_name, rebuilt_block) in zip(blocks(model), blocks(rebuilt),
+    for (name, block), (rebuilt_name, rebuilt_block) in zip(model.blocks, rebuilt.blocks,
                                                             strict=True):
         assert rebuilt_name == name
         assert rebuilt_block.shape == block.shape and np.array_equal(rebuilt_block, block)
-    assert sum(block.size for _, block in blocks(model)) == vec.size
+    assert sum(block.size for _, block in model.blocks) == vec.size
 
 
 @pytest.mark.parametrize("shape", [(3,), (50,), (2, 47)], ids=["short", "long", "short-rows"])
@@ -430,7 +434,7 @@ def test_initial_model_is_a_view_of_one_packed_vector():
     single = ConditionalModel.initial(4, RngStream(0).child("init"))
     for model in (single, stack(single, single)):
         assert model.params.base is None
-        assert all(block.base is model.params for _, block in blocks(model))
+        assert all(block.base is model.params for _, block in model.blocks)
         assert all(field_slice.base is model.params for field_slice in model.field_slices)
 
 
@@ -671,7 +675,7 @@ def test_hot_loop_matches_oracle_bytes(width, n, seed, zero_share, beta):
             == objective_bytes(*oracle_map_objective(model, x, y)))
     assert (package_objective_bytes(elbo_objective, model, x, y, beta, stream)
             == objective_bytes(*oracle_elbo_objective(model, x, y, beta, stream)))
-    assert sampler(model, x, y)(stream).hex() == oracle_sample_nll(model, x, y, stream).hex()
+    assert model.sampler(x, y)(stream).hex() == oracle_sample_nll(model, x, y, stream).hex()
 
 
 @settings(max_examples=40, deadline=None)
@@ -702,11 +706,11 @@ def test_stacked_pair_matches_oracle_bytes_per_slice(width, n, seeds, zero_share
                 *oracle(m, xd, yd, *oracle_args))
     # a sampler serves several samples: the second must not see the first,
     # nor the noise buffers an objective in between reallocates at another n
-    sample = sampler(model, x, y)
+    sample = model.sampler(x, y)
     sample(stream.child("other"))
     other, x_other, y_other = edge_problem(width, n + 1, seeds[1], zero_share)
     elbo_objective(other, x_other, y_other, beta, stream, grad_buffer(other)[1])
-    for loss in (sampler(model, x, y)(stream), sample(stream)):
+    for loss in (model.sampler(x, y)(stream), sample(stream)):
         assert loss.shape == (2,)
         for d, (m, xd, yd) in enumerate(problems):
             assert loss[d].hex() == oracle_sample_nll(m, xd, yd, stream).hex()

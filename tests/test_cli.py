@@ -11,7 +11,7 @@ import pytest
 from comic import cli
 from comic.cli import main
 from comic.codelength import TrainConfig
-from comic.data import X_CAUSES_Y, GeneratorSpec, fetch_tuebingen, generate_dataset
+from comic.data import FAMILIES, X_CAUSES_Y, GeneratorSpec, fetch_tuebingen, generate_dataset
 from comic.errors import FetchError
 from comic.evaluation import machine_info, run_benchmark
 
@@ -261,6 +261,15 @@ def test_readme_lists_the_training_flags_of_score(capsys):
         main(["score", "--help"])
     flags = dict.fromkeys(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
     assert listed == [f for f in flags if f not in ("--help", "--skip-header", "--config", "--out")]
+
+
+def test_generate_help_names_every_family(capsys, monkeypatch):
+    # wide enough that argparse does not wrap a name at its hyphen
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit):
+        main(["generate", "--help"])
+    out = capsys.readouterr().out
+    assert all(re.search(rf"[ ,]{re.escape(family)}(,|$)", out, re.M) for family in FAMILIES)
 
 
 def test_config_file_rejects_unknown_format(smoke_pair_file, tmp_path, capsys):

@@ -489,6 +489,19 @@ def test_score_pair_degenerate_column():
         score_pair(pair, FAST)
 
 
+@pytest.mark.parametrize("bad,message", [
+    (np.ones(5), "degenerate variable: zero variance"),
+    (np.array([0.0, 1.0, np.nan, 3.0, 4.0]), "standardize requires finite values"),
+], ids=["constant", "nan"])
+def test_score_pair_names_the_refused_column(bad, message):
+    # both columns used to be refused with the same bare message
+    pair = PairDataset(bad, np.arange(5.0))
+    for refused, column in ((pair, "x"), (swap_pair(pair), "y")):
+        with pytest.raises(ArgumentError) as exc:
+            score_pair(refused, FAST)
+        assert str(exc.value) == f"{column}: {message}"
+
+
 def test_independent_columns_still_total():
     rng = np.random.default_rng(14)
     pair = PairDataset(rng.standard_normal(80), rng.standard_normal(80))

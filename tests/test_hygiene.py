@@ -1,9 +1,10 @@
 """Source checks that need no linter: every module under src/comic,
 scripts/ and tests/ uses each name it imports, every def under src/comic
-and scripts/ reads each of its parameters, and no package code is there
-only for the tests. Test parameters are not checked, since test callbacks
-keep fixed signatures; perfbench/tests belongs to the benchmark and is not
-checked either.
+and scripts/ reads each of its parameters, no package code is there only
+for the tests, and every function perfbench's TRACED table names exists.
+Test parameters are not checked, since test callbacks keep fixed
+signatures; perfbench/tests belongs to the benchmark and is not checked
+either.
 
 Package __init__ modules are exempt (their imports are re-exports), as is
 `from __future__ import ...`, which binds no name. `self` and `cls` are
@@ -19,6 +20,7 @@ functions that table names, and a span is not a use.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -186,6 +188,35 @@ def test_traced_only_names_are_traced_and_named_nowhere_else():
         pattern = re.compile(rf"\b{name}\b")
         assert [path.name for path in TESTS
                 if pattern.search(path.read_text(encoding="utf-8"))] == [], name
+
+
+def unresolved(entries) -> list[str]:
+    """The "module.attribute" of each (module, attribute) entry that names no
+    callable in comic; a "Class.method" attribute resolves through its class."""
+    missing = []
+    for module, attr in entries:
+        owner = importlib.import_module(f"comic.{module}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module}.{attr}")
+    return missing
+
+
+def test_every_traced_entry_resolves_in_the_package():
+    # a renamed function used to show only as an AttributeError inside
+    # perfbench's traced smoke test
+    tracing = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    entries = ast.literal_eval(next(node for node in tracing.body
+                                    if "TRACED" in defined_names(node)).value)
+    assert ("rng", "RngStream.generator") in entries
+    assert unresolved(entries) == []
+
+
+def test_unresolved_check_flags_a_planted_entry():
+    assert unresolved([("bnn", "ConditionalModel.sampler"), ("bnn", "sampler"),
+                       ("bnn", "ConditionalModel.blocks"), ("rng", "RngStream.nope")]) == [
+        "bnn.sampler", "bnn.ConditionalModel.blocks", "rng.RngStream.nope"]
 
 
 def test_unreferenced_definition_check_flags_a_planted_name():

@@ -40,6 +40,20 @@ def test_int_tags_stringified():
     assert np.array_equal(a, b)
 
 
+def test_numpy_int_tags_keep_their_strings():
+    assert RngStream(0).child(np.int64(3), np.uint8(7)) == RngStream(0).child(3, "7")
+
+
+@pytest.mark.parametrize("tag", [True, None, 3.0, np.float64(3), b"3"],
+                         ids=["bool", "none", "float", "numpy-float", "bytes"])
+def test_child_refuses_a_tag_that_is_neither_str_nor_int(tag):
+    # each used to be keyed by its str: child(np.float64(3)) drew other
+    # noise than child(3), and child(True) was child("True")
+    with pytest.raises(ArgumentError) as exc:
+        RngStream(0).child("epoch", tag)
+    assert str(exc.value) == f"a stream tag that is not a str must be an integer, got {tag!r}"
+
+
 def test_moments_of_large_sample():
     draws = draw_standard_normal(RngStream(2024).child("moments"), np.empty((1000, 1000)))
     assert abs(draws.mean()) < 0.01

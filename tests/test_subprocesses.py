@@ -186,7 +186,7 @@ def passes(model, x, y, stream):
     return {
         "map": (bnn.map_objective(model, x, y, grad), vec.copy()),
         "elbo": (bnn.elbo_objective(model, x, y, 0.4, stream, grad), vec.copy()),
-        "sampler": (bnn.sampler(model, x, y)(stream),),
+        "sampler": (model.sampler(x, y)(stream),),
     }
 
 mismatches = []
