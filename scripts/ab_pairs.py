@@ -3,9 +3,9 @@
 Each tree's `comic` package is copied into one temporary directory under
 its own name (the package imports itself only relatively), so both load
 into this one process; the base tree is copied twice, as "base" and
-"base_again", each with its own buffers. The same pairs, generated by the
-base tree, are then scored by all three sides, rotating which side goes
-first from pair to pair, so drift in machine speed and warm-up fall on
+"base_again", each with its own module state. The same pairs, generated
+by the base tree, are then scored by all three sides, rotating which side
+goes first from pair to pair, so drift in machine speed and warm-up fall on
 every side alike. Every side scores at CONFIG, the scoring config of
 perfbench's desk-n500 workload: hidden width 50, 100 MAP + 100 VI epochs
 with a warm-up of 10, 64 MC samples, seed 0. --n takes one or more pair

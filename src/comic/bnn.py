@@ -43,10 +43,10 @@ which does no variance work and leaves the variance gradients untouched.
 A sampled pass takes a stream and draws its own noise from it: an n x H
 matrix of standard normals from the stream's "hidden" child and an n x 2
 one from its "output" child. ConditionalModel.sampler serves Monte Carlo
-evaluation: the hidden layer's pre-activation mean and std do not depend
-on the noise, so it computes them once and each sample only adds
-std * eps. A sample prices y with _nll, the head training minimizes:
-elbo_objective's bytes at beta 0.
+evaluation: the hidden layer's pre-activation mean and std and the output
+layer's variances do not depend on the noise, so it computes them once,
+and each sample only adds std * eps to the hidden mean. A sample prices y
+with _nll, the head training minimizes: elbo_objective's bytes at beta 0.
 
 The hidden layer's input has width 1, so its pre-activation mean x*w + b
 and variance x^2*v_w + v_b are each one BLAS product of the n x 2 design
@@ -63,36 +63,36 @@ under some OpenBLAS kernels the design product and the (1 x n) @ (n x 1)
 gradient products gave them other bits, and einsum keeps g.sum(axis=-2)'s
 order only over 2 or more columns.
 
-Every pass, a training epoch or a Monte Carlo sample, allocates no
-data-sized array (numpy may buffer a broadcast operand, at most 8192
-elements) and returns one loss per model; ConditionalModel.sampler
-allocates the hidden mean and std its samples share once. The noise, the
-pre-activations, the squared inputs, the stds, the designs [h, 1] and
-stacked weights [w; b], the tanh derivative, the input gradient and the
-scaled noise gradients are written with out= or in place into one buffer
-per (layer, role), kept for the life of the thread and reallocated only
-when its shape changes (a pair of another length). A value whose last use
-has passed is overwritten in place (the backward pass turns s_out into
-0.5 / s_out and d(loss)/d(h_out) into the scaled noise gradient), so that
-few buffers are live and they stay in cache; an in-place product on n x H
-arrays also costs about half of one into another array. Each value is
-computed by the same operations on the same operands as with fresh
-arrays, so the bytes are the same. Every buffer is written before it is
-read within one call, so no call sees another's data. Each thread has its
-own buffers, so threads scoring at once get the bytes they would get
-alone. No value returned to a caller aliases a buffer.
+Every pass, a training epoch or a Monte Carlo sample, runs over a
+Workspace, allocates no data-sized array (numpy may buffer a broadcast
+operand, at most 8192 elements) and returns one loss per model. A
+workspace is bound to (model, x, y[, grad]) once: train_conditional binds
+one per run and ConditionalModel.sampler one per sampler. Binding it
+checks the inputs, builds the hidden layer's x-only arrays ([x, 1], x^2
+and [x^2, 1]) and allocates every array a pass writes: the noise, each
+layer's pre-activation mean, std and sample, the stacked weights [w; b],
+a^2, the head's rows, d(loss)/d(p2), the input gradient and the finite
+masks. A value whose last use has passed is overwritten in place (the
+backward pass turns the std into 0.5 / std and d(loss)/d(h_out) into the
+scaled noise gradient), so that few arrays are live and they stay in
+cache; an in-place product on n x H arrays also costs about half of one
+into another array. Each value is computed by the same operations on the
+same operands as with fresh arrays, so the bytes are the same. A pass
+writes every array before it reads it, so no pass sees another's data,
+and each workspace owns its arrays, so passes over other workspaces, in
+other threads too, get the bytes they would get alone. No value returned
+to a caller aliases a workspace's array.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
-from .errors import ArgumentError, NumericError, check_count
+from .errors import ArgumentError, NumericError, check_count, check_real
 from .rng import RngStream, draw_standard_normal
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -206,27 +206,30 @@ class ConditionalModel:
     def sampler(self, x: np.ndarray, y: np.ndarray) -> Callable[[RngStream], np.ndarray]:
         """The function stream -> NLL of y given x per model, on the sampled
         pass whose noise it draws from stream: the bytes of
-        elbo_objective(self, x, y, 0.0, stream, grad).
+        elbo_objective(Workspace(self, x, y, grad), 0.0, stream).
 
-        The hidden layer's pre-activation mean x*w + b and std
-        sqrt(x^2 * v_w + v_b) do not depend on the noise, so they are computed
-        here, once, into arrays the returned function owns. A non-finite
-        activation is a NumericError naming its layer.
+        It binds one Workspace. The hidden layer's pre-activation mean
+        x*w + b and std sqrt(x^2 * v_w + v_b), and the output layer's
+        variances, do not depend on the noise, so they are computed here,
+        once. A non-finite activation is a NumericError naming its layer.
         """
-        x, y = _data(self, x, y)
-        h_in, shape = x[..., None], x.shape + (self.hidden_width,)
-        hidden = self.hidden
-        mean = _affine(h_in, hidden.mean_w, hidden.mean_b, np.empty(shape), "hidden")
-        std = _layer_std(h_in, np.exp(hidden.logvar_w), np.exp(hidden.logvar_b), "hidden",
-                         np.empty(shape))[0]
+        ws = Workspace(self, x, y)
+        hidden, output = self.hidden, self.output
+        mean, std, p1 = ws.hidden_pre
+        _affine(ws.designs[0], hidden.mean_w, hidden.mean_b, mean, ws.wb)
+        np.sqrt(_affine(ws.designs[1], np.exp(hidden.logvar_w), np.exp(hidden.logvar_b), std,
+                        ws.wb), out=std)
+        variances = np.exp(output.logvar_w), np.exp(output.logvar_b)
 
         def sample(stream: RngStream):
-            eps_hidden, eps_output = _draw_noise(self, shape[-2], stream)
-            p1 = _sample(mean, std, eps_hidden, _buffer("hidden", "pre", (3,) + shape)[2])
-            _check_finite(p1, "hidden")
-            p2 = _layer_forward(self.output, np.tanh(p1, out=p1), eps_output, "output")[0]
-            _check_finite(p2, "output")
-            return _nll(y, p2)[0]
+            eps_hidden, eps_output = _draw_noise(ws.eps, stream)
+            np.add(mean, np.multiply(std, eps_hidden, out=p1), out=p1)
+            _check_finite(p1, ws.finite[0], "hidden")
+            a = np.tanh(p1, out=p1)
+            p2 = _layer_forward(output, a, np.multiply(a, a, out=ws.a_sq), eps_output,
+                                ws.output_pre, variances=variances)[0]
+            _check_finite(p2, ws.finite[1], "output")
+            return _nll(ws.y, p2, ws.head)[0]
 
         return sample
 
@@ -323,162 +326,146 @@ def _map_penalty(model: ConditionalModel, grad: ConditionalModel):
             reduce(pen_w[..., h:], -1) + _HALF * reduce(pen_b[..., h:], -1))
 
 
-_LOCAL = threading.local()
+class Workspace:
+    """The arrays of the passes of model over (x, y), bound once (see the
+    module docstring); an objective's gradient overwrites grad's blocks.
 
-
-def _buffer(name: str, role: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
-    """This thread's reused array for one role of layer name; its contents are stale.
-
-    Reallocated only when the shape asked for differs from the last one.
+    x and y are copied as float arrays of the model's stack axes and one row
+    axis; a grad given must have the model's parameter shape and hidden
+    width. x and x_sq are the hidden layer's (..., n, 1) input and its
+    square, designs its [x, 1] and [x^2, 1].
     """
-    buffers = getattr(_LOCAL, "buffers", None)
-    if buffers is None:
-        buffers = _LOCAL.buffers = {}
-    buf = buffers.get((name, role))
-    if buf is None or buf.shape != shape:
-        buf = buffers[(name, role)] = np.empty(shape, dtype)
-    return buf
+
+    def __init__(self, model: ConditionalModel, x, y, grad: ConditionalModel | None = None):
+        if grad is not None and (grad.params.shape != model.params.shape
+                                 or grad.hidden_width != model.hidden_width):
+            raise ArgumentError(
+                f"grad must have the model's params shape {model.params.shape} and hidden "
+                f"width {model.hidden_width}, got shape {grad.params.shape} and width "
+                f"{grad.hidden_width}")
+        x = np.array(x, dtype=float)
+        lead = model.params.shape[:-1]
+        if x.ndim != len(lead) + 1 or x.shape[:-1] != lead:
+            raise ArgumentError(
+                f"x must have shape {lead} + (n,) for a model of stack shape {lead}, "
+                f"got shape {x.shape}")
+        self.y = np.array(y, dtype=float)
+        if self.y.shape != x.shape:
+            raise ArgumentError(f"y must have x's shape {x.shape}, got shape {self.y.shape}")
+        self.model, self.grad = model, grad
+        rows, width = lead + (x.shape[-1],), model.hidden_width
+        self.x = x[..., None]
+        self.x_sq = self.x * self.x
+        self.designs = np.empty((2,) + rows + (2,))
+        self.designs[..., :1] = self.x, self.x_sq
+        self.designs[..., 1] = _ONE
+        self.eps = np.empty(rows[-1:] + (width,)), np.empty(rows[-1:] + (2,))
+        # each layer's pre-activation mean, std and sample
+        self.hidden_pre, self.output_pre = (np.empty((3,) + rows + (k,)) for k in (width, 2))
+        self.wb = np.empty(lead + (2, width))
+        self.a_sq = np.empty(rows + (width,))
+        self.head = np.empty((4,) + rows)
+        self.g_p2 = np.empty(rows + (2,))
+        self.input_grad = np.empty((2,) + rows + (width,))
+        self.finite = np.empty(rows + (width,), bool), np.empty(rows + (2,), bool)
 
 
-def _draw_noise(model: ConditionalModel, n: int, stream: RngStream):
-    """The noise (eps_hidden, eps_output) of a sampled pass over n rows, in
-    this thread's buffers: n x H and n x 2 standard normals from the
-    "hidden" and "output" children of stream."""
-    return (draw_standard_normal(stream.child("hidden"),
-                                 _buffer("hidden", "eps", (n, model.hidden_width))),
-            draw_standard_normal(stream.child("output"), _buffer("output", "eps", (n, 2))))
+def _draw_noise(eps, stream: RngStream):
+    """The noise pair (eps_hidden, eps_output) of a sampled pass, filled from
+    the "hidden" and "output" children of stream."""
+    return tuple(draw_standard_normal(stream.child(name), out)
+                 for name, out in zip(("hidden", "output"), eps))
 
 
 def _affine(h_in: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray,
-            name: str) -> np.ndarray:
-    """h_in @ w + b written into out: a width-1 input through one product
-    of the design [h_in, 1] with the stacked [w; b], built in the layer's
-    buffers, which has the bytes of the broadcast form (see the module
-    docstring); any other input through matmul, then + b."""
-    if h_in.shape[-1] != 1:
+            wb: np.ndarray | None = None) -> np.ndarray:
+    """h_in @ w + b written into out. Given the (..., 2, B) array wb, h_in is
+    the design [h, 1] of a width-1 input h, and the map is one product with
+    [w; b], staged in wb, which has the bytes of the broadcast form (see the
+    module docstring)."""
+    if wb is None:
         np.matmul(h_in, w, out=out)
         out += b[..., None, :]
         return out
-    design = _buffer(name, "design", h_in.shape[:-1] + (2,))
-    design[..., :1] = h_in
-    design[..., 1] = _ONE
-    wb = _buffer(name, "wb", w.shape[:-2] + (2, out.shape[-1]))
     wb[..., :1, :] = w
     wb[..., 1, :] = b
-    return np.matmul(design, wb, out=out)
+    return np.matmul(h_in, wb, out=out)
 
 
-def _layer_std(h_in: np.ndarray, v_w: np.ndarray, v_b: np.ndarray, name: str,
-               out: np.ndarray):
-    """The pre-activation std sqrt(h_in^2 @ v_w + v_b), written into out,
-    and the h_in^2 the backward pass needs."""
-    h_sq = np.multiply(h_in, h_in, out=_buffer(name, "h_sq", h_in.shape))
-    return np.sqrt(_affine(h_sq, v_w, v_b, out, name), out=out), h_sq
+def _layer_forward(layer: VariationalLinearLayer, h_in: np.ndarray, h_sq: np.ndarray | None,
+                   eps: np.ndarray | None, pre: np.ndarray, wb: np.ndarray | None = None,
+                   variances=None):
+    """Pre-activations of one layer for the (..., n, A) input h_in, whose
+    square is h_sq, and the noise terms its backward pass needs.
 
-
-def _sample(mean: np.ndarray, std: np.ndarray, eps: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """mean + std * eps written into out; mean and std are left as they are."""
-    np.multiply(std, eps, out=out)
-    return np.add(mean, out, out=out)
-
-
-def _layer_forward(layer: VariationalLinearLayer, h_in: np.ndarray, eps: np.ndarray | None,
-                   name: str):
-    """Pre-activations of one layer for the (..., n, A) input h_in and the
-    cache its backward pass needs.
-
-    With eps the pre-activations are drawn from their induced Gaussian;
-    with eps=None the pass runs through the posterior means only. Both live
-    in the buffers of layer name until its next forward pass: its "pre"
-    buffer holds the mean, the std and the sample.
+    The pre-activations' mean, std and sample are written into the
+    (3, ..., n, B) array pre. With eps they are drawn from their induced
+    Gaussian and the noise terms are (v_w, v_b, std, eps); with eps=None the
+    pass runs through the posterior means only and has none. Given wb, h_in
+    and h_sq are the designs [x, 1] and [x^2, 1] (see _affine). variances,
+    the layer's (v_w, v_b), saves computing them again.
     """
-    pre = _buffer(name, "pre", (3,) + h_in.shape[:-1] + (layer.out_dim,))
-    mean = _affine(h_in, layer.mean_w, layer.mean_b, pre[0], name)
+    mean, std, sample = pre
+    _affine(h_in, layer.mean_w, layer.mean_b, mean, wb)
     if eps is None:
-        return mean, (h_in, None)
-    v_w, v_b = np.exp(layer.logvar_w), np.exp(layer.logvar_b)
-    s_out, h_sq = _layer_std(h_in, v_w, v_b, name, pre[1])
-    out = _sample(mean, s_out, eps, pre[2])
-    return out, (h_in, (h_sq, v_w, v_b, s_out, eps))
+        return mean, None
+    v_w, v_b = variances or (np.exp(layer.logvar_w), np.exp(layer.logvar_b))
+    np.sqrt(_affine(h_sq, v_w, v_b, std, wb), out=std)
+    np.add(mean, np.multiply(std, eps, out=sample), out=sample)
+    return sample, (v_w, v_b, std, eps)
 
 
-def _layer_backward(cache, g_out: np.ndarray, grad: VariationalLinearLayer, name: str,
-                    layer: VariationalLinearLayer | None = None):
-    """Add the layer's gradient given d(loss)/d(h_out) into grad; given the
-    layer itself, return d(loss)/d(h_in) as well.
+def _layer_backward(h_in: np.ndarray, h_sq: np.ndarray, noise, g_out: np.ndarray,
+                    grad: VariationalLinearLayer, w: np.ndarray | None = None,
+                    out: np.ndarray | None = None):
+    """Add the layer's gradient given its input h_in, its square h_sq, the
+    forward pass's noise terms and d(loss)/d(h_out) into grad; given the
+    layer's mean_w w, return d(loss)/d(h_in) as well, written into out[0]
+    of the (2, ..., n, A) array out.
 
     The pass writes over what it has used for the last time, since an
     in-place product on n x H arrays costs about half of one into another
-    array: g_out becomes the scaled noise gradient g_v and the cache's s_out
-    becomes 0.5 / s_out. The caller must not need them afterwards. The
-    term 2 h_in (g_v @ v_w^T) is taken as h_in (g_v @ (2 v_w)^T), which
-    doubling keeps exact unless a product g_v * v_w is subnormal. The row
-    sums run through einsum, which adds the rows in g.sum(axis=-2)'s order
-    from +0.0 in fewer, cheaper steps (an n = 500 pair's 2-column sums take
-    about a quarter of the time, its 50-column ones about 60 %).
+    array: g_out becomes the scaled noise gradient g_v and the std becomes
+    0.5 / std. The caller must not need them afterwards. The term
+    2 h_in (g_v @ v_w^T) is taken as h_in (g_v @ (2 v_w)^T), which doubling
+    keeps exact unless a product g_v * v_w is subnormal. The row sums run
+    through einsum, which adds the rows in g.sum(axis=-2)'s order from +0.0
+    in fewer, cheaper steps (an n = 500 pair's 2-column sums take about a
+    quarter of the time, its 50-column ones about 60 %).
     """
-    h_in, noise = cache
     grad.mean_w += h_in.swapaxes(-1, -2) @ g_out
     grad.mean_b += np.einsum("...ij->...j", g_out)
     g_in = None
-    if layer is not None:
-        g_in, g_v_w = _buffer(name, "input_grad", (2,) + h_in.shape)
-        np.matmul(g_out, layer.mean_w.swapaxes(-1, -2), out=g_in)
+    if w is not None:
+        g_in, g_v_w = out
+        np.matmul(g_out, w.swapaxes(-1, -2), out=g_in)
     if noise is None:
         return g_in
-    h_sq, v_w, v_b, s_out, eps = noise
+    v_w, v_b, s_out, eps = noise
     g_v = np.multiply(g_out, eps, out=g_out)
     g_v *= np.divide(_HALF, s_out, out=s_out)
     grad.logvar_w += (h_sq.swapaxes(-1, -2) @ g_v) * v_w
     grad.logvar_b += np.einsum("...ij->...j", g_v) * v_b
-    if layer is not None:
+    if w is not None:
         np.matmul(g_v, (_TWO * v_w).swapaxes(-1, -2), out=g_v_w)
         g_v_w *= h_in
         g_in += g_v_w
     return g_in
 
 
-def _check_finite(values: np.ndarray, name: str) -> None:
-    finite = np.isfinite(values, out=_buffer(name, "finite", values.shape, bool))
-    if not np.logical_and.reduce(finite, axis=None):
+def _check_finite(values: np.ndarray, finite: np.ndarray, name: str) -> None:
+    """NumericError naming layer name unless every entry of values is finite;
+    the mask is written into finite."""
+    if not np.logical_and.reduce(np.isfinite(values, out=finite), axis=None):
         raise NumericError(f"non-finite activations in {name} layer")
-
-
-def _clamped(t: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """t clipped to +-LOG_SCALE_LIMIT, written into out (np.clip's ufuncs,
-    without its Python-level wrapper)."""
-    np.maximum(t, _MINUS_LIMIT, out=out)
-    return np.minimum(out, _LIMIT, out=out)
-
-
-def _data(
-    model: ConditionalModel, x, y, grad: ConditionalModel | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(x, y) as float arrays with the model's stack axes followed by one row
-    axis, once a grad given is known to have the model's parameter shape and
-    hidden width."""
-    if grad is not None and (grad.params.shape != model.params.shape
-                             or grad.hidden_width != model.hidden_width):
-        raise ArgumentError(
-            f"grad must have the model's params shape {model.params.shape} and hidden width "
-            f"{model.hidden_width}, got shape {grad.params.shape} and width {grad.hidden_width}")
-    x = np.asarray(x, dtype=float)
-    lead = model.params.shape[:-1]
-    if x.ndim != len(lead) + 1 or x.shape[:-1] != lead:
-        raise ArgumentError(
-            f"x must have shape {lead} + (n,) for a model of stack shape {lead}, "
-            f"got shape {x.shape}")
-    y = np.asarray(y, dtype=float)
-    if y.shape != x.shape:
-        raise ArgumentError(f"y must have x's shape {x.shape}, got shape {y.shape}")
-    return x, y
 
 
 def model_forward(model: ConditionalModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Predict (mu, sigma) for each x through the posterior means, sigma =
     exp(clamped log-scale); kept only for perfbench's tracer until ROADMAP item 3."""
-    p1 = _layer_forward(model.hidden, np.asarray(x, dtype=float)[..., None], None, "hidden")[0]
-    p2 = _layer_forward(model.output, np.tanh(p1, out=p1), None, "output")[0]
+    ws = Workspace(model, x, x)  # y is not read
+    p1 = _layer_forward(model.hidden, ws.designs[0], None, None, ws.hidden_pre, ws.wb)[0]
+    p2 = _layer_forward(model.output, np.tanh(p1, out=p1), None, None, ws.output_pre)[0]
     return p2[..., 0].copy(), np.exp(np.clip(p2[..., 1], -LOG_SCALE_LIMIT, LOG_SCALE_LIMIT))
 
 
@@ -494,14 +481,16 @@ def gaussian_nll(y: np.ndarray, mu: np.ndarray, sigma: np.ndarray):
     return np.add.reduce(_HALF_LOG_2PI + np.log(sigma) + r * r / (_TWO * sigma * sigma), axis=-1)
 
 
-def _nll(y: np.ndarray, p2: np.ndarray):
+def _nll(y: np.ndarray, p2: np.ndarray, head: np.ndarray):
     """Per model, the NLL of y under the Gaussian head on the output
-    pre-activations p2, log-scale clamped, and the buffers _nll_head reads:
-    inv_var, r = y - mu and a free one. The loss term is ((0.5 * r) * r) * inv_var.
-    """
+    pre-activations p2, log-scale clamped, and the rows of the (4, ..., n)
+    array head, which it writes, that _nll_head reads: inv_var, r = y - mu
+    and a free one. The loss term is ((0.5 * r) * r) * inv_var."""
     mu = p2[..., 0]
-    tc, inv_var, r, term = _buffer("output", "head", (4,) + mu.shape)
-    _clamped(p2[..., 1], tc)
+    tc, inv_var, r, term = head
+    # np.clip's ufuncs, without its Python-level wrapper
+    np.maximum(p2[..., 1], _MINUS_LIMIT, out=tc)
+    np.minimum(tc, _LIMIT, out=tc)
     np.multiply(_MINUS_TWO, tc, out=inv_var)
     np.exp(inv_var, out=inv_var)
     np.subtract(y, mu, out=r)
@@ -514,11 +503,11 @@ def _nll(y: np.ndarray, p2: np.ndarray):
     return np.add.reduce(tc, axis=-1), inv_var, r, term
 
 
-def _nll_head(y: np.ndarray, p2: np.ndarray):
-    """_nll's loss and d(loss)/d(p2); the log-scale gradient is 1 - (r * r) * inv_var."""
-    loss, inv_var, r, term = _nll(y, p2)
+def _nll_head(y: np.ndarray, p2: np.ndarray, head: np.ndarray, g_p2: np.ndarray):
+    """_nll's loss and d(loss)/d(p2), written into g_p2; the log-scale
+    gradient is 1 - (r * r) * inv_var."""
+    loss, inv_var, r, term = _nll(y, p2, head)
     t = p2[..., 1]
-    g_p2 = _buffer("output", "g_p2", p2.shape)
     g_mu = np.negative(r, out=g_p2[..., 0])
     g_mu *= inv_var
     g_log_scale = np.multiply(r, r, out=g_p2[..., 1])
@@ -531,49 +520,47 @@ def _nll_head(y: np.ndarray, p2: np.ndarray):
     return loss, g_p2
 
 
-def _data_nll(model, x: np.ndarray, y: np.ndarray, grad: ConditionalModel, eps=None):
-    """NLL of y given x (arrays _data checked) through the network; its
-    gradient is added into grad."""
-    eps1, eps2 = (None, None) if eps is None else eps
-    p1, cache1 = _layer_forward(model.hidden, x[..., None], eps1, "hidden")
+def _data_nll(ws: Workspace, eps=None):
+    """NLL of ws.y given ws.x per model, on the sampled pass with the noise
+    pair eps or on the pass through the posterior means without it; its
+    gradient is added into ws.grad."""
+    model, grad = ws.model, ws.grad
+    eps_hidden, eps_output = (None, None) if eps is None else eps
+    p1, noise1 = _layer_forward(model.hidden, *ws.designs, eps_hidden, ws.hidden_pre, ws.wb)
     a = np.tanh(p1, out=p1)
-    p2, cache2 = _layer_forward(model.output, a, eps2, "output")
-    loss, g_p2 = _nll_head(y, p2)
-    g_a = _layer_backward(cache2, g_p2, grad.output, "output", model.output)
-    # tanh' = 1 - a^2, formed over a * a: the sampled pass has put it in the
-    # output layer's h_sq buffer; on the mean path a is not needed any more
-    a_sq = np.multiply(a, a, out=a) if eps2 is None else cache2[1][0]
+    a_sq = None if eps is None else np.multiply(a, a, out=ws.a_sq)
+    p2, noise2 = _layer_forward(model.output, a, a_sq, eps_output, ws.output_pre)
+    loss, g_p2 = _nll_head(ws.y, p2, ws.head, ws.g_p2)
+    g_a = _layer_backward(a, a_sq, noise2, g_p2, grad.output, model.output.mean_w, ws.input_grad)
+    # tanh' = 1 - a^2, written over a^2; the mean path forms a^2 over a, whose
+    # last use has passed, as an in-place product costs less than one into a_sq
+    a_sq = np.multiply(a, a, out=a) if a_sq is None else a_sq
     g_a *= np.subtract(_ONE, a_sq, out=a_sq)
-    _layer_backward(cache1, g_a, grad.hidden, "hidden")
+    _layer_backward(ws.x, ws.x_sq, noise1, g_a, grad.hidden)
     return loss
 
 
-def elbo_objective(
-    model: ConditionalModel, x: np.ndarray, y: np.ndarray, beta: float,
-    stream: RngStream, grad: ConditionalModel,
-):
-    """Sampled NLL plus beta-weighted KL, per model; its exact gradient under
-    the noise drawn from stream overwrites grad.
+def elbo_objective(ws: Workspace, beta: float, stream: RngStream):
+    """Sampled NLL plus beta-weighted KL, per model of the workspace; its
+    exact gradient under the noise drawn from stream overwrites ws.grad.
 
-    The objective is a pure function of its arguments, so calls with the
-    same stream evaluate the identical stochastic objective.
+    The objective is a pure function of the model's parameters, the data,
+    beta and stream, so calls with the same stream evaluate the identical
+    stochastic objective.
     """
+    beta = check_real("beta", beta)
     if not 0.0 <= beta <= 1.0:
         raise ArgumentError(f"beta must lie in [0, 1], got {beta}")
-    x, y = _data(model, x, y, grad)
-    eps = _draw_noise(model, x.shape[-1], stream)
-    kl_hidden, kl_output = _kl(model, beta, grad)
-    return _data_nll(model, x, y, grad, eps) + beta * (kl_hidden + kl_output)
+    eps = _draw_noise(ws.eps, stream)
+    kl_hidden, kl_output = _kl(ws.model, beta, ws.grad)
+    return _data_nll(ws, eps) + beta * (kl_hidden + kl_output)
 
 
-def map_objective(
-    model: ConditionalModel, x: np.ndarray, y: np.ndarray, grad: ConditionalModel
-):
-    """Joint negative log-likelihood of data, mean parameters and prior scales, per
-    model; its gradient overwrites grad.
+def map_objective(ws: Workspace):
+    """Joint negative log-likelihood of data, mean parameters and prior
+    scales, per model of the workspace; its gradient overwrites ws.grad.
 
     Deterministic point-estimate phase: posterior variances take no gradient (their blocks get 0).
     """
-    x, y = _data(model, x, y, grad)
-    pen_hidden, pen_output = _map_penalty(model, grad)
-    return _data_nll(model, x, y, grad) + pen_hidden + pen_output
+    pen_hidden, pen_output = _map_penalty(ws.model, ws.grad)
+    return _data_nll(ws) + pen_hidden + pen_output

@@ -113,7 +113,8 @@ def train_conditional(x, y, cfg: TrainConfig, stream: RngStream) -> ConditionalM
     Every direction starts from the same initial weights, and each VI
     epoch's noise is drawn once from stream for all directions. The
     parameters are one (directions x P) matrix, which is the stacked model
-    (its blocks are views of it), and the gradient likewise. Each epoch
+    (its blocks are views of it), and the gradient likewise; one
+    bnn.Workspace, bound once, holds the arrays of every pass. Each epoch
     makes one objective call, which overwrites the gradient matrix, and one
     Adam step on the matrices, which updates the parameters and the moment
     matrices m and v in place. No operation mixes directions, so each gets
@@ -129,11 +130,12 @@ def train_conditional(x, y, cfg: TrainConfig, stream: RngStream) -> ConditionalM
     model = ConditionalModel(np.tile(initial.params, (len(x), 1)), cfg.hidden_width)
     grad_model = ConditionalModel(np.empty_like(model.params), cfg.hidden_width)
     params, grads = model.params, grad_model.params
+    ws = bnn.Workspace(model, x, y, grad_model)
     vi_stream = stream.child("vi")
     phases = (
-        ("MAP", cfg.map_epochs, lambda t: bnn.map_objective(model, x, y, grad_model)),
+        ("MAP", cfg.map_epochs, lambda t: bnn.map_objective(ws)),
         ("VI", cfg.vi_epochs, lambda t: bnn.elbo_objective(
-            model, x, y, min(1.0, t / cfg.warmup_epochs), vi_stream.child(t), grad_model)),
+            ws, min(1.0, t / cfg.warmup_epochs), vi_stream.child(t))),
     )
     for phase, epochs, objective in phases:
         m, v = np.zeros_like(params), np.zeros_like(params)

@@ -15,10 +15,10 @@ with new tags whenever fresh randomness is needed.
 draw_standard_normal is on the training hot path, so it reuses one SFC64
 generator per thread instead of building one per draw: before each draw
 it sets the whole state, which leaves nothing of the previous use behind,
-and then fills the array it is given, so bnn's sampled passes can keep
-their noise in reused buffers. That generator is the module's only mutable
-state, and each thread holds its own, so threads drawing at once get the
-bits they would get alone. It is built on a thread's first draw, so
+and then fills the array it is given, so bnn's sampled passes can draw
+their noise into their workspace's arrays. That generator is the module's
+only mutable state, and each thread holds its own, so threads drawing at
+once get the bits they would get alone. It is built on a thread's first draw, so
 importing the package does not load numpy.random.
 """
 
@@ -46,21 +46,32 @@ def check_seed(seed: int) -> int:
 
 @dataclass(frozen=True)
 class RngStream:
+    """A seed that check_seed accepts, kept as a Python int, and a tuple of
+    str tags; anything else is an ArgumentError when the stream is built."""
+
     seed: int
     tags: tuple[str, ...] = field(default_factory=tuple)
 
+    def __post_init__(self):
+        object.__setattr__(self, "seed", check_seed(self.seed))
+        if not isinstance(self.tags, tuple) or not all(isinstance(t, str) for t in self.tags):
+            raise ArgumentError(f"stream tags must be a tuple of str, got {self.tags!r}")
+
     def child(self, *tags: str | int) -> "RngStream":
-        """Derive a sub-stream; an int tag (a numpy integer too, not a bool) is
-        keyed by its decimal string, and any tag but a str or an int is an
-        ArgumentError."""
-        return RngStream(self.seed, self.tags + tuple(
+        """Derive a sub-stream, skipping __post_init__'s checks, which it passes
+        already; an int tag (a numpy integer too, not a bool) is keyed by its
+        decimal string, and any tag but a str or an int is an ArgumentError."""
+        stream = object.__new__(RngStream)
+        object.__setattr__(stream, "seed", self.seed)
+        object.__setattr__(stream, "tags", self.tags + tuple([
             tag if isinstance(tag, str) else str(check_int("a stream tag that is not a str", tag))
-            for tag in tags))
+            for tag in tags]))
+        return stream
 
     def _digest(self, domain: bytes) -> bytes:
         """SHA-256 of the domain and this stream's identity."""
         h = hashlib.sha256(domain)
-        h.update(check_seed(self.seed).to_bytes(8, "little", signed=True))
+        h.update(self.seed.to_bytes(8, "little", signed=True))
         for tag in self.tags:
             raw = tag.encode("utf-8")
             # length prefix keeps ("a","b") distinct from ("ab",)

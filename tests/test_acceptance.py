@@ -14,13 +14,7 @@ import os
 import numpy as np
 import pytest
 
-from comic.bnn import (
-    ConditionalModel,
-    _layer_forward,
-    elbo_objective,
-    kl_model,
-    map_objective,
-)
+from comic.bnn import ConditionalModel, kl_model
 from comic.codelength import TrainConfig, conditional_variational_codelength, score_pair
 from comic.data import (
     GeneratorSpec,
@@ -34,6 +28,7 @@ from comic.evaluation import auroc, result_to_csv, run_benchmark
 from comic.optim import adam_step
 from comic.rng import RngStream, draw_standard_normal
 from gradcheck import finite_diff_grad
+from tests.test_bnn import elbo_loss, layer_pass, map_loss
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -106,8 +101,8 @@ def test_criterion_3_gradient_exactness():
         beta = rng.uniform(0.1, 1.0)
 
         for objective in (
-            lambda m, g: elbo_objective(m, x, y, beta, stream, g),
-            lambda m, g: map_objective(m, x, y, g),
+            lambda m, g: elbo_loss(m, x, y, beta, stream, g),
+            lambda m, g: map_loss(m, x, y, g),
         ):
             analytic = np.empty_like(vec)
             objective(model, ConditionalModel(analytic, width))
@@ -184,7 +179,7 @@ def test_criterion_5_local_reparam_equivalence():
         v_out = (row * row) @ np.exp(layer.logvar_w) + np.exp(layer.logvar_b)
 
         eps = draw_standard_normal(RngStream(trial).child("lr"), np.empty((n_draws, b)))
-        local = _layer_forward(layer, np.tile(row, (n_draws, 1)), eps, "hidden")[0]
+        local = layer_pass(layer, np.tile(row, (n_draws, 1)), eps)
 
         gen = RngStream(trial).child("ws").generator()
         w = layer.mean_w + np.sqrt(np.exp(layer.logvar_w)) * gen.standard_normal((n_draws, a, b))

@@ -14,14 +14,15 @@ from comic.bnn import (
     LOG_SCALE_LIMIT,
     ConditionalModel,
     VariationalLinearLayer,
+    Workspace,
     elbo_objective,
     gaussian_nll,
+    _data_nll,
     _kl,
     _layer_forward,
     _map_penalty,
     kl_model,
     map_objective,
-    _nll,
 )
 from comic.errors import ArgumentError
 from comic.rng import RngStream, draw_standard_normal
@@ -41,22 +42,28 @@ def make_layer(mean_w, logvar=-9.0, mean_b=None, logvar_b=None, log_prior=0.0):
     )
 
 
+def layer_pass(layer, h_in, eps=None):
+    """One layer's pre-activations for the (n, A) input h_in: sampled on the
+    noise eps, or through the posterior means without it."""
+    pre = np.empty((3,) + h_in.shape[:-1] + (layer.out_dim,))
+    return _layer_forward(layer, h_in, h_in * h_in, eps, pre)[0]
+
+
 def sampled_layer(layer, h_in, stream):
     """One sampled pass through a single layer, its noise drawn from stream."""
     eps = draw_standard_normal(stream, np.empty((h_in.shape[0], layer.out_dim)))
-    return _layer_forward(layer, h_in, eps, "hidden")[0].copy()
+    return layer_pass(layer, h_in, eps)
 
 
 def mean_layer(layer, h_in):
-    return _layer_forward(layer, h_in, None, "hidden")[0].copy()
+    return layer_pass(layer, h_in)
 
 
 def mean_nll(model, x, y):
-    """The NLL of y given x (float arrays), per model, on the pass through
-    the posterior means, priced by the head training minimizes."""
-    p1 = _layer_forward(model.hidden, x[..., None], None, "hidden")[0]
-    p2 = _layer_forward(model.output, np.tanh(p1, out=p1), None, "output")[0]
-    return _nll(y, p2)[0]
+    """The NLL of y given x, per model, on the pass through the posterior
+    means, priced by the head training minimizes."""
+    grad = ConditionalModel(np.zeros(model.params.shape), model.hidden_width)
+    return _data_nll(Workspace(model, x, y, grad))
 
 
 def packed(hidden, output):
@@ -82,9 +89,20 @@ def random_model(width, stream_seed, jitter_seed):
 
 
 def grad_buffer(model):
-    """A NaN-filled flat gradient vector and the model of its views an objective writes into."""
-    vec = np.full(model.params.size, np.nan)
+    """A NaN-filled gradient matrix of the model's parameter shape and the
+    model of its views an objective writes into."""
+    vec = np.full(model.params.shape, np.nan)
     return vec, ConditionalModel(vec, model.hidden_width)
+
+
+def map_loss(model, x, y, grad):
+    """map_objective on a workspace bound to (model, x, y, grad)."""
+    return map_objective(Workspace(model, x, y, grad))
+
+
+def elbo_loss(model, x, y, beta, stream, grad):
+    """elbo_objective on a workspace bound to (model, x, y, grad)."""
+    return elbo_objective(Workspace(model, x, y, grad), beta, stream)
 
 
 # ---------------------------------------------------------------- layers
@@ -193,33 +211,36 @@ def test_nonfinite_intermediate_names_layer():
 
 
 def test_model_forward_results_survive_later_calls():
-    # the passes reuse buffers across calls; no loss a call returns may alias them
+    # the passes over one workspace reuse its arrays; no loss a call returns
+    # may alias them, so later passes over other parameters and noise leave
+    # it as it was
     model = stack(random_model(5, 3, 4), random_model(5, 4, 5))
     x = np.stack([np.linspace(-2.0, 2.0, 9), np.linspace(-1.0, 3.0, 9)])
-    grad = ConditionalModel(np.full(model.params.shape, np.nan), model.hidden_width)
-    losses = [model.sampler(x, np.sin(x))(RngStream(6).child("mc")),
-              map_objective(model, x, np.sin(x), grad),
-              elbo_objective(model, x, np.sin(x), 1.0, RngStream(7), grad)]
+    ws = Workspace(model, x, np.sin(x), grad_buffer(model)[1])
+    passes = [model.sampler(x, np.sin(x)), lambda stream: map_objective(ws),
+              lambda stream: elbo_objective(ws, 1.0, stream)]
+    losses = [run(RngStream(6)) for run in passes]
     kept = [loss.tobytes() for loss in losses]
-    model.sampler(-x, x)(RngStream(8))
-    map_objective(model, -x, x, grad)
-    elbo_objective(model, -x, x, 1.0, RngStream(7), grad)
+    # the sampler's next sample differs by its noise, the objectives' by the parameters
+    model.params += 0.25
+    assert all(run(RngStream(7)).tobytes() != old for run, old in zip(passes, kept, strict=True))
     assert [loss.tobytes() for loss in losses] == kept
 
 
 @pytest.mark.parametrize("n", [500, 4000])
 @pytest.mark.parametrize("kind", ["sample", "elbo", "map"])
 def test_a_pass_allocates_no_data_sized_array(kind, n):
-    # a Monte Carlo sample or a training epoch writes into the thread's
-    # buffers and returns one loss per direction; numpy's broadcast buffer
-    # (at most 8192 elements) is what remains, so the peak does not grow with n
+    # a Monte Carlo sample or a training epoch writes into the arrays of the
+    # workspace bound before it and returns one loss per direction; numpy's
+    # broadcast buffer (at most 8192 elements) is what remains, so the peak
+    # does not grow with n
     model = stack(random_model(50, 1, 2), random_model(50, 3, 4))
     x = np.stack([np.linspace(-2.0, 2.0, n), np.linspace(-1.0, 3.0, n)])
     y = np.sin(x)
-    grad = ConditionalModel(np.empty_like(model.params), model.hidden_width)
+    ws = Workspace(model, x, y, ConditionalModel(np.empty_like(model.params), model.hidden_width))
     run = model.sampler(x, y) if kind == "sample" else {
-        "elbo": lambda stream: elbo_objective(model, x, y, 0.5, stream, grad),
-        "map": lambda stream: map_objective(model, x, y, grad),
+        "elbo": lambda stream: elbo_objective(ws, 0.5, stream),
+        "map": lambda stream: map_objective(ws),
     }[kind]
     run(RngStream(0))
     tracemalloc.start()
@@ -302,7 +323,7 @@ def test_elbo_beta_zero_is_sampled_nll():
     x = np.linspace(-1, 1, 8)
     y = np.sin(x)
     stream = RngStream(9).child("noise")
-    loss = elbo_objective(model, x, y, 0.0, stream, grad_buffer(model)[1])
+    loss = elbo_loss(model, x, y, 0.0, stream, grad_buffer(model)[1])
     assert loss.tobytes() == model.sampler(x, y)(stream).tobytes()
 
 
@@ -315,7 +336,7 @@ def test_elbo_zero_kl_case():
     y = np.zeros(4)
     stream = RngStream(2).child("draw")
     assert kl_model(model) == approx(0.0, abs=1e-14)
-    loss = elbo_objective(model, x, y, 1.0, stream, grad_buffer(model)[1])
+    loss = elbo_loss(model, x, y, 1.0, stream, grad_buffer(model)[1])
     assert loss.tobytes() == model.sampler(x, y)(stream).tobytes()
 
 
@@ -325,8 +346,8 @@ def test_elbo_deterministic_given_stream():
     y = np.cos(x)
     stream = RngStream(77).child("epoch-3")
     (g1, grad1), (g2, grad2) = grad_buffer(model), grad_buffer(model)
-    l1 = elbo_objective(model, x, y, 0.5, stream, grad1)
-    l2 = elbo_objective(model, x, y, 0.5, stream, grad2)
+    l1 = elbo_loss(model, x, y, 0.5, stream, grad1)
+    l2 = elbo_loss(model, x, y, 0.5, stream, grad2)
     assert l1 == l2
     assert np.array_equal(g1, g2)
 
@@ -338,7 +359,7 @@ def test_map_zero_mean_unit_prior_is_pure_nll():
     )
     x = np.array([0.5, -0.5, 1.0])
     y = np.array([0.2, 0.1, -0.3])
-    loss = map_objective(model, x, y, grad_buffer(model)[1])
+    loss = map_loss(model, x, y, grad_buffer(model)[1])
     assert loss == approx(gaussian_nll(y, np.zeros(3), np.ones(3)), rel=1e-12)
 
 
@@ -354,8 +375,8 @@ def test_map_prior_penalty_single_weight():
     x = np.zeros(4)
     y = np.zeros(4)
     # x = 0 makes the data term identical, isolating the mu^2/(2 z^2) penalty
-    loss_base = map_objective(base, x, y, grad_buffer(base)[1])
-    loss_bumped = map_objective(bumped, x, y, grad_buffer(bumped)[1])
+    loss_base = map_loss(base, x, y, grad_buffer(base)[1])
+    loss_bumped = map_loss(bumped, x, y, grad_buffer(bumped)[1])
     assert loss_bumped - loss_base == approx(2.0, rel=1e-12)
 
 
@@ -382,8 +403,8 @@ def test_gradients_match_finite_differences(width, n):
     model = random_model(width, width + n, width * n)
     stream = RngStream(width * 7 + n).child("fixed-draw")
 
-    err_elbo = relative_grad_errors(model, lambda m, g: elbo_objective(m, x, y, 0.7, stream, g))
-    err_map = relative_grad_errors(model, lambda m, g: map_objective(m, x, y, g))
+    err_elbo = relative_grad_errors(model, lambda m, g: elbo_loss(m, x, y, 0.7, stream, g))
+    err_map = relative_grad_errors(model, lambda m, g: map_loss(m, x, y, g))
     assert err_elbo.max() < 1e-4
     assert err_map.max() < 1e-4
 
@@ -463,7 +484,7 @@ def test_model_names_a_bad_hidden_width(entry, width, message):
     assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("objective", [map_objective, elbo_objective], ids=["map", "elbo"])
+@pytest.mark.parametrize("objective", [map_loss, elbo_loss], ids=["map", "elbo"])
 @pytest.mark.parametrize("case", ["rows-on-single", "one-row-on-stack", "short-y",
                                   "grad-rows-on-single"])
 def test_objectives_reject_mismatched_inputs(case, objective):
@@ -480,7 +501,7 @@ def test_objectives_reject_mismatched_inputs(case, objective):
     }[case]
     rows = (2,) if case == "grad-rows-on-single" else ()
     vec = np.full(rows + model.params.shape, np.nan)
-    args = (0.5, RngStream(0)) if objective is elbo_objective else ()
+    args = (0.5, RngStream(0)) if objective is elbo_loss else ()
     with pytest.raises(ArgumentError, match="shape"):
         objective(model, x, y, *args, ConditionalModel(vec, model.hidden_width))
     assert np.isnan(vec).all()
@@ -492,8 +513,27 @@ def test_elbo_rejects_beta_outside_the_unit_interval(beta):
     x = np.linspace(-1.0, 1.0, 6)
     vec, grad = grad_buffer(model)
     with pytest.raises(ArgumentError, match=r"beta must lie in \[0, 1\]"):
-        elbo_objective(model, x, x, beta, RngStream(0), grad)
+        elbo_loss(model, x, x, beta, RngStream(0), grad)
     assert np.isnan(vec).all()
+
+
+@pytest.mark.parametrize("beta", [True, "0.5", None], ids=["bool", "str", "none"])
+def test_elbo_refuses_a_beta_that_is_not_a_real_number(beta):
+    # True used to train as beta 1.0, and "0.5" or None raised a bare TypeError
+    model = random_model(4, 2, 3)
+    x = np.linspace(-1.0, 1.0, 6)
+    vec, grad = grad_buffer(model)
+    with pytest.raises(ArgumentError, match=f"^beta must be a real number, got {beta!r}$"):
+        elbo_loss(model, x, x, beta, RngStream(0), grad)
+    assert np.isnan(vec).all()
+
+
+def test_elbo_takes_a_numpy_or_int_beta_as_its_float():
+    model = random_model(4, 2, 3)
+    x = np.linspace(-1.0, 1.0, 6)
+    losses = [elbo_loss(model, x, np.sin(x), beta, RngStream(0), grad_buffer(model)[1]).hex()
+              for beta in (1.0, 1, np.float64(1.0))]
+    assert losses == losses[:1] * 3
 
 
 # ------------------------------------------------- byte-level oracle
@@ -671,9 +711,9 @@ def package_objective_bytes(objective, model, *args):
 def test_hot_loop_matches_oracle_bytes(width, n, seed, zero_share, beta):
     model, x, y = edge_problem(width, n, seed, zero_share)
     stream = RngStream(seed).child("oracle")
-    assert (package_objective_bytes(map_objective, model, x, y)
+    assert (package_objective_bytes(map_loss, model, x, y)
             == objective_bytes(*oracle_map_objective(model, x, y)))
-    assert (package_objective_bytes(elbo_objective, model, x, y, beta, stream)
+    assert (package_objective_bytes(elbo_loss, model, x, y, beta, stream)
             == objective_bytes(*oracle_elbo_objective(model, x, y, beta, stream)))
     assert model.sampler(x, y)(stream).hex() == oracle_sample_nll(model, x, y, stream).hex()
 
@@ -695,8 +735,8 @@ def test_stacked_pair_matches_oracle_bytes_per_slice(width, n, seeds, zero_share
     y = np.stack([problem[2] for problem in problems])
     stream = RngStream(seeds[0]).child("oracle")
     for objective, args, oracle, oracle_args in (
-        (map_objective, (x, y), oracle_map_objective, ()),
-        (elbo_objective, (x, y, beta, stream), oracle_elbo_objective, (beta, stream)),
+        (map_loss, (x, y), oracle_map_objective, ()),
+        (elbo_loss, (x, y, beta, stream), oracle_elbo_objective, (beta, stream)),
     ):
         vec = np.full(model.params.shape, np.nan)
         loss = objective(model, *args, ConditionalModel(vec, width))
@@ -705,11 +745,11 @@ def test_stacked_pair_matches_oracle_bytes_per_slice(width, n, seeds, zero_share
             assert (loss[d].hex(), vec[d].tobytes()) == objective_bytes(
                 *oracle(m, xd, yd, *oracle_args))
     # a sampler serves several samples: the second must not see the first,
-    # nor the noise buffers an objective in between reallocates at another n
+    # nor an objective in between over another workspace at another n
     sample = model.sampler(x, y)
     sample(stream.child("other"))
     other, x_other, y_other = edge_problem(width, n + 1, seeds[1], zero_share)
-    elbo_objective(other, x_other, y_other, beta, stream, grad_buffer(other)[1])
+    elbo_loss(other, x_other, y_other, beta, stream, grad_buffer(other)[1])
     for loss in (model.sampler(x, y)(stream), sample(stream)):
         assert loss.shape == (2,)
         for d, (m, xd, yd) in enumerate(problems):
@@ -724,17 +764,19 @@ def test_stacked_pair_matches_oracle_bytes_per_slice(width, n, seeds, zero_share
     beta=st.sampled_from([0.0, 0.4, 1.0]),
 )
 def test_objectives_overwrite_every_gradient_entry(width, n, seed, beta):
-    # one NaN-filled vector serves every call, as in training: each objective
-    # must overwrite all of it, the MAP phase's zero log-variance blocks too
+    # one workspace and its NaN-filled gradient serve every call, as in
+    # training: each objective must overwrite all of the gradient, the MAP
+    # phase's zero log-variance blocks too
     model, x, y = edge_problem(width, n, seed, 0.3)
     stream = RngStream(seed).child("oracle")
     vec, grad = grad_buffer(model)
+    ws = Workspace(model, x, y, grad)
     for objective, args, oracle, oracle_args in (
         (map_objective, (), oracle_map_objective, ()),
         (elbo_objective, (beta, stream), oracle_elbo_objective, (beta, stream)),
         (map_objective, (), oracle_map_objective, ()),
     ):
-        loss = objective(model, x, y, *args, grad)
+        loss = objective(ws, *args)
         assert (loss.hex(), vec.tobytes()) == objective_bytes(
             *oracle(model, x, y, *oracle_args))
 

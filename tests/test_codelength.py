@@ -333,7 +333,7 @@ def test_one_sample_codelength_is_the_beta_one_elbo(width, n, seeds):
     stream = RngStream(seeds[0]).child("identity")
     grad = ConditionalModel(np.empty(model.params.shape), width)
     codelength = conditional_variational_codelength(model, x, y, 1, stream)
-    elbo = bnn.elbo_objective(model, x, y, 1.0, stream.child("eval", 0), grad)
+    elbo = bnn.elbo_objective(bnn.Workspace(model, x, y, grad), 1.0, stream.child("eval", 0))
     assert np.array(codelength).tobytes() == elbo.tobytes()
 
 
@@ -442,9 +442,10 @@ def test_exact_tie_is_undecided_both_ways(scale):
 
 
 def test_threads_score_like_serial():
-    # each thread keeps its own training buffers and noise generator, so
-    # pairs scored at once get the bits each gets alone; more threads than
-    # CPUs and a short switch interval make the threads interleave often
+    # each call binds its own workspaces and each thread keeps its own
+    # noise generator, so pairs scored at once get the bits each gets
+    # alone; more threads than CPUs and a short switch interval make the
+    # threads interleave often
     pairs = [generate_pair(GeneratorSpec(family, 2, 300, seed=1), i)
              for family in ("AN-s", "LS-s") for i in range(2)]
     cfg = TrainConfig(hidden_width=20, map_epochs=30, vi_epochs=30, warmup_epochs=3,
@@ -580,13 +581,13 @@ def test_numeric_error_in_adam_names_direction_phase_and_epoch(monkeypatch, entr
     real = bnn.elbo_objective
     calls = []
 
-    def nan_gradient(model, x, y, beta, eps, grad):
-        loss = real(model, x, y, beta, eps, grad)
+    def nan_gradient(ws, beta, stream):
+        loss = real(ws, beta, stream)
         calls.append(1)
         if len(calls) == 3:
             for d, name, index in entries:
                 layer, field = name.split(".")
-                getattr(getattr(grad, layer), field)[(d, *index)] = np.nan
+                getattr(getattr(ws.grad, layer), field)[(d, *index)] = np.nan
         return loss
 
     monkeypatch.setattr(bnn, "elbo_objective", nan_gradient)

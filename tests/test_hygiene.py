@@ -1,7 +1,8 @@
 """Source checks that need no linter: every module under src/comic,
 scripts/ and tests/ uses each name it imports, every def under src/comic
 and scripts/ reads each of its parameters, no package code is there only
-for the tests, and every function perfbench's TRACED table names exists.
+for the tests, and every function perfbench's TRACED table names exists
+and, outside TRACED_ONLY, is called by a tiny traced run.
 Test parameters are not checked, since test callbacks keep fixed
 signatures; perfbench/tests belongs to the benchmark and is not checked
 either.
@@ -21,6 +22,7 @@ functions that table names, and a span is not a use.
 
 import ast
 import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -211,6 +213,27 @@ def test_every_traced_entry_resolves_in_the_package():
                                     if "TRACED" in defined_names(node)).value)
     assert ("rng", "RngStream.generator") in entries
     assert unresolved(entries) == []
+
+
+def test_a_tiny_run_calls_every_traced_function_but_the_traced_only_ones(tmp_path):
+    # perfbench's per-layer metrics come from these spans: a refactor that
+    # routed a run around a traced name would read 0 for it and still pass
+    from comic import data, evaluation
+    from comic.codelength import TrainConfig
+
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    cfg = TrainConfig(hidden_width=2, map_epochs=2, vi_epochs=2, warmup_epochs=1,
+                      mc_eval_samples=1)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        data.write_dataset(tmp_path, data.generate_dataset(data.GeneratorSpec("AN", 1, 20)))
+        result = evaluation.run_benchmark(data.load_tuebingen(tmp_path), cfg, parallelism=1)
+    assert [row.error for row in result.rows] == [None]
+    calls = {name: entry["calls"] for name, entry in tracing.summarize(tracer.spans).items()}
+    assert sorted(name for name, count in calls.items() if count == 0) == sorted(
+        f"bnn.{name}" for name in TRACED_ONLY)
 
 
 def test_unresolved_check_flags_a_planted_entry():

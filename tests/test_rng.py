@@ -109,13 +109,28 @@ def test_extra_tag_changes_stream(tags):
     assert not np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("seed", [1.5, "5", 2**63])
-def test_bad_seed_raises_argument_error_on_first_use(seed):
-    stream = RngStream(seed).child("x")
-    with pytest.raises(ArgumentError, match="seed"):
-        stream.generator()
-    with pytest.raises(ArgumentError, match="seed"):
-        draw_standard_normal(stream, np.empty((2, 2)))
+@pytest.mark.parametrize("seed", [1.5, "5", 2**63, True, 2**70, -2**63 - 1])
+def test_bad_seed_raises_argument_error_when_built(seed):
+    # these used to be refused only at the stream's first draw, True never
+    with pytest.raises(ArgumentError, match="^seed must "):
+        RngStream(seed)
+
+
+@pytest.mark.parametrize("tags", [(3,), "ab", ["a"], ("a", None), ("a", b"b")],
+                         ids=["int-tag", "str", "list", "none-tag", "bytes-tag"])
+def test_stream_refuses_tags_that_are_not_a_tuple_of_str_when_built(tags):
+    # RngStream(0, (3,)) used to fail at its first draw with a bare
+    # AttributeError, and RngStream(0, "ab").child("c") with a bare TypeError
+    with pytest.raises(ArgumentError) as exc:
+        RngStream(0, tags)
+    assert str(exc.value) == f"stream tags must be a tuple of str, got {tags!r}"
+
+
+def test_extreme_seeds_are_kept_as_python_ints():
+    for seed in (-2**63, 2**63 - 1, np.int64(-5), np.uint32(7)):
+        stream = RngStream(seed)
+        assert type(stream.seed) is int and stream.seed == int(seed)
+        assert type(stream.child("x").seed) is int
 
 
 def test_numpy_integer_seed_draws_like_int():

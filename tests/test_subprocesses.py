@@ -129,7 +129,9 @@ for width in (2, 50):
             }
             for kind, (hk, wk, bk) in cases.items():
                 expected = np.multiply(hk, wk) + (bk[..., None, :] + 0.0)
-                got = _affine(hk, wk, bk, np.empty(stack + (n, width)), "hidden")
+                design = np.concatenate((hk, np.ones_like(hk)), axis=-1)
+                got = _affine(design, wk, bk, np.empty(stack + (n, width)),
+                              np.empty(stack + (2, width)))
                 if got.tobytes() != expected.tobytes():
                     mismatches.append([width, n, len(stack), kind])
 print(json.dumps([machine_info()["blas_core"], mismatches]))
@@ -182,10 +184,10 @@ rng = np.random.default_rng(38)
 
 def passes(model, x, y, stream):
     vec = np.full(model.params.shape, np.nan)
-    grad = ConditionalModel(vec, model.hidden_width)
+    ws = bnn.Workspace(model, x, y, ConditionalModel(vec, model.hidden_width))
     return {
-        "map": (bnn.map_objective(model, x, y, grad), vec.copy()),
-        "elbo": (bnn.elbo_objective(model, x, y, 0.4, stream, grad), vec.copy()),
+        "map": (bnn.map_objective(ws), vec.copy()),
+        "elbo": (bnn.elbo_objective(ws, 0.4, stream), vec.copy()),
         "sampler": (model.sampler(x, y)(stream),),
     }
 
@@ -343,7 +345,7 @@ def test_generated_pairs_do_not_depend_on_the_dispatch_level(setting):
 
 # Scores one n = 500 pair at the desk-n500 config (H = 50, 100 + 100 epochs
 # per direction, 64 MC samples) in an interpreter that has made no large
-# allocation before: with the training buffers allocated once, only their
+# allocation before: with each workspace's arrays allocated once, only their
 # first touch faults (about 500 pages on a 2-CPU x86-64 VM). Fresh n x H
 # temporaries cost about 300 faults per epoch instead, since glibc maps and
 # unmaps each one.
