@@ -43,10 +43,10 @@ which does no variance work and leaves the variance gradients untouched.
 A sampled pass takes a stream and draws its own noise from it: an n x H
 matrix of standard normals from the stream's "hidden" child and an n x 2
 one from its "output" child. ConditionalModel.sampler serves Monte Carlo
-evaluation: the hidden layer's pre-activation mean and std and the output
-layer's variances do not depend on the noise, so it computes them once,
-and each sample only adds std * eps to the hidden mean. A sample prices y
-with _nll, the head training minimizes: elbo_objective's bytes at beta 0.
+evaluation: the hidden layer's pre-activation mean and std do not depend
+on the noise, so it computes them once, and each sample only adds
+std * eps to the hidden mean. A sample prices y with _nll, the head
+training minimizes: elbo_objective's bytes at beta 0.
 
 The hidden layer's input has width 1, so its pre-activation mean x*w + b
 and variance x^2*v_w + v_b are each one BLAS product of the n x 2 design
@@ -64,24 +64,26 @@ gradient products gave them other bits, and einsum keeps g.sum(axis=-2)'s
 order only over 2 or more columns.
 
 Every pass, a training epoch or a Monte Carlo sample, runs over a
-Workspace, allocates no data-sized array (numpy may buffer a broadcast
-operand, at most 8192 elements) and returns one loss per model. A
-workspace is bound to (model, x, y[, grad]) once: train_conditional binds
-one per run and ConditionalModel.sampler one per sampler. Binding it
-checks the inputs, builds the hidden layer's x-only arrays ([x, 1], x^2
-and [x^2, 1]) and allocates every array a pass writes: the noise, each
-layer's pre-activation mean, std and sample, the stacked weights [w; b],
-a^2, the head's rows, d(loss)/d(p2), the input gradient and the finite
-masks. A value whose last use has passed is overwritten in place (the
-backward pass turns the std into 0.5 / std and d(loss)/d(h_out) into the
-scaled noise gradient), so that few arrays are live and they stay in
-cache; an in-place product on n x H arrays also costs about half of one
-into another array. Each value is computed by the same operations on the
-same operands as with fresh arrays, so the bytes are the same. A pass
-writes every array before it reads it, so no pass sees another's data,
-and each workspace owns its arrays, so passes over other workspaces, in
-other threads too, get the bytes they would get alone. No value returned
-to a caller aliases a workspace's array.
+Workspace, allocates no data-sized array and returns one loss per model.
+numpy buffers at most 8192 elements of the (n, 2) output noise it
+broadcasts against a pair's (2, n, 2) stack; against a pre-broadcast copy
+that costs 0.7 us a product at n = 500 and 2.3 us at n = 2000 (timeit), a
+few us an epoch, so the noise is not copied. A workspace is bound to
+(model, x, y[, grad]) once: train_conditional binds one per run and
+ConditionalModel.sampler one per sampler. Binding it checks the inputs,
+builds the x-only arrays (see Workspace) and allocates what its passes
+write: the noise, each layer's pre-activation mean, std and sample, the
+stacked weights [w; b], a^2, the head's rows and the finite masks, and,
+given grad, d(loss)/d(p2) and the input gradient. Without grad (the
+sampler, model_forward) it is forward-only, and the objectives refuse it. A
+value whose last use has passed is overwritten in place (the backward pass
+turns the std into 0.5 / std and d(loss)/d(h_out) into the scaled noise
+gradient), so that few arrays are live and stay in cache. Each value is
+computed by the same operations on the same operands as with fresh arrays,
+so the bytes are the same. A pass writes every array before it reads it, so
+no pass sees another's data, and each workspace owns its arrays, so passes
+over other workspaces, in other threads too, get the bytes they would get
+alone. No value returned to a caller aliases a workspace's array.
 """
 
 from __future__ import annotations
@@ -130,10 +132,6 @@ class VariationalLinearLayer:
     mean_b: np.ndarray
     logvar_b: np.ndarray
     log_prior_scale_w: np.ndarray
-
-    @property
-    def out_dim(self) -> int:
-        return self.mean_w.shape[-1]
 
 
 def _layout(hidden_width: int):
@@ -208,10 +206,10 @@ class ConditionalModel:
         pass whose noise it draws from stream: the bytes of
         elbo_objective(Workspace(self, x, y, grad), 0.0, stream).
 
-        It binds one Workspace. The hidden layer's pre-activation mean
-        x*w + b and std sqrt(x^2 * v_w + v_b), and the output layer's
-        variances, do not depend on the noise, so they are computed here,
-        once. A non-finite activation is a NumericError naming its layer.
+        It binds one forward-only Workspace, without gradient arrays. The
+        hidden layer's mean x*w + b and std sqrt(x^2 * v_w + v_b) do not
+        depend on the noise, so they are computed here, once. A non-finite
+        activation is a NumericError naming its layer.
         """
         ws = Workspace(self, x, y)
         hidden, output = self.hidden, self.output
@@ -219,7 +217,6 @@ class ConditionalModel:
         _affine(ws.designs[0], hidden.mean_w, hidden.mean_b, mean, ws.wb)
         np.sqrt(_affine(ws.designs[1], np.exp(hidden.logvar_w), np.exp(hidden.logvar_b), std,
                         ws.wb), out=std)
-        variances = np.exp(output.logvar_w), np.exp(output.logvar_b)
 
         def sample(stream: RngStream):
             eps_hidden, eps_output = _draw_noise(ws.eps, stream)
@@ -227,7 +224,7 @@ class ConditionalModel:
             _check_finite(p1, ws.finite[0], "hidden")
             a = np.tanh(p1, out=p1)
             p2 = _layer_forward(output, a, np.multiply(a, a, out=ws.a_sq), eps_output,
-                                ws.output_pre, variances=variances)[0]
+                                ws.output_pre)[0]
             _check_finite(p2, ws.finite[1], "output")
             return _nll(ws.y, p2, ws.head)[0]
 
@@ -365,9 +362,10 @@ class Workspace:
         self.wb = np.empty(lead + (2, width))
         self.a_sq = np.empty(rows + (width,))
         self.head = np.empty((4,) + rows)
-        self.g_p2 = np.empty(rows + (2,))
-        self.input_grad = np.empty((2,) + rows + (width,))
         self.finite = np.empty(rows + (width,), bool), np.empty(rows + (2,), bool)
+        if grad is not None:
+            self.g_p2 = np.empty(rows + (2,))
+            self.input_grad = np.empty((2,) + rows + (width,))
 
 
 def _draw_noise(eps, stream: RngStream):
@@ -393,8 +391,7 @@ def _affine(h_in: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray,
 
 
 def _layer_forward(layer: VariationalLinearLayer, h_in: np.ndarray, h_sq: np.ndarray | None,
-                   eps: np.ndarray | None, pre: np.ndarray, wb: np.ndarray | None = None,
-                   variances=None):
+                   eps: np.ndarray | None, pre: np.ndarray, wb: np.ndarray | None = None):
     """Pre-activations of one layer for the (..., n, A) input h_in, whose
     square is h_sq, and the noise terms its backward pass needs.
 
@@ -402,14 +399,13 @@ def _layer_forward(layer: VariationalLinearLayer, h_in: np.ndarray, h_sq: np.nda
     (3, ..., n, B) array pre. With eps they are drawn from their induced
     Gaussian and the noise terms are (v_w, v_b, std, eps); with eps=None the
     pass runs through the posterior means only and has none. Given wb, h_in
-    and h_sq are the designs [x, 1] and [x^2, 1] (see _affine). variances,
-    the layer's (v_w, v_b), saves computing them again.
+    and h_sq are the designs [x, 1] and [x^2, 1] (see _affine).
     """
     mean, std, sample = pre
     _affine(h_in, layer.mean_w, layer.mean_b, mean, wb)
     if eps is None:
         return mean, None
-    v_w, v_b = variances or (np.exp(layer.logvar_w), np.exp(layer.logvar_b))
+    v_w, v_b = np.exp(layer.logvar_w), np.exp(layer.logvar_b)
     np.sqrt(_affine(h_sq, v_w, v_b, std, wb), out=std)
     np.add(mean, np.multiply(std, eps, out=sample), out=sample)
     return sample, (v_w, v_b, std, eps)
@@ -548,6 +544,8 @@ def elbo_objective(ws: Workspace, beta: float, stream: RngStream):
     beta and stream, so calls with the same stream evaluate the identical
     stochastic objective.
     """
+    if ws.grad is None:
+        raise ArgumentError("elbo_objective needs a workspace bound with a gradient")
     beta = check_real("beta", beta)
     if not 0.0 <= beta <= 1.0:
         raise ArgumentError(f"beta must lie in [0, 1], got {beta}")
@@ -562,5 +560,7 @@ def map_objective(ws: Workspace):
 
     Deterministic point-estimate phase: posterior variances take no gradient (their blocks get 0).
     """
+    if ws.grad is None:
+        raise ArgumentError("map_objective needs a workspace bound with a gradient")
     pen_hidden, pen_output = _map_penalty(ws.model, ws.grad)
     return _data_nll(ws) + pen_hidden + pen_output

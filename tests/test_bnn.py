@@ -45,13 +45,13 @@ def make_layer(mean_w, logvar=-9.0, mean_b=None, logvar_b=None, log_prior=0.0):
 def layer_pass(layer, h_in, eps=None):
     """One layer's pre-activations for the (n, A) input h_in: sampled on the
     noise eps, or through the posterior means without it."""
-    pre = np.empty((3,) + h_in.shape[:-1] + (layer.out_dim,))
+    pre = np.empty((3,) + h_in.shape[:-1] + (layer.mean_w.shape[-1],))
     return _layer_forward(layer, h_in, h_in * h_in, eps, pre)[0]
 
 
 def sampled_layer(layer, h_in, stream):
     """One sampled pass through a single layer, its noise drawn from stream."""
-    eps = draw_standard_normal(stream, np.empty((h_in.shape[0], layer.out_dim)))
+    eps = draw_standard_normal(stream, np.empty((h_in.shape[0], layer.mean_w.shape[-1])))
     return layer_pass(layer, h_in, eps)
 
 
@@ -68,7 +68,7 @@ def mean_nll(model, x, y):
 
 def packed(hidden, output):
     """A model whose blocks hold the given layers' blocks, written into a fresh vector."""
-    model = ConditionalModel.initial(hidden.out_dim, RngStream(0))
+    model = ConditionalModel.initial(hidden.mean_w.shape[-1], RngStream(0))
     layers = {"hidden": hidden, "output": output}
     for name, block in model.blocks:
         layer, field = name.split(".")
@@ -250,6 +250,53 @@ def test_a_pass_allocates_no_data_sized_array(kind, n):
     finally:
         tracemalloc.stop()
     assert peak < 96 * 1024
+
+
+@pytest.mark.parametrize("n", [500, 4000])
+def test_a_sampler_keeps_only_the_arrays_a_forward_pass_writes(n):
+    # a sample writes no gradient, so its workspace has no d(loss)/d(p2) and
+    # no input gradient (4 x n x H doubles more per direction pair); what the
+    # sampler keeps is bounded by the forward arrays, counted from their shapes
+    width, directions = 50, 2
+    model = stack(random_model(width, 1, 2), random_model(width, 3, 4))
+    x = np.stack([np.linspace(-2.0, 2.0, n), np.linspace(-1.0, 3.0, n)])
+    y = np.sin(x)
+    rows = directions * n
+    doubles = (3 * rows  # the copies of x and y, and x^2
+               + 2 * rows * 2  # the designs [x, 1] and [x^2, 1]
+               + n * (width + 2)  # the noise pair, shared by the directions
+               + 3 * rows * (width + 2)  # each layer's pre-activation mean, std and sample
+               + directions * 2 * width  # [w; b]
+               + rows * width  # a^2
+               + 4 * rows)  # the head's rows
+    masks = rows * (width + 2)  # one bool per activation
+    tracemalloc.start()
+    try:
+        sample = model.sampler(x, y)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 8 * doubles + masks + 16 * 1024
+    # and the forward-only workspace is all a sample needs
+    assert np.all(np.isfinite(sample(RngStream(0))))
+
+
+@pytest.mark.parametrize("objective", ["map_objective", "elbo_objective"])
+def test_objectives_refuse_a_workspace_bound_without_a_gradient(objective):
+    # a forward-only workspace has no gradient arrays; the objectives used to
+    # fail inside the pass with a bare AttributeError
+    model = random_model(4, 1, 2)
+    x = np.linspace(-1.0, 1.0, 7)
+    ws = Workspace(model, x, np.sin(x))
+    for eps in ws.eps:
+        eps.fill(np.nan)
+    run = {"map_objective": lambda: map_objective(ws),
+           "elbo_objective": lambda: elbo_objective(ws, 0.5, RngStream(0))}[objective]
+    with pytest.raises(ArgumentError, match=f"{objective} needs a workspace bound with a gradient"):
+        run()
+    # refused before any noise was drawn
+    assert all(np.isnan(eps).all() for eps in ws.eps)
+    assert not hasattr(ws, "g_p2") and not hasattr(ws, "input_grad")
 
 
 # ---------------------------------------------------------------- losses

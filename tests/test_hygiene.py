@@ -17,7 +17,9 @@ the package names it outside its own definition or assignment, when scripts/ or 
 its tests) names it, or when comic.__all__ exports it. Identifiers,
 attribute names and string constants all count as naming it, except the
 strings of a module-level TRACED table: the perfbench tracer wraps the
-functions that table names, and a span is not a use.
+functions that table names, and a span is not a use. A method or property
+of a module-level class counts as used in the same way, by its name outside
+its own def; dunder methods are exempt, since Python calls them.
 """
 
 import ast
@@ -117,6 +119,18 @@ def unreferenced_definitions(source: str, elsewhere: set[str]) -> list[str]:
             if name not in elsewhere | named(tree, skip=node)]
 
 
+def unreferenced_members(source: str, elsewhere: set[str]) -> list[str]:
+    """Methods and properties of module-level classes, dunders aside, that
+    neither elsewhere nor source, outside their own def, names, with their line."""
+    tree = ast.parse(source)
+    return [f"line {member.lineno}: {node.name}.{member.name}"
+            for node in tree.body if isinstance(node, ast.ClassDef)
+            for member in node.body
+            if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (member.name.startswith("__") and member.name.endswith("__"))
+            and member.name not in elsewhere | named(tree, skip=member)]
+
+
 def test_modules_to_check_were_found():
     names = {path.name for path in MODULES}
     assert {"optim.py", "codelength.py", "cli.py", "ab_pairs.py"} <= names
@@ -167,7 +181,9 @@ def test_no_package_code_that_only_tests_use(path):
     elsewhere = set(comic.__all__).union(
         TRACED_ONLY, *(names_outside_traced(other.read_text(encoding="utf-8"))
                        for other in PACKAGE + USERS if other != path))
-    assert unreferenced_definitions(path.read_text(encoding="utf-8"), elsewhere) == []
+    source = path.read_text(encoding="utf-8")
+    assert unreferenced_definitions(source, elsewhere) == []
+    assert unreferenced_members(source, elsewhere) == []
 
 
 def test_traced_only_names_are_traced_and_named_nowhere_else():
@@ -264,6 +280,29 @@ def test_unreferenced_definition_check_flags_a_planted_name():
     assert unreferenced_definitions(source, {"Exported", "uses_width"}) == [
         "line 1: entry", "line 10: recursive", "line 12: TABLE", "line 15: LIMIT",
         "line 16: _GUARD"]
+
+
+def test_unreferenced_member_check_flags_a_planted_member():
+    source = ("class Layer:\n"
+              "    def __init__(self, w):\n"
+              "        self.w = w\n"
+              "    @property\n"
+              "    def width(self):\n"
+              "        return self.w.shape[-1]\n"
+              "    def used_here(self):\n"
+              "        return self.w\n"
+              "    def recursive(self):\n"
+              "        return self.recursive()\n"
+              "    @classmethod\n"
+              "    def build(cls):\n"
+              "        return cls(0).used_here()\n"
+              "    @staticmethod\n"
+              "    def called_elsewhere():\n"
+              "        pass\n"
+              "def width():\n"
+              "    pass\n")
+    assert unreferenced_members(source, {"called_elsewhere"}) == [
+        "line 5: Layer.width", "line 9: Layer.recursive", "line 12: Layer.build"]
 
 
 def test_a_traced_table_entry_is_not_a_use():
