@@ -22,8 +22,8 @@ ConditionalModel over its own matrix. The prior terms (the KL and the MAP
 penalty) run as one pass of whole-slice operations over both layers; each
 layer's sum still runs over its own part of a slice, so it adds what it
 added over its block alone, in the same order. Each objective overwrites
-every block of its gradient with d(loss)/d(parameter), so the caller's
-flat gradient vector holds the result without any packing.
+every block of its gradient with d(loss)/d(parameter), so the gradient's
+matrix holds the result without any packing.
 
 A model may be a stack of models on leading axes: the two directions of a
 pair are one model whose weight blocks are (2, A, B) and bias blocks
@@ -69,21 +69,23 @@ numpy buffers at most 8192 elements of the (n, 2) output noise it
 broadcasts against a pair's (2, n, 2) stack; against a pre-broadcast copy
 that costs 0.7 us a product at n = 500 and 2.3 us at n = 2000 (timeit), a
 few us an epoch, so the noise is not copied. A workspace is bound to
-(model, x, y[, grad]) once: train_conditional binds one per run and
-ConditionalModel.sampler one per sampler. Binding it checks the inputs,
-builds the x-only arrays (see Workspace) and allocates what its passes
-write: the noise, each layer's pre-activation mean, std and sample, the
-stacked weights [w; b], a^2, the head's rows and the finite masks, and,
-given grad, d(loss)/d(p2) and the input gradient. Without grad (the
-sampler, model_forward) it is forward-only, and the objectives refuse it. A
-value whose last use has passed is overwritten in place (the backward pass
-turns the std into 0.5 / std and d(loss)/d(h_out) into the scaled noise
-gradient), so that few arrays are live and stay in cache. Each value is
-computed by the same operations on the same operands as with fresh arrays,
-so the bytes are the same. A pass writes every array before it reads it, so
-no pass sees another's data, and each workspace owns its arrays, so passes
-over other workspaces, in other threads too, get the bytes they would get
-alone. No value returned to a caller aliases a workspace's array.
+(model, x, y) once, for training (grad=True) or forward-only:
+train_conditional binds a training one per run and ConditionalModel.sampler
+a forward-only one per sampler. Binding it checks the inputs, builds the
+x-only arrays (see Workspace) and allocates what its passes write: the
+noise, each layer's pre-activation mean, std and sample, the stacked
+weights [w; b], a^2 and the head's rows; for training, the gradient,
+d(loss)/d(p2) and the input gradient; forward-only (the sampler,
+model_forward), the finite masks the sampler's checks write. The
+objectives refuse a forward-only workspace. A value whose last use has
+passed is overwritten in place (the backward pass turns the std into
+0.5 / std and d(loss)/d(h_out) into the scaled noise gradient), so that
+few arrays are live and stay in cache. Each value is computed by the same
+operations on the same operands as with fresh arrays, so the bytes are the
+same. A pass writes every array before it reads it, so no pass sees
+another's data, and each workspace owns its arrays, so passes over other
+workspaces, in other threads too, get the bytes they would get alone. No
+value returned to a caller aliases a workspace's array.
 """
 
 from __future__ import annotations
@@ -204,7 +206,7 @@ class ConditionalModel:
     def sampler(self, x: np.ndarray, y: np.ndarray) -> Callable[[RngStream], np.ndarray]:
         """The function stream -> NLL of y given x per model, on the sampled
         pass whose noise it draws from stream: the bytes of
-        elbo_objective(Workspace(self, x, y, grad), 0.0, stream).
+        elbo_objective(Workspace(self, x, y, grad=True), 0.0, stream).
 
         It binds one forward-only Workspace, without gradient arrays. The
         hidden layer's mean x*w + b and std sqrt(x^2 * v_w + v_b) do not
@@ -325,21 +327,16 @@ def _map_penalty(model: ConditionalModel, grad: ConditionalModel):
 
 class Workspace:
     """The arrays of the passes of model over (x, y), bound once (see the
-    module docstring); an objective's gradient overwrites grad's blocks.
+    module docstring). With grad=True, grad is a ConditionalModel over a
+    fresh matrix of the model's shape, whose blocks an objective
+    overwrites; otherwise grad is None and the workspace is forward-only.
 
     x and y are copied as float arrays of the model's stack axes and one row
-    axis; a grad given must have the model's parameter shape and hidden
-    width. x and x_sq are the hidden layer's (..., n, 1) input and its
+    axis. x and x_sq are the hidden layer's (..., n, 1) input and its
     square, designs its [x, 1] and [x^2, 1].
     """
 
-    def __init__(self, model: ConditionalModel, x, y, grad: ConditionalModel | None = None):
-        if grad is not None and (grad.params.shape != model.params.shape
-                                 or grad.hidden_width != model.hidden_width):
-            raise ArgumentError(
-                f"grad must have the model's params shape {model.params.shape} and hidden "
-                f"width {model.hidden_width}, got shape {grad.params.shape} and width "
-                f"{grad.hidden_width}")
+    def __init__(self, model: ConditionalModel, x, y, *, grad: bool = False):
         x = np.array(x, dtype=float)
         lead = model.params.shape[:-1]
         if x.ndim != len(lead) + 1 or x.shape[:-1] != lead:
@@ -349,7 +346,7 @@ class Workspace:
         self.y = np.array(y, dtype=float)
         if self.y.shape != x.shape:
             raise ArgumentError(f"y must have x's shape {x.shape}, got shape {self.y.shape}")
-        self.model, self.grad = model, grad
+        self.model = model
         rows, width = lead + (x.shape[-1],), model.hidden_width
         self.x = x[..., None]
         self.x_sq = self.x * self.x
@@ -362,10 +359,13 @@ class Workspace:
         self.wb = np.empty(lead + (2, width))
         self.a_sq = np.empty(rows + (width,))
         self.head = np.empty((4,) + rows)
-        self.finite = np.empty(rows + (width,), bool), np.empty(rows + (2,), bool)
-        if grad is not None:
+        if grad:
+            self.grad = ConditionalModel(np.empty_like(model.params), width)
             self.g_p2 = np.empty(rows + (2,))
             self.input_grad = np.empty((2,) + rows + (width,))
+        else:
+            self.grad = None
+            self.finite = np.empty(rows + (width,), bool), np.empty(rows + (2,), bool)
 
 
 def _draw_noise(eps, stream: RngStream):
@@ -465,16 +465,10 @@ def model_forward(model: ConditionalModel, x: np.ndarray) -> tuple[np.ndarray, n
     return p2[..., 0].copy(), np.exp(np.clip(p2[..., 1], -LOG_SCALE_LIMIT, LOG_SCALE_LIMIT))
 
 
-def gaussian_nll(y: np.ndarray, mu: np.ndarray, sigma: np.ndarray):
-    """Negative Gaussian log-likelihood in nats, summed over the last axis."""
-    y, mu, sigma = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (y, mu, sigma))
-    if not y.shape == mu.shape == sigma.shape:
-        raise ArgumentError(f"y, mu, sigma shapes differ: {y.shape}, {mu.shape}, {sigma.shape}")
-    # written so that a NaN sigma fails too
-    if not np.logical_and.reduce(sigma > 0, axis=None):
-        raise ArgumentError("sigma must be strictly positive")
-    r = y - mu
-    return np.add.reduce(_HALF_LOG_2PI + np.log(sigma) + r * r / (_TWO * sigma * sigma), axis=-1)
+def gaussian_nll(y: np.ndarray):
+    """Negative log-likelihood of the float array y under a standard normal,
+    in nats, summed over the last axis."""
+    return np.add.reduce(_HALF_LOG_2PI + y * y / _TWO, axis=-1)
 
 
 def _nll(y: np.ndarray, p2: np.ndarray, head: np.ndarray):

@@ -84,8 +84,7 @@ class PairReport:
 
 def marginal_gaussian_codelength(x: np.ndarray) -> float:
     """Nats to encode x under a fixed standard normal."""
-    x = np.asarray(x, dtype=float)
-    return float(bnn.gaussian_nll(x, np.zeros_like(x), np.ones_like(x)))
+    return float(bnn.gaussian_nll(np.asarray(x, dtype=float)))
 
 
 def _directions(x, y, min_rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -113,24 +112,23 @@ def train_conditional(x, y, cfg: TrainConfig, stream: RngStream) -> ConditionalM
     Every direction starts from the same initial weights, and each VI
     epoch's noise is drawn once from stream for all directions. The
     parameters are one (directions x P) matrix, which is the stacked model
-    (its blocks are views of it), and the gradient likewise; one
-    bnn.Workspace, bound once, holds the arrays of every pass. Each epoch
-    makes one objective call, which overwrites the gradient matrix, and one
-    Adam step on the matrices, which updates the parameters and the moment
-    matrices m and v in place. No operation mixes directions, so each gets
-    the bytes it would get trained alone (see bnn). Both phases run
-    full-batch under Adam with a cosine learning-rate schedule from LR_MAX
-    to LR_MIN; the second phase starts from zeroed Adam moments since it
-    minimizes a different objective. A NumericError names the direction's
-    index, the phase and the epoch, and a non-finite gradient's block and
-    offset too.
+    (its blocks are views of it). One bnn.Workspace, bound once with
+    grad=True, holds the arrays of every pass, the gradient matrix among
+    them. Each epoch makes one objective call, which overwrites the
+    gradient matrix, and one Adam step on the matrices, which updates the
+    parameters and the moment matrices m and v in place. No operation
+    mixes directions, so each gets the bytes it would get trained alone
+    (see bnn). Both phases run full-batch under Adam with a cosine
+    learning-rate schedule from LR_MAX to LR_MIN; the second phase starts
+    from zeroed Adam moments since it minimizes a different objective. A
+    NumericError names the direction's index, the phase and the epoch, and
+    a non-finite gradient's block and offset too.
     """
     x, y = _directions(x, y, 2)
     initial = ConditionalModel.initial(cfg.hidden_width, stream.child("init"))
     model = ConditionalModel(np.tile(initial.params, (len(x), 1)), cfg.hidden_width)
-    grad_model = ConditionalModel(np.empty_like(model.params), cfg.hidden_width)
-    params, grads = model.params, grad_model.params
-    ws = bnn.Workspace(model, x, y, grad_model)
+    ws = bnn.Workspace(model, x, y, grad=True)
+    params, grads = model.params, ws.grad.params
     vi_stream = stream.child("vi")
     phases = (
         ("MAP", cfg.map_epochs, lambda t: bnn.map_objective(ws)),
@@ -149,7 +147,7 @@ def train_conditional(x, y, cfg: TrainConfig, stream: RngStream) -> ConditionalM
                 adam_step(params, grads, m, v, t + 1, lr)
             except NumericError:
                 d = int(np.argmin(np.isfinite(grads).all(axis=-1)))
-                for name, block in grad_model.blocks:
+                for name, block in ws.grad.blocks:
                     bad = np.flatnonzero(~np.isfinite(block[d]))
                     if bad.size:
                         raise NumericError(

@@ -14,7 +14,7 @@ import os
 import numpy as np
 import pytest
 
-from comic.bnn import ConditionalModel, kl_model
+from comic.bnn import ConditionalModel, Workspace, elbo_objective, kl_model, map_objective
 from comic.codelength import TrainConfig, conditional_variational_codelength, score_pair
 from comic.data import (
     GeneratorSpec,
@@ -28,7 +28,7 @@ from comic.evaluation import auroc, result_to_csv, run_benchmark
 from comic.optim import adam_step
 from comic.rng import RngStream, draw_standard_normal
 from gradcheck import finite_diff_grad
-from tests.test_bnn import elbo_loss, layer_pass, map_loss
+from tests.test_bnn import layer_pass
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -100,15 +100,13 @@ def test_criterion_3_gradient_exactness():
         stream = RngStream(trial).child("fixed-noise")
         beta = rng.uniform(0.1, 1.0)
 
-        for objective in (
-            lambda m, g: elbo_loss(m, x, y, beta, stream, g),
-            lambda m, g: map_loss(m, x, y, g),
-        ):
-            analytic = np.empty_like(vec)
-            objective(model, ConditionalModel(analytic, width))
-            scratch = ConditionalModel(np.empty_like(vec), width)
-            fd = finite_diff_grad(lambda v: objective(ConditionalModel(v, width), scratch),
-                                  model.params.copy(), h=1e-5)
+        for objective in (lambda ws: elbo_objective(ws, beta, stream), map_objective):
+            ws = Workspace(model, x, y, grad=True)
+            objective(ws)
+            analytic = ws.grad.params
+            fd = finite_diff_grad(
+                lambda v: objective(Workspace(ConditionalModel(v, width), x, y, grad=True)),
+                model.params.copy(), h=1e-5)
             mask = np.abs(fd) > 1e-6
             if mask.any():
                 rel = np.abs(analytic - fd)[mask] / np.abs(fd)[mask]

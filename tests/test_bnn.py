@@ -62,8 +62,17 @@ def mean_layer(layer, h_in):
 def mean_nll(model, x, y):
     """The NLL of y given x, per model, on the pass through the posterior
     means, priced by the head training minimizes."""
-    grad = ConditionalModel(np.zeros(model.params.shape), model.hidden_width)
-    return _data_nll(Workspace(model, x, y, grad))
+    ws = Workspace(model, x, y, grad=True)
+    ws.grad.params.fill(0.0)
+    return _data_nll(ws)
+
+
+def reference_gaussian_nll(y, mu, sigma):
+    """Negative log-likelihood of y under N(mu, sigma^2) in nats, summed over
+    the last axis: the general form gaussian_nll takes at mu = 0, sigma = 1."""
+    y, mu, sigma = (np.asarray(v, dtype=float) for v in (y, mu, sigma))
+    r = y - mu
+    return np.add.reduce(HALF_LOG_2PI + np.log(sigma) + r * r / (2.0 * sigma * sigma), axis=-1)
 
 
 def packed(hidden, output):
@@ -88,21 +97,22 @@ def random_model(width, stream_seed, jitter_seed):
     return ConditionalModel(vec, width)
 
 
-def grad_buffer(model):
-    """A NaN-filled gradient matrix of the model's parameter shape and the
-    model of its views an objective writes into."""
-    vec = np.full(model.params.shape, np.nan)
-    return vec, ConditionalModel(vec, model.hidden_width)
+def training_workspace(model, x, y):
+    """A workspace of (model, x, y) bound with a gradient, its gradient
+    matrix NaN-filled, so an entry an objective leaves unwritten shows."""
+    ws = Workspace(model, x, y, grad=True)
+    ws.grad.params.fill(np.nan)
+    return ws
 
 
-def map_loss(model, x, y, grad):
-    """map_objective on a workspace bound to (model, x, y, grad)."""
-    return map_objective(Workspace(model, x, y, grad))
+def map_loss(model, x, y):
+    """map_objective on a training workspace of (model, x, y)."""
+    return map_objective(training_workspace(model, x, y))
 
 
-def elbo_loss(model, x, y, beta, stream, grad):
-    """elbo_objective on a workspace bound to (model, x, y, grad)."""
-    return elbo_objective(Workspace(model, x, y, grad), beta, stream)
+def elbo_loss(model, x, y, beta, stream):
+    """elbo_objective on a training workspace of (model, x, y)."""
+    return elbo_objective(training_workspace(model, x, y), beta, stream)
 
 
 # ---------------------------------------------------------------- layers
@@ -167,7 +177,7 @@ def test_prior_collapse_forward_is_standard_normal_params():
     x = np.linspace(-3, 3, 7)
     # every row is priced under N(0, 1), whatever y is
     for y in (np.zeros(7), np.linspace(-2.0, 4.0, 7), x):
-        assert mean_nll(model, x, y) == gaussian_nll(y, np.zeros(7), np.ones(7))
+        assert mean_nll(model, x, y) == gaussian_nll(y)
 
 
 def test_sigma_clamped_for_adversarial_inputs():
@@ -194,7 +204,7 @@ def test_tiny_network_closed_form():
     x, mu = np.array([0.5]), math.tanh(0.5)
     for y in (0.0, mu, 2.0):
         assert mean_nll(model, x, np.array([y])) == approx(
-            gaussian_nll([y], [mu], [math.exp(mu)]), abs=1e-12)
+            reference_gaussian_nll([y], [mu], [math.exp(mu)]), abs=1e-12)
     assert mean_nll(model, x, np.array([mu])) == approx(1.381056, abs=1e-6)
 
 
@@ -216,7 +226,7 @@ def test_model_forward_results_survive_later_calls():
     # it as it was
     model = stack(random_model(5, 3, 4), random_model(5, 4, 5))
     x = np.stack([np.linspace(-2.0, 2.0, 9), np.linspace(-1.0, 3.0, 9)])
-    ws = Workspace(model, x, np.sin(x), grad_buffer(model)[1])
+    ws = Workspace(model, x, np.sin(x), grad=True)
     passes = [model.sampler(x, np.sin(x)), lambda stream: map_objective(ws),
               lambda stream: elbo_objective(ws, 1.0, stream)]
     losses = [run(RngStream(6)) for run in passes]
@@ -237,7 +247,7 @@ def test_a_pass_allocates_no_data_sized_array(kind, n):
     model = stack(random_model(50, 1, 2), random_model(50, 3, 4))
     x = np.stack([np.linspace(-2.0, 2.0, n), np.linspace(-1.0, 3.0, n)])
     y = np.sin(x)
-    ws = Workspace(model, x, y, ConditionalModel(np.empty_like(model.params), model.hidden_width))
+    ws = Workspace(model, x, y, grad=True)
     run = model.sampler(x, y) if kind == "sample" else {
         "elbo": lambda stream: elbo_objective(ws, 0.5, stream),
         "map": lambda stream: map_objective(ws),
@@ -299,31 +309,36 @@ def test_objectives_refuse_a_workspace_bound_without_a_gradient(objective):
     assert not hasattr(ws, "g_p2") and not hasattr(ws, "input_grad")
 
 
+def test_a_training_workspace_builds_its_own_gradient():
+    # the gradient is the workspace's, of the model's shape; the finite
+    # masks, which only the sampler writes, are a forward-only workspace's
+    model = stack(random_model(4, 1, 2), random_model(4, 3, 4))
+    x = np.stack([np.linspace(-2.0, 2.0, 9), np.linspace(-1.0, 3.0, 9)])
+    ws, other = (Workspace(model, x, np.sin(x), grad=True) for _ in range(2))
+    assert ws.grad.params.shape == model.params.shape
+    assert ws.grad.hidden_width == model.hidden_width
+    assert not np.shares_memory(ws.grad.params, model.params)
+    assert not np.shares_memory(ws.grad.params, other.grad.params)
+    assert not hasattr(ws, "finite")
+    forward = Workspace(model, x, np.sin(x))
+    assert forward.grad is None
+    assert not hasattr(forward, "g_p2") and not hasattr(forward, "input_grad")
+    # a gradient handed in by position is refused, not silently ignored
+    with pytest.raises(TypeError):
+        Workspace(model, x, np.sin(x), other.grad)
+
+
 # ---------------------------------------------------------------- losses
 
 
 def test_gaussian_nll_worked_values():
-    assert gaussian_nll([0.0], [0.0], [1.0]) == approx(0.918939, abs=1e-6)
-    assert gaussian_nll([2.0], [0.0], [1.0]) == approx(2.918939, abs=1e-6)
-    assert gaussian_nll([0.0], [0.0], [2.0]) == approx(1.612086, abs=1e-6)
-
-
-def test_gaussian_nll_rejects_mismatched_shapes():
-    # a length-1 y used to broadcast against 20 predictions and return 19.28 nats
-    with pytest.raises(ArgumentError, match="shape"):
-        gaussian_nll([0.3], np.zeros(20), np.ones(20))
-    with pytest.raises(ArgumentError, match="shape"):
-        gaussian_nll(np.zeros(20), np.zeros(20), np.ones(7))
-
-
-def test_gaussian_nll_rejects_nonpositive_sigma():
-    with pytest.raises(ArgumentError):
-        gaussian_nll([0.0], [0.0], [0.0])
-
-
-def test_gaussian_nll_rejects_nan_sigma():
-    with pytest.raises(ArgumentError, match="sigma must be strictly positive"):
-        gaussian_nll([0.0, 1.0], [0.0, 0.0], [1.0, np.nan])
+    assert gaussian_nll(np.array([0.0])) == approx(0.918939, abs=1e-6)
+    assert gaussian_nll(np.array([2.0])) == approx(2.918939, abs=1e-6)
+    assert reference_gaussian_nll([0.0], [0.0], [2.0]) == approx(1.612086, abs=1e-6)
+    # the standard-normal form keeps the general form's bytes at mu = 0, sigma = 1
+    y = np.array([[-0.0, 0.0, 1e-300, -3.7, 2.5e150], [1.0, -2.0, 0.5, 7.25, -1e-5]])
+    general = reference_gaussian_nll(y, np.zeros_like(y), np.ones_like(y))
+    assert gaussian_nll(y).tobytes() == general.tobytes()
 
 
 def test_kl_zero_when_posterior_equals_prior():
@@ -370,7 +385,7 @@ def test_elbo_beta_zero_is_sampled_nll():
     x = np.linspace(-1, 1, 8)
     y = np.sin(x)
     stream = RngStream(9).child("noise")
-    loss = elbo_loss(model, x, y, 0.0, stream, grad_buffer(model)[1])
+    loss = elbo_loss(model, x, y, 0.0, stream)
     assert loss.tobytes() == model.sampler(x, y)(stream).tobytes()
 
 
@@ -383,7 +398,7 @@ def test_elbo_zero_kl_case():
     y = np.zeros(4)
     stream = RngStream(2).child("draw")
     assert kl_model(model) == approx(0.0, abs=1e-14)
-    loss = elbo_loss(model, x, y, 1.0, stream, grad_buffer(model)[1])
+    loss = elbo_loss(model, x, y, 1.0, stream)
     assert loss.tobytes() == model.sampler(x, y)(stream).tobytes()
 
 
@@ -392,11 +407,11 @@ def test_elbo_deterministic_given_stream():
     x = np.linspace(-2, 2, 10)
     y = np.cos(x)
     stream = RngStream(77).child("epoch-3")
-    (g1, grad1), (g2, grad2) = grad_buffer(model), grad_buffer(model)
-    l1 = elbo_loss(model, x, y, 0.5, stream, grad1)
-    l2 = elbo_loss(model, x, y, 0.5, stream, grad2)
+    ws1, ws2 = training_workspace(model, x, y), training_workspace(model, x, y)
+    l1 = elbo_objective(ws1, 0.5, stream)
+    l2 = elbo_objective(ws2, 0.5, stream)
     assert l1 == l2
-    assert np.array_equal(g1, g2)
+    assert np.array_equal(ws1.grad.params, ws2.grad.params)
 
 
 def test_map_zero_mean_unit_prior_is_pure_nll():
@@ -406,8 +421,8 @@ def test_map_zero_mean_unit_prior_is_pure_nll():
     )
     x = np.array([0.5, -0.5, 1.0])
     y = np.array([0.2, 0.1, -0.3])
-    loss = map_loss(model, x, y, grad_buffer(model)[1])
-    assert loss == approx(gaussian_nll(y, np.zeros(3), np.ones(3)), rel=1e-12)
+    loss = map_loss(model, x, y)
+    assert loss == approx(gaussian_nll(y), rel=1e-12)
 
 
 def test_map_prior_penalty_single_weight():
@@ -422,24 +437,26 @@ def test_map_prior_penalty_single_weight():
     x = np.zeros(4)
     y = np.zeros(4)
     # x = 0 makes the data term identical, isolating the mu^2/(2 z^2) penalty
-    loss_base = map_loss(base, x, y, grad_buffer(base)[1])
-    loss_bumped = map_loss(bumped, x, y, grad_buffer(bumped)[1])
+    loss_base = map_loss(base, x, y)
+    loss_bumped = map_loss(bumped, x, y)
     assert loss_bumped - loss_base == approx(2.0, rel=1e-12)
 
 
 # ----------------------------------------------------- gradient exactness
 
 
-def relative_grad_errors(model, objective):
-    analytic, grad = grad_buffer(model)
-    objective(model, grad)
-    scratch = grad_buffer(model)[1]
-    fd = finite_diff_grad(lambda v: objective(ConditionalModel(v, model.hidden_width), scratch),
-                          model.params.copy(), h=1e-5)
+def relative_grad_errors(model, x, y, objective):
+    """The relative errors of the gradient objective writes over a training
+    workspace of (model, x, y), against central differences of its loss."""
+    ws = training_workspace(model, x, y)
+    objective(ws)
+    fd = finite_diff_grad(
+        lambda v: objective(training_workspace(ConditionalModel(v, model.hidden_width), x, y)),
+        model.params.copy(), h=1e-5)
     mask = np.abs(fd) > 1e-6
     if not mask.any():
         return np.zeros(1)
-    return np.abs(analytic - fd)[mask] / np.abs(fd)[mask]
+    return np.abs(ws.grad.params - fd)[mask] / np.abs(fd)[mask]
 
 
 @pytest.mark.parametrize("width,n", [(1, 2), (3, 8), (5, 8)])
@@ -450,8 +467,8 @@ def test_gradients_match_finite_differences(width, n):
     model = random_model(width, width + n, width * n)
     stream = RngStream(width * 7 + n).child("fixed-draw")
 
-    err_elbo = relative_grad_errors(model, lambda m, g: elbo_loss(m, x, y, 0.7, stream, g))
-    err_map = relative_grad_errors(model, lambda m, g: map_loss(m, x, y, g))
+    err_elbo = relative_grad_errors(model, x, y, lambda ws: elbo_objective(ws, 0.7, stream))
+    err_map = relative_grad_errors(model, x, y, map_objective)
     assert err_elbo.max() < 1e-4
     assert err_map.max() < 1e-4
 
@@ -532,36 +549,30 @@ def test_model_names_a_bad_hidden_width(entry, width, message):
 
 
 @pytest.mark.parametrize("objective", [map_loss, elbo_loss], ids=["map", "elbo"])
-@pytest.mark.parametrize("case", ["rows-on-single", "one-row-on-stack", "short-y",
-                                  "grad-rows-on-single"])
+@pytest.mark.parametrize("case", ["rows-on-single", "one-row-on-stack", "short-y"])
 def test_objectives_reject_mismatched_inputs(case, objective):
-    # the first three used to fail inside the pass with a bare numpy
-    # ValueError, after the prior terms had written part of the gradient; a
-    # gradient of two rows for one model used to be filled by broadcasting
+    # these used to fail inside the pass with a bare numpy ValueError, after
+    # the prior terms had written part of the gradient
     single = random_model(4, 2, 3)
     x = np.linspace(-1.0, 1.0, 6)
     model, x, y = {
         "rows-on-single": (single, np.stack([x, x]), np.stack([x, x])),
         "one-row-on-stack": (stack(single, single), x, x),
         "short-y": (single, x, x[:-1]),
-        "grad-rows-on-single": (single, x, x),
     }[case]
-    rows = (2,) if case == "grad-rows-on-single" else ()
-    vec = np.full(rows + model.params.shape, np.nan)
     args = (0.5, RngStream(0)) if objective is elbo_loss else ()
     with pytest.raises(ArgumentError, match="shape"):
-        objective(model, x, y, *args, ConditionalModel(vec, model.hidden_width))
-    assert np.isnan(vec).all()
+        objective(model, x, y, *args)
 
 
 @pytest.mark.parametrize("beta", [1.5, -0.1])
 def test_elbo_rejects_beta_outside_the_unit_interval(beta):
     model = random_model(4, 2, 3)
     x = np.linspace(-1.0, 1.0, 6)
-    vec, grad = grad_buffer(model)
+    ws = training_workspace(model, x, x)
     with pytest.raises(ArgumentError, match=r"beta must lie in \[0, 1\]"):
-        elbo_loss(model, x, x, beta, RngStream(0), grad)
-    assert np.isnan(vec).all()
+        elbo_objective(ws, beta, RngStream(0))
+    assert np.isnan(ws.grad.params).all()
 
 
 @pytest.mark.parametrize("beta", [True, "0.5", None], ids=["bool", "str", "none"])
@@ -569,16 +580,16 @@ def test_elbo_refuses_a_beta_that_is_not_a_real_number(beta):
     # True used to train as beta 1.0, and "0.5" or None raised a bare TypeError
     model = random_model(4, 2, 3)
     x = np.linspace(-1.0, 1.0, 6)
-    vec, grad = grad_buffer(model)
+    ws = training_workspace(model, x, x)
     with pytest.raises(ArgumentError, match=f"^beta must be a real number, got {beta!r}$"):
-        elbo_loss(model, x, x, beta, RngStream(0), grad)
-    assert np.isnan(vec).all()
+        elbo_objective(ws, beta, RngStream(0))
+    assert np.isnan(ws.grad.params).all()
 
 
 def test_elbo_takes_a_numpy_or_int_beta_as_its_float():
     model = random_model(4, 2, 3)
     x = np.linspace(-1.0, 1.0, 6)
-    losses = [elbo_loss(model, x, np.sin(x), beta, RngStream(0), grad_buffer(model)[1]).hex()
+    losses = [elbo_loss(model, x, np.sin(x), beta, RngStream(0)).hex()
               for beta in (1.0, 1, np.float64(1.0))]
     assert losses == losses[:1] * 3
 
@@ -698,8 +709,8 @@ def oracle_elbo_objective(model, x, y, beta, stream):
 
 def oracle_sample_nll(model, x, y, stream):
     """The sampled NLL on stream's noise; the gradient goes to a scratch model."""
-    return oracle_data_nll(model, x, y, grad_buffer(model)[1],
-                           *oracle_noise(model, np.shape(x)[0], stream))
+    scratch = ConditionalModel(np.zeros_like(model.params), model.hidden_width)
+    return oracle_data_nll(model, x, y, scratch, *oracle_noise(model, np.shape(x)[0], stream))
 
 
 def with_signed_zeros(rng, values, share):
@@ -741,10 +752,10 @@ def objective_bytes(loss, grad):
     return loss.hex(), grad.params.tobytes()
 
 
-def package_objective_bytes(objective, model, *args):
-    """Loss and gradient bytes of a package objective writing into a fresh NaN-filled vector."""
-    vec, grad = grad_buffer(model)
-    return objective(model, *args, grad).hex(), vec.tobytes()
+def package_objective_bytes(objective, model, x, y, *args):
+    """Loss and gradient bytes of a package objective over a fresh training workspace."""
+    ws = training_workspace(model, x, y)
+    return objective(ws, *args).hex(), ws.grad.params.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -758,9 +769,9 @@ def package_objective_bytes(objective, model, *args):
 def test_hot_loop_matches_oracle_bytes(width, n, seed, zero_share, beta):
     model, x, y = edge_problem(width, n, seed, zero_share)
     stream = RngStream(seed).child("oracle")
-    assert (package_objective_bytes(map_loss, model, x, y)
+    assert (package_objective_bytes(map_objective, model, x, y)
             == objective_bytes(*oracle_map_objective(model, x, y)))
-    assert (package_objective_bytes(elbo_loss, model, x, y, beta, stream)
+    assert (package_objective_bytes(elbo_objective, model, x, y, beta, stream)
             == objective_bytes(*oracle_elbo_objective(model, x, y, beta, stream)))
     assert model.sampler(x, y)(stream).hex() == oracle_sample_nll(model, x, y, stream).hex()
 
@@ -782,21 +793,21 @@ def test_stacked_pair_matches_oracle_bytes_per_slice(width, n, seeds, zero_share
     y = np.stack([problem[2] for problem in problems])
     stream = RngStream(seeds[0]).child("oracle")
     for objective, args, oracle, oracle_args in (
-        (map_loss, (x, y), oracle_map_objective, ()),
-        (elbo_loss, (x, y, beta, stream), oracle_elbo_objective, (beta, stream)),
+        (map_objective, (), oracle_map_objective, ()),
+        (elbo_objective, (beta, stream), oracle_elbo_objective, (beta, stream)),
     ):
-        vec = np.full(model.params.shape, np.nan)
-        loss = objective(model, *args, ConditionalModel(vec, width))
+        ws = training_workspace(model, x, y)
+        loss = objective(ws, *args)
         assert loss.shape == (2,)
         for d, (m, xd, yd) in enumerate(problems):
-            assert (loss[d].hex(), vec[d].tobytes()) == objective_bytes(
+            assert (loss[d].hex(), ws.grad.params[d].tobytes()) == objective_bytes(
                 *oracle(m, xd, yd, *oracle_args))
     # a sampler serves several samples: the second must not see the first,
     # nor an objective in between over another workspace at another n
     sample = model.sampler(x, y)
     sample(stream.child("other"))
     other, x_other, y_other = edge_problem(width, n + 1, seeds[1], zero_share)
-    elbo_loss(other, x_other, y_other, beta, stream, grad_buffer(other)[1])
+    elbo_loss(other, x_other, y_other, beta, stream)
     for loss in (model.sampler(x, y)(stream), sample(stream)):
         assert loss.shape == (2,)
         for d, (m, xd, yd) in enumerate(problems):
@@ -816,15 +827,14 @@ def test_objectives_overwrite_every_gradient_entry(width, n, seed, beta):
     # phase's zero log-variance blocks too
     model, x, y = edge_problem(width, n, seed, 0.3)
     stream = RngStream(seed).child("oracle")
-    vec, grad = grad_buffer(model)
-    ws = Workspace(model, x, y, grad)
+    ws = training_workspace(model, x, y)
     for objective, args, oracle, oracle_args in (
         (map_objective, (), oracle_map_objective, ()),
         (elbo_objective, (beta, stream), oracle_elbo_objective, (beta, stream)),
         (map_objective, (), oracle_map_objective, ()),
     ):
         loss = objective(ws, *args)
-        assert (loss.hex(), vec.tobytes()) == objective_bytes(
+        assert (loss.hex(), ws.grad.params.tobytes()) == objective_bytes(
             *oracle(model, x, y, *oracle_args))
 
 

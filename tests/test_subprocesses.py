@@ -183,11 +183,11 @@ from comic.rng import RngStream
 rng = np.random.default_rng(38)
 
 def passes(model, x, y, stream):
-    vec = np.full(model.params.shape, np.nan)
-    ws = bnn.Workspace(model, x, y, ConditionalModel(vec, model.hidden_width))
+    ws = bnn.Workspace(model, x, y, grad=True)
+    ws.grad.params.fill(np.nan)
     return {
-        "map": (bnn.map_objective(ws), vec.copy()),
-        "elbo": (bnn.elbo_objective(ws, 0.4, stream), vec.copy()),
+        "map": (bnn.map_objective(ws), ws.grad.params.copy()),
+        "elbo": (bnn.elbo_objective(ws, 0.4, stream), ws.grad.params.copy()),
         "sampler": (model.sampler(x, y)(stream),),
     }
 
