@@ -20,7 +20,7 @@ from . import data as data_mod
 from .codelength import TrainConfig, score_pair
 from .data import (GeneratorSpec, decode_utf8, generate_dataset, load_pair_file, load_tuebingen,
                    write_dataset)
-from .errors import ArgumentError, FetchError, NumericError, ParseError
+from .errors import ArgumentError, FetchError, NumericError, ParseError, check_count
 from .evaluation import machine_info, run_benchmark, write_result
 
 # every setting's default; a key's type is its default's type
@@ -121,6 +121,8 @@ def cmd_score(args) -> int:
 def cmd_benchmark(args) -> int:
     settings = _effective_settings(args)
     cfg = _train_config(settings)
+    # run_benchmark checks it too, but only after the pairs are read and --out is made
+    parallelism = check_count("parallelism", settings["parallelism"], 1)
     directory = Path(args.data_dir)
     if not directory.is_dir():
         raise ArgumentError(f"{directory} is not a directory")
@@ -130,7 +132,7 @@ def cmd_benchmark(args) -> int:
     # made before scoring, so a bad --out fails before a long run, not after it
     out_dir = Path(args.out or "benchmark-out")
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = run_benchmark(pairs, cfg, parallelism=settings["parallelism"])
+    result = run_benchmark(pairs, cfg, parallelism=parallelism)
     sys.stdout.write(write_result(result, out_dir)[settings["format"]])
     if result.n_failed == len(result.rows):
         return 1

@@ -27,6 +27,7 @@ generated value does.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import tempfile
@@ -42,6 +43,7 @@ from .rng import RngStream, check_seed
 X_CAUSES_Y = "x_causes_y"
 Y_CAUSES_X = "y_causes_x"
 UNDECIDED = "undecided"
+DIRECTIONS = (X_CAUSES_Y, Y_CAUSES_X)
 
 FAMILIES = ("AN", "AN-s", "LS", "LS-s", "MN-U")
 
@@ -72,7 +74,7 @@ class PairDataset:
         self.weight = check_real("weight", self.weight)
         if not (math.isfinite(self.weight) and self.weight > 0):
             raise ArgumentError(f"weight must be positive and finite, got {self.weight}")
-        if self.label not in (None, X_CAUSES_Y, Y_CAUSES_X):
+        if self.label not in (None, *DIRECTIONS):
             raise ArgumentError(f"unknown label {self.label!r}")
 
 
@@ -253,8 +255,6 @@ def _parse_matrix(content: bytes, name: str, skip_header: bool = False) -> np.nd
     non-numeric token, then a non-finite value, then a width unlike the
     first row's; the first bad line wins, then a file short of 2 rows.
     """
-    import itertools
-
     header = 1 if skip_header else 0
     lines = list(map(str.split, decode_utf8(content, name).splitlines()[header:]))
     rows = list(filter(None, lines))

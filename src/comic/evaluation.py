@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ctypes
 import io
 import json
 import time
@@ -12,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .codelength import TrainConfig, score_pair
-from .data import PairDataset, UNDECIDED, X_CAUSES_Y, Y_CAUSES_X
+from .data import DIRECTIONS, PairDataset, UNDECIDED, X_CAUSES_Y
 from .errors import ArgumentError, check_count
 
 
@@ -25,21 +26,11 @@ def _check_weights(weights: np.ndarray) -> None:
         raise ArgumentError("weights must be finite and non-negative with a positive total")
 
 
-def _direction_masks(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where labels read X_CAUSES_Y and where Y_CAUSES_X; ArgumentError naming
-    the first label that is neither."""
-    forward, backward = labels == X_CAUSES_Y, labels == Y_CAUSES_X
-    stray = labels[~(forward | backward)].tolist()
+def _refuse_unknown(values: np.ndarray, what: str, known: tuple[str, ...]) -> None:
+    """ArgumentError naming the first of values that is not in known."""
+    stray = values[~np.isin(values, known)].tolist()
     if stray:
-        raise ArgumentError(f"unknown label {stray[0]!r}")
-    return forward, backward
-
-
-def _check_decisions(decisions: np.ndarray) -> None:
-    """ArgumentError naming the first decision that is neither direction nor UNDECIDED."""
-    stray = decisions[~np.isin(decisions, [X_CAUSES_Y, Y_CAUSES_X, UNDECIDED])].tolist()
-    if stray:
-        raise ArgumentError(f"unknown decision {stray[0]!r}")
+        raise ArgumentError(f"unknown {what} {stray[0]!r}")
 
 
 def auroc(
@@ -86,8 +77,10 @@ def bi_auroc(
     AUROC.
     """
     final_deltas = np.asarray(final_deltas, dtype=float)
-    forward, backward = _direction_masks(np.asarray(labels))
-    if not (forward.any() and backward.any()):
+    labels = np.asarray(labels)
+    _refuse_unknown(labels, "label", DIRECTIONS)
+    forward = labels == X_CAUSES_Y
+    if forward.all() or not forward.any():
         raise ArgumentError("bi_auroc needs both ground-truth directions present")
     return auroc(final_deltas, forward, weights)
 
@@ -105,8 +98,8 @@ def weighted_accuracy(
     if not decisions.shape == labels.shape == weights.shape:
         raise ArgumentError("decisions, labels and weights must have equal length")
     _check_weights(weights)
-    _direction_masks(labels)
-    _check_decisions(decisions)
+    _refuse_unknown(labels, "label", DIRECTIONS)
+    _refuse_unknown(decisions, "decision", DIRECTIONS + (UNDECIDED,))
     correct = decisions == labels
     return float(np.sum(weights * correct) / np.sum(weights))
 
@@ -152,8 +145,8 @@ def decision_rate_curve(
     if np.isnan(deltas).any():
         raise ArgumentError("deltas must not be NaN")
     _check_weights(weights)
-    _direction_masks(labels)
-    _check_decisions(decisions)
+    _refuse_unknown(labels, "label", DIRECTIONS)
+    _refuse_unknown(decisions, "decision", DIRECTIONS + (UNDECIDED,))
     order = np.array(sorted(range(len(ids)), key=lambda i: (-abs(deltas[i]), ids[i])))
     w = weights[order]
     covered = np.cumsum(w)
@@ -195,8 +188,6 @@ def machine_info() -> dict:
     """The numpy version, its active CPU dispatch targets and the OpenBLAS
     core of this process: scores are bit-exact per machine type, and these
     name it. The core is None when numpy's BLAS does not report one."""
-    import ctypes  # imported here, so that importing the package does no more work
-
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:  # numpy < 2
@@ -292,7 +283,7 @@ def run_benchmark(
     deltas = np.array([r.final_delta for r in ok])
     acc = weighted_accuracy(decisions, labels)
     wacc = weighted_accuracy(decisions, labels, weights)
-    bi = bi_auroc(deltas, labels, weights) if {X_CAUSES_Y, Y_CAUSES_X} <= set(labels) else None
+    bi = bi_auroc(deltas, labels, weights) if set(DIRECTIONS) <= set(labels) else None
     curve = decision_rate_curve(deltas, decisions, labels, weights, [r.id for r in ok])
     return BenchmarkResult(rows, acc, wacc, bi, n_failed, metadata, curve)
 

@@ -468,6 +468,26 @@ def test_benchmark_rejects_an_out_file_before_scoring(tmp_path, capsys, monkeypa
     assert taken.read_text() == "not a directory\n"
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_benchmark_rejects_parallelism_0_before_loading(tmp_path, capsys, monkeypatch, source):
+    data_dir = tmp_path / "an"
+    run_cli(capsys, ["generate", "AN", "2", "10", "--out", str(data_dir)])
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("parallelism=0\n")
+    setting = {"flag": ["--parallelism", "0"], "config": ["--config", str(cfg)]}[source]
+
+    def must_not_load(*args, **kwargs):
+        raise AssertionError("loaded the pairs before --parallelism was checked")
+
+    monkeypatch.setattr(cli, "load_tuebingen", must_not_load)
+    out_dir = tmp_path / "outdir"
+    code, out = run_cli(capsys, ["benchmark", str(data_dir), *setting, "--out", str(out_dir)])
+    assert code == 1
+    assert json.loads(out)["error"] == {"type": "ArgumentError",
+                                        "message": "parallelism must be >= 1"}
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("out,error", [("no-such-dir/x.json", "FileNotFoundError"),
                                        (".", "IsADirectoryError")])
 def test_score_rejects_a_bad_out_before_training(smoke_pair_file, tmp_path, capsys,
