@@ -17,9 +17,13 @@ per-pair ratio change/base, how many pairs the change scored faster, the
 median and quartiles of the A/A per-pair ratio base_again/base
 ("aa_ratio", the noise band), a "verdict" ("faster" or "slower" only when
 ratio_median lies below or above the band, "unchanged" otherwise), and
-whether every repr(final_delta) matched across the three sides. Exits with
-status 1 when any did not, so a change meant to keep the scores can be
-checked by the exit code alone. With --out PATH the lines are also
+whether every repr(final_delta) matched across the three sides. For a
+change that moves the scores on purpose, each line also says what moved:
+"decisions_agree", how many of its pairs the change decided as the base
+did, and "delta_move", the median and maximum over its pairs of
+|delta_change - delta_base| / |delta_base|. Exits with status 1 when any
+score did not match, so a change meant to keep the scores can be checked
+by the exit code alone. With --out PATH the lines are also
 written to PATH as {"runs": [...], "context": {...}}; the context holds
 the CPU count, the CPUs this process may run on, the BLAS and OpenMP
 thread variables as found (None when unset), the list of --n,
@@ -38,6 +42,7 @@ import argparse
 import dataclasses
 import importlib
 import json
+import math
 import os
 import shutil
 import statistics
@@ -79,6 +84,20 @@ def verdict(ratio_median, band):
     return "unchanged"
 
 
+def sign(value: float) -> int:
+    """1, -1 or 0 as value is positive, negative or zero: the decision it gives."""
+    return (value > 0) - (value < 0)
+
+
+def delta_moves(base: list[float], change: list[float]) -> dict:
+    """How the change moved the scores of the same pairs: the decisions it
+    kept and the median and maximum relative move of delta."""
+    moves = [abs(c - b) / abs(b) if b else (0.0 if c == b else math.inf)
+             for b, c in zip(base, change)]
+    return {"decisions_agree": sum(sign(b) == sign(c) for b, c in zip(base, change)),
+            "delta_move": {"median": statistics.median(moves), "max": max(moves)}}
+
+
 def timed(pairs, sides, configs):
     """Per side, the seconds and repr(final_delta) of each pair, rotating
     which side goes first from pair to pair."""
@@ -116,6 +135,7 @@ def ab_run(sides, configs, pairs_per_family, seed, n):
         "aa_ratio": aa_ratio,
         "verdict": verdict(statistics.median(ratios), aa_ratio),
         "scores_match": deltas["base"] == deltas["change"] == deltas["base_again"],
+        **delta_moves(*(list(map(float, deltas[name])) for name in ("base", "change"))),
     }
 
 

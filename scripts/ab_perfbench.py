@@ -2,10 +2,15 @@
 
 Each side runs its own tree's `perfbench/run.py --workload W --seed S
 --seconds T --trace 0` in a fresh interpreter, from that tree's root and
-without PYTHONPATH, so each imports its own `comic`. The two sides run in
---pairs pairs, alternating which side goes first from pair to pair, so drift
-in machine speed falls on both sides alike. A run that fails its gate stops
-the script with status 2.
+without PYTHONPATH, so each imports its own `comic`. Each side keeps its
+bytecode under its own PYTHONPYCACHEPREFIX, a directory that starts empty:
+both sides compile from their own source on their first run and read their
+own cache after, whatever __pycache__ a tree holds. (A tree's stale
+__pycache__ under PYTHONDONTWRITEBYTECODE was recompiled on every import,
+which read as a slower setup_s for code that setup_s never runs.) The two
+sides run in --pairs pairs, alternating which side goes first from pair to
+pair, so drift in machine speed falls on both sides alike. A run that fails
+its gate stops the script with status 2.
 
 Prints one JSON object: per end-to-end metric of the change tree's
 BENCHMARK.json, each side's median and quartiles, how many pairs the change
@@ -28,18 +33,22 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 from ab_pairs import quartiles
 
 
-def run_side(tree: Path, args) -> dict:
-    """Metrics, hashes and context of one perfbench run in tree."""
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+def run_side(tree: Path, pycache: Path, args) -> dict:
+    """Metrics, hashes and context of one perfbench run in tree, its
+    bytecode kept under pycache."""
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("PYTHONPATH", "PYTHONDONTWRITEBYTECODE")}
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed",
          str(args.seed), "--seconds", str(args.seconds), "--trace", "0"],
-        cwd=tree, env={**env, "PYTHONDONTWRITEBYTECODE": "1"}, capture_output=True, text=True)
+        cwd=tree, env={**env, "PYTHONPYCACHEPREFIX": str(pycache)}, capture_output=True,
+        text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         print(f"perfbench failed in {tree} (exit {proc.returncode}):\n"
@@ -93,11 +102,12 @@ def main():
     trees = {"base": args.base.resolve(), "change": args.change.resolve()}
     end_to_end = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
     runs = {"base": [], "change": []}
-    for i in range(args.pairs):
-        for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
-            runs[side].append(run_side(trees[side], args))
-            print(f"pair {i + 1}/{args.pairs} {side}: "
-                  f"{json.dumps(runs[side][-1]['metrics'])}", file=sys.stderr, flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for i in range(args.pairs):
+            for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
+                runs[side].append(run_side(trees[side], Path(tmp) / side, args))
+                print(f"pair {i + 1}/{args.pairs} {side}: "
+                      f"{json.dumps(runs[side][-1]['metrics'])}", file=sys.stderr, flush=True)
     hashes = {key: sorted({run[key] for side in runs for run in runs[side]})
               for key in ("scores_sha256", "inputs_sha256")}
     summary = {

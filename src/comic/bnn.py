@@ -40,13 +40,16 @@ Every pass, training or evaluation, goes through one forward/backward pair
 per layer: with a noise matrix it is the sampled (local reparameterization)
 pass; without one it is the deterministic pass through the posterior means,
 which does no variance work and leaves the variance gradients untouched.
-A sampled pass takes a stream and draws its own noise from it: an n x H
-matrix of standard normals from the stream's "hidden" child and an n x 2
-one from its "output" child. ConditionalModel.sampler serves Monte Carlo
-evaluation: the hidden layer's pre-activation mean and std do not depend
-on the noise, so it computes them once, and each sample only adds
-std * eps to the hidden mean. A sample prices y with _nll, the head
-training minimizes: elbo_objective's bytes at beta 0.
+A sampled pass takes a stream and a sign, 1 or -1, and runs on sign times
+the stream's noise: an n x H matrix of standard normals from the stream's
+"hidden" child and an n x 2 one from its "output" child. Two passes on one
+stream with both signs are an antithetic pair (Hammersley & Morton, 1956):
+training runs its VI epochs, and evaluation its samples, in such pairs, so
+each pair draws its noise once (see _draw_noise). ConditionalModel.sampler
+serves Monte Carlo evaluation: the hidden layer's pre-activation mean and
+std do not depend on the noise, so it computes them once, and each sample
+only adds std * eps to the hidden mean. A sample prices y with _nll, the
+head training minimizes: elbo_objective's bytes at beta 0.
 
 The hidden layer's input has width 1, so its pre-activation mean x*w + b
 and variance x^2*v_w + v_b are each one BLAS product of the n x 2 design
@@ -62,6 +65,15 @@ for at least 2 rows and hidden width at least 2, as every scored pair has
 under some OpenBLAS kernels the design product and the (1 x n) @ (n x 1)
 gradient products gave them other bits, and einsum keeps g.sum(axis=-2)'s
 order only over 2 or more columns.
+
+The data-sized arrays take the data's dtype (data_dtype): float32 for
+float32 data, which score_pair hands over, and float64 otherwise, as the
+byte-level tests bind. The parameters, their gradient, the KL and each
+loss's row sum stay float64. A float32 pass stages the weights it
+multiplies in float32 (the hidden layer's [w; b], a cast of the output
+layer's H x 2 blocks) and takes its scalar operands in float32, so that no
+float64 operand makes numpy run a data-sized operation in float64. Its
+noise is drawn in float64, which draw_standard_normal fills, and cast.
 
 Every pass, a training epoch or a Monte Carlo sample, runs over a
 Workspace, allocates no data-sized array and returns one loss per model.
@@ -83,14 +95,18 @@ passed is overwritten in place (the backward pass turns the std into
 few arrays are live and stay in cache. Each value is computed by the same
 operations on the same operands as with fresh arrays, so the bytes are the
 same. A pass writes every array before it reads it, so no pass sees
-another's data, and each workspace owns its arrays, so passes over other
-workspaces, in other threads too, get the bytes they would get alone. No
-value returned to a caller aliases a workspace's array.
+another's data, save the noise: a workspace keeps its last draw and the
+stream it came from, and a pass on that stream reuses it, negated if its
+sign differs, which gives the bytes of a fresh draw. Each workspace owns
+its arrays, so passes over other workspaces, in other threads too, get the
+bytes they would get alone. No value returned to a caller aliases a
+workspace's array.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -109,11 +125,16 @@ INIT_LOGVAR = -9.0
 
 # The scalar operands of the per-epoch arithmetic, as 0-d arrays: numpy turns
 # a Python float operand into an array on every call, which costs about as
-# much as the operation itself on a parameter-sized block. They hold the
-# literals' doubles, so every result keeps its bytes.
-_HALF, _ONE, _TWO, _MINUS_TWO = (np.array(v) for v in (0.5, 1.0, 2.0, -2.0))
-_HALF_LOG_2PI = np.array(HALF_LOG_2PI)
-_LIMIT, _MINUS_LIMIT = np.array(LOG_SCALE_LIMIT), np.array(-LOG_SCALE_LIMIT)
+# much as the operation itself on a parameter-sized block. Each dtype of the
+# data arrays has its own set, since numpy 2 takes a 0-d float64 array as a
+# strong operand and would run a float32 operation in float64. The float64
+# set holds the literals' doubles, so every float64 result keeps its bytes.
+_Scalars = namedtuple("_Scalars", "half one minus_two half_log_2pi limit minus_limit")
+_SCALARS = {np.dtype(t): _Scalars(*(np.array(v, t) for v in (
+    0.5, 1.0, -2.0, HALF_LOG_2PI, LOG_SCALE_LIMIT, -LOG_SCALE_LIMIT)))
+    for t in (np.float32, np.float64)}
+_HALF, _ONE, _MINUS_TWO, _HALF_LOG_2PI = _SCALARS[np.dtype(np.float64)][:4]
+_TWO = np.array(2.0)
 
 
 @dataclass
@@ -200,13 +221,15 @@ class ConditionalModel:
         return model
 
     # conditional_variational_codelength prices a model through sampler(x, y),
-    # stream -> one sampled NLL per model, and kl(): the seam where a test
-    # substitutes a stand-in (criterion 8's ScaleToyModel, tests/test_acceptance.py);
-    # kl() calls kl_model, which perfbench's tracer wraps by its module name
-    def sampler(self, x: np.ndarray, y: np.ndarray) -> Callable[[RngStream], np.ndarray]:
-        """The function stream -> NLL of y given x per model, on the sampled
-        pass whose noise it draws from stream: the bytes of
-        elbo_objective(Workspace(self, x, y, grad=True), 0.0, stream).
+    # (stream, sign) -> one sampled NLL per model, and kl(): the seam where a
+    # test substitutes a stand-in (criterion 8's ScaleToyModel,
+    # tests/test_acceptance.py); kl() calls kl_model, which perfbench's tracer
+    # wraps by its module name
+    def sampler(self, x: np.ndarray, y: np.ndarray) -> Callable[..., np.ndarray]:
+        """The function (stream, sign=1) -> NLL of y given x per model, on the
+        sampled pass on the noise of (stream, sign) (see _draw_noise): the
+        bytes of elbo_objective(Workspace(self, x, y, grad=True), 0.0, stream,
+        sign).
 
         It binds one forward-only Workspace, without gradient arrays. The
         hidden layer's mean x*w + b and std sqrt(x^2 * v_w + v_b) do not
@@ -220,8 +243,8 @@ class ConditionalModel:
         np.sqrt(_affine(ws.designs[1], np.exp(hidden.logvar_w), np.exp(hidden.logvar_b), std,
                         ws.wb), out=std)
 
-        def sample(stream: RngStream):
-            eps_hidden, eps_output = _draw_noise(ws.eps, stream)
+        def sample(stream: RngStream, sign: int = 1):
+            eps_hidden, eps_output = _draw_noise(ws, stream, sign)
             np.add(mean, np.multiply(std, eps_hidden, out=p1), out=p1)
             _check_finite(p1, ws.finite[0], "hidden")
             a = np.tanh(p1, out=p1)
@@ -325,65 +348,100 @@ def _map_penalty(model: ConditionalModel, grad: ConditionalModel):
             reduce(pen_w[..., h:], -1) + _HALF * reduce(pen_b[..., h:], -1))
 
 
+def data_dtype(x) -> type:
+    """The dtype of the data-sized arrays of the passes over x: np.float32
+    for float32 data, np.float64 for anything else."""
+    return np.float32 if getattr(x, "dtype", None) == np.float32 else np.float64
+
+
 class Workspace:
     """The arrays of the passes of model over (x, y), bound once (see the
     module docstring). With grad=True, grad is a ConditionalModel over a
     fresh matrix of the model's shape, whose blocks an objective
     overwrites; otherwise grad is None and the workspace is forward-only.
 
-    x and y are copied as float arrays of the model's stack axes and one row
-    axis. x and x_sq are the hidden layer's (..., n, 1) input and its
-    square, designs its [x, 1] and [x^2, 1].
+    x and y are copied as arrays of data_dtype(x), of the model's stack axes
+    and one row axis; every data-sized array is of that dtype. x and x_sq
+    are the hidden layer's (..., n, 1) input and its square, designs its
+    [x, 1] and [x^2, 1]. eps is the noise pair; draws are the float64
+    matrices draw_standard_normal fills, eps itself for float64 data and
+    cast into eps for float32. noise_stream and noise_sign name the pair eps
+    holds (see _draw_noise).
     """
 
     def __init__(self, model: ConditionalModel, x, y, *, grad: bool = False):
-        x = np.array(x, dtype=float)
+        dtype = data_dtype(x)
+        x = np.array(x, dtype=dtype)
         lead = model.params.shape[:-1]
         if x.ndim != len(lead) + 1 or x.shape[:-1] != lead:
             raise ArgumentError(
                 f"x must have shape {lead} + (n,) for a model of stack shape {lead}, "
                 f"got shape {x.shape}")
-        self.y = np.array(y, dtype=float)
+        self.y = np.array(y, dtype=dtype)
         if self.y.shape != x.shape:
             raise ArgumentError(f"y must have x's shape {x.shape}, got shape {self.y.shape}")
         self.model = model
         rows, width = lead + (x.shape[-1],), model.hidden_width
         self.x = x[..., None]
         self.x_sq = self.x * self.x
-        self.designs = np.empty((2,) + rows + (2,))
+        self.designs = np.empty((2,) + rows + (2,), dtype)
         self.designs[..., :1] = self.x, self.x_sq
         self.designs[..., 1] = _ONE
-        self.eps = np.empty(rows[-1:] + (width,)), np.empty(rows[-1:] + (2,))
+        noise_shapes = rows[-1:] + (width,), rows[-1:] + (2,)
+        self.draws = tuple(np.empty(shape) for shape in noise_shapes)
+        self.eps = self.draws if dtype is np.float64 else tuple(
+            np.empty(shape, dtype) for shape in noise_shapes)
+        self.noise_stream, self.noise_sign = None, 1
         # each layer's pre-activation mean, std and sample
-        self.hidden_pre, self.output_pre = (np.empty((3,) + rows + (k,)) for k in (width, 2))
-        self.wb = np.empty(lead + (2, width))
-        self.a_sq = np.empty(rows + (width,))
-        self.head = np.empty((4,) + rows)
+        self.hidden_pre, self.output_pre = (np.empty((3,) + rows + (k,), dtype)
+                                            for k in (width, 2))
+        self.wb = np.empty(lead + (2, width), dtype)
+        self.a_sq = np.empty(rows + (width,), dtype)
+        self.head = np.empty((4,) + rows, dtype)
         if grad:
             self.grad = ConditionalModel(np.empty_like(model.params), width)
-            self.g_p2 = np.empty(rows + (2,))
-            self.input_grad = np.empty((2,) + rows + (width,))
+            self.g_p2 = np.empty(rows + (2,), dtype)
+            self.input_grad = np.empty((2,) + rows + (width,), dtype)
         else:
             self.grad = None
             self.finite = np.empty(rows + (width,), bool), np.empty(rows + (2,), bool)
 
 
-def _draw_noise(eps, stream: RngStream):
-    """The noise pair (eps_hidden, eps_output) of a sampled pass, filled from
-    the "hidden" and "output" children of stream."""
-    return tuple(draw_standard_normal(stream.child(name), out)
-                 for name, out in zip(("hidden", "output"), eps))
+def _draw_noise(ws: Workspace, stream: RngStream, sign: int):
+    """The noise pair (eps_hidden, eps_output) of a sampled pass on (stream,
+    sign), in ws.eps: sign times the standard normals of the "hidden" and
+    "output" children of stream, sign being 1 or -1 (an antithetic pair of
+    passes shares a stream and takes both signs).
+
+    The workspace remembers the stream its pair came from and the sign it
+    holds: a pass on that stream negates the pair in place when its sign
+    differs, and draws nothing. Negation is exact, so every pass gets the
+    bytes of a fresh draw.
+    """
+    if sign not in (1, -1):
+        raise ArgumentError(f"sign must be 1 or -1, got {sign!r}")
+    if stream != ws.noise_stream:
+        for name, draw, eps in zip(("hidden", "output"), ws.draws, ws.eps):
+            draw_standard_normal(stream.child(name), draw)
+            if eps is not draw:
+                np.copyto(eps, draw, casting="same_kind")
+        ws.noise_stream, ws.noise_sign = stream, 1
+    if sign != ws.noise_sign:
+        for eps in ws.eps:
+            np.negative(eps, out=eps)
+        ws.noise_sign = sign
+    return ws.eps
 
 
 def _affine(h_in: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray,
             wb: np.ndarray | None = None) -> np.ndarray:
-    """h_in @ w + b written into out. Given the (..., 2, B) array wb, h_in is
-    the design [h, 1] of a width-1 input h, and the map is one product with
-    [w; b], staged in wb, which has the bytes of the broadcast form (see the
-    module docstring)."""
+    """h_in @ w + b written into out, with w and b cast to out's dtype. Given
+    the (..., 2, B) array wb, h_in is the design [h, 1] of a width-1 input h,
+    and the map is one product with [w; b], staged in wb, which has the
+    bytes of the broadcast form (see the module docstring)."""
     if wb is None:
-        np.matmul(h_in, w, out=out)
-        out += b[..., None, :]
+        np.matmul(h_in, w.astype(out.dtype, copy=False), out=out)
+        out += b.astype(out.dtype, copy=False)[..., None, :]
         return out
     wb[..., :1, :] = w
     wb[..., 1, :] = b
@@ -429,21 +487,22 @@ def _layer_backward(h_in: np.ndarray, h_sq: np.ndarray, noise, g_out: np.ndarray
     in fewer, cheaper steps (an n = 500 pair's 2-column sums take about a
     quarter of the time, its 50-column ones about 60 %).
     """
+    dtype = g_out.dtype
     grad.mean_w += h_in.swapaxes(-1, -2) @ g_out
     grad.mean_b += np.einsum("...ij->...j", g_out)
     g_in = None
     if w is not None:
         g_in, g_v_w = out
-        np.matmul(g_out, w.swapaxes(-1, -2), out=g_in)
+        np.matmul(g_out, w.astype(dtype, copy=False).swapaxes(-1, -2), out=g_in)
     if noise is None:
         return g_in
     v_w, v_b, s_out, eps = noise
     g_v = np.multiply(g_out, eps, out=g_out)
-    g_v *= np.divide(_HALF, s_out, out=s_out)
+    g_v *= np.divide(_SCALARS[dtype].half, s_out, out=s_out)
     grad.logvar_w += (h_sq.swapaxes(-1, -2) @ g_v) * v_w
     grad.logvar_b += np.einsum("...ij->...j", g_v) * v_b
     if w is not None:
-        np.matmul(g_v, (_TWO * v_w).swapaxes(-1, -2), out=g_v_w)
+        np.matmul(g_v, (_TWO * v_w).astype(dtype, copy=False).swapaxes(-1, -2), out=g_v_w)
         g_v_w *= h_in
         g_in += g_v_w
     return g_in
@@ -475,22 +534,24 @@ def _nll(y: np.ndarray, p2: np.ndarray, head: np.ndarray):
     """Per model, the NLL of y under the Gaussian head on the output
     pre-activations p2, log-scale clamped, and the rows of the (4, ..., n)
     array head, which it writes, that _nll_head reads: inv_var, r = y - mu
-    and a free one. The loss term is ((0.5 * r) * r) * inv_var."""
+    and a free one. The loss term is ((0.5 * r) * r) * inv_var. The rows
+    are of the data's dtype; the loss sums them in float64."""
     mu = p2[..., 0]
     tc, inv_var, r, term = head
+    c = _SCALARS[head.dtype]
     # np.clip's ufuncs, without its Python-level wrapper
-    np.maximum(p2[..., 1], _MINUS_LIMIT, out=tc)
-    np.minimum(tc, _LIMIT, out=tc)
-    np.multiply(_MINUS_TWO, tc, out=inv_var)
+    np.maximum(p2[..., 1], c.minus_limit, out=tc)
+    np.minimum(tc, c.limit, out=tc)
+    np.multiply(c.minus_two, tc, out=inv_var)
     np.exp(inv_var, out=inv_var)
     np.subtract(y, mu, out=r)
-    np.multiply(_HALF, r, out=term)
+    np.multiply(c.half, r, out=term)
     term *= r
     term *= inv_var
     # tc's last use: the loss terms HALF_LOG_2PI + tc + term are written over it
-    np.add(_HALF_LOG_2PI, tc, out=tc)
+    np.add(c.half_log_2pi, tc, out=tc)
     tc += term
-    return np.add.reduce(tc, axis=-1), inv_var, r, term
+    return np.add.reduce(tc, axis=-1, dtype=np.float64), inv_var, r, term
 
 
 def _nll_head(y: np.ndarray, p2: np.ndarray, head: np.ndarray, g_p2: np.ndarray):
@@ -502,7 +563,7 @@ def _nll_head(y: np.ndarray, p2: np.ndarray, head: np.ndarray, g_p2: np.ndarray)
     g_mu *= inv_var
     g_log_scale = np.multiply(r, r, out=g_p2[..., 1])
     g_log_scale *= inv_var
-    np.subtract(_ONE, g_log_scale, out=g_log_scale)
+    np.subtract(_SCALARS[g_p2.dtype].one, g_log_scale, out=g_log_scale)
     # a clamped (or NaN) log-scale passes no gradient; NaN fails the max test too
     size = np.abs(t, out=term)
     if not np.maximum.reduce(size, axis=None) < LOG_SCALE_LIMIT:
@@ -525,25 +586,26 @@ def _data_nll(ws: Workspace, eps=None):
     # tanh' = 1 - a^2, written over a^2; the mean path forms a^2 over a, whose
     # last use has passed, as an in-place product costs less than one into a_sq
     a_sq = np.multiply(a, a, out=a) if a_sq is None else a_sq
-    g_a *= np.subtract(_ONE, a_sq, out=a_sq)
+    g_a *= np.subtract(_SCALARS[a_sq.dtype].one, a_sq, out=a_sq)
     _layer_backward(ws.x, ws.x_sq, noise1, g_a, grad.hidden)
     return loss
 
 
-def elbo_objective(ws: Workspace, beta: float, stream: RngStream):
+def elbo_objective(ws: Workspace, beta: float, stream: RngStream, sign: int = 1):
     """Sampled NLL plus beta-weighted KL, per model of the workspace; its
-    exact gradient under the noise drawn from stream overwrites ws.grad.
+    exact gradient under the noise of (stream, sign) (see _draw_noise)
+    overwrites ws.grad.
 
     The objective is a pure function of the model's parameters, the data,
-    beta and stream, so calls with the same stream evaluate the identical
-    stochastic objective.
+    beta, stream and sign, so calls with the same stream and sign evaluate
+    the identical stochastic objective, whatever the workspace drew before.
     """
     if ws.grad is None:
         raise ArgumentError("elbo_objective needs a workspace bound with a gradient")
     beta = check_real("beta", beta)
     if not 0.0 <= beta <= 1.0:
         raise ArgumentError(f"beta must lie in [0, 1], got {beta}")
-    eps = _draw_noise(ws.eps, stream)
+    eps = _draw_noise(ws, stream, sign)
     kl_hidden, kl_output = _kl(ws.model, beta, ws.grad)
     return _data_nll(ws, eps) + beta * (kl_hidden + kl_output)
 

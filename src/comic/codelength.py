@@ -14,18 +14,23 @@ Training and evaluation take the causes x and the effects y as float
 (directions x rows) matrices, with the stack axis bnn uses: x[d] and y[d]
 hold direction d's data rows, and one direction alone is a (1 x rows)
 matrix. score_pair stacks a pair once, each direction in its own row
-order, and hands the same two matrices to both. The directions are
-trained in one pass, one objective call and one Adam step per epoch, then
-evaluated in one pass per Monte Carlo sample. Both take all their
-randomness, initial weights and every noise draw, from one stream keyed by
-the sorted pair of fingerprints of the sorted standardized columns. Each
-epoch and each sample hands bnn one child of that stream, from which it
-draws the noise once for both directions (common random numbers; each
-direction's noise is still i.i.d. standard normal). The key does not
-depend on which argument slot a column occupies, and each direction's
-arithmetic depends only on its own data and the noise, with no reduction
-across directions, so score_pair on the swapped pair is the bit-exact
-mirror of the original computation.
+order, and hands the same two matrices, cast to float32, to both: bnn then
+runs every data-sized array in float32, while the parameters, their
+gradient, the KL and each loss's row sum stay float64 (see bnn). The
+marginals and the stream key are taken from the float64 columns. The
+directions are trained in one pass, one objective call and one Adam step
+per epoch, then evaluated in one pass per Monte Carlo sample. Both take all their randomness, initial weights
+and every noise draw, from one stream keyed by the sorted pair of
+fingerprints of the sorted standardized columns. VI epochs and samples
+run in antithetic pairs: passes 2k and 2k + 1 hand bnn the same child of
+that stream, with signs 1 and -1, so the second runs on the negated noise
+of the first, which the workspace keeps; an odd count ends on one plain
+draw. Each draw serves both directions (common random numbers; each
+direction's noise is still standard normal). The key does not depend on
+which argument slot a column occupies, and each direction's arithmetic
+depends only on its own data and the noise, with no reduction across
+directions, so score_pair on the swapped pair is the bit-exact mirror of
+the original computation.
 """
 
 from __future__ import annotations
@@ -88,10 +93,12 @@ def marginal_gaussian_codelength(x: np.ndarray) -> float:
 
 
 def _directions(x, y, min_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """x and y as float arrays; ArgumentError unless they are finite (directions
-    x rows) matrices of one shape with at least one direction and min_rows rows."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    """x and y as arrays of bnn.data_dtype(x); ArgumentError unless they are
+    finite (directions x rows) matrices of one shape with at least one
+    direction and min_rows rows."""
+    dtype = bnn.data_dtype(x)
+    x = np.asarray(x, dtype=dtype)
+    y = np.asarray(y, dtype=dtype)
     if x.ndim != 2 or x.shape != y.shape or len(x) < 1 or x.shape[1] < min_rows:
         raise ArgumentError(
             f"x and y must be (directions x rows) matrices of one shape, with at least "
@@ -102,6 +109,12 @@ def _directions(x, y, min_rows: int) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+def _antithetic(stream: RngStream, index: int, *tags) -> tuple[RngStream, int]:
+    """The (stream, sign) of pass index of a sequence of antithetic pairs:
+    passes 2k and 2k + 1 share stream.child(*tags, k), with signs 1 and -1."""
+    return stream.child(*tags, index // 2), 1 - 2 * (index % 2)
+
+
 def train_conditional(x, y, cfg: TrainConfig, stream: RngStream) -> ConditionalModel:
     """Fit a conditional model of y[d] given x[d] for each direction d, all
     in one pass: point-estimate pretraining, then variational optimization
@@ -110,7 +123,9 @@ def train_conditional(x, y, cfg: TrainConfig, stream: RngStream) -> ConditionalM
     the leading axis, in direction order.
 
     Every direction starts from the same initial weights, and each VI
-    epoch's noise is drawn once from stream for all directions. The
+    epoch's noise is shared by all directions. VI epochs 2k and 2k + 1 are
+    an antithetic pair: epoch 2k + 1 runs on the negated noise of epoch 2k,
+    which the workspace keeps, so each pair draws once. The
     parameters are one (directions x P) matrix, which is the stacked model
     (its blocks are views of it). One bnn.Workspace, bound once with
     grad=True, holds the arrays of every pass, the gradient matrix among
@@ -133,7 +148,7 @@ def train_conditional(x, y, cfg: TrainConfig, stream: RngStream) -> ConditionalM
     phases = (
         ("MAP", cfg.map_epochs, lambda t: bnn.map_objective(ws)),
         ("VI", cfg.vi_epochs, lambda t: bnn.elbo_objective(
-            ws, min(1.0, t / cfg.warmup_epochs), vi_stream.child(t))),
+            ws, min(1.0, t / cfg.warmup_epochs), *_antithetic(vi_stream, t))),
     )
     for phase, epochs, objective in phases:
         m, v = np.zeros_like(params), np.zeros_like(params)
@@ -166,10 +181,12 @@ def conditional_variational_codelength(
 
     model holds one model per direction along its leading axis, as
     train_conditional returns it; it is used through a duck-typed surface:
-    sampler(x, y), whose function prices a sample, its noise drawn from a
-    stream, by the NLL training minimizes, and kl(). Sample m takes
-    stream.child("eval", m), its noise drawn once and shared by all
-    directions, and one pass evaluates them all.
+    sampler(x, y), whose function prices a sample by the NLL training
+    minimizes, on the noise of (stream, sign), and kl(). Samples 2k and
+    2k + 1 are an antithetic pair on stream.child("eval", k): sample 2k + 1
+    takes the negated noise of sample 2k, so an odd mc_eval_samples ends on
+    one plain draw. Each sample's noise is shared by all directions, and one
+    pass evaluates them all.
     """
     mc_eval_samples = check_count("mc_eval_samples", mc_eval_samples, 1)
     x, y = _directions(x, y, 1)
@@ -177,7 +194,7 @@ def conditional_variational_codelength(
     sample = model.sampler(x, y)
     totals = np.zeros(len(x))
     for m in range(mc_eval_samples):
-        totals += sample(stream.child("eval", m))
+        totals += sample(*_antithetic(stream, m, "eval"))
     return (totals / mc_eval_samples + kl).tolist()
 
 
@@ -211,9 +228,10 @@ def score_pair(pair: PairDataset, cfg: TrainConfig) -> PairReport:
     causes, effects = np.stack((zx[xy], zy[yx])), np.stack((zy[xy], zx[yx]))
     # causes[0] and causes[1] are the two columns sorted
     stream = RngStream(cfg.seed).child("pair", *sorted(map(_fingerprint, causes)))
-    model = train_conditional(causes, effects, cfg, stream)
+    data = causes.astype(np.float32), effects.astype(np.float32)
+    model = train_conditional(*data, cfg, stream)
     l_cond_y_given_x, l_cond_x_given_y = conditional_variational_codelength(
-        model, causes, effects, cfg.mc_eval_samples, stream.child("final-eval"))
+        model, *data, cfg.mc_eval_samples, stream.child("final-eval"))
     l_marginal_x = marginal_gaussian_codelength(causes[0])
     l_marginal_y = marginal_gaussian_codelength(causes[1])
     delta_xy = l_marginal_x + l_cond_y_given_x

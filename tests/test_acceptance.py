@@ -250,10 +250,10 @@ class ScaleToyModel:
         self.logvar = logvar
 
     def sampler(self, x, y):
-        def sample(stream):
+        def sample(stream, sign):
             # one standard normal per sample drives the weight: the first of
-            # the stream's hidden noise, as the network would read it
-            eps = draw_standard_normal(stream.child("hidden"), np.empty((1, 1)))[0, 0]
+            # the stream's hidden noise times sign, as the network would read it
+            eps = sign * draw_standard_normal(stream.child("hidden"), np.empty((1, 1)))[0, 0]
             w = self.mean + math.exp(0.5 * self.logvar) * eps
             # toy_nll's sum at the clamped log-scale t, per direction
             t = np.clip(w * x, -15.0, 15.0)

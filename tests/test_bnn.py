@@ -237,15 +237,19 @@ def test_model_forward_results_survive_later_calls():
     assert [loss.tobytes() for loss in losses] == kept
 
 
-@pytest.mark.parametrize("n", [500, 4000])
+@pytest.mark.parametrize("n,dtype", [(500, np.float64), (4000, np.float64),
+                                     (500, np.float32), (4000, np.float32)],
+                         ids=["500", "4000", "500-float32", "4000-float32"])
 @pytest.mark.parametrize("kind", ["sample", "elbo", "map"])
-def test_a_pass_allocates_no_data_sized_array(kind, n):
+def test_a_pass_allocates_no_data_sized_array(kind, n, dtype):
     # a Monte Carlo sample or a training epoch writes into the arrays of the
     # workspace bound before it and returns one loss per direction; numpy's
     # broadcast buffer (at most 8192 elements) is what remains, so the peak
-    # does not grow with n
+    # does not grow with n. Over float32 data this also catches a float64
+    # operand slipping into a float32 operation: numpy would run it through a
+    # float64 temporary
     model = stack(random_model(50, 1, 2), random_model(50, 3, 4))
-    x = np.stack([np.linspace(-2.0, 2.0, n), np.linspace(-1.0, 3.0, n)])
+    x = np.stack([np.linspace(-2.0, 2.0, n), np.linspace(-1.0, 3.0, n)]).astype(dtype)
     y = np.sin(x)
     ws = Workspace(model, x, y, grad=True)
     run = model.sampler(x, y) if kind == "sample" else {
@@ -260,6 +264,47 @@ def test_a_pass_allocates_no_data_sized_array(kind, n):
     finally:
         tracemalloc.stop()
     assert peak < 96 * 1024
+
+
+def test_a_float32_workspace_keeps_float32_data_and_float64_parameters():
+    # the data-sized arrays follow the data's dtype; the parameters, the
+    # gradient and each loss's row sum stay float64, and anything but
+    # float32 data binds a float64 workspace
+    model = stack(random_model(6, 1, 2), random_model(6, 3, 4))
+    x = np.stack([np.linspace(-2.0, 2.0, 9), np.linspace(-1.0, 3.0, 9)]).astype(np.float32)
+    ws = Workspace(model, x, np.sin(x), grad=True)
+    data = [ws.x, ws.x_sq, ws.y, ws.designs, *ws.eps, ws.hidden_pre, ws.output_pre, ws.wb,
+            ws.a_sq, ws.head, ws.g_p2, ws.input_grad]
+    assert all(array.dtype == np.float32 for array in data)
+    assert all(draw.dtype == np.float64 for draw in ws.draws)
+    assert ws.model.params.dtype == ws.grad.params.dtype == np.float64
+    for loss in (map_objective(ws), elbo_objective(ws, 0.5, RngStream(0)),
+                 model.sampler(x, np.sin(x))(RngStream(0))):
+        assert loss.dtype == np.float64 and loss.shape == (2,)
+    for other in (x.astype(np.float16), x.astype(np.float64), x.astype(int), x.tolist()):
+        assert Workspace(model, other, other).head.dtype == np.float64
+    # y follows x
+    assert Workspace(model, x, np.sin(x).astype(np.float64)).y.dtype == np.float32
+
+
+def test_a_float32_pass_agrees_with_float64_to_float32_precision():
+    # the same passes over float32 data agree with float64 to loose
+    # multiples of float32's precision (2^-23 ~ 1.2e-7), as sums over 500
+    # rows of rounded terms do
+    model = stack(random_model(50, 1, 2), random_model(50, 3, 4))
+    x = np.stack([np.linspace(-2.0, 2.0, 500), np.linspace(-1.0, 3.0, 500)])
+    y = np.sin(x) + 0.1 * np.cos(7.0 * x)
+    stream = RngStream(4).child("f32")
+    results = {}
+    for dtype in (np.float64, np.float32):
+        ws = training_workspace(model, x.astype(dtype), y.astype(dtype))
+        results[dtype] = [(map_objective(ws), ws.grad.params.copy()),
+                          (elbo_objective(ws, 0.5, stream, -1), ws.grad.params.copy()),
+                          (model.sampler(x.astype(dtype), y.astype(dtype))(stream), None)]
+    for (loss64, grad64), (loss32, grad32) in zip(*results.values(), strict=True):
+        assert loss32 == approx(loss64, rel=1e-6)
+        if grad64 is not None:
+            assert np.abs(grad32 - grad64).max() <= 1e-5 * np.abs(grad64).max()
 
 
 @pytest.mark.parametrize("n", [500, 4000])
@@ -685,10 +730,10 @@ def oracle_map_penalty(layer):
     return float(pen_w + pen_b), grad
 
 
-def oracle_noise(model, n, stream):
+def oracle_noise(model, n, stream, sign=1):
     # a fresh generator per draw, as each stream's definition states
-    return (sfc64_normals(stream.child("hidden"), (n, model.hidden_width)),
-            sfc64_normals(stream.child("output"), (n, 2)))
+    return (sign * sfc64_normals(stream.child("hidden"), (n, model.hidden_width)),
+            sign * sfc64_normals(stream.child("output"), (n, 2)))
 
 
 def oracle_map_objective(model, x, y):
@@ -698,8 +743,8 @@ def oracle_map_objective(model, x, y):
     return oracle_data_nll(model, x, y, grad) + pen_hid + pen_out, grad
 
 
-def oracle_elbo_objective(model, x, y, beta, stream):
-    eps1, eps2 = oracle_noise(model, np.shape(x)[0], stream)
+def oracle_elbo_objective(model, x, y, beta, stream, sign=1):
+    eps1, eps2 = oracle_noise(model, np.shape(x)[0], stream, sign)
     kl_hid, grad_hid = oracle_kl_layer(model.hidden, beta)
     kl_out, grad_out = oracle_kl_layer(model.output, beta)
     grad = packed(grad_hid, grad_out)
@@ -707,10 +752,11 @@ def oracle_elbo_objective(model, x, y, beta, stream):
     return loss_nll + beta * (kl_hid + kl_out), grad
 
 
-def oracle_sample_nll(model, x, y, stream):
-    """The sampled NLL on stream's noise; the gradient goes to a scratch model."""
+def oracle_sample_nll(model, x, y, stream, sign=1):
+    """The sampled NLL on the noise of (stream, sign); the gradient goes to a scratch model."""
     scratch = ConditionalModel(np.zeros_like(model.params), model.hidden_width)
-    return oracle_data_nll(model, x, y, scratch, *oracle_noise(model, np.shape(x)[0], stream))
+    return oracle_data_nll(model, x, y, scratch,
+                           *oracle_noise(model, np.shape(x)[0], stream, sign))
 
 
 def with_signed_zeros(rng, values, share):
@@ -812,6 +858,70 @@ def test_stacked_pair_matches_oracle_bytes_per_slice(width, n, seeds, zero_share
         assert loss.shape == (2,)
         for d, (m, xd, yd) in enumerate(problems):
             assert loss[d].hex() == oracle_sample_nll(m, xd, yd, stream).hex()
+
+
+# (stream tag, sign) of the passes over one workspace: an antithetic pair,
+# its sign taken twice and flipped back, another stream, and a return to the
+# first stream with each sign
+ANTITHETIC_ORDER = [("a", 1), ("a", -1), ("a", -1), ("a", 1), ("b", -1), ("a", -1), ("a", 1)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    width=st.sampled_from([2, 50]),
+    n=st.sampled_from([2, 3, 500]),
+    seed=st.integers(0, 2**32 - 1),
+    beta=st.sampled_from([0.0, 0.4, 1.0]),
+)
+def test_antithetic_passes_match_oracle_bytes_under_negated_noise(width, n, seed, beta):
+    # a pass on (stream, -1) is priced on minus the noise of (stream, 1); one
+    # workspace remembers its last draw and negates it in place, and every
+    # pass in any order still gets the oracle's bytes, which are those of a
+    # fresh workspace: the remembered draw never changes a result
+    model, x, y = edge_problem(width, n, seed, 0.3)
+    streams = {tag: RngStream(seed).child("antithetic", tag) for tag in "ab"}
+    ws = training_workspace(model, x, y)
+    sample = model.sampler(x, y)
+    for tag, sign in ANTITHETIC_ORDER:
+        stream = streams[tag]
+        oracle = objective_bytes(*oracle_elbo_objective(model, x, y, beta, stream, sign))
+        assert (elbo_objective(ws, beta, stream, sign).hex(), ws.grad.params.tobytes()) == oracle
+        assert package_objective_bytes(elbo_objective, model, x, y, beta, stream, sign) == oracle
+        expected = oracle_sample_nll(model, x, y, stream, sign).hex()
+        assert sample(stream, sign).hex() == expected
+        assert model.sampler(x, y)(stream, sign).hex() == expected
+
+
+def test_an_antithetic_pair_draws_its_noise_once(monkeypatch):
+    # the second pass of a pair negates the first's noise: two draw calls
+    # (hidden and output) per stream, however often its signs alternate
+    draws = []
+    real = draw_standard_normal
+
+    def counting_draw(stream, out):
+        draws.append(stream.tags)
+        return real(stream, out)
+
+    monkeypatch.setattr("comic.bnn.draw_standard_normal", counting_draw)
+    model, x, y = edge_problem(4, 9, 5, 0.0)
+    ws = training_workspace(model, x, y)
+    sample = model.sampler(x, y)
+    for tag, sign in ANTITHETIC_ORDER:
+        elbo_objective(ws, 0.5, RngStream(1).child(tag), sign)
+        sample(RngStream(1).child(tag), sign)
+    # a, b and a again, for the objective's workspace and the sampler's
+    assert [tags[0] for tags in draws] == ["a"] * 4 + ["b"] * 4 + ["a"] * 4
+
+
+@pytest.mark.parametrize("sign", [0, 2, -2, 0.5, "1", None])
+def test_a_pass_refuses_a_sign_other_than_plus_or_minus_one(sign):
+    model, x, y = edge_problem(4, 9, 5, 0.0)
+    ws = training_workspace(model, x, y)
+    with pytest.raises(ArgumentError, match="sign must be 1 or -1"):
+        elbo_objective(ws, 0.5, RngStream(0), sign)
+    with pytest.raises(ArgumentError, match="sign must be 1 or -1"):
+        model.sampler(x, y)(RngStream(0), sign)
+    assert np.isnan(ws.grad.params).all()
 
 
 @settings(max_examples=20, deadline=None)

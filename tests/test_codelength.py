@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from comic import bnn
+from comic import bnn, codelength
 from comic.bnn import ConditionalModel, gaussian_nll
 from comic.codelength import (
     TrainConfig,
@@ -21,12 +21,12 @@ from comic.codelength import (
 )
 from comic.data import (
     GeneratorSpec, PairDataset, UNDECIDED, X_CAUSES_Y, Y_CAUSES_X, generate_dataset,
-    generate_pair, swap_pair,
+    generate_pair, standardize, swap_pair,
 )
 from comic.errors import ArgumentError, NumericError
 from comic.evaluation import run_benchmark
 from comic.rng import RngStream
-from tests.test_bnn import edge_problem, make_layer, packed, stack
+from tests.test_bnn import edge_problem, make_layer, oracle_sample_nll, packed, stack
 
 FAST = TrainConfig(hidden_width=8, vi_epochs=60, warmup_epochs=10, map_epochs=60,
                    mc_eval_samples=8, seed=3)
@@ -337,6 +337,53 @@ def test_one_sample_codelength_is_the_beta_one_elbo(width, n, seeds):
     assert np.array(codelength).tobytes() == elbo.tobytes()
 
 
+@pytest.mark.parametrize("samples", [2, 3, 4])
+def test_eval_codelength_prices_antithetic_pairs_of_samples(samples, monkeypatch):
+    # samples 2k and 2k + 1 share the noise of stream.child("eval", k), the
+    # second negated: each sample has the oracle's bytes under (stream, sign),
+    # each pair draws once, and an odd count ends on one plain draw
+    draws = []
+    real = bnn.draw_standard_normal
+
+    def counting_draw(stream, out):
+        draws.append(stream.tags)
+        return real(stream, out)
+
+    monkeypatch.setattr(bnn, "draw_standard_normal", counting_draw)
+    problems = [edge_problem(50, 40, seed, 0.3) for seed in (1, 2)]
+    model = stack(*(problem[0] for problem in problems))
+    x, y = (np.stack([problem[i] for problem in problems]) for i in (1, 2))
+    stream = RngStream(3).child("antithetic")
+    codelength = conditional_variational_codelength(model, x, y, samples, stream)
+    totals = np.zeros(2)
+    for m in range(samples):
+        sample_stream, sign = stream.child("eval", m // 2), (1, -1)[m % 2]
+        totals += np.array([oracle_sample_nll(*problem, sample_stream, sign)
+                            for problem in problems])
+    assert np.array(codelength).tobytes() == (totals / samples + model.kl()).tobytes()
+    assert draws == [("antithetic", "eval", str(k), name)
+                     for k in range(math.ceil(samples / 2)) for name in ("hidden", "output")]
+
+
+def test_score_pair_trains_and_evaluates_on_float32_data(monkeypatch):
+    # the conditionals run over float32 copies of the sorted columns; the
+    # stream key and the marginals are taken from the float64 columns
+    seen = []
+    for name in ("train_conditional", "conditional_variational_codelength"):
+        real = getattr(codelength, name)
+
+        def spy(*args, real=real):
+            seen.append([a.dtype for a in args if isinstance(a, np.ndarray)])
+            return real(*args)
+
+        monkeypatch.setattr(codelength, name, spy)
+    pair = make_anm_pair()
+    report = score_pair(pair, FAST)
+    assert seen == [[np.float32] * 2, [np.float32] * 2]
+    x = standardize(pair.x)[0]
+    assert report.l_marginal_x == marginal_gaussian_codelength(np.sort(x))
+
+
 @pytest.mark.parametrize("samples", [1.5, "2", None])
 def test_eval_codelength_rejects_non_integer_sample_count(samples):
     model = ConditionalModel.initial(3, RngStream(0).child("init"))
@@ -581,8 +628,8 @@ def test_numeric_error_in_adam_names_direction_phase_and_epoch(monkeypatch, entr
     real = bnn.elbo_objective
     calls = []
 
-    def nan_gradient(ws, beta, stream):
-        loss = real(ws, beta, stream)
+    def nan_gradient(ws, beta, stream, sign):
+        loss = real(ws, beta, stream, sign)
         calls.append(1)
         if len(calls) == 3:
             for d, name, index in entries:
@@ -635,6 +682,6 @@ def test_golden_scores_are_pinned():
     cfg = TrainConfig(**GOLDEN_CONFIG)
     pairs = generate_dataset(GeneratorSpec(**GOLDEN_SPEC))
     assert [repr(score_pair(pair, cfg).final_delta) for pair in pairs] == [
-        "-1.8416926543985994", "1.3666982178085334", "2.226595000034763",
-        "-3.414222185456339",
+        "-1.720569702967822", "1.3454218291985285", "2.335206478886164",
+        "-3.547623976655899",
     ]

@@ -1,3 +1,4 @@
+import math
 import pickle
 
 import numpy as np
@@ -193,8 +194,10 @@ def counting_generator(monkeypatch):
 
 def test_score_pair_fills_each_noise_matrix_once(counting_generator, monkeypatch):
     # both directions share the noise of each VI epoch and each MC sample,
-    # drawn once for both, so a pair costs one hidden and one output matrix
-    # per epoch and per sample, each from one draw call (328 calls at
+    # drawn once for both, and the second epoch or sample of an antithetic
+    # pair negates the first's noise, so a pair costs one hidden and one
+    # output matrix per pair of epochs and per pair of samples, an odd count
+    # ending on one plain draw, each from one draw call (164 calls at
     # H = 50, 100 VI epochs and 64 MC samples)
     draws = []
     real = bnn.draw_standard_normal
@@ -210,7 +213,8 @@ def test_score_pair_fills_each_noise_matrix_once(counting_generator, monkeypatch
     cfg = TrainConfig(hidden_width=4, vi_epochs=7, warmup_epochs=2, map_epochs=3,
                       mc_eval_samples=5, seed=31)
     score_pair(pair, cfg)
-    assert counting_generator.fills == 2 * (cfg.vi_epochs + cfg.mc_eval_samples)
+    assert counting_generator.fills == 2 * (math.ceil(cfg.vi_epochs / 2)
+                                            + math.ceil(cfg.mc_eval_samples / 2))
     assert len(draws) == counting_generator.fills
     assert sorted(set(draws)) == [(40, 2), (40, 4)]
 
