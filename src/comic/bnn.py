@@ -71,9 +71,9 @@ float32 data, which score_pair hands over, and float64 otherwise, as the
 byte-level tests bind. The parameters, their gradient, the KL and each
 loss's row sum stay float64. A float32 pass stages the weights it
 multiplies in float32 (the hidden layer's [w; b], a cast of the output
-layer's H x 2 blocks) and takes its scalar operands in float32, so that no
-float64 operand makes numpy run a data-sized operation in float64. Its
-noise is drawn in float64, which draw_standard_normal fills, and cast.
+layer's H x 2 blocks) and gives its data-sized operations Python literals,
+so that no float64 operand makes numpy run them in float64. Its noise is
+drawn in float64, which draw_standard_normal fills, and cast.
 
 Every pass, a training epoch or a Monte Carlo sample, runs over a
 Workspace, allocates no data-sized array and returns one loss per model.
@@ -106,7 +106,7 @@ workspace's array.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+import numbers
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -123,18 +123,12 @@ LOG_SCALE_LIMIT = 15.0
 # initial log posterior variance (-9 -> posterior std ~ 0.011)
 INIT_LOGVAR = -9.0
 
-# The scalar operands of the per-epoch arithmetic, as 0-d arrays: numpy turns
-# a Python float operand into an array on every call, which costs about as
-# much as the operation itself on a parameter-sized block. Each dtype of the
-# data arrays has its own set, since numpy 2 takes a 0-d float64 array as a
-# strong operand and would run a float32 operation in float64. The float64
-# set holds the literals' doubles, so every float64 result keeps its bytes.
-_Scalars = namedtuple("_Scalars", "half one minus_two half_log_2pi limit minus_limit")
-_SCALARS = {np.dtype(t): _Scalars(*(np.array(v, t) for v in (
-    0.5, 1.0, -2.0, HALF_LOG_2PI, LOG_SCALE_LIMIT, -LOG_SCALE_LIMIT)))
-    for t in (np.float32, np.float64)}
-_HALF, _ONE, _MINUS_TWO, _HALF_LOG_2PI = _SCALARS[np.dtype(np.float64)][:4]
-_TWO = np.array(2.0)
+# Scalar operands. Parameter-sized float64 operations (the KL, the MAP
+# penalty) take 0-d arrays: numpy turns a Python float into an array on every
+# call, which costs about as much as the operation on a parameter-sized block.
+# Data-sized operations take Python literals, which numpy casts to the data's
+# dtype; a 0-d float64 array would run a float32 operation in float64.
+_HALF, _ONE, _MINUS_TWO = (np.array(v) for v in (0.5, 1.0, -2.0))
 
 
 @dataclass
@@ -386,7 +380,7 @@ class Workspace:
         self.x_sq = self.x * self.x
         self.designs = np.empty((2,) + rows + (2,), dtype)
         self.designs[..., :1] = self.x, self.x_sq
-        self.designs[..., 1] = _ONE
+        self.designs[..., 1] = 1.0
         noise_shapes = rows[-1:] + (width,), rows[-1:] + (2,)
         self.draws = tuple(np.empty(shape) for shape in noise_shapes)
         self.eps = self.draws if dtype is np.float64 else tuple(
@@ -410,15 +404,15 @@ class Workspace:
 def _draw_noise(ws: Workspace, stream: RngStream, sign: int):
     """The noise pair (eps_hidden, eps_output) of a sampled pass on (stream,
     sign), in ws.eps: sign times the standard normals of the "hidden" and
-    "output" children of stream, sign being 1 or -1 (an antithetic pair of
-    passes shares a stream and takes both signs).
+    "output" children of stream, sign being the integer 1 or -1, not a bool
+    (an antithetic pair of passes shares a stream and takes both signs).
 
     The workspace remembers the stream its pair came from and the sign it
     holds: a pass on that stream negates the pair in place when its sign
     differs, and draws nothing. Negation is exact, so every pass gets the
     bytes of a fresh draw.
     """
-    if sign not in (1, -1):
+    if isinstance(sign, bool) or not isinstance(sign, numbers.Integral) or sign not in (1, -1):
         raise ArgumentError(f"sign must be 1 or -1, got {sign!r}")
     if stream != ws.noise_stream:
         for name, draw, eps in zip(("hidden", "output"), ws.draws, ws.eps):
@@ -498,11 +492,11 @@ def _layer_backward(h_in: np.ndarray, h_sq: np.ndarray, noise, g_out: np.ndarray
         return g_in
     v_w, v_b, s_out, eps = noise
     g_v = np.multiply(g_out, eps, out=g_out)
-    g_v *= np.divide(_SCALARS[dtype].half, s_out, out=s_out)
+    g_v *= np.divide(0.5, s_out, out=s_out)
     grad.logvar_w += (h_sq.swapaxes(-1, -2) @ g_v) * v_w
     grad.logvar_b += np.einsum("...ij->...j", g_v) * v_b
     if w is not None:
-        np.matmul(g_v, (_TWO * v_w).astype(dtype, copy=False).swapaxes(-1, -2), out=g_v_w)
+        np.matmul(g_v, (v_w + v_w).astype(dtype, copy=False).swapaxes(-1, -2), out=g_v_w)
         g_v_w *= h_in
         g_in += g_v_w
     return g_in
@@ -527,7 +521,7 @@ def model_forward(model: ConditionalModel, x: np.ndarray) -> tuple[np.ndarray, n
 def gaussian_nll(y: np.ndarray):
     """Negative log-likelihood of the float array y under a standard normal,
     in nats, summed over the last axis."""
-    return np.add.reduce(_HALF_LOG_2PI + y * y / _TWO, axis=-1)
+    return np.add.reduce(HALF_LOG_2PI + y * y / 2.0, axis=-1)
 
 
 def _nll(y: np.ndarray, p2: np.ndarray, head: np.ndarray):
@@ -538,18 +532,17 @@ def _nll(y: np.ndarray, p2: np.ndarray, head: np.ndarray):
     are of the data's dtype; the loss sums them in float64."""
     mu = p2[..., 0]
     tc, inv_var, r, term = head
-    c = _SCALARS[head.dtype]
     # np.clip's ufuncs, without its Python-level wrapper
-    np.maximum(p2[..., 1], c.minus_limit, out=tc)
-    np.minimum(tc, c.limit, out=tc)
-    np.multiply(c.minus_two, tc, out=inv_var)
+    np.maximum(p2[..., 1], -LOG_SCALE_LIMIT, out=tc)
+    np.minimum(tc, LOG_SCALE_LIMIT, out=tc)
+    np.multiply(-2.0, tc, out=inv_var)
     np.exp(inv_var, out=inv_var)
     np.subtract(y, mu, out=r)
-    np.multiply(c.half, r, out=term)
+    np.multiply(0.5, r, out=term)
     term *= r
     term *= inv_var
     # tc's last use: the loss terms HALF_LOG_2PI + tc + term are written over it
-    np.add(c.half_log_2pi, tc, out=tc)
+    np.add(HALF_LOG_2PI, tc, out=tc)
     tc += term
     return np.add.reduce(tc, axis=-1, dtype=np.float64), inv_var, r, term
 
@@ -563,7 +556,7 @@ def _nll_head(y: np.ndarray, p2: np.ndarray, head: np.ndarray, g_p2: np.ndarray)
     g_mu *= inv_var
     g_log_scale = np.multiply(r, r, out=g_p2[..., 1])
     g_log_scale *= inv_var
-    np.subtract(_SCALARS[g_p2.dtype].one, g_log_scale, out=g_log_scale)
+    np.subtract(1.0, g_log_scale, out=g_log_scale)
     # a clamped (or NaN) log-scale passes no gradient; NaN fails the max test too
     size = np.abs(t, out=term)
     if not np.maximum.reduce(size, axis=None) < LOG_SCALE_LIMIT:
@@ -586,7 +579,7 @@ def _data_nll(ws: Workspace, eps=None):
     # tanh' = 1 - a^2, written over a^2; the mean path forms a^2 over a, whose
     # last use has passed, as an in-place product costs less than one into a_sq
     a_sq = np.multiply(a, a, out=a) if a_sq is None else a_sq
-    g_a *= np.subtract(_SCALARS[a_sq.dtype].one, a_sq, out=a_sq)
+    g_a *= np.subtract(1.0, a_sq, out=a_sq)
     _layer_backward(ws.x, ws.x_sq, noise1, g_a, grad.hidden)
     return loss
 

@@ -186,7 +186,9 @@ def conditional_variational_codelength(
     2k + 1 are an antithetic pair on stream.child("eval", k): sample 2k + 1
     takes the negated noise of sample 2k, so an odd mc_eval_samples ends on
     one plain draw. Each sample's noise is shared by all directions, and one
-    pass evaluates them all.
+    pass evaluates them all. A non-finite codelength (each sample's
+    activations are checked, so it comes from a non-finite KL) is a
+    NumericError naming its direction.
     """
     mc_eval_samples = check_count("mc_eval_samples", mc_eval_samples, 1)
     x, y = _directions(x, y, 1)
@@ -195,7 +197,11 @@ def conditional_variational_codelength(
     totals = np.zeros(len(x))
     for m in range(mc_eval_samples):
         totals += sample(*_antithetic(stream, m, "eval"))
-    return (totals / mc_eval_samples + kl).tolist()
+    codelengths = totals / mc_eval_samples + kl
+    bad = ~np.isfinite(codelengths)
+    if bad.any():
+        raise NumericError(f"non-finite codelength in direction {int(np.argmax(bad))}")
+    return codelengths.tolist()
 
 
 def _fingerprint(values: np.ndarray) -> str:

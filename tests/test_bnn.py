@@ -307,23 +307,28 @@ def test_a_float32_pass_agrees_with_float64_to_float32_precision():
             assert np.abs(grad32 - grad64).max() <= 1e-5 * np.abs(grad64).max()
 
 
-@pytest.mark.parametrize("n", [500, 4000])
-def test_a_sampler_keeps_only_the_arrays_a_forward_pass_writes(n):
+@pytest.mark.parametrize("n,dtype", [(500, np.float64), (4000, np.float64),
+                                     (500, np.float32), (4000, np.float32)],
+                         ids=["500", "4000", "500-float32", "4000-float32"])
+def test_a_sampler_keeps_only_the_arrays_a_forward_pass_writes(n, dtype):
     # a sample writes no gradient, so its workspace has no d(loss)/d(p2) and
-    # no input gradient (4 x n x H doubles more per direction pair); what the
-    # sampler keeps is bounded by the forward arrays, counted from their shapes
+    # no input gradient (4 x n x H data entries more per direction pair);
+    # what the sampler keeps is bounded by the forward arrays, counted from
+    # their shapes: the data arrays in the data's dtype, the noise draws in
+    # float64, which float32 data keeps a cast of as well
     width, directions = 50, 2
     model = stack(random_model(width, 1, 2), random_model(width, 3, 4))
-    x = np.stack([np.linspace(-2.0, 2.0, n), np.linspace(-1.0, 3.0, n)])
+    x = np.stack([np.linspace(-2.0, 2.0, n), np.linspace(-1.0, 3.0, n)]).astype(dtype)
     y = np.sin(x)
     rows = directions * n
-    doubles = (3 * rows  # the copies of x and y, and x^2
-               + 2 * rows * 2  # the designs [x, 1] and [x^2, 1]
-               + n * (width + 2)  # the noise pair, shared by the directions
-               + 3 * rows * (width + 2)  # each layer's pre-activation mean, std and sample
-               + directions * 2 * width  # [w; b]
-               + rows * width  # a^2
-               + 4 * rows)  # the head's rows
+    draws = n * (width + 2)  # the noise pair, shared by the directions
+    data = (3 * rows  # the copies of x and y, and x^2
+            + 2 * rows * 2  # the designs [x, 1] and [x^2, 1]
+            + (draws if dtype is np.float32 else 0)  # the noise pair's cast
+            + 3 * rows * (width + 2)  # each layer's pre-activation mean, std and sample
+            + directions * 2 * width  # [w; b]
+            + rows * width  # a^2
+            + 4 * rows)  # the head's rows
     masks = rows * (width + 2)  # one bool per activation
     tracemalloc.start()
     try:
@@ -331,7 +336,7 @@ def test_a_sampler_keeps_only_the_arrays_a_forward_pass_writes(n):
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert kept < 8 * doubles + masks + 16 * 1024
+    assert kept < np.dtype(dtype).itemsize * data + 8 * draws + masks + 16 * 1024
     # and the forward-only workspace is all a sample needs
     assert np.all(np.isfinite(sample(RngStream(0))))
 
@@ -913,8 +918,11 @@ def test_an_antithetic_pair_draws_its_noise_once(monkeypatch):
     assert [tags[0] for tags in draws] == ["a"] * 4 + ["b"] * 4 + ["a"] * 4
 
 
-@pytest.mark.parametrize("sign", [0, 2, -2, 0.5, "1", None])
+@pytest.mark.parametrize("sign", [0, 2, -2, 0.5, "1", None, True, 1.0,
+                                  pytest.param(np.float64(-1.0), id="np.float64(-1.0)")])
 def test_a_pass_refuses_a_sign_other_than_plus_or_minus_one(sign):
+    # a sign is the integer 1 or -1: a bool, or a float equal to 1 or -1, is
+    # refused, as wherever else the package takes an integer
     model, x, y = edge_problem(4, 9, 5, 0.0)
     ws = training_workspace(model, x, y)
     with pytest.raises(ArgumentError, match="sign must be 1 or -1"):
@@ -922,6 +930,17 @@ def test_a_pass_refuses_a_sign_other_than_plus_or_minus_one(sign):
     with pytest.raises(ArgumentError, match="sign must be 1 or -1"):
         model.sampler(x, y)(RngStream(0), sign)
     assert np.isnan(ws.grad.params).all()
+
+
+def test_a_pass_takes_a_numpy_integer_sign():
+    model, x, y = edge_problem(4, 9, 5, 0.0)
+    runs = []
+    for sign in (-1, np.int64(-1)):
+        ws = training_workspace(model, x, y)
+        loss = elbo_objective(ws, 0.5, RngStream(0), sign)
+        runs.append((loss.tobytes(), ws.grad.params.tobytes(),
+                     model.sampler(x, y)(RngStream(0), sign).tobytes()))
+    assert runs[0] == runs[1]
 
 
 @settings(max_examples=20, deadline=None)

@@ -290,6 +290,21 @@ def test_eval_codelength_takes_one_row_and_rejects_none():
                                            RngStream(0))
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_eval_codelength_refuses_a_non_finite_kl(value):
+    # the samples' activations are checked, but a non-finite KL used to be
+    # returned as inf or nan; training cannot reach this, since Adam refuses
+    # a non-finite gradient. -inf turns invalid as the KL forms it
+    initial = ConditionalModel.initial(3, RngStream(0).child("init"))
+    model = stack(initial, initial)
+    model.hidden.log_prior_scale_w[1, 0, 2] = value
+    x = np.linspace(-1.0, 1.0, 20)
+    with np.errstate(invalid="ignore"), pytest.raises(
+            NumericError, match="^non-finite codelength in direction 1$"):
+        conditional_variational_codelength(model, np.stack((x, x)), np.stack((x, np.sin(x))),
+                                           2, RngStream(0))
+
+
 def test_training_and_evaluation_need_a_direction():
     # a (0 x rows) matrix is refused, not trained or priced as an empty stack
     model = stack(ConditionalModel.initial(3, RngStream(0).child("init")))

@@ -103,7 +103,9 @@ def test_score_independent_of_blas_threads_where_products_use_threads():
 # The hidden layer's pre-activation mean and variance, x * w + b and
 # x^2 * v_w + v_b, against the broadcast form h * w + (b + 0.0) byte for
 # byte, for one model and a stack of two: with signed zeros, with a row
-# where h * w = -b exactly, and with positive variance-like operands.
+# where h * w = -b exactly, and with positive variance-like operands. Each
+# case runs in float64 and in float32, the dtype scoring runs in; the float64
+# w and b are cast to float32 as a float32 pass casts them.
 HIDDEN_AFFINE = """
 import json
 import numpy as np
@@ -122,19 +124,26 @@ for width in (2, 50):
         for stack in ((), (2,)):
             h = signed_zeros(2.0 * rng.standard_normal(stack + (n, 1)))
             w = signed_zeros(rng.standard_normal(stack + (1, width)))
-            cases = {
-                "signed zeros": (h, w, signed_zeros(rng.standard_normal(stack + (width,)))),
-                "cancelling row": (h, w, -(h[..., n // 2, :] * w[..., 0, :])),
-                "variance": (h * h, np.exp(rng.normal(-6.0, 3.0, w.shape)),
-                             np.exp(rng.normal(-6.0, 3.0, stack + (width,)))),
-            }
-            for kind, (hk, wk, bk) in cases.items():
-                expected = np.multiply(hk, wk) + (bk[..., None, :] + 0.0)
-                design = np.concatenate((hk, np.ones_like(hk)), axis=-1)
-                got = _affine(design, wk, bk, np.empty(stack + (n, width)),
-                              np.empty(stack + (2, width)))
-                if got.tobytes() != expected.tobytes():
-                    mismatches.append([width, n, len(stack), kind])
+            b = signed_zeros(rng.standard_normal(stack + (width,)))
+            v_w = np.exp(rng.normal(-6.0, 3.0, w.shape))
+            v_b = np.exp(rng.normal(-6.0, 3.0, stack + (width,)))
+            for dtype in (np.float64, np.float32):
+                hd = h.astype(dtype)
+                # the float64 b whose cast is -(h * w) in dtype, on one row
+                cancel = -(hd[..., n // 2, :] * w[..., 0, :].astype(dtype)).astype(float)
+                cases = {
+                    "signed zeros": (hd, w, b),
+                    "cancelling row": (hd, w, cancel),
+                    "variance": (hd * hd, v_w, v_b),
+                }
+                for kind, (hk, wk, bk) in cases.items():
+                    wd, bd = wk.astype(dtype), bk.astype(dtype)
+                    expected = np.multiply(hk, wd) + (bd[..., None, :] + 0.0)
+                    design = np.concatenate((hk, np.ones_like(hk)), axis=-1)
+                    got = _affine(design, wk, bk, np.empty(stack + (n, width), dtype),
+                                  np.empty(stack + (2, width), dtype))
+                    if got.tobytes() != expected.tobytes():
+                        mismatches.append([width, n, len(stack), kind, np.dtype(dtype).name])
 print(json.dumps([machine_info()["blas_core"], mismatches]))
 """
 
@@ -169,11 +178,12 @@ def test_hidden_affine_matches_the_broadcast_form_under_each_blas_kernel(coretyp
 
 # Two perturbed models stacked on a leading axis against each model alone:
 # the bytes of the MAP and ELBO losses and gradients and of one sampler
-# draw's NLL, per slice (the MAP loss prices the posterior-mean pass). For
-# odd n the second slice of a stacked (2, n, 1) input starts 8n bytes in,
-# off the 16-byte alignment of a fresh array. At the even widths 2 and 50
-# each direction's slice of a packed (2, P) gradient starts on a 16-byte
-# boundary; at the odd widths 3 and 7 the second slice starts off it.
+# draw's NLL, per slice (the MAP loss prices the posterior-mean pass), over
+# float64 data and over float32, the dtype scoring runs in. For odd n the
+# second slice of a stacked (2, n, 1) input starts 8n bytes in (4n in
+# float32), off the 16-byte alignment of a fresh array. At the even widths 2
+# and 50 each direction's slice of a packed (2, P) gradient starts on a
+# 16-byte boundary; at the odd widths 3 and 7 the second slice starts off it.
 STACKED_AND_ALONE = """
 import json
 import numpy as np
@@ -198,16 +208,18 @@ for width in (2, 3, 7, 50):
         initial = ConditionalModel.initial(width, RngStream(0).child("init"))
         flat = initial.params + 0.3 * rng.standard_normal((2, initial.params.size))
         stacked = ConditionalModel(flat, width)
-        x, y = 2.0 * rng.standard_normal((2, 2, n))
+        data = 2.0 * rng.standard_normal((2, 2, n))
         stream = RngStream(width).child("noise", n)
-        together = passes(stacked, x, y, stream)
-        for d in range(2):
-            model = ConditionalModel(flat[d].copy(), width)
-            alone = passes(model, x[d].copy(), y[d].copy(), stream)
-            for kind, values in together.items():
-                if any(np.asarray(a[d]).tobytes() != np.asarray(b).tobytes()
-                       for a, b in zip(values, alone[kind])):
-                    mismatches.append([width, n, d, kind])
+        for dtype in (np.float64, np.float32):
+            x, y = data.astype(dtype)
+            together = passes(stacked, x, y, stream)
+            for d in range(2):
+                model = ConditionalModel(flat[d].copy(), width)
+                alone = passes(model, x[d].copy(), y[d].copy(), stream)
+                for kind, values in together.items():
+                    if any(np.asarray(a[d]).tobytes() != np.asarray(b).tobytes()
+                           for a, b in zip(values, alone[kind])):
+                        mismatches.append([width, n, d, kind, np.dtype(dtype).name])
 print(json.dumps([machine_info()["blas_core"], mismatches]))
 """
 
