@@ -45,11 +45,13 @@ the stream's noise: an n x H matrix of standard normals from the stream's
 "hidden" child and an n x 2 one from its "output" child. Two passes on one
 stream with both signs are an antithetic pair (Hammersley & Morton, 1956):
 training runs its VI epochs, and evaluation its samples, in such pairs, so
-each pair draws its noise once (see _draw_noise). ConditionalModel.sampler
-serves Monte Carlo evaluation: the hidden layer's pre-activation mean and
-std do not depend on the noise, so it computes them once, and each sample
-only adds std * eps to the hidden mean. A sample prices y with _nll, the
-head training minimizes: elbo_objective's bytes at beta 0.
+each pair draws its noise once (see _draw_noise). Monte Carlo evaluation
+runs one sample per model_forward call: the hidden layer's pre-activation
+mean and std do not depend on the noise, so binding its workspace computes
+them once, and each sample only adds std * eps to the hidden mean.
+ConditionalModel.sampler binds that workspace and returns the function of
+its samples. A sample prices y with _nll, the head training minimizes:
+elbo_objective's bytes at beta 0.
 
 The hidden layer's input has width 1, so its pre-activation mean x*w + b
 and variance x^2*v_w + v_b are each one BLAS product of the n x 2 design
@@ -87,20 +89,22 @@ a forward-only one per sampler. Binding it checks the inputs, builds the
 x-only arrays (see Workspace) and allocates what its passes write: the
 noise, each layer's pre-activation mean, std and sample, the stacked
 weights [w; b], a^2 and the head's rows; for training, the gradient,
-d(loss)/d(p2) and the input gradient; forward-only (the sampler,
-model_forward), the finite masks the sampler's checks write. The
-objectives refuse a forward-only workspace. A value whose last use has
+d(loss)/d(p2) and the input gradient; forward-only (model_forward's), the
+finite masks its checks write, and binding writes the hidden layer's
+pre-activation mean and std. The objectives refuse a forward-only
+workspace and model_forward a training one. A value whose last use has
 passed is overwritten in place (the backward pass turns the std into
 0.5 / std and d(loss)/d(h_out) into the scaled noise gradient), so that
 few arrays are live and stay in cache. Each value is computed by the same
 operations on the same operands as with fresh arrays, so the bytes are the
 same. A pass writes every array before it reads it, so no pass sees
-another's data, save the noise: a workspace keeps its last draw and the
-stream it came from, and a pass on that stream reuses it, negated if its
-sign differs, which gives the bytes of a fresh draw. Each workspace owns
-its arrays, so passes over other workspaces, in other threads too, get the
-bytes they would get alone. No value returned to a caller aliases a
-workspace's array.
+another's data, save two exceptions. model_forward reads the hidden mean
+and std that binding wrote, which no pass writes. And a workspace keeps its
+last noise draw and the stream it came from, and a pass on that stream
+reuses it, negated if its sign differs, which gives the bytes of a fresh
+draw. Each workspace owns its arrays, so passes over other workspaces, in
+other threads too, get the bytes they would get alone. No value returned to
+a caller aliases a workspace's array.
 """
 
 from __future__ import annotations
@@ -217,37 +221,14 @@ class ConditionalModel:
     # conditional_variational_codelength prices a model through sampler(x, y),
     # (stream, sign) -> one sampled NLL per model, and kl(): the seam where a
     # test substitutes a stand-in (criterion 8's ScaleToyModel,
-    # tests/test_acceptance.py); kl() calls kl_model, which perfbench's tracer
-    # wraps by its module name
+    # tests/test_acceptance.py). The samples run in model_forward and the KL in
+    # kl_model, which perfbench's tracer wraps by their module names; a span
+    # around sampler would time the binding only
     def sampler(self, x: np.ndarray, y: np.ndarray) -> Callable[..., np.ndarray]:
-        """The function (stream, sign=1) -> NLL of y given x per model, on the
-        sampled pass on the noise of (stream, sign) (see _draw_noise): the
-        bytes of elbo_objective(Workspace(self, x, y, grad=True), 0.0, stream,
-        sign).
-
-        It binds one forward-only Workspace, without gradient arrays. The
-        hidden layer's mean x*w + b and std sqrt(x^2 * v_w + v_b) do not
-        depend on the noise, so they are computed here, once. A non-finite
-        activation is a NumericError naming its layer.
-        """
+        """The function (stream, sign=1) -> model_forward(ws, stream, sign)
+        over one forward-only Workspace(self, x, y), bound here, once."""
         ws = Workspace(self, x, y)
-        hidden, output = self.hidden, self.output
-        mean, std, p1 = ws.hidden_pre
-        _affine(ws.designs[0], hidden.mean_w, hidden.mean_b, mean, ws.wb)
-        np.sqrt(_affine(ws.designs[1], np.exp(hidden.logvar_w), np.exp(hidden.logvar_b), std,
-                        ws.wb), out=std)
-
-        def sample(stream: RngStream, sign: int = 1):
-            eps_hidden, eps_output = _draw_noise(ws, stream, sign)
-            np.add(mean, np.multiply(std, eps_hidden, out=p1), out=p1)
-            _check_finite(p1, ws.finite[0], "hidden")
-            a = np.tanh(p1, out=p1)
-            p2 = _layer_forward(output, a, np.multiply(a, a, out=ws.a_sq), eps_output,
-                                ws.output_pre)[0]
-            _check_finite(p2, ws.finite[1], "output")
-            return _nll(ws.y, p2, ws.head)[0]
-
-        return sample
+        return lambda stream, sign=1: model_forward(ws, stream, sign)
 
     def kl(self):
         return kl_model(self)
@@ -264,10 +245,10 @@ def unpack_params(model: ConditionalModel, vec: np.ndarray) -> ConditionalModel:
     return ConditionalModel(vec, model.hidden_width)
 
 
-def _kl(model: ConditionalModel, scale: float, grad: ConditionalModel | None = None):
-    """Per model, the KL from the factorized posteriors to the priors, as
-    (hidden layer, output layer). With grad, the gradient of scale * KL
-    overwrites its blocks.
+def kl_model(model: ConditionalModel, scale: float = 1.0, grad: ConditionalModel | None = None):
+    """Per model, the closed-form KL from the factorized posteriors to the
+    priors, in nats: the hidden layer's plus the output layer's. With grad,
+    the gradient of scale * KL overwrites its blocks.
 
     Each operation covers a field of both layers at once; each layer's sum
     runs over its own part of a slice (the first hidden_width entries are
@@ -308,14 +289,8 @@ def _kl(model: ConditionalModel, scale: float, grad: ConditionalModel | None = N
         g_ls *= scale
     h = model.hidden_width
     reduce = np.add.reduce
-    return (reduce(kl_w[..., :h], -1) + reduce(kl_b[..., :h], -1),
-            reduce(kl_w[..., h:], -1) + reduce(kl_b[..., h:], -1))
-
-
-def kl_model(model: ConditionalModel):
-    """Closed-form KL from all factorized posteriors to their priors, in nats, per model."""
-    kl_hidden, kl_output = _kl(model, 1.0)
-    return kl_hidden + kl_output
+    return ((reduce(kl_w[..., :h], -1) + reduce(kl_b[..., :h], -1))
+            + (reduce(kl_w[..., h:], -1) + reduce(kl_b[..., h:], -1)))
 
 
 def _map_penalty(model: ConditionalModel, grad: ConditionalModel):
@@ -399,6 +374,11 @@ class Workspace:
         else:
             self.grad = None
             self.finite = np.empty(rows + (width,), bool), np.empty(rows + (2,), bool)
+            # the noise-free hidden mean x*w + b and std sqrt(x^2 v_w + v_b)
+            hidden, (mean, std, _) = model.hidden, self.hidden_pre
+            _affine(self.designs[0], hidden.mean_w, hidden.mean_b, mean, self.wb)
+            np.sqrt(_affine(self.designs[1], np.exp(hidden.logvar_w), np.exp(hidden.logvar_b),
+                            std, self.wb), out=std)
 
 
 def _draw_noise(ws: Workspace, stream: RngStream, sign: int):
@@ -509,13 +489,24 @@ def _check_finite(values: np.ndarray, finite: np.ndarray, name: str) -> None:
         raise NumericError(f"non-finite activations in {name} layer")
 
 
-def model_forward(model: ConditionalModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Predict (mu, sigma) for each x through the posterior means, sigma =
-    exp(clamped log-scale); kept only for perfbench's tracer until ROADMAP item 3."""
-    ws = Workspace(model, x, x)  # y is not read
-    p1 = _layer_forward(model.hidden, ws.designs[0], None, None, ws.hidden_pre, ws.wb)[0]
-    p2 = _layer_forward(model.output, np.tanh(p1, out=p1), None, None, ws.output_pre)[0]
-    return p2[..., 0].copy(), np.exp(np.clip(p2[..., 1], -LOG_SCALE_LIMIT, LOG_SCALE_LIMIT))
+def model_forward(ws: Workspace, stream: RngStream, sign: int = 1):
+    """One Monte Carlo sample: per model, the NLL of ws.y given ws.x on the
+    sampled pass on the noise of (stream, sign) (see _draw_noise), over the
+    forward-only workspace ws; the bytes of elbo_objective(Workspace(model,
+    x, y, grad=True), 0.0, stream, sign). It adds std * eps to the hidden
+    pre-activation mean that binding ws wrote. A non-finite activation is a
+    NumericError naming its layer."""
+    if ws.grad is not None:
+        raise ArgumentError("model_forward needs a forward-only workspace")
+    mean, std, p1 = ws.hidden_pre
+    eps_hidden, eps_output = _draw_noise(ws, stream, sign)
+    np.add(mean, np.multiply(std, eps_hidden, out=p1), out=p1)
+    _check_finite(p1, ws.finite[0], "hidden")
+    a = np.tanh(p1, out=p1)
+    p2 = _layer_forward(ws.model.output, a, np.multiply(a, a, out=ws.a_sq), eps_output,
+                        ws.output_pre)[0]
+    _check_finite(p2, ws.finite[1], "output")
+    return _nll(ws.y, p2, ws.head)[0]
 
 
 def gaussian_nll(y: np.ndarray):
@@ -599,8 +590,9 @@ def elbo_objective(ws: Workspace, beta: float, stream: RngStream, sign: int = 1)
     if not 0.0 <= beta <= 1.0:
         raise ArgumentError(f"beta must lie in [0, 1], got {beta}")
     eps = _draw_noise(ws, stream, sign)
-    kl_hidden, kl_output = _kl(ws.model, beta, ws.grad)
-    return _data_nll(ws, eps) + beta * (kl_hidden + kl_output)
+    # the KL overwrites the gradient and the data pass adds into it
+    kl = kl_model(ws.model, beta, ws.grad)
+    return _data_nll(ws, eps) + beta * kl
 
 
 def map_objective(ws: Workspace):

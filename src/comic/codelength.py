@@ -181,14 +181,15 @@ def conditional_variational_codelength(
 
     model holds one model per direction along its leading axis, as
     train_conditional returns it; it is used through a duck-typed surface:
-    sampler(x, y), whose function prices a sample by the NLL training
-    minimizes, on the noise of (stream, sign), and kl(). Samples 2k and
-    2k + 1 are an antithetic pair on stream.child("eval", k): sample 2k + 1
-    takes the negated noise of sample 2k, so an odd mc_eval_samples ends on
-    one plain draw. Each sample's noise is shared by all directions, and one
-    pass evaluates them all. A non-finite codelength (each sample's
-    activations are checked, so it comes from a non-finite KL) is a
-    NumericError naming its direction.
+    sampler(x, y), whose function (stream, sign) runs one sample and prices
+    it by the NLL training minimizes, on the noise of (stream, sign)
+    (bnn.model_forward for a ConditionalModel), and kl() (bnn.kl_model).
+    Samples 2k and 2k + 1 are an antithetic pair on stream.child("eval",
+    k): sample 2k + 1 takes the negated noise of sample 2k, so an odd
+    mc_eval_samples ends on one plain draw. Each sample's noise is shared
+    by all directions, and one pass evaluates them all. A non-finite
+    codelength (each sample's activations are checked, so it comes from a
+    non-finite KL) is a NumericError naming its direction.
     """
     mc_eval_samples = check_count("mc_eval_samples", mc_eval_samples, 1)
     x, y = _directions(x, y, 1)

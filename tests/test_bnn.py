@@ -18,11 +18,11 @@ from comic.bnn import (
     elbo_objective,
     gaussian_nll,
     _data_nll,
-    _kl,
     _layer_forward,
     _map_penalty,
     kl_model,
     map_objective,
+    model_forward,
 )
 from comic.errors import ArgumentError
 from comic.rng import RngStream, draw_standard_normal
@@ -357,6 +357,20 @@ def test_objectives_refuse_a_workspace_bound_without_a_gradient(objective):
     # refused before any noise was drawn
     assert all(np.isnan(eps).all() for eps in ws.eps)
     assert not hasattr(ws, "g_p2") and not hasattr(ws, "input_grad")
+
+
+def test_model_forward_refuses_a_workspace_bound_with_a_gradient():
+    # a training workspace has no bound hidden mean and std, which a sample
+    # reads; model_forward would price garbage if it took one
+    model = random_model(4, 1, 2)
+    x = np.linspace(-1.0, 1.0, 7)
+    ws = Workspace(model, x, np.sin(x), grad=True)
+    for eps in ws.eps:
+        eps.fill(np.nan)
+    with pytest.raises(ArgumentError, match="model_forward needs a forward-only workspace"):
+        model_forward(ws, RngStream(0))
+    # refused before any noise was drawn
+    assert all(np.isnan(eps).all() for eps in ws.eps)
 
 
 def test_a_training_workspace_builds_its_own_gradient():
@@ -895,6 +909,7 @@ def test_antithetic_passes_match_oracle_bytes_under_negated_noise(width, n, seed
         expected = oracle_sample_nll(model, x, y, stream, sign).hex()
         assert sample(stream, sign).hex() == expected
         assert model.sampler(x, y)(stream, sign).hex() == expected
+        assert model_forward(Workspace(model, x, y), stream, sign).hex() == expected
 
 
 def test_an_antithetic_pair_draws_its_noise_once(monkeypatch):
@@ -977,12 +992,12 @@ def test_prior_terms_match_the_per_layer_oracles(width, stacked):
     model = stack(*problems) if stacked else problems[0]
     for scale in (0.4, 1.0):
         vec = np.full(model.params.shape, np.nan)
-        kl = _kl(model, scale, ConditionalModel(vec, width))
+        kl = kl_model(model, scale, ConditionalModel(vec, width))
         assert np.isfinite(vec).all()
         for d, problem in enumerate(problems[:1 + stacked]):
             oracle = [oracle_kl_layer(layer, scale) for layer in (problem.hidden, problem.output)]
-            assert [float(np.atleast_1d(value)[d]).hex() for value in kl] == [
-                value.hex() for value, _ in oracle]
+            (kl_hidden, _), (kl_output, _) = oracle
+            assert float(np.atleast_1d(kl)[d]).hex() == (kl_hidden + kl_output).hex()
             assert np.atleast_2d(vec)[d].tobytes() == packed(
                 *(grad for _, grad in oracle)).params.tobytes()
     vec = np.full(model.params.shape, np.nan)

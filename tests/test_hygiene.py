@@ -2,7 +2,9 @@
 scripts/ and tests/ uses each name it imports, every def under src/comic
 and scripts/ reads each of its parameters, no package code is there only
 for the tests, and every function perfbench's TRACED table names exists
-and, outside TRACED_ONLY, is called by a tiny traced run.
+and, outside TRACED_ONLY (pack_grads and unpack_params), is called by a
+tiny traced run: bnn.model_forward once per Monte Carlo sample and
+bnn.kl_model once per VI epoch and once for the evaluation's KL.
 Test parameters are not checked, since test callbacks keep fixed
 signatures; perfbench/tests belongs to the benchmark and is not checked
 either.
@@ -38,7 +40,7 @@ PACKAGE = [path for path in MODULES if path.parent.name == "comic"]
 USERS = sorted(path for folder in ("scripts", "perfbench") for path in (ROOT / folder).glob("*.py"))
 # Package code that only perfbench/tracing.py's TRACED table names. ROADMAP item 3
 # deletes each of them, together with its span, in the benchmark PR.
-TRACED_ONLY = {"model_forward", "pack_grads", "unpack_params"}
+TRACED_ONLY = {"pack_grads", "unpack_params"}
 TESTS = sorted(path for path in (ROOT / "tests").rglob("*.py") if path != Path(__file__).resolve())
 
 
@@ -240,8 +242,9 @@ def test_a_tiny_run_calls_every_traced_function_but_the_traced_only_ones(tmp_pat
     spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    # two samples, so one span per evaluation would not pass for one per sample
     cfg = TrainConfig(hidden_width=2, map_epochs=2, vi_epochs=2, warmup_epochs=1,
-                      mc_eval_samples=1)
+                      mc_eval_samples=2)
     tracer = tracing.Tracer()
     with tracer.installed():
         data.write_dataset(tmp_path, data.generate_dataset(data.GeneratorSpec("AN", 1, 20)))
@@ -250,6 +253,10 @@ def test_a_tiny_run_calls_every_traced_function_but_the_traced_only_ones(tmp_pat
     calls = {name: entry["calls"] for name, entry in tracing.summarize(tracer.spans).items()}
     assert sorted(name for name, count in calls.items() if count == 0) == sorted(
         f"bnn.{name}" for name in TRACED_ONLY)
+    # the Monte Carlo and KL layers' spans cover the work itself: one span per
+    # sample, and one per VI epoch plus the evaluation's KL
+    assert calls["bnn.model_forward"] == cfg.mc_eval_samples
+    assert calls["bnn.kl_model"] == cfg.vi_epochs + 1
 
 
 def test_unresolved_check_flags_a_planted_entry():
