@@ -90,8 +90,10 @@ x-only arrays (see Workspace) and allocates what its passes write: the
 noise, each layer's pre-activation mean, std and sample, the stacked
 weights [w; b], a^2 and the head's rows; for training, the gradient,
 d(loss)/d(p2) and the input gradient; forward-only (model_forward's), the
-finite masks its checks write, and binding writes the hidden layer's
-pre-activation mean and std. The objectives refuse a forward-only
+finite masks its checks write, and binding runs the hidden layer's pass on
+zero noise, which writes its pre-activation mean and std. A sampler
+therefore prices the model as it was when bound: a model changed
+afterwards needs a new sampler. The objectives refuse a forward-only
 workspace and model_forward a training one. A value whose last use has
 passed is overwritten in place (the backward pass turns the std into
 0.5 / std and d(loss)/d(h_out) into the scaled noise gradient), so that
@@ -99,7 +101,8 @@ few arrays are live and stay in cache. Each value is computed by the same
 operations on the same operands as with fresh arrays, so the bytes are the
 same. A pass writes every array before it reads it, so no pass sees
 another's data, save two exceptions. model_forward reads the hidden mean
-and std that binding wrote, which no pass writes. And a workspace keeps its
+and std of binding's zero-noise pass, which no pass writes (a sample
+overwrites only that pass's sample row). And a workspace keeps its
 last noise draw and the stream it came from, and a pass on that stream
 reuses it, negated if its sign differs, which gives the bytes of a fresh
 draw. Each workspace owns its arrays, so passes over other workspaces, in
@@ -374,11 +377,8 @@ class Workspace:
         else:
             self.grad = None
             self.finite = np.empty(rows + (width,), bool), np.empty(rows + (2,), bool)
-            # the noise-free hidden mean x*w + b and std sqrt(x^2 v_w + v_b)
-            hidden, (mean, std, _) = model.hidden, self.hidden_pre
-            _affine(self.designs[0], hidden.mean_w, hidden.mean_b, mean, self.wb)
-            np.sqrt(_affine(self.designs[1], np.exp(hidden.logvar_w), np.exp(hidden.logvar_b),
-                            std, self.wb), out=std)
+            # the hidden mean and std, which no noise changes; the sample is scratch
+            _layer_forward(model.hidden, *self.designs, 0.0, self.hidden_pre, self.wb)
 
 
 def _draw_noise(ws: Workspace, stream: RngStream, sign: int):
@@ -429,9 +429,10 @@ def _layer_forward(layer: VariationalLinearLayer, h_in: np.ndarray, h_sq: np.nda
 
     The pre-activations' mean, std and sample are written into the
     (3, ..., n, B) array pre. With eps they are drawn from their induced
-    Gaussian and the noise terms are (v_w, v_b, std, eps); with eps=None the
-    pass runs through the posterior means only and has none. Given wb, h_in
-    and h_sq are the designs [x, 1] and [x^2, 1] (see _affine).
+    Gaussian and the noise terms are (v_w, v_b, std, eps); eps=0.0 is the
+    noise-free case, which writes the mean and std that no draw changes.
+    With eps=None the pass runs through the posterior means only and has none.
+    Given wb, h_in and h_sq are the designs [x, 1] and [x^2, 1] (see _affine).
     """
     mean, std, sample = pre
     _affine(h_in, layer.mean_w, layer.mean_b, mean, wb)

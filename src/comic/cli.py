@@ -20,7 +20,7 @@ from . import data as data_mod
 from .codelength import TrainConfig, score_pair
 from .data import (GeneratorSpec, decode_utf8, generate_dataset, load_pair_file, load_tuebingen,
                    write_dataset)
-from .errors import ArgumentError, FetchError, NumericError, ParseError, check_count
+from .errors import ArgumentError, NumericError, ParseError, check_count
 from .evaluation import machine_info, run_benchmark, write_result
 
 # every setting's default; a key's type is its default's type
@@ -187,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ArgumentError, ParseError, NumericError, FetchError, OSError) as e:
+    except (ArgumentError, ParseError, NumericError, OSError) as e:
         error = {"error": {"type": type(e).__name__, "message": str(e)}}
         sys.stdout.write(json.dumps(error) + "\n")
         return 1

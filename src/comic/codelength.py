@@ -19,18 +19,18 @@ runs every data-sized array in float32, while the parameters, their
 gradient, the KL and each loss's row sum stay float64 (see bnn). The
 marginals and the stream key are taken from the float64 columns. The
 directions are trained in one pass, one objective call and one Adam step
-per epoch, then evaluated in one pass per Monte Carlo sample. Both take all their randomness, initial weights
-and every noise draw, from one stream keyed by the sorted pair of
-fingerprints of the sorted standardized columns. VI epochs and samples
-run in antithetic pairs: passes 2k and 2k + 1 hand bnn the same child of
-that stream, with signs 1 and -1, so the second runs on the negated noise
-of the first, which the workspace keeps; an odd count ends on one plain
-draw. Each draw serves both directions (common random numbers; each
-direction's noise is still standard normal). The key does not depend on
-which argument slot a column occupies, and each direction's arithmetic
-depends only on its own data and the noise, with no reduction across
-directions, so score_pair on the swapped pair is the bit-exact mirror of
-the original computation.
+per epoch, then evaluated in one pass per Monte Carlo sample. Both take
+all their randomness, initial weights and every noise draw, from one
+stream keyed by the sorted pair of fingerprints of the sorted
+standardized columns. VI epochs and samples run in antithetic pairs:
+passes 2k and 2k + 1 hand bnn the same child of that stream, with signs 1
+and -1, so the second runs on the negated noise of the first, which the
+workspace keeps; an odd count ends on one plain draw. Each draw serves
+both directions (common random numbers; each direction's noise is still
+standard normal). The key does not depend on which argument slot a column
+occupies, and each direction's arithmetic depends only on its own data and
+the noise, with no reduction across directions, so score_pair on the
+swapped pair is the bit-exact mirror of the original computation.
 """
 
 from __future__ import annotations
@@ -109,10 +109,10 @@ def _directions(x, y, min_rows: int) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _antithetic(stream: RngStream, index: int, *tags) -> tuple[RngStream, int]:
+def _antithetic(stream: RngStream, index: int) -> tuple[RngStream, int]:
     """The (stream, sign) of pass index of a sequence of antithetic pairs:
-    passes 2k and 2k + 1 share stream.child(*tags, k), with signs 1 and -1."""
-    return stream.child(*tags, index // 2), 1 - 2 * (index % 2)
+    passes 2k and 2k + 1 share stream.child(k), with signs 1 and -1."""
+    return stream.child(index // 2), 1 - 2 * (index % 2)
 
 
 def train_conditional(x, y, cfg: TrainConfig, stream: RngStream) -> ConditionalModel:
@@ -184,10 +184,11 @@ def conditional_variational_codelength(
     sampler(x, y), whose function (stream, sign) runs one sample and prices
     it by the NLL training minimizes, on the noise of (stream, sign)
     (bnn.model_forward for a ConditionalModel), and kl() (bnn.kl_model).
-    Samples 2k and 2k + 1 are an antithetic pair on stream.child("eval",
-    k): sample 2k + 1 takes the negated noise of sample 2k, so an odd
-    mc_eval_samples ends on one plain draw. Each sample's noise is shared
-    by all directions, and one pass evaluates them all. A non-finite
+    Samples 2k and 2k + 1 are an antithetic pair: they share
+    stream.child("eval").child(k), and sample 2k + 1 takes the negated
+    noise of sample 2k, so an odd mc_eval_samples ends on one plain draw.
+    Each sample's noise is shared by all directions, and one pass
+    evaluates them all. A non-finite
     codelength (each sample's activations are checked, so it comes from a
     non-finite KL) is a NumericError naming its direction.
     """
@@ -196,8 +197,9 @@ def conditional_variational_codelength(
     kl = model.kl()
     sample = model.sampler(x, y)
     totals = np.zeros(len(x))
+    eval_stream = stream.child("eval")
     for m in range(mc_eval_samples):
-        totals += sample(*_antithetic(stream, m, "eval"))
+        totals += sample(*_antithetic(eval_stream, m))
     codelengths = totals / mc_eval_samples + kl
     bad = ~np.isfinite(codelengths)
     if bad.any():

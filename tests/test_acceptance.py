@@ -28,7 +28,7 @@ from comic.evaluation import auroc, result_to_csv, run_benchmark
 from comic.optim import adam_step
 from comic.rng import RngStream, draw_standard_normal
 from gradcheck import finite_diff_grad
-from tests.test_bnn import layer_pass
+from test_bnn import layer_pass
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -137,7 +137,7 @@ def kl_oracle(model):
 
 
 def test_criterion_4_kl_oracle():
-    from tests.test_bnn import random_model, single_weight_kl
+    from test_bnn import random_model, single_weight_kl
 
     worst = 0.0
     for seed in range(30):
@@ -218,7 +218,7 @@ def test_criterion_6_swap_antisymmetry():
 
 
 def test_criterion_7_auroc_oracle_equivalence():
-    from tests.test_evaluation import auroc_bruteforce
+    from test_evaluation import auroc_bruteforce
 
     rng = np.random.default_rng(707)
     worst = 0.0
@@ -346,7 +346,7 @@ def test_criterion_9_determinism_and_parallelism():
     assert first.bi_auroc == second.bi_auroc
     assert [r.final_delta for r in first.rows] == [r.final_delta for r in second.rows]
 
-    from tests.test_evaluation import strip_runtime
+    from test_evaluation import strip_runtime
 
     repeat = run_benchmark(pairs, FAST_CFG, parallelism=1)
     assert strip_runtime(result_to_csv(first)) == strip_runtime(result_to_csv(repeat))

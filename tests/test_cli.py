@@ -655,5 +655,5 @@ def test_fetch_offline_retries_then_fails(tmp_path, capsys):
                  "--out", str(tmp_path / "none")])
     captured = capsys.readouterr()
     assert code == 1
-    assert "error" in json.loads(captured.out)
+    assert json.loads(captured.out)["error"]["type"] == "FetchError"
     assert captured.err.count("attempt") == 3  # retry log

@@ -26,7 +26,7 @@ from comic.data import (
 from comic.errors import ArgumentError, NumericError
 from comic.evaluation import run_benchmark
 from comic.rng import RngStream
-from tests.test_bnn import edge_problem, make_layer, oracle_sample_nll, packed, stack
+from test_bnn import edge_problem, make_layer, oracle_sample_nll, packed, stack
 
 FAST = TrainConfig(hidden_width=8, vi_epochs=60, warmup_epochs=10, map_epochs=60,
                    mc_eval_samples=8, seed=3)
@@ -453,8 +453,8 @@ def test_swap_antisymmetry_bit_exact(n, width):
     assert mirrored.delta_yx == forward.delta_xy
 
 
-TINY = TrainConfig(hidden_width=2, vi_epochs=4, warmup_epochs=2, map_epochs=4,
-                   mc_eval_samples=2, seed=7)
+ROW_ORDER_CFG = TrainConfig(hidden_width=2, vi_epochs=4, warmup_epochs=2, map_epochs=4,
+                            mc_eval_samples=2, seed=7)
 
 
 def sample_columns(n):
@@ -478,12 +478,12 @@ def test_any_row_order_scores_the_same(case):
     # report bit for bit, and swapping the columns as well negates it
     x, y, order, swap = case
     pair = PairDataset(np.array(x), np.array(y))
-    report = score_pair(pair, TINY)
+    report = score_pair(pair, ROW_ORDER_CFG)
     permuted = PairDataset(pair.x[list(order)], pair.y[list(order)])
     if not swap:
-        assert repr(score_pair(permuted, TINY)) == repr(report)
+        assert repr(score_pair(permuted, ROW_ORDER_CFG)) == repr(report)
         return
-    mirrored = score_pair(swap_pair(permuted), TINY)
+    mirrored = score_pair(swap_pair(permuted), ROW_ORDER_CFG)
     assert mirrored.final_delta == -report.final_delta
     assert (mirrored.delta_xy, mirrored.delta_yx) == (report.delta_yx, report.delta_xy)
 

@@ -7,7 +7,11 @@ tiny traced run: bnn.model_forward once per Monte Carlo sample and
 bnn.kl_model once per VI epoch and once for the evaluation's KL.
 Test parameters are not checked, since test callbacks keep fixed
 signatures; perfbench/tests belongs to the benchmark and is not checked
-either.
+either. No module of src/comic, scripts/ or tests/ binds a module-level
+name twice (a later binding silently replaces the one a reader sees first)
+or has a line over 100 characters, and no test imports another through the
+`tests.` package path: pytest loads test files by their bare names, so a
+second path would load and run the same file twice.
 
 Package __init__ modules are exempt (their imports are re-exports), as is
 `from __future__ import ...`, which binds no name. `self` and `cls` are
@@ -42,6 +46,8 @@ USERS = sorted(path for folder in ("scripts", "perfbench") for path in (ROOT / f
 # deletes each of them, together with its span, in the benchmark PR.
 TRACED_ONLY = {"pack_grads", "unpack_params"}
 TESTS = sorted(path for path in (ROOT / "tests").rglob("*.py") if path != Path(__file__).resolve())
+SOURCES = sorted(path for folder in ("src/comic", "scripts", "tests")
+                 for path in (ROOT / folder).glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -113,6 +119,34 @@ def names_outside_traced(source: str) -> set[str]:
     return named(tree, skip=table)
 
 
+def rebound_names(source: str) -> list[str]:
+    """Module-level defs, classes and assigned names that an earlier module-level
+    statement already defines, with the line of the later one."""
+    seen = set()
+    rebound = []
+    for node in ast.parse(source).body:
+        for name in defined_names(node):
+            if name in seen:
+                rebound.append(f"line {node.lineno}: {name}")
+            seen.add(name)
+    return rebound
+
+
+def package_path_imports(source: str) -> list[str]:
+    """Imports that reach a test module through the tests package, with their line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        found += [f"line {node.lineno}: {module}" for module in modules
+                  if module == "tests" or module.startswith("tests.")]
+    return found
+
+
 def unreferenced_definitions(source: str, elsewhere: set[str]) -> list[str]:
     """Module-level defs, classes and assigned names that neither elsewhere nor
     source, outside their own definition or assignment, names, with their line."""
@@ -152,6 +186,48 @@ def test_unused_import_check_flags_a_planted_import():
               "from dataclasses import dataclass, field\n"
               "x = np.zeros(field)\n")
     assert unused_imports(source) == ["line 2: os", "line 4: dataclass"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_module_level_name_is_bound_twice(path):
+    assert rebound_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_rebinding_check_flags_a_planted_name():
+    source = ("import os\n"
+              "import os.path\n"
+              "CFG = 1\n"
+              "def helper():\n"
+              "    CFG = 2\n"
+              "    return CFG\n"
+              "WIDTH, CFG = 2, 3\n"
+              "class helper:\n"
+              "    pass\n"
+              "CFG += 1\n")
+    assert rebound_names(source) == ["line 7: CFG", "line 8: helper"]
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_test_module_is_imported_through_the_tests_package(path):
+    assert package_path_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_package_path_import_check_flags_a_planted_import():
+    source = ("import testsuite\n"
+              "from test_bnn import stack\n"
+              "from tests.test_bnn import packed\n"
+              "def f():\n"
+              "    import tests.gradcheck\n"
+              "    from tests import noise_oracle\n"
+              "    from . import sibling\n")
+    assert package_path_imports(source) == [
+        "line 3: tests.test_bnn", "line 5: tests.gradcheck", "line 6: tests"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_line_is_longer_than_the_limit(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [number for number, line in enumerate(lines, 1) if len(line) > 100] == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
